@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BadPrime, DoesNotStabilize
 from .fields import Field
 from .fgl import additive, multiplicative
@@ -122,10 +124,9 @@ def lie_closure(generators) -> list:
 
     def try_add(mat: Matrix) -> bool:
         vec = mat.flatten()
-        candidate = rows + [list(vec)]
-        probe = Matrix.from_rows(mat.field, candidate)
+        probe = Matrix(mat.field, np.vstack(rows + [vec]))
         if probe.rank() > len(rows):
-            rows.append(list(vec))
+            rows.append(vec)
             basis.append(mat)
             return True
         return False
@@ -206,11 +207,7 @@ def adjoint_partition_direct(a: Matrix, basis: list, mode: str) -> Partition:
     which signals a representative outside the subalgebra or its group.
     """
     field = a.field
-    columns = Matrix.zeros(field, len(basis[0].flatten()), len(basis))
-    for j, z in enumerate(basis):
-        vec = z.flatten()
-        for i, v in enumerate(vec):
-            columns.a[i, j] = v
+    columns = Matrix(field, np.column_stack([z.flatten() for z in basis]))
     if mode == "unipotent":
         a_inv = a.inverse()
         images = [a @ z @ a_inv - z for z in basis]
@@ -218,13 +215,9 @@ def adjoint_partition_direct(a: Matrix, basis: list, mode: str) -> Partition:
         images = [bracket(a, z) for z in basis]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    coords = Matrix.zeros(field, len(basis), len(basis))
-    for j, img in enumerate(images):
-        x = solve_in_columns(columns, img.flatten())
-        if x is None:
-            raise DoesNotStabilize(f"{mode} representative does not stabilize the subalgebra")
-        for i, v in enumerate(x):
-            coords.a[i, j] = v
+    coords = solve_in_columns(columns, Matrix(field, np.column_stack([z.flatten() for z in images])))
+    if coords is None:
+        raise DoesNotStabilize(f"{mode} representative does not stabilize the subalgebra")
     return jordan_partition(coords)
 
 

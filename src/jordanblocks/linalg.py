@@ -3,10 +3,16 @@
 Matrices over F_p are stored as int64 numpy arrays with entries in
 ``range(p)``; matrices over Q hold ``Fraction`` entries in object arrays.
 Products over F_p go through float64 BLAS, which is exact as long as the
-accumulated dot products stay below 2**53 (asserted), and ranks come from
-straight Gaussian elimination.  Partitions are read off an operator through
-the kernel-dimension sequence of its powers, never through a similarity
-transform.
+accumulated dot products stay below 2**53; a product that could pass that
+bound raises ``BadPrime`` instead of rounding.  Ranks over F_p come from
+forward elimination alone (an echelon form, no back substitution) that
+touches only the rows with a nonzero in the pivot column and only the
+columns from the pivot onward; RREF is kept for ``inverse`` and
+``solve_in_columns``.  Partitions are read off an operator through the
+kernel-dimension sequence of its powers, never through a similarity
+transform.  Over F_p that sequence comes from a shrinking chain: an echelon
+basis E_k of the row space of N^k gives the next one as the echelon form of
+E_k N, so step k works on a rank(N^k)-by-n matrix instead of N^(k+1).
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    BadPrime,
     FactorialNotInvertible,
     NonzeroConstantTerm,
     NotContained,
@@ -191,10 +198,7 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         p = self.field.p
         if p:
-            # float64 BLAS is exact while accumulated values stay < 2**53
-            assert (p - 1) ** 2 * self.ncols < 2**53
-            prod = np.rint(self.a.astype(np.float64) @ other.a.astype(np.float64))
-            return Matrix(self.field, prod.astype(np.int64) % p)
+            return Matrix(self.field, _matmul_mod(self.a, other.a, p))
         return Matrix(self.field, np.dot(self.a, other.a))
 
     def kron(self, other: "Matrix") -> "Matrix":
@@ -232,7 +236,7 @@ class Matrix:
 
     def rank(self) -> int:
         if self.field.p:
-            return _rank_mod(self.a, self.field.p)
+            return _echelon_mod(self.a, self.field.p).shape[0]
         return _rank_frac(self.a)
 
     def inverse(self) -> "Matrix":
@@ -261,32 +265,73 @@ class Matrix:
         return self.a.reshape(-1)
 
 
-def _rank_mod(a: np.ndarray, p: int) -> int:
-    _, pivots = _row_reduce_mod(a % p, p)
-    return len(pivots)
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Exact product of two arrays reduced mod p, through float64 BLAS.
+
+    Each entry of the product is a sum of a.shape[1] terms below (p-1)**2;
+    float64 holds every integer below 2**53 exactly, so past that bound the
+    product could round and a wrong partition could follow.
+    """
+    inner = a.shape[1]
+    if (p - 1) ** 2 * inner >= 2**53:
+        raise BadPrime(
+            f"F_{p} products of length {inner} can reach 2**53, past float64 exactness")
+    prod = np.rint(a.astype(np.float64) @ b.astype(np.float64))
+    return prod.astype(np.int64) % p
+
+
+def _echelon_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """Nonzero rows of an echelon form of ``a`` over F_p (rank = row count).
+
+    Forward elimination only.  A column that is zero in every row stays zero
+    under row operations, so only the initially nonzero columns are scanned.
+    At each pivot only the rows below it with a nonzero in the pivot column
+    change, and only from the pivot column onward.
+    """
+    a = a % p
+    m = a.shape[0]
+    r = 0
+    for c in np.flatnonzero(a.any(axis=0)):
+        nz = np.flatnonzero(a[r:, c])
+        if nz.size == 0:
+            continue
+        if nz[0]:
+            a[[r, r + nz[0]], c:] = a[[r + nz[0], r], c:]
+        below = r + nz[1:]
+        if below.size:
+            factor = a[below, c, None] * pow(int(a[r, c]), -1, p)
+            a[below, c:] = (a[below, c:] - factor % p * a[r, c:]) % p
+        r += 1
+        if r == m:
+            break
+    return a[:r]
 
 
 def _row_reduce_mod(a: np.ndarray, p: int, stop_col: int | None = None):
-    """In-place-ish RREF over F_p; returns (reduced, pivot column list)."""
-    a = a.copy() % p
+    """RREF over F_p; returns (reduced, pivot column list).
+
+    Pivots are sought in the columns before ``stop_col``; the row operations
+    still run over every column, so an augmented block is carried along.
+    Entries left of a pivot are already zero in the pivot row, so each step
+    touches only the rows with a nonzero in the pivot column, and only from
+    the pivot column onward.
+    """
+    a = a % p
     m, n = a.shape
     stop = n if stop_col is None else stop_col
     r = 0
     pivots = []
     for c in range(stop):
-        piv = None
-        for i in range(r, m):
-            if a[i, c]:
-                piv = i
-                break
-        if piv is None:
+        nz = np.flatnonzero(a[r:, c])
+        if nz.size == 0:
             continue
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
+        if nz[0]:
+            a[[r, r + nz[0]], c:] = a[[r + nz[0], r], c:]
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
         col = a[:, c].copy()
         col[r] = 0
-        a = (a - np.outer(col, a[r])) % p
+        rows = np.flatnonzero(col)
+        a[rows, c:] = (a[rows, c:] - col[rows, None] * a[r, c:]) % p
         pivots.append(c)
         r += 1
         if r == m:
@@ -329,32 +374,28 @@ def _row_reduce_frac(rows: list, stop_col: int | None = None):
     return rows, pivots
 
 
-def solve_in_columns(b: Matrix, v) -> list | None:
-    """Solve b @ x = v for the column span of b; None when inconsistent.
+def solve_in_columns(b: Matrix, rhs: Matrix) -> Matrix | None:
+    """Solve b @ x = rhs for x, all columns of rhs at once; None when inconsistent.
 
-    Free coordinates (columns without a pivot) are set to zero.  ``v`` is a
-    flat sequence of field elements of length b.nrows.
+    Free coordinates (columns of b without a pivot) are set to zero.  The
+    answer is None as soon as one column of rhs lies outside the column span
+    of b.
     """
     field = b.field
     k = b.ncols
+    x = Matrix.zeros(field, k, rhs.ncols)
     if field.p:
-        aug = np.hstack([b.a % field.p, np.asarray(v, dtype=np.int64).reshape(-1, 1) % field.p])
-        red, pivots = _row_reduce_mod(aug, field.p, stop_col=k)
-        pivot_rows = len(pivots)
-        if any(red[i, k] for i in range(pivot_rows, b.nrows)):
+        red, pivots = _row_reduce_mod(np.hstack([b.a, rhs.a]), field.p, stop_col=k)
+        if red[len(pivots):, k:].any():
             return None
-        x = [field.zero] * k
-        for row, col in enumerate(pivots):
-            x[col] = int(red[row, k])
+        x.a[pivots] = red[:len(pivots), k:]
         return x
-    rows = [[b.a[i, j] for j in range(k)] + [Fraction(v[i])] for i in range(b.nrows)]
+    rows = [list(b.a[i]) + list(rhs.a[i]) for i in range(b.nrows)]
     red, pivots = _row_reduce_frac(rows, stop_col=k)
-    pivot_rows = len(pivots)
-    if any(red[i][k] != 0 for i in range(pivot_rows, b.nrows)):
+    if any(v != 0 for row in red[len(pivots):] for v in row[k:]):
         return None
-    x = [field.zero] * k
     for row, col in enumerate(pivots):
-        x[col] = red[row][k]
+        x.a[col] = red[row][k:]
     return x
 
 
@@ -398,6 +439,22 @@ def nilpotency_degree(n_mat: Matrix) -> int:
     return d
 
 
+def _power_ranks(n_mat: Matrix):
+    """Yield rank N, rank N^2, rank N^3, ... without end."""
+    p = n_mat.field.p
+    if p:
+        # rowspace(N^(k+1)) = rowspace(N^k) N, so an echelon basis of the
+        # previous row space times N spans the next one
+        basis = _echelon_mod(n_mat.a, p)
+        while True:
+            yield basis.shape[0]
+            basis = _echelon_mod(_matmul_mod(basis, n_mat.a, p), p)
+    power = n_mat
+    while True:
+        yield power.rank()
+        power = power @ n_mat
+
+
 def jordan_partition(n_mat: Matrix) -> Partition:
     """Jordan type of a nilpotent matrix via kernel dimensions of its powers.
 
@@ -410,17 +467,15 @@ def jordan_partition(n_mat: Matrix) -> Partition:
     if n == 0:
         return Partition(())
     kernel_dims = []
-    power = n_mat
     prev = 0
-    while True:
-        d = n - power.rank()
+    for rank in _power_ranks(n_mat):
+        d = n - rank
         if d == prev:
             raise NotNilpotent("matrix is not nilpotent")
         kernel_dims.append(d)
         if d == n:
             break
         prev = d
-        power = power @ n_mat
     diffs = [kernel_dims[0]] + [b - a for a, b in zip(kernel_dims, kernel_dims[1:])]
     parts = [sum(1 for c in diffs if c >= i) for i in range(1, diffs[0] + 1)]
     out = Partition(sorted(parts, reverse=True))

@@ -1,10 +1,17 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jordanblocks import linalg
 from jordanblocks.errors import (
+    BadPrime,
     FactorialNotInvertible,
     NotContained,
     NotNilpotent,
@@ -23,12 +30,29 @@ from jordanblocks.linalg import (
     partition_difference,
     partition_union,
     random_invertible,
+    solve_in_columns,
     unipotent_partition,
 )
 from jordanblocks.series import TruncatedPoly
+from oracles import full_power_partition, rref_mod, rref_rank_mod
 
 partitions = st.lists(st.integers(1, 6), min_size=1, max_size=5).map(
     lambda xs: Partition(sorted(xs, reverse=True)))
+PRIMES = [2, 3, 5, 7, 13]
+
+
+def random_conjugate(field, lam, rng) -> Matrix:
+    """g N_lam g^-1 for a random invertible g."""
+    g = random_invertible(field, Partition(lam).dim, rng)
+    return g @ nilpotent_from_partition(field, lam) @ g.inverse()
+
+
+def random_low_rank(p, nrows, ncols, rank, seed) -> np.ndarray:
+    """A reduced nrows-by-ncols array of rank at most ``rank`` over F_p."""
+    rng = np.random.default_rng(seed)
+    left = rng.integers(0, p, size=(nrows, rank))
+    right = rng.integers(0, p, size=(rank, ncols))
+    return (left @ right) % p
 
 
 class TestPartition:
@@ -114,13 +138,166 @@ class TestJordanPartition:
         assert len(part) == n.nrows - n.rank()
         assert max(part) == nilpotency_degree(n)
 
-    @given(partitions, st.sampled_from([2, 3, 5]), st.integers(0, 10**6))
-    @settings(max_examples=20, deadline=None)
+    @given(partitions, st.sampled_from(PRIMES), st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
     def test_conjugation_invariance(self, lam, p, seed):
+        n = random_conjugate(GF(p), lam, random.Random(seed))
+        assert jordan_partition(n) == lam
+        assert full_power_partition(n) == lam
+
+
+class TestEchelonKernel:
+    """The rank-only kernel and the restricted RREF against the full-RREF oracle."""
+
+    @given(st.sampled_from(PRIMES), st.integers(0, 9), st.integers(0, 9),
+           st.integers(0, 9), st.integers(0, 10**6))
+    @settings(max_examples=150, deadline=None)
+    def test_rank_matches_oracle(self, p, nrows, ncols, rank, seed):
+        a = random_low_rank(p, nrows, ncols, rank, seed)
+        assert Matrix(GF(p), a).rank() == rref_rank_mod(a, p)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_edge_shapes(self, p):
+        rng = np.random.default_rng(p)
+        cases = [np.zeros((0, 3), dtype=np.int64), np.zeros((3, 0), dtype=np.int64),
+                 np.zeros((1, 1), dtype=np.int64), np.ones((1, 1), dtype=np.int64),
+                 np.zeros((4, 4), dtype=np.int64), np.eye(5, dtype=np.int64),
+                 rng.integers(0, p, size=(2, 7)), rng.integers(0, p, size=(3, 11)),
+                 rng.integers(0, p, size=(8, 3)), random_low_rank(p, 12, 12, 4, p)]
+        for a in cases:
+            assert Matrix(GF(p), a).rank() == rref_rank_mod(a, p), a.shape
+
+    @given(st.sampled_from(PRIMES), st.integers(1, 9), st.integers(1, 9),
+           st.integers(0, 9), st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_echelon_basis(self, p, nrows, ncols, rank, seed):
+        a = random_low_rank(p, nrows, ncols, rank, seed)
+        e = linalg._echelon_mod(a, p)
+        leads = [int(np.flatnonzero(row)[0]) for row in e]
+        assert leads == sorted(set(leads))
+        assert len(leads) == rref_rank_mod(a, p)
+        assert rref_rank_mod(np.vstack([a, e]), p) == len(leads)
+
+    @given(st.sampled_from(PRIMES), st.integers(1, 9), st.integers(1, 9),
+           st.integers(0, 9), st.integers(0, 10**6), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_rref_matches_oracle(self, p, nrows, ncols, rank, seed, data):
+        a = random_low_rank(p, nrows, ncols, rank, seed)
+        stop = data.draw(st.one_of(st.none(), st.integers(0, ncols)))
+        red, pivots = linalg._row_reduce_mod(a, p, stop_col=stop)
+        want, want_pivots = rref_mod(a, p, stop_col=stop)
+        assert pivots == want_pivots
+        assert np.array_equal(red, want)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_inverse_and_solve(self, p):
         field = GF(p)
-        n = nilpotent_from_partition(field, lam)
-        g = random_invertible(field, lam.dim, random.Random(seed))
-        assert jordan_partition(g @ n @ g.inverse()) == lam
+        g = random_invertible(field, 7, random.Random(p))
+        assert g @ g.inverse() == Matrix.identity(field, 7)
+        b = Matrix(field, random_low_rank(p, 9, 5, 3, p))
+        x = Matrix(field, np.random.default_rng(p).integers(0, p, size=(5, 4)))
+        sol = solve_in_columns(b, b @ x)
+        assert sol.shape == (5, 4)
+        assert b @ sol == b @ x
+        outside = Matrix.identity(field, 9)
+        assert solve_in_columns(b, outside) is None
+
+    def test_solve_over_q(self):
+        b = Matrix.from_rows(QQ, [[1, 2], [0, 1], [3, 0]])
+        x = Matrix.from_rows(QQ, [["1/2", -1], [2, "3/4"]])
+        assert solve_in_columns(b, b @ x) == x
+        assert solve_in_columns(b, Matrix.from_rows(QQ, [[1], [0], [0]])) is None
+
+
+class TestChainAgainstOracle:
+    """The shrinking echelon chain against the full-power chain."""
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_seeded_conjugates(self, p):
+        rng = random.Random(1000 + p)
+        field = GF(p)
+        for lam in [(1,), (2,), (4, 1), (3, 3, 2), (5, 2, 2, 1), (6, 4, 4, 1, 1), (9, 7, 1)]:
+            n = random_conjugate(field, lam, rng)
+            assert jordan_partition(n) == full_power_partition(n) == lam
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_zero_and_one_by_one(self, p):
+        field = GF(p)
+        for n in (Matrix.zeros(field, 1, 1), Matrix.zeros(field, 6, 6)):
+            assert jordan_partition(n) == full_power_partition(n) == (1,) * n.nrows
+        with pytest.raises(NotNilpotent):
+            jordan_partition(Matrix.identity(field, 1))
+
+    @given(partitions, st.sampled_from(PRIMES), st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_not_nilpotent(self, lam, p, seed):
+        # an upper-triangular matrix with a nonzero diagonal entry has a
+        # nonzero eigenvalue, and so does each of its conjugates
+        field = GF(p)
+        rng = random.Random(seed)
+        t = nilpotent_from_partition(field, lam)
+        i = rng.randrange(lam.dim)
+        t.a[i, i] = field.random_nonzero(rng)
+        g = random_invertible(field, lam.dim, rng)
+        u = g @ t @ g.inverse()
+        with pytest.raises(NotNilpotent):
+            jordan_partition(u)
+        with pytest.raises(NotNilpotent):
+            full_power_partition(u)
+
+    def test_rational_path_ranks_full_powers(self, monkeypatch):
+        # over Q the chain still ranks every full power N^k with _rank_frac
+        n = random_conjugate(QQ, (3, 2, 2), random.Random(5))
+        shapes = []
+        rank_frac = linalg._rank_frac
+
+        def spy(a):
+            shapes.append(a.shape)
+            return rank_frac(a)
+
+        monkeypatch.setattr(linalg, "_rank_frac", spy)
+        assert jordan_partition(n) == (3, 2, 2)
+        assert shapes == [(7, 7)] * 3
+
+
+#: around the float64 exactness bound (p-1)**2 * n < 2**53 at inner length n = 2
+PRIME_BELOW_BOUND = 67108859
+PRIME_PAST_BOUND = 67108879
+
+
+class TestExactnessGuard:
+    def test_product_below_bound_is_exact(self):
+        p = PRIME_BELOW_BOUND
+        a = Matrix.from_rows(GF(p), [[p - 1, p - 2], [p - 3, p - 1]])
+        want = [[sum(int(a.a[i, k]) * int(a.a[k, j]) for k in range(2)) % p
+                 for j in range(2)] for i in range(2)]
+        assert (a @ a).a.tolist() == want
+
+    def test_product_past_bound_raises(self):
+        field = GF(PRIME_PAST_BOUND)
+        with pytest.raises(BadPrime):
+            Matrix.identity(field, 2) @ Matrix.identity(field, 2)
+        with pytest.raises(BadPrime):
+            jordan_partition(jordan_block(field, 2))
+
+    def test_guard_survives_optimize_flag(self):
+        code = textwrap.dedent(f"""
+            import sys
+            from jordanblocks.errors import BadPrime
+            from jordanblocks.fields import GF
+            from jordanblocks.linalg import jordan_block, jordan_partition
+            assert False, "asserts must be stripped in this run"
+            try:
+                jordan_partition(jordan_block(GF({PRIME_PAST_BOUND}), 2))
+            except BadPrime:
+                sys.exit(0)
+            sys.exit(1)
+        """)
+        src = os.path.dirname(os.path.dirname(linalg.__file__))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src})
+        if proc.returncode != 0:
+            pytest.fail(f"expected BadPrime under -O: {proc.stdout}{proc.stderr}")
 
 
 class TestUnipotent:
