@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Survey nilpotent vs unipotent adjoint partitions over random classical data.
 
-Samples (kind, lambda, p) triples, computes both adjoint partitions and
-tallies agreement, separating good and bad characteristic.  With a good
-prime the two sides always agree; at p = 2 the symplectic and orthogonal
-cases split.
+Samples (kind, lambda, p) triples, p in {2, 3, 5, 7, 11, 13} for every
+kind, computes both adjoint partitions and tallies agreement, separating
+good and bad characteristic.  With a good prime the two sides always agree;
+at p = 2 the symplectic and orthogonal cases split.
 
 Usage: python scripts/adjoint_survey.py [count] [seed]
 """
@@ -12,27 +12,10 @@ Usage: python scripts/adjoint_survey.py [count] [seed]
 import random
 import sys
 
-from jordanblocks.classical import good_char_report, validate_classical_partition
-from jordanblocks.linalg import Partition
+from jordanblocks.classical import KINDS, good_char_report
+from jordanblocks.verify import sample_classical_case
 
-
-def sample(rng):
-    kind = rng.choice(("GL", "Sp", "SO"))
-    p = rng.choice((2, 3, 5, 7, 11, 13))
-    while True:
-        parts = []
-        budget = rng.randint(4, 10)
-        while sum(parts) < budget and len(parts) < 4:
-            x = rng.randint(1, 8)
-            if kind == "Sp" and x % 2 == 1:
-                parts += [x, x]
-            elif kind == "SO" and x % 2 == 0:
-                parts += [x, x]
-            else:
-                parts.append(x)
-        lam = Partition(sorted(parts, reverse=True))
-        if validate_classical_partition(kind, lam):
-            return kind, lam, p
+PRIMES = {kind: (2, 3, 5, 7, 11, 13) for kind in KINDS}
 
 
 def main() -> None:
@@ -41,7 +24,7 @@ def main() -> None:
     rng = random.Random(f"survey:{seed}")
     agree_good = agree_bad = split_bad = 0
     for _ in range(count):
-        kind, lam, p = sample(rng)
+        kind, lam, p = sample_classical_case(rng, primes=PRIMES)
         report = good_char_report(kind, lam, p)
         if report.good_characteristic:
             assert report.equal, (kind, tuple(lam), p)

@@ -43,6 +43,7 @@ from .repring import (
     RingElement,
     build_intertwiner_pair,
     build_symmetric_intertwiner,
+    cg_square,
     cg_tensor,
     power_operator,
     ring_multiply,
@@ -54,6 +55,7 @@ from .repring import (
     wedge_partition,
 )
 from .classical import (
+    adjoint_partition,
     cayley_series,
     good_char_report,
     nilpotent_adjoint_partition,

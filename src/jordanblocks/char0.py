@@ -4,10 +4,9 @@ For a distinguished nilpotent whose even grading reaches top degree 2n, the
 eigenvalue bookkeeping on a regular semisimple element pins r adjoint block
 sizes: each exponent e contributes a block of size 2f+1 where f is the unique
 representative of -e in 1..n modulo n+1.  The adjoint partitions themselves
-are computed by an exact Clebsch-Gordan oracle: cross terms from the closed
-formula for J_n (x) J_m, diagonal wedge/sym terms from the straightening
-machinery at a prime larger than every block involved (which is exact for
-these partition questions).
+come from the block-by-block sum of :func:`classical.adjoint_partition`, fed
+with the closed characteristic-0 classes: the Clebsch-Gordan series for
+J_n (x) J_m and the sl_2 plethysm for Sym^2 J_n and wedge^2 J_n.
 """
 
 from __future__ import annotations
@@ -21,10 +20,9 @@ from .errors import (
     NotDistinguished,
     UnknownType,
 )
-from .fields import Field, is_prime
-from .fgl import additive
+from .classical import adjoint_partition, check_kind
 from .linalg import Partition
-from .repring import RingElement, cg_tensor, sym_partition, wedge_partition
+from .repring import cg_square, cg_tensor
 
 FAMILIES = ("A", "B", "C", "D", "G2", "F4", "E6", "E7", "E8")
 
@@ -110,48 +108,9 @@ def exponents(family: str, rank: int | None = None) -> WeylTypeData:
 
 # -- exact Clebsch-Gordan adjoint oracle -----------------------------------------
 
-def _next_prime(n: int) -> int:
-    n += 1
-    while not is_prime(n):
-        n += 1
-    return n
-
-
-def _pair_power_char0(n: int, shape: str) -> RingElement:
-    """wedge^2 or Sym^2 of a single block in characteristic 0.
-
-    Computed over F_p for a prime p > 2n, where the answer agrees with the
-    rational one.
-    """
-    p = _next_prime(max(2 * n, 2))
-    field = Field(p)
-    law = additive(field)
-    part = (wedge_partition if shape == "wedge" else sym_partition)((n,), 2, law, field)
-    return RingElement.from_partition(part)
-
-
 def ad_partition_char0(kind: str, lam) -> Partition:
     """Adjoint partition over Q: GL on V (x) V*, Sp on Sym^2 V, SO on wedge^2 V."""
-    lam = Partition(lam)
-    if kind == "GL":
-        out = RingElement()
-        for a in lam:
-            for b in lam:
-                out = out + cg_tensor(a, b)
-        assert out.dim() == lam.dim**2
-        return out.to_partition()
-    if kind not in ("Sp", "SO"):
-        raise ValueError(f"unknown classical kind {kind!r}")
-    shape = "sym" if kind == "Sp" else "wedge"
-    out = RingElement()
-    parts = tuple(lam)
-    for i, a in enumerate(parts):
-        out = out + _pair_power_char0(a, shape)
-        for b in parts[i + 1:]:
-            out = out + cg_tensor(a, b)
-    d = lam.dim
-    assert out.dim() == (d * (d + 1) // 2 if kind == "Sp" else d * (d - 1) // 2)
-    return out.to_partition()
+    return adjoint_partition(kind, lam, cg_tensor, cg_square)
 
 
 # -- the predictor ----------------------------------------------------------------
@@ -184,15 +143,12 @@ def predict_blocks(data, n: int) -> Partition:
 
 def is_distinguished(kind: str, lam) -> bool:
     """GL: one part; Sp: distinct even parts; SO: distinct odd parts."""
-    lam = Partition(lam)
-    parts = tuple(lam)
+    check_kind(kind)
+    parts = tuple(Partition(lam))
     if kind == "GL":
         return len(parts) == 1
-    if kind == "Sp":
-        return len(set(parts)) == len(parts) and all(x % 2 == 0 for x in parts)
-    if kind == "SO":
-        return len(set(parts)) == len(parts) and all(x % 2 == 1 for x in parts)
-    raise ValueError(f"unknown classical kind {kind!r}")
+    parity = 0 if kind == "Sp" else 1
+    return len(set(parts)) == len(parts) and all(x % 2 == parity for x in parts)
 
 
 def _weyl_family(kind: str, dim: int):

@@ -1,33 +1,34 @@
-"""Adjoint Jordan partitions for the classical groups GL, Sp and SO.
+"""Adjoint partitions for the classical groups GL, Sp and SO.
 
 The adjoint module is V (x) V* for GL, Sym^2 V for Sp and wedge^2 V for SO.
-The nilpotent side is computed with the additive law, the unipotent side with
-the multiplicative law (group conjugation), and in good characteristic the
-two partitions agree.  The dual X* only matters up to similarity, so it is
-realized as the plain transpose.  In bad characteristic (p = 2 for Sp/SO) the
-same formulas are still evaluated; they are then the Sym^2/wedge^2 model
-rather than a certified identification with the honest adjoint action, and
-reports carry a flag saying so.
+Each splits over the blocks of V under any commutative law, so
+:func:`adjoint_partition` sums per-block classes in the representation ring
+and builds no operator on the whole module.  The nilpotent side takes the
+classes under the additive law, the unipotent side under the multiplicative
+law (group conjugation), and in good characteristic the two partitions
+agree.  In bad characteristic (p = 2 for Sp/SO) the same classes are still
+summed; they are then the Sym^2/wedge^2 model rather than a certified
+identification with the honest adjoint action, and reports carry a flag
+saying so.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CharTwo
+from .errors import AlgebraError, CharTwo, InvalidInput
 from .fields import Field
-from .fgl import additive, multiplicative
-from .linalg import (
-    Matrix,
-    Partition,
-    jordan_partition,
-    nilpotent_from_partition,
-    unipotent_partition,
-)
-from .repring import induced_quotient_operator, tensor_operator
+from .fgl import GeneralizedLaw, additive, multiplicative
+from .linalg import Matrix, Partition
+from .repring import RingElement, square_constants, structure_constants
 from .series import TruncatedPoly
 
 KINDS = ("GL", "Sp", "SO")
+
+
+def check_kind(kind: str) -> None:
+    if kind not in KINDS:
+        raise InvalidInput(f"unknown classical kind {kind!r}")
 
 
 def validate_classical_partition(kind: str, lam) -> bool:
@@ -36,60 +37,65 @@ def validate_classical_partition(kind: str, lam) -> bool:
     GL: everything.  Sp: odd parts have even multiplicity.  SO: even parts
     have even multiplicity.  (Good-characteristic classification.)
     """
+    check_kind(kind)
     lam = Partition(lam)
     if kind == "GL":
         return True
-    if kind == "Sp":
-        return all(lam.multiplicity(x) % 2 == 0 for x in set(lam) if x % 2 == 1)
-    if kind == "SO":
-        return all(lam.multiplicity(x) % 2 == 0 for x in set(lam) if x % 2 == 0)
-    raise ValueError(f"unknown classical kind {kind!r}")
+    paired = 1 if kind == "Sp" else 0
+    return all(lam.multiplicity(x) % 2 == 0 for x in set(lam) if x % 2 == paired)
 
 
 def is_good_prime(kind: str, p: int) -> bool:
     """p = 2 is bad for Sp and SO; every characteristic is fine for GL."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown classical kind {kind!r}")
+    check_kind(kind)
     return kind == "GL" or p != 2
 
 
-def _require_valid(kind: str, lam) -> Partition:
+def adjoint_partition(kind: str, lam, pair, square) -> Partition:
+    """Adjoint partition of a nilpotent of type lam, summed block by block.
+
+    ``pair(a, b)`` is the class of J_a (x) J_b and ``square(a, shape)`` that
+    of Sym^2 J_a (``shape == "sym"``) or wedge^2 J_a (``"wedge"``), as
+    :class:`RingElement`s.  GL takes J_a (x) J_a for each block and
+    J_a (x) J_b twice for each pair of distinct blocks (the two orders are
+    isomorphic); Sp and SO take the square of each block and J_a (x) J_b
+    once.
+    """
     lam = Partition(lam)
     if not validate_classical_partition(kind, lam):
-        raise ValueError(f"{tuple(lam)} is not a nilpotent partition for {kind}")
-    return lam
+        raise InvalidInput(f"{tuple(lam)} is not a nilpotent partition for {kind}")
+    parts = tuple(lam)
+    d = lam.dim
+    shape = "sym" if kind == "Sp" else "wedge"
+    cross = 2 if kind == "GL" else 1
+    out = RingElement()
+    for i, a in enumerate(parts):
+        out = out + (pair(a, a) if kind == "GL" else square(a, shape))
+        for b in parts[i + 1:]:
+            out = out + cross * pair(a, b)
+    want = {"GL": d * d, "Sp": d * (d + 1) // 2, "SO": d * (d - 1) // 2}[kind]
+    if out.dim() != want:
+        raise AlgebraError(f"{kind} adjoint of {tuple(lam)} has dimension {out.dim()}, "
+                           f"expected {want}")
+    return out.to_partition()
+
+
+def _adjoint_under(kind: str, lam, law: GeneralizedLaw) -> Partition:
+    return adjoint_partition(
+        kind, lam,
+        lambda a, b: structure_constants(a, b, law, law.field),
+        lambda a, shape: square_constants(a, shape, law))
 
 
 def nilpotent_adjoint_partition(kind: str, lam, field: Field) -> Partition:
-    """Partition of ad(X) for X nilpotent of type lam.
-
-    GL: X (x) 1 + 1 (x) X^T; Sp: Sym^2 of X; SO: wedge^2 of X, all with the
-    additive law.
-    """
-    lam = _require_valid(kind, lam)
-    x = nilpotent_from_partition(field, lam)
-    law = additive(field)
-    if kind == "GL":
-        return jordan_partition(tensor_operator(x, x.T, law))
-    top = tensor_operator(x, x, law)
-    shape = "sym" if kind == "Sp" else "wedge"
-    return jordan_partition(induced_quotient_operator(top, lam.dim, 2, shape))
+    """Partition of ad(X) for X nilpotent of type lam: the additive law."""
+    return _adjoint_under(kind, lam, additive(field))
 
 
 def unipotent_adjoint_partition(kind: str, lam, field: Field) -> Partition:
-    """Partition of Ad(u) for u unipotent of type lam.
-
-    GL: (1+X) (x) (1+X^T) minus the identity; Sp/SO: the multiplicative-law
-    Sym^2/wedge^2 of X, whose unit shift is exactly Ad(u) - 1.
-    """
-    lam = _require_valid(kind, lam)
-    x = nilpotent_from_partition(field, lam)
-    if kind == "GL":
-        eye = Matrix.identity(field, lam.dim)
-        return unipotent_partition((eye + x).kron((eye + x.T)))
-    top = tensor_operator(x, x, multiplicative(field))
-    shape = "sym" if kind == "Sp" else "wedge"
-    return jordan_partition(induced_quotient_operator(top, lam.dim, 2, shape))
+    """Partition of Ad(u) for u unipotent of type lam: the multiplicative law,
+    whose tensor operator (1+X) (x) (1+Y) - 1 is the shift of Ad(u)."""
+    return _adjoint_under(kind, lam, multiplicative(field))
 
 
 def cayley_series(trunc: int, field: Field) -> TruncatedPoly:

@@ -9,6 +9,15 @@ class AlgebraError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidInput(AlgebraError, ValueError):
+    """An argument outside the domain a function accepts: a characteristic
+    that is neither 0 nor prime, a block size below 1, an unknown classical
+    kind, a partition that is not a nilpotent class of that kind.
+
+    It is also a ``ValueError``, so callers catching either keep working.
+    """
+
+
 # -- matrix / partition layer -------------------------------------------------
 
 class NotSquare(AlgebraError):

@@ -17,9 +17,9 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvalidLaw, TruncationTooShort
+from .errors import InvalidInput, InvalidLaw, TruncationTooShort
 from .fields import Field
-from .series import TruncatedPoly
+from .series import TruncatedPoly, power_table
 
 
 class GeneralizedLaw:
@@ -103,20 +103,12 @@ class GeneralizedLaw:
         if degree_cap is not None:
             needed = min(needed, degree_cap)
         self.require_degree(needed)
-        field, trunc = g.field, g.trunc
-        out = TruncatedPoly.zero(field, trunc)
-        gpow = {0: TruncatedPoly.constant(field, trunc, field.one)}
-        hpow = {0: TruncatedPoly.constant(field, trunc, field.one)}
-
-        def power(cache, base, k):
-            if k not in cache:
-                cache[k] = power(cache, base, k - 1) * base
-            return cache[k]
-
+        out = TruncatedPoly.zero(g.field, g.trunc)
+        power = power_table((g, h))
         for (a, b), c in sorted(self.coeffs.items(), key=lambda kv: sum(kv[0])):
             if a + b > needed:
                 continue
-            term = power(gpow, g, a) * power(hpow, h, b)
+            term = power(0, a) * power(1, b)
             out = out + term.scale(c)
         if degree_cap is not None:
             out = out.truncate_degree(degree_cap)
@@ -242,9 +234,9 @@ def iterated_tensor_series(law: GeneralizedLaw, m: int, trunc: Sequence[int]) ->
     congruent to Y_1 + ... + Y_m modulo degree 2.
     """
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise InvalidInput("m must be >= 1")
     if len(trunc) != m:
-        raise ValueError("truncation vector must have one entry per factor")
+        raise InvalidInput("truncation vector must have one entry per factor")
     field = law.field
     out = TruncatedPoly.variable(field, trunc, 0)
     for i in range(1, m):

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import InvalidInput
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -32,7 +34,7 @@ class Field:
 
     def __init__(self, characteristic: int):
         if characteristic != 0 and not is_prime(characteristic):
-            raise ValueError(f"characteristic must be 0 or prime, got {characteristic}")
+            raise InvalidInput(f"characteristic must be 0 or prime, got {characteristic}")
         self.p = characteristic
 
     @property

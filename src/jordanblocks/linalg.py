@@ -4,7 +4,8 @@ Matrices over F_p are stored as int64 numpy arrays with entries in
 ``range(p)``; matrices over Q hold ``Fraction`` entries in object arrays.
 Products over F_p go through float64 BLAS, which is exact as long as the
 accumulated dot products stay below 2**53; a product that could pass that
-bound raises ``BadPrime`` instead of rounding.  Ranks over F_p come from
+bound raises ``BadPrime`` instead of rounding, and so does elimination at a
+prime whose int64 products could wrap.  Ranks over F_p come from
 forward elimination alone (an echelon form, no back substitution) that
 touches only the rows with a nonzero in the pivot column and only the
 columns from the pivot onward; RREF is kept for ``inverse`` and
@@ -26,6 +27,7 @@ import numpy as np
 from .errors import (
     BadPrime,
     FactorialNotInvertible,
+    InvalidInput,
     NonzeroConstantTerm,
     NotContained,
     NotNilpotent,
@@ -49,9 +51,9 @@ class Partition:
         parts = tuple(int(x) for x in parts)
         for i, x in enumerate(parts):
             if x < 1:
-                raise ValueError(f"parts must be positive, got {parts}")
+                raise InvalidInput(f"parts must be positive, got {parts}")
             if i and parts[i - 1] < x:
-                raise ValueError(f"parts must be weakly decreasing, got {parts}")
+                raise InvalidInput(f"parts must be weakly decreasing, got {parts}")
         self.parts = parts
 
     @property
@@ -280,6 +282,13 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return prod.astype(np.int64) % p
 
 
+def _require_int64_elimination(p: int) -> None:
+    """Elimination forms x - y*z in int64 with x, y, z in range(p); once
+    (p-1)**2 + (p-1) reaches 2**63 that could wrap without an error."""
+    if (p - 1) ** 2 + (p - 1) >= 2**63:
+        raise BadPrime(f"F_{p} elimination products overflow int64")
+
+
 def _echelon_mod(a: np.ndarray, p: int) -> np.ndarray:
     """Nonzero rows of an echelon form of ``a`` over F_p (rank = row count).
 
@@ -288,6 +297,7 @@ def _echelon_mod(a: np.ndarray, p: int) -> np.ndarray:
     At each pivot only the rows below it with a nonzero in the pivot column
     change, and only from the pivot column onward.
     """
+    _require_int64_elimination(p)
     a = a % p
     m = a.shape[0]
     r = 0
@@ -316,6 +326,7 @@ def _row_reduce_mod(a: np.ndarray, p: int, stop_col: int | None = None):
     touches only the rows with a nonzero in the pivot column, and only from
     the pivot column onward.
     """
+    _require_int64_elimination(p)
     a = a % p
     m, n = a.shape
     stop = n if stop_col is None else stop_col

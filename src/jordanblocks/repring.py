@@ -4,7 +4,9 @@ The class of a nilpotent operator is its Jordan partition, written as an
 integer combination of block classes J_n.  The tensor product of (V, phi) and
 (W, psi) with respect to a law F is the operator F(phi (x) 1, 1 (x) psi) on
 V (x) W; the structure constants of the resulting ring are independent of the
-law, which the verification suite checks by brute force.
+law, which the verification suite checks by brute force.  Structure
+constants and the squares of single blocks are memoized; in characteristic
+0 both have closed forms (Clebsch-Gordan and the sl_2 plethysm).
 
 Exterior and symmetric powers are realized as quotients of the m-fold tensor
 power: the induced matrix is computed by lifting a basis word, applying the
@@ -15,9 +17,8 @@ kill repeats for the wedge, plain sort for the symmetric case).
 from __future__ import annotations
 
 import itertools
-import threading
 
-from .errors import InvalidLaw, ZeroLinearScalar
+from .errors import InvalidInput, InvalidLaw, ZeroLinearScalar
 from .fields import Field
 from .fgl import GeneralizedLaw, iterated_tensor_series
 from .linalg import (
@@ -40,7 +41,7 @@ class RingElement:
         for n, mult in dict(terms or {}).items():
             n, mult = int(n), int(mult)
             if n < 1:
-                raise ValueError(f"block size must be >= 1, got {n}")
+                raise InvalidInput(f"block size must be >= 1, got {n}")
             if mult:
                 clean[n] = mult
         self.terms = clean
@@ -54,7 +55,7 @@ class RingElement:
 
     def to_partition(self) -> Partition:
         if any(m < 0 for m in self.terms.values()):
-            raise ValueError("negative multiplicity is not a class of an object")
+            raise InvalidInput("negative multiplicity is not a class of an object")
         parts = []
         for n, mult in self.terms.items():
             parts.extend([n] * mult)
@@ -137,7 +138,6 @@ def tensor_partition(lam, mu, law: GeneralizedLaw, field: Field) -> Partition:
 
 
 _constants_memo: dict = {}
-_constants_lock = threading.Lock()
 
 
 def structure_constants(n: int, m: int, law: GeneralizedLaw, field: Field) -> RingElement:
@@ -155,9 +155,22 @@ def structure_constants(n: int, m: int, law: GeneralizedLaw, field: Field) -> Ri
         return hit
     out = RingElement.from_partition(tensor_partition((n,), (m,), law, field))
     assert out.dim() == n * m
-    with _constants_lock:
-        _constants_memo.setdefault(key, out)
+    _constants_memo[key] = out
     return out
+
+
+def square_constants(n: int, shape: str, law: GeneralizedLaw) -> RingElement:
+    """Class of Sym^2 J_n (``shape == "sym"``) or wedge^2 J_n under the law.
+
+    Memoized next to the structure constants, under a key of its own.
+    """
+    key = (shape, n, law.fingerprint())
+    hit = _constants_memo.get(key)
+    if hit is None:
+        square = sym_partition if shape == "sym" else wedge_partition
+        hit = _constants_memo[key] = RingElement.from_partition(
+            square((n,), 2, law, law.field))
+    return hit
 
 
 def ring_multiply(x: RingElement, y: RingElement, law: GeneralizedLaw,
@@ -173,8 +186,20 @@ def ring_multiply(x: RingElement, y: RingElement, law: GeneralizedLaw,
 def cg_tensor(n: int, m: int) -> RingElement:
     """Characteristic-0 structure constants: J_{n+m-1} + J_{n+m-3} + ..."""
     if n < 1 or m < 1:
-        raise ValueError("block sizes must be >= 1")
+        raise InvalidInput("block sizes must be >= 1")
     return RingElement({n + m - 1 - 2 * i: 1 for i in range(min(n, m))})
+
+
+def cg_square(n: int, shape: str) -> RingElement:
+    """Characteristic-0 squares of one block (the sl_2 plethysm):
+    Sym^2 J_n = J_{2n-1} + J_{2n-5} + ... and wedge^2 J_n = J_{2n-3} + J_{2n-7} + ...
+    """
+    if n < 1:
+        raise InvalidInput("block size must be >= 1")
+    if shape not in ("sym", "wedge"):
+        raise InvalidInput(f"unknown square {shape!r}")
+    top = 2 * n - 1 if shape == "sym" else 2 * n - 3
+    return RingElement({top - 4 * i: 1 for i in range((top - 1) // 4 + 1)})
 
 
 # -- m-fold powers ----------------------------------------------------------------
@@ -187,7 +212,7 @@ def power_operator(phi: Matrix, m: int, law: GeneralizedLaw) -> Matrix:
     index, matching the monomial basis order of the series algebra.
     """
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise InvalidInput("m must be >= 1")
     pows = _powers(phi)
     d = len(pows)
     series = iterated_tensor_series(law, m, (d,) * m)
@@ -359,6 +384,5 @@ def build_symmetric_intertwiner(n: int, m: int, law: GeneralizedLaw) -> Matrix:
 
 
 def clear_memo() -> None:
-    """Drop the structure-constant cache (used by tests)."""
-    with _constants_lock:
-        _constants_memo.clear()
+    """Drop the memoized structure constants and block squares (used by tests)."""
+    _constants_memo.clear()

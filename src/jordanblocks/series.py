@@ -192,15 +192,7 @@ class TruncatedPoly:
             if g.constant_term() != 0:
                 raise NonzeroConstantTerm("substitution with nonzero constant term")
         target_field, target_trunc = gs[0].field, gs[0].trunc
-        powers = [{0: TruncatedPoly.constant(target_field, target_trunc, target_field.one)}
-                  for _ in gs]
-
-        def power(i, k):
-            cache = powers[i]
-            if k not in cache:
-                cache[k] = power(i, k - 1) * gs[i]
-            return cache[k]
-
+        power = power_table(gs)
         out = TruncatedPoly.zero(target_field, target_trunc)
         for exp, c in sorted(self.coeffs.items(), key=lambda item: sum(item[0])):
             term = TruncatedPoly.constant(target_field, target_trunc, c)
@@ -256,6 +248,23 @@ class TruncatedPoly:
         return cls(field, trunc, coeffs)
 
 
+def power_table(bases: Sequence[TruncatedPoly]):
+    """``power(i, k)`` = bases[i]**k, each power built once, from the one below.
+
+    All bases must share one algebra.
+    """
+    one = TruncatedPoly.constant(bases[0].field, bases[0].trunc, bases[0].field.one)
+    tables = [[one] for _ in bases]
+
+    def power(i: int, k: int) -> TruncatedPoly:
+        table = tables[i]
+        while len(table) <= k:
+            table.append(table[-1] * bases[i])
+        return table[k]
+
+    return power
+
+
 # -- monomial basis and operator matrices --------------------------------------
 
 def monomial_basis(trunc: Sequence[int]) -> list:
@@ -286,14 +295,7 @@ def endomorphism_matrix(images: Sequence[TruncatedPoly]) -> Matrix:
     basis = monomial_basis(trunc)
     index = {e: i for i, e in enumerate(basis)}
     out = Matrix.zeros(field, len(basis), len(basis))
-    powers = [{0: TruncatedPoly.constant(field, trunc, field.one)} for _ in images]
-
-    def power(i, k):
-        cache = powers[i]
-        if k not in cache:
-            cache[k] = power(i, k - 1) * images[i]
-        return cache[k]
-
+    power = power_table(images)
     for j, exp in enumerate(basis):
         term = TruncatedPoly.constant(field, trunc, field.one)
         for i, e in enumerate(exp):

@@ -184,10 +184,13 @@ def suite_ring_calcs(seed=0):
 _GOOD_PRIMES = {"GL": (2, 3, 5, 7, 11, 13), "Sp": (3, 5, 7, 11, 13), "SO": (3, 5, 7, 11, 13)}
 
 
-def sample_classical_case(rng) -> tuple:
-    """Random (kind, lambda, good p) with parts <= 8 and a small total dimension."""
+def sample_classical_case(rng, primes: dict = _GOOD_PRIMES) -> tuple:
+    """Random (kind, lambda, p) with parts <= 8 and a small total dimension.
+
+    p is drawn from ``primes[kind]``, by default the good primes of the kind.
+    """
     kind = rng.choice(("GL", "Sp", "SO"))
-    p = rng.choice(_GOOD_PRIMES[kind])
+    p = rng.choice(primes[kind])
     parts: list = []
     budget = rng.randint(4, 12)
     while sum(parts) < budget and len(parts) < 4:

@@ -1,16 +1,25 @@
-"""Slow reference implementations that the fast linalg kernels are checked against.
+"""Slow reference implementations that the fast paths are checked against.
 
 ``rref_rank_mod`` is full Gauss-Jordan elimination over F_p that scans for
 each pivot row by row and rewrites the whole matrix at every pivot;
 ``full_power_partition`` reads a Jordan type off the ranks of the full
-powers N, N^2, ... .  Both are deliberately plain so that they are easy to
-trust.
+powers N, N^2, ... ; ``whole_matrix_adjoint`` builds the classical adjoint
+operator on all of V (x) V*, Sym^2 V or wedge^2 V.  All are deliberately
+plain so that they are easy to trust.
 """
 
 import numpy as np
 
 from jordanblocks.errors import NotNilpotent
-from jordanblocks.linalg import Partition
+from jordanblocks.fgl import additive, multiplicative
+from jordanblocks.linalg import (
+    Matrix,
+    Partition,
+    jordan_partition,
+    nilpotent_from_partition,
+    unipotent_partition,
+)
+from jordanblocks.repring import induced_quotient_operator, tensor_operator
 
 
 def rref_mod(a: np.ndarray, p: int, stop_col: int | None = None):
@@ -66,3 +75,23 @@ def full_power_partition(n_mat) -> Partition:
     diffs = [kernel_dims[0]] + [b - a for a, b in zip(kernel_dims, kernel_dims[1:])]
     parts = [sum(1 for c in diffs if c >= i) for i in range(1, diffs[0] + 1)]
     return Partition(sorted(parts, reverse=True))
+
+
+def whole_matrix_adjoint(kind: str, lam, field, unipotent: bool) -> Partition:
+    """ad(X) (or Ad(u) with ``unipotent``) of type lam on the whole adjoint module.
+
+    GL: X (x) 1 + 1 (x) X^T, or (1+X) (x) (1+X^T) - 1; Sp/SO: Sym^2/wedge^2
+    of X with the additive law, or with the multiplicative law, whose unit
+    shift is Ad(u) - 1.
+    """
+    lam = Partition(lam)
+    x = nilpotent_from_partition(field, lam)
+    if kind == "GL":
+        if unipotent:
+            eye = Matrix.identity(field, lam.dim)
+            return unipotent_partition((eye + x).kron(eye + x.T))
+        return jordan_partition(tensor_operator(x, x.T, additive(field)))
+    law = multiplicative(field) if unipotent else additive(field)
+    top = tensor_operator(x, x, law)
+    shape = "sym" if kind == "Sp" else "wedge"
+    return jordan_partition(induced_quotient_operator(top, lam.dim, 2, shape))

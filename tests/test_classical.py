@@ -1,6 +1,10 @@
+import random
+
 import pytest
 
+from jordanblocks.char0 import ad_partition_char0
 from jordanblocks.classical import (
+    adjoint_partition,
     cayley_series,
     good_char_report,
     is_good_prime,
@@ -9,9 +13,12 @@ from jordanblocks.classical import (
     unipotent_adjoint_partition,
     validate_classical_partition,
 )
-from jordanblocks.errors import CharTwo
+from jordanblocks.errors import AlgebraError, CharTwo
 from jordanblocks.fields import GF, QQ
 from jordanblocks.linalg import jordan_partition, nilpotent_from_partition, unipotent_partition
+from jordanblocks.repring import RingElement, cg_tensor
+from jordanblocks.verify import sample_classical_case
+from oracles import whole_matrix_adjoint
 
 
 class TestValidatePartition:
@@ -148,3 +155,37 @@ class TestGoodCharReport:
             "ad": [4, 4, 1, 1], "Ad": [4, 4, 2],
             "equal": False, "good_characteristic": False,
         }
+
+
+class TestBlockAdditivePath:
+    """The block-by-block sum against the whole-matrix oracle, ad and Ad."""
+
+    @staticmethod
+    def both_sides_match(kind, lam, field):
+        for unipotent, side in ((False, nilpotent_adjoint_partition),
+                                (True, unipotent_adjoint_partition)):
+            want = whole_matrix_adjoint(kind, lam, field, unipotent)
+            assert side(kind, lam, field) == want, (kind, tuple(lam), field, unipotent)
+
+    def test_seeded_good_cases(self):
+        rng = random.Random("block-additive")
+        for _ in range(40):
+            kind, lam, p = sample_classical_case(rng)
+            self.both_sides_match(kind, lam, GF(p))
+
+    @pytest.mark.parametrize("kind,lam", [
+        ("Sp", (4, 2)), ("Sp", (3, 3, 2)), ("Sp", (2, 2, 1, 1)), ("Sp", (6, 4)),
+        ("SO", (7, 1)), ("SO", (5, 3, 1)), ("SO", (4, 4, 3)), ("SO", (3, 2, 2, 1)),
+        ("GL", (4, 3, 1)),
+    ])
+    def test_multi_block_at_p2(self, kind, lam):
+        self.both_sides_match(kind, lam, GF(2))
+
+    @pytest.mark.parametrize("kind,lam", [("GL", (3, 1)), ("Sp", (2, 2)), ("SO", (3, 1, 1))])
+    def test_over_q(self, kind, lam):
+        self.both_sides_match(kind, lam, QQ)
+        assert ad_partition_char0(kind, lam) == whole_matrix_adjoint(kind, lam, QQ, False)
+
+    def test_dimension_mismatch_is_typed(self):
+        with pytest.raises(AlgebraError):
+            adjoint_partition("SO", (3, 1), cg_tensor, lambda a, shape: RingElement({a: 1}))

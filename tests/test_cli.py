@@ -164,6 +164,17 @@ class TestLawFiles:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ("tensor", "--p", "4", "--a", "2", "--b", "2"),
+        ("adjoint", "classical", "--kind", "Sp", "--lambda", "3", "--p", "5"),
+        ("ring", "constants", "--a", "0", "--b", "2", "--p", "3"),
+        ("wedge", "--p", "5", "--lambda", "3", "--m", "0"),
+    ])
+    def test_bad_input_exits_2(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     def test_missing_required_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["adjoint", "classical", "--lambda", "4", "--p", "2"])

@@ -263,6 +263,8 @@ class TestChainAgainstOracle:
 #: around the float64 exactness bound (p-1)**2 * n < 2**53 at inner length n = 2
 PRIME_BELOW_BOUND = 67108859
 PRIME_PAST_BOUND = 67108879
+#: (p-1)**2 passes 2**63, so int64 elimination products would wrap
+PRIME_PAST_INT64 = 4000000007
 
 
 class TestExactnessGuard:
@@ -279,6 +281,14 @@ class TestExactnessGuard:
             Matrix.identity(field, 2) @ Matrix.identity(field, 2)
         with pytest.raises(BadPrime):
             jordan_partition(jordan_block(field, 2))
+
+    def test_elimination_past_int64_raises(self):
+        # unguarded, most random 3x3 inverses here came back wrong without an error
+        a = Matrix.from_rows(GF(PRIME_PAST_INT64), [[2, 1, 0], [1, 1, 5], [0, 7, 1]])
+        with pytest.raises(BadPrime):
+            a.rank()
+        with pytest.raises(BadPrime):
+            a.inverse()
 
     def test_guard_survives_optimize_flag(self):
         code = textwrap.dedent(f"""

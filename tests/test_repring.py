@@ -23,6 +23,7 @@ from jordanblocks.repring import (
     RingElement,
     build_intertwiner_pair,
     build_symmetric_intertwiner,
+    cg_square,
     cg_tensor,
     power_operator,
     ring_multiply,
@@ -272,3 +273,14 @@ class TestSymmetricIntertwiner:
 
     def test_scaled_m3_p7(self):
         self._verify(2, 3, scaled_multiplicative(F7, 4))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_cg_square_matches_brute_force(n):
+    # at p > 2n every block of Sym^2 J_n and wedge^2 J_n is below p, as over Q
+    p = next(q for q in (3, 5, 7, 11, 13, 17, 19, 23, 29) if q > 2 * n)
+    law = additive(GF(p))
+    assert cg_square(n, "sym") == RingElement.from_partition(
+        sym_partition((n,), 2, law, GF(p)))
+    assert cg_square(n, "wedge") == RingElement.from_partition(
+        wedge_partition((n,), 2, law, GF(p)))
