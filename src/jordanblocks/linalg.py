@@ -9,7 +9,11 @@ prime whose int64 products could wrap.  Ranks over F_p come from
 forward elimination alone (an echelon form, no back substitution) that
 touches only the rows with a nonzero in the pivot column and only the
 columns from the pivot onward; RREF is kept for ``inverse`` and
-``solve_in_columns``.  Partitions are read off an operator through the
+``solve_in_columns``.  Products and ranks over Q work on integers: each row
+(or column) is scaled once by the lcm of its denominators, a product is one
+dot product of Python integers, and a rank is Bareiss's fraction-free
+elimination, so no Fraction arithmetic runs inside the inner loops.
+Partitions are read off an operator through the
 kernel-dimension sequence of its powers, never through a similarity
 transform.  Over F_p that sequence comes from a shrinking chain: an echelon
 basis E_k of the row space of N^k gives the next one as the echelon form of
@@ -19,12 +23,14 @@ E_k N, so step k works on a rank(N^k)-by-n matrix instead of N^(k+1).
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import (
+    AlgebraError,
     BadPrime,
     FactorialNotInvertible,
     InvalidInput,
@@ -201,7 +207,7 @@ class Matrix:
         p = self.field.p
         if p:
             return Matrix(self.field, _matmul_mod(self.a, other.a, p))
-        return Matrix(self.field, np.dot(self.a, other.a))
+        return Matrix(self.field, _matmul_frac(self.a, other.a))
 
     def kron(self, other: "Matrix") -> "Matrix":
         return self._wrap(np.kron(self.a, other.a))
@@ -350,10 +356,63 @@ def _row_reduce_mod(a: np.ndarray, p: int, stop_col: int | None = None):
     return a, pivots
 
 
+def _clear_denominators(rows) -> tuple[list, list]:
+    """Scale each row of rationals by the lcm of its denominators.
+
+    Returns the rows as lists of Python integers, and the scales.
+    """
+    ints, scales = [], []
+    for row in rows:
+        d = math.lcm(*[x.denominator for x in row])
+        ints.append([x.numerator * (d // x.denominator) for x in row])
+        scales.append(d)
+    return ints, scales
+
+
+def _matmul_frac(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact product of two Fraction arrays through one integer dot product.
+
+    With the rows of ``a`` scaled by da_i and the columns of ``b`` by db_j,
+    entry (i, j) of the product is c_ij / (da_i db_j), where c is the
+    product of the integer arrays; each output Fraction is built once.
+    """
+    left, da = _clear_denominators(a)
+    right, db = _clear_denominators(b.T)
+    left = np.array(left, dtype=object).reshape(a.shape)
+    right = np.array(right, dtype=object).reshape(b.shape[::-1]).T
+    out = np.empty((a.shape[0], b.shape[1]), dtype=object)
+    for i, (row, d) in enumerate(zip(np.dot(left, right).tolist(), da)):
+        out[i] = [Fraction(c, d * e) for c, e in zip(row, db)]
+    return out
+
+
 def _rank_frac(a: np.ndarray) -> int:
-    rows = [list(row) for row in a]
-    _, pivots = _row_reduce_frac(rows)
-    return len(pivots)
+    """Rank over Q by Bareiss's fraction-free elimination.
+
+    Rows are scaled to integers first, which keeps the rank.  Each pivot
+    replaces every other remaining row by (pivot*row - f*pivot_row) // prev,
+    prev being the previous pivot; by Sylvester's identity the division is
+    exact and the entries are minors of the scaled rows, so they stay
+    integers of bounded size.  Only the columns after the pivot are kept, and rows that
+    become zero are dropped.
+    """
+    rows = [row for row in _clear_denominators(a)[0] if any(row)]
+    rank, prev = 0, 1
+    while rows:
+        leads = [next(j for j, x in enumerate(row) if x) for row in rows]
+        k = min(range(len(rows)), key=leads.__getitem__)
+        c = leads[k]
+        pivot_row = rows.pop(k)
+        pivot, tail = pivot_row[c], pivot_row[c + 1:]
+        reduced = []
+        for row in rows:
+            f = row[c]
+            row = [(pivot * x - f * y) // prev for x, y in zip(row[c + 1:], tail)]
+            if any(row):
+                reduced.append(row)
+        rows, prev = reduced, pivot
+        rank += 1
+    return rank
 
 
 def _row_reduce_frac(rows: list, stop_col: int | None = None):
@@ -415,7 +474,7 @@ def solve_in_columns(b: Matrix, rhs: Matrix) -> Matrix | None:
 def jordan_block(field: Field, n: int) -> Matrix:
     """The n-by-n upper-shift nilpotent block (zero matrix for n == 1)."""
     if n < 1:
-        raise ValueError("block size must be >= 1")
+        raise InvalidInput(f"block size must be >= 1, got {n}")
     m = Matrix.zeros(field, n, n)
     one = field.one
     for i in range(n - 1):
@@ -490,7 +549,9 @@ def jordan_partition(n_mat: Matrix) -> Partition:
     diffs = [kernel_dims[0]] + [b - a for a, b in zip(kernel_dims, kernel_dims[1:])]
     parts = [sum(1 for c in diffs if c >= i) for i in range(1, diffs[0] + 1)]
     out = Partition(sorted(parts, reverse=True))
-    assert out.dim == n
+    if out.dim != n:
+        raise AlgebraError(f"kernel dimensions {kernel_dims} give a partition of "
+                           f"{out.dim}, not {n}")
     return out
 
 

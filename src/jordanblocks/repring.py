@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import InvalidInput, InvalidLaw, ZeroLinearScalar
+from .errors import AlgebraError, InvalidInput, InvalidLaw, ZeroLinearScalar
 from .fields import Field
 from .fgl import GeneralizedLaw, iterated_tensor_series
 from .linalg import (
@@ -154,7 +154,8 @@ def structure_constants(n: int, m: int, law: GeneralizedLaw, field: Field) -> Ri
     if hit is not None:
         return hit
     out = RingElement.from_partition(tensor_partition((n,), (m,), law, field))
-    assert out.dim() == n * m
+    if out.dim() != n * m:
+        raise AlgebraError(f"J_{n} (x) J_{m} came out of dimension {out.dim()}, not {n * m}")
     _constants_memo[key] = out
     return out
 
@@ -280,7 +281,7 @@ def quotient_maps(field: Field, d: int, m: int, kind: str):
     elif kind == "sym":
         words = list(itertools.combinations_with_replacement(range(d), m))
     else:
-        raise ValueError(f"unknown quotient kind {kind!r}")
+        raise InvalidInput(f"unknown quotient kind {kind!r}")
     index = {w: i for i, w in enumerate(words)}
     strides = [d ** (m - 1 - i) for i in range(m)]
 

@@ -15,7 +15,9 @@ import itertools
 from typing import Sequence
 
 from .errors import (
+    AlgebraError,
     FactorialNotInvertible,
+    InvalidInput,
     JNotInvertible,
     NonzeroConstantTerm,
     NotInvertibleLinearPart,
@@ -36,7 +38,7 @@ class TruncatedPoly:
         self.field = field
         self.trunc = tuple(int(r) for r in trunc)
         if any(r < 1 for r in self.trunc):
-            raise ValueError("truncation exponents must be >= 1")
+            raise InvalidInput(f"truncation exponents must be >= 1, got {self.trunc}")
         clean = {}
         for exp, c in (coeffs or {}).items():
             exp = tuple(exp)
@@ -207,7 +209,7 @@ class TruncatedPoly:
     def permute_variables(self, sigma: Sequence[int]) -> "TruncatedPoly":
         """Apply sigma(Y_i) = Y_{sigma^{-1}(i)}; exponent vectors map to e o sigma."""
         if sorted(sigma) != list(range(self.num_vars)):
-            raise ValueError("not a permutation")
+            raise InvalidInput(f"{tuple(sigma)} is not a permutation of {self.num_vars} variables")
         out = {}
         for exp, c in self.coeffs.items():
             out[tuple(exp[sigma[j]] for j in range(len(exp)))] = c
@@ -228,7 +230,7 @@ class TruncatedPoly:
         out = {}
         for exp, c in self.coeffs.items():
             if exp[i] == 0:
-                raise ValueError(f"term {exp} not divisible by variable {i}")
+                raise InvalidInput(f"term {exp} not divisible by variable {i}")
             out[exp[:i] + (exp[i] - 1,) + exp[i + 1:]] = c
         return TruncatedPoly(self.field, self.trunc, out)
 
@@ -313,7 +315,7 @@ def build_automorphism(xis: Sequence, fs: Sequence[TruncatedPoly]) -> Matrix:
     augmentation ideal; invertibility is then guaranteed.
     """
     if not fs:
-        raise ValueError("need at least one variable")
+        raise InvalidInput("need at least one variable")
     field = fs[0].field
     trunc = fs[0].trunc
     if len(xis) != len(fs) or len(fs) != len(trunc):
@@ -354,7 +356,8 @@ def compose_inverse(f: TruncatedPoly) -> TruncatedPoly:
             correction = TruncatedPoly(field, (r,), {(k,): field.mul(field.neg(err), lin_inv)})
             g = g + correction
     t = TruncatedPoly.variable(field, (r,), 0)
-    assert compose(f, g) == t and compose(g, f) == t
+    if compose(f, g) != t or compose(g, f) != t:
+        raise AlgebraError("compose_inverse: the result is not a two-sided inverse")
     return g
 
 
@@ -378,7 +381,7 @@ def elementary_symmetric_split(field: Field, trunc, j: int) -> list:
     """
     m = len(trunc)
     if not 1 <= j <= m:
-        raise ValueError(f"need 1 <= j <= {m}")
+        raise InvalidInput(f"need 1 <= j <= {m}, got {j}")
     if field.p and j % field.p == 0:
         raise JNotInvertible(f"{j} is not invertible in characteristic {field.p}")
     jinv = field.inv(field(j))

@@ -2,11 +2,15 @@
 
 ``rref_rank_mod`` is full Gauss-Jordan elimination over F_p that scans for
 each pivot row by row and rewrites the whole matrix at every pivot;
+``rref_rank_frac`` is the same over Q in Fraction arithmetic, and
+``fraction_matmul`` is ``np.dot`` over Fraction objects;
 ``full_power_partition`` reads a Jordan type off the ranks of the full
 powers N, N^2, ... ; ``whole_matrix_adjoint`` builds the classical adjoint
 operator on all of V (x) V*, Sym^2 V or wedge^2 V.  All are deliberately
 plain so that they are easy to trust.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -54,6 +58,32 @@ def rref_rank_mod(a: np.ndarray, p: int) -> int:
     return len(rref_mod(a, p)[1])
 
 
+def fraction_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of two Fraction object arrays, one Fraction operation per term."""
+    return np.dot(a, b)
+
+
+def rref_rank_frac(a: np.ndarray) -> int:
+    """Rank over Q by Gauss-Jordan elimination in Fraction arithmetic."""
+    rows = [[Fraction(x) for x in row] for row in a]
+    m = len(rows)
+    r = 0
+    for c in range(a.shape[1]):
+        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+        if r == m:
+            break
+    return r
+
+
 def full_power_partition(n_mat) -> Partition:
     """Jordan type from dim ker N^k, ranking every full power N^k from scratch."""
     n = n_mat.nrows
@@ -64,14 +94,14 @@ def full_power_partition(n_mat) -> Partition:
     power = n_mat
     prev = 0
     while True:
-        d = n - (rref_rank_mod(power.a, p) if p else power.rank())
+        d = n - (rref_rank_mod(power.a, p) if p else rref_rank_frac(power.a))
         if d == prev:
             raise NotNilpotent("matrix is not nilpotent")
         kernel_dims.append(d)
         if d == n:
             break
         prev = d
-        power = power @ n_mat
+        power = power @ n_mat if p else Matrix(n_mat.field, fraction_matmul(power.a, n_mat.a))
     diffs = [kernel_dims[0]] + [b - a for a, b in zip(kernel_dims, kernel_dims[1:])]
     parts = [sum(1 for c in diffs if c >= i) for i in range(1, diffs[0] + 1)]
     return Partition(sorted(parts, reverse=True))

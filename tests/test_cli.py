@@ -169,6 +169,7 @@ class TestUsageErrors:
         ("adjoint", "classical", "--kind", "Sp", "--lambda", "3", "--p", "5"),
         ("ring", "constants", "--a", "0", "--b", "2", "--p", "3"),
         ("wedge", "--p", "5", "--lambda", "3", "--m", "0"),
+        ("series", "invert", "--p", "0", "--coeffs", "0,1,1", "--trunc", "0"),
     ])
     def test_bad_input_exits_2(self, capsys, argv):
         code, _, err = run(capsys, *argv)

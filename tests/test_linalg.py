@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from hypothesis import strategies as st
 
 from jordanblocks import linalg
 from jordanblocks.errors import (
+    AlgebraError,
     BadPrime,
     FactorialNotInvertible,
+    InvalidInput,
     NotContained,
     NotNilpotent,
     NotUnipotent,
@@ -34,7 +37,13 @@ from jordanblocks.linalg import (
     unipotent_partition,
 )
 from jordanblocks.series import TruncatedPoly
-from oracles import full_power_partition, rref_mod, rref_rank_mod
+from oracles import (
+    fraction_matmul,
+    full_power_partition,
+    rref_mod,
+    rref_rank_frac,
+    rref_rank_mod,
+)
 
 partitions = st.lists(st.integers(1, 6), min_size=1, max_size=5).map(
     lambda xs: Partition(sorted(xs, reverse=True)))
@@ -45,6 +54,36 @@ def random_conjugate(field, lam, rng) -> Matrix:
     """g N_lam g^-1 for a random invertible g."""
     g = random_invertible(field, Partition(lam).dim, rng)
     return g @ nilpotent_from_partition(field, lam) @ g.inverse()
+
+
+def fraction_array(rows, shape) -> np.ndarray:
+    """An object array of Fractions of the given shape (rows may be empty)."""
+    a = np.empty(shape, dtype=object)
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            a[i, j] = Fraction(x)
+    return a
+
+
+def random_fractions(rng, shape, height=10, zeros=0.5) -> np.ndarray:
+    """Seeded rationals of height at most ``height``, about ``zeros`` of them 0."""
+    return fraction_array(
+        [[0 if rng.random() < zeros else
+          Fraction(rng.randint(-height, height), rng.randint(1, height))
+          for _ in range(shape[1])] for _ in range(shape[0])], shape)
+
+
+#: rationals with numerator and denominator up to 10**30 in absolute value,
+#: and often zero, as the multiplication matrices are mostly zero
+fractions = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**30)))
+
+
+@st.composite
+def fraction_arrays(draw, nrows, ncols):
+    return fraction_array(
+        [[draw(fractions) for _ in range(ncols)] for _ in range(nrows)], (nrows, ncols))
 
 
 def random_low_rank(p, nrows, ncols, rank, seed) -> np.ndarray:
@@ -121,6 +160,10 @@ class TestJordanPartition:
         assert jordan_block(f, 1).is_zero()
         n = nilpotent_from_partition(f, (2, 1))
         assert n.a.tolist() == [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
+
+    def test_block_size_below_one(self):
+        with pytest.raises(InvalidInput):
+            jordan_block(GF(3), 0)
 
     @given(partitions, st.sampled_from([2, 3, 5, 7]))
     @settings(max_examples=30, deadline=None)
@@ -258,6 +301,100 @@ class TestChainAgainstOracle:
         monkeypatch.setattr(linalg, "_rank_frac", spy)
         assert jordan_partition(n) == (3, 2, 2)
         assert shapes == [(7, 7)] * 3
+
+
+class TestRationalKernel:
+    """Integer products and Bareiss ranks over Q against the Fraction oracles."""
+
+    @staticmethod
+    def check_product(a, b):
+        got = (Matrix(QQ, a) @ Matrix(QQ, b)).a
+        assert got.shape == (a.shape[0], b.shape[1])
+        assert np.array_equal(got, fraction_matmul(a, b))
+        assert all(type(x) is Fraction for x in got.flat)
+
+    def test_product_edge_shapes(self):
+        rng = random.Random(7)
+        big = 10**30
+        for m, k, n in [(0, 3, 2), (2, 3, 0), (3, 0, 2), (0, 0, 0), (1, 1, 1)]:
+            self.check_product(random_fractions(rng, (m, k)), random_fractions(rng, (k, n)))
+        zero = fraction_array([[0] * 4] * 3, (3, 4))
+        self.check_product(zero, random_fractions(rng, (4, 5), zeros=0))
+        self.check_product(random_fractions(rng, (2, 3), zeros=0), zero)
+        mixed = fraction_array([[Fraction(-1, 2), Fraction(2, 3), Fraction(-5, 7)],
+                                [Fraction(big - 1, big), Fraction(-big, 3), 0]], (2, 3))
+        heights = fraction_array([[Fraction(-big, big + 1), 1], [Fraction(7, big), -3],
+                                  [0, Fraction(big, 9)]], (3, 2))
+        self.check_product(mixed, heights)
+        self.check_product(mixed, mixed.T.copy())
+        self.check_product(random_fractions(rng, (9, 12), height=big),
+                           random_fractions(rng, (12, 7), height=big))
+
+    @given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_product_matches_oracle(self, m, k, n, data):
+        self.check_product(data.draw(fraction_arrays(m, k)), data.draw(fraction_arrays(k, n)))
+
+    @staticmethod
+    def low_rank(rng, nrows, ncols, rank, zero_rows=(), height=10):
+        """L R for random rational L (nrows x rank) and R (rank x ncols), with
+        the rows in ``zero_rows`` set to zero."""
+        a = fraction_matmul(random_fractions(rng, (nrows, rank), height, zeros=0.3),
+                            random_fractions(rng, (rank, ncols), height, zeros=0.3))
+        a = fraction_array(a.tolist(), (nrows, ncols))
+        for i in zero_rows:
+            a[i] = Fraction(0)
+        return a
+
+    @given(st.integers(0, 9), st.integers(0, 9), st.integers(0, 9),
+           st.sampled_from([1, 10, 10**30]), st.integers(0, 10**6))
+    @settings(max_examples=100, deadline=None)
+    def test_rank_matches_oracle(self, nrows, ncols, rank, height, seed):
+        rng = random.Random(seed)
+        zero_rows = [i for i in range(nrows) if rng.random() < 0.2]
+        a = self.low_rank(rng, nrows, ncols, rank, zero_rows, height)
+        assert Matrix(QQ, a).rank() == rref_rank_frac(a)
+
+    def seeded_rank_cases(self):
+        rng = random.Random(11)
+        return [fraction_array([], (0, 4)), fraction_array([[], [], []], (3, 0)),
+                fraction_array([[0]], (1, 1)), fraction_array([["-3/7"]], (1, 1)),
+                fraction_array([[0] * 5] * 4, (4, 5)),
+                self.low_rank(rng, 3, 11, 2), self.low_rank(rng, 2, 9, 5),
+                self.low_rank(rng, 12, 4, 3, zero_rows=(0, 5)),
+                self.low_rank(rng, 10, 3, 7, zero_rows=(9,)),
+                self.low_rank(rng, 8, 8, 5, zero_rows=(2, 3), height=10**30),
+                random_fractions(rng, (7, 7), zeros=0.8)]
+
+    def test_seeded_ranks(self):
+        for a in self.seeded_rank_cases():
+            assert Matrix(QQ, a).rank() == rref_rank_frac(a), a.shape
+
+    def test_ranks_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for a in self.seeded_rank_cases():
+            if a.size:
+                want = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                                     for row in a]).rank()
+                assert Matrix(QQ, a).rank() == want, a.shape
+
+    def test_seeded_conjugates(self):
+        rng = random.Random(2024)
+        for lam in [(1,), (3,), (2, 2), (4, 2, 1), (3, 3, 1, 1)]:
+            n = random_conjugate(QQ, lam, rng)
+            assert jordan_partition(n) == full_power_partition(n) == lam
+
+
+class TestTypedPostconditions:
+    def test_partition_dimension_check(self, monkeypatch):
+        # kernel dimensions 1, 3 of a 3x3 operator jump by 2 after a jump of
+        # 1, which no nilpotent allows: their conjugate is (2), not of size 3
+        def wrong_ranks(n_mat):
+            yield from (2, 0)
+
+        monkeypatch.setattr(linalg, "_power_ranks", wrong_ranks)
+        with pytest.raises(AlgebraError, match="partition of 2, not 3"):
+            jordan_partition(Matrix.zeros(GF(5), 3, 3))
 
 
 #: around the float64 exactness bound (p-1)**2 * n < 2**53 at inner length n = 2

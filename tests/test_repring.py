@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jordanblocks import repring
+from jordanblocks.errors import AlgebraError, InvalidInput
 from jordanblocks.fgl import (
     additive,
     iterated_tensor_series,
@@ -112,6 +114,14 @@ class TestStructureConstants:
         b = structure_constants(4, 5, law, F3)
         assert a is b
 
+    def test_dimension_check_is_a_typed_error(self, monkeypatch):
+        # a brute force that lost a dimension must not reach the memo
+        monkeypatch.setattr(repring, "tensor_partition", lambda *args: Partition((5,)))
+        repring.clear_memo()
+        with pytest.raises(AlgebraError, match="dimension 5, not 6"):
+            structure_constants(2, 3, additive(F5), F5)
+        assert not repring._constants_memo
+
 
 class TestRingMultiply:
     def test_unit_class(self):
@@ -196,6 +206,10 @@ class TestWedgeSym:
         w = wedge_partition(lam, 2, additive(F7), F7)
         s = sym_partition(lam, 2, additive(F7), F7)
         assert w.dim == 10 and s.dim == 15
+
+    def test_unknown_quotient_kind(self):
+        with pytest.raises(InvalidInput):
+            repring.quotient_maps(F7, 3, 2, "alternating")
 
     def test_char0_tensor_square_split(self):
         # W (x) W = Sym^2 W + wedge^2 W away from characteristic 2

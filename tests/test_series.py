@@ -3,14 +3,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jordanblocks.errors import (
+    AlgebraError,
     FactorialNotInvertible,
+    InvalidInput,
     JNotInvertible,
     NonzeroConstantTerm,
     NotInvertibleLinearPart,
     NotSymmetric,
     ShapeMismatch,
 )
-from jordanblocks.fields import GF, QQ
+from jordanblocks.fields import GF, QQ, Field
 from jordanblocks.series import (
     TruncatedPoly,
     build_automorphism,
@@ -105,6 +107,14 @@ class TestComposeInverse:
         with pytest.raises(NotInvertibleLinearPart):
             compose_inverse(TruncatedPoly.univariate(QQ, 4, [0, 0, 1]))
 
+    def test_postcondition_is_a_typed_error(self, monkeypatch):
+        # a wrong inverse of the linear coefficient leaves f(g) != t, which
+        # the degree-by-degree corrections (k >= 2) never repair
+        f = TruncatedPoly.univariate(QQ, 4, [0, 2, 1])
+        monkeypatch.setattr(Field, "inv", lambda self, a: self.one)
+        with pytest.raises(AlgebraError, match="two-sided inverse"):
+            compose_inverse(f)
+
     @given(st.integers(1, 4), st.lists(st.integers(0, 4), min_size=0, max_size=5),
            st.sampled_from([2, 3, 5]))
     @settings(max_examples=40, deadline=None)
@@ -117,6 +127,20 @@ class TestComposeInverse:
         t = var(field, (7,), 0)
         assert compose(f, g) == t
         assert compose(g, f) == t
+
+
+def test_bad_arguments_are_invalid_input():
+    y = var(QQ, (3, 3), 0)
+    with pytest.raises(InvalidInput):
+        TruncatedPoly(QQ, (0,))
+    with pytest.raises(InvalidInput):
+        y.permute_variables([0, 0])
+    with pytest.raises(InvalidInput):
+        y.divide_by_variable(1)
+    with pytest.raises(InvalidInput):
+        build_automorphism([], [])
+    with pytest.raises(InvalidInput):
+        elementary_symmetric_split(QQ, (3, 3), 3)
 
 
 class TestBuildAutomorphism:
