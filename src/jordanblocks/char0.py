@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from math import factorial, prod
 
 from .errors import (
+    AlgebraError,
     BlocksNotAllOdd,
     ExponentDivisible,
     NotDistinguished,
@@ -100,9 +101,13 @@ def exponents(family: str, rank: int | None = None) -> WeylTypeData:
                 raise UnknownType("type D starts at rank 2")
             exps = tuple(sorted(list(range(1, 2 * rank - 2, 2)) + [rank - 1]))
     data = WeylTypeData(family=family, rank=rank, exponents=exps)
-    assert sum(exps) == positive_root_count(family, rank)
-    assert prod(e + 1 for e in exps) == weyl_group_order(family, rank)
-    assert data.dim_lie_algebra == lie_algebra_dim(family, rank)
+    checks = (("sum of the exponents", sum(exps), positive_root_count(family, rank)),
+              ("product of the exponents + 1", prod(e + 1 for e in exps),
+               weyl_group_order(family, rank)),
+              ("Lie algebra dimension", data.dim_lie_algebra, lie_algebra_dim(family, rank)))
+    for what, got, want in checks:
+        if got != want:
+            raise AlgebraError(f"{family} rank {rank}: {what} is {got}, not {want}")
     return data
 
 

@@ -117,7 +117,7 @@ def springer_image(eps: TruncatedPoly, x: Matrix) -> Matrix:
 
     coeffs = eps.univariate_coeffs()
     if len(coeffs) < 2 or coeffs[1] == 0:
-        raise ValueError("Springer series needs a nonzero linear coefficient")
+        raise InvalidInput("Springer series needs a nonzero linear coefficient")
     return Matrix.identity(x.field, x.nrows) + apply_series(eps, x)
 
 

@@ -85,7 +85,7 @@ class GeneralizedLaw:
     def as_poly(self, trunc: Sequence[int]) -> TruncatedPoly:
         """The series as an element of k[u,v]/(u^{r_1}, v^{r_2})."""
         if len(trunc) != 2:
-            raise ValueError("a law is a two-variable series")
+            raise InvalidInput("a law is a two-variable series")
         self.require_degree(trunc[0] + trunc[1] - 2)
         coeffs = {(a, b): c for (a, b), c in self.coeffs.items()
                   if a < trunc[0] and b < trunc[1]}

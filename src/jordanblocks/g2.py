@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadPrime, DoesNotStabilize
+from .errors import AlgebraError, BadPrime, DoesNotStabilize, InvalidInput
 from .fields import Field
 from .fgl import additive, multiplicative
 from .linalg import (
@@ -177,8 +177,8 @@ def g2_nilpotent_rep(orbit: str, model: SO7Model) -> Matrix:
         x12 = bracket(xa1, xa2)
         out = x12 + bracket(xa1, x12)
     else:
-        raise ValueError(f"unknown orbit {orbit!r}")
-    assert jordan_partition(out) == V_PARTITIONS[orbit]
+        raise InvalidInput(f"unknown orbit {orbit!r}")
+    _require_partition(orbit, jordan_partition(out))
     return out
 
 
@@ -194,10 +194,18 @@ def g2_unipotent_rep(orbit: str, model: SO7Model) -> Matrix:
     elif orbit == "G2a1":
         out = exp_nilpotent(g2_nilpotent_rep("G2a1", model))
     else:
-        raise ValueError(f"unknown orbit {orbit!r}")
-    assert (out.T @ model.gram @ out) == model.gram
-    assert unipotent_partition(out) == V_PARTITIONS[orbit]
+        raise InvalidInput(f"unknown orbit {orbit!r}")
+    if (out.T @ model.gram @ out) != model.gram:
+        raise AlgebraError(f"{orbit} unipotent representative does not preserve the form")
+    _require_partition(orbit, unipotent_partition(out))
     return out
+
+
+def _require_partition(orbit: str, got: Partition) -> None:
+    """Raise unless an orbit representative has the tabled type on the module."""
+    if got != V_PARTITIONS[orbit]:
+        raise AlgebraError(f"{orbit} representative has Jordan type {got} on the "
+                           f"7-dimensional module, not {V_PARTITIONS[orbit]}")
 
 
 def adjoint_partition_direct(a: Matrix, basis: list, mode: str) -> Partition:
@@ -214,7 +222,7 @@ def adjoint_partition_direct(a: Matrix, basis: list, mode: str) -> Partition:
     elif mode == "nilpotent":
         images = [bracket(a, z) for z in basis]
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InvalidInput(f"unknown mode {mode!r}")
     coords = solve_in_columns(columns, Matrix(field, np.column_stack([z.flatten() for z in images])))
     if coords is None:
         raise DoesNotStabilize(f"{mode} representative does not stabilize the subalgebra")
@@ -238,7 +246,7 @@ def wedge_route_adjoint(a: Matrix, mode: str) -> Partition:
         law = multiplicative(field)
         v_part = unipotent_partition(a)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InvalidInput(f"unknown mode {mode!r}")
     top = tensor_operator(x, x, law)
     wedge = jordan_partition(induced_quotient_operator(top, a.nrows, 2, "wedge"))
     return wedge.difference(v_part)

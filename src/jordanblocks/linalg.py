@@ -18,6 +18,13 @@ kernel-dimension sequence of its powers, never through a similarity
 transform.  Over F_p that sequence comes from a shrinking chain: an echelon
 basis E_k of the row space of N^k gives the next one as the echelon form of
 E_k N, so step k works on a rank(N^k)-by-n matrix instead of N^(k+1).
+Each pivot of the F_p elimination finds its rows with one ``nonzero`` on
+the column and updates them with one outer product.
+
+A series at canonical nilpotents, sum of c_a phi_1^{a_1} (x) ... (x)
+phi_m^{a_m} with phi_k the block-diagonal shift of a partition, is built as
+one gather from a dense coefficient array (``canonical_series_operator``):
+no power and no Kronecker product is formed.
 """
 
 from __future__ import annotations
@@ -307,16 +314,16 @@ def _echelon_mod(a: np.ndarray, p: int) -> np.ndarray:
     a = a % p
     m = a.shape[0]
     r = 0
-    for c in np.flatnonzero(a.any(axis=0)):
-        nz = np.flatnonzero(a[r:, c])
-        if nz.size == 0:
+    for c in np.flatnonzero(a.any(axis=0)).tolist():
+        nz = a[r:, c].nonzero()[0]
+        if not nz.size:
             continue
         if nz[0]:
             a[[r, r + nz[0]], c:] = a[[r + nz[0], r], c:]
-        below = r + nz[1:]
-        if below.size:
-            factor = a[below, c, None] * pow(int(a[r, c]), -1, p)
-            a[below, c:] = (a[below, c:] - factor % p * a[r, c:]) % p
+        if nz.size > 1:
+            below = nz[1:] + r
+            factor = a[below, c] * pow(int(a[r, c]), -1, p) % p
+            a[below, c:] = (a[below, c:] - np.outer(factor, a[r, c:])) % p
         r += 1
         if r == m:
             break
@@ -339,16 +346,16 @@ def _row_reduce_mod(a: np.ndarray, p: int, stop_col: int | None = None):
     r = 0
     pivots = []
     for c in range(stop):
-        nz = np.flatnonzero(a[r:, c])
-        if nz.size == 0:
+        nz = a[r:, c].nonzero()[0]
+        if not nz.size:
             continue
         if nz[0]:
             a[[r, r + nz[0]], c:] = a[[r + nz[0], r], c:]
         a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        rows = np.flatnonzero(col)
-        a[rows, c:] = (a[rows, c:] - col[rows, None] * a[r, c:]) % p
+        rows = a[:, c].nonzero()[0]
+        rows = rows[rows != r]
+        if rows.size:
+            a[rows, c:] = (a[rows, c:] - np.outer(a[rows, c], a[r, c:])) % p
         pivots.append(c)
         r += 1
         if r == m:
@@ -493,6 +500,51 @@ def nilpotent_from_partition(field: Field, lam) -> Matrix:
             m.a[off + i, off + i + 1] = one
         off += size
     return m
+
+
+def _block_offsets(lam: Partition, stride: int, invalid: int) -> np.ndarray:
+    """(s - r) * stride where indices r <= s share a Jordan block of ``lam``,
+    ``invalid`` elsewhere: the flat exponent offset that phi^(s - r) puts at
+    entry (r, s) of the canonical nilpotent's powers."""
+    block = np.repeat(np.arange(len(lam)), lam.parts)
+    index = np.arange(lam.dim)
+    shift = index[None, :] - index[:, None]
+    valid = (block[:, None] == block[None, :]) & (shift >= 0)
+    return np.where(valid, shift * stride, invalid)
+
+
+def canonical_series_operator(field: Field, lams: Sequence, coeffs: dict) -> Matrix:
+    """sum of c_a phi_1^{a_1} (x) ... (x) phi_m^{a_m} over ``coeffs`` {a: c_a},
+    with phi_k = nilpotent_from_partition(field, lams[k]).
+
+    Entry (r, s), with r and s read as index tuples (first factor most
+    significant), is the coefficient of the exponent s - r when r_k and s_k
+    lie in a common block with r_k <= s_k in every factor, and 0 otherwise.
+    So the whole operator is one gather from a dense coefficient array; an
+    exponent that reaches past the largest block of its factor is dropped,
+    as phi_k vanishes to that power.
+    """
+    lams = [Partition(lam) for lam in lams]
+    shape = [lam[0] if len(lam) else 1 for lam in lams]
+    strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
+    size = math.prod(shape)
+    if field.p:
+        flat = np.zeros(size + 1, dtype=np.int64)
+    else:
+        flat = np.empty(size + 1, dtype=object)
+        flat[:] = field.zero
+    for exp, c in coeffs.items():
+        if len(exp) != len(shape):
+            raise InvalidInput(f"exponent {exp} for {len(shape)} tensor factors")
+        if all(e < d for e, d in zip(exp, shape)):
+            flat[sum(e * s for e, s in zip(exp, strides))] = c
+    # entry `size` of flat is the zero that every invalid position reads
+    index = np.zeros((1, 1), dtype=np.int64)
+    for lam, stride in zip(lams, strides):
+        offsets = _block_offsets(lam, stride, size)
+        n, k = index.shape[0], lam.dim
+        index = (index[:, None, :, None] + offsets[None, :, None, :]).reshape(n * k, n * k)
+    return Matrix(field, flat[np.minimum(index, size)])
 
 
 def nilpotency_degree(n_mat: Matrix) -> int:

@@ -8,6 +8,11 @@ law, which the verification suite checks by brute force.  Structure
 constants and the squares of single blocks are memoized; in characteristic
 0 both have closed forms (Clebsch-Gordan and the sl_2 plethysm).
 
+The operators of canonical nilpotents (partitions, m-fold powers) are
+gathered from the law's coefficients by ``canonical_series_operator``;
+``tensor_operator`` sums Kronecker products of powers and takes any pair of
+nilpotent matrices.
+
 Exterior and symmetric powers are realized as quotients of the m-fold tensor
 power: the induced matrix is computed by lifting a basis word, applying the
 power operator, and straightening every resulting word (sort with sign and
@@ -18,12 +23,15 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from .errors import AlgebraError, InvalidInput, InvalidLaw, ZeroLinearScalar
 from .fields import Field
 from .fgl import GeneralizedLaw, iterated_tensor_series
 from .linalg import (
     Matrix,
     Partition,
+    canonical_series_operator,
     jordan_partition,
     nilpotent_from_partition,
     nilpotency_degree,
@@ -109,6 +117,11 @@ class RingElement:
 
 # -- tensor operators ------------------------------------------------------------
 
+def _degree(lam: Partition) -> int:
+    """Nilpotency degree of the canonical nilpotent of ``lam``: its largest part."""
+    return lam[0] if len(lam) else 1
+
+
 def _powers(phi: Matrix) -> list:
     """[phi^0, phi^1, ..., phi^{d-1}] where d is the nilpotency degree."""
     d = nilpotency_degree(phi)
@@ -132,9 +145,11 @@ def tensor_operator(phi: Matrix, psi: Matrix, law: GeneralizedLaw) -> Matrix:
 
 
 def tensor_partition(lam, mu, law: GeneralizedLaw, field: Field) -> Partition:
-    phi = nilpotent_from_partition(field, lam)
-    psi = nilpotent_from_partition(field, mu)
-    return jordan_partition(tensor_operator(phi, psi, law))
+    """Jordan type of F(phi (x) 1, 1 (x) psi) for the canonical nilpotents of
+    ``lam`` and ``mu``, the operator gathered from the law's coefficients."""
+    lam, mu = Partition(lam), Partition(mu)
+    law.require_degree(_degree(lam) + _degree(mu) - 2)
+    return jordan_partition(canonical_series_operator(field, (lam, mu), law.coeffs))
 
 
 _constants_memo: dict = {}
@@ -208,34 +223,28 @@ def cg_square(n: int, shape: str) -> RingElement:
 def power_operator(phi: Matrix, m: int, law: GeneralizedLaw) -> Matrix:
     """The operator of the m-fold tensor power of (V, phi) on V^(x)m.
 
-    Built by substituting Y_i -> 1 (x)..(x) phi (x)..(x) 1 into the m-fold
-    tensor series of the law; the first tensor factor is the most significant
-    index, matching the monomial basis order of the series algebra.
+    The m-fold tensor series of the law evaluated at
+    Y_i -> 1 (x)..(x) phi (x)..(x) 1; the first tensor factor is the most
+    significant index, matching the monomial basis order of the series
+    algebra.  phi must be the canonical nilpotent of a partition: its block
+    sizes are read off the superdiagonal.
     """
     if m < 1:
         raise InvalidInput("m must be >= 1")
-    pows = _powers(phi)
-    d = len(pows)
-    series = iterated_tensor_series(law, m, (d,) * m)
-    return _specialize(series.coeffs, pows, m, phi.field, phi.nrows)
+    lam = _canonical_partition(phi)
+    series = iterated_tensor_series(law, m, (_degree(lam),) * m)
+    return canonical_series_operator(phi.field, (lam,) * m, series.coeffs)
 
 
-def _specialize(terms: dict, pows: list, m: int, field: Field, d: int) -> Matrix:
-    """sum of c * phi^{a_1} (x) ... (x) phi^{a_m}, factored on the first index."""
-    dim = d ** m
-    if m == 1:
-        out = Matrix.zeros(field, d, d)
-        for (a,), c in terms.items():
-            out = out + pows[a].scale(c)
-        return out
-    grouped: dict = {}
-    for exp, c in terms.items():
-        grouped.setdefault(exp[0], {})[exp[1:]] = c
-    out = Matrix.zeros(field, dim, dim)
-    for a1, sub in grouped.items():
-        inner = _specialize(sub, pows, m - 1, field, d)
-        out = out + pows[a1].kron(inner)
-    return out
+def _canonical_partition(phi: Matrix) -> Partition:
+    """The partition whose canonical nilpotent is phi; InvalidInput if none is."""
+    cuts = [0] + [i + 1 for i, x in enumerate(np.diagonal(phi.a, 1)) if x == 0] + [phi.nrows]
+    sizes = [b - a for a, b in zip(cuts, cuts[1:]) if b > a]
+    if phi.is_square() and sizes == sorted(sizes, reverse=True):
+        lam = Partition(sizes)
+        if phi == nilpotent_from_partition(phi.field, lam):
+            return lam
+    raise InvalidInput("power_operator needs the canonical nilpotent of a partition")
 
 
 def sigma_matrices(m: int, d: int, field: Field) -> list:

@@ -3,10 +3,12 @@
 Coefficients are stored sparsely as a dict from exponent tuples to nonzero
 field elements.  The truncation vector is part of the type: binary operations
 require identical truncation, and products drop any monomial whose exponent
-leaves the box.  On top of the ring arithmetic this module provides series
-composition and inversion, matrices of multiplication operators and algebra
-endomorphisms on the monomial basis, and the constructive splitting of a
-symmetric series f = f_1 + ... + f_m with Y_i | f_i.
+leaves the box; a product skips the constructor's checks, which its own
+loop already guarantees.  On top of the ring arithmetic this module provides
+series composition and inversion, matrices of multiplication operators
+(gathered from the coefficients in one step) and algebra endomorphisms on
+the monomial basis, and the constructive splitting of a symmetric series
+f = f_1 + ... + f_m with Y_i | f_i.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .errors import (
     ZeroLinearScalar,
 )
 from .fields import Field
-from .linalg import Matrix
+from .linalg import Matrix, canonical_series_operator
 
 
 class TruncatedPoly:
@@ -142,6 +144,7 @@ class TruncatedPoly:
     def __mul__(self, other: "TruncatedPoly") -> "TruncatedPoly":
         self._check_shape(other)
         field = self.field
+        add, mul = field.add, field.mul
         out: dict = {}
         trunc = self.trunc
         for e1, c1 in self.coeffs.items():
@@ -149,9 +152,19 @@ class TruncatedPoly:
                 exp = tuple(a + b for a, b in zip(e1, e2))
                 if any(e >= r for e, r in zip(exp, trunc)):
                     continue
-                prod = field.mul(c1, c2)
-                out[exp] = field.add(out.get(exp, field.zero), prod)
-        return TruncatedPoly(field, trunc, out)
+                prod = mul(c1, c2)
+                out[exp] = add(out[exp], prod) if exp in out else prod
+        # every exponent is already in the box: only cancelled terms need dropping
+        return TruncatedPoly._unchecked(field, trunc, {e: c for e, c in out.items() if c != 0})
+
+    @classmethod
+    def _unchecked(cls, field: Field, trunc: tuple, coeffs: dict) -> "TruncatedPoly":
+        """Wrap data that already satisfies the constructor's checks: ``trunc``
+        a tuple of ints >= 1, every exponent a tuple inside the box, every
+        coefficient a nonzero field element."""
+        out = cls.__new__(cls)
+        out.field, out.trunc, out.coeffs = field, trunc, coeffs
+        return out
 
     def __pow__(self, k: int) -> "TruncatedPoly":
         out = TruncatedPoly.constant(self.field, self.trunc, self.field.one)
@@ -276,18 +289,14 @@ def monomial_basis(trunc: Sequence[int]) -> list:
 
 
 def mult_matrix(g: TruncatedPoly) -> Matrix:
-    """Matrix of multiplication by g on the monomial basis."""
-    basis = monomial_basis(g.trunc)
-    index = {e: i for i, e in enumerate(basis)}
-    out = Matrix.zeros(g.field, len(basis), len(basis))
-    add = g.field.add
-    for j, exp in enumerate(basis):
-        for e, c in g.coeffs.items():
-            target = tuple(a + b for a, b in zip(exp, e))
-            if all(t < r for t, r in zip(target, g.trunc)):
-                i = index[target]
-                out.a[i, j] = add(out.a[i, j], c)
-    return out
+    """Matrix of multiplication by g on the monomial basis.
+
+    Multiplication by Y_i is the transposed shift J_{r_i}^T in factor i, so
+    the matrix is the transpose of g evaluated at the single blocks
+    J_{r_1}, ..., J_{r_m}.
+    """
+    blocks = [(r,) for r in g.trunc]
+    return canonical_series_operator(g.field, blocks, g.coeffs).T
 
 
 def endomorphism_matrix(images: Sequence[TruncatedPoly]) -> Matrix:

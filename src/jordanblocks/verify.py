@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .classical import good_char_report, validate_classical_partition
 from .char0 import check_theorem, exponents, predict_blocks
+from .errors import AlgebraError
 from .fields import GF, Field
 from .fgl import (
     GeneralizedLaw,
@@ -202,7 +203,8 @@ def sample_classical_case(rng, primes: dict = _GOOD_PRIMES) -> tuple:
         else:
             parts.append(x)
     lam = Partition(sorted(parts, reverse=True))
-    assert validate_classical_partition(kind, lam)
+    if not validate_classical_partition(kind, lam):
+        raise AlgebraError(f"sampled {lam} is not a nilpotent class of {kind}")
     return kind, lam, p
 
 
@@ -214,7 +216,8 @@ def suite_classical_good(seed=0):
     for _ in range(200):
         kind, lam, p = sample_classical_case(rng)
         report = good_char_report(kind, lam, p)
-        assert report.good_characteristic
+        if not report.good_characteristic:
+            raise AlgebraError(f"{kind} {lam} at p = {p} was sampled as good but is not")
         if not report.equal:
             bad.append((kind, tuple(lam), p))
     return not bad, f"200 cases, {len(bad)} disagreements"

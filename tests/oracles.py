@@ -6,8 +6,11 @@ each pivot row by row and rewrites the whole matrix at every pivot;
 ``fraction_matmul`` is ``np.dot`` over Fraction objects;
 ``full_power_partition`` reads a Jordan type off the ranks of the full
 powers N, N^2, ... ; ``whole_matrix_adjoint`` builds the classical adjoint
-operator on all of V (x) V*, Sym^2 V or wedge^2 V.  All are deliberately
-plain so that they are easy to trust.
+operator on all of V (x) V*, Sym^2 V or wedge^2 V; ``kron_power_operator``
+sums Kronecker products of the dense powers of phi over the terms of the
+m-fold tensor series, and ``loop_mult_matrix`` fills a multiplication
+matrix one monomial at a time.  All are deliberately plain so that they are
+easy to trust.
 """
 
 from fractions import Fraction
@@ -15,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from jordanblocks.errors import NotNilpotent
-from jordanblocks.fgl import additive, multiplicative
+from jordanblocks.fgl import additive, iterated_tensor_series, multiplicative
 from jordanblocks.linalg import (
     Matrix,
     Partition,
@@ -24,6 +27,7 @@ from jordanblocks.linalg import (
     unipotent_partition,
 )
 from jordanblocks.repring import induced_quotient_operator, tensor_operator
+from jordanblocks.series import monomial_basis
 
 
 def rref_mod(a: np.ndarray, p: int, stop_col: int | None = None):
@@ -125,3 +129,35 @@ def whole_matrix_adjoint(kind: str, lam, field, unipotent: bool) -> Partition:
     top = tensor_operator(x, x, law)
     shape = "sym" if kind == "Sp" else "wedge"
     return jordan_partition(induced_quotient_operator(top, lam.dim, 2, shape))
+
+
+def kron_power_operator(phi, m: int, law):
+    """sum of c * phi^{a_1} (x) ... (x) phi^{a_m} over the m-fold tensor series,
+    for any nilpotent phi, from its dense powers and Kronecker products."""
+    field = phi.field
+    pows = [Matrix.identity(field, phi.nrows)]
+    while not pows[-1].is_zero():
+        pows.append(pows[-1] @ phi)
+    pows.pop()
+    series = iterated_tensor_series(law, m, (len(pows),) * m)
+    out = Matrix.zeros(field, phi.nrows ** m, phi.nrows ** m)
+    for exp, c in series.coeffs.items():
+        term = pows[exp[0]]
+        for a in exp[1:]:
+            term = term.kron(pows[a])
+        out = out + term.scale(c)
+    return out
+
+
+def loop_mult_matrix(g):
+    """Matrix of multiplication by g, one basis monomial and one term at a time."""
+    basis = monomial_basis(g.trunc)
+    index = {e: i for i, e in enumerate(basis)}
+    out = Matrix.zeros(g.field, len(basis), len(basis))
+    for j, exp in enumerate(basis):
+        for e, c in g.coeffs.items():
+            target = tuple(a + b for a, b in zip(exp, e))
+            if all(t < r for t, r in zip(target, g.trunc)):
+                i = index[target]
+                out.a[i, j] = g.field.add(out.a[i, j], c)
+    return out

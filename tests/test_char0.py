@@ -9,7 +9,9 @@ from jordanblocks.char0 import (
     predict_blocks,
     springer_condition,
 )
+from jordanblocks import char0
 from jordanblocks.errors import (
+    AlgebraError,
     BlocksNotAllOdd,
     ExponentDivisible,
     NotDistinguished,
@@ -148,3 +150,15 @@ class TestDistinguished:
     def test_so(self):
         assert is_distinguished("SO", (7, 3, 1))
         assert not is_distinguished("SO", (5, 5))
+
+
+@pytest.mark.parametrize("check,what", [
+    ("positive_root_count", "sum of the exponents"),
+    ("weyl_group_order", "product of the exponents"),
+    ("lie_algebra_dim", "Lie algebra dimension"),
+])
+def test_exponent_checks_are_typed_errors(monkeypatch, check, what):
+    real = getattr(char0, check)
+    monkeypatch.setattr(char0, check, lambda family, rank: real(family, rank) + 1)
+    with pytest.raises(AlgebraError, match=what):
+        exponents("B", 3)

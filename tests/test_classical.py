@@ -13,7 +13,7 @@ from jordanblocks.classical import (
     unipotent_adjoint_partition,
     validate_classical_partition,
 )
-from jordanblocks.errors import AlgebraError, CharTwo
+from jordanblocks.errors import AlgebraError, CharTwo, InvalidInput
 from jordanblocks.fields import GF, QQ
 from jordanblocks.linalg import jordan_partition, nilpotent_from_partition, unipotent_partition
 from jordanblocks.repring import RingElement, cg_tensor
@@ -125,6 +125,14 @@ class TestSpringerImage:
             eps = random_series_with_unit(rng, f, max(lam) + 1)
             assert unipotent_partition(springer_image(eps, x)) == jordan_partition(x)
 
+    def test_zero_linear_coefficient_is_invalid_input(self):
+        from jordanblocks.series import TruncatedPoly
+
+        f = GF(7)
+        x = nilpotent_from_partition(f, (3,))
+        with pytest.raises(InvalidInput, match="nonzero linear coefficient"):
+            springer_image(TruncatedPoly.univariate(f, 4, [0, 0, 1]), x)
+
 
 class TestGoodCharReport:
     def test_good_prime_equal(self):
@@ -189,3 +197,25 @@ class TestBlockAdditivePath:
     def test_dimension_mismatch_is_typed(self):
         with pytest.raises(AlgebraError):
             adjoint_partition("SO", (3, 1), cg_tensor, lambda a, shape: RingElement({a: 1}))
+
+
+class TestSamplerGuards:
+    """The verify-suite guards that were asserts, fired through wrong intermediates."""
+
+    def test_sampled_partition_outside_the_kind(self, monkeypatch):
+        from jordanblocks import verify
+
+        monkeypatch.setattr(verify, "validate_classical_partition", lambda kind, lam: False)
+        with pytest.raises(AlgebraError, match="not a nilpotent class"):
+            sample_classical_case(random.Random(0))
+
+    def test_sampled_prime_that_is_not_good(self, monkeypatch):
+        from dataclasses import replace
+
+        from jordanblocks import verify
+
+        real = verify.good_char_report
+        monkeypatch.setattr(verify, "good_char_report", lambda kind, lam, p: replace(
+            real(kind, lam, p), good_characteristic=False))
+        with pytest.raises(AlgebraError, match="sampled as good"):
+            verify.suite_classical_good()

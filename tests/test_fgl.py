@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from jordanblocks.errors import InvalidLaw, TruncationTooShort
+from jordanblocks.errors import InvalidInput, InvalidLaw, TruncationTooShort
 from jordanblocks.fgl import (
     GeneralizedLaw,
     additive,
@@ -152,3 +152,8 @@ class TestLawFiles:
     def test_malformed_data(self):
         with pytest.raises(InvalidLaw):
             law_from_json({"p": 5, "coeffs": []})
+
+
+def test_as_poly_needs_two_variables():
+    with pytest.raises(InvalidInput, match="two-variable"):
+        additive(F5).as_poly((3, 3, 3))

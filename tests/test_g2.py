@@ -1,6 +1,7 @@
 import pytest
 
-from jordanblocks.errors import BadPrime, DoesNotStabilize
+from jordanblocks import g2
+from jordanblocks.errors import AlgebraError, BadPrime, DoesNotStabilize, InvalidInput
 from jordanblocks.g2 import (
     ORBITS,
     V_PARTITIONS,
@@ -17,7 +18,7 @@ from jordanblocks.g2 import (
     wedge_route_adjoint,
     weight_components,
 )
-from jordanblocks.linalg import Matrix, jordan_partition, unipotent_partition
+from jordanblocks.linalg import Matrix, Partition, jordan_partition, unipotent_partition
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +94,38 @@ class TestRepresentatives:
         assert comps <= named | {(1, 0, 0)}
 
 
+    def test_unknown_orbit_is_invalid_input(self, model):
+        with pytest.raises(InvalidInput, match="unknown orbit"):
+            g2_nilpotent_rep("B2", model)
+        with pytest.raises(InvalidInput, match="unknown orbit"):
+            g2_unipotent_rep("B2", model)
+
+    def test_wrong_nilpotent_type_is_a_typed_error(self, model, monkeypatch):
+        monkeypatch.setattr(g2, "jordan_partition", lambda x: Partition((7,)))
+        with pytest.raises(AlgebraError, match="A1 representative has Jordan type"):
+            g2_nilpotent_rep("A1", model)
+
+    def test_form_not_preserved_is_a_typed_error(self, model, monkeypatch):
+        # 2 times the identity scales the form by 4
+        monkeypatch.setattr(g2, "exp_nilpotent",
+                            lambda y: Matrix.identity(y.field, y.nrows).scale(2))
+        with pytest.raises(AlgebraError, match="does not preserve the form"):
+            g2_unipotent_rep("A1", model)
+
+    def test_wrong_unipotent_type_is_a_typed_error(self, model, monkeypatch):
+        monkeypatch.setattr(g2, "unipotent_partition", lambda u: Partition((7,)))
+        with pytest.raises(AlgebraError, match="A1 representative has Jordan type"):
+            g2_unipotent_rep("A1", model)
+
+
 class TestAdjointRoutes:
+    def test_unknown_mode_is_invalid_input(self, model):
+        a = g2_nilpotent_rep("A1", model)
+        with pytest.raises(InvalidInput, match="unknown mode"):
+            adjoint_partition_direct(a, g2_subalgebra(model), "semisimple")
+        with pytest.raises(InvalidInput, match="unknown mode"):
+            wedge_route_adjoint(a, "semisimple")
+
     def test_zero_element(self, model):
         basis = g2_subalgebra(model)
         zero = Matrix.zeros(model.field, 7, 7)

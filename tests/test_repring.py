@@ -17,9 +17,11 @@ from jordanblocks.fields import GF, QQ
 from jordanblocks.linalg import (
     Matrix,
     Partition,
+    canonical_series_operator,
     jordan_block,
     jordan_partition,
     nilpotent_from_partition,
+    random_invertible,
 )
 from jordanblocks.repring import (
     RingElement,
@@ -37,6 +39,7 @@ from jordanblocks.repring import (
     wedge_partition,
 )
 from jordanblocks.series import TruncatedPoly, elementary_symmetric, mult_matrix
+from oracles import kron_power_operator
 
 F2, F3, F5, F7 = GF(2), GF(3), GF(5), GF(7)
 
@@ -167,6 +170,99 @@ class TestPowerOperator:
         op = power_operator(phi, 3, multiplicative(F5))
         for s in sigma_matrices(3, 3, F5):
             assert (op @ s) == (s @ op)
+
+
+FIELDS = [F2, F3, F5, F7, QQ]
+
+
+def seeded_partition(rng, dim, top=4) -> Partition:
+    parts = []
+    while sum(parts) < dim:
+        parts.append(rng.randint(1, min(top, dim - sum(parts))))
+    return Partition(sorted(parts, reverse=True))
+
+
+def seeded_law(rng, field, degree):
+    """A generalized law with a seeded, in general non-unit, linear part."""
+    return random_generalized_law(rng.randrange(10**6), degree, field)
+
+
+gathered_fields = st.sampled_from(FIELDS)
+small_partitions = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(
+    lambda xs: Partition(sorted(xs, reverse=True)))
+
+
+class TestGatheredOperators:
+    """The gathered law operators against the Kronecker sums of dense powers."""
+
+    def _check_tensor(self, field, lam, mu, law):
+        phi = nilpotent_from_partition(field, lam)
+        psi = nilpotent_from_partition(field, mu)
+        kron = tensor_operator(phi, psi, law)
+        assert canonical_series_operator(field, (lam, mu), law.coeffs) == kron
+        assert tensor_partition(lam, mu, law, field) == jordan_partition(kron)
+
+    def _check_power(self, field, lam, m, law):
+        phi = nilpotent_from_partition(field, lam)
+        assert power_operator(phi, m, law) == kron_power_operator(phi, m, law)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_tensor_seeded_multi_block(self, field):
+        rng = random.Random(f"gather-tensor:{field.p}")
+        for _ in range(6):
+            lam = seeded_partition(rng, rng.randint(1, 7))
+            mu = seeded_partition(rng, rng.randint(1, 7))
+            # degree 10 reaches past every block of size <= 4
+            self._check_tensor(field, lam, mu, seeded_law(rng, field, 10))
+        self._check_tensor(field, Partition((3, 1)), Partition((2, 2, 1)), multiplicative(field))
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_power_seeded_multi_block(self, field, m):
+        rng = random.Random(f"gather-power:{field.p}:{m}")
+        for dim in (1, 3, 4, 5) if m < 3 else (1, 3, 4):
+            lam = seeded_partition(rng, dim, top=3)
+            self._check_power(field, lam, m, seeded_law(rng, field, 3 * m + 2))
+        self._check_power(field, Partition((2, 1)), m, multiplicative(field))
+
+    @given(gathered_fields, small_partitions, small_partitions, st.integers(0, 10**6),
+           st.integers(0, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_tensor_hypothesis(self, field, lam, mu, seed, extra):
+        degree = max(2, lam[0] + mu[0] - 2 + extra)
+        self._check_tensor(field, lam, mu, random_generalized_law(seed, degree, field))
+
+    @given(gathered_fields, small_partitions, st.integers(1, 3), st.integers(0, 10**6))
+    @settings(max_examples=25, deadline=None)
+    def test_power_hypothesis(self, field, lam, m, seed):
+        if lam.dim ** m > 216:
+            lam = Partition(lam.parts[:1])
+        self._check_power(field, lam, m, random_generalized_law(seed, m * lam[0] + 1, field))
+
+    def test_exponents_past_the_largest_block_are_dropped(self):
+        op = canonical_series_operator(F5, ((2, 1), (3,)), {(2, 0): 1, (0, 3): 4, (1, 2): 3})
+        phi = nilpotent_from_partition(F5, (2, 1))
+        psi = jordan_block(F5, 3)
+        assert op == phi.kron(psi @ psi).scale(3)
+
+    def test_conjugated_phi_is_rejected(self):
+        rng = random.Random(5)
+        phi = nilpotent_from_partition(F5, (3, 2))
+        g = random_invertible(F5, 5, rng)
+        conjugate = g @ phi @ g.inverse()
+        assert conjugate != phi
+        with pytest.raises(InvalidInput, match="canonical nilpotent"):
+            power_operator(conjugate, 2, additive(F5))
+
+    @pytest.mark.parametrize("phi", [
+        jordan_block(F5, 3).T,  # lower shift
+        jordan_block(F5, 3).scale(2),  # superdiagonal 2
+        Matrix.from_rows(F5, [[0, 0, 0], [0, 0, 1], [0, 0, 0]]),  # blocks (1, 2)
+        Matrix.zeros(F5, 2, 3),
+    ], ids=["transposed", "scaled", "increasing-blocks", "non-square"])
+    def test_non_canonical_phi_is_rejected(self, phi):
+        with pytest.raises(InvalidInput):
+            power_operator(phi, 2, multiplicative(F5))
 
 
 class TestSigmaMatrices:

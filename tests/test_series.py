@@ -24,12 +24,29 @@ from jordanblocks.series import (
     mult_matrix,
     symmetric_split,
 )
+from oracles import loop_mult_matrix
 
 F5 = GF(5)
 
 
 def var(field, trunc, i):
     return TruncatedPoly.variable(field, trunc, i)
+
+
+@st.composite
+def series_pairs(draw):
+    """Two series in one algebra over F_2, F_3, F_5, F_7 or Q, with small
+    coefficients so that products cancel often."""
+    p = draw(st.sampled_from([0, 2, 3, 5, 7]))
+    field = Field(p)
+    trunc = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    box = st.tuples(*[st.integers(0, r - 1) for r in trunc])
+    coeff = st.integers(-2, 2).map(field)
+
+    def one():
+        return TruncatedPoly(field, trunc, draw(st.dictionaries(box, coeff, max_size=6)))
+
+    return one(), one()
 
 
 class TestRingOps:
@@ -183,7 +200,39 @@ class TestBuildAutomorphism:
         assert build_automorphism(xis, fs).rank() == dim
 
 
+class TestProductConstruction:
+    @given(series_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_product_equals_validated_construction(self, pair):
+        f, g = pair
+        field, trunc = f.field, f.trunc
+        raw: dict = {}
+        for e1, c1 in f.coeffs.items():
+            for e2, c2 in g.coeffs.items():
+                exp = tuple(a + b for a, b in zip(e1, e2))
+                raw[exp] = field.add(raw.get(exp, field.zero), field.mul(c1, c2))
+        want = TruncatedPoly(field, trunc, raw)
+        got = f * g
+        assert got == want
+        assert got.trunc == trunc and type(got.trunc) is tuple
+        assert all(c != 0 for c in got.coeffs.values())
+
+    def test_cancelling_product_drops_the_zero(self):
+        f3 = GF(3)
+        y = var(f3, (4,), 0)
+        one = TruncatedPoly.constant(f3, (4,), 1)
+        # (1 + Y)(1 + 2Y) = 1 + 3Y + 2Y^2 = 1 + 2Y^2 over F_3
+        prod = (one + y) * (one + y.scale(2))
+        assert prod.coeffs == {(0,): 1, (2,): 2}
+
+
 class TestMultMatrix:
+    @given(series_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_monomial_loop(self, pair):
+        for g in pair:
+            assert mult_matrix(g) == loop_mult_matrix(g)
+
     def test_commutes_with_itself(self):
         g = var(F5, (2, 2), 0) + var(F5, (2, 2), 1)
         h = var(F5, (2, 2), 0) * var(F5, (2, 2), 1)
