@@ -4,7 +4,8 @@
 Samples (kind, lambda, p) triples, p in {2, 3, 5, 7, 11, 13} for every
 kind, computes both adjoint partitions and tallies agreement, separating
 good and bad characteristic.  With a good prime the two sides always agree;
-at p = 2 the symplectic and orthogonal cases split.
+at p = 2 the symplectic and orthogonal cases split.  A disagreement in
+good characteristic prints its (kind, lambda, p) and exits with status 1.
 
 Usage: python scripts/adjoint_survey.py [count] [seed]
 """
@@ -27,7 +28,10 @@ def main() -> None:
         kind, lam, p = sample_classical_case(rng, primes=PRIMES)
         report = good_char_report(kind, lam, p)
         if report.good_characteristic:
-            assert report.equal, (kind, tuple(lam), p)
+            if not report.equal:
+                print(f"good characteristic disagrees: kind={kind} lambda={tuple(lam)} p={p} "
+                      f"ad={report.nilpotent.compressed()} Ad={report.unipotent.compressed()}")
+                sys.exit(1)
             agree_good += 1
         elif report.equal:
             agree_bad += 1

@@ -5,21 +5,28 @@ Matrices over F_p are stored as int64 numpy arrays with entries in
 Products over F_p go through float64 BLAS, which is exact as long as the
 accumulated dot products stay below 2**53; a product that could pass that
 bound raises ``BadPrime`` instead of rounding, and so does elimination at a
-prime whose int64 products could wrap.  Ranks over F_p come from
+prime whose int64 RREF products could wrap.  Ranks over F_p come from
 forward elimination alone (an echelon form, no back substitution) that
-touches only the rows with a nonzero in the pivot column and only the
-columns from the pivot onward; RREF is kept for ``inverse`` and
-``solve_in_columns``.  Products and ranks over Q work on integers: each row
-(or column) is scaled once by the lcm of its denominators, a product is one
-dot product of Python integers, and a rank is Bareiss's fraction-free
-elimination, so no Fraction arithmetic runs inside the inner loops.
-Partitions are read off an operator through the
+touches only the rows whose leading column is the pivot column; RREF is
+kept for ``inverse`` and ``solve_in_columns``.  Products and ranks over Q
+work on integers: each row (or column) is scaled once by the lcm of its
+denominators, a product is one dot product of Python integers, and a rank
+is Bareiss's fraction-free elimination, so no Fraction arithmetic runs
+inside the inner loops.  Partitions are read off an operator through the
 kernel-dimension sequence of its powers, never through a similarity
 transform.  Over F_p that sequence comes from a shrinking chain: an echelon
 basis E_k of the row space of N^k gives the next one as the echelon form of
 E_k N, so step k works on a rank(N^k)-by-n matrix instead of N^(k+1).
-Each pivot of the F_p elimination finds its rows with one ``nonzero`` on
-the column and updates them with one outer product.
+
+The F_p echelon form works on packed rows: each row is one Python int
+holding column j in the bits [j w, (j + 1) w), with w the least multiple of
+64 that is at least 4L + 2 for p of bit length L.  Rows wait in buckets
+keyed by their leading column, the lowest set bit; at each pivot every other
+row of the pivot's bucket is reduced by one multiply-add with the negated
+pivot row and one Barrett step on all fields at once, which is exact because
+every field holds less than p**2 before it and 2**(3L) > p**3 (see
+``_echelon_rows``).  A row operation is thus a few big-int operations, not a
+round of numpy calls.
 
 A series at canonical nilpotents, sum of c_a phi_1^{a_1} (x) ... (x)
 phi_m^{a_m} with phi_k the block-diagonal shift of a partition, is built as
@@ -29,6 +36,8 @@ no power and no Kronecker product is formed.
 
 from __future__ import annotations
 
+import functools
+import heapq
 import itertools
 import math
 from fractions import Fraction
@@ -251,7 +260,7 @@ class Matrix:
 
     def rank(self) -> int:
         if self.field.p:
-            return _echelon_mod(self.a, self.field.p).shape[0]
+            return len(_echelon_rows(self.a, self.field.p))
         return _rank_frac(self.a)
 
     def inverse(self) -> "Matrix":
@@ -296,38 +305,105 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def _require_int64_elimination(p: int) -> None:
-    """Elimination forms x - y*z in int64 with x, y, z in range(p); once
-    (p-1)**2 + (p-1) reaches 2**63 that could wrap without an error."""
+    """The supported characteristics of F_p elimination.  RREF forms x - y*z
+    in int64 with x, y, z in range(p); once (p-1)**2 + (p-1) reaches 2**63
+    that could wrap without an error.  The packed-row echelon form cannot
+    overflow, but keeps to the same stated range."""
     if (p - 1) ** 2 + (p - 1) >= 2**63:
         raise BadPrime(f"F_{p} elimination products overflow int64")
 
 
-def _echelon_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """Nonzero rows of an echelon form of ``a`` over F_p (rank = row count).
+@functools.lru_cache(maxsize=None)
+def _packing(p: int, n: int) -> tuple:
+    """Constants of packed rows of length n over F_p: the field width w (a
+    multiple of 64 bits), the Barrett shift s and multiplier M, the mask LOW
+    of the low w - s bits of every field, and P, which holds p in every
+    field."""
+    bits = p.bit_length()
+    w = 64 * -(-(4 * bits + 2) // 64)
+    s = 3 * bits
+    ones = sum(1 << (j * w) for j in range(n))
+    return w, s, (1 << s) // p + 1, ((1 << (w - s)) - 1) * ones, p * ones
 
-    Forward elimination only.  A column that is zero in every row stays zero
-    under row operations, so only the initially nonzero columns are scanned.
-    At each pivot only the rows below it with a nonzero in the pivot column
-    change, and only from the pivot column onward.
+
+def _pack(a: np.ndarray, p: int, w: int) -> list:
+    """The rows of ``a`` reduced mod p as Python ints, column j in the bits
+    [j w, (j + 1) w); zero rows are dropped."""
+    m, n = a.shape
+    if not n:
+        return []
+    words = np.zeros((m, n, w // 64), dtype="<u8")
+    words[:, :, 0] = a % p
+    rows = words.reshape(m, n * w // 64).view(f"V{n * w // 8}").ravel().tolist()
+    return list(filter(None, map(int.from_bytes, rows, itertools.repeat("little"))))
+
+
+def _unpack(rows: list, n: int, w: int) -> np.ndarray:
+    """Inverse of ``_pack``: an int64 array with one row per packed row."""
+    step = n * w // 8
+    raw = b"".join([r.to_bytes(step, "little") for r in rows])
+    words = np.frombuffer(raw, dtype="<u8").reshape(len(rows), n, w // 64)
+    return words[:, :, 0].astype(np.int64)
+
+
+def _echelon_rows(a: np.ndarray, p: int) -> list:
+    """Packed nonzero rows of an echelon form of ``a`` over F_p, leads ascending.
+
+    Each row is one Python int (see ``_pack``), and the leading column of a
+    row is its lowest set bit divided by w.  Rows wait in buckets keyed by
+    their leading column, and a heap gives the next open column.  There one
+    row of the bucket becomes the pivot and every other row r is reduced
+    with two big-int operations: r += f (P - piv), which adds p - v fieldwise
+    for each pivot entry v, then r -= (((r M) >> s) & LOW) p.  Before that
+    Barrett step every field holds x <= (p - 1) + (p - 1) p < p**2, and with
+    L the bit length of p, s = 3L and M = floor(2**s / p) + 1:
+    - x M / 2**s exceeds x / p by less than x / 2**s < p**2 / p**3 = 1 / p, so
+      (x M) >> s is the exact quotient floor(x / p) and x becomes x mod p;
+    - x M < 2**(4L + 2) <= 2**w, so no product carries into the next field,
+      and the quotient (below 2**(L + 2)) is kept apart by LOW from the low s
+      bits that the shift brings down from the next field (w >= s + L + 2).
+    A reduced row that is not zero joins the bucket of its new lead, which is
+    always past the pivot column.
     """
     _require_int64_elimination(p)
-    a = a % p
-    m = a.shape[0]
-    r = 0
-    for c in np.flatnonzero(a.any(axis=0)).tolist():
-        nz = a[r:, c].nonzero()[0]
-        if not nz.size:
+    n = a.shape[1]
+    w, s, mult, low, ps = _packing(p, n)
+    field = (1 << w) - 1
+    buckets: dict = {}
+    for r in _pack(a, p, w):
+        buckets.setdefault(((r & -r).bit_length() - 1) // w, []).append(r)
+    heap = list(buckets)
+    heapq.heapify(heap)
+    echelon = []
+    while heap:
+        lead = heapq.heappop(heap)
+        bucket = buckets.pop(lead)
+        piv = bucket[0]
+        echelon.append(piv)
+        if len(bucket) == 1:
             continue
-        if nz[0]:
-            a[[r, r + nz[0]], c:] = a[[r + nz[0], r], c:]
-        if nz.size > 1:
-            below = nz[1:] + r
-            factor = a[below, c] * pow(int(a[r, c]), -1, p) % p
-            a[below, c:] = (a[below, c:] - np.outer(factor, a[r, c:])) % p
-        r += 1
-        if r == m:
-            break
-    return a[:r]
+        shift = lead * w
+        inv = pow((piv >> shift) & field, -1, p)
+        neg = ps - piv
+        for r in bucket[1:]:
+            r += ((r >> shift) & field) * inv % p * neg
+            r -= ((r * mult >> s) & low) * p
+            if r:
+                c = ((r & -r).bit_length() - 1) // w
+                waiting = buckets.get(c)
+                if waiting is None:
+                    buckets[c] = [r]
+                    heapq.heappush(heap, c)
+                else:
+                    waiting.append(r)
+    return echelon
+
+
+def _echelon_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """Nonzero rows of an echelon form of ``a`` over F_p (rank = row count),
+    with strictly increasing leading columns."""
+    n = a.shape[1]
+    return _unpack(_echelon_rows(a, p), n, _packing(p, n)[0])
 
 
 def _row_reduce_mod(a: np.ndarray, p: int, stop_col: int | None = None):
@@ -376,12 +452,17 @@ def _clear_denominators(rows) -> tuple[list, list]:
     return ints, scales
 
 
+#: the zero every rational product shares (Fractions are immutable)
+_ZERO = Fraction(0)
+
+
 def _matmul_frac(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact product of two Fraction arrays through one integer dot product.
 
     With the rows of ``a`` scaled by da_i and the columns of ``b`` by db_j,
     entry (i, j) of the product is c_ij / (da_i db_j), where c is the
-    product of the integer arrays; each output Fraction is built once.
+    product of the integer arrays; each nonzero output Fraction is built
+    once, and every zero entry is one shared ``Fraction(0)``.
     """
     left, da = _clear_denominators(a)
     right, db = _clear_denominators(b.T)
@@ -389,7 +470,7 @@ def _matmul_frac(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     right = np.array(right, dtype=object).reshape(b.shape[::-1]).T
     out = np.empty((a.shape[0], b.shape[1]), dtype=object)
     for i, (row, d) in enumerate(zip(np.dot(left, right).tolist(), da)):
-        out[i] = [Fraction(c, d * e) for c, e in zip(row, db)]
+        out[i] = [Fraction(c, d * e) if c else _ZERO for c, e in zip(row, db)]
     return out
 
 

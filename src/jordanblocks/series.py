@@ -3,12 +3,13 @@
 Coefficients are stored sparsely as a dict from exponent tuples to nonzero
 field elements.  The truncation vector is part of the type: binary operations
 require identical truncation, and products drop any monomial whose exponent
-leaves the box; a product skips the constructor's checks, which its own
-loop already guarantees.  On top of the ring arithmetic this module provides
-series composition and inversion, matrices of multiplication operators
-(gathered from the coefficients in one step) and algebra endomorphisms on
-the monomial basis, and the constructive splitting of a symmetric series
-f = f_1 + ... + f_m with Y_i | f_i.
+leaves the box.  Sums, negatives, scalar multiples, products and constants
+skip the constructor's per-exponent checks, which the validated operands
+already guarantee, and drop only the coefficients that cancel.  On top of
+the ring arithmetic this module provides series composition and inversion,
+matrices of multiplication operators (gathered from the coefficients in one
+step) and algebra endomorphisms on the monomial basis, and the constructive
+splitting of a symmetric series f = f_1 + ... + f_m with Y_i | f_i.
 """
 
 from __future__ import annotations
@@ -31,6 +32,14 @@ from .fields import Field
 from .linalg import Matrix, canonical_series_operator
 
 
+def _box(trunc: Sequence[int]) -> tuple:
+    """The truncation vector as a tuple of ints, each at least 1."""
+    trunc = tuple(int(r) for r in trunc)
+    if any(r < 1 for r in trunc):
+        raise InvalidInput(f"truncation exponents must be >= 1, got {trunc}")
+    return trunc
+
+
 class TruncatedPoly:
     """Element of k[Y_1..Y_m] modulo (Y_1^{r_1}, ..., Y_m^{r_m})."""
 
@@ -38,9 +47,7 @@ class TruncatedPoly:
 
     def __init__(self, field: Field, trunc: Sequence[int], coeffs: dict | None = None):
         self.field = field
-        self.trunc = tuple(int(r) for r in trunc)
-        if any(r < 1 for r in self.trunc):
-            raise InvalidInput(f"truncation exponents must be >= 1, got {self.trunc}")
+        self.trunc = _box(trunc)
         clean = {}
         for exp, c in (coeffs or {}).items():
             exp = tuple(exp)
@@ -58,7 +65,8 @@ class TruncatedPoly:
 
     @classmethod
     def constant(cls, field, trunc, c):
-        return cls(field, trunc, {(0,) * len(trunc): field(c)})
+        trunc, c = _box(trunc), field(c)
+        return cls._unchecked(field, trunc, {(0,) * len(trunc): c} if c != 0 else {})
 
     @classmethod
     def variable(cls, field, trunc, i: int):
@@ -124,13 +132,18 @@ class TruncatedPoly:
         out = dict(self.coeffs)
         add = self.field.add
         for exp, c in other.coeffs.items():
-            out[exp] = add(out.get(exp, self.field.zero), c)
-        return TruncatedPoly(self.field, self.trunc, out)
+            if exp in out:
+                c = add(out[exp], c)
+                if c == 0:
+                    del out[exp]
+                    continue
+            out[exp] = c
+        return TruncatedPoly._unchecked(self.field, self.trunc, out)
 
     def __neg__(self):
         neg = self.field.neg
-        return TruncatedPoly(self.field, self.trunc,
-                             {e: neg(c) for e, c in self.coeffs.items()})
+        return TruncatedPoly._unchecked(self.field, self.trunc,
+                                        {e: neg(c) for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -138,8 +151,9 @@ class TruncatedPoly:
     def scale(self, c) -> "TruncatedPoly":
         c = self.field(c)
         mul = self.field.mul
-        return TruncatedPoly(self.field, self.trunc,
-                             {e: mul(c, v) for e, v in self.coeffs.items()})
+        return TruncatedPoly._unchecked(self.field, self.trunc,
+                                        {e: x for e, v in self.coeffs.items()
+                                         if (x := mul(c, v)) != 0})
 
     def __mul__(self, other: "TruncatedPoly") -> "TruncatedPoly":
         self._check_shape(other)

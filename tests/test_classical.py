@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import jordanblocks
 from jordanblocks.char0 import ad_partition_char0
 from jordanblocks.classical import (
     adjoint_partition,
@@ -219,3 +224,38 @@ class TestSamplerGuards:
             real(kind, lam, p), good_characteristic=False))
         with pytest.raises(AlgebraError, match="sampled as good"):
             verify.suite_classical_good()
+
+
+class TestSurveyScript:
+    ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+    def run_survey(self, patch: str) -> subprocess.CompletedProcess:
+        code = textwrap.dedent(f"""
+            import runpy, sys
+            from types import SimpleNamespace
+            from jordanblocks import classical
+            from jordanblocks.linalg import Partition
+            assert False, "asserts must be stripped in this run"
+            {patch}
+            sys.argv = ["adjoint_survey.py", "6", "0"]
+            runpy.run_path({os.path.join(self.ROOT, "scripts", "adjoint_survey.py")!r},
+                           run_name="__main__")
+        """)
+        src = os.path.dirname(os.path.dirname(jordanblocks.__file__))
+        return subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src})
+
+    def test_survey_passes_under_optimize_flag(self):
+        proc = self.run_survey("pass")
+        assert proc.returncode == 0, proc.stderr
+        assert "6 samples:" in proc.stdout
+
+    def test_good_characteristic_disagreement_exits_one(self):
+        # the check must not be an assert, which -O strips
+        proc = self.run_survey(
+            "classical.good_char_report = lambda kind, lam, p: SimpleNamespace("
+            "good_characteristic=True, equal=False, "
+            "nilpotent=Partition((2, 1)), unipotent=Partition((3,)))")
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "good characteristic disagrees: kind=" in proc.stdout
+        assert "lambda=(" in proc.stdout and "p=" in proc.stdout

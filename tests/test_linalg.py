@@ -94,6 +94,38 @@ def random_low_rank(p, nrows, ncols, rank, seed) -> np.ndarray:
     return (left @ right) % p
 
 
+#: small primes; 32749 and 32771 on either side of the field width of packed
+#: rows (4L + 2 bits for p of bit length L) passing one 64-bit word; the
+#: largest prime below 2**20, whose quotients overflow a narrower field; and
+#: the largest prime whose F_p products of length 2 stay float64-exact
+PACKED_PRIMES = [2, 3, 5, 7, 13, 32749, 32771, 1048573, 67108859]
+#: the primes at which the conjugates in these tests stay float64-exact
+CONJUGATE_PRIMES = PACKED_PRIMES[:-1]
+
+
+def check_echelon(a, p):
+    """The echelon form of ``a`` and its rank against the RREF oracle."""
+    e = linalg._echelon_mod(a, p)
+    rank = rref_rank_mod(a, p)
+    assert Matrix(GF(p), a).rank() == e.shape[0] == rank, a.shape
+    assert e.shape[1] == a.shape[1] and e.dtype == np.int64
+    assert ((0 <= e) & (e < p)).all()
+    leads = [int(np.flatnonzero(row)[0]) for row in e]
+    assert leads == sorted(set(leads))
+    assert rref_rank_mod(np.vstack([a % p, e]), p) == rank
+
+
+@st.composite
+def prime_matrices(draw):
+    """A prime and an array over it, its entries often 0, 1 or p - 1."""
+    p = draw(st.sampled_from(PACKED_PRIMES))
+    nrows, ncols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    entry = st.one_of(st.sampled_from([0, 0, 1, p - 1]), st.integers(0, p - 1))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    return p, np.array(rows, dtype=np.int64).reshape(nrows, ncols)
+
+
 class TestPartition:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -181,8 +213,8 @@ class TestJordanPartition:
         assert len(part) == n.nrows - n.rank()
         assert max(part) == nilpotency_degree(n)
 
-    @given(partitions, st.sampled_from(PRIMES), st.integers(0, 10**6))
-    @settings(max_examples=40, deadline=None)
+    @given(partitions, st.sampled_from(CONJUGATE_PRIMES), st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
     def test_conjugation_invariance(self, lam, p, seed):
         n = random_conjugate(GF(p), lam, random.Random(seed))
         assert jordan_partition(n) == lam
@@ -190,36 +222,49 @@ class TestJordanPartition:
 
 
 class TestEchelonKernel:
-    """The rank-only kernel and the restricted RREF against the full-RREF oracle."""
+    """The packed-row echelon kernel and the restricted RREF against the
+    full-RREF oracle."""
 
-    @given(st.sampled_from(PRIMES), st.integers(0, 9), st.integers(0, 9),
-           st.integers(0, 9), st.integers(0, 10**6))
-    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(PACKED_PRIMES), st.integers(0, 14), st.integers(0, 14),
+           st.integers(0, 14), st.integers(0, 10**6))
+    @settings(max_examples=250, deadline=None)
     def test_rank_matches_oracle(self, p, nrows, ncols, rank, seed):
         a = random_low_rank(p, nrows, ncols, rank, seed)
         assert Matrix(GF(p), a).rank() == rref_rank_mod(a, p)
 
-    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("p", PACKED_PRIMES)
     def test_edge_shapes(self, p):
         rng = np.random.default_rng(p)
+        top = np.full((6, 6), p - 1, dtype=np.int64)
         cases = [np.zeros((0, 3), dtype=np.int64), np.zeros((3, 0), dtype=np.int64),
+                 np.zeros((0, 0), dtype=np.int64),
                  np.zeros((1, 1), dtype=np.int64), np.ones((1, 1), dtype=np.int64),
+                 np.full((1, 1), p - 1, dtype=np.int64),
                  np.zeros((4, 4), dtype=np.int64), np.eye(5, dtype=np.int64),
+                 top, top - np.eye(6, dtype=np.int64) * (p > 2),
                  rng.integers(0, p, size=(2, 7)), rng.integers(0, p, size=(3, 11)),
-                 rng.integers(0, p, size=(8, 3)), random_low_rank(p, 12, 12, 4, p)]
+                 rng.integers(0, p, size=(8, 3)), rng.integers(0, p, size=(3, 17)),
+                 rng.integers(0, p, size=(17, 3)), rng.integers(0, p, size=(40, 40)),
+                 random_low_rank(p, 12, 12, 4, p), random_low_rank(p, 20, 9, 6, p),
+                 random_low_rank(p, 30, 30, 1, p),
+                 np.vstack([random_low_rank(p, 5, 8, 2, p)] * 4)]
         for a in cases:
-            assert Matrix(GF(p), a).rank() == rref_rank_mod(a, p), a.shape
+            check_echelon(a, p)
 
-    @given(st.sampled_from(PRIMES), st.integers(1, 9), st.integers(1, 9),
-           st.integers(0, 9), st.integers(0, 10**6))
-    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(PACKED_PRIMES), st.integers(1, 14), st.integers(1, 14),
+           st.integers(0, 14), st.integers(0, 10**6))
+    @settings(max_examples=150, deadline=None)
     def test_echelon_basis(self, p, nrows, ncols, rank, seed):
-        a = random_low_rank(p, nrows, ncols, rank, seed)
-        e = linalg._echelon_mod(a, p)
-        leads = [int(np.flatnonzero(row)[0]) for row in e]
-        assert leads == sorted(set(leads))
-        assert len(leads) == rref_rank_mod(a, p)
-        assert rref_rank_mod(np.vstack([a, e]), p) == len(leads)
+        check_echelon(random_low_rank(p, nrows, ncols, rank, seed), p)
+
+    @given(prime_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_echelon_of_arbitrary_entries(self, case):
+        check_echelon(*case[::-1])
+
+    def test_field_width(self):
+        assert linalg._packing(32749, 5)[0] == 64
+        assert linalg._packing(32771, 5)[0] == 128
 
     @given(st.sampled_from(PRIMES), st.integers(1, 9), st.integers(1, 9),
            st.integers(0, 9), st.integers(0, 10**6), st.data())
@@ -255,11 +300,20 @@ class TestEchelonKernel:
 class TestChainAgainstOracle:
     """The shrinking echelon chain against the full-power chain."""
 
-    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("p", CONJUGATE_PRIMES)
     def test_seeded_conjugates(self, p):
         rng = random.Random(1000 + p)
         field = GF(p)
-        for lam in [(1,), (2,), (4, 1), (3, 3, 2), (5, 2, 2, 1), (6, 4, 4, 1, 1), (9, 7, 1)]:
+        for lam in [(1,), (2,), (4, 1), (3, 3, 2), (5, 2, 2, 1), (6, 4, 4, 1, 1), (9, 7, 1),
+                    (12, 6, 6, 3)]:
+            n = random_conjugate(field, lam, rng)
+            assert jordan_partition(n) == full_power_partition(n) == lam
+
+    def test_conjugates_at_the_largest_prime(self):
+        # past dimension 2 the products at this prime raise BadPrime
+        rng = random.Random(67)
+        field = GF(PACKED_PRIMES[-1])
+        for lam in [(1,), (2,), (1, 1)]:
             n = random_conjugate(field, lam, rng)
             assert jordan_partition(n) == full_power_partition(n) == lam
 
@@ -271,8 +325,8 @@ class TestChainAgainstOracle:
         with pytest.raises(NotNilpotent):
             jordan_partition(Matrix.identity(field, 1))
 
-    @given(partitions, st.sampled_from(PRIMES), st.integers(0, 10**6))
-    @settings(max_examples=40, deadline=None)
+    @given(partitions, st.sampled_from(CONJUGATE_PRIMES), st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
     def test_not_nilpotent(self, lam, p, seed):
         # an upper-triangular matrix with a nonzero diagonal entry has a
         # nonzero eigenvalue, and so does each of its conjugates

@@ -217,6 +217,39 @@ class TestProductConstruction:
         assert got.trunc == trunc and type(got.trunc) is tuple
         assert all(c != 0 for c in got.coeffs.values())
 
+    @staticmethod
+    def check_unchecked(got, want):
+        assert got == want
+        assert got.trunc == want.trunc and type(got.trunc) is tuple
+        assert all(c != 0 for c in got.coeffs.values())
+
+    @given(series_pairs(), st.integers(-7, 7))
+    @settings(max_examples=150, deadline=None)
+    def test_linear_ops_equal_validated_construction(self, pair, k):
+        f, g = pair
+        field, trunc = f.field, f.trunc
+        total = dict(f.coeffs)
+        for exp, c in g.coeffs.items():
+            total[exp] = field.add(total.get(exp, field.zero), c)
+        self.check_unchecked(f + g, TruncatedPoly(field, trunc, total))
+        self.check_unchecked(-f, TruncatedPoly(
+            field, trunc, {e: field.neg(c) for e, c in f.coeffs.items()}))
+        self.check_unchecked(f - f, TruncatedPoly(field, trunc))
+        self.check_unchecked(f.scale(k), TruncatedPoly(
+            field, trunc, {e: field.mul(field(k), c) for e, c in f.coeffs.items()}))
+        self.check_unchecked(TruncatedPoly.constant(field, list(trunc), k),
+                             TruncatedPoly(field, trunc, {(0,) * len(trunc): field(k)}))
+
+    def test_cancelling_sum_and_scale_drop_the_zero(self):
+        f5 = GF(5)
+        y = var(f5, (3,), 0)
+        one = TruncatedPoly.constant(f5, (3,), 1)
+        assert ((one + y) + (one.scale(4) + y)).coeffs == {(1,): 2}
+        assert (one + y).scale(5).coeffs == {}
+        assert TruncatedPoly.constant(f5, (3,), 10).coeffs == {}
+        with pytest.raises(InvalidInput):
+            TruncatedPoly.constant(f5, (0,), 1)
+
     def test_cancelling_product_drops_the_zero(self):
         f3 = GF(3)
         y = var(f3, (4,), 0)
