@@ -226,7 +226,7 @@ def check_theorem(kind: str, lam) -> PredictorReport:
         predicted = None
         contained = False
     if gate and not contained:
-        raise AssertionError(
+        raise AlgebraError(
             f"gate passed but prediction {tuple(predicted)} not contained in {tuple(ad)}")
     return PredictorReport(kind=kind, lam=tuple(lam), family=family, rank=rank,
                            n=n, gate=gate, predicted=predicted, ad=ad,

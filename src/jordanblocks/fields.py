@@ -2,7 +2,9 @@
 
 A :class:`Field` bundles the arithmetic for either F_p (elements are plain
 ints reduced into ``range(p)``) or Q (elements are ``Fraction``).  All
-downstream code is exact; there is no floating point anywhere.
+downstream code is exact; the one use of floating point is the float64
+BLAS product of F_p matrices in ``linalg``, which refuses any product that
+could round.
 """
 
 from __future__ import annotations

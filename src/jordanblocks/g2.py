@@ -87,11 +87,11 @@ def build_so7_model(p: int) -> SO7Model:
     ys = (y1, y2, y3)
     for y, root in zip(ys, SIMPLE_ROOTS):
         if not (y.T @ gram + gram @ y).is_zero():
-            raise AssertionError("root vector leaves so_7")
+            raise AlgebraError("root vector leaves so_7")
         if weight_components(y) != {root}:
-            raise AssertionError("root vector has the wrong torus weight")
+            raise AlgebraError("root vector has the wrong torus weight")
     if not bracket(y1, y3).is_zero():
-        raise AssertionError("y_1 and y_3 must commute")
+        raise AlgebraError("y_1 and y_3 must commute")
     return SO7Model(p=p, field=field, gram=gram, y=ys, y_neg=tuple(y.T for y in ys))
 
 
@@ -154,7 +154,7 @@ def g2_subalgebra(model: SO7Model) -> list:
     if basis is None:
         basis = lie_closure(g2_generators(model))
         if len(basis) != 14:
-            raise AssertionError(f"closure has dimension {len(basis)}, expected 14")
+            raise AlgebraError(f"closure has dimension {len(basis)}, expected 14")
         _subalgebra_cache[model.p] = basis
     return basis
 

@@ -4,19 +4,22 @@ Matrices over F_p are stored as int64 numpy arrays with entries in
 ``range(p)``; matrices over Q hold ``Fraction`` entries in object arrays.
 Products over F_p go through float64 BLAS, which is exact as long as the
 accumulated dot products stay below 2**53; a product that could pass that
-bound raises ``BadPrime`` instead of rounding, and so does elimination at a
-prime whose int64 RREF products could wrap.  Ranks over F_p come from
-forward elimination alone (an echelon form, no back substitution) that
-touches only the rows whose leading column is the pivot column; RREF is
-kept for ``inverse`` and ``solve_in_columns``.  Products and ranks over Q
-work on integers: each row (or column) is scaled once by the lcm of its
-denominators, a product is one dot product of Python integers, and a rank
-is Bareiss's fraction-free elimination, so no Fraction arithmetic runs
-inside the inner loops.  Partitions are read off an operator through the
-kernel-dimension sequence of its powers, never through a similarity
-transform.  Over F_p that sequence comes from a shrinking chain: an echelon
-basis E_k of the row space of N^k gives the next one as the echelon form of
-E_k N, so step k works on a rank(N^k)-by-n matrix instead of N^(k+1).
+bound raises ``BadPrime`` instead of rounding.  Products over Q work on
+integers: each row (or column) is scaled once by the lcm of its
+denominators, and a product is one dot product of Python integers.
+
+Each field has one elimination, and rank, Jordan type, inverse and solve all
+come from it: the packed-row echelon form over F_p (``_echelon_rows``) and
+Bareiss's fraction-free elimination over Q (``_bareiss``), which both return
+the pivot rows of an echelon form.  A rank is their count; a linear system
+is inconsistent when a pivot row of [b | rhs] has its lead in the rhs
+columns, and is otherwise solved by back substitution on the pivot rows.
+Partitions are read off an operator through the kernel-dimension sequence of
+its powers, never through a similarity transform.  That sequence comes from
+a shrinking chain: an echelon basis E_k of the row space of N^k gives the
+next one as the echelon form of E_k N, so step k works on a rank(N^k)-by-n
+matrix instead of N^(k+1).  Over Q the chain runs on N scaled to integers,
+and each basis row is divided by the gcd of its entries.
 
 The F_p echelon form works on packed rows: each row is one Python int
 holding column j in the bits [j w, (j + 1) w), with w the least multiple of
@@ -261,28 +264,14 @@ class Matrix:
     def rank(self) -> int:
         if self.field.p:
             return len(_echelon_rows(self.a, self.field.p))
-        return _rank_frac(self.a)
+        return len(_bareiss(_clear_denominators(self.a)[0]))
 
     def inverse(self) -> "Matrix":
         if not self.is_square():
             raise NotSquare("inverse of a non-square matrix")
-        n = self.nrows
-        field = self.field
-        if field.p:
-            aug = np.hstack([self.a % field.p, np.eye(n, dtype=np.int64)])
-            red, pivots = _row_reduce_mod(aug, field.p, stop_col=n)
-            if len(pivots) < n:
-                raise ZeroDivisionError("matrix is singular")
-            return Matrix(field, red[:, n:])
-        rows = [[self.a[i, j] for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-                for i in range(n)]
-        red, pivots = _row_reduce_frac(rows, stop_col=n)
-        if len(pivots) < n:
+        out = _solve(self, Matrix.identity(self.field, self.nrows))
+        if out is None:
             raise ZeroDivisionError("matrix is singular")
-        out = Matrix.zeros(field, n, n)
-        for i in range(n):
-            for j in range(n):
-                out.a[i, j] = red[i][n + j]
         return out
 
     def flatten(self) -> np.ndarray:
@@ -305,12 +294,10 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def _require_int64_elimination(p: int) -> None:
-    """The supported characteristics of F_p elimination.  RREF forms x - y*z
-    in int64 with x, y, z in range(p); once (p-1)**2 + (p-1) reaches 2**63
-    that could wrap without an error.  The packed-row echelon form cannot
-    overflow, but keeps to the same stated range."""
+    """The supported characteristics of F_p elimination: the primes with
+    (p-1)**2 + (p-1) < 2**63, that is p <= 3037000500."""
     if (p - 1) ** 2 + (p - 1) >= 2**63:
-        raise BadPrime(f"F_{p} elimination products overflow int64")
+        raise BadPrime(f"F_{p} is past the supported range of elimination, p <= 3037000500")
 
 
 @functools.lru_cache(maxsize=None)
@@ -406,39 +393,6 @@ def _echelon_mod(a: np.ndarray, p: int) -> np.ndarray:
     return _unpack(_echelon_rows(a, p), n, _packing(p, n)[0])
 
 
-def _row_reduce_mod(a: np.ndarray, p: int, stop_col: int | None = None):
-    """RREF over F_p; returns (reduced, pivot column list).
-
-    Pivots are sought in the columns before ``stop_col``; the row operations
-    still run over every column, so an augmented block is carried along.
-    Entries left of a pivot are already zero in the pivot row, so each step
-    touches only the rows with a nonzero in the pivot column, and only from
-    the pivot column onward.
-    """
-    _require_int64_elimination(p)
-    a = a % p
-    m, n = a.shape
-    stop = n if stop_col is None else stop_col
-    r = 0
-    pivots = []
-    for c in range(stop):
-        nz = a[r:, c].nonzero()[0]
-        if not nz.size:
-            continue
-        if nz[0]:
-            a[[r, r + nz[0]], c:] = a[[r + nz[0], r], c:]
-        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
-        rows = a[:, c].nonzero()[0]
-        rows = rows[rows != r]
-        if rows.size:
-            a[rows, c:] = (a[rows, c:] - np.outer(a[rows, c], a[r, c:])) % p
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return a, pivots
-
-
 def _clear_denominators(rows) -> tuple[list, list]:
     """Scale each row of rationals by the lcm of its denominators.
 
@@ -474,23 +428,25 @@ def _matmul_frac(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rank_frac(a: np.ndarray) -> int:
-    """Rank over Q by Bareiss's fraction-free elimination.
+def _bareiss(rows: list) -> list:
+    """Pivot rows of an echelon form over Q of integer ``rows``, leads ascending.
 
-    Rows are scaled to integers first, which keeps the rank.  Each pivot
-    replaces every other remaining row by (pivot*row - f*pivot_row) // prev,
-    prev being the previous pivot; by Sylvester's identity the division is
-    exact and the entries are minors of the scaled rows, so they stay
-    integers of bounded size.  Only the columns after the pivot are kept, and rows that
-    become zero are dropped.
+    Bareiss's fraction-free elimination: each pivot replaces every other
+    remaining row by (pivot*row - f*pivot_row) // prev, prev being the
+    previous pivot; by Sylvester's identity the division is exact and the
+    entries are minors of ``rows``, so they stay integers of bounded size.
+    Only the columns after the pivot are kept, and rows that become zero are
+    dropped.  Each pivot row is returned as (lead, tail), its entries from
+    the leading column on; every entry before the lead is zero.
     """
-    rows = [row for row in _clear_denominators(a)[0] if any(row)]
-    rank, prev = 0, 1
+    rows = [row for row in rows if any(row)]
+    pivots, prev, offset = [], 1, 0
     while rows:
         leads = [next(j for j, x in enumerate(row) if x) for row in rows]
         k = min(range(len(rows)), key=leads.__getitem__)
         c = leads[k]
         pivot_row = rows.pop(k)
+        pivots.append((offset + c, pivot_row[c:]))
         pivot, tail = pivot_row[c], pivot_row[c + 1:]
         reduced = []
         for row in rows:
@@ -498,38 +454,67 @@ def _rank_frac(a: np.ndarray) -> int:
             row = [(pivot * x - f * y) // prev for x, y in zip(row[c + 1:], tail)]
             if any(row):
                 reduced.append(row)
-        rows, prev = reduced, pivot
-        rank += 1
-    return rank
+        rows, prev, offset = reduced, pivot, offset + c + 1
+    return pivots
 
 
-def _row_reduce_frac(rows: list, stop_col: int | None = None):
-    """RREF over Q on a list-of-lists of Fractions."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    stop = n if stop_col is None else stop_col
-    r = 0
-    pivots = []
-    for c in range(stop):
-        piv = None
-        for i in range(r, m):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return rows, pivots
+def _echelon_int(a: np.ndarray) -> np.ndarray:
+    """Nonzero rows of an echelon form over Q of the integer array ``a``,
+    each divided by the gcd of its entries so that the chain of
+    ``_power_ranks`` keeps its integers small."""
+    rows = []
+    for lead, tail in _bareiss(a.tolist()):
+        g = math.gcd(*tail)
+        rows.append([0] * lead + [x // g for x in tail])
+    return np.array(rows, dtype=object).reshape(len(rows), a.shape[1])
+
+
+def _solve(b: Matrix, rhs: Matrix) -> Matrix | None:
+    """x with b @ x = rhs and every free coordinate zero, or None.
+
+    One echelon form of [b | rhs] decides everything: the system is
+    inconsistent exactly when a pivot row leads at or past column k =
+    b.ncols, and otherwise the pivot rows are brought to reduced form, whose
+    last columns hold x at the pivot coordinates.  Over F_p the packed pivot
+    rows are scaled to lead 1 from the last up and cleared upward with the
+    multiply-add and Barrett step of ``_echelon_rows``; over Q the Bareiss
+    pivot rows are solved from the last up in Fraction arithmetic.
+    """
+    field, k = b.field, b.ncols
+    x = Matrix.zeros(field, k, rhs.ncols)
+    p = field.p
+    if p:
+        n = k + rhs.ncols
+        rows = _echelon_rows(np.hstack([b.a, rhs.a]), p)
+        w, s, mult, low, ps = _packing(p, n)
+        mask = (1 << w) - 1
+        leads = [((r & -r).bit_length() - 1) // w for r in rows]
+        if leads and leads[-1] >= k:
+            return None
+        for j in reversed(range(len(rows))):
+            shift = leads[j] * w
+            piv = rows[j] * pow((rows[j] >> shift) & mask, -1, p)
+            piv -= ((piv * mult >> s) & low) * p
+            rows[j], neg = piv, ps - piv
+            for i in range(j):
+                f = (rows[i] >> shift) & mask
+                if f:
+                    r = rows[i] + f * neg
+                    rows[i] = r - ((r * mult >> s) & low) * p
+        x.a[leads] = _unpack(rows, n, w)[:, k:]
+        return x
+    pivots = _bareiss(_clear_denominators(np.hstack([b.a, rhs.a]))[0])
+    if pivots and pivots[-1][0] >= k:
+        return None
+    for j in reversed(range(len(pivots))):
+        lead, tail = pivots[j]
+        acc = tail[k - lead:]
+        for c, _ in pivots[j + 1:]:
+            f = tail[c - lead]
+            if f:
+                acc = [y - f * z for y, z in zip(acc, x.a[c])]
+        x.a[lead] = [Fraction(y, tail[0]) for y in acc]
+    return x
 
 
 def solve_in_columns(b: Matrix, rhs: Matrix) -> Matrix | None:
@@ -539,22 +524,7 @@ def solve_in_columns(b: Matrix, rhs: Matrix) -> Matrix | None:
     answer is None as soon as one column of rhs lies outside the column span
     of b.
     """
-    field = b.field
-    k = b.ncols
-    x = Matrix.zeros(field, k, rhs.ncols)
-    if field.p:
-        red, pivots = _row_reduce_mod(np.hstack([b.a, rhs.a]), field.p, stop_col=k)
-        if red[len(pivots):, k:].any():
-            return None
-        x.a[pivots] = red[:len(pivots), k:]
-        return x
-    rows = [list(b.a[i]) + list(rhs.a[i]) for i in range(b.nrows)]
-    red, pivots = _row_reduce_frac(rows, stop_col=k)
-    if any(v != 0 for row in red[len(pivots):] for v in row[k:]):
-        return None
-    for row, col in enumerate(pivots):
-        x.a[col] = red[row][k:]
-    return x
+    return _solve(b, rhs)
 
 
 # -- Jordan structure ---------------------------------------------------------
@@ -629,33 +599,31 @@ def canonical_series_operator(field: Field, lams: Sequence, coeffs: dict) -> Mat
 
 
 def nilpotency_degree(n_mat: Matrix) -> int:
-    """Least d with N^d == 0; raises NotNilpotent when there is none."""
-    if not n_mat.is_square():
-        raise NotSquare("nilpotency degree of a non-square matrix")
-    power = n_mat
-    d = 1
-    while not power.is_zero():
-        if d > n_mat.nrows:
-            raise NotNilpotent("matrix is not nilpotent")
-        power = power @ n_mat
-        d += 1
-    return d
+    """Least d >= 1 with N^d == 0, the largest Jordan block; raises
+    NotNilpotent when there is none."""
+    return max(jordan_partition(n_mat), default=1)
 
 
 def _power_ranks(n_mat: Matrix):
-    """Yield rank N, rank N^2, rank N^3, ... without end."""
+    """Yield rank N, rank N^2, rank N^3, ... without end.
+
+    rowspace(N^(k+1)) = rowspace(N^k) N, so an echelon basis of the previous
+    row space times N spans the next one.  Over Q, N is scaled to integers
+    once by the lcm of its denominators, which keeps every rank.
+    """
     p = n_mat.field.p
     if p:
-        # rowspace(N^(k+1)) = rowspace(N^k) N, so an echelon basis of the
-        # previous row space times N spans the next one
-        basis = _echelon_mod(n_mat.a, p)
-        while True:
-            yield basis.shape[0]
-            basis = _echelon_mod(_matmul_mod(basis, n_mat.a, p), p)
-    power = n_mat
+        n = n_mat.a
+        echelon = functools.partial(_echelon_mod, p=p)
+        product = functools.partial(_matmul_mod, p=p)
+    else:
+        ints, _ = _clear_denominators([n_mat.a.ravel()])
+        n = np.array(ints[0], dtype=object).reshape(n_mat.shape)
+        echelon, product = _echelon_int, np.dot
+    basis = echelon(n)
     while True:
-        yield power.rank()
-        power = power @ n_mat
+        yield basis.shape[0]
+        basis = echelon(product(basis, n))
 
 
 def jordan_partition(n_mat: Matrix) -> Partition:

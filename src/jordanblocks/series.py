@@ -489,15 +489,15 @@ def _verify_split(f: TruncatedPoly, fs: list) -> None:
     total = TruncatedPoly.zero(field, trunc)
     for i, fi in enumerate(fs):
         if fi.homogeneous_part(1) != TruncatedPoly.variable(field, trunc, i):
-            raise AssertionError(f"f_{i + 1} is not Y_{i + 1} modulo degree 2")
+            raise AlgebraError(f"f_{i + 1} is not Y_{i + 1} modulo degree 2")
         if any(exp[i] == 0 for exp in fi.coeffs):
-            raise AssertionError(f"Y_{i + 1} does not divide f_{i + 1}")
+            raise AlgebraError(f"Y_{i + 1} does not divide f_{i + 1}")
         total = total + fi
     if total != f:
-        raise AssertionError("split does not sum back to f")
+        raise AlgebraError("split does not sum back to f")
     for k in range(m - 1):
         sigma = list(range(m))
         sigma[k], sigma[k + 1] = sigma[k + 1], sigma[k]
         for i in range(m):
             if fs[i].permute_variables(sigma) != fs[sigma[i]]:
-                raise AssertionError("split is not permutation equivariant")
+                raise AlgebraError("split is not permutation equivariant")

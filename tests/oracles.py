@@ -1,9 +1,10 @@
 """Slow reference implementations that the fast paths are checked against.
 
-``rref_rank_mod`` is full Gauss-Jordan elimination over F_p that scans for
-each pivot row by row and rewrites the whole matrix at every pivot;
-``rref_rank_frac`` is the same over Q in Fraction arithmetic, and
-``fraction_matmul`` is ``np.dot`` over Fraction objects;
+``rref_mod`` is full Gauss-Jordan elimination over F_p that scans for each
+pivot row by row and rewrites the whole matrix at every pivot; ``rref_frac``
+is the same over Q in Fraction arithmetic, and ``rref_solve`` reads the
+solution of a linear system off either; ``fraction_matmul`` is ``np.dot``
+over Fraction objects;
 ``full_power_partition`` reads a Jordan type off the ranks of the full
 powers N, N^2, ... ; ``whole_matrix_adjoint`` builds the classical adjoint
 operator on all of V (x) V*, Sym^2 V or wedge^2 V; ``kron_power_operator``
@@ -67,25 +68,47 @@ def fraction_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.dot(a, b)
 
 
-def rref_rank_frac(a: np.ndarray) -> int:
-    """Rank over Q by Gauss-Jordan elimination in Fraction arithmetic."""
-    rows = [[Fraction(x) for x in row] for row in a]
-    m = len(rows)
+def rref_frac(a: np.ndarray, stop_col: int | None = None):
+    """Gauss-Jordan elimination over Q in Fraction arithmetic with pivots
+    before ``stop_col``; returns (reduced object array, pivots)."""
+    a = np.array([[Fraction(x) for x in row] for row in a], dtype=object).reshape(a.shape)
+    m, n = a.shape
+    stop = n if stop_col is None else stop_col
     r = 0
-    for c in range(a.shape[1]):
-        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
+    pivots = []
+    for c in range(stop):
+        piv = next((i for i in range(r, m) if a[i, c] != 0), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        a[r] = a[r] / a[r, c]
         for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            if i != r and a[i, c] != 0:
+                a[i] = a[i] - a[i, c] * a[r]
+        pivots.append(c)
         r += 1
         if r == m:
             break
-    return r
+    return a, pivots
+
+
+def rref_rank_frac(a: np.ndarray) -> int:
+    """Rank over Q by Gauss-Jordan elimination in Fraction arithmetic."""
+    return len(rref_frac(a)[1])
+
+
+def rref_solve(b: Matrix, rhs: Matrix) -> Matrix | None:
+    """x with b x = rhs and every free coordinate zero, read off the RREF of
+    [b | rhs]; None when a column of rhs is outside the column span of b."""
+    field, k = b.field, b.ncols
+    aug = np.hstack([b.a, rhs.a])
+    red, pivots = rref_mod(aug, field.p, stop_col=k) if field.p else rref_frac(aug, k)
+    if any(x != 0 for x in red[len(pivots):, k:].flat):
+        return None
+    x = Matrix.zeros(field, k, rhs.ncols)
+    x.a[pivots] = red[:len(pivots), k:]
+    return x
 
 
 def full_power_partition(n_mat) -> Partition:

@@ -128,6 +128,13 @@ class TestCheckTheorem:
         assert report.family == "D" and report.rank == 3
         assert report.predicted == (7, 5, 3) == report.ad
 
+    def test_failed_containment_is_a_typed_error(self, monkeypatch):
+        # the gate holds for the regular GL nilpotent, so a prediction that
+        # does not embed in its adjoint partition must be refused
+        monkeypatch.setattr(char0, "predict_blocks", lambda data, n: Partition((99,)))
+        with pytest.raises(AlgebraError, match="not contained"):
+            check_theorem("GL", (4,))
+
     def test_not_distinguished(self):
         with pytest.raises(NotDistinguished):
             check_theorem("GL", (2, 2))

@@ -43,6 +43,24 @@ class TestModel:
         assert weight_components(y1) == {(1, -1, 0)}
         assert weight_components(model.y_neg[0]) == {(-1, 1, 0)}
 
+    def test_root_vector_outside_so7_is_a_typed_error(self, monkeypatch):
+        # without its -E_56 half, y_1 no longer preserves the form
+        unit = g2._unit
+        monkeypatch.setattr(g2, "_unit", lambda field, i, j: (
+            Matrix.zeros(field, 7, 7) if (i, j) == (5, 6) else unit(field, i, j)))
+        with pytest.raises(AlgebraError, match="leaves so_7"):
+            build_so7_model(7)
+
+    def test_wrong_root_weight_is_a_typed_error(self, monkeypatch):
+        monkeypatch.setattr(g2, "weight_components", lambda mat: set())
+        with pytest.raises(AlgebraError, match="wrong torus weight"):
+            build_so7_model(7)
+
+    def test_noncommuting_y1_y3_is_a_typed_error(self, monkeypatch):
+        monkeypatch.setattr(g2, "bracket", lambda a, b: a)
+        with pytest.raises(AlgebraError, match="must commute"):
+            build_so7_model(7)
+
     def test_y1_y3_commute(self, model):
         assert bracket(model.y[0], model.y[2]).is_zero()
 
@@ -65,6 +83,12 @@ class TestLieClosure:
 
     def test_g2_dimension(self, model):
         assert len(g2_subalgebra(model)) == 14
+
+    def test_wrong_closure_dimension_is_a_typed_error(self, model, monkeypatch):
+        monkeypatch.setattr(g2, "_subalgebra_cache", {})
+        monkeypatch.setattr(g2, "lie_closure", list)
+        with pytest.raises(AlgebraError, match="dimension 4, expected 14"):
+            g2_subalgebra(model)
 
     def test_g2_dimension_other_primes(self):
         for p in (5, 11, 13):

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -21,11 +22,13 @@ from jordanblocks.errors import (
     NotUnipotent,
     TruncationTooShort,
 )
+from jordanblocks.fgl import random_generalized_law
 from jordanblocks.fields import GF, QQ, Field
 from jordanblocks.linalg import (
     Matrix,
     Partition,
     apply_series,
+    canonical_series_operator,
     exp_nilpotent,
     jordan_block,
     jordan_partition,
@@ -40,9 +43,9 @@ from jordanblocks.series import TruncatedPoly
 from oracles import (
     fraction_matmul,
     full_power_partition,
-    rref_mod,
     rref_rank_frac,
     rref_rank_mod,
+    rref_solve,
 )
 
 partitions = st.lists(st.integers(1, 6), min_size=1, max_size=5).map(
@@ -211,7 +214,7 @@ class TestJordanPartition:
         part = jordan_partition(n)
         assert part.dim == n.nrows
         assert len(part) == n.nrows - n.rank()
-        assert max(part) == nilpotency_degree(n)
+        assert nilpotency_degree(n) == max(lam)
 
     @given(partitions, st.sampled_from(CONJUGATE_PRIMES), st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
@@ -266,16 +269,48 @@ class TestEchelonKernel:
         assert linalg._packing(32749, 5)[0] == 64
         assert linalg._packing(32771, 5)[0] == 128
 
-    @given(st.sampled_from(PRIMES), st.integers(1, 9), st.integers(1, 9),
-           st.integers(0, 9), st.integers(0, 10**6), st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_rref_matches_oracle(self, p, nrows, ncols, rank, seed, data):
-        a = random_low_rank(p, nrows, ncols, rank, seed)
-        stop = data.draw(st.one_of(st.none(), st.integers(0, ncols)))
-        red, pivots = linalg._row_reduce_mod(a, p, stop_col=stop)
-        want, want_pivots = rref_mod(a, p, stop_col=stop)
-        assert pivots == want_pivots
-        assert np.array_equal(red, want)
+    @staticmethod
+    def sample(p, nrows, ncols, rank, seed) -> Matrix:
+        """A seeded nrows-by-ncols matrix of rank at most ``rank`` over F_p, or
+        over Q with non-integer entries when p == 0."""
+        if p:
+            return Matrix(GF(p), random_low_rank(p, nrows, ncols, rank, seed))
+        return Matrix(QQ, TestRationalKernel.low_rank(random.Random(seed), nrows, ncols, rank))
+
+    @staticmethod
+    def exact_product(b, x) -> Matrix:
+        if b.field.p:
+            prod = b.a.astype(object) @ x.a.astype(object) % b.field.p
+            return Matrix(b.field, prod.astype(np.int64).reshape(b.nrows, x.ncols))
+        return Matrix(QQ, fraction_array(fraction_matmul(b.a, x.a).tolist(), (b.nrows, x.ncols)))
+
+    @given(st.sampled_from(PACKED_PRIMES + [0]), st.integers(0, 8), st.integers(0, 8),
+           st.integers(0, 8), st.integers(0, 3), st.booleans(), st.integers(0, 10**6))
+    @settings(max_examples=250, deadline=None)
+    def test_solve_and_inverse_match_oracle(self, p, nrows, ncols, rank, nrhs, consistent, seed):
+        # wide and tall b, right-hand sides b x (consistent) or drawn freely
+        # (mostly inconsistent once rank b < nrows), zero-column ones, and
+        # squares of rank below their size, which must be refused as singular
+        b = self.sample(p, nrows, ncols, rank, seed)
+        if consistent:
+            rhs = self.exact_product(b, self.sample(p, ncols, nrhs, ncols, seed + 1))
+        else:
+            rhs = self.sample(p, nrows, nrhs, nrows, seed + 2)
+        got, want = solve_in_columns(b, rhs), rref_solve(b, rhs)
+        assert (got is None) == (want is None)
+        if consistent:
+            assert got is not None
+        if got is not None:
+            assert got.shape == (ncols, nrhs) and got == want
+            assert self.exact_product(b, got) == rhs
+            assert all(type(x) is (Fraction if p == 0 else np.int64) for x in got.a.flat)
+        square = self.sample(p, nrows, nrows, rank, seed + 3)
+        want = rref_solve(square, Matrix.identity(square.field, nrows))
+        if want is None:
+            with pytest.raises(ZeroDivisionError, match="singular"):
+                square.inverse()
+        else:
+            assert square.inverse() == want
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_inverse_and_solve(self, p):
@@ -342,19 +377,28 @@ class TestChainAgainstOracle:
         with pytest.raises(NotNilpotent):
             full_power_partition(u)
 
-    def test_rational_path_ranks_full_powers(self, monkeypatch):
-        # over Q the chain still ranks every full power N^k with _rank_frac
-        n = random_conjugate(QQ, (3, 2, 2), random.Random(5))
+    def test_rational_chain_shrinks(self, monkeypatch):
+        # over Q the chain echelons N scaled to integers, then each E_k N,
+        # which is rank(N^k)-by-n, and returns primitive integer rows
         shapes = []
-        rank_frac = linalg._rank_frac
+        echelon_int = linalg._echelon_int
 
         def spy(a):
             shapes.append(a.shape)
-            return rank_frac(a)
+            basis = echelon_int(a)
+            assert all(type(x) is int for x in basis.flat)
+            assert all(math.gcd(*row) == 1 for row in basis.tolist())
+            return basis
 
-        monkeypatch.setattr(linalg, "_rank_frac", spy)
-        assert jordan_partition(n) == (3, 2, 2)
-        assert shapes == [(7, 7)] * 3
+        monkeypatch.setattr(linalg, "_echelon_int", spy)
+        rng = random.Random(5)
+        for lam in [(3, 2, 2), (4, 2, 1), (5,), (2, 1, 1, 1)]:
+            n = random_conjugate(QQ, lam, rng)
+            dim = sum(lam)
+            ranks = [sum(max(x - k, 0) for x in lam) for k in range(1, max(lam))]
+            shapes.clear()
+            assert jordan_partition(n) == full_power_partition(n) == lam
+            assert shapes == [(dim, dim)] + [(r, dim) for r in ranks]
 
 
 class TestRationalKernel:
@@ -438,6 +482,29 @@ class TestRationalKernel:
             n = random_conjugate(QQ, lam, rng)
             assert jordan_partition(n) == full_power_partition(n) == lam
 
+    def test_partitions_match_sympy_jordan_form(self):
+        sympy = pytest.importorskip("sympy")
+
+        def jordan_type(m: Matrix) -> Partition:
+            # block sizes of sympy's Jordan form, cut where its superdiagonal is 0
+            a = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                              for row in m.a])
+            j = a.jordan_form(calc_transform=False)
+            assert all(j[i, i] == 0 for i in range(a.rows))
+            cuts = [i + 1 for i in range(a.rows - 1) if j[i, i + 1] == 0]
+            sizes = [hi - lo for lo, hi in zip([0] + cuts, cuts + [a.rows])]
+            return Partition(sorted(sizes, reverse=True))
+
+        rng = random.Random(77)
+        for lam in [(2,), (3, 1), (2, 2, 1), (4, 2, 2), (3, 3, 2)]:
+            n = random_conjugate(QQ, lam, rng)
+            assert any(x.denominator != 1 for x in n.a.flat)
+            assert jordan_partition(n) == jordan_type(n) == lam
+        for seed, (n, m) in enumerate([(1, 3), (2, 2), (2, 4), (3, 3), (3, 4)]):
+            law = random_generalized_law(seed, n + m, QQ)
+            op = canonical_series_operator(QQ, ((n,), (m,)), law.coeffs)
+            assert jordan_partition(op) == jordan_type(op)
+
 
 class TestTypedPostconditions:
     def test_partition_dimension_check(self, monkeypatch):
@@ -454,7 +521,7 @@ class TestTypedPostconditions:
 #: around the float64 exactness bound (p-1)**2 * n < 2**53 at inner length n = 2
 PRIME_BELOW_BOUND = 67108859
 PRIME_PAST_BOUND = 67108879
-#: (p-1)**2 passes 2**63, so int64 elimination products would wrap
+#: (p-1)**2 passes 2**63, past the supported range of elimination
 PRIME_PAST_INT64 = 4000000007
 
 
@@ -474,7 +541,6 @@ class TestExactnessGuard:
             jordan_partition(jordan_block(field, 2))
 
     def test_elimination_past_int64_raises(self):
-        # unguarded, most random 3x3 inverses here came back wrong without an error
         a = Matrix.from_rows(GF(PRIME_PAST_INT64), [[2, 1, 0], [1, 1, 5], [0, 7, 1]])
         with pytest.raises(BadPrime):
             a.rank()

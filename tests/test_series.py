@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jordanblocks import series
 from jordanblocks.errors import (
     AlgebraError,
     FactorialNotInvertible,
@@ -322,6 +323,27 @@ class TestSymmetricSplit:
         series = iterated_tensor_series(multiplicative(f5), 3, (3, 3, 3))
         pieces = symmetric_split(series)  # postconditions checked internally
         assert sum(pieces[1:], pieces[0]) == series
+
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda y1, y2, hs: [hs[1], hs[0]], "f_1 is not Y_1 modulo degree 2"),
+        (lambda y1, y2, hs: [hs[0] + y2 * y2, hs[1] - y2 * y2], "Y_1 does not divide f_1"),
+        (lambda y1, y2, hs: [hs[0] + y1 * y1, hs[1]], "does not sum back to f"),
+        (lambda y1, y2, hs: [hs[0] + y1 * y1 * y2, hs[1] - y1 * y1 * y2],
+         "not permutation equivariant"),
+    ], ids=["linear-part", "divisibility", "sum", "equivariance"])
+    def test_postconditions_are_typed_errors(self, monkeypatch, tamper, message):
+        # a wrong split of Y_1 + Y_2 reaches the pieces of Y_1 + Y_2 + Y_1 Y_2
+        trunc = (3, 3)
+        y1, y2 = var(QQ, trunc, 0), var(QQ, trunc, 1)
+        split = series.elementary_symmetric_split
+
+        def wrong_split(field, trunc, j):
+            hs = split(field, trunc, j)
+            return tamper(y1, y2, hs) if j == 1 else hs
+
+        monkeypatch.setattr(series, "elementary_symmetric_split", wrong_split)
+        with pytest.raises(AlgebraError, match=message):
+            symmetric_split(y1 + y2 + y1 * y2)
 
     def test_rejects_asymmetric(self):
         trunc = (3, 3)
