@@ -84,8 +84,6 @@ def cmd_sym(args) -> int:
 
 
 def cmd_ring(args) -> int:
-    if args.action != "constants":
-        raise AlgebraError(f"unknown ring action {args.action!r}")
     field = Field(args.p)
     law = parse_law(args.law, field)
     element = structure_constants(args.a, args.b, law, field)
@@ -96,8 +94,6 @@ def cmd_ring(args) -> int:
 
 
 def cmd_adjoint(args) -> int:
-    if args.action != "classical":
-        raise AlgebraError(f"unknown adjoint action {args.action!r}")
     report = good_char_report(args.kind, args.lam, args.p)
     _emit(args, report.to_json(),
           f"{args.kind} lambda={Partition(args.lam).compressed()} p={args.p}: "
@@ -107,8 +103,6 @@ def cmd_adjoint(args) -> int:
 
 
 def cmd_g2(args) -> int:
-    if args.action != "table":
-        raise AlgebraError(f"unknown g2 action {args.action!r}")
     rows = g2_table(args.p)
     if args.json:
         print(json.dumps([row.to_json() for row in rows]))
@@ -122,8 +116,6 @@ def cmd_g2(args) -> int:
 
 
 def cmd_springer(args) -> int:
-    if args.action != "apply":
-        raise AlgebraError(f"unknown springer action {args.action!r}")
     field = Field(args.p)
     x = nilpotent_from_partition(field, args.lam)
     trunc = max(args.lam) + 1
@@ -145,8 +137,6 @@ def cmd_springer(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    if args.action != "char0":
-        raise AlgebraError(f"unknown predict action {args.action!r}")
     report = check_theorem(args.kind, args.lam)
     predicted = "-" if report.predicted is None else report.predicted.compressed()
     _emit(args, report.to_json(),
@@ -156,8 +146,6 @@ def cmd_predict(args) -> int:
 
 
 def cmd_series(args) -> int:
-    if args.action != "invert":
-        raise AlgebraError(f"unknown series action {args.action!r}")
     field = Field(args.p)
     coeffs = [field(c) for c in args.coeffs.split(",")]
     f = TruncatedPoly.univariate(field, args.trunc, coeffs)
@@ -168,8 +156,6 @@ def cmd_series(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.action != "paper":
-        raise AlgebraError(f"unknown verify action {args.action!r}")
     only = None
     if args.only:
         matches = [name for name in SUITES if name == args.only or name.startswith(args.only)]

@@ -235,14 +235,6 @@ class Matrix:
     def T(self) -> "Matrix":
         return Matrix(self.field, self.a.T.copy())
 
-    def __pow__(self, k: int) -> "Matrix":
-        if not self.is_square():
-            raise NotSquare("matrix power of a non-square matrix")
-        out = Matrix.identity(self.field, self.nrows)
-        for _ in range(k):
-            out = out @ self
-        return out
-
     def is_zero(self) -> bool:
         if self.field.p:
             return not self.a.any()
@@ -531,13 +523,7 @@ def solve_in_columns(b: Matrix, rhs: Matrix) -> Matrix | None:
 
 def jordan_block(field: Field, n: int) -> Matrix:
     """The n-by-n upper-shift nilpotent block (zero matrix for n == 1)."""
-    if n < 1:
-        raise InvalidInput(f"block size must be >= 1, got {n}")
-    m = Matrix.zeros(field, n, n)
-    one = field.one
-    for i in range(n - 1):
-        m.a[i, i + 1] = one
-    return m
+    return nilpotent_from_partition(field, (n,))
 
 
 def nilpotent_from_partition(field: Field, lam) -> Matrix:
@@ -598,10 +584,21 @@ def canonical_series_operator(field: Field, lams: Sequence, coeffs: dict) -> Mat
     return Matrix(field, flat[np.minimum(index, size)])
 
 
-def nilpotency_degree(n_mat: Matrix) -> int:
-    """Least d >= 1 with N^d == 0, the largest Jordan block; raises
-    NotNilpotent when there is none."""
-    return max(jordan_partition(n_mat), default=1)
+def nilpotent_powers(n_mat: Matrix) -> list:
+    """[N^0, N^1, ..., N^(d-1)] for the least d >= 1 with N^d == 0.
+
+    The products stop at the first zero power; N is not nilpotent when N^n
+    is still nonzero for n = N.nrows, and then NotNilpotent is raised.
+    """
+    if not n_mat.is_square():
+        raise NotSquare("powers of a non-square matrix")
+    out = [Matrix.identity(n_mat.field, n_mat.nrows)]
+    for _ in range(max(n_mat.nrows, 1)):
+        power = out[-1] @ n_mat
+        if power.is_zero():
+            return out
+        out.append(power)
+    raise NotNilpotent("matrix is not nilpotent")
 
 
 def _power_ranks(n_mat: Matrix):
@@ -674,31 +671,29 @@ def apply_series(f, n_mat: Matrix) -> Matrix:
     coeffs = f.univariate_coeffs()
     if coeffs and coeffs[0] != 0:
         raise NonzeroConstantTerm("series has a nonzero constant term")
-    d = nilpotency_degree(n_mat)
+    powers = nilpotent_powers(n_mat)
+    d = len(powers)
     if f.trunc[0] < d:
         raise TruncationTooShort(
             f"series truncated at degree {f.trunc[0] - 1} applied to nilpotency degree {d}")
     out = Matrix.zeros(n_mat.field, n_mat.nrows, n_mat.nrows)
-    power = Matrix.identity(n_mat.field, n_mat.nrows)
-    for k in range(1, min(len(coeffs), d)):
-        power = power @ n_mat
-        if coeffs[k] != 0:
-            out = out + power.scale(coeffs[k])
+    for c, power in zip(coeffs[1:], powers[1:]):
+        if c != 0:
+            out = out + power.scale(c)
     return out
 
 
 def exp_nilpotent(n_mat: Matrix) -> Matrix:
     """exp(N) = sum N^k / k! for nilpotent N; needs (d-1)! invertible."""
     field = n_mat.field
-    d = nilpotency_degree(n_mat)
+    powers = nilpotent_powers(n_mat)
+    d = len(powers)
     if field.p and d > field.p:
         raise FactorialNotInvertible(
             f"exp needs 1/{d - 1}! but the characteristic is {field.p}")
-    out = Matrix.identity(field, n_mat.nrows)
-    power = Matrix.identity(field, n_mat.nrows)
+    out = powers[0]
     for k in range(1, d):
-        power = power @ n_mat
-        out = out + power.scale(field.factorial_inv(k))
+        out = out + powers[k].scale(field.factorial_inv(k))
     return out
 
 

@@ -14,9 +14,13 @@ gathered from the law's coefficients by ``canonical_series_operator``;
 nilpotent matrices.
 
 Exterior and symmetric powers are realized as quotients of the m-fold tensor
-power: the induced matrix is computed by lifting a basis word, applying the
-power operator, and straightening every resulting word (sort with sign and
-kill repeats for the wedge, plain sort for the symmetric case).
+power.  The induced matrix takes the columns of the power operator at the
+basis words and straightens the words of its rows in one pass: every tensor
+word is added into the row of its sorted word (with the sign of the sort for
+the wedge, where a word with a repeated letter vanishes).  An operator
+induces a map on the quotient only if it commutes with permuting the tensor
+factors, that is, for a canonical nilpotent, only if the law's m-fold series
+is symmetric; otherwise ``InvalidInput`` is raised.
 """
 
 from __future__ import annotations
@@ -33,8 +37,7 @@ from .linalg import (
     Partition,
     canonical_series_operator,
     jordan_partition,
-    nilpotent_from_partition,
-    nilpotency_degree,
+    nilpotent_powers,
 )
 from .series import TruncatedPoly, build_automorphism, symmetric_split
 
@@ -122,19 +125,10 @@ def _degree(lam: Partition) -> int:
     return lam[0] if len(lam) else 1
 
 
-def _powers(phi: Matrix) -> list:
-    """[phi^0, phi^1, ..., phi^{d-1}] where d is the nilpotency degree."""
-    d = nilpotency_degree(phi)
-    out = [Matrix.identity(phi.field, phi.nrows)]
-    for _ in range(1, d):
-        out.append(out[-1] @ phi)
-    return out
-
-
 def tensor_operator(phi: Matrix, psi: Matrix, law: GeneralizedLaw) -> Matrix:
     """F(phi (x) 1, 1 (x) psi) as a matrix on the tensor space."""
-    phi_pow = _powers(phi)
-    psi_pow = _powers(psi)
+    phi_pow = nilpotent_powers(phi)
+    psi_pow = nilpotent_powers(psi)
     law.require_degree(len(phi_pow) + len(psi_pow) - 2)
     field = phi.field
     out = Matrix.zeros(field, phi.nrows * psi.nrows, phi.nrows * psi.nrows)
@@ -220,31 +214,25 @@ def cg_square(n: int, shape: str) -> RingElement:
 
 # -- m-fold powers ----------------------------------------------------------------
 
-def power_operator(phi: Matrix, m: int, law: GeneralizedLaw) -> Matrix:
-    """The operator of the m-fold tensor power of (V, phi) on V^(x)m.
+def power_operator(lam, m: int, law: GeneralizedLaw, field: Field) -> Matrix:
+    """The operator of the m-fold tensor power of (V, phi) on V^(x)m, phi the
+    canonical nilpotent of ``lam``.
 
     The m-fold tensor series of the law evaluated at
-    Y_i -> 1 (x)..(x) phi (x)..(x) 1; the first tensor factor is the most
-    significant index, matching the monomial basis order of the series
-    algebra.  phi must be the canonical nilpotent of a partition: its block
-    sizes are read off the superdiagonal.
+    Y_i -> 1 (x)..(x) phi (x)..(x) 1, gathered from the series' coefficients;
+    the first tensor factor is the most significant index, matching the
+    monomial basis order of the series algebra.
     """
-    if m < 1:
-        raise InvalidInput("m must be >= 1")
-    lam = _canonical_partition(phi)
+    lam = Partition(lam)
     series = iterated_tensor_series(law, m, (_degree(lam),) * m)
-    return canonical_series_operator(phi.field, (lam,) * m, series.coeffs)
+    return canonical_series_operator(field, (lam,) * m, series.coeffs)
 
 
-def _canonical_partition(phi: Matrix) -> Partition:
-    """The partition whose canonical nilpotent is phi; InvalidInput if none is."""
-    cuts = [0] + [i + 1 for i, x in enumerate(np.diagonal(phi.a, 1)) if x == 0] + [phi.nrows]
-    sizes = [b - a for a, b in zip(cuts, cuts[1:]) if b > a]
-    if phi.is_square() and sizes == sorted(sizes, reverse=True):
-        lam = Partition(sizes)
-        if phi == nilpotent_from_partition(phi.field, lam):
-            return lam
-    raise InvalidInput("power_operator needs the canonical nilpotent of a partition")
+def _swap_index(d: int, m: int, i: int) -> np.ndarray:
+    """Entry u of the result is the index of the tensor word u with its
+    letters i and i + 1 swapped, words of length m over range(d) indexed
+    with the first letter most significant."""
+    return np.arange(d ** m).reshape((d,) * m).swapaxes(i, i + 1).ravel()
 
 
 def sigma_matrices(m: int, d: int, field: Field) -> list:
@@ -252,38 +240,31 @@ def sigma_matrices(m: int, d: int, field: Field) -> list:
 
     sigma sends a basis word w to the word w' with w'_k = w_{sigma^{-1}(k)}.
     """
-    words = list(itertools.product(range(d), repeat=m))
-    index = {w: i for i, w in enumerate(words)}
     out = []
     for i in range(m - 1):
         mat = Matrix.zeros(field, d ** m, d ** m)
-        one = field.one
-        for w in words:
-            swapped = list(w)
-            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-            mat.a[index[tuple(swapped)], index[w]] = one
+        mat.a[_swap_index(d, m, i), np.arange(d ** m)] = field.one
         out.append(mat)
     return out
 
 
 # -- exterior / symmetric quotients -------------------------------------------------
 
-def _sort_sign(word) -> int:
-    sign = 1
-    w = list(word)
-    for i in range(len(w)):
-        for j in range(i + 1, len(w)):
-            if w[i] > w[j]:
-                sign = -sign
-    return sign
+def induced_quotient_operator(x: Matrix, d: int, m: int, kind: str) -> Matrix:
+    """The endomorphism that x, acting on (k^d)^(x)m, induces on wedge^m or
+    Sym^m of k^d (``kind`` "wedge" or "sym").
 
+    The basis words are the strictly (wedge) or weakly (Sym) increasing
+    words.  Column w of the induced map is x applied to the plain tensor w,
+    straightened: take the columns of x at the basis words and add the row
+    of every tensor word u into the row of its sorted word.  For the wedge
+    the row is negated when u has an odd number of inversions, and dropped
+    when u repeats a letter.
 
-def quotient_maps(field: Field, d: int, m: int, kind: str):
-    """(projection, injection, basis words) for wedge^m or Sym^m of k^d.
-
-    wedge basis: strictly increasing words; Sym basis: weakly increasing.
-    The projection straightens an arbitrary tensor word; the injection lifts
-    a basis word to the plain tensor.
+    x induces a map only if it preserves the kernel of the quotient, and it
+    does when it commutes with the symmetric group (its commutant, the Schur
+    algebra, preserves every such kernel).  So x must commute with each
+    adjacent swap of tensor factors; otherwise InvalidInput.
     """
     if kind == "wedge":
         words = list(itertools.combinations(range(d), m))
@@ -291,49 +272,40 @@ def quotient_maps(field: Field, d: int, m: int, kind: str):
         words = list(itertools.combinations_with_replacement(range(d), m))
     else:
         raise InvalidInput(f"unknown quotient kind {kind!r}")
-    index = {w: i for i, w in enumerate(words)}
-    strides = [d ** (m - 1 - i) for i in range(m)]
-
-    def tindex(w):
-        return sum(a * s for a, s in zip(w, strides))
-
-    proj = Matrix.zeros(field, len(words), d ** m)
-    one = field.one
-    for u in itertools.product(range(d), repeat=m):
-        if kind == "wedge":
-            if len(set(u)) < m:
-                continue
-            proj.a[index[tuple(sorted(u))], tindex(u)] = one if _sort_sign(u) > 0 else field.neg(one)
-        else:
-            proj.a[index[tuple(sorted(u))], tindex(u)] = one
-    inj = Matrix.zeros(field, d ** m, len(words))
-    for w in words:
-        inj.a[tindex(w), index[w]] = one
-    return proj, inj, words
-
-
-def induced_quotient_operator(x: Matrix, d: int, m: int, kind: str) -> Matrix:
-    proj, inj, _ = quotient_maps(x.field, d, m, kind)
-    return proj @ x @ inj
-
-
-def wedge_operator(phi: Matrix, m: int, law: GeneralizedLaw) -> Matrix:
-    """Endomorphism induced on wedge^m V by the m-fold power of phi."""
-    return induced_quotient_operator(power_operator(phi, m, law), phi.nrows, m, "wedge")
-
-
-def sym_operator(phi: Matrix, m: int, law: GeneralizedLaw) -> Matrix:
-    return induced_quotient_operator(power_operator(phi, m, law), phi.nrows, m, "sym")
+    if x.shape != (d ** m, d ** m):
+        raise InvalidInput(f"a {x.shape} operator does not act on the {m}-fold "
+                           f"tensor power of dimension {d}")
+    for i in range(m - 1):
+        swap = _swap_index(d, m, i)
+        if not np.array_equal(x.a[swap][:, swap], x.a):
+            raise InvalidInput("the operator does not commute with swapping tensor factors "
+                               f"{i + 1} and {i + 2}, so it induces no map on the quotient "
+                               "(the law's m-fold series is not symmetric)")
+    index = {w: k for k, w in enumerate(words)}
+    spare = len(words)  # the row that collects the words the wedge kills
+    targets, signs, columns = [], [], []
+    for flat, u in enumerate(itertools.product(range(d), repeat=m)):
+        w = tuple(sorted(u))
+        k = index.get(w, spare)
+        targets.append(k)
+        odd = kind == "wedge" and sum(a > b for a, b in itertools.combinations(u, 2)) % 2
+        signs.append(-1 if odd else 1)
+        if u == w and k != spare:
+            columns.append(flat)
+    out = Matrix.zeros(x.field, spare + 1, spare).a
+    rows = x.a[:, columns] * np.array(signs, dtype=np.int64)[:, None]
+    np.add.at(out, np.array(targets, dtype=np.intp), rows)
+    return x._wrap(out[:spare])
 
 
 def wedge_partition(lam, m: int, law: GeneralizedLaw, field: Field) -> Partition:
-    phi = nilpotent_from_partition(field, lam)
-    return jordan_partition(wedge_operator(phi, m, law))
+    x = power_operator(lam, m, law, field)
+    return jordan_partition(induced_quotient_operator(x, Partition(lam).dim, m, "wedge"))
 
 
 def sym_partition(lam, m: int, law: GeneralizedLaw, field: Field) -> Partition:
-    phi = nilpotent_from_partition(field, lam)
-    return jordan_partition(sym_operator(phi, m, law))
+    x = power_operator(lam, m, law, field)
+    return jordan_partition(induced_quotient_operator(x, Partition(lam).dim, m, "sym"))
 
 
 # -- constructive intertwiners ---------------------------------------------------

@@ -9,16 +9,19 @@ over Fraction objects;
 powers N, N^2, ... ; ``whole_matrix_adjoint`` builds the classical adjoint
 operator on all of V (x) V*, Sym^2 V or wedge^2 V; ``kron_power_operator``
 sums Kronecker products of the dense powers of phi over the terms of the
-m-fold tensor series, and ``loop_mult_matrix`` fills a multiplication
-matrix one monomial at a time.  All are deliberately plain so that they are
-easy to trust.
+m-fold tensor series; ``quotient_maps`` builds the dense projection onto
+wedge^m or Sym^m of k^d and the injection back, and
+``dense_quotient_operator`` multiplies an operator through them;
+``loop_mult_matrix`` fills a multiplication matrix one monomial at a time.
+All are deliberately plain so that they are easy to trust.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 
-from jordanblocks.errors import NotNilpotent
+from jordanblocks.errors import InvalidInput, NotNilpotent
 from jordanblocks.fgl import additive, iterated_tensor_series, multiplicative
 from jordanblocks.linalg import (
     Matrix,
@@ -170,6 +173,48 @@ def kron_power_operator(phi, m: int, law):
             term = term.kron(pows[a])
         out = out + term.scale(c)
     return out
+
+
+def quotient_maps(field, d: int, m: int, kind: str):
+    """(projection, injection, basis words) for wedge^m or Sym^m of k^d.
+
+    wedge basis: strictly increasing words; Sym basis: weakly increasing.
+    The projection straightens an arbitrary tensor word; the injection lifts
+    a basis word to the plain tensor.
+    """
+    if kind == "wedge":
+        words = list(itertools.combinations(range(d), m))
+    elif kind == "sym":
+        words = list(itertools.combinations_with_replacement(range(d), m))
+    else:
+        raise InvalidInput(f"unknown quotient kind {kind!r}")
+    index = {w: i for i, w in enumerate(words)}
+    strides = [d ** (m - 1 - i) for i in range(m)]
+
+    def tindex(w):
+        return sum(a * s for a, s in zip(w, strides))
+
+    proj = Matrix.zeros(field, len(words), d ** m)
+    one = field.one
+    for u in itertools.product(range(d), repeat=m):
+        if kind == "wedge":
+            if len(set(u)) < m:
+                continue
+            inversions = sum(1 for i in range(m) for j in range(i + 1, m) if u[i] > u[j])
+            proj.a[index[tuple(sorted(u))], tindex(u)] = field.neg(one) if inversions % 2 else one
+        else:
+            proj.a[index[tuple(sorted(u))], tindex(u)] = one
+    inj = Matrix.zeros(field, d ** m, len(words))
+    for w in words:
+        inj.a[tindex(w), index[w]] = one
+    return proj, inj, words
+
+
+def dense_quotient_operator(x, d: int, m: int, kind: str):
+    """proj @ x @ inj: the map x induces on wedge^m or Sym^m of k^d, for an x
+    that preserves the kernel of the projection."""
+    proj, inj, _ = quotient_maps(x.field, d, m, kind)
+    return proj @ x @ inj
 
 
 def loop_mult_matrix(g):

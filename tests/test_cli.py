@@ -46,6 +46,16 @@ class TestWedgeSym:
                            "--lambda", "7", "--m", "2", "--json")
         assert json.loads(out)["partition"] == [8, 8, 8, 1, 1, 1, 1]
 
+    def test_law_without_symmetric_series(self, capsys, tmp_path):
+        # F = 2u + v: its square does not commute with the swap, so it induces
+        # no map on Sym^2 (under any symmetric law Sym^2 J3 at p = 5 is (5,1))
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps({"p": 5, "trunc": 4, "coeffs": [{"a": 1, "b": 0, "c": "2"}]}))
+        code, out, err = run(capsys, "sym", "--p", "5", "--lambda", "3", "--m", "2",
+                             "--law", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
 
 class TestRing:
     def test_constants(self, capsys):
@@ -180,6 +190,14 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["adjoint", "classical", "--lambda", "4", "--p", "2"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["ring", "adjoint", "g2", "springer", "predict",
+                                         "series", "verify"])
+    def test_unknown_action_exits_2(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "frobnicate"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -33,6 +33,7 @@ from jordanblocks.linalg import (
     jordan_block,
     jordan_partition,
     nilpotent_from_partition,
+    nilpotent_powers,
     partition_difference,
     partition_union,
     random_invertible,
@@ -208,13 +209,11 @@ class TestJordanPartition:
     @given(partitions, st.sampled_from([2, 5]))
     @settings(max_examples=20, deadline=None)
     def test_shape_reads_off_kernel_and_degree(self, lam, p):
-        from jordanblocks.linalg import nilpotency_degree
-
         n = nilpotent_from_partition(GF(p), lam)
         part = jordan_partition(n)
         assert part.dim == n.nrows
         assert len(part) == n.nrows - n.rank()
-        assert nilpotency_degree(n) == max(lam)
+        assert len(nilpotent_powers(n)) == max(lam)
 
     @given(partitions, st.sampled_from(CONJUGATE_PRIMES), st.integers(0, 10**6))
     @settings(max_examples=60, deadline=None)
@@ -635,6 +634,33 @@ class TestExpNilpotent:
     def test_factorial_not_invertible(self):
         with pytest.raises(FactorialNotInvertible):
             exp_nilpotent(nilpotent_from_partition(GF(3), (4,)))
+
+
+class TestNilpotentPowers:
+    @pytest.mark.parametrize("field", [GF(2), GF(5), QQ], ids=str)
+    def test_powers_up_to_the_first_zero(self, field):
+        n = nilpotent_from_partition(field, (3, 1))
+        powers = nilpotent_powers(n)
+        assert powers == [Matrix.identity(field, 4), n, n @ n]
+        assert nilpotent_powers(Matrix.zeros(field, 0, 0)) == [Matrix.identity(field, 0)]
+
+    @pytest.mark.parametrize("field", [GF(5), QQ], ids=str)
+    def test_power_users_reject_a_non_nilpotent_matrix(self, field):
+        from jordanblocks.fgl import additive
+        from jordanblocks.repring import tensor_operator
+
+        # nilpotent but for one unit in the corner: N^n never vanishes
+        x = nilpotent_from_partition(field, (3,))
+        x.a[2, 0] = field.one
+        series = TruncatedPoly.univariate(field, 4, [0, 1])
+        with pytest.raises(NotNilpotent):
+            nilpotent_powers(x)
+        with pytest.raises(NotNilpotent):
+            tensor_operator(x, nilpotent_from_partition(field, (2,)), additive(field))
+        with pytest.raises(NotNilpotent):
+            apply_series(series, x)
+        with pytest.raises(NotNilpotent):
+            exp_nilpotent(x)
 
 
 def test_field_validation():

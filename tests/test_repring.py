@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from jordanblocks import repring
 from jordanblocks.errors import AlgebraError, InvalidInput
 from jordanblocks.fgl import (
+    GeneralizedLaw,
     additive,
     iterated_tensor_series,
     multiplicative,
+    random_fgl,
     random_generalized_law,
     scaled_multiplicative,
 )
@@ -29,6 +31,7 @@ from jordanblocks.repring import (
     build_symmetric_intertwiner,
     cg_square,
     cg_tensor,
+    induced_quotient_operator,
     power_operator,
     ring_multiply,
     sigma_matrices,
@@ -39,7 +42,7 @@ from jordanblocks.repring import (
     wedge_partition,
 )
 from jordanblocks.series import TruncatedPoly, elementary_symmetric, mult_matrix
-from oracles import kron_power_operator
+from oracles import dense_quotient_operator, kron_power_operator
 
 F2, F3, F5, F7 = GF(2), GF(3), GF(5), GF(7)
 
@@ -150,24 +153,23 @@ class TestRingMultiply:
 class TestPowerOperator:
     def test_m1(self):
         phi = nilpotent_from_partition(F5, (3, 1))
-        assert power_operator(phi, 1, additive(F5)) == phi
+        assert power_operator((3, 1), 1, additive(F5), F5) == phi
 
     def test_m2_additive(self):
         phi = jordan_block(F5, 3)
         eye = Matrix.identity(F5, 3)
         expected = phi.kron(eye) + eye.kron(phi)
-        assert power_operator(phi, 2, additive(F5)) == expected
+        assert power_operator((3,), 2, additive(F5), F5) == expected
 
     def test_m2_multiplicative_is_group_tensor(self):
         phi = jordan_block(F3, 3)
         eye = Matrix.identity(F3, 3)
-        got = power_operator(phi, 2, multiplicative(F3))
+        got = power_operator((3,), 2, multiplicative(F3), F3)
         expected = (eye + phi).kron(eye + phi) - eye.kron(eye)
         assert got == expected
 
     def test_commutes_with_symmetric_group(self):
-        phi = nilpotent_from_partition(F5, (2, 1))
-        op = power_operator(phi, 3, multiplicative(F5))
+        op = power_operator((2, 1), 3, multiplicative(F5), F5)
         for s in sigma_matrices(3, 3, F5):
             assert (op @ s) == (s @ op)
 
@@ -204,7 +206,7 @@ class TestGatheredOperators:
 
     def _check_power(self, field, lam, m, law):
         phi = nilpotent_from_partition(field, lam)
-        assert power_operator(phi, m, law) == kron_power_operator(phi, m, law)
+        assert power_operator(lam, m, law, field) == kron_power_operator(phi, m, law)
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
     def test_tensor_seeded_multi_block(self, field):
@@ -245,24 +247,99 @@ class TestGatheredOperators:
         psi = jordan_block(F5, 3)
         assert op == phi.kron(psi @ psi).scale(3)
 
-    def test_conjugated_phi_is_rejected(self):
-        rng = random.Random(5)
-        phi = nilpotent_from_partition(F5, (3, 2))
-        g = random_invertible(F5, 5, rng)
-        conjugate = g @ phi @ g.inverse()
-        assert conjugate != phi
-        with pytest.raises(InvalidInput, match="canonical nilpotent"):
-            power_operator(conjugate, 2, additive(F5))
 
-    @pytest.mark.parametrize("phi", [
-        jordan_block(F5, 3).T,  # lower shift
-        jordan_block(F5, 3).scale(2),  # superdiagonal 2
-        Matrix.from_rows(F5, [[0, 0, 0], [0, 0, 1], [0, 0, 0]]),  # blocks (1, 2)
-        Matrix.zeros(F5, 2, 3),
-    ], ids=["transposed", "scaled", "increasing-blocks", "non-square"])
-    def test_non_canonical_phi_is_rejected(self, phi):
+QUOTIENT_LAWS = ("additive", "multiplicative", "scaled", "fgl")
+
+
+def symmetric_law(kind, field, degree, rng):
+    """A built-in law, or a seeded formal group law of at least ``degree``:
+    every m-fold series of these is symmetric."""
+    if kind == "additive":
+        return additive(field)
+    if kind == "multiplicative":
+        return multiplicative(field)
+    if kind == "scaled":
+        return scaled_multiplicative(field, field.random_nonzero(rng))
+    return random_fgl(rng.randrange(10**6), max(2, degree), field)
+
+
+class TestQuotientOperator:
+    """The one-pass straightening against the dense proj @ x @ inj."""
+
+    def _check(self, x, d, m):
+        for kind in ("wedge", "sym"):
+            got = induced_quotient_operator(x, d, m, kind)
+            assert got == dense_quotient_operator(x, d, m, kind)
+
+    def _check_power(self, field, lam, m, kind, rng):
+        law = symmetric_law(kind, field, m * (lam[0] - 1), rng)
+        self._check(power_operator(lam, m, law, field), lam.dim, m)
+
+    def _check_conjugate(self, field, lam, kind, rng):
+        g = random_invertible(field, lam.dim, rng)
+        x = g @ nilpotent_from_partition(field, lam) @ g.inverse()
+        law = symmetric_law(kind, field, 2 * (lam[0] - 1), rng)
+        self._check(tensor_operator(x, x, law), lam.dim, 2)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_power_seeded(self, field, m):
+        rng = random.Random(f"quotient-power:{field.p}:{m}")
+        for kind in QUOTIENT_LAWS:
+            # dimensions 1 and 2 put d < m for m = 2, 3
+            for dim in (1, 2, 4):
+                self._check_power(field, seeded_partition(rng, dim, top=3), m, kind, rng)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_tensor_square_of_conjugates_seeded(self, field):
+        rng = random.Random(f"quotient-conjugate:{field.p}")
+        for kind in QUOTIENT_LAWS:
+            self._check_conjugate(field, seeded_partition(rng, rng.randint(1, 5), top=3), kind, rng)
+
+    @given(gathered_fields, small_partitions, st.integers(1, 3),
+           st.sampled_from(QUOTIENT_LAWS), st.integers(0, 10**6))
+    @settings(max_examples=30, deadline=None)
+    def test_power_hypothesis(self, field, lam, m, kind, seed):
+        if lam.dim ** m > 216:
+            lam = Partition(lam.parts[:1])
+        self._check_power(field, lam, m, kind, random.Random(seed))
+
+    @given(gathered_fields, small_partitions, st.sampled_from(QUOTIENT_LAWS),
+           st.integers(0, 10**6))
+    @settings(max_examples=20, deadline=None)
+    def test_tensor_square_of_conjugates_hypothesis(self, field, lam, kind, seed):
+        self._check_conjugate(field, lam, kind, random.Random(seed))
+
+    def test_wrong_shape_is_rejected(self):
         with pytest.raises(InvalidInput):
-            power_operator(phi, 2, multiplicative(F5))
+            induced_quotient_operator(Matrix.zeros(F5, 8, 8), 3, 2, "sym")
+
+
+class TestNonSymmetricLaw:
+    """A law whose m-fold series is not symmetric induces no map on the
+    quotients; the answer is an error, never a partition."""
+
+    def test_linear_part_2u_plus_v_is_rejected(self):
+        # 2 phi (x) 1 + 1 (x) phi does not commute with the swap
+        law = GeneralizedLaw(F5, 4, {(1, 0): 2, (0, 1): 1})
+        x = power_operator((3,), 2, law, F5)
+        for kind in ("wedge", "sym"):
+            with pytest.raises(InvalidInput, match="commute"):
+                induced_quotient_operator(x, 3, 2, kind)
+
+    @given(st.sampled_from([F5, F7]), small_partitions, st.integers(2, 3),
+           st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_generalized_law_raises_or_matches_additive(self, field, lam, m, seed):
+        if lam.dim ** m > 216:
+            lam = Partition(lam.parts[:1])
+        law = random_generalized_law(seed, max(2, m * (lam[0] - 1)), field)
+        for power in (wedge_partition, sym_partition):
+            try:
+                got = power(lam, m, law, field)
+            except InvalidInput:
+                continue
+            assert got == power(lam, m, additive(field), field)
 
 
 class TestSigmaMatrices:
@@ -305,7 +382,7 @@ class TestWedgeSym:
 
     def test_unknown_quotient_kind(self):
         with pytest.raises(InvalidInput):
-            repring.quotient_maps(F7, 3, 2, "alternating")
+            induced_quotient_operator(Matrix.zeros(F7, 9, 9), 3, 2, "alternating")
 
     def test_char0_tensor_square_split(self):
         # W (x) W = Sym^2 W + wedge^2 W away from characteristic 2
