@@ -25,7 +25,6 @@ from .series import (
     TruncatedPoly,
     build_automorphism,
     compose_inverse,
-    elementary_symmetric_split,
     mult_matrix,
     symmetric_split,
 )

@@ -58,10 +58,6 @@ class ZeroLinearScalar(AlgebraError):
     pass
 
 
-class JNotInvertible(AlgebraError):
-    pass
-
-
 class NotSymmetric(AlgebraError):
     pass
 

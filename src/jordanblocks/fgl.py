@@ -268,9 +268,11 @@ def law_from_json(data: dict) -> GeneralizedLaw:
 
 
 def load_law(path: str) -> GeneralizedLaw:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidLaw(f"{path}: not valid JSON ({exc})") from exc
+    except OSError as exc:
+        raise InvalidLaw(f"cannot read the law file: {exc}") from exc
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
+        raise InvalidLaw(f"{path}: not valid JSON ({exc})") from exc
     return law_from_json(data)

@@ -53,18 +53,25 @@ class Field:
         return hash(("Field", self.p))
 
     def __call__(self, x):
-        """Coerce an int, Fraction or string like ``"2/3"`` into the field."""
+        """Coerce an int, Fraction or string like ``"2/3"`` into the field.
+
+        InvalidInput for a string that is not an integer or a fraction, and
+        for a fraction whose denominator p divides.
+        """
         if isinstance(x, str):
-            if "/" in x:
-                num, den = x.split("/")
-                x = Fraction(int(num), int(den))
-            else:
-                x = int(x)
+            try:
+                if "/" in x:
+                    num, den = x.split("/")
+                    x = Fraction(int(num), int(den))
+                else:
+                    x = int(x)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise InvalidInput(f"{x!r} is not a scalar") from exc
         if self.p == 0:
             return Fraction(x)
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
-                raise ZeroDivisionError(f"{x} has no image in F{self.p}")
+                raise InvalidInput(f"{x} has no image in F{self.p}")
             return x.numerator * pow(x.denominator, -1, self.p) % self.p
         return int(x) % self.p
 
@@ -76,14 +83,8 @@ class Field:
     def one(self):
         return Fraction(1) if self.p == 0 else 1
 
-    def is_zero(self, a) -> bool:
-        return a == 0
-
     def add(self, a, b):
         return (a + b) % self.p if self.p else a + b
-
-    def sub(self, a, b):
-        return (a - b) % self.p if self.p else a - b
 
     def mul(self, a, b):
         return (a * b) % self.p if self.p else a * b
@@ -96,14 +97,11 @@ class Field:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p) if self.p else 1 / a
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def factorial_inv(self, k: int):
         """1/k!, raising ZeroDivisionError when k! vanishes in the field."""
         out = self.one
         for i in range(2, k + 1):
-            out = self.div(out, self(i))
+            out = self.mul(out, self.inv(self(i)))
         return out
 
     def random_element(self, rng):

@@ -20,7 +20,11 @@ word is added into the row of its sorted word (with the sign of the sort for
 the wedge, where a word with a repeated letter vanishes).  An operator
 induces a map on the quotient only if it commutes with permuting the tensor
 factors, that is, for a canonical nilpotent, only if the law's m-fold series
-is symmetric; otherwise ``InvalidInput`` is raised.
+is symmetric; otherwise ``InvalidInput`` is raised.  A law over a field
+other than the one given raises ``InvalidLaw``.
+
+The constructive intertwiners are the automorphisms Y_i -> f_i for a
+term-by-term split of the law's series f = f_1 + ... + f_m with Y_i | f_i.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import itertools
 
 import numpy as np
 
-from .errors import AlgebraError, InvalidInput, InvalidLaw, ZeroLinearScalar
+from .errors import AlgebraError, InvalidInput, InvalidLaw
 from .fields import Field
 from .fgl import GeneralizedLaw, iterated_tensor_series
 from .linalg import (
@@ -120,6 +124,11 @@ class RingElement:
 
 # -- tensor operators ------------------------------------------------------------
 
+def _require_field(law: GeneralizedLaw, field: Field) -> None:
+    if law.field != field:
+        raise InvalidLaw("law and field characteristics disagree")
+
+
 def _degree(lam: Partition) -> int:
     """Nilpotency degree of the canonical nilpotent of ``lam``: its largest part."""
     return lam[0] if len(lam) else 1
@@ -141,6 +150,7 @@ def tensor_operator(phi: Matrix, psi: Matrix, law: GeneralizedLaw) -> Matrix:
 def tensor_partition(lam, mu, law: GeneralizedLaw, field: Field) -> Partition:
     """Jordan type of F(phi (x) 1, 1 (x) psi) for the canonical nilpotents of
     ``lam`` and ``mu``, the operator gathered from the law's coefficients."""
+    _require_field(law, field)
     lam, mu = Partition(lam), Partition(mu)
     law.require_degree(_degree(lam) + _degree(mu) - 2)
     return jordan_partition(canonical_series_operator(field, (lam, mu), law.coeffs))
@@ -156,8 +166,7 @@ def structure_constants(n: int, m: int, law: GeneralizedLaw, field: Field) -> Ri
     law-independent even without associativity, so the ring interpretation is
     available whenever the law validates as a formal group law.
     """
-    if law.field != field:
-        raise InvalidLaw("law and field characteristics disagree")
+    _require_field(law, field)
     key = (n, m, law.fingerprint())
     hit = _constants_memo.get(key)
     if hit is not None:
@@ -223,6 +232,7 @@ def power_operator(lam, m: int, law: GeneralizedLaw, field: Field) -> Matrix:
     the first tensor factor is the most significant index, matching the
     monomial basis order of the series algebra.
     """
+    _require_field(law, field)
     lam = Partition(lam)
     series = iterated_tensor_series(law, m, (_degree(lam),) * m)
     return canonical_series_operator(field, (lam,) * m, series.coeffs)
@@ -310,59 +320,37 @@ def sym_partition(lam, m: int, law: GeneralizedLaw, field: Field) -> Partition:
 
 # -- constructive intertwiners ---------------------------------------------------
 
-def split_law_tail(law: GeneralizedLaw, n: int, m: int):
-    """Canonical split F - xi_1 u - xi_2 v = H_1 u + H_2 v on k[Y,Z]/(Y^n,Z^m).
-
-    A term c u^a v^b with a >= 1 goes to H_1 as c u^{a-1} v^b, otherwise to
-    H_2 as c u^a v^{b-1}.
-    """
-    law.require_degree(n + m - 2)
-    field = law.field
-    h1: dict = {}
-    h2: dict = {}
-    for (a, b), c in law.coeffs.items():
-        if a + b < 2:
-            continue
-        if a >= 1:
-            exp = (a - 1, b)
-            target = h1
-        else:
-            exp = (a, b - 1)
-            target = h2
-        if exp[0] < n and exp[1] < m:
-            target[exp] = field.add(target.get(exp, field.zero), c)
-    trunc = (n, m)
-    return TruncatedPoly(field, trunc, h1), TruncatedPoly(field, trunc, h2)
+def _automorphism_from_split(xis, pieces) -> Matrix:
+    """The automorphism Y_i -> f_i for pieces f_i = xi_i Y_i + higher with
+    Y_i | f_i, passed on as Y_i -> Y_i (xi_i + (f_i - xi_i Y_i) / Y_i)."""
+    tails = []
+    for i, (xi, f_i) in enumerate(zip(xis, pieces)):
+        y = TruncatedPoly.variable(f_i.field, f_i.trunc, i)
+        tails.append((f_i - y.scale(xi)).divide_by_variable(i))
+    return build_automorphism(xis, tails)
 
 
 def build_intertwiner_pair(n: int, m: int, law: GeneralizedLaw) -> Matrix:
     """Invertible map on k[Y,Z]/(Y^n,Z^m) conjugating mult by y+z into mult by F(y,z).
 
-    Realized as the algebra automorphism Y -> Y(xi_1 + H_1), Z -> Z(xi_2 + H_2)
-    for the canonical tail split.
+    Realized as the algebra automorphism Y -> f_1, Z -> f_2, where f_1 is the
+    sum of the terms of F that Y divides and f_2 the rest; any
+    characteristic.
     """
-    if law.xi1 == 0 or law.xi2 == 0:
-        raise ZeroLinearScalar("law has a degenerate linear part")
-    h1, h2 = split_law_tail(law, n, m)
-    return build_automorphism((law.xi1, law.xi2), (h1, h2))
+    f = law.as_poly((n, m))
+    f1 = TruncatedPoly(f.field, f.trunc, {e: c for e, c in f.coeffs.items() if e[0]})
+    return _automorphism_from_split((law.xi1, law.xi2), [f1, f - f1])
 
 
 def build_symmetric_intertwiner(n: int, m: int, law: GeneralizedLaw) -> Matrix:
     """Sigma_m-equivariant automorphism of k[Y_1..Y_m]/(Y_i^n) conjugating
     mult by Y_1+...+Y_m into mult by the m-fold tensor series of the law.
 
-    Needs m! invertible; the images Y_i -> f_i come from the symmetric split
-    of the tensor series.
+    Needs m! invertible; the images Y_i -> f_i come from the term-by-term
+    symmetric split of the tensor series.
     """
     series = iterated_tensor_series(law, m, (n,) * m)
-    pieces = symmetric_split(series)
-    field = law.field
-    ones = [field.one] * m
-    tails = []
-    for i, f_i in enumerate(pieces):
-        quotient = f_i.divide_by_variable(i)
-        tails.append(quotient - TruncatedPoly.constant(field, quotient.trunc, field.one))
-    return build_automorphism(ones, tails)
+    return _automorphism_from_split([law.field.one] * m, symmetric_split(series))
 
 
 def clear_memo() -> None:

@@ -9,7 +9,8 @@ already guarantee, and drop only the coefficients that cancel.  On top of
 the ring arithmetic this module provides series composition and inversion,
 matrices of multiplication operators (gathered from the coefficients in one
 step) and algebra endomorphisms on the monomial basis, and the constructive
-splitting of a symmetric series f = f_1 + ... + f_m with Y_i | f_i.
+splitting of a symmetric series f = f_1 + ... + f_m with Y_i | f_i: each
+term goes in equal shares to the variables that divide it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .errors import (
     AlgebraError,
     FactorialNotInvertible,
     InvalidInput,
-    JNotInvertible,
     NonzeroConstantTerm,
     NotInvertibleLinearPart,
     NotSymmetric,
@@ -193,9 +193,6 @@ class TruncatedPoly:
     def homogeneous_part(self, d: int) -> "TruncatedPoly":
         return TruncatedPoly(self.field, self.trunc,
                              {e: c for e, c in self.coeffs.items() if sum(e) == d})
-
-    def max_degree(self) -> int:
-        return max((sum(e) for e in self.coeffs), default=0)
 
     def truncate_degree(self, d: int) -> "TruncatedPoly":
         """Drop all terms of total degree > d."""
@@ -395,91 +392,36 @@ def elementary_symmetric(field: Field, trunc, j: int) -> TruncatedPoly:
     return TruncatedPoly(field, trunc, out)
 
 
-def elementary_symmetric_split(field: Field, trunc, j: int) -> list:
-    """H_i = (1/j) * sum of the degree-j square-free monomials through Y_i.
-
-    The H_i are homogeneous of degree j, Y_i divides H_i, they sum to the
-    j-th elementary symmetric polynomial, and permutations act by
-    sigma H_i = H_{sigma^{-1}(i)}.
-    """
-    m = len(trunc)
-    if not 1 <= j <= m:
-        raise InvalidInput(f"need 1 <= j <= {m}, got {j}")
-    if field.p and j % field.p == 0:
-        raise JNotInvertible(f"{j} is not invertible in characteristic {field.p}")
-    jinv = field.inv(field(j))
-    out = []
-    for i in range(m):
-        coeffs = {}
-        for subset in itertools.combinations(range(m), j):
-            if i in subset:
-                exp = tuple(1 if k in subset else 0 for k in range(m))
-                coeffs[exp] = jinv
-        out.append(TruncatedPoly(field, trunc, coeffs))
-    return out
-
-
-def _symmetric_products(f: TruncatedPoly) -> list:
-    """Write f as sum of c * s_{j_1} ... s_{j_k} by greedy lex-leading reduction.
-
-    Returns a list of (coefficient, (j_1, ..., j_k)) with each product of
-    elementary symmetric polynomials taken in the truncated algebra.  Works
-    per homogeneous component; the lex-leading exponent of a symmetric
-    polynomial is weakly decreasing, which pins the unique matching product.
-    """
-    field = f.field
-    trunc = f.trunc
-    m = f.num_vars
-    elem = {j: elementary_symmetric(field, trunc, j) for j in range(1, m + 1)}
-    pieces = []
-    for d in sorted({sum(e) for e in f.coeffs}):
-        h = f.homogeneous_part(d)
-        while not h.is_zero():
-            lead = max(h.coeffs, key=lambda e: e)
-            if any(lead[i] < lead[i + 1] for i in range(m - 1)):
-                raise NotSymmetric(f"lex-leading exponent {lead} is not weakly decreasing")
-            c = h.coeffs[lead]
-            factors = []
-            for i in range(m):
-                mult = lead[i] - (lead[i + 1] if i + 1 < m else 0)
-                factors.extend([i + 1] * mult)
-            prod = TruncatedPoly.constant(field, trunc, field.one)
-            for j in factors:
-                prod = prod * elem[j]
-            pieces.append((c, tuple(factors)))
-            h = h - prod.scale(c)
-    return pieces
-
-
 def symmetric_split(f: TruncatedPoly) -> list:
     """Split a symmetric series f = Y_1 + ... + Y_m + higher into f_1..f_m.
 
-    The pieces satisfy, and this function verifies before returning:
-    f_i = Y_i modulo degree 2, Y_i | f_i, sigma f_i = f_{sigma^{-1}(i)},
-    and sum f_i = f.  Requires m! invertible.
+    Term by term: a term c Y^e goes to the k variables that divide it, c/k
+    to each.  The pieces satisfy, and this function verifies before
+    returning: f_i = Y_i modulo degree 2, Y_i | f_i, sigma f_i =
+    f_{sigma^{-1}(i)}, and sum f_i = f.  Requires m! invertible, so that
+    every share 1/k with k <= m exists.
     """
     field = f.field
     trunc = f.trunc
     m = f.num_vars
     if field.p and field.p <= m:
         raise FactorialNotInvertible(f"{m}! vanishes in characteristic {field.p}")
+    if f.constant_term() != 0:
+        raise NonzeroConstantTerm("a series with a constant term has no split")
     if not f.is_symmetric():
         raise NotSymmetric("input series is not symmetric")
     linear = f.homogeneous_part(1)
     if linear != elementary_symmetric(field, trunc, 1):
         raise NotSymmetric("series is not Y_1 + ... + Y_m modulo degree 2")
 
-    elem = {j: elementary_symmetric(field, trunc, j) for j in range(1, m + 1)}
-    splits = {j: elementary_symmetric_split(field, trunc, j) for j in range(1, m + 1)}
-    out = [TruncatedPoly.zero(field, trunc) for _ in range(m)]
-    for c, factors in _symmetric_products(f):
-        # split the first factor, multiply by the remaining invariant product
-        rest = TruncatedPoly.constant(field, trunc, field.one)
-        for j in factors[1:]:
-            rest = rest * elem[j]
-        for i in range(m):
-            out[i] = out[i] + (splits[factors[0]][i] * rest).scale(c)
-
+    share = {k: field.inv(field(k)) for k in range(1, m + 1)}
+    pieces: list = [{} for _ in range(m)]
+    for exp, c in f.coeffs.items():
+        support = [i for i, e in enumerate(exp) if e]
+        c = field.mul(c, share[len(support)])
+        for i in support:
+            pieces[i][exp] = c
+    out = [TruncatedPoly(field, trunc, coeffs) for coeffs in pieces]
     _verify_split(f, out)
     return out
 

@@ -186,6 +186,34 @@ class TestUsageErrors:
         assert code == 2
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("series", "invert", "--p", "5", "--coeffs", "0,1/5"),
+        ("series", "invert", "--p", "5", "--coeffs", "0,x"),
+        ("tensor", "--p", "5", "--a", "2", "--b", "2", "--law", "scaled:abc"),
+        ("tensor", "--p", "5", "--a", "2", "--b", "2", "--law", "scaled:1/5"),
+    ], ids=["denominator-p", "not-a-number", "scaled-not-a-number", "scaled-denominator-p"])
+    def test_bad_scalar_exits_2(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_law_file_scalar_with_denominator_p_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps(
+            {"p": 5, "trunc": 4, "coeffs": [{"a": 1, "b": 1, "c": "1/5"}]}))
+        code, _, err = run(capsys, "tensor", "--p", "5", "--law", str(path),
+                           "--a", "2", "--b", "2")
+        assert code == 2
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_missing_law_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "absent.json"
+        code, _, err = run(capsys, "tensor", "--p", "5", "--law", str(path),
+                           "--a", "2", "--b", "2")
+        assert code == 2
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "absent.json" in err
+
     def test_missing_required_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["adjoint", "classical", "--lambda", "4", "--p", "2"])

@@ -149,6 +149,10 @@ class TestLawFiles:
         with pytest.raises(InvalidLaw):
             load_law(str(path))
 
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(InvalidLaw, match="cannot read"):
+            load_law(str(tmp_path / "absent.json"))
+
     def test_malformed_data(self):
         with pytest.raises(InvalidLaw):
             law_from_json({"p": 5, "coeffs": []})

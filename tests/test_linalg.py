@@ -670,3 +670,15 @@ def test_field_validation():
         Field(6)
     assert Field(0).characteristic == 0
     assert GF(13)(Fraction(1, 2)) == 7
+    assert GF(13)("1/2") == 7 and QQ("-2/4") == Fraction(-1, 2)
+
+
+@pytest.mark.parametrize("field, text", [
+    (GF(5), "1/5"), (GF(5), "x"), (GF(5), "abc"), (QQ, "1/0"), (QQ, "1/2/3"), (QQ, "0.5"),
+])
+def test_bad_scalar_is_invalid_input(field, text):
+    with pytest.raises(InvalidInput):
+        field(text)
+    if field.p:
+        with pytest.raises(InvalidInput, match="no image"):
+            field(Fraction(2, field.p))

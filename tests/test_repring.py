@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jordanblocks import repring
-from jordanblocks.errors import AlgebraError, InvalidInput
+from jordanblocks.errors import AlgebraError, InvalidInput, InvalidLaw
 from jordanblocks.fgl import (
     GeneralizedLaw,
     additive,
@@ -41,7 +41,12 @@ from jordanblocks.repring import (
     tensor_partition,
     wedge_partition,
 )
-from jordanblocks.series import TruncatedPoly, elementary_symmetric, mult_matrix
+from jordanblocks.series import (
+    TruncatedPoly,
+    elementary_symmetric,
+    endomorphism_matrix,
+    mult_matrix,
+)
 from oracles import dense_quotient_operator, kron_power_operator
 
 F2, F3, F5, F7 = GF(2), GF(3), GF(5), GF(7)
@@ -99,6 +104,20 @@ class TestTensorPartition:
     def test_dimension_multiplicative(self):
         part = tensor_partition((3, 1), (2, 2), additive(F3), F3)
         assert part.dim == 16
+
+
+def test_law_over_another_field_is_refused():
+    # the scalar 6 of an F_7 law has no meaning in F_3
+    law = scaled_multiplicative(GF(7), 6)
+    with pytest.raises(InvalidLaw, match="disagree"):
+        tensor_partition((3,), (3,), law, F3)
+    with pytest.raises(InvalidLaw, match="disagree"):
+        power_operator((2,), 2, law, F3)
+    for square in (wedge_partition, sym_partition):
+        with pytest.raises(InvalidLaw, match="disagree"):
+            square((3,), 2, law, F3)
+    with pytest.raises(InvalidLaw, match="disagree"):
+        structure_constants(3, 3, law, F3)
 
 
 class TestStructureConstants:
@@ -426,6 +445,19 @@ class TestIntertwinerPair:
     def test_multiplicative_2x2_p3(self):
         self._verify(2, 2, multiplicative(F3))
 
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 3), (3, 1)])
+    def test_a_block_of_size_one(self, n, m):
+        # Y = 0 in k[Y]/(Y): its linear term is gone from the truncated series
+        self._verify(n, m, random_generalized_law(n + 7 * m, n + m, F5, unit_linear=False))
+
+    def test_pieces_are_the_terms_each_variable_divides(self):
+        # F = 2u + 3v + uv + v^2 over F_5: Y -> 2Y + YZ, Z -> 3Z + Z^2
+        law = GeneralizedLaw(F5, 2, {(1, 0): 2, (0, 1): 3, (1, 1): 1, (0, 2): 1}, exact=True)
+        trunc = (2, 3)
+        y, z = TruncatedPoly.variable(F5, trunc, 0), TruncatedPoly.variable(F5, trunc, 1)
+        want = endomorphism_matrix([y.scale(2) + y * z, z.scale(3) + z * z])
+        assert self._verify(2, 3, law) == want
+
     def test_random_law_4x4_p5(self):
         law = random_generalized_law(12, 8, F5)
         self._verify(4, 4, law)
@@ -460,6 +492,10 @@ class TestSymmetricIntertwiner:
 
     def test_scaled_m3_p7(self):
         self._verify(2, 3, scaled_multiplicative(F7, 4))
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_blocks_of_size_one(self, m):
+        assert self._verify(1, m, multiplicative(F5)) == Matrix.identity(F5, 1)
 
 
 @pytest.mark.parametrize("n", range(1, 13))

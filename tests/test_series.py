@@ -7,7 +7,6 @@ from jordanblocks.errors import (
     AlgebraError,
     FactorialNotInvertible,
     InvalidInput,
-    JNotInvertible,
     NonzeroConstantTerm,
     NotInvertibleLinearPart,
     NotSymmetric,
@@ -20,7 +19,6 @@ from jordanblocks.series import (
     compose,
     compose_inverse,
     elementary_symmetric,
-    elementary_symmetric_split,
     monomial_basis,
     mult_matrix,
     symmetric_split,
@@ -157,8 +155,6 @@ def test_bad_arguments_are_invalid_input():
         y.divide_by_variable(1)
     with pytest.raises(InvalidInput):
         build_automorphism([], [])
-    with pytest.raises(InvalidInput):
-        elementary_symmetric_split(QQ, (3, 3), 3)
 
 
 class TestBuildAutomorphism:
@@ -279,29 +275,6 @@ class TestMultMatrix:
         assert [int(x) for x in m.a[:, 1]] == [0, 0, 1]
 
 
-class TestElementarySplit:
-    def test_degree_one(self):
-        hs = elementary_symmetric_split(QQ, (3, 3), 1)
-        assert hs[0] == var(QQ, (3, 3), 0)
-        assert hs[1] == var(QQ, (3, 3), 1)
-
-    def test_half_product(self):
-        hs = elementary_symmetric_split(QQ, (2, 2), 2)
-        expected = TruncatedPoly(QQ, (2, 2), {(1, 1): QQ("1/2")})
-        assert hs == [expected, expected]
-
-    def test_three_vars(self):
-        trunc = (2, 2, 2)
-        hs = elementary_symmetric_split(QQ, trunc, 2)
-        assert hs[0] == TruncatedPoly(QQ, trunc, {(1, 1, 0): QQ("1/2"), (1, 0, 1): QQ("1/2")})
-        total = hs[0] + hs[1] + hs[2]
-        assert total == elementary_symmetric(QQ, trunc, 2)
-
-    def test_j_not_invertible(self):
-        with pytest.raises(JNotInvertible):
-            elementary_symmetric_split(GF(2), (2, 2), 2)
-
-
 class TestSymmetricSplit:
     def test_linear(self):
         trunc = (2, 2)
@@ -315,6 +288,33 @@ class TestSymmetricSplit:
         f1, f2 = symmetric_split(f)
         assert f1 == y1 + (y1 * y2).scale(QQ("1/2"))
         assert f2 == y2 + (y1 * y2).scale(QQ("1/2"))
+
+    def test_each_term_is_shared_by_the_variables_dividing_it(self):
+        trunc = (3, 3)
+        y1, y2 = var(QQ, trunc, 0), var(QQ, trunc, 1)
+        cross = y1 * y1 * y2 + y1 * y2 * y2
+        f1, f2 = symmetric_split(y1 + y2 + y1 * y1 + y2 * y2 + cross)
+        assert f1 == y1 + y1 * y1 + cross.scale(QQ("1/2"))
+        assert f2 == y2 + y2 * y2 + cross.scale(QQ("1/2"))
+
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+    def test_three_variables_equal_shares(self, field):
+        trunc = (2, 2, 2)
+        y = [var(field, trunc, i) for i in range(3)]
+        f = sum((elementary_symmetric(field, trunc, j) for j in (2, 3)),
+                elementary_symmetric(field, trunc, 1))
+        pieces = symmetric_split(f)
+        half, third = field("1/2"), field("1/3")
+        for i in range(3):
+            j, k = (x for x in range(3) if x != i)
+            assert pieces[i] == (y[i] + (y[i] * y[j] + y[i] * y[k]).scale(half)
+                                 + (y[0] * y[1] * y[2]).scale(third))
+
+    def test_rejects_a_constant_term(self):
+        trunc = (3, 3)
+        f = elementary_symmetric(QQ, trunc, 1) + TruncatedPoly.constant(QQ, trunc, 1)
+        with pytest.raises(NonzeroConstantTerm):
+            symmetric_split(f)
 
     def test_triple_tensor_series(self):
         from jordanblocks.fgl import iterated_tensor_series, multiplicative
@@ -331,19 +331,24 @@ class TestSymmetricSplit:
         (lambda y1, y2, hs: [hs[0] + y1 * y1 * y2, hs[1] - y1 * y1 * y2],
          "not permutation equivariant"),
     ], ids=["linear-part", "divisibility", "sum", "equivariance"])
-    def test_postconditions_are_typed_errors(self, monkeypatch, tamper, message):
-        # a wrong split of Y_1 + Y_2 reaches the pieces of Y_1 + Y_2 + Y_1 Y_2
+    def test_postconditions_are_typed_errors(self, tamper, message):
+        # the check that symmetric_split runs on its result, fed a tampered split
         trunc = (3, 3)
         y1, y2 = var(QQ, trunc, 0), var(QQ, trunc, 1)
-        split = series.elementary_symmetric_split
-
-        def wrong_split(field, trunc, j):
-            hs = split(field, trunc, j)
-            return tamper(y1, y2, hs) if j == 1 else hs
-
-        monkeypatch.setattr(series, "elementary_symmetric_split", wrong_split)
+        f = y1 + y2 + y1 * y2
+        hs = symmetric_split(f)
+        series._verify_split(f, hs)
         with pytest.raises(AlgebraError, match=message):
-            symmetric_split(y1 + y2 + y1 * y2)
+            series._verify_split(f, tamper(y1, y2, hs))
+
+    def test_every_result_is_verified(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(series, "_verify_split", lambda f, fs: seen.append((f, fs)))
+        trunc = (3, 3)
+        y1, y2 = var(QQ, trunc, 0), var(QQ, trunc, 1)
+        f = y1 + y2 + y1 * y2
+        pieces = symmetric_split(f)
+        assert seen == [(f, pieces)]
 
     def test_rejects_asymmetric(self):
         trunc = (3, 3)
