@@ -4,7 +4,9 @@ A law is a truncated two-variable series F(u, v) with invertible linear part
 xi_1 u + xi_2 v.  A *formal group law* additionally has xi_1 = xi_2 = 1 and
 passes the unit, commutativity and associativity axioms up to its truncation;
 :func:`validate_fgl` reports each axiom separately, since the tensor
-constructions downstream only need the invertible linear part.
+constructions downstream only need the invertible linear part.  F(g, h) is
+the law's series, cut to the degree the target algebra can hold, substituted
+at (g, h) with :meth:`TruncatedPoly.substitute`.
 
 The built-in laws (additive u+v, multiplicative u+v+uv and its scaled
 variant) are exact: their coefficient support is finite, so they can be used
@@ -19,7 +21,7 @@ from typing import Sequence
 
 from .errors import InvalidInput, InvalidLaw, TruncationTooShort
 from .fields import Field
-from .series import TruncatedPoly, power_table
+from .series import TruncatedPoly
 
 
 class GeneralizedLaw:
@@ -95,24 +97,19 @@ class GeneralizedLaw:
              degree_cap: int | None = None) -> TruncatedPoly:
         """F(g, h) for two series with zero constant term in a common algebra.
 
+        The law's terms up to the degree that the algebra (or ``degree_cap``)
+        can hold form a series in k[u, v], which is substituted at (g, h).
         With ``degree_cap`` set, only terms of total degree <= cap are kept;
         those are fully determined by the law's coefficients up to the cap.
         """
-        g._check_shape(h)
         needed = sum(r - 1 for r in g.trunc)
         if degree_cap is not None:
             needed = min(needed, degree_cap)
         self.require_degree(needed)
-        out = TruncatedPoly.zero(g.field, g.trunc)
-        power = power_table((g, h))
-        for (a, b), c in sorted(self.coeffs.items(), key=lambda kv: sum(kv[0])):
-            if a + b > needed:
-                continue
-            term = power(0, a) * power(1, b)
-            out = out + term.scale(c)
-        if degree_cap is not None:
-            out = out.truncate_degree(degree_cap)
-        return out
+        series = TruncatedPoly(self.field, (needed + 1, needed + 1),
+                               {e: c for e, c in self.coeffs.items() if sum(e) <= needed})
+        out = series.substitute([g, h])
+        return out if degree_cap is None else out.truncate_degree(degree_cap)
 
 
 def additive(field: Field) -> GeneralizedLaw:
@@ -223,8 +220,7 @@ def random_fgl(seed: int, degree: int, field: Field) -> GeneralizedLaw:
     v = TruncatedPoly.variable(field, trunc, 1)
     inner = g_inv.substitute([u]) + g_inv.substitute([v])
     series = g.substitute([inner]).truncate_degree(degree)
-    coeffs = {exp: c for exp, c in series.coeffs.items()}
-    return GeneralizedLaw(field, degree, coeffs, exact=False, name=f"transported#{seed}")
+    return GeneralizedLaw(field, degree, series.coeffs, exact=False, name=f"transported#{seed}")
 
 
 def iterated_tensor_series(law: GeneralizedLaw, m: int, trunc: Sequence[int]) -> TruncatedPoly:

@@ -55,9 +55,12 @@ class Field:
     def __call__(self, x):
         """Coerce an int, Fraction or string like ``"2/3"`` into the field.
 
-        InvalidInput for a string that is not an integer or a fraction, and
+        InvalidInput for a float (``np.float64`` included), which is not an
+        exact scalar, for a string that is not an integer or a fraction, and
         for a fraction whose denominator p divides.
         """
+        if isinstance(x, float):
+            raise InvalidInput(f"{x!r} is a float, not an exact scalar")
         if isinstance(x, str):
             try:
                 if "/" in x:

@@ -13,7 +13,8 @@ come from it: the packed-row echelon form over F_p (``_echelon_rows``) and
 Bareiss's fraction-free elimination over Q (``_bareiss``), which both return
 the pivot rows of an echelon form.  A rank is their count; a linear system
 is inconsistent when a pivot row of [b | rhs] has its lead in the rhs
-columns, and is otherwise solved by back substitution on the pivot rows.
+columns, and is otherwise solved by one back substitution for both fields,
+run on the pivot rows as Python integers (``_solve``).
 Partitions are read off an operator through the kernel-dimension sequence of
 its powers, never through a similarity transform.  That sequence comes from
 a shrinking chain: an echelon basis E_k of the row space of N^k gives the
@@ -466,46 +467,34 @@ def _solve(b: Matrix, rhs: Matrix) -> Matrix | None:
 
     One echelon form of [b | rhs] decides everything: the system is
     inconsistent exactly when a pivot row leads at or past column k =
-    b.ncols, and otherwise the pivot rows are brought to reduced form, whose
-    last columns hold x at the pivot coordinates.  Over F_p the packed pivot
-    rows are scaled to lead 1 from the last up and cleared upward with the
-    multiply-add and Barrett step of ``_echelon_rows``; over Q the Bareiss
-    pivot rows are solved from the last up in Fraction arithmetic.
+    b.ncols.  Otherwise back substitution on the pivot rows, as (lead,
+    entries from the lead on) in Python integers from ``_echelon_mod`` over
+    F_p and ``_bareiss`` over Q, gives x from the last pivot up: each pivot
+    coordinate is the pivot row's rhs part minus f times every coordinate
+    already found, f the row's entry at that coordinate, times the inverse
+    of the pivot.
     """
     field, k = b.field, b.ncols
-    x = Matrix.zeros(field, k, rhs.ncols)
-    p = field.p
-    if p:
-        n = k + rhs.ncols
-        rows = _echelon_rows(np.hstack([b.a, rhs.a]), p)
-        w, s, mult, low, ps = _packing(p, n)
-        mask = (1 << w) - 1
-        leads = [((r & -r).bit_length() - 1) // w for r in rows]
-        if leads and leads[-1] >= k:
-            return None
-        for j in reversed(range(len(rows))):
-            shift = leads[j] * w
-            piv = rows[j] * pow((rows[j] >> shift) & mask, -1, p)
-            piv -= ((piv * mult >> s) & low) * p
-            rows[j], neg = piv, ps - piv
-            for i in range(j):
-                f = (rows[i] >> shift) & mask
-                if f:
-                    r = rows[i] + f * neg
-                    rows[i] = r - ((r * mult >> s) & low) * p
-        x.a[leads] = _unpack(rows, n, w)[:, k:]
-        return x
-    pivots = _bareiss(_clear_denominators(np.hstack([b.a, rhs.a]))[0])
+    a = np.hstack([b.a, rhs.a])
+    if field.p:
+        pivots = []
+        for row in _echelon_mod(a, field.p).tolist():
+            lead = next(j for j, v in enumerate(row) if v)
+            pivots.append((lead, row[lead:]))
+    else:
+        pivots = _bareiss(_clear_denominators(a)[0])
     if pivots and pivots[-1][0] >= k:
         return None
-    for j in reversed(range(len(pivots))):
-        lead, tail = pivots[j]
+    x = Matrix.zeros(field, k, rhs.ncols)
+    found: dict = {}
+    for lead, tail in reversed(pivots):
         acc = tail[k - lead:]
-        for c, _ in pivots[j + 1:]:
+        for c, z in found.items():
             f = tail[c - lead]
             if f:
-                acc = [y - f * z for y, z in zip(acc, x.a[c])]
-        x.a[lead] = [Fraction(y, tail[0]) for y in acc]
+                acc = [y - f * v for y, v in zip(acc, z)]
+        inv = field.inv(field(tail[0]))
+        found[lead] = x.a[lead] = [field.mul(y, inv) for y in acc]
     return x
 
 
@@ -527,16 +516,9 @@ def jordan_block(field: Field, n: int) -> Matrix:
 
 
 def nilpotent_from_partition(field: Field, lam) -> Matrix:
-    """Block-diagonal canonical nilpotent with Jordan type ``lam``."""
-    lam = Partition(lam)
-    m = Matrix.zeros(field, lam.dim, lam.dim)
-    one = field.one
-    off = 0
-    for size in lam:
-        for i in range(size - 1):
-            m.a[off + i, off + i + 1] = one
-        off += size
-    return m
+    """Block-diagonal canonical nilpotent with Jordan type ``lam``: the series
+    Y gathered at the partition's shift."""
+    return canonical_series_operator(field, (lam,), {(1,): field.one})
 
 
 def _block_offsets(lam: Partition, stride: int, invalid: int) -> np.ndarray:

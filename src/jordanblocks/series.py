@@ -6,11 +6,14 @@ require identical truncation, and products drop any monomial whose exponent
 leaves the box.  Sums, negatives, scalar multiples, products and constants
 skip the constructor's per-exponent checks, which the validated operands
 already guarantee, and drop only the coefficients that cancel.  On top of
-the ring arithmetic this module provides series composition and inversion,
-matrices of multiplication operators (gathered from the coefficients in one
-step) and algebra endomorphisms on the monomial basis, and the constructive
-splitting of a symmetric series f = f_1 + ... + f_m with Y_i | f_i: each
-term goes in equal shares to the variables that divide it.
+the ring arithmetic this module provides substitution, series composition
+and inversion, matrices of multiplication operators (gathered from the
+coefficients in one step) and algebra endomorphisms on the monomial basis,
+and the constructive splitting of a symmetric series f = f_1 + ... + f_m
+with Y_i | f_i: each term goes in equal shares to the variables that divide
+it.  Substitution and the endomorphism matrices both read one memoized table
+of monomials g_1^{e_1} ... g_m^{e_m}, each entry one product of the entry
+below it with a g_i.
 """
 
 from __future__ import annotations
@@ -181,12 +184,11 @@ class TruncatedPoly:
         return out
 
     def __pow__(self, k: int) -> "TruncatedPoly":
-        out = TruncatedPoly.constant(self.field, self.trunc, self.field.one)
-        for _ in range(k):
-            out = out * self
-            if out.is_zero():
-                break
-        return out
+        if k < 0:
+            raise InvalidInput(f"negative power {k} of a truncated series")
+        if self.constant_term() == 0:  # powers past the box's top degree are 0
+            k = min(k, sum(self.trunc) - len(self.trunc) + 1)
+        return _monomial_table([self])((k,))
 
     # -- degree helpers -------------------------------------------------------
 
@@ -217,18 +219,9 @@ class TruncatedPoly:
             gs[0]._check_shape(g)
             if g.constant_term() != 0:
                 raise NonzeroConstantTerm("substitution with nonzero constant term")
-        target_field, target_trunc = gs[0].field, gs[0].trunc
-        power = power_table(gs)
-        out = TruncatedPoly.zero(target_field, target_trunc)
-        for exp, c in sorted(self.coeffs.items(), key=lambda item: sum(item[0])):
-            term = TruncatedPoly.constant(target_field, target_trunc, c)
-            for i, e in enumerate(exp):
-                if e:
-                    term = term * power(i, e)
-                if term.is_zero():
-                    break
-            out = out + term
-        return out
+        monomial = _monomial_table(gs)
+        return sum((monomial(e).scale(c) for e, c in self.coeffs.items()),
+                   TruncatedPoly.zero(gs[0].field, gs[0].trunc))
 
     def permute_variables(self, sigma: Sequence[int]) -> "TruncatedPoly":
         """Apply sigma(Y_i) = Y_{sigma^{-1}(i)}; exponent vectors map to e o sigma."""
@@ -274,21 +267,26 @@ class TruncatedPoly:
         return cls(field, trunc, coeffs)
 
 
-def power_table(bases: Sequence[TruncatedPoly]):
-    """``power(i, k)`` = bases[i]**k, each power built once, from the one below.
-
-    All bases must share one algebra.
-    """
+def _monomial_table(bases: Sequence[TruncatedPoly]):
+    """``monomial(e)`` = prod of bases[i]**e[i], memoized: each entry is the
+    entry with the last nonzero exponent of e lowered by one, times that base.
+    Missing entries below e are filled in a loop, not by recursion, so an
+    exponent may pass the recursion limit.  All bases share one algebra."""
     one = TruncatedPoly.constant(bases[0].field, bases[0].trunc, bases[0].field.one)
-    tables = [[one] for _ in bases]
+    table = {(0,) * len(bases): one}
 
-    def power(i: int, k: int) -> TruncatedPoly:
-        table = tables[i]
-        while len(table) <= k:
-            table.append(table[-1] * bases[i])
-        return table[k]
+    def monomial(e: tuple) -> TruncatedPoly:
+        chain = []
+        while e not in table:
+            i = max(j for j, x in enumerate(e) if x)
+            chain.append((e, i))
+            e = e[:i] + (e[i] - 1,) + e[i + 1:]
+        for top, i in reversed(chain):
+            table[top] = table[e] * bases[i]
+            e = top
+        return table[e]
 
-    return power
+    return monomial
 
 
 # -- monomial basis and operator matrices --------------------------------------
@@ -312,18 +310,12 @@ def mult_matrix(g: TruncatedPoly) -> Matrix:
 
 def endomorphism_matrix(images: Sequence[TruncatedPoly]) -> Matrix:
     """Matrix of the algebra endomorphism Y_i -> images[i] on the monomial basis."""
-    trunc = images[0].trunc
-    field = images[0].field
-    basis = monomial_basis(trunc)
+    basis = monomial_basis(images[0].trunc)
     index = {e: i for i, e in enumerate(basis)}
-    out = Matrix.zeros(field, len(basis), len(basis))
-    power = power_table(images)
+    out = Matrix.zeros(images[0].field, len(basis), len(basis))
+    monomial = _monomial_table(images)
     for j, exp in enumerate(basis):
-        term = TruncatedPoly.constant(field, trunc, field.one)
-        for i, e in enumerate(exp):
-            if e:
-                term = term * power(i, e)
-        for e, c in term.coeffs.items():
+        for e, c in monomial(exp).coeffs.items():
             out.a[index[e], j] = c
     return out
 

@@ -162,15 +162,21 @@ class TestLawFiles:
         assert code == 2
         assert "broken.json" in err
 
-    def test_wrong_characteristic(self, capsys, tmp_path):
+    @pytest.mark.parametrize("argv", [
+        ("tensor", "--a", "2", "--b", "2"),
+        ("wedge", "--lambda", "3,1"),
+        ("sym", "--lambda", "3,1"),
+        ("ring", "constants", "--a", "2", "--b", "2"),
+    ], ids=["tensor", "wedge", "sym", "ring-constants"])
+    def test_wrong_characteristic(self, capsys, tmp_path, argv):
         from jordanblocks.fgl import law_to_json, multiplicative
         from jordanblocks.fields import GF
 
         path = tmp_path / "law.json"
         path.write_text(json.dumps(law_to_json(multiplicative(GF(3)))))
-        code, _, err = run(capsys, "tensor", "--p", "5", "--law", str(path),
-                           "--a", "2", "--b", "2")
+        code, _, err = run(capsys, *argv, "--p", "5", "--law", str(path))
         assert code == 2 and "characteristic" in err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 class TestUsageErrors:
@@ -205,6 +211,17 @@ class TestUsageErrors:
                            "--a", "2", "--b", "2")
         assert code == 2
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_law_file_float_scalar_exits_2(self, capsys, tmp_path):
+        # a JSON number that is not an integer is refused, not truncated to 2
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps(
+            {"p": 5, "trunc": 4, "coeffs": [{"a": 1, "b": 1, "c": 2.7}]}))
+        code, out, err = run(capsys, "tensor", "--p", "5", "--law", str(path),
+                             "--a", "3", "--b", "3")
+        assert code == 2 and not out
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "float" in err
 
     def test_missing_law_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "absent.json"

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from jordanblocks.errors import InvalidInput, InvalidLaw, TruncationTooShort
+from jordanblocks.errors import InvalidInput, InvalidLaw, NonzeroConstantTerm, TruncationTooShort
 from jordanblocks.fgl import (
     GeneralizedLaw,
     additive,
@@ -91,6 +91,14 @@ class TestIteratedSeries:
         series = iterated_tensor_series(multiplicative(F5), 3, (3, 3, 3))
         assert series.is_symmetric()
         assert series.homogeneous_part(1) == elementary_symmetric(F5, (3, 3, 3), 1)
+
+    def test_eval_rejects_a_constant_term(self):
+        trunc = (3, 3)
+        u = TruncatedPoly.variable(F5, trunc, 0)
+        v = TruncatedPoly.variable(F5, trunc, 1)
+        one = TruncatedPoly.constant(F5, trunc, 1)
+        with pytest.raises(NonzeroConstantTerm):
+            multiplicative(F5).eval(u + one, v)
 
     def test_truncation_too_short(self):
         law = random_generalized_law(0, 3, F5)

@@ -330,6 +330,24 @@ class TestEchelonKernel:
         assert solve_in_columns(b, b @ x) == x
         assert solve_in_columns(b, Matrix.from_rows(QQ, [[1], [0], [0]])) is None
 
+    def test_solve_and_inverse_at_the_largest_supported_prime(self):
+        # past PACKED_PRIMES: a product of two entries can pass 2**63 here,
+        # so the checks multiply in Python integers
+        p = 3037000493
+        field, rng = GF(p), random.Random(p)
+
+        def sample(nrows, ncols) -> Matrix:
+            return Matrix.from_rows(field, [[rng.randrange(p) for _ in range(ncols)]
+                                            for _ in range(nrows)])
+
+        g = random_invertible(field, 6, rng)
+        assert self.exact_product(g, g.inverse()) == Matrix.identity(field, 6)
+        b = self.exact_product(sample(8, 3), sample(3, 5))
+        rhs = self.exact_product(b, sample(5, 4))
+        sol = solve_in_columns(b, rhs)
+        assert sol.shape == (5, 4) and self.exact_product(b, sol) == rhs
+        assert solve_in_columns(b, Matrix.identity(field, 8)) is None
+
 
 class TestChainAgainstOracle:
     """The shrinking echelon chain against the full-power chain."""
@@ -671,6 +689,15 @@ def test_field_validation():
     assert Field(0).characteristic == 0
     assert GF(13)(Fraction(1, 2)) == 7
     assert GF(13)("1/2") == 7 and QQ("-2/4") == Fraction(-1, 2)
+
+
+@pytest.mark.parametrize("field", [GF(5), QQ], ids=["F5", "Q"])
+@pytest.mark.parametrize("x", [2.7, 0.1, 2.0, np.float64(2.0)],
+                         ids=["2.7", "0.1", "2.0", "np.float64"])
+def test_float_is_invalid_input(field, x):
+    # GF(5)(2.7) must not truncate to 2, nor QQ(0.1) become a binary fraction
+    with pytest.raises(InvalidInput, match="float"):
+        field(x)
 
 
 @pytest.mark.parametrize("field, text", [

@@ -59,6 +59,15 @@ class TestRingOps:
         assert sq.coefficient((1, 1)) == 2
         assert sq.coefficient((2, 0)) == 1
 
+    def test_powers(self):
+        y = var(F5, (3,), 0)
+        assert y ** 0 == TruncatedPoly.constant(F5, (3,), 1) and y ** 2 == y * y
+        assert (y ** 10**9).is_zero()  # past the top degree, without 10**9 products
+        one_plus_y = y + TruncatedPoly.constant(F5, (3,), 1)
+        assert one_plus_y ** 2 == TruncatedPoly.univariate(F5, 3, [1, 2, 1])
+        with pytest.raises(InvalidInput):
+            y ** -1
+
     def test_square_char2(self):
         f2 = GF(2)
         y1, y2 = var(f2, (3, 3), 0), var(f2, (3, 3), 1)
@@ -87,6 +96,13 @@ class TestSubstitute:
         f = y1 + y2
         got = f.substitute([y1, y2 + y1 * y2])
         assert got == y1 + y2 + y1 * y2
+
+    def test_exponent_past_the_recursion_limit(self):
+        # (Y + Y^2)^1200 = Y^1200 modulo Y^1201; the table of powers is
+        # filled by a loop, so 1200 entries below the top need no recursion
+        f = TruncatedPoly(F5, (1201,), {(1200,): 1})
+        y = var(F5, (1201,), 0)
+        assert f.substitute([y + y * y]) == f
 
     def test_constant_term_rejected(self):
         with pytest.raises(NonzeroConstantTerm):
