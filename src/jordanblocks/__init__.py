@@ -17,8 +17,6 @@ from .linalg import (
     jordan_block,
     jordan_partition,
     nilpotent_from_partition,
-    partition_difference,
-    partition_union,
     unipotent_partition,
 )
 from .series import (

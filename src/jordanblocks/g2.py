@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import AlgebraError, BadPrime, DoesNotStabilize, InvalidInput
 from .fields import Field
-from .fgl import additive, multiplicative
 from .linalg import (
     Matrix,
     Partition,
@@ -33,7 +32,7 @@ from .linalg import (
     solve_in_columns,
     unipotent_partition,
 )
-from .repring import induced_quotient_operator, tensor_operator
+from .repring import induced_quotient_operator
 
 ORBITS = ("A1", "A1tilde", "G2a1", "G2reg")
 
@@ -234,20 +233,18 @@ def wedge_route_adjoint(a: Matrix, mode: str) -> Partition:
 
     Valid because wedge^2 of the 7-dimensional module splits off one copy of
     it, with the adjoint module as the complement, and both actions stabilize
-    the splitting.
+    the splitting.  The operator on V (x) V is the additive law's a (x) 1 +
+    1 (x) a, or the multiplicative law's a (x) a - 1 for a unipotent a.
     """
-    field = a.field
+    eye = Matrix.identity(a.field, a.nrows)
     if mode == "nilpotent":
-        x = a
-        law = additive(field)
         v_part = jordan_partition(a)
+        top = a.kron(eye) + eye.kron(a)
     elif mode == "unipotent":
-        x = a - Matrix.identity(field, a.nrows)
-        law = multiplicative(field)
         v_part = unipotent_partition(a)
+        top = a.kron(a) - eye.kron(eye)
     else:
         raise InvalidInput(f"unknown mode {mode!r}")
-    top = tensor_operator(x, x, law)
     wedge = jordan_partition(induced_quotient_operator(top, a.nrows, 2, "wedge"))
     return wedge.difference(v_part)
 

@@ -120,9 +120,6 @@ class Partition:
             pieces.append(f"{size}^{mult}" if mult > 1 else f"{size}")
         return "(" + ",".join(pieces) + ")"
 
-    def union(self, other: "Partition") -> "Partition":
-        return Partition(sorted(list(self.parts) + list(tuple(other)), reverse=True))
-
     def difference(self, other: "Partition") -> "Partition":
         """Multiset difference; raises NotContained if ``other`` is not a sub-multiset."""
         remaining = list(self.parts)
@@ -138,14 +135,6 @@ class Partition:
 
     def to_json(self) -> list:
         return list(self.parts)
-
-
-def partition_union(lam, mu) -> Partition:
-    return Partition(lam).union(Partition(mu))
-
-
-def partition_difference(lam, mu) -> Partition:
-    return Partition(lam).difference(Partition(mu))
 
 
 class Matrix:
@@ -532,6 +521,17 @@ def _block_offsets(lam: Partition, stride: int, invalid: int) -> np.ndarray:
     return np.where(valid, shift * stride, invalid)
 
 
+#: The largest operator the gather builds: J_64 (x) J_64, whose gather index
+#: of 4096**2 int64 entries takes 128 MiB.
+_MAX_OPERATOR_DIM = 4096
+
+
+def _require_operator_dim(dim: int) -> None:
+    if dim > _MAX_OPERATOR_DIM:
+        raise InvalidInput(f"an operator of dimension {dim} is past the supported "
+                           f"{_MAX_OPERATOR_DIM}")
+
+
 def canonical_series_operator(field: Field, lams: Sequence, coeffs: dict) -> Matrix:
     """sum of c_a phi_1^{a_1} (x) ... (x) phi_m^{a_m} over ``coeffs`` {a: c_a},
     with phi_k = nilpotent_from_partition(field, lams[k]).
@@ -544,7 +544,8 @@ def canonical_series_operator(field: Field, lams: Sequence, coeffs: dict) -> Mat
     as phi_k vanishes to that power.
     """
     lams = [Partition(lam) for lam in lams]
-    shape = [lam[0] if len(lam) else 1 for lam in lams]
+    _require_operator_dim(math.prod(lam.dim for lam in lams))
+    shape = [max(lam, default=1) for lam in lams]
     strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
     size = math.prod(shape)
     if field.p:

@@ -30,6 +30,15 @@ class TestTensor:
         data = json.loads(out)
         assert data["partition"] == [5, 3, 1]
 
+    def test_multi_block_json(self, capsys):
+        code, out, _ = run(capsys, "tensor", "--p", "3", "--law", "multiplicative",
+                           "--lambda", "3,2", "--mu", "2,2,1", "--json")
+        data = json.loads(out)
+        assert code == 0
+        assert data["partition"] == [3, 3, 3, 3, 3, 3, 3, 2, 1, 1]
+        assert data["class"] == {"terms": [{"n": 3, "a": 7}, {"n": 2, "a": 1},
+                                           {"n": 1, "a": 2}]}
+
     def test_needs_operands(self, capsys):
         code, _, err = run(capsys, "tensor", "--p", "2", "--law", "additive")
         assert code == 2 and "lambda" in err
@@ -191,6 +200,19 @@ class TestUsageErrors:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("tensor", "--p", "5", "--a", "100000", "--b", "100000"),
+        ("tensor", "--p", "5", "--lambda", "100000,1", "--mu", "2"),
+        ("springer", "apply", "--p", "5", "--lambda", "100000"),
+        ("wedge", "--p", "5", "--lambda", "100000", "--m", "2"),
+    ], ids=["tensor-blocks", "tensor-partitions", "springer", "wedge"])
+    def test_operator_past_the_size_bound_exits_2(self, capsys, argv):
+        # refused by arithmetic before any array is allocated
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "past the supported 4096" in err
 
     @pytest.mark.parametrize("argv", [
         ("series", "invert", "--p", "5", "--coeffs", "0,1/5"),

@@ -2,6 +2,7 @@ import pytest
 
 from jordanblocks import g2
 from jordanblocks.errors import AlgebraError, BadPrime, DoesNotStabilize, InvalidInput
+from jordanblocks.fgl import additive, multiplicative
 from jordanblocks.g2 import (
     ORBITS,
     V_PARTITIONS,
@@ -19,6 +20,7 @@ from jordanblocks.g2 import (
     weight_components,
 )
 from jordanblocks.linalg import Matrix, Partition, jordan_partition, unipotent_partition
+from jordanblocks.repring import tensor_operator
 
 
 @pytest.fixture(scope="module")
@@ -182,6 +184,22 @@ class TestAdjointRoutes:
         for orbit, expected in cases.items():
             a = g2_nilpotent_rep(orbit, model5)
             assert wedge_route_adjoint(a, "nilpotent") == expected
+
+
+class TestWedgeRouteOperators:
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_kronecker_forms_are_the_law_operators(self, p):
+        # the wedge route writes the additive and multiplicative tensor
+        # operators out as plain Kronecker products
+        model_p = build_so7_model(p)
+        field = model_p.field
+        eye = Matrix.identity(field, 7)
+        for orbit in ORBITS:
+            x = g2_nilpotent_rep(orbit, model_p)
+            u = g2_unipotent_rep(orbit, model_p)
+            assert x.kron(eye) + eye.kron(x) == tensor_operator(x, x, additive(field))
+            assert (u.kron(u) - Matrix.identity(field, 49)
+                    == tensor_operator(u - eye, u - eye, multiplicative(field)))
 
 
 class TestTable:

@@ -34,8 +34,6 @@ from jordanblocks.linalg import (
     jordan_partition,
     nilpotent_from_partition,
     nilpotent_powers,
-    partition_difference,
-    partition_union,
     random_invertible,
     solve_in_columns,
     unipotent_partition,
@@ -146,17 +144,26 @@ class TestPartition:
         assert Partition((8, 8, 5)).compressed() == "(8^2,5)"
         assert Partition((4,)).compressed() == "(4)"
 
-    def test_union(self):
-        assert partition_union((3, 1), (2,)) == (3, 2, 1)
-
     def test_difference(self):
-        assert partition_difference((5, 3, 3, 3, 3, 3, 1), (3, 3, 1)) == (5, 3, 3, 3)
-        assert partition_difference((3, 1), (3, 1)) == ()
+        assert Partition((5, 3, 3, 3, 3, 3, 1)).difference((3, 3, 1)) == (5, 3, 3, 3)
+        assert Partition((3, 1)).difference(Partition((3, 1))) == ()
         with pytest.raises(NotContained):
-            partition_difference((3, 1), (2,))
+            Partition((3, 1)).difference((2,))
 
     def test_json(self):
         assert Partition((4, 2)).to_json() == [4, 2]
+
+
+class TestOperatorSizeBound:
+    def test_bound_admits_j64_squared(self):
+        linalg._require_operator_dim(64 * 64)
+        with pytest.raises(InvalidInput, match="4097"):
+            linalg._require_operator_dim(64 * 64 + 1)
+
+    def test_gather_refuses_before_allocating(self):
+        # a flat coefficient array of 10**10 entries would come first
+        with pytest.raises(InvalidInput, match="past the supported"):
+            canonical_series_operator(GF(5), ((100000,), (100000,)), {(1, 0): 1, (0, 1): 1})
 
 
 class TestJordanPartition:

@@ -105,6 +105,30 @@ class TestTensorPartition:
         part = tensor_partition((3, 1), (2, 2), additive(F3), F3)
         assert part.dim == 16
 
+    def test_blocks_come_from_memoized_cells(self, monkeypatch):
+        # the operator is block-diagonal over pairs of blocks, so nothing
+        # larger than the cell J_3 (x) J_2 is built, and a second call reads
+        # every cell from the memo
+        built = []
+        gather = repring.canonical_series_operator
+
+        def spy(field, lams, coeffs):
+            op = gather(field, lams, coeffs)
+            built.append(op.nrows)
+            return op
+
+        monkeypatch.setattr(repring, "canonical_series_operator", spy)
+        repring.clear_memo()
+        law = random_generalized_law(12, 4, F5)
+        lam, mu = Partition((3, 3, 2)), Partition((2, 2))
+        got = tensor_partition(lam, mu, law, F5)
+        assert built and max(built) <= 6
+        built.clear()
+        assert tensor_partition(lam, mu, law, F5) == got
+        assert not built
+        phi, psi = nilpotent_from_partition(F5, lam), nilpotent_from_partition(F5, mu)
+        assert got == jordan_partition(tensor_operator(phi, psi, law))
+
 
 def test_law_over_another_field_is_refused():
     # the scalar 6 of an F_7 law has no meaning in F_3
@@ -187,6 +211,13 @@ class TestPowerOperator:
         expected = (eye + phi).kron(eye + phi) - eye.kron(eye)
         assert got == expected
 
+    def test_past_the_size_bound_refused_before_the_series(self, monkeypatch):
+        # 17**3 = 4913 > 4096; checked by arithmetic, nothing is allocated
+        monkeypatch.setattr(repring, "iterated_tensor_series",
+                            lambda *args: pytest.fail("the series was computed"))
+        with pytest.raises(InvalidInput, match="4913"):
+            power_operator((17,), 3, additive(F5), F5)
+
     def test_commutes_with_symmetric_group(self):
         op = power_operator((2, 1), 3, multiplicative(F5), F5)
         for s in sigma_matrices(3, 3, F5):
@@ -236,6 +267,9 @@ class TestGatheredOperators:
             # degree 10 reaches past every block of size <= 4
             self._check_tensor(field, lam, mu, seeded_law(rng, field, 10))
         self._check_tensor(field, Partition((3, 1)), Partition((2, 2, 1)), multiplicative(field))
+        # the zero module: every operator on it is 0 x 0
+        self._check_tensor(field, Partition(()), Partition((3, 1)), seeded_law(rng, field, 10))
+        self._check_tensor(field, Partition((2,)), Partition(()), seeded_law(rng, field, 10))
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -245,6 +279,8 @@ class TestGatheredOperators:
             lam = seeded_partition(rng, dim, top=3)
             self._check_power(field, lam, m, seeded_law(rng, field, 3 * m + 2))
         self._check_power(field, Partition((2, 1)), m, multiplicative(field))
+        empty = power_operator(Partition(()), m, seeded_law(rng, field, 3), field)
+        assert empty == Matrix.zeros(field, 0, 0)
 
     @given(gathered_fields, small_partitions, small_partitions, st.integers(0, 10**6),
            st.integers(0, 4))
@@ -407,8 +443,9 @@ class TestWedgeSym:
         # W (x) W = Sym^2 W + wedge^2 W away from characteristic 2
         lam = (3, 1)
         law = additive(F7)
-        full = tensor_partition(lam, lam, law, F7)
-        split = wedge_partition(lam, 2, law, F7).union(sym_partition(lam, 2, law, F7))
+        full = RingElement.from_partition(tensor_partition(lam, lam, law, F7))
+        split = (RingElement.from_partition(wedge_partition(lam, 2, law, F7))
+                 + RingElement.from_partition(sym_partition(lam, 2, law, F7)))
         assert full == split
 
 
