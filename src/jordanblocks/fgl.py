@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Sequence
 
 from .errors import InvalidInput, InvalidLaw, TruncationTooShort
@@ -27,7 +28,7 @@ from .series import TruncatedPoly
 class GeneralizedLaw:
     """Two-variable series with invertible linear part, degree-truncated."""
 
-    __slots__ = ("field", "degree", "coeffs", "exact", "name")
+    __slots__ = ("field", "degree", "coeffs", "exact", "name", "_fingerprint")
 
     def __init__(self, field: Field, degree: int, coeffs: dict, exact: bool = False,
                  name: str | None = None):
@@ -45,7 +46,9 @@ class GeneralizedLaw:
             raise InvalidLaw("law has a nonzero constant term")
         if not clean.get((1, 0)) or not clean.get((0, 1)):
             raise InvalidLaw("linear part must be invertible (xi_1, xi_2 nonzero)")
-        self.coeffs = clean
+        #: read-only, so the fingerprint taken here stays the law's identity
+        self.coeffs = MappingProxyType(clean)
+        self._fingerprint = (field.p, self.degree, exact, frozenset(clean.items()))
 
     @property
     def xi1(self):
@@ -63,8 +66,7 @@ class GeneralizedLaw:
 
     def fingerprint(self):
         """Hashable identity used for memoization keys."""
-        return (self.field.p, self.degree, self.exact,
-                frozenset((k, v) for k, v in self.coeffs.items()))
+        return self._fingerprint
 
     def __eq__(self, other):
         if not isinstance(other, GeneralizedLaw):

@@ -15,21 +15,23 @@ the pivot rows of an echelon form.  A rank is their count; a linear system
 is inconsistent when a pivot row of [b | rhs] has its lead in the rhs
 columns, and is otherwise solved by one back substitution for both fields,
 run on the pivot rows as Python integers (``_solve``).
-Partitions are read off an operator through the kernel-dimension sequence of
-its powers, never through a similarity transform.  That sequence comes from
-a shrinking chain: an echelon basis E_k of the row space of N^k gives the
-next one as the echelon form of E_k N, so step k works on a rank(N^k)-by-n
-matrix instead of N^(k+1).  Over Q the chain runs on N scaled to integers,
-and each basis row is divided by the gcd of its entries.
+Partitions are read off an operator through the ranks of its powers, never
+through a similarity transform.  Over F_p they come from one Krylov
+elimination (``_power_ranks``): one echelon form of N gives a complement
+R_0 of its row space, and the rows R_0 N^l, inserted into one echelon from
+the top power down, count rank N^l after each level.  Over Q a shrinking
+chain gives them: an echelon basis E_k of the row space of N^k gives the
+next one as the echelon form of E_k N, on N scaled to integers, each basis
+row divided by the gcd of its entries.
 
 The F_p echelon form works on packed rows: each row is one Python int
 holding column j in the bits [j w, (j + 1) w), with w the least multiple of
-64 that is at least 4L + 2 for p of bit length L.  Rows wait in buckets
-keyed by their leading column, the lowest set bit; at each pivot every other
-row of the pivot's bucket is reduced by one multiply-add with the negated
-pivot row and one Barrett step on all fields at once, which is exact because
-every field holds less than p**2 before it and 2**(3L) > p**3 (see
-``_echelon_rows``).  A row operation is thus a few big-int operations, not a
+64 that is at least 4L + 2 for p of bit length L.  Rows go one at a time into
+a dict from leading column (the lowest set bit) to pivot row; a row whose
+lead has a pivot is reduced by one multiply-add with the negated pivot row
+and one Barrett step on all fields at once, which is exact because every
+field holds less than p**2 before it and 2**(3L) > p**3 (see
+``_insert_rows``).  A row operation is thus a few big-int operations, not a
 round of numpy calls.
 
 A series at canonical nilpotents, sum of c_a phi_1^{a_1} (x) ... (x)
@@ -41,7 +43,6 @@ no power and no Kronecker product is formed.
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 import math
 from fractions import Fraction
@@ -271,7 +272,7 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if (p - 1) ** 2 * inner >= 2**53:
         raise BadPrime(
             f"F_{p} products of length {inner} can reach 2**53, past float64 exactness")
-    prod = np.rint(a.astype(np.float64) @ b.astype(np.float64))
+    prod = np.rint(a.astype(np.float64) @ b.astype(np.float64, copy=False))
     return prod.astype(np.int64) % p
 
 
@@ -297,14 +298,14 @@ def _packing(p: int, n: int) -> tuple:
 
 def _pack(a: np.ndarray, p: int, w: int) -> list:
     """The rows of ``a`` reduced mod p as Python ints, column j in the bits
-    [j w, (j + 1) w); zero rows are dropped."""
+    [j w, (j + 1) w)."""
     m, n = a.shape
     if not n:
         return []
     words = np.zeros((m, n, w // 64), dtype="<u8")
     words[:, :, 0] = a % p
     rows = words.reshape(m, n * w // 64).view(f"V{n * w // 8}").ravel().tolist()
-    return list(filter(None, map(int.from_bytes, rows, itertools.repeat("little"))))
+    return list(map(int.from_bytes, rows, itertools.repeat("little")))
 
 
 def _unpack(rows: list, n: int, w: int) -> np.ndarray:
@@ -315,64 +316,56 @@ def _unpack(rows: list, n: int, w: int) -> np.ndarray:
     return words[:, :, 0].astype(np.int64)
 
 
-def _echelon_rows(a: np.ndarray, p: int) -> list:
-    """Packed nonzero rows of an echelon form of ``a`` over F_p, leads ascending.
+def _echelon_rows(a: np.ndarray, p: int) -> dict:
+    """An echelon form of ``a`` over F_p as {leading column: packed row}.
 
     Each row is one Python int (see ``_pack``), and the leading column of a
-    row is its lowest set bit divided by w.  Rows wait in buckets keyed by
-    their leading column, and a heap gives the next open column.  There one
-    row of the bucket becomes the pivot and every other row r is reduced
-    with two big-int operations: r += f (P - piv), which adds p - v fieldwise
-    for each pivot entry v, then r -= (((r M) >> s) & LOW) p.  Before that
-    Barrett step every field holds x <= (p - 1) + (p - 1) p < p**2, and with
-    L the bit length of p, s = 3L and M = floor(2**s / p) + 1:
+    row is its lowest set bit divided by w.  The rows go one at a time into
+    ``_insert_rows``, so the count of the dict is the rank of ``a``.
+    """
+    _require_int64_elimination(p)
+    return _insert_rows({}, _pack(a, p, _packing(p, a.shape[1])[0]), p, a.shape[1])
+
+
+def _insert_rows(pivots: dict, rows: Iterable[int], p: int, n: int) -> dict:
+    """Reduce packed rows of length n over F_p into the echelon ``pivots``
+    {leading column: pivot row}, every pivot scaled to lead 1; returns it.
+
+    While a row's lead already has a pivot, the row is reduced by it with two
+    big-int operations: r += f (P - piv), which adds f (p - v) fieldwise for
+    each pivot entry v and so clears the lead f, then
+    r -= (((r M) >> s) & LOW) p.  Before that Barrett step every field holds
+    x <= (p - 1) + (p - 1) p < p**2, and with L the bit length of p,
+    s = 3L and M = floor(2**s / p) + 1:
     - x M / 2**s exceeds x / p by less than x / 2**s < p**2 / p**3 = 1 / p, so
       (x M) >> s is the exact quotient floor(x / p) and x becomes x mod p;
     - x M < 2**(4L + 2) <= 2**w, so no product carries into the next field,
       and the quotient (below 2**(L + 2)) is kept apart by LOW from the low s
       bits that the shift brings down from the next field (w >= s + L + 2).
-    A reduced row that is not zero joins the bucket of its new lead, which is
-    always past the pivot column.
+    Each reduction moves the lead right.  A row that reaches a free lead is
+    scaled to lead 1 (fields below p**2 again, one more Barrett step) and
+    becomes its pivot; a row that reaches zero is dropped.
     """
-    _require_int64_elimination(p)
-    n = a.shape[1]
     w, s, mult, low, ps = _packing(p, n)
     field = (1 << w) - 1
-    buckets: dict = {}
-    for r in _pack(a, p, w):
-        buckets.setdefault(((r & -r).bit_length() - 1) // w, []).append(r)
-    heap = list(buckets)
-    heapq.heapify(heap)
-    echelon = []
-    while heap:
-        lead = heapq.heappop(heap)
-        bucket = buckets.pop(lead)
-        piv = bucket[0]
-        echelon.append(piv)
-        if len(bucket) == 1:
-            continue
-        shift = lead * w
-        inv = pow((piv >> shift) & field, -1, p)
-        neg = ps - piv
-        for r in bucket[1:]:
-            r += ((r >> shift) & field) * inv % p * neg
+    for r in rows:
+        while r:
+            lead = ((r & -r).bit_length() - 1) // w
+            piv = pivots.get(lead)
+            if piv is None:
+                r *= pow((r >> lead * w) & field, -1, p)
+                pivots[lead] = r - ((r * mult >> s) & low) * p
+                break
+            r += ((r >> lead * w) & field) * (ps - piv)
             r -= ((r * mult >> s) & low) * p
-            if r:
-                c = ((r & -r).bit_length() - 1) // w
-                waiting = buckets.get(c)
-                if waiting is None:
-                    buckets[c] = [r]
-                    heapq.heappush(heap, c)
-                else:
-                    waiting.append(r)
-    return echelon
+    return pivots
 
 
 def _echelon_mod(a: np.ndarray, p: int) -> np.ndarray:
     """Nonzero rows of an echelon form of ``a`` over F_p (rank = row count),
     with strictly increasing leading columns."""
-    n = a.shape[1]
-    return _unpack(_echelon_rows(a, p), n, _packing(p, n)[0])
+    n, pivots = a.shape[1], _echelon_rows(a, p)
+    return _unpack([pivots[c] for c in sorted(pivots)], n, _packing(p, n)[0])
 
 
 def _clear_denominators(rows) -> tuple[list, list]:
@@ -553,11 +546,17 @@ def canonical_series_operator(field: Field, lams: Sequence, coeffs: dict) -> Mat
     else:
         flat = np.empty(size + 1, dtype=object)
         flat[:] = field.zero
-    for exp, c in coeffs.items():
-        if len(exp) != len(shape):
-            raise InvalidInput(f"exponent {exp} for {len(shape)} tensor factors")
-        if all(e < d for e, d in zip(exp, shape)):
-            flat[sum(e * s for e, s in zip(exp, strides))] = c
+    # a ragged exponent list fails the array, a wrong common length the reshape
+    try:
+        exps = np.array(list(coeffs), dtype=np.int64).reshape(len(coeffs), len(shape))
+    except ValueError:
+        bad = [e for e in coeffs if len(e) != len(shape)]
+        if not bad:
+            raise
+        raise InvalidInput(f"exponent {bad[0]} for {len(shape)} tensor factors") from None
+    inbox = (exps < shape).all(axis=1)
+    flat[exps[inbox] @ np.array(strides)] = np.array(list(coeffs.values()),
+                                                    dtype=flat.dtype)[inbox]
     # entry `size` of flat is the zero that every invalid position reads
     index = np.zeros((1, 1), dtype=np.int64)
     for lam, stride in zip(lams, strides):
@@ -585,32 +584,55 @@ def nilpotent_powers(n_mat: Matrix) -> list:
 
 
 def _power_ranks(n_mat: Matrix):
-    """Yield rank N, rank N^2, rank N^3, ... without end.
+    """Yield rank N, rank N^2, ...: over F_p up to the first zero, over Q
+    without end.
 
-    rowspace(N^(k+1)) = rowspace(N^k) N, so an echelon basis of the previous
-    row space times N spans the next one.  Over Q, N is scaled to integers
+    Over F_p all ranks come from one Krylov elimination.  One echelon form of
+    N gives rank N and its lead columns L; the unit rows e_j with j not in L
+    span a complement R_0 of the row space of N, so k^D = span R_0 + k^D N
+    and, by Nakayama, k^D N^l = span{R_0 N^j : j >= l}.  The levels
+    R_l = R_(l-1) N are formed up to the first zero R_e and inserted into one
+    echelon from the top power down; after level l the pivot count is
+    rank N^l.  The levels span k^D N only when N is nilpotent, so the count
+    after level 1 must equal rank N, and R_D must be zero; otherwise
+    NotNilpotent.
+
+    Over Q, rowspace(N^(k+1)) = rowspace(N^k) N, so an echelon basis of the
+    previous row space times N spans the next one, on N scaled to integers
     once by the lcm of its denominators, which keeps every rank.
     """
-    p = n_mat.field.p
-    if p:
-        n = n_mat.a
-        echelon = functools.partial(_echelon_mod, p=p)
-        product = functools.partial(_matmul_mod, p=p)
-    else:
+    p, dim = n_mat.field.p, n_mat.nrows
+    if not p:
         ints, _ = _clear_denominators([n_mat.a.ravel()])
         n = np.array(ints[0], dtype=object).reshape(n_mat.shape)
-        echelon, product = _echelon_int, np.dot
-    basis = echelon(n)
-    while True:
-        yield basis.shape[0]
-        basis = echelon(product(basis, n))
+        basis = _echelon_int(n)
+        while True:
+            yield basis.shape[0]
+            basis = _echelon_int(np.dot(basis, n))
+    n, w = n_mat.a, _packing(p, dim)[0]
+    leads = set(_echelon_rows(n, p))
+    level = n[[j for j in range(dim) if j not in leads]]
+    float_n, levels = n.astype(np.float64), []
+    while level.any():
+        if len(levels) == dim - 1:
+            raise NotNilpotent("matrix is not nilpotent")
+        levels.append(_pack(level, p, w))
+        level = _matmul_mod(level, float_n, p)
+    pivots, ranks = {}, [0]
+    while levels:
+        ranks.append(len(_insert_rows(pivots, levels.pop(), p, dim)))
+    if ranks[-1] != len(leads):
+        raise NotNilpotent("matrix is not nilpotent")
+    yield from reversed(ranks)
 
 
 def jordan_partition(n_mat: Matrix) -> Partition:
     """Jordan type of a nilpotent matrix via kernel dimensions of its powers.
 
-    The k-th kernel dimension d_k = dim ker N^k gives the conjugate of the
-    partition through the difference sequence (d_1, d_2 - d_1, ...).
+    The k-th kernel dimension d_k = dim ker N^k = n - rank N^k, from
+    ``_power_ranks``, gives the conjugate of the partition through the
+    difference sequence (d_1, d_2 - d_1, ...).  Kernel dimensions that stop
+    growing before n raise NotNilpotent.
     """
     if not n_mat.is_square():
         raise NotSquare("Jordan partition of a non-square matrix")

@@ -252,7 +252,9 @@ def sigma_matrices(m: int, d: int, field: Field) -> list:
     """Adjacent-transposition generators of the symmetric group on (k^d)^(x)m.
 
     sigma sends a basis word w to the word w' with w'_k = w_{sigma^{-1}(k)}.
+    Past the gather's dimension bound this raises InvalidInput.
     """
+    _require_operator_dim(d ** m)
     out = []
     for i in range(m - 1):
         mat = Matrix.zeros(field, d ** m, d ** m)

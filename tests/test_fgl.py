@@ -133,6 +133,45 @@ class TestRandomLaws:
         assert report.ok, report
 
 
+class TestLawIdentity:
+    """A law is immutable, and its fingerprint, the memo key of every
+    structure constant, is taken once and keeps its value."""
+
+    #: sha256 prefixes of (p, degree, exact) and the sorted coefficients
+    FINGERPRINTS = [
+        (lambda: additive(F5), "e12c63c1df80b7d0"),
+        (lambda: multiplicative(GF(2)), "8122a0686130ed3c"),
+        (lambda: scaled_multiplicative(GF(7), 3), "d3c75752fa723a08"),
+        (lambda: multiplicative(QQ), "2fb3838a09ca7166"),
+        (lambda: random_generalized_law(3, 14, F5, unit_linear=True), "03ebe7fa3e11fa15"),
+        (lambda: random_generalized_law(8, 9, GF(3)), "6f6740ef19af1937"),
+        (lambda: random_generalized_law(2, 6, QQ), "2d0453e79569a95d"),
+        (lambda: random_fgl(4, 10, GF(7)), "f50d8e596d4543f6"),
+    ]
+
+    def test_coefficients_are_read_only(self):
+        law = random_generalized_law(3, 8, F5)
+        before = law.fingerprint()
+        with pytest.raises(TypeError):
+            law.coeffs[(1, 1)] = 2
+        with pytest.raises(TypeError):
+            del law.coeffs[(1, 0)]
+        assert law.fingerprint() == before
+        assert law.coeffs == dict(law.coeffs)
+
+    @pytest.mark.parametrize("make, digest", FINGERPRINTS)
+    def test_fingerprints_are_unchanged(self, make, digest):
+        import hashlib
+
+        law = make()
+        fp = law.fingerprint()
+        assert fp is law.fingerprint()
+        assert fp == (law.field.p, law.degree, law.exact, frozenset(law.coeffs.items()))
+        key = repr((fp[:3], sorted(fp[3]))).encode()
+        assert hashlib.sha256(key).hexdigest()[:16] == digest
+        assert make() == law and hash(make()) == hash(law)
+
+
 class TestLawFiles:
     def test_round_trip(self, tmp_path):
         law = scaled_multiplicative(GF(7), 3)

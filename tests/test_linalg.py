@@ -357,7 +357,7 @@ class TestEchelonKernel:
 
 
 class TestChainAgainstOracle:
-    """The shrinking echelon chain against the full-power chain."""
+    """The ranks of the powers against the full-power chain."""
 
     @pytest.mark.parametrize("p", CONJUGATE_PRIMES)
     def test_seeded_conjugates(self, p):
@@ -423,6 +423,111 @@ class TestChainAgainstOracle:
             shapes.clear()
             assert jordan_partition(n) == full_power_partition(n) == lam
             assert shapes == [(dim, dim)] + [(r, dim) for r in ranks]
+
+
+#: small primes, and 32749 and 32771 on either side of the 64-bit field width
+#: of packed rows
+KRYLOV_PRIMES = [2, 3, 5, 7, 32749, 32771]
+
+
+def ranks_of_type(lam) -> list:
+    """rank N^k for k = 1, ..., max(lam) of a nilpotent of Jordan type lam."""
+    return [sum(max(x - k, 0) for x in lam) for k in range(1, max(lam) + 1)]
+
+
+@st.composite
+def krylov_types(draw):
+    """Skewed (e, 1^k), equal-block, single-block and arbitrary partitions."""
+    kind = draw(st.sampled_from(["skewed", "equal", "single", "any"]))
+    if kind == "skewed":
+        return Partition((draw(st.integers(1, 12)),) + (1,) * draw(st.integers(0, 8)))
+    if kind == "equal":
+        return Partition((draw(st.integers(1, 6)),) * draw(st.integers(1, 5)))
+    if kind == "single":
+        return Partition((draw(st.integers(1, 16)),))
+    return draw(partitions)
+
+
+class TestKrylovRanks:
+    """The F_p ranks of N^k from one Krylov elimination against the ranks of
+    the full powers, and the NotNilpotent and BadPrime refusals."""
+
+    TYPES = [(1,), (2,), (7,), (16,), (9, 1, 1, 1, 1), (12, 1, 1, 1, 1, 1), (6, 1),
+             (3, 3, 3, 3), (5, 5), (2, 2, 2, 2, 2, 2), (4, 3, 3, 1), (1,) * 6]
+
+    @staticmethod
+    def check(n, lam):
+        assert jordan_partition(n) == full_power_partition(n) == lam
+        assert list(linalg._power_ranks(n)) == ranks_of_type(lam)
+
+    @pytest.mark.parametrize("p", KRYLOV_PRIMES)
+    def test_seeded_conjugates(self, p):
+        field, rng = GF(p), random.Random(3000 + p)
+        for lam in self.TYPES:
+            self.check(random_conjugate(field, lam, rng), lam)
+        self.check(Matrix.zeros(field, 5, 5), (1,) * 5)
+        empty = Matrix.zeros(field, 0, 0)
+        assert jordan_partition(empty) == full_power_partition(empty) == ()
+
+    @given(krylov_types(), st.sampled_from(KRYLOV_PRIMES), st.integers(0, 10**6))
+    @settings(max_examples=80, deadline=None)
+    def test_conjugates_match_oracle(self, lam, p, seed):
+        self.check(random_conjugate(GF(p), lam, random.Random(seed)), lam)
+
+    @staticmethod
+    def not_nilpotent(field, rng) -> list:
+        """The identity, diag(1, 0), diag(1) + J_2, a matrix whose Krylov rows
+        never vanish (e_1 and e_2 swap), and a conjugate with one nonzero
+        diagonal entry."""
+        cycle = Matrix.from_rows(field, [[0, 1, 0], [0, 0, 1], [0, 1, 0]])
+        t = nilpotent_from_partition(field, (3, 2, 1))
+        t.a[4, 4] = field.random_nonzero(rng)
+        g = random_invertible(field, 6, rng)
+        return [Matrix.identity(field, 1), Matrix.identity(field, 4),
+                Matrix.from_rows(field, [[1, 0], [0, 0]]),
+                Matrix.from_rows(field, [[1, 0, 0], [0, 0, 1], [0, 0, 0]]),
+                cycle, g @ t @ g.inverse()]
+
+    @pytest.mark.parametrize("p", KRYLOV_PRIMES)
+    def test_not_nilpotent(self, p):
+        field = GF(p)
+        for n in self.not_nilpotent(field, random.Random(p)):
+            with pytest.raises(NotNilpotent):
+                jordan_partition(n)
+            with pytest.raises(NotNilpotent):
+                list(linalg._power_ranks(n))
+            with pytest.raises(NotNilpotent):
+                full_power_partition(n)
+
+    def test_prime_past_the_float_bound(self):
+        field = GF(PRIME_PAST_BOUND)
+        for lam in [(3,), (2, 1), (4, 4)]:
+            with pytest.raises(BadPrime):
+                jordan_partition(nilpotent_from_partition(field, lam))
+
+    @pytest.mark.parametrize("p", [2, 5])
+    def test_one_elimination_whatever_the_index(self, p, monkeypatch):
+        # one echelon form of N, then one product per level R_2, ..., R_e
+        field, rng = GF(p), random.Random(p)
+        cases = [(lam, random_conjugate(field, lam, rng))
+                 for lam in [(1,), (2,), (4, 1), (7, 7), (12,), (20, 1, 1)]]
+        calls = {"echelon": 0, "product": 0}
+        echelon_rows, matmul_mod = linalg._echelon_rows, linalg._matmul_mod
+
+        def echelon_spy(*args):
+            calls["echelon"] += 1
+            return echelon_rows(*args)
+
+        def product_spy(*args):
+            calls["product"] += 1
+            return matmul_mod(*args)
+
+        monkeypatch.setattr(linalg, "_echelon_rows", echelon_spy)
+        monkeypatch.setattr(linalg, "_matmul_mod", product_spy)
+        for lam, n in cases:
+            calls.update(echelon=0, product=0)
+            assert jordan_partition(n) == lam
+            assert calls == {"echelon": 1, "product": max(lam) - 1}, lam
 
 
 class TestRationalKernel:

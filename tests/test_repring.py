@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -170,6 +171,30 @@ class TestStructureConstants:
         with pytest.raises(AlgebraError, match="dimension 5, not 6"):
             structure_constants(2, 3, additive(F5), F5)
         assert not repring._constants_memo
+
+
+class TestStructureConstantsAgainstOracle:
+    """Every cell J_n (x) J_m with n, m <= 12, under three laws, against the
+    full-power ranks of the additive law's Kronecker-product operator: the
+    Krylov ranks on the gather against an independent construction and an
+    independent rank.  The class does not depend on the law or on the order
+    of n and m, so one oracle serves six cells."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_every_cell_up_to_twelve(self, p):
+        from oracles import full_power_partition
+
+        field = GF(p)
+        laws = [additive(field), multiplicative(field),
+                random_generalized_law(p, 22, field, unit_linear=p % 2 == 1)]
+        blocks = {n: jordan_block(field, n) for n in range(1, 13)}
+        repring.clear_memo()
+        for n, m in itertools.combinations_with_replacement(range(1, 13), 2):
+            op = tensor_operator(blocks[n], blocks[m], laws[0])
+            want = RingElement.from_partition(full_power_partition(op))
+            for law in laws:
+                assert structure_constants(n, m, law, field) == want, (p, law, n, m)
+                assert structure_constants(m, n, law, field) == want, (p, law, m, n)
 
 
 class TestRingMultiply:
@@ -410,6 +435,13 @@ class TestSigmaMatrices:
     def test_involutions(self):
         for s in sigma_matrices(3, 2, F5):
             assert (s @ s) == Matrix.identity(F5, 8)
+
+    def test_past_the_size_bound_refused_before_allocation(self, monkeypatch):
+        # 17**3 = 4913 > 4096; checked by arithmetic, nothing is allocated
+        monkeypatch.setattr(Matrix, "zeros",
+                            classmethod(lambda *args: pytest.fail("a matrix was allocated")))
+        with pytest.raises(InvalidInput, match="4913"):
+            sigma_matrices(3, 17, F5)
 
 
 WEDGE_SYM_CELLS = [
