@@ -68,18 +68,16 @@ def bracket(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _unit(field, i, j):
-    m = Matrix.zeros(field, 7, 7)
-    m.a[i, j] = field.one
-    return m
+    a = np.zeros((7, 7), dtype=np.int64)
+    a[i, j] = 1
+    return Matrix(field, a)
 
 
 def build_so7_model(p: int) -> SO7Model:
     if p <= 3:
         raise BadPrime(f"the construction needs p > 3, got {p}")
     field = Field(p)
-    gram = Matrix.zeros(field, 7, 7)
-    for i in range(7):
-        gram.a[i, 6 - i] = field.one
+    gram = Matrix(field, np.eye(7, dtype=np.int64)[::-1].copy())
     y1 = _unit(field, 0, 1) - _unit(field, 5, 6)
     y2 = _unit(field, 1, 2) - _unit(field, 4, 5)
     y3 = _unit(field, 2, 3) - _unit(field, 3, 4)

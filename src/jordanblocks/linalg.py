@@ -1,12 +1,21 @@
 """Dense exact matrices and Jordan partitions of nilpotent operators.
 
 Matrices over F_p are stored as int64 numpy arrays with entries in
-``range(p)``; matrices over Q hold ``Fraction`` entries in object arrays.
-Products over F_p go through float64 BLAS, which is exact as long as the
-accumulated dot products stay below 2**53; a product that could pass that
-bound raises ``BadPrime`` instead of rounding.  Products over Q work on
-integers: each row (or column) is scaled once by the lcm of its
-denominators, and a product is one dot product of Python integers.
+``range(p)``.  Products over F_p go through float64 BLAS, which is exact as
+long as the accumulated dot products stay below 2**53; a product that could
+pass that bound raises ``BadPrime`` instead of rounding.
+
+A matrix over Q is one integer array over one denominator: ``num``, Python
+ints in an object array, and ``den``, a positive int, normalized so that
+gcd(num, den) = 1.  Every rational kernel then works on integers and builds
+no ``Fraction``: a product is the integer product num @ num over den * den,
+a sum is taken over the lcm of the two denominators, equality and the hash
+compare (den, num), and rank, the Jordan chain and solve run Bareiss on the
+integer rows.  Writers build their integer array first and wrap it
+afterwards.  The ``Fraction`` entries ``a`` of a rational matrix are a view
+built on first read and kept read-only, since a write into them would not
+reach ``num`` and would be silently lost.  Over F_p ``a`` stays the plain
+writable attribute.
 
 Each field has one elimination, and rank, Jordan type, inverse and solve all
 come from it: the packed-row echelon form over F_p (``_echelon_rows``) and
@@ -14,15 +23,15 @@ Bareiss's fraction-free elimination over Q (``_bareiss``), which both return
 the pivot rows of an echelon form.  A rank is their count; a linear system
 is inconsistent when a pivot row of [b | rhs] has its lead in the rhs
 columns, and is otherwise solved by one back substitution for both fields,
-run on the pivot rows as Python integers (``_solve``).
+one vector-matrix product per pivot on integer rows (``_solve``).
 Partitions are read off an operator through the ranks of its powers, never
 through a similarity transform.  Over F_p they come from one Krylov
 elimination (``_power_ranks``): one echelon form of N gives a complement
 R_0 of its row space, and the rows R_0 N^l, inserted into one echelon from
 the top power down, count rank N^l after each level.  Over Q a shrinking
 chain gives them: an echelon basis E_k of the row space of N^k gives the
-next one as the echelon form of E_k N, on N scaled to integers, each basis
-row divided by the gcd of its entries.
+next one as the echelon form of E_k N, on the integer numerator of N, each
+basis row divided by the gcd of its entries.
 
 The F_p echelon form works on packed rows: each row is one Python int
 holding column j in the bits [j w, (j + 1) w), with w the least multiple of
@@ -60,6 +69,7 @@ from .errors import (
     NotNilpotent,
     NotSquare,
     NotUnipotent,
+    ShapeMismatch,
     TruncationTooShort,
 )
 from .fields import Field
@@ -139,105 +149,183 @@ class Partition:
 
 
 class Matrix:
-    """Immutable-by-convention dense matrix over a :class:`Field`."""
+    """Dense matrix over a :class:`Field`, immutable by convention.
 
-    __slots__ = ("field", "a")
+    Over F_p the entries are the int64 array ``a``, reduced into
+    ``range(p)``.  Over Q the matrix is ``num / den``: ``num`` an object
+    array of Python ints and ``den`` a positive int with gcd(num, den) = 1,
+    so equal matrices have equal (num, den); such a matrix is a
+    ``_RationalMatrix``, whose ``a`` is a read-only array of ``Fraction``
+    entries built on its first read.
+    """
+
+    __slots__ = ("field", "a", "num", "den")
 
     def __init__(self, field: Field, a: np.ndarray):
+        """The matrix of an array of field elements; over Q, of any rationals."""
         self.field = field
-        self.a = a
+        if field.p:
+            self.a = a
+            return
+        self.__class__ = _RationalMatrix
+        a = np.asarray(a, dtype=object)
+        ints, self.den = _common_denominator(
+            [x if type(x) is Fraction else field(x) for x in a.flat])
+        self.num = np.array(ints, dtype=object).reshape(a.shape)
 
     # -- construction ---------------------------------------------------------
 
+    @staticmethod
+    def _rational(field: Field, num: np.ndarray, den: int) -> "Matrix":
+        """num / den over Q, from Python ints already in lowest terms."""
+        out = object.__new__(_RationalMatrix)
+        out.field, out.num, out.den = field, num, den
+        return out
+
+    @classmethod
+    def _from_ints(cls, field: Field, num: np.ndarray, den: int = 1) -> "Matrix":
+        """num / den from an integer array: reduced mod p over F_p, where den
+        is 1; over Q, divided through by the gcd of den and every entry."""
+        if field.p:
+            return cls(field, np.asarray(num % field.p, dtype=np.int64))
+        num = num.astype(object, copy=False)
+        if den < 0:
+            num, den = -num, -den
+        if den != 1:
+            g = math.gcd(den, *num.ravel().tolist())
+            if g != 1:
+                num, den = num // g, den // g
+        return Matrix._rational(field, num, den)
+
     @classmethod
     def from_rows(cls, field: Field, rows: Sequence[Sequence]) -> "Matrix":
-        if field.p:
-            a = np.array([[field(x) for x in row] for row in rows], dtype=np.int64)
-            if a.ndim != 2:
-                a = a.reshape(len(rows), -1)
-        else:
-            a = np.empty((len(rows), len(rows[0])), dtype=object)
-            for i, row in enumerate(rows):
-                for j, x in enumerate(row):
-                    a[i, j] = Fraction(x)
-        return cls(field, a)
+        rows = [[field(x) for x in row] for row in rows]
+        ncols = len(rows[0]) if rows else 0
+        if any(len(row) != ncols for row in rows):
+            raise InvalidInput(f"ragged rows of lengths {[len(row) for row in rows]}")
+        a = np.array(rows, dtype=np.int64 if field.p else object)
+        return cls(field, a.reshape(len(rows), ncols))
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
         if field.p:
             return cls(field, np.zeros((nrows, ncols), dtype=np.int64))
-        a = np.empty((nrows, ncols), dtype=object)
-        a[:] = Fraction(0)
-        return cls(field, a)
+        return Matrix._rational(field, np.zeros((nrows, ncols), dtype=object), 1)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        m = cls.zeros(field, n, n)
-        one = field.one
-        for i in range(n):
-            m.a[i, i] = one
-        return m
+        eye = np.eye(n, dtype=np.int64)
+        return cls(field, eye) if field.p else Matrix._rational(field, eye.astype(object), 1)
+
+    @classmethod
+    def hstack(cls, blocks: Sequence["Matrix"]) -> "Matrix":
+        """The blocks side by side; all over one field with one row count."""
+        first = blocks[0]
+        for block in blocks[1:]:
+            if block.field != first.field or block.nrows != first.nrows:
+                raise first._mismatch(block, "hstack")
+        if first.field.p:
+            return cls(first.field, np.hstack([block.a for block in blocks]))
+        den = math.lcm(*[block.den for block in blocks])
+        return cls._from_ints(first.field, np.hstack(
+            [block.num * (den // block.den) for block in blocks]), den)
 
     # -- shape ----------------------------------------------------------------
 
     @property
+    def shape(self) -> tuple:
+        return (self.a if self.field.p else self.num).shape
+
+    @property
     def nrows(self) -> int:
-        return self.a.shape[0]
+        return self.shape[0]
 
     @property
     def ncols(self) -> int:
-        return self.a.shape[1]
-
-    @property
-    def shape(self):
-        return self.a.shape
+        return self.shape[1]
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
     # -- arithmetic -----------------------------------------------------------
 
+    def _mismatch(self, other: "Matrix", op: str) -> ShapeMismatch:
+        return ShapeMismatch(f"{op} of a {self.shape} matrix over {self.field} and "
+                             f"a {other.shape} matrix over {other.field}")
+
     def _wrap(self, a: np.ndarray) -> "Matrix":
-        return Matrix(self.field, a % self.field.p if self.field.p else a)
+        return Matrix(self.field, a % self.field.p)
+
+    def _sum(self, other: "Matrix", sign: int) -> "Matrix":
+        p = self.field.p
+        if p == other.field.p:
+            x, y = (self.a, other.a) if p else (self.num, other.num)
+            if x.shape == y.shape:
+                if p:
+                    return Matrix(self.field, (x + y if sign > 0 else x - y) % p)
+                den = math.lcm(self.den, other.den)
+                return Matrix._from_ints(self.field, x * (den // self.den)
+                                         + y * (sign * (den // other.den)), den)
+        raise self._mismatch(other, "sum" if sign > 0 else "difference")
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return self._wrap(self.a + other.a)
+        return self._sum(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._wrap(self.a - other.a)
+        return self._sum(other, -1)
 
     def __neg__(self) -> "Matrix":
-        return self._wrap(-self.a)
+        if self.field.p:
+            return self._wrap(-self.a)
+        return Matrix._rational(self.field, -self.num, self.den)
 
     def scale(self, c) -> "Matrix":
         c = self.field(c)
-        return self._wrap(self.a * c)
+        if self.field.p:
+            return self._wrap(self.a * c)
+        return Matrix._from_ints(self.field, self.num * c.numerator, self.den * c.denominator)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         p = self.field.p
-        if p:
-            return Matrix(self.field, _matmul_mod(self.a, other.a, p))
-        return Matrix(self.field, _matmul_frac(self.a, other.a))
+        if p == other.field.p:
+            x, y = (self.a, other.a) if p else (self.num, other.num)
+            if x.shape[1] == y.shape[0]:
+                if p:
+                    return Matrix(self.field, _matmul_mod(x, y, p))
+                return Matrix._from_ints(self.field, np.dot(x, y), self.den * other.den)
+        raise self._mismatch(other, "product")
 
     def kron(self, other: "Matrix") -> "Matrix":
-        return self._wrap(np.kron(self.a, other.a))
+        p = self.field.p
+        if p != other.field.p:
+            raise self._mismatch(other, "Kronecker product")
+        if p:
+            return self._wrap(np.kron(self.a, other.a))
+        return Matrix._from_ints(self.field, np.kron(self.num, other.num),
+                                 self.den * other.den)
 
     @property
     def T(self) -> "Matrix":
-        return Matrix(self.field, self.a.T.copy())
+        if self.field.p:
+            return Matrix(self.field, self.a.T.copy())
+        return Matrix._rational(self.field, self.num.T.copy(), self.den)
 
     def is_zero(self) -> bool:
-        if self.field.p:
-            return not self.a.any()
-        return all(x == 0 for x in self.a.flat)
+        return not (self.a if self.field.p else self.num).any()
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.field == other.field and np.array_equal(self.a, other.a)
+        if self.field != other.field:
+            return False
+        if self.field.p:
+            return np.array_equal(self.a, other.a)
+        return self.den == other.den and np.array_equal(self.num, other.num)
 
     def __hash__(self):
-        return hash((self.field, self.a.tobytes() if self.field.p else tuple(self.a.flat)))
+        if self.field.p:
+            return hash((self.field, self.a.tobytes()))
+        return hash((self.field, self.shape, self.den, tuple(self.num.flat)))
 
     def __repr__(self):
         return f"Matrix({self.field}, shape={self.shape})"
@@ -247,7 +335,7 @@ class Matrix:
     def rank(self) -> int:
         if self.field.p:
             return len(_echelon_rows(self.a, self.field.p))
-        return len(_bareiss(_clear_denominators(self.a)[0]))
+        return len(_bareiss(self.num.tolist()))
 
     def inverse(self) -> "Matrix":
         if not self.is_square():
@@ -259,6 +347,39 @@ class Matrix:
 
     def flatten(self) -> np.ndarray:
         return self.a.reshape(-1)
+
+
+#: the slot that holds ``a``: over Q, the cache of the Fraction view
+_ENTRIES = Matrix.a
+
+
+class _RationalMatrix(Matrix):
+    """A matrix over Q: Matrix with ``a`` as the read-only Fraction view of
+    num / den, built on first read.  ``a`` is a property here and not on
+    Matrix, where it stays a plain slot, since a property there would slow
+    every F_p access.  The class adds nothing else, so every operation stays
+    a method of Matrix, and it has Matrix's layout, so ``Matrix(QQ, ...)``
+    can switch to it in ``__init__``."""
+
+    __slots__ = ()
+
+    @property
+    def a(self) -> np.ndarray:
+        try:
+            return _ENTRIES.__get__(self)
+        except AttributeError:
+            den = self.den
+            view = np.array([Fraction(x, den) for x in self.num.flat],
+                            dtype=object).reshape(self.num.shape)
+            view.flags.writeable = False
+            _ENTRIES.__set__(self, view)
+            return view
+
+
+def _common_denominator(values: list) -> tuple[list, int]:
+    """Rationals as integers over their least common denominator: (ints, den)."""
+    den = math.lcm(*[x.denominator for x in values])
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -368,41 +489,6 @@ def _echelon_mod(a: np.ndarray, p: int) -> np.ndarray:
     return _unpack([pivots[c] for c in sorted(pivots)], n, _packing(p, n)[0])
 
 
-def _clear_denominators(rows) -> tuple[list, list]:
-    """Scale each row of rationals by the lcm of its denominators.
-
-    Returns the rows as lists of Python integers, and the scales.
-    """
-    ints, scales = [], []
-    for row in rows:
-        d = math.lcm(*[x.denominator for x in row])
-        ints.append([x.numerator * (d // x.denominator) for x in row])
-        scales.append(d)
-    return ints, scales
-
-
-#: the zero every rational product shares (Fractions are immutable)
-_ZERO = Fraction(0)
-
-
-def _matmul_frac(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact product of two Fraction arrays through one integer dot product.
-
-    With the rows of ``a`` scaled by da_i and the columns of ``b`` by db_j,
-    entry (i, j) of the product is c_ij / (da_i db_j), where c is the
-    product of the integer arrays; each nonzero output Fraction is built
-    once, and every zero entry is one shared ``Fraction(0)``.
-    """
-    left, da = _clear_denominators(a)
-    right, db = _clear_denominators(b.T)
-    left = np.array(left, dtype=object).reshape(a.shape)
-    right = np.array(right, dtype=object).reshape(b.shape[::-1]).T
-    out = np.empty((a.shape[0], b.shape[1]), dtype=object)
-    for i, (row, d) in enumerate(zip(np.dot(left, right).tolist(), da)):
-        out[i] = [Fraction(c, d * e) if c else _ZERO for c, e in zip(row, db)]
-    return out
-
-
 def _bareiss(rows: list) -> list:
     """Pivot rows of an echelon form over Q of integer ``rows``, leads ascending.
 
@@ -412,9 +498,12 @@ def _bareiss(rows: list) -> list:
     entries are minors of ``rows``, so they stay integers of bounded size.
     Only the columns after the pivot are kept, and rows that become zero are
     dropped.  Each pivot row is returned as (lead, tail), its entries from
-    the leading column on; every entry before the lead is zero.
+    the leading column on; every entry before the lead is zero.  Each input
+    row is first divided by the gcd of its entries, so the rows of a matrix
+    over one common denominator start no larger than if each row had been
+    cleared of its own denominators.
     """
-    rows = [row for row in rows if any(row)]
+    rows = [[x // g for x in row] for row in rows if (g := math.gcd(*row))]
     pivots, prev, offset = [], 1, 0
     while rows:
         leads = [next(j for j, x in enumerate(row) if x) for row in rows]
@@ -447,37 +536,45 @@ def _echelon_int(a: np.ndarray) -> np.ndarray:
 def _solve(b: Matrix, rhs: Matrix) -> Matrix | None:
     """x with b @ x = rhs and every free coordinate zero, or None.
 
-    One echelon form of [b | rhs] decides everything: the system is
+    One echelon form of the integer rows of the system decides everything:
+    [b | rhs] over F_p (``_echelon_mod``, pivots scaled to lead 1), and
+    [b.num rhs.den | rhs.num b.den] over Q (``_bareiss``).  The system is
     inconsistent exactly when a pivot row leads at or past column k =
-    b.ncols.  Otherwise back substitution on the pivot rows, as (lead,
-    entries from the lead on) in Python integers from ``_echelon_mod`` over
-    F_p and ``_bareiss`` over Q, gives x from the last pivot up: each pivot
-    coordinate is the pivot row's rhs part minus f times every coordinate
-    already found, f the row's entry at that coordinate, times the inverse
-    of the pivot.
+    b.ncols.  Otherwise x = X / d, with d = 1 over F_p and d the last
+    Bareiss pivot over Q: d is the minor of the pivot rows and columns, so
+    by Cramer's rule X is an integer array.  Back substitution finds it from
+    the last pivot up, one vector-matrix product per pivot: a pivot row t
+    with lead c, pivot t_c and rhs part r gives row c of X as
+    (r d - t[c + 1:k] X[c + 1:]) / t_c, an exact division (the rows of X
+    past c hold the coordinates found so far, and zero at the free ones).
+    Over F_p every t_c is 1 and each row is reduced mod p, so X stays int64
+    while a product of k terms stays below the ``_matmul_mod`` bound.
     """
-    field, k = b.field, b.ncols
-    a = np.hstack([b.a, rhs.a])
-    if field.p:
-        pivots = []
-        for row in _echelon_mod(a, field.p).tolist():
-            lead = next(j for j, v in enumerate(row) if v)
-            pivots.append((lead, row[lead:]))
+    field, k, p = b.field, b.ncols, b.field.p
+    if rhs.field != field or rhs.nrows != b.nrows:
+        raise b._mismatch(rhs, "linear system")
+    if p:
+        rows = _echelon_mod(np.hstack([b.a, rhs.a]), p)
+        leads = (rows != 0).argmax(axis=1).tolist() if rows.size else []
+        pivots = [(lead, row[lead:]) for lead, row in zip(leads, rows)]
+        dtype = np.int64 if (p - 1) ** 2 * k < 2**53 else object
     else:
-        pivots = _bareiss(_clear_denominators(a)[0])
+        pivots = [(lead, np.array(tail, dtype=object)) for lead, tail in
+                  _bareiss(np.hstack([b.num * rhs.den, rhs.num * b.den]).tolist())]
+        dtype = object
     if pivots and pivots[-1][0] >= k:
         return None
-    x = Matrix.zeros(field, k, rhs.ncols)
-    found: dict = {}
+    den = pivots[-1][1][0] if pivots else 1
+    x = np.zeros((k, rhs.ncols), dtype=dtype)
     for lead, tail in reversed(pivots):
-        acc = tail[k - lead:]
-        for c, z in found.items():
-            f = tail[c - lead]
-            if f:
-                acc = [y - f * v for y, v in zip(acc, z)]
-        inv = field.inv(field(tail[0]))
-        found[lead] = x.a[lead] = [field.mul(y, inv) for y in acc]
-    return x
+        rest = tail[k - lead:] if den == 1 else tail[k - lead:] * den
+        row = rest - tail[1:k - lead] @ x[lead + 1:]
+        if p:
+            row %= p
+        elif tail[0] != 1:
+            row //= tail[0]
+        x[lead] = row
+    return Matrix._from_ints(field, x, den)
 
 
 def solve_in_columns(b: Matrix, rhs: Matrix) -> Matrix | None:
@@ -541,11 +638,10 @@ def canonical_series_operator(field: Field, lams: Sequence, coeffs: dict) -> Mat
     shape = [max(lam, default=1) for lam in lams]
     strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
     size = math.prod(shape)
-    if field.p:
-        flat = np.zeros(size + 1, dtype=np.int64)
-    else:
-        flat = np.empty(size + 1, dtype=object)
-        flat[:] = field.zero
+    values, den = list(coeffs.values()), 1
+    if not field.p:
+        values, den = _common_denominator(values)
+    flat = np.zeros(size + 1, dtype=np.int64 if field.p else object)
     # a ragged exponent list fails the array, a wrong common length the reshape
     try:
         exps = np.array(list(coeffs), dtype=np.int64).reshape(len(coeffs), len(shape))
@@ -555,15 +651,15 @@ def canonical_series_operator(field: Field, lams: Sequence, coeffs: dict) -> Mat
             raise
         raise InvalidInput(f"exponent {bad[0]} for {len(shape)} tensor factors") from None
     inbox = (exps < shape).all(axis=1)
-    flat[exps[inbox] @ np.array(strides)] = np.array(list(coeffs.values()),
-                                                    dtype=flat.dtype)[inbox]
+    flat[exps[inbox] @ np.array(strides)] = np.array(values, dtype=flat.dtype)[inbox]
     # entry `size` of flat is the zero that every invalid position reads
     index = np.zeros((1, 1), dtype=np.int64)
     for lam, stride in zip(lams, strides):
         offsets = _block_offsets(lam, stride, size)
         n, k = index.shape[0], lam.dim
         index = (index[:, None, :, None] + offsets[None, :, None, :]).reshape(n * k, n * k)
-    return Matrix(field, flat[np.minimum(index, size)])
+    out = flat[np.minimum(index, size)]
+    return Matrix(field, out) if field.p else Matrix._from_ints(field, out, den)
 
 
 def nilpotent_powers(n_mat: Matrix) -> list:
@@ -598,13 +694,12 @@ def _power_ranks(n_mat: Matrix):
     NotNilpotent.
 
     Over Q, rowspace(N^(k+1)) = rowspace(N^k) N, so an echelon basis of the
-    previous row space times N spans the next one, on N scaled to integers
-    once by the lcm of its denominators, which keeps every rank.
+    previous row space times N spans the next one, on the integer numerator
+    of N, which has the ranks of N.
     """
     p, dim = n_mat.field.p, n_mat.nrows
     if not p:
-        ints, _ = _clear_denominators([n_mat.a.ravel()])
-        n = np.array(ints[0], dtype=object).reshape(n_mat.shape)
+        n = n_mat.num
         basis = _echelon_int(n)
         while True:
             yield basis.shape[0]

@@ -257,9 +257,9 @@ def sigma_matrices(m: int, d: int, field: Field) -> list:
     _require_operator_dim(d ** m)
     out = []
     for i in range(m - 1):
-        mat = Matrix.zeros(field, d ** m, d ** m)
-        mat.a[_swap_index(d, m, i), np.arange(d ** m)] = field.one
-        out.append(mat)
+        perm = np.zeros((d ** m, d ** m), dtype=np.int64)
+        perm[_swap_index(d, m, i), np.arange(d ** m)] = 1
+        out.append(Matrix._from_ints(field, perm))
     return out
 
 
@@ -290,9 +290,10 @@ def induced_quotient_operator(x: Matrix, d: int, m: int, kind: str) -> Matrix:
     if x.shape != (d ** m, d ** m):
         raise InvalidInput(f"a {x.shape} operator does not act on the {m}-fold "
                            f"tensor power of dimension {d}")
+    ints, den = (x.a, 1) if x.field.p else (x.num, x.den)
     for i in range(m - 1):
         swap = _swap_index(d, m, i)
-        if not np.array_equal(x.a[swap][:, swap], x.a):
+        if not np.array_equal(ints[swap][:, swap], ints):
             raise InvalidInput("the operator does not commute with swapping tensor factors "
                                f"{i + 1} and {i + 2}, so it induces no map on the quotient "
                                "(the law's m-fold series is not symmetric)")
@@ -307,10 +308,10 @@ def induced_quotient_operator(x: Matrix, d: int, m: int, kind: str) -> Matrix:
         signs.append(-1 if odd else 1)
         if u == w and k != spare:
             columns.append(flat)
-    out = Matrix.zeros(x.field, spare + 1, spare).a
-    rows = x.a[:, columns] * np.array(signs, dtype=np.int64)[:, None]
+    out = np.zeros((spare + 1, spare), dtype=ints.dtype)
+    rows = ints[:, columns] * np.array(signs, dtype=np.int64)[:, None]
     np.add.at(out, np.array(targets, dtype=np.intp), rows)
-    return x._wrap(out[:spare])
+    return Matrix._from_ints(x.field, out[:spare], den)
 
 
 def wedge_partition(lam, m: int, law: GeneralizedLaw, field: Field) -> Partition:

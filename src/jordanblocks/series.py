@@ -11,15 +11,19 @@ and inversion, matrices of multiplication operators (gathered from the
 coefficients in one step) and algebra endomorphisms on the monomial basis,
 and the constructive splitting of a symmetric series f = f_1 + ... + f_m
 with Y_i | f_i: each term goes in equal shares to the variables that divide
-it.  Substitution and the endomorphism matrices both read one memoized table
-of monomials g_1^{e_1} ... g_m^{e_m}, each entry one product of the entry
-below it with a g_i.
+it.  Substitution and powers read one memoized table of monomials
+g_1^{e_1} ... g_m^{e_m}, each entry one product of the entry below it with a
+g_i; an endomorphism matrix is the same recursion on whole columns, one
+matrix product by mult_matrix(g_i) per step.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Sequence
+
+import numpy as np
 
 from .errors import (
     AlgebraError,
@@ -309,15 +313,29 @@ def mult_matrix(g: TruncatedPoly) -> Matrix:
 
 
 def endomorphism_matrix(images: Sequence[TruncatedPoly]) -> Matrix:
-    """Matrix of the algebra endomorphism Y_i -> images[i] on the monomial basis."""
-    basis = monomial_basis(images[0].trunc)
-    index = {e: i for i, e in enumerate(basis)}
-    out = Matrix.zeros(images[0].field, len(basis), len(basis))
-    monomial = _monomial_table(images)
-    for j, exp in enumerate(basis):
-        for e, c in monomial(exp).coeffs.items():
-            out.a[index[e], j] = c
-    return out
+    """Matrix of the algebra endomorphism Y_i -> images[i] on the monomial basis.
+
+    Column e holds the coefficients of g^e = g_i g^(e - u_i), that is
+    mult_matrix(g_i) times column e - u_i.  So the columns are built by
+    variable, the last one first: if C holds the columns of the exponents
+    with e_j = 0 for all j <= i, the columns with e_j = 0 for all j < i are
+    [C, M C, ..., M^(r_i - 1) C] with M = mult_matrix(g_i), in basis order,
+    and the whole matrix costs sum(r_i - 1) products.
+    """
+    trunc, field = images[0].trunc, images[0].field
+    if len(images) != len(trunc):
+        raise ShapeMismatch(f"{len(images)} images for {len(trunc)} variables")
+    for g in images:
+        images[0]._check_shape(g)
+    # the one column of the exponent 0: the constant 1
+    columns = Matrix._from_ints(field, np.eye(math.prod(trunc), 1, dtype=np.int64))
+    for g, r in zip(reversed(images), reversed(trunc)):
+        mult = mult_matrix(g)
+        blocks = [columns]
+        for _ in range(r - 1):
+            blocks.append(mult @ blocks[-1])
+        columns = Matrix.hstack(blocks)
+    return columns
 
 
 def build_automorphism(xis: Sequence, fs: Sequence[TruncatedPoly]) -> Matrix:

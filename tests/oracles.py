@@ -12,7 +12,9 @@ sums Kronecker products of the dense powers of phi over the terms of the
 m-fold tensor series; ``quotient_maps`` builds the dense projection onto
 wedge^m or Sym^m of k^d and the injection back, and
 ``dense_quotient_operator`` multiplies an operator through them;
-``loop_mult_matrix`` fills a multiplication matrix one monomial at a time.
+``loop_mult_matrix`` fills a multiplication matrix one monomial at a time,
+and ``monomial_endomorphism_matrix`` an algebra endomorphism's matrix one
+image monomial at a time.
 All are deliberately plain so that they are easy to trust.
 """
 
@@ -31,7 +33,7 @@ from jordanblocks.linalg import (
     unipotent_partition,
 )
 from jordanblocks.repring import induced_quotient_operator, tensor_operator
-from jordanblocks.series import monomial_basis
+from jordanblocks.series import TruncatedPoly, monomial_basis
 
 
 def rref_mod(a: np.ndarray, p: int, stop_col: int | None = None):
@@ -109,9 +111,9 @@ def rref_solve(b: Matrix, rhs: Matrix) -> Matrix | None:
     red, pivots = rref_mod(aug, field.p, stop_col=k) if field.p else rref_frac(aug, k)
     if any(x != 0 for x in red[len(pivots):, k:].flat):
         return None
-    x = Matrix.zeros(field, k, rhs.ncols)
-    x.a[pivots] = red[:len(pivots), k:]
-    return x
+    x = Matrix.zeros(field, k, rhs.ncols).a.copy()
+    x[pivots] = red[:len(pivots), k:]
+    return Matrix(field, x)
 
 
 def full_power_partition(n_mat) -> Partition:
@@ -194,20 +196,20 @@ def quotient_maps(field, d: int, m: int, kind: str):
     def tindex(w):
         return sum(a * s for a, s in zip(w, strides))
 
-    proj = Matrix.zeros(field, len(words), d ** m)
+    proj = Matrix.zeros(field, len(words), d ** m).a.copy()
     one = field.one
     for u in itertools.product(range(d), repeat=m):
         if kind == "wedge":
             if len(set(u)) < m:
                 continue
             inversions = sum(1 for i in range(m) for j in range(i + 1, m) if u[i] > u[j])
-            proj.a[index[tuple(sorted(u))], tindex(u)] = field.neg(one) if inversions % 2 else one
+            proj[index[tuple(sorted(u))], tindex(u)] = field.neg(one) if inversions % 2 else one
         else:
-            proj.a[index[tuple(sorted(u))], tindex(u)] = one
-    inj = Matrix.zeros(field, d ** m, len(words))
+            proj[index[tuple(sorted(u))], tindex(u)] = one
+    inj = Matrix.zeros(field, d ** m, len(words)).a.copy()
     for w in words:
-        inj.a[tindex(w), index[w]] = one
-    return proj, inj, words
+        inj[tindex(w), index[w]] = one
+    return Matrix(field, proj), Matrix(field, inj), words
 
 
 def dense_quotient_operator(x, d: int, m: int, kind: str):
@@ -221,11 +223,28 @@ def loop_mult_matrix(g):
     """Matrix of multiplication by g, one basis monomial and one term at a time."""
     basis = monomial_basis(g.trunc)
     index = {e: i for i, e in enumerate(basis)}
-    out = Matrix.zeros(g.field, len(basis), len(basis))
+    out = Matrix.zeros(g.field, len(basis), len(basis)).a.copy()
     for j, exp in enumerate(basis):
         for e, c in g.coeffs.items():
             target = tuple(a + b for a, b in zip(exp, e))
             if all(t < r for t, r in zip(target, g.trunc)):
                 i = index[target]
-                out.a[i, j] = g.field.add(out.a[i, j], c)
-    return out
+                out[i, j] = g.field.add(out[i, j], c)
+    return Matrix(g.field, out)
+
+
+def monomial_endomorphism_matrix(images):
+    """Matrix of the algebra endomorphism Y_i -> images[i]: column e is the
+    coefficient vector of the product of images[i] ** e_i, each power from
+    the series arithmetic, written one coefficient at a time."""
+    field, trunc = images[0].field, images[0].trunc
+    basis = monomial_basis(trunc)
+    index = {e: i for i, e in enumerate(basis)}
+    out = Matrix.zeros(field, len(basis), len(basis)).a.copy()
+    for j, exp in enumerate(basis):
+        image = TruncatedPoly.constant(field, trunc, field.one)
+        for g, e in zip(images, exp):
+            image = image * g ** e
+        for e, c in image.coeffs.items():
+            out[index[e], j] = c
+    return Matrix(field, out)

@@ -20,6 +20,7 @@ from jordanblocks.errors import (
     NotContained,
     NotNilpotent,
     NotUnipotent,
+    ShapeMismatch,
     TruncationTooShort,
 )
 from jordanblocks.fgl import random_generalized_law
@@ -50,6 +51,13 @@ from oracles import (
 partitions = st.lists(st.integers(1, 6), min_size=1, max_size=5).map(
     lambda xs: Partition(sorted(xs, reverse=True)))
 PRIMES = [2, 3, 5, 7, 13]
+
+
+def with_entry(m: Matrix, i: int, j: int, value) -> Matrix:
+    """A copy of m with entry (i, j) set to value."""
+    a = m.a.copy()
+    a[i, j] = value
+    return Matrix(m.field, a)
 
 
 def random_conjugate(field, lam, rng) -> Matrix:
@@ -391,9 +399,8 @@ class TestChainAgainstOracle:
         # nonzero eigenvalue, and so does each of its conjugates
         field = GF(p)
         rng = random.Random(seed)
-        t = nilpotent_from_partition(field, lam)
         i = rng.randrange(lam.dim)
-        t.a[i, i] = field.random_nonzero(rng)
+        t = with_entry(nilpotent_from_partition(field, lam), i, i, field.random_nonzero(rng))
         g = random_invertible(field, lam.dim, rng)
         u = g @ t @ g.inverse()
         with pytest.raises(NotNilpotent):
@@ -480,8 +487,8 @@ class TestKrylovRanks:
         never vanish (e_1 and e_2 swap), and a conjugate with one nonzero
         diagonal entry."""
         cycle = Matrix.from_rows(field, [[0, 1, 0], [0, 0, 1], [0, 1, 0]])
-        t = nilpotent_from_partition(field, (3, 2, 1))
-        t.a[4, 4] = field.random_nonzero(rng)
+        t = with_entry(nilpotent_from_partition(field, (3, 2, 1)), 4, 4,
+                       field.random_nonzero(rng))
         g = random_invertible(field, 6, rng)
         return [Matrix.identity(field, 1), Matrix.identity(field, 4),
                 Matrix.from_rows(field, [[1, 0], [0, 0]]),
@@ -635,6 +642,204 @@ class TestRationalKernel:
             assert jordan_partition(op) == jordan_type(op)
 
 
+#: rationals of both signs, a third of them zero, with numerators and
+#: denominators past 2**63
+wide_fractions = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-2**80, 2**80), st.integers(1, 2**70)),
+    st.integers(-5, 5).map(Fraction))
+
+
+class TestIntegerRationals:
+    """Q matrices as num / den against Fraction arithmetic on object arrays."""
+
+    @staticmethod
+    def check(got: Matrix, want: np.ndarray):
+        # the entries of the Fraction oracle, held in lowest terms, so that
+        # the matrix built from the oracle's entries has the same (num, den)
+        assert got.shape == want.shape
+        assert np.array_equal(got.a, want)
+        assert all(type(x) is int for x in got.num.flat)
+        assert got.den > 0 and math.gcd(got.den, *got.num.flat) == 1
+        built = Matrix(QQ, want)
+        assert got.den == built.den and np.array_equal(got.num, built.num)
+        assert got == built and hash(got) == hash(built)
+
+    def check_operations(self, a, b, c, scalar):
+        """a and b of one shape, c with as many rows as a has columns."""
+        x, y, z = Matrix(QQ, a), Matrix(QQ, b), Matrix(QQ, c)
+        self.check(x + y, a + b)
+        self.check(x - y, a - b)
+        self.check(-x, -a)
+        self.check(x.scale(scalar), a * scalar)
+        self.check(x @ z, fraction_matmul(a, c))
+        self.check(x.kron(z), np.kron(a, c))
+        self.check(x.T, a.T.copy())
+        assert (x == y) == np.array_equal(a, b)
+        assert x.rank() == rref_rank_frac(a)
+        assert x.is_zero() == all(v == 0 for v in a.flat)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1), (2, 3), (4, 4)])
+    @pytest.mark.parametrize("height", [10, 2**64 + 13])
+    def test_seeded_operations(self, shape, height):
+        rng = random.Random(shape[0] * 10 + shape[1] + height % 97)
+        a = random_fractions(rng, shape, height)
+        b = random_fractions(rng, shape, height, zeros=0.2)
+        c = random_fractions(rng, shape[::-1], height)
+        for scalar in (Fraction(-2**70, 3), Fraction(0), Fraction(7, 5), Fraction(-1)):
+            self.check_operations(a, b, c, scalar)
+        self.check_operations(a, a.copy(), c, 1)
+
+    @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), wide_fractions,
+           st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_operations_match_fraction_arithmetic(self, m, n, k, scalar, data):
+        def draw(rows, cols):
+            entries = st.lists(wide_fractions, min_size=rows * cols, max_size=rows * cols)
+            return np.array(data.draw(entries), dtype=object).reshape(rows, cols)
+
+        self.check_operations(draw(m, n), draw(m, n), draw(n, k), scalar)
+
+    @given(st.integers(0, 5), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_inverse_matches_fraction_elimination(self, n, data):
+        entries = st.lists(wide_fractions, min_size=n * n, max_size=n * n)
+        a = np.array(data.draw(entries), dtype=object).reshape(n, n)
+        x, eye = Matrix(QQ, a), Matrix.identity(QQ, n)
+        want = rref_solve(x, eye)
+        if want is None:
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+            return
+        inverse = x.inverse()
+        self.check(inverse, want.a)
+        assert x @ inverse == eye == inverse @ x
+
+    @given(st.lists(st.integers(1, 3), min_size=1, max_size=2).map(
+        lambda xs: Partition(sorted(xs, reverse=True))), st.integers(0, 10**6))
+    @settings(max_examples=25, deadline=None)
+    def test_jordan_type_under_wide_conjugation(self, lam, seed):
+        # conjugating by a matrix with entries past 2**63 keeps the type
+        rng = random.Random(seed)
+        while True:
+            g = Matrix(QQ, random_fractions(rng, (lam.dim, lam.dim), 2**64, zeros=0.3))
+            if g.rank() == lam.dim:
+                break
+        n = g @ nilpotent_from_partition(QQ, lam) @ g.inverse()
+        assert jordan_partition(n) == full_power_partition(n) == lam
+
+    def test_equal_matrices_share_num_den_and_hash(self):
+        half = Matrix.from_rows(QQ, [["1/2", 1], [0, "-3/4"]])
+        routes = [
+            Matrix.from_rows(QQ, [["1/2", 1], [0, "-3/4"]]),
+            Matrix(QQ, np.array([[Fraction(2, 4), Fraction(6, 6)], [0, Fraction(-6, 8)]])),
+            half.scale(6).scale(Fraction(1, 6)),
+            (half + half).scale(Fraction(1, 2)),
+            half - Matrix.zeros(QQ, 2, 2),
+            Matrix.identity(QQ, 2) @ half,
+            half.T.T,
+            Matrix.from_rows(QQ, [[2]]).kron(half).scale(Fraction(1, 2)),
+            half.inverse().inverse(),
+        ]
+        for m in routes:
+            assert (m.den, m.num.tolist()) == (4, [[2, 4], [0, -3]])
+            assert m == half and hash(m) == hash(half)
+        row = Matrix.from_rows(QQ, [["1/3", "2/3"]])
+        for m in (Matrix.from_rows(QQ, [[1, 2]]), row.scale(3), row + row + row,
+                  row.scale(0) + Matrix.from_rows(QQ, [["3/3", 2]])):
+            assert (m.den, m.num.tolist()) == (1, [[1, 2]])
+        assert Matrix.zeros(QQ, 2, 2) == half.scale(0)
+        # one numerator over two denominators
+        assert Matrix.from_rows(QQ, [["1/2", "3/2"]]) != Matrix.from_rows(QQ, [["1/3", 1]])
+        assert (half.scale(0).den, hash(half.scale(0))) == (1, hash(Matrix.zeros(QQ, 2, 2)))
+
+    def test_bareiss_starts_from_primitive_rows(self):
+        # a row over a common denominator is divided by the gcd of its
+        # entries first, so its size is that of the row's own denominators
+        assert linalg._bareiss([[6, 12, 18], [0, 0, 0], [0, 10**40, 3 * 10**40]]) == [
+            (0, [1, 2, 3]), (1, [1, 3])]
+
+    def test_entries_are_a_read_only_fraction_view(self):
+        m = Matrix.from_rows(QQ, [["1/2", 3]])
+        assert m.a.tolist() == [[Fraction(1, 2), 3]]
+        assert all(type(x) is Fraction for x in m.a.flat)
+        with pytest.raises(ValueError, match="read-only"):
+            m.a[0, 0] = 5
+        assert m.a[0, 0] == Fraction(1, 2) and m.num.tolist() == [[1, 6]]
+        # F_p entries stay a plain writable int64 attribute
+        f = Matrix.from_rows(GF(5), [[1, 2]])
+        assert "a" in type(f).__slots__ and f.a.flags.writeable and f.a.dtype == np.int64
+
+    def test_products_and_ranks_build_no_fraction(self, monkeypatch):
+        # a product is one integer dot product over den * den, a rank one
+        # Bareiss elimination of num
+        import fractions
+
+        a = Matrix(QQ, random_fractions(random.Random(3), (6, 6), 10**6, zeros=0.1))
+        built = []
+        real = fractions.Fraction.__new__
+        monkeypatch.setattr(fractions.Fraction, "__new__",
+                            lambda cls, *args, **kw: built.append(args) or real(cls, *args, **kw))
+        product = a @ a @ a
+        assert product.rank() == a.rank() and not built
+        assert product.a.shape == (6, 6) and built  # the view is built on its first read
+
+
+class TestOperandChecks:
+    """Arithmetic refuses operands over another field or of unfit shapes."""
+
+    @pytest.mark.parametrize("field", [GF(5), QQ], ids=str)
+    def test_sum_and_difference_need_one_shape(self, field):
+        square = Matrix.identity(field, 2)
+        row = Matrix.from_rows(field, [[1, 2]])
+        for op in (lambda a, b: a + b, lambda a, b: a - b):
+            with pytest.raises(ShapeMismatch):
+                op(square, row)
+            with pytest.raises(ShapeMismatch):
+                op(row, square)
+
+    @pytest.mark.parametrize("field", [GF(5), QQ], ids=str)
+    def test_product_needs_inner_dimensions_to_agree(self, field):
+        a = Matrix.zeros(field, 2, 3)
+        with pytest.raises(ShapeMismatch):
+            a @ a
+        with pytest.raises(ShapeMismatch):
+            solve_in_columns(a, Matrix.zeros(field, 3, 1))
+        assert (a @ a.T).shape == (2, 2)
+
+    @pytest.mark.parametrize("ops", ["+", "-", "@", "kron"])
+    @pytest.mark.parametrize("fields", [(GF(5), GF(7)), (GF(5), QQ), (QQ, GF(2))], ids=str)
+    def test_operands_over_different_fields(self, ops, fields):
+        x, y = (Matrix.identity(field, 2) for field in fields)
+        op = {"+": lambda: x + y, "-": lambda: x - y, "@": lambda: x @ y,
+              "kron": lambda: x.kron(y)}[ops]
+        with pytest.raises(ShapeMismatch):
+            op()
+
+    def test_different_fields_are_unequal(self):
+        assert Matrix.identity(GF(5), 2) != Matrix.identity(QQ, 2)
+
+
+class TestFromRows:
+    @pytest.mark.parametrize("field", [GF(5), QQ], ids=str)
+    def test_ragged_rows_are_invalid(self, field):
+        for rows in ([[1, 2], [3]], [[1], [2, 3]], [[], [1]]):
+            with pytest.raises(InvalidInput, match="ragged"):
+                Matrix.from_rows(field, rows)
+
+    @pytest.mark.parametrize("field", [GF(5), QQ], ids=str)
+    def test_empty_shapes(self, field):
+        assert Matrix.from_rows(field, []) == Matrix.zeros(field, 0, 0)
+        assert Matrix.from_rows(field, []).shape == (0, 0)
+        assert Matrix.from_rows(field, [[], []]).shape == (2, 0)
+
+    def test_entries_go_through_the_field(self):
+        assert Matrix.from_rows(GF(5), [[7, -1]]).a.tolist() == [[2, 4]]
+        assert Matrix.from_rows(QQ, [["2/4", 3]]).a.tolist() == [[Fraction(1, 2), 3]]
+        with pytest.raises(InvalidInput):
+            Matrix.from_rows(QQ, [[0.5]])
+
+
 class TestTypedPostconditions:
     def test_partition_dimension_check(self, monkeypatch):
         # kernel dimensions 1, 3 of a 3x3 operator jump by 2 after a jump of
@@ -780,8 +985,7 @@ class TestNilpotentPowers:
         from jordanblocks.repring import tensor_operator
 
         # nilpotent but for one unit in the corner: N^n never vanishes
-        x = nilpotent_from_partition(field, (3,))
-        x.a[2, 0] = field.one
+        x = with_entry(nilpotent_from_partition(field, (3,)), 2, 0, field.one)
         series = TruncatedPoly.univariate(field, 4, [0, 1])
         with pytest.raises(NotNilpotent):
             nilpotent_powers(x)

@@ -19,11 +19,12 @@ from jordanblocks.series import (
     compose,
     compose_inverse,
     elementary_symmetric,
+    endomorphism_matrix,
     monomial_basis,
     mult_matrix,
     symmetric_split,
 )
-from oracles import loop_mult_matrix
+from oracles import loop_mult_matrix, monomial_endomorphism_matrix
 
 F5 = GF(5)
 
@@ -211,6 +212,72 @@ class TestBuildAutomorphism:
                     coeffs[exp] = field.random_element(rng)
             fs.append(TruncatedPoly(field, trunc, coeffs))
         assert build_automorphism(xis, fs).rank() == dim
+
+
+@st.composite
+def endomorphism_images(draw):
+    """m in {1, 2, 3} images in one box over F_p or Q, r_i = 1 allowed: either
+    Y_i (xi_i + f_i) with a linear scalar xi_i that is often not 1, or a
+    series drawn freely (a constant term included)."""
+    field = Field(draw(st.sampled_from([0, 2, 3, 5, 7])))
+    trunc = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    box = st.tuples(*[st.integers(0, r - 1) for r in trunc])
+    coeff = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)).filter(
+        lambda c: not field.p or c.denominator % field.p).map(field)
+    images = []
+    for i in range(len(trunc)):
+        series = TruncatedPoly(field, trunc, draw(st.dictionaries(box, coeff, max_size=5)))
+        if draw(st.booleans()):
+            y = var(field, trunc, i)
+            xi = draw(coeff.filter(lambda c: c != 0))
+            series = y.scale(xi) + y * series
+        images.append(series)
+    return images
+
+
+class TestEndomorphismMatrix:
+    """Columns by matrix products against the monomial-by-monomial oracle."""
+
+    @given(endomorphism_images())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_monomial_oracle(self, images):
+        assert endomorphism_matrix(images) == monomial_endomorphism_matrix(images)
+
+    @pytest.mark.parametrize("field", [GF(3), GF(7), QQ], ids=str)
+    @pytest.mark.parametrize("trunc", [(1,), (4,), (3, 1), (1, 3), (2, 3), (2, 1, 3), (3, 2, 2)])
+    def test_seeded_boxes(self, field, trunc):
+        import random
+
+        rng = random.Random(hash(trunc) % 1000)
+        images = []
+        for i in range(len(trunc)):
+            coeffs = {e: field.random_element(rng) for e in monomial_basis(trunc)
+                      if sum(e) >= 1 and rng.random() < 0.6}
+            tail = TruncatedPoly(field, trunc, coeffs)
+            y = var(field, trunc, i)
+            images.append(y.scale(field.random_nonzero(rng) + field.one) + y * tail)
+        got = endomorphism_matrix(images)
+        assert got == monomial_endomorphism_matrix(images)
+        assert got.shape == (len(monomial_basis(trunc)),) * 2
+
+    def test_one_product_per_step(self, monkeypatch):
+        from jordanblocks.linalg import Matrix
+
+        calls = []
+        matmul = Matrix.__matmul__
+        monkeypatch.setattr(Matrix, "__matmul__",
+                            lambda a, b: calls.append(b.ncols) or matmul(a, b))
+        trunc = (2, 3, 4)
+        images = [var(QQ, trunc, i).scale(i + 2) for i in range(3)]
+        endomorphism_matrix(images)
+        # sum(r_i - 1) products, the last variable first, on 1, 4 and 12 columns
+        assert calls == [1] * 3 + [4] * 2 + [12]
+
+    def test_image_count_must_match_the_box(self):
+        with pytest.raises(ShapeMismatch):
+            endomorphism_matrix([var(F5, (2, 2), 0)])
+        with pytest.raises(ShapeMismatch):
+            endomorphism_matrix([var(F5, (2, 2), 0), var(F5, (2, 3), 1)])
 
 
 class TestProductConstruction:
