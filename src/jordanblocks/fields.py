@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import InvalidInput
 
 
@@ -55,12 +57,12 @@ class Field:
     def __call__(self, x):
         """Coerce an int, Fraction or string like ``"2/3"`` into the field.
 
-        InvalidInput for a float (``np.float64`` included), which is not an
-        exact scalar, for a string that is not an integer or a fraction, and
-        for a fraction whose denominator p divides.
+        InvalidInput for a float or complex number (numpy's included), which
+        is not an exact scalar, for a string that is not an integer or a
+        fraction, and for a fraction whose denominator p divides.
         """
-        if isinstance(x, float):
-            raise InvalidInput(f"{x!r} is a float, not an exact scalar")
+        if isinstance(x, (float, complex, np.inexact)):
+            raise InvalidInput(f"{x!r} is a {type(x).__name__}, not an exact scalar")
         if isinstance(x, str):
             try:
                 if "/" in x:
@@ -71,7 +73,8 @@ class Field:
             except (ValueError, ZeroDivisionError) as exc:
                 raise InvalidInput(f"{x!r} is not a scalar") from exc
         if self.p == 0:
-            return Fraction(x)
+            # the Fraction of a numpy integer would keep int64 parts, which wrap
+            return Fraction(int(x) if isinstance(x, np.integer) else x)
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise InvalidInput(f"{x} has no image in F{self.p}")

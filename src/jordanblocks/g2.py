@@ -94,10 +94,10 @@ def build_so7_model(p: int) -> SO7Model:
 
 def weight_components(mat: Matrix) -> set:
     """Set of nonzero torus weights of a matrix in this basis."""
-    out = set()
+    out, entries = set(), mat.num
     for i in range(7):
         for j in range(7):
-            if mat.a[i, j] != 0:
+            if entries[i, j] != 0:
                 out.add(tuple(a - b for a, b in zip(BASIS_WEIGHTS[i], BASIS_WEIGHTS[j])))
     return out
 

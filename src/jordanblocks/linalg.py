@@ -1,21 +1,20 @@
 """Dense exact matrices and Jordan partitions of nilpotent operators.
 
-Matrices over F_p are stored as int64 numpy arrays with entries in
-``range(p)``.  Products over F_p go through float64 BLAS, which is exact as
-long as the accumulated dot products stay below 2**53; a product that could
-pass that bound raises ``BadPrime`` instead of rounding.
+A matrix is one integer array over one denominator in both fields:
+``num`` and a positive int ``den``.  Over F_p ``num`` is int64 with entries
+in ``range(p)`` and ``den`` is 1; over Q ``num`` holds Python ints in an
+object array, normalized so that gcd(num, den) = 1.  So shape, equality,
+the hash, transpose, negation, scaling, sums, stacking and the Kronecker
+product are each one integer expression on ``num`` over a combined
+``den``, which ``Matrix._from_ints`` reduces mod p or divides by the gcd;
+no kernel builds a ``Fraction``.  Writers build their integer array first
+and wrap it afterwards.  The field elements ``a`` are ``num`` itself over
+F_p, and over Q a read-only ``Fraction`` array built on each read.
 
-A matrix over Q is one integer array over one denominator: ``num``, Python
-ints in an object array, and ``den``, a positive int, normalized so that
-gcd(num, den) = 1.  Every rational kernel then works on integers and builds
-no ``Fraction``: a product is the integer product num @ num over den * den,
-a sum is taken over the lcm of the two denominators, equality and the hash
-compare (den, num), and rank, the Jordan chain and solve run Bareiss on the
-integer rows.  Writers build their integer array first and wrap it
-afterwards.  The ``Fraction`` entries ``a`` of a rational matrix are a view
-built on first read and kept read-only, since a write into them would not
-reach ``num`` and would be silently lost.  Over F_p ``a`` stays the plain
-writable attribute.
+Products over F_p go through float64 BLAS, which is exact as long as the
+accumulated dot products stay below 2**53; a product that could pass that
+bound raises ``BadPrime`` instead of rounding.  Over Q a product is the
+integer product num @ num over den * den.
 
 Each field has one elimination, and rank, Jordan type, inverse and solve all
 come from it: the packed-row echelon form over F_p (``_echelon_rows``) and
@@ -151,43 +150,47 @@ class Partition:
 class Matrix:
     """Dense matrix over a :class:`Field`, immutable by convention.
 
-    Over F_p the entries are the int64 array ``a``, reduced into
-    ``range(p)``.  Over Q the matrix is ``num / den``: ``num`` an object
-    array of Python ints and ``den`` a positive int with gcd(num, den) = 1,
-    so equal matrices have equal (num, den); such a matrix is a
-    ``_RationalMatrix``, whose ``a`` is a read-only array of ``Fraction``
-    entries built on its first read.
+    The entries are ``num / den`` in both fields: ``num`` an integer array
+    and ``den`` a positive int.  Over F_p ``num`` is int64 in ``range(p)``
+    and ``den`` is 1; over Q ``num`` holds Python ints (object dtype) and
+    gcd(num, den) = 1, so equal matrices have equal (num, den).  ``a`` is
+    the array of field elements: ``num`` itself over F_p, a read-only array
+    of ``Fraction`` over Q, built on each read.
     """
 
-    __slots__ = ("field", "a", "num", "den")
+    __slots__ = ("field", "num", "den")
 
     def __init__(self, field: Field, a: np.ndarray):
-        """The matrix of an array of field elements; over Q, of any rationals."""
-        self.field = field
-        if field.p:
-            self.a = a
+        """The matrix of an array of field elements: over F_p an array of any
+        integer dtype, reduced mod p; otherwise each entry goes through the
+        field, which takes any rationals over Q and refuses floats and
+        complex numbers (InvalidInput), as they are not exact."""
+        a = np.asarray(a)
+        self.field, self.den = field, 1
+        if field.p and a.dtype.kind in "biu":
+            self.num = np.asarray(a % field.p, dtype=np.int64)
             return
-        self.__class__ = _RationalMatrix
-        a = np.asarray(a, dtype=object)
-        ints, self.den = _common_denominator(
-            [x if type(x) is Fraction else field(x) for x in a.flat])
-        self.num = np.array(ints, dtype=object).reshape(a.shape)
+        values = [field(x) for x in a.ravel().tolist()]
+        if not field.p:
+            values, self.den = _common_denominator(values)
+        self.num = np.array(values, dtype=np.int64 if field.p else object).reshape(a.shape)
 
     # -- construction ---------------------------------------------------------
 
     @staticmethod
-    def _rational(field: Field, num: np.ndarray, den: int) -> "Matrix":
-        """num / den over Q, from Python ints already in lowest terms."""
-        out = object.__new__(_RationalMatrix)
+    def _trusted(field: Field, num: np.ndarray, den: int = 1) -> "Matrix":
+        """num / den as it is: integers already normalized, no copy."""
+        out = object.__new__(Matrix)
         out.field, out.num, out.den = field, num, den
         return out
 
-    @classmethod
-    def _from_ints(cls, field: Field, num: np.ndarray, den: int = 1) -> "Matrix":
-        """num / den from an integer array: reduced mod p over F_p, where den
-        is 1; over Q, divided through by the gcd of den and every entry."""
+    @staticmethod
+    def _from_ints(field: Field, num: np.ndarray, den: int = 1) -> "Matrix":
+        """num / den from an integer array: reduced mod p into int64 over F_p,
+        where den is 1; over Q, divided through by the gcd of den and every
+        entry."""
         if field.p:
-            return cls(field, np.asarray(num % field.p, dtype=np.int64))
+            return Matrix._trusted(field, np.asarray(num % field.p, dtype=np.int64))
         num = num.astype(object, copy=False)
         if den < 0:
             num, den = -num, -den
@@ -195,27 +198,23 @@ class Matrix:
             g = math.gcd(den, *num.ravel().tolist())
             if g != 1:
                 num, den = num // g, den // g
-        return Matrix._rational(field, num, den)
+        return Matrix._trusted(field, num, den)
 
     @classmethod
     def from_rows(cls, field: Field, rows: Sequence[Sequence]) -> "Matrix":
-        rows = [[field(x) for x in row] for row in rows]
+        rows = [list(row) for row in rows]
         ncols = len(rows[0]) if rows else 0
         if any(len(row) != ncols for row in rows):
             raise InvalidInput(f"ragged rows of lengths {[len(row) for row in rows]}")
-        a = np.array(rows, dtype=np.int64 if field.p else object)
-        return cls(field, a.reshape(len(rows), ncols))
+        return cls(field, np.array(rows, dtype=object).reshape(len(rows), ncols))
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        if field.p:
-            return cls(field, np.zeros((nrows, ncols), dtype=np.int64))
-        return Matrix._rational(field, np.zeros((nrows, ncols), dtype=object), 1)
+        return cls._from_ints(field, np.zeros((nrows, ncols), dtype=np.int64))
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        eye = np.eye(n, dtype=np.int64)
-        return cls(field, eye) if field.p else Matrix._rational(field, eye.astype(object), 1)
+        return cls._from_ints(field, np.eye(n, dtype=np.int64))
 
     @classmethod
     def hstack(cls, blocks: Sequence["Matrix"]) -> "Matrix":
@@ -224,28 +223,39 @@ class Matrix:
         for block in blocks[1:]:
             if block.field != first.field or block.nrows != first.nrows:
                 raise first._mismatch(block, "hstack")
-        if first.field.p:
-            return cls(first.field, np.hstack([block.a for block in blocks]))
         den = math.lcm(*[block.den for block in blocks])
-        return cls._from_ints(first.field, np.hstack(
-            [block.num * (den // block.den) for block in blocks]), den)
+        num = np.hstack([block._over(den) for block in blocks])
+        return cls._from_ints(first.field, num, den)
 
-    # -- shape ----------------------------------------------------------------
+    # -- entries and shape ----------------------------------------------------
+
+    @property
+    def a(self) -> np.ndarray:
+        """The entries as field elements (kernels read ``num``)."""
+        if self.field.p:
+            return self.num
+        view = np.array([Fraction(x, self.den) for x in self.num.flat],
+                        dtype=object).reshape(self.num.shape)
+        view.flags.writeable = False
+        return view
 
     @property
     def shape(self) -> tuple:
-        return (self.a if self.field.p else self.num).shape
+        return self.num.shape
 
     @property
     def nrows(self) -> int:
-        return self.shape[0]
+        return self.num.shape[0]
 
     @property
     def ncols(self) -> int:
-        return self.shape[1]
+        return self.num.shape[1]
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
+
+    def flatten(self) -> np.ndarray:
+        return self.a.reshape(-1)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -253,19 +263,15 @@ class Matrix:
         return ShapeMismatch(f"{op} of a {self.shape} matrix over {self.field} and "
                              f"a {other.shape} matrix over {other.field}")
 
-    def _wrap(self, a: np.ndarray) -> "Matrix":
-        return Matrix(self.field, a % self.field.p)
+    def _over(self, den: int) -> np.ndarray:
+        """The numerator over ``den``, a multiple of ``self.den``."""
+        return self.num if den == self.den else self.num * (den // self.den)
 
     def _sum(self, other: "Matrix", sign: int) -> "Matrix":
-        p = self.field.p
-        if p == other.field.p:
-            x, y = (self.a, other.a) if p else (self.num, other.num)
-            if x.shape == y.shape:
-                if p:
-                    return Matrix(self.field, (x + y if sign > 0 else x - y) % p)
-                den = math.lcm(self.den, other.den)
-                return Matrix._from_ints(self.field, x * (den // self.den)
-                                         + y * (sign * (den // other.den)), den)
+        if self.field.p == other.field.p and self.num.shape == other.num.shape:
+            den = math.lcm(self.den, other.den)
+            x, y = self._over(den), other._over(den)
+            return Matrix._from_ints(self.field, x + y if sign > 0 else x - y, den)
         raise self._mismatch(other, "sum" if sign > 0 else "difference")
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -275,57 +281,44 @@ class Matrix:
         return self._sum(other, -1)
 
     def __neg__(self) -> "Matrix":
-        if self.field.p:
-            return self._wrap(-self.a)
-        return Matrix._rational(self.field, -self.num, self.den)
+        return Matrix._from_ints(self.field, -self.num, self.den)
 
     def scale(self, c) -> "Matrix":
         c = self.field(c)
-        if self.field.p:
-            return self._wrap(self.a * c)
+        _require_int64_elimination(self.field.p)
         return Matrix._from_ints(self.field, self.num * c.numerator, self.den * c.denominator)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         p = self.field.p
-        if p == other.field.p:
-            x, y = (self.a, other.a) if p else (self.num, other.num)
-            if x.shape[1] == y.shape[0]:
-                if p:
-                    return Matrix(self.field, _matmul_mod(x, y, p))
-                return Matrix._from_ints(self.field, np.dot(x, y), self.den * other.den)
+        if p == other.field.p and self.num.shape[1] == other.num.shape[0]:
+            if p:
+                return Matrix._trusted(self.field, _matmul_mod(self.num, other.num, p))
+            return Matrix._from_ints(self.field, np.dot(self.num, other.num),
+                                     self.den * other.den)
         raise self._mismatch(other, "product")
 
     def kron(self, other: "Matrix") -> "Matrix":
-        p = self.field.p
-        if p != other.field.p:
+        if self.field.p != other.field.p:
             raise self._mismatch(other, "Kronecker product")
-        if p:
-            return self._wrap(np.kron(self.a, other.a))
+        _require_int64_elimination(self.field.p)
         return Matrix._from_ints(self.field, np.kron(self.num, other.num),
                                  self.den * other.den)
 
     @property
     def T(self) -> "Matrix":
-        if self.field.p:
-            return Matrix(self.field, self.a.T.copy())
-        return Matrix._rational(self.field, self.num.T.copy(), self.den)
+        return Matrix._trusted(self.field, self.num.T.copy(), self.den)
 
     def is_zero(self) -> bool:
-        return not (self.a if self.field.p else self.num).any()
+        return not self.num.any()
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if self.field != other.field:
-            return False
-        if self.field.p:
-            return np.array_equal(self.a, other.a)
-        return self.den == other.den and np.array_equal(self.num, other.num)
+        return (self.field == other.field and self.den == other.den
+                and np.array_equal(self.num, other.num))
 
     def __hash__(self):
-        if self.field.p:
-            return hash((self.field, self.a.tobytes()))
-        return hash((self.field, self.shape, self.den, tuple(self.num.flat)))
+        return hash((self.field, self.shape, self.den, tuple(self.num.ravel().tolist())))
 
     def __repr__(self):
         return f"Matrix({self.field}, shape={self.shape})"
@@ -334,7 +327,7 @@ class Matrix:
 
     def rank(self) -> int:
         if self.field.p:
-            return len(_echelon_rows(self.a, self.field.p))
+            return len(_echelon_rows(self.num, self.field.p))
         return len(_bareiss(self.num.tolist()))
 
     def inverse(self) -> "Matrix":
@@ -344,36 +337,6 @@ class Matrix:
         if out is None:
             raise ZeroDivisionError("matrix is singular")
         return out
-
-    def flatten(self) -> np.ndarray:
-        return self.a.reshape(-1)
-
-
-#: the slot that holds ``a``: over Q, the cache of the Fraction view
-_ENTRIES = Matrix.a
-
-
-class _RationalMatrix(Matrix):
-    """A matrix over Q: Matrix with ``a`` as the read-only Fraction view of
-    num / den, built on first read.  ``a`` is a property here and not on
-    Matrix, where it stays a plain slot, since a property there would slow
-    every F_p access.  The class adds nothing else, so every operation stays
-    a method of Matrix, and it has Matrix's layout, so ``Matrix(QQ, ...)``
-    can switch to it in ``__init__``."""
-
-    __slots__ = ()
-
-    @property
-    def a(self) -> np.ndarray:
-        try:
-            return _ENTRIES.__get__(self)
-        except AttributeError:
-            den = self.den
-            view = np.array([Fraction(x, den) for x in self.num.flat],
-                            dtype=object).reshape(self.num.shape)
-            view.flags.writeable = False
-            _ENTRIES.__set__(self, view)
-            return view
 
 
 def _common_denominator(values: list) -> tuple[list, int]:
@@ -398,10 +361,13 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def _require_int64_elimination(p: int) -> None:
-    """The supported characteristics of F_p elimination: the primes with
-    (p-1)**2 + (p-1) < 2**63, that is p <= 3037000500."""
+    """The supported characteristics of F_p elimination, scaling and Kronecker
+    products: the primes with (p-1)**2 + (p-1) < 2**63, that is
+    p <= 3037000500, so that a product of two entries stays int64.  Over Q
+    (p = 0) it passes."""
     if (p - 1) ** 2 + (p - 1) >= 2**63:
-        raise BadPrime(f"F_{p} is past the supported range of elimination, p <= 3037000500")
+        raise BadPrime(f"F_{p} is past the supported range of int64 arithmetic, "
+                       "p <= 3037000500")
 
 
 @functools.lru_cache(maxsize=None)
@@ -536,9 +502,9 @@ def _echelon_int(a: np.ndarray) -> np.ndarray:
 def _solve(b: Matrix, rhs: Matrix) -> Matrix | None:
     """x with b @ x = rhs and every free coordinate zero, or None.
 
-    One echelon form of the integer rows of the system decides everything:
-    [b | rhs] over F_p (``_echelon_mod``, pivots scaled to lead 1), and
-    [b.num rhs.den | rhs.num b.den] over Q (``_bareiss``).  The system is
+    One echelon form of the integer rows [b.num rhs.den | rhs.num b.den] of
+    the system decides everything: ``_echelon_mod`` over F_p (pivots scaled
+    to lead 1), where both den are 1, and ``_bareiss`` over Q.  The system is
     inconsistent exactly when a pivot row leads at or past column k =
     b.ncols.  Otherwise x = X / d, with d = 1 over F_p and d the last
     Bareiss pivot over Q: d is the minor of the pivot rows and columns, so
@@ -553,14 +519,15 @@ def _solve(b: Matrix, rhs: Matrix) -> Matrix | None:
     field, k, p = b.field, b.ncols, b.field.p
     if rhs.field != field or rhs.nrows != b.nrows:
         raise b._mismatch(rhs, "linear system")
+    system = np.hstack([b.num * rhs.den, rhs.num * b.den])
     if p:
-        rows = _echelon_mod(np.hstack([b.a, rhs.a]), p)
+        rows = _echelon_mod(system, p)
         leads = (rows != 0).argmax(axis=1).tolist() if rows.size else []
         pivots = [(lead, row[lead:]) for lead, row in zip(leads, rows)]
         dtype = np.int64 if (p - 1) ** 2 * k < 2**53 else object
     else:
         pivots = [(lead, np.array(tail, dtype=object)) for lead, tail in
-                  _bareiss(np.hstack([b.num * rhs.den, rhs.num * b.den]).tolist())]
+                  _bareiss(system.tolist())]
         dtype = object
     if pivots and pivots[-1][0] >= k:
         return None
@@ -635,13 +602,12 @@ def canonical_series_operator(field: Field, lams: Sequence, coeffs: dict) -> Mat
     """
     lams = [Partition(lam) for lam in lams]
     _require_operator_dim(math.prod(lam.dim for lam in lams))
-    shape = [max(lam, default=1) for lam in lams]
+    shape = [max(lam, default=0) for lam in lams]
     strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
     size = math.prod(shape)
     values, den = list(coeffs.values()), 1
     if not field.p:
         values, den = _common_denominator(values)
-    flat = np.zeros(size + 1, dtype=np.int64 if field.p else object)
     # a ragged exponent list fails the array, a wrong common length the reshape
     try:
         exps = np.array(list(coeffs), dtype=np.int64).reshape(len(coeffs), len(shape))
@@ -651,15 +617,20 @@ def canonical_series_operator(field: Field, lams: Sequence, coeffs: dict) -> Mat
             raise
         raise InvalidInput(f"exponent {bad[0]} for {len(shape)} tensor factors") from None
     inbox = (exps < shape).all(axis=1)
-    flat[exps[inbox] @ np.array(strides)] = np.array(values, dtype=flat.dtype)[inbox]
+    # every exponent in the box shows up, at an entry (r, r + a) of the
+    # largest blocks (the box is empty when a partition is), so normalizing
+    # the kept coefficients normalizes the whole operator
+    values = np.array(values, dtype=np.int64 if field.p else object)
+    kept = Matrix._from_ints(field, values[None, inbox], den)
+    flat = np.zeros(size + 1, dtype=kept.num.dtype)
+    flat[exps[inbox] @ np.array(strides)] = kept.num[0]
     # entry `size` of flat is the zero that every invalid position reads
     index = np.zeros((1, 1), dtype=np.int64)
     for lam, stride in zip(lams, strides):
         offsets = _block_offsets(lam, stride, size)
         n, k = index.shape[0], lam.dim
         index = (index[:, None, :, None] + offsets[None, :, None, :]).reshape(n * k, n * k)
-    out = flat[np.minimum(index, size)]
-    return Matrix(field, out) if field.p else Matrix._from_ints(field, out, den)
+    return Matrix._trusted(field, flat[np.minimum(index, size)], kept.den)
 
 
 def nilpotent_powers(n_mat: Matrix) -> list:
@@ -704,7 +675,7 @@ def _power_ranks(n_mat: Matrix):
         while True:
             yield basis.shape[0]
             basis = _echelon_int(np.dot(basis, n))
-    n, w = n_mat.a, _packing(p, dim)[0]
+    n, w = n_mat.num, _packing(p, dim)[0]
     leads = set(_echelon_rows(n, p))
     level = n[[j for j in range(dim) if j not in leads]]
     float_n, levels = n.astype(np.float64), []

@@ -29,6 +29,7 @@ term-by-term split of the law's series f = f_1 + ... + f_m with Y_i | f_i.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -265,40 +266,22 @@ def sigma_matrices(m: int, d: int, field: Field) -> list:
 
 # -- exterior / symmetric quotients -------------------------------------------------
 
-def induced_quotient_operator(x: Matrix, d: int, m: int, kind: str) -> Matrix:
-    """The endomorphism that x, acting on (k^d)^(x)m, induces on wedge^m or
-    Sym^m of k^d (``kind`` "wedge" or "sym").
-
-    The basis words are the strictly (wedge) or weakly (Sym) increasing
-    words.  Column w of the induced map is x applied to the plain tensor w,
-    straightened: take the columns of x at the basis words and add the row
-    of every tensor word u into the row of its sorted word.  For the wedge
-    the row is negated when u has an odd number of inversions, and dropped
-    when u repeats a letter.
-
-    x induces a map only if it preserves the kernel of the quotient, and it
-    does when it commutes with the symmetric group (its commutant, the Schur
-    algebra, preserves every such kernel).  So x must commute with each
-    adjacent swap of tensor factors; otherwise InvalidInput.
-    """
+@functools.lru_cache(maxsize=None)
+def _straightening(d: int, m: int, kind: str) -> tuple:
+    """The word tables of the wedge^m or Sym^m quotient of (k^d)^(x)m:
+    (targets, signs, columns, spare).  Tensor word u goes to row targets[u],
+    the index of its sorted word among the basis words, or ``spare`` (their
+    count) when the wedge kills it, with the sign signs[u] of the sort;
+    ``columns`` holds the tensor indices of the basis words.  The tables
+    depend on no law and no field, so each is built once."""
     if kind == "wedge":
         words = list(itertools.combinations(range(d), m))
     elif kind == "sym":
         words = list(itertools.combinations_with_replacement(range(d), m))
     else:
         raise InvalidInput(f"unknown quotient kind {kind!r}")
-    if x.shape != (d ** m, d ** m):
-        raise InvalidInput(f"a {x.shape} operator does not act on the {m}-fold "
-                           f"tensor power of dimension {d}")
-    ints, den = (x.a, 1) if x.field.p else (x.num, x.den)
-    for i in range(m - 1):
-        swap = _swap_index(d, m, i)
-        if not np.array_equal(ints[swap][:, swap], ints):
-            raise InvalidInput("the operator does not commute with swapping tensor factors "
-                               f"{i + 1} and {i + 2}, so it induces no map on the quotient "
-                               "(the law's m-fold series is not symmetric)")
     index = {w: k for k, w in enumerate(words)}
-    spare = len(words)  # the row that collects the words the wedge kills
+    spare = len(words)
     targets, signs, columns = [], [], []
     for flat, u in enumerate(itertools.product(range(d), repeat=m)):
         w = tuple(sorted(u))
@@ -308,10 +291,44 @@ def induced_quotient_operator(x: Matrix, d: int, m: int, kind: str) -> Matrix:
         signs.append(-1 if odd else 1)
         if u == w and k != spare:
             columns.append(flat)
+    tables = (np.array(targets, dtype=np.intp), np.array(signs, dtype=np.int64)[:, None],
+              np.array(columns, dtype=np.intp))
+    for table in tables:
+        table.flags.writeable = False
+    return (*tables, spare)
+
+
+def induced_quotient_operator(x: Matrix, d: int, m: int, kind: str) -> Matrix:
+    """The endomorphism that x, acting on (k^d)^(x)m, induces on wedge^m or
+    Sym^m of k^d (``kind`` "wedge" or "sym").
+
+    The basis words are the strictly (wedge) or weakly (Sym) increasing
+    words.  Column w of the induced map is x applied to the plain tensor w,
+    straightened: take the columns of x at the basis words and add the row
+    of every tensor word u into the row of its sorted word.  For the wedge
+    the row is negated when u has an odd number of inversions, and dropped
+    when u repeats a letter.  The word tables are built once per (d, m,
+    kind) (``_straightening``).
+
+    x induces a map only if it preserves the kernel of the quotient, and it
+    does when it commutes with the symmetric group (its commutant, the Schur
+    algebra, preserves every such kernel).  So x must commute with each
+    adjacent swap of tensor factors; otherwise InvalidInput.
+    """
+    if x.shape != (d ** m, d ** m):
+        raise InvalidInput(f"a {x.shape} operator does not act on the {m}-fold "
+                           f"tensor power of dimension {d}")
+    targets, signs, columns, spare = _straightening(d, m, kind)
+    ints = x.num
+    for i in range(m - 1):
+        swap = _swap_index(d, m, i)
+        if not np.array_equal(ints[swap][:, swap], ints):
+            raise InvalidInput("the operator does not commute with swapping tensor factors "
+                               f"{i + 1} and {i + 2}, so it induces no map on the quotient "
+                               "(the law's m-fold series is not symmetric)")
     out = np.zeros((spare + 1, spare), dtype=ints.dtype)
-    rows = ints[:, columns] * np.array(signs, dtype=np.int64)[:, None]
-    np.add.at(out, np.array(targets, dtype=np.intp), rows)
-    return Matrix._from_ints(x.field, out[:spare], den)
+    np.add.at(out, targets, ints[:, columns] * signs)
+    return Matrix._from_ints(x.field, out[:spare], x.den)
 
 
 def wedge_partition(lam, m: int, law: GeneralizedLaw, field: Field) -> Partition:

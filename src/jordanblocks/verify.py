@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .classical import good_char_report, validate_classical_partition
 from .char0 import check_theorem, exponents, predict_blocks
-from .errors import AlgebraError
+from .errors import AlgebraError, InvalidInput
 from .fields import GF, Field
 from .fgl import (
     GeneralizedLaw,
@@ -422,8 +422,8 @@ SUITES = {
 
 
 def verify_paper(only: str | None = None, seed: int = 0) -> list:
-    """Run all (or one) verification suites; raises on unknown suite names."""
+    """Run all (or one) verification suites; InvalidInput for an unknown suite name."""
     if only is not None and only not in SUITES:
-        raise KeyError(f"unknown suite {only!r}; choose from {', '.join(SUITES)}")
+        raise InvalidInput(f"unknown suite {only!r}; choose from {', '.join(SUITES)}")
     names = [only] if only else list(SUITES)
     return [SUITES[name](seed=seed) for name in names]

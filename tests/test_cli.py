@@ -3,6 +3,8 @@ import json
 import pytest
 
 from jordanblocks.cli import main, parse_partition
+from jordanblocks.errors import InvalidInput
+from jordanblocks.verify import verify_paper
 
 
 def run(capsys, *argv):
@@ -137,6 +139,12 @@ class TestVerify:
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "paper", "--only", "nonsense")
         assert code == 2 and "nonsense" in err
+
+    def test_unknown_suite_name_is_invalid_input(self):
+        # the library call raises a typed error, not a bare KeyError
+        with pytest.raises(InvalidInput, match="bogus") as exc:
+            verify_paper(only="bogus")
+        assert not isinstance(exc.value, KeyError)
 
     def test_json_document(self, capsys):
         code, out, _ = run(capsys, "verify", "paper", "--only", "ring-calcs", "--json")

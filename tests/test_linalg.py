@@ -654,30 +654,40 @@ class TestIntegerRationals:
     """Q matrices as num / den against Fraction arithmetic on object arrays."""
 
     @staticmethod
-    def check(got: Matrix, want: np.ndarray):
-        # the entries of the Fraction oracle, held in lowest terms, so that
-        # the matrix built from the oracle's entries has the same (num, den)
+    def check(got: Matrix, want: np.ndarray, field: Field = QQ):
+        # over Q the entries of the Fraction oracle, held in lowest terms, so
+        # that the matrix built from the oracle's entries has the same
+        # (num, den); over F_p the exact integer result, which must come back
+        # as int64 entries in range(p) over den 1
         assert got.shape == want.shape
+        if field.p:
+            assert got.num.dtype == np.int64 and got.den == 1
+            assert ((0 <= got.num) & (got.num < field.p)).all()
+            want = want % field.p
+        else:
+            assert all(type(x) is int for x in got.num.flat)
+            assert got.den > 0 and math.gcd(got.den, *got.num.flat) == 1
         assert np.array_equal(got.a, want)
-        assert all(type(x) is int for x in got.num.flat)
-        assert got.den > 0 and math.gcd(got.den, *got.num.flat) == 1
-        built = Matrix(QQ, want)
+        built = Matrix(field, want)
         assert got.den == built.den and np.array_equal(got.num, built.num)
         assert got == built and hash(got) == hash(built)
 
-    def check_operations(self, a, b, c, scalar):
+    def check_operations(self, a, b, c, scalar, field: Field = QQ):
         """a and b of one shape, c with as many rows as a has columns."""
-        x, y, z = Matrix(QQ, a), Matrix(QQ, b), Matrix(QQ, c)
-        self.check(x + y, a + b)
-        self.check(x - y, a - b)
-        self.check(-x, -a)
-        self.check(x.scale(scalar), a * scalar)
-        self.check(x @ z, fraction_matmul(a, c))
-        self.check(x.kron(z), np.kron(a, c))
-        self.check(x.T, a.T.copy())
-        assert (x == y) == np.array_equal(a, b)
-        assert x.rank() == rref_rank_frac(a)
-        assert x.is_zero() == all(v == 0 for v in a.flat)
+        x, y, z = Matrix(field, a), Matrix(field, b), Matrix(field, c)
+        self.check(x, a, field)
+        self.check(x + y, a + b, field)
+        self.check(x - y, a - b, field)
+        self.check(-x, -a, field)
+        self.check(x.scale(scalar), a * scalar, field)
+        self.check(x @ z, fraction_matmul(a, c).reshape(a.shape[0], c.shape[1]), field)
+        self.check(x.kron(z), np.kron(a, c), field)
+        self.check(x.T, a.T.copy(), field)
+        self.check(Matrix.hstack([x, y]), np.hstack([a, b]), field)
+        p = field.p
+        assert (x == y) == (np.array_equal(a % p, b % p) if p else np.array_equal(a, b))
+        assert x.rank() == (rref_rank_mod(a, p) if p else rref_rank_frac(a))
+        assert x.is_zero() == all((v % p if p else v) == 0 for v in a.flat)
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1), (2, 3), (4, 4)])
     @pytest.mark.parametrize("height", [10, 2**64 + 13])
@@ -753,6 +763,30 @@ class TestIntegerRationals:
         assert Matrix.from_rows(QQ, [["1/2", "3/2"]]) != Matrix.from_rows(QQ, [["1/3", 1]])
         assert (half.scale(0).den, hash(half.scale(0))) == (1, hash(Matrix.zeros(QQ, 2, 2)))
 
+    @pytest.mark.parametrize("p", [2, 5, 32749, 1048573])
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1), (2, 3), (4, 4)])
+    def test_fp_operations_are_reduced(self, p, shape):
+        # F_p as one more field: unreduced and negative Python ints in
+        # object arrays, and every result reduced into range(p) over den 1
+        field, rng = GF(p), random.Random(p * 100 + shape[0] * 10 + shape[1])
+
+        def draw(nrows, ncols):
+            return np.array([[rng.randint(-3 * p, 3 * p) for _ in range(ncols)]
+                             for _ in range(nrows)], dtype=object).reshape(nrows, ncols)
+
+        a = draw(*shape)
+        self.check_operations(a, draw(*shape), draw(*shape[::-1]), rng.randint(-3 * p, 3 * p),
+                              field)
+        self.check(Matrix.from_rows(field, a.tolist()), a if len(a) else a.reshape(0, 0), field)
+        self.check(Matrix.zeros(field, *shape), np.zeros(shape, dtype=object), field)
+        self.check(Matrix.identity(field, shape[0]),
+                   np.eye(shape[0], dtype=np.int64).astype(object), field)
+        x = Matrix(field, a)
+        if shape[0] == shape[1] and x.rank() == shape[0]:
+            inverse = x.inverse()
+            self.check(inverse, inverse.num.astype(object), field)
+            assert x @ inverse == Matrix.identity(field, shape[0])
+
     def test_bareiss_starts_from_primitive_rows(self):
         # a row over a common denominator is divided by the gcd of its
         # entries first, so its size is that of the row's own denominators
@@ -766,9 +800,9 @@ class TestIntegerRationals:
         with pytest.raises(ValueError, match="read-only"):
             m.a[0, 0] = 5
         assert m.a[0, 0] == Fraction(1, 2) and m.num.tolist() == [[1, 6]]
-        # F_p entries stay a plain writable int64 attribute
+        # over F_p the entries are the writable int64 storage itself
         f = Matrix.from_rows(GF(5), [[1, 2]])
-        assert "a" in type(f).__slots__ and f.a.flags.writeable and f.a.dtype == np.int64
+        assert f.a is f.num and f.a.flags.writeable and f.a.dtype == np.int64
 
     def test_products_and_ranks_build_no_fraction(self, monkeypatch):
         # a product is one integer dot product over den * den, a rank one
@@ -783,6 +817,54 @@ class TestIntegerRationals:
         product = a @ a @ a
         assert product.rank() == a.rank() and not built
         assert product.a.shape == (6, 6) and built  # the view is built on its first read
+
+
+class TestConstructor:
+    """Matrix(field, a) validates and normalizes in both fields."""
+
+    def test_fp_entries_are_reduced(self):
+        five = Matrix(GF(5), np.array([[5]]))
+        assert five.rank() == 0 and five.is_zero() and five == Matrix.zeros(GF(5), 1, 1)
+        assert hash(five) == hash(Matrix.zeros(GF(5), 1, 1))
+        got = Matrix(GF(5), np.array([[7, -1], [10, -6]]))
+        assert got.num.dtype == np.int64 and got.num.tolist() == [[2, 4], [0, 4]]
+        assert got == Matrix.from_rows(GF(5), [[2, 4], [0, 4]])
+
+    @pytest.mark.parametrize("a", [
+        np.array([[True, False]]),
+        np.array([[6, 9]], dtype=np.int8),
+        np.array([[6, 2**64 - 1]], dtype=np.uint64),
+        np.array([[6, -1]], dtype=object),
+        np.array([[2**70 + 1, np.int64(-1)]], dtype=object),
+    ], ids=["bool", "int8", "uint64", "object", "object-wide"])
+    def test_fp_integer_dtypes_are_accepted(self, a):
+        got = Matrix(GF(5), a)
+        want = [[int(x) % 5 for x in row] for row in a.tolist()]
+        assert got.num.dtype == np.int64 and got.den == 1 and got.num.tolist() == want
+
+    @pytest.mark.parametrize("field", [GF(5), QQ], ids=str)
+    @pytest.mark.parametrize("a", [
+        np.array([[0.5, 1]]),
+        np.array([[2.0]]),
+        np.array([[1j]]),
+        np.array([[0.5, 1]], dtype=object),
+    ], ids=["float", "integral-float", "complex", "object-float"])
+    def test_inexact_entries_are_invalid(self, field, a):
+        with pytest.raises(InvalidInput):
+            Matrix(field, a)
+
+    def test_the_matrix_owns_its_entries(self):
+        a = np.array([[1, 2]])
+        m = Matrix(GF(5), a)
+        a[0, 0] = 3
+        assert m.num.tolist() == [[1, 2]]
+
+    def test_numpy_integers_over_q_stay_exact(self):
+        # a Fraction of an int64 would keep int64 parts and wrap
+        for m in (Matrix.from_rows(QQ, [[np.int64(2**40), Fraction(1, 2**30)]]),
+                  Matrix(QQ, np.array([[np.int64(2**40), Fraction(1, 2**30)]], dtype=object))):
+            assert (m.den, m.num.tolist()) == (2**30, [[2**70, 1]])
+            assert all(type(x) is int for x in m.num.flat)
 
 
 class TestOperandChecks:
@@ -880,6 +962,19 @@ class TestExactnessGuard:
             a.rank()
         with pytest.raises(BadPrime):
             a.inverse()
+
+    def test_scale_and_kron_past_int64_raise(self):
+        # (p - 1)**2 wraps int64 here: refused, not 2572250462 for 1
+        p = PRIME_PAST_INT64
+        a = Matrix.from_rows(GF(p), [[p - 1]])
+        with pytest.raises(BadPrime):
+            a.scale(p - 1)
+        with pytest.raises(BadPrime):
+            a.kron(a)
+        # the largest supported prime still scales exactly
+        q = 3037000493
+        b = Matrix.from_rows(GF(q), [[q - 1]])
+        assert b.scale(q - 1).num.tolist() == b.kron(b).num.tolist() == [[1]]
 
     def test_guard_survives_optimize_flag(self):
         code = textwrap.dedent(f"""
@@ -1008,8 +1103,8 @@ def test_field_validation():
 
 
 @pytest.mark.parametrize("field", [GF(5), QQ], ids=["F5", "Q"])
-@pytest.mark.parametrize("x", [2.7, 0.1, 2.0, np.float64(2.0)],
-                         ids=["2.7", "0.1", "2.0", "np.float64"])
+@pytest.mark.parametrize("x", [2.7, 0.1, 2.0, np.float64(2.0), np.float32(1.5)],
+                         ids=["2.7", "0.1", "2.0", "np.float64", "np.float32"])
 def test_float_is_invalid_input(field, x):
     # GF(5)(2.7) must not truncate to 2, nor QQ(0.1) become a binary fraction
     with pytest.raises(InvalidInput, match="float"):
