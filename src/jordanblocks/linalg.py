@@ -33,14 +33,15 @@ next one as the echelon form of E_k N, on the integer numerator of N, each
 basis row divided by the gcd of its entries.
 
 The F_p echelon form works on packed rows: each row is one Python int
-holding column j in the bits [j w, (j + 1) w), with w the least multiple of
-64 that is at least 4L + 2 for p of bit length L.  Rows go one at a time into
-a dict from leading column (the lowest set bit) to pivot row; a row whose
-lead has a pivot is reduced by one multiply-add with the negated pivot row
-and one Barrett step on all fields at once, which is exact because every
-field holds less than p**2 before it and 2**(3L) > p**3 (see
-``_insert_rows``).  A row operation is thus a few big-int operations, not a
-round of numpy calls.
+holding column j in the bits [j w, (j + 1) w).  For p of bit length L, w is
+the least of 16 and 32 bits that is at least 4L + 2 (p <= 127), past that
+the least multiple of 64 that is, and one bit at p = 2.  Rows go one at a
+time into a dict from leading column (the lowest set bit) to pivot row; a
+row whose lead has a pivot is reduced by one XOR at p = 2, and otherwise by
+one multiply-add with the negated pivot row and one Barrett step on all
+fields at once, which is exact because every field holds less than p**2
+before it and 2**(3L) > p**3 (see ``_insert_rows``).  A row operation is
+thus a few big-int operations, not a round of numpy calls.
 
 A series at canonical nilpotents, sum of c_a phi_1^{a_1} (x) ... (x)
 phi_m^{a_m} with phi_k the block-diagonal shift of a partition, is built as
@@ -372,35 +373,63 @@ def _require_int64_elimination(p: int) -> None:
 
 @functools.lru_cache(maxsize=None)
 def _packing(p: int, n: int) -> tuple:
-    """Constants of packed rows of length n over F_p: the field width w (a
-    multiple of 64 bits), the Barrett shift s and multiplier M, the mask LOW
-    of the low w - s bits of every field, and P, which holds p in every
-    field."""
+    """Constants of packed rows of length n over F_p: the field width w, the
+    Barrett shift s and multiplier M, the mask LOW of the low w - s bits of
+    every field, and P, which holds p in every field.
+
+    w is the least of 16 and 32 bits that is at least 4L + 2 for p of bit
+    length L (p <= 127), and past that the least multiple of 64 that is; at
+    p = 2 it is one bit, and rows are reduced by XOR with no Barrett
+    constants (all 0).
+    """
+    if p == 2:
+        return 1, 0, 0, 0, 0
     bits = p.bit_length()
-    w = 64 * -(-(4 * bits + 2) // 64)
+    need = 4 * bits + 2
+    w = 16 if need <= 16 else 32 if need <= 32 else 64 * -(-need // 64)
     s = 3 * bits
     ones = sum(1 << (j * w) for j in range(n))
     return w, s, (1 << s) // p + 1, ((1 << (w - s)) - 1) * ones, p * ones
 
 
-def _pack(a: np.ndarray, p: int, w: int) -> list:
-    """The rows of ``a`` reduced mod p as Python ints, column j in the bits
-    [j w, (j + 1) w)."""
+def _field_dtype(w: int) -> np.dtype:
+    """The unsigned dtype that holds one field of width w: uint8 bits at
+    w = 1, ``<u2`` and ``<u4`` at 16 and 32, and 64-bit words past that."""
+    return np.dtype(f"<u{max(min(w, 64) // 8, 1)}")
+
+
+def _pack(a: np.ndarray, w: int) -> list:
+    """The rows of ``a``, entries in range(p), as Python ints, column j in the
+    bits [j w, (j + 1) w).
+
+    At w = 1 a row is its bits (``np.packbits``), at w = 16 and 32 its
+    ``<u2``/``<u4`` bytes; past that each field is w / 64 little-endian
+    words, the value in the first.
+    """
     m, n = a.shape
     if not n:
         return []
-    words = np.zeros((m, n, w // 64), dtype="<u8")
-    words[:, :, 0] = a % p
-    rows = words.reshape(m, n * w // 64).view(f"V{n * w // 8}").ravel().tolist()
+    if w == 1:
+        words = np.packbits(a, axis=1, bitorder="little")
+    elif w < 64:
+        words = np.ascontiguousarray(a, dtype=_field_dtype(w))
+    else:
+        words = np.zeros((m, n, w // 64), dtype="<u8")
+        words[:, :, 0] = a
+        words = words.reshape(m, n * w // 64)
+    rows = words.view(f"V{words.shape[1] * words.itemsize}").ravel().tolist()
     return list(map(int.from_bytes, rows, itertools.repeat("little")))
 
 
 def _unpack(rows: list, n: int, w: int) -> np.ndarray:
     """Inverse of ``_pack``: an int64 array with one row per packed row."""
-    step = n * w // 8
-    raw = b"".join([r.to_bytes(step, "little") for r in rows])
-    words = np.frombuffer(raw, dtype="<u8").reshape(len(rows), n, w // 64)
-    return words[:, :, 0].astype(np.int64)
+    step = -(-n * w // 8)
+    raw = np.frombuffer(b"".join([r.to_bytes(step, "little") for r in rows]),
+                        dtype=_field_dtype(w))
+    if w == 1:
+        raw = np.unpackbits(raw.reshape(len(rows), step), axis=1, count=n,
+                            bitorder="little")
+    return raw.reshape(len(rows), n, max(w // 64, 1))[:, :, 0].astype(np.int64)
 
 
 def _echelon_rows(a: np.ndarray, p: int) -> dict:
@@ -411,16 +440,17 @@ def _echelon_rows(a: np.ndarray, p: int) -> dict:
     ``_insert_rows``, so the count of the dict is the rank of ``a``.
     """
     _require_int64_elimination(p)
-    return _insert_rows({}, _pack(a, p, _packing(p, a.shape[1])[0]), p, a.shape[1])
+    return _insert_rows({}, _pack(a, _packing(p, a.shape[1])[0]), p, a.shape[1])
 
 
 def _insert_rows(pivots: dict, rows: Iterable[int], p: int, n: int) -> dict:
     """Reduce packed rows of length n over F_p into the echelon ``pivots``
     {leading column: pivot row}, every pivot scaled to lead 1; returns it.
 
-    While a row's lead already has a pivot, the row is reduced by it with two
-    big-int operations: r += f (P - piv), which adds f (p - v) fieldwise for
-    each pivot entry v and so clears the lead f, then
+    At p = 2 (w = 1) every lead is 1, and a row is reduced by r ^= piv.
+    Otherwise, while a row's lead already has a pivot, the row is reduced by
+    it with two big-int operations: r += f (P - piv), which adds f (p - v)
+    fieldwise for each pivot entry v and so clears the lead f, then
     r -= (((r M) >> s) & LOW) p.  Before that Barrett step every field holds
     x <= (p - 1) + (p - 1) p < p**2, and with L the bit length of p,
     s = 3L and M = floor(2**s / p) + 1:
@@ -429,6 +459,7 @@ def _insert_rows(pivots: dict, rows: Iterable[int], p: int, n: int) -> dict:
     - x M < 2**(4L + 2) <= 2**w, so no product carries into the next field,
       and the quotient (below 2**(L + 2)) is kept apart by LOW from the low s
       bits that the shift brings down from the next field (w >= s + L + 2).
+    So any w >= 4L + 2 is exact, the 16 and 32 bits of ``_packing`` too.
     Each reduction moves the lead right.  A row that reaches a free lead is
     scaled to lead 1 (fields below p**2 again, one more Barrett step) and
     becomes its pivot; a row that reaches zero is dropped.
@@ -440,11 +471,16 @@ def _insert_rows(pivots: dict, rows: Iterable[int], p: int, n: int) -> dict:
             lead = ((r & -r).bit_length() - 1) // w
             piv = pivots.get(lead)
             if piv is None:
-                r *= pow((r >> lead * w) & field, -1, p)
-                pivots[lead] = r - ((r * mult >> s) & low) * p
+                if p != 2:
+                    r *= pow((r >> lead * w) & field, -1, p)
+                    r -= ((r * mult >> s) & low) * p
+                pivots[lead] = r
                 break
-            r += ((r >> lead * w) & field) * (ps - piv)
-            r -= ((r * mult >> s) & low) * p
+            if p == 2:
+                r ^= piv
+            else:
+                r += ((r >> lead * w) & field) * (ps - piv)
+                r -= ((r * mult >> s) & low) * p
     return pivots
 
 
@@ -567,15 +603,22 @@ def nilpotent_from_partition(field: Field, lam) -> Matrix:
     return canonical_series_operator(field, (lam,), {(1,): field.one})
 
 
+@functools.lru_cache(maxsize=256)
 def _block_offsets(lam: Partition, stride: int, invalid: int) -> np.ndarray:
     """(s - r) * stride where indices r <= s share a Jordan block of ``lam``,
     ``invalid`` elsewhere: the flat exponent offset that phi^(s - r) puts at
-    entry (r, s) of the canonical nilpotent's powers."""
+    entry (r, s) of the canonical nilpotent's powers.
+
+    Memoized, so the array is read-only; ``repring.clear_memo`` drops the
+    cache.  An entry holds lam.dim**2 int64, at most 128 MiB at the operator
+    bound."""
     block = np.repeat(np.arange(len(lam)), lam.parts)
     index = np.arange(lam.dim)
     shift = index[None, :] - index[:, None]
     valid = (block[:, None] == block[None, :]) & (shift >= 0)
-    return np.where(valid, shift * stride, invalid)
+    out = np.where(valid, shift * stride, invalid)
+    out.flags.writeable = False
+    return out
 
 
 #: The largest operator the gather builds: J_64 (x) J_64, whose gather index
@@ -658,11 +701,11 @@ def _power_ranks(n_mat: Matrix):
     N gives rank N and its lead columns L; the unit rows e_j with j not in L
     span a complement R_0 of the row space of N, so k^D = span R_0 + k^D N
     and, by Nakayama, k^D N^l = span{R_0 N^j : j >= l}.  The levels
-    R_l = R_(l-1) N are formed up to the first zero R_e and inserted into one
-    echelon from the top power down; after level l the pivot count is
-    rank N^l.  The levels span k^D N only when N is nilpotent, so the count
-    after level 1 must equal rank N, and R_D must be zero; otherwise
-    NotNilpotent.
+    R_l = R_(l-1) N are formed up to the first zero R_e, held in the packed
+    field's unsigned dtype, packed in one call and inserted into one echelon
+    from the top power down; after level l the pivot count is rank N^l.  The
+    levels span k^D N only when N is nilpotent, so the count after level 1
+    must equal rank N, and R_D must be zero; otherwise NotNilpotent.
 
     Over Q, rowspace(N^(k+1)) = rowspace(N^k) N, so an echelon basis of the
     previous row space times N spans the next one, on the integer numerator
@@ -676,17 +719,24 @@ def _power_ranks(n_mat: Matrix):
             yield basis.shape[0]
             basis = _echelon_int(np.dot(basis, n))
     n, w = n_mat.num, _packing(p, dim)[0]
+    dtype = _field_dtype(w)
     leads = set(_echelon_rows(n, p))
-    level = n[[j for j in range(dim) if j not in leads]]
+    level = n[[j for j in range(dim) if j not in leads]].astype(dtype)
     float_n, levels = n.astype(np.float64), []
     while level.any():
         if len(levels) == dim - 1:
             raise NotNilpotent("matrix is not nilpotent")
-        levels.append(_pack(level, p, w))
-        level = _matmul_mod(level, float_n, p)
+        levels.append(level)
+        level = _matmul_mod(level, float_n, p).astype(dtype)
+    del float_n
+    # all levels in one pack, top power first (the zero level shapes an empty
+    # stack); the list goes once the stack is made, the stack once it is packed
+    count, c = len(levels), dim - len(leads)
+    levels = np.concatenate(levels[::-1] + [level[:0]])
+    rows, levels = _pack(levels, w), None
     pivots, ranks = {}, [0]
-    while levels:
-        ranks.append(len(_insert_rows(pivots, levels.pop(), p, dim)))
+    for top in range(count):
+        ranks.append(len(_insert_rows(pivots, rows[top * c:(top + 1) * c], p, dim)))
     if ranks[-1] != len(leads):
         raise NotNilpotent("matrix is not nilpotent")
     yield from reversed(ranks)

@@ -40,6 +40,7 @@ from .fgl import GeneralizedLaw, iterated_tensor_series
 from .linalg import (
     Matrix,
     Partition,
+    _block_offsets,
     _require_operator_dim,
     canonical_series_operator,
     jordan_partition,
@@ -377,5 +378,7 @@ def build_symmetric_intertwiner(n: int, m: int, law: GeneralizedLaw) -> Matrix:
 
 
 def clear_memo() -> None:
-    """Drop the memoized structure constants and block squares (used by tests)."""
+    """Drop the memoized structure constants and block squares, and the
+    gather's block offsets (used by tests and benchmark passes)."""
     _constants_memo.clear()
+    _block_offsets.cache_clear()

@@ -104,11 +104,15 @@ def random_low_rank(p, nrows, ncols, rank, seed) -> np.ndarray:
     return (left @ right) % p
 
 
-#: small primes; 32749 and 32771 on either side of the field width of packed
-#: rows (4L + 2 bits for p of bit length L) passing one 64-bit word; the
+#: primes on either side of each width edge of packed rows, with the field
+#: width ``_packing`` gives them: one bit at p = 2, else the least of 16, 32
+#: or a multiple of 64 bits that is at least 4L + 2 for p of bit length L
+FIELD_WIDTHS = {2: 1, 7: 16, 11: 32, 127: 32, 131: 64, 32749: 64, 32771: 128,
+                3037000493: 192}
+#: small primes; the width edges whose F_p products stay float64-exact; the
 #: largest prime below 2**20, whose quotients overflow a narrower field; and
 #: the largest prime whose F_p products of length 2 stay float64-exact
-PACKED_PRIMES = [2, 3, 5, 7, 13, 32749, 32771, 1048573, 67108859]
+PACKED_PRIMES = [2, 3, 5, 7, 11, 13, 127, 131, 32749, 32771, 1048573, 67108859]
 #: the primes at which the conjugates in these tests stay float64-exact
 CONJUGATE_PRIMES = PACKED_PRIMES[:-1]
 
@@ -280,8 +284,20 @@ class TestEchelonKernel:
         check_echelon(*case[::-1])
 
     def test_field_width(self):
-        assert linalg._packing(32749, 5)[0] == 64
-        assert linalg._packing(32771, 5)[0] == 128
+        assert {p: linalg._packing(p, 5)[0] for p in FIELD_WIDTHS} == FIELD_WIDTHS
+
+    @pytest.mark.parametrize("p", FIELD_WIDTHS)
+    def test_pack_layout(self, p):
+        # column j of a packed row is bits [j w, (j + 1) w); at p = 2 a row is
+        # its bits, and the rows unpack to the array
+        w, rng = linalg._packing(p, 7)[0], random.Random(p)
+        a = np.array([[rng.choice([0, 1, p - 1, rng.randrange(p)]) for _ in range(7)]
+                      for _ in range(5)], dtype=np.int64)
+        rows = linalg._pack(a, w)
+        for row, packed in zip(a.tolist(), rows):
+            assert packed == sum(x << (j * w) for j, x in enumerate(row))
+        assert (linalg._unpack(rows, 7, w) == a).all()
+        assert linalg._pack(a[:0], w) == [] and linalg._unpack([], 7, w).shape == (0, 7)
 
     @staticmethod
     def sample(p, nrows, ncols, rank, seed) -> Matrix:
@@ -432,9 +448,9 @@ class TestChainAgainstOracle:
             assert shapes == [(dim, dim)] + [(r, dim) for r in ranks]
 
 
-#: small primes, and 32749 and 32771 on either side of the 64-bit field width
-#: of packed rows
-KRYLOV_PRIMES = [2, 3, 5, 7, 32749, 32771]
+#: small primes, and each width edge of packed rows (``FIELD_WIDTHS``) whose
+#: products stay float64-exact: every width from 1 to 128 bits
+KRYLOV_PRIMES = [2, 3, 5, 7, 11, 127, 131, 32749, 32771]
 
 
 def ranks_of_type(lam) -> list:

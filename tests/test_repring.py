@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jordanblocks import repring
+from jordanblocks import linalg, repring
 from jordanblocks.errors import AlgebraError, InvalidInput, InvalidLaw
 from jordanblocks.fgl import (
     GeneralizedLaw,
@@ -163,6 +163,23 @@ class TestStructureConstants:
         a = structure_constants(4, 5, law, F3)
         b = structure_constants(4, 5, law, F3)
         assert a is b
+
+    def test_gather_offsets_are_memoized_read_only(self):
+        # the cell J_3 (x) J_4 gathers the offsets of (3,) at stride 4 and of
+        # (4,) at stride 1, each reading 12, the box size, where it is invalid
+        offsets = linalg._block_offsets
+        repring.clear_memo()
+        assert offsets.cache_info().currsize == 0
+        structure_constants(3, 4, additive(F5), F5)
+        hits = offsets.cache_info().hits
+        first = offsets(Partition((3,)), 4, 12)
+        assert offsets.cache_info().hits == hits + 1
+        assert first.tolist() == [[0, 4, 8], [12, 0, 4], [12, 12, 0]]
+        assert not first.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            first[0, 0] = 1
+        repring.clear_memo()
+        assert offsets.cache_info().currsize == 0
 
     def test_dimension_check_is_a_typed_error(self, monkeypatch):
         # a brute force that lost a dimension must not reach the memo
