@@ -46,6 +46,8 @@ class Mutant:
 
 LINALG = "src/jordanblocks/linalg.py"
 REPRING = "src/jordanblocks/repring.py"
+SERIES = "src/jordanblocks/series.py"
+FGL = "src/jordanblocks/fgl.py"
 OFFSETS_TEST = ("tests/test_repring.py::TestStructureConstants::"
                 "test_gather_offsets_are_memoized_read_only")
 
@@ -68,6 +70,19 @@ MUTANTS = [
     Mutant("clear-memo-keeps-offsets", REPRING,
            "    _block_offsets.cache_clear()\n", "",
            (OFFSETS_TEST,)),
+    # an image with a term that Y_i does not divide, or with no Y_i term,
+    # gives a matrix that may not be invertible
+    Mutant("automorphism-skips-divisibility", SERIES,
+           "if any(exp[i] == 0 for exp in g.coeffs):", "if False:",
+           ("tests/test_series.py::TestBuildAutomorphism::test_refusals",)),
+    Mutant("automorphism-skips-zero-linear", SERIES,
+           "if trunc[i] > 1 and g.coefficient(", "if False and g.coefficient(",
+           ("tests/test_series.py::TestBuildAutomorphism::test_refusals",)),
+    # the law's series padded in front reads as F(Y_2, Y_3), not F(Y_1, Y_2)
+    Mutant("tensor-series-pad-in-front", FGL,
+           "{e + pad: c", "{pad + e: c",
+           ("tests/test_fgl.py::TestIteratedSeries::"
+            "test_three_factors_nest_the_law_on_the_left",)),
 ]
 
 

@@ -61,23 +61,15 @@ def cmd_tensor(args) -> int:
     return 0
 
 
-def _cmd_power(args, shape: str) -> int:
+def cmd_power(args) -> int:
     field = Field(args.p)
     law = parse_law(args.law, field)
-    fn = wedge_partition if shape == "wedge" else sym_partition
+    fn = wedge_partition if args.command == "wedge" else sym_partition
     part = fn(args.lam, args.m, law, field)
     _emit(args, {"p": args.p, "law": args.law, "lambda": list(args.lam), "m": args.m,
                  "partition": part.to_json()},
           f"{part.compressed()}  [{RingElement.from_partition(part).pretty()}]")
     return 0
-
-
-def cmd_wedge(args) -> int:
-    return _cmd_power(args, "wedge")
-
-
-def cmd_sym(args) -> int:
-    return _cmd_power(args, "sym")
 
 
 def cmd_ring(args) -> int:
@@ -169,16 +161,16 @@ def cmd_verify(args) -> int:
     return 0 if all(r.ok for r in results) else 1
 
 
-def _add_common(sub, lam=False, mu=False, law=False, p=True):
+def _add_common(sub, lam=False, law=False, p=True):
+    """--p, --law and --json; ``lam`` adds a --lambda that is required."""
     if p:
         sub.add_argument("--p", type=int, required=True, help="field characteristic (0 for Q)")
     if law:
         sub.add_argument("--law", default="additive",
                          help="additive | multiplicative | scaled:<c> | <file.json>")
     if lam:
-        sub.add_argument("--lambda", dest="lam", type=parse_partition, help="partition, e.g. 4,2,1")
-    if mu:
-        sub.add_argument("--mu", dest="mu", type=parse_partition)
+        sub.add_argument("--lambda", dest="lam", type=parse_partition, required=True,
+                         help="partition, e.g. 4,2,1")
     sub.add_argument("--json", action="store_true", help="emit a JSON document")
 
 
@@ -191,14 +183,17 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("tensor", help="tensor product of two block classes")
     s.add_argument("--a", type=int)
     s.add_argument("--b", type=int)
-    _add_common(s, lam=True, mu=True, law=True)
+    s.add_argument("--lambda", dest="lam", type=parse_partition,
+                   help="partition, e.g. 4,2,1 (with --mu, instead of --a/--b)")
+    s.add_argument("--mu", dest="mu", type=parse_partition)
+    _add_common(s, law=True)
     s.set_defaults(fn=cmd_tensor)
 
-    for name, fn in (("wedge", cmd_wedge), ("sym", cmd_sym)):
+    for name in ("wedge", "sym"):
         s = subs.add_parser(name, help=f"{name} power partition")
         s.add_argument("--m", type=int, default=2)
         _add_common(s, lam=True, law=True)
-        s.set_defaults(fn=fn)
+        s.set_defaults(fn=cmd_power)
 
     s = subs.add_parser("ring", help="representation ring: 'constants'")
     s.add_argument("action", choices=["constants"])
@@ -228,8 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("predict", help="characteristic-0 predictor: 'char0'")
     s.add_argument("action", choices=["char0"])
     s.add_argument("--kind", choices=["GL", "Sp", "SO"], required=True)
-    s.add_argument("--lambda", dest="lam", type=parse_partition, required=True)
-    s.add_argument("--json", action="store_true")
+    _add_common(s, lam=True, p=False)
     s.set_defaults(fn=cmd_predict)
 
     s = subs.add_parser("series", help="series utilities: 'invert'")

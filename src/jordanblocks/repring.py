@@ -24,7 +24,8 @@ is symmetric; otherwise ``InvalidInput`` is raised.  A law over a field
 other than the one given raises ``InvalidLaw``.
 
 The constructive intertwiners are the automorphisms Y_i -> f_i for a
-term-by-term split of the law's series f = f_1 + ... + f_m with Y_i | f_i.
+term-by-term split of the law's series f = f_1 + ... + f_m with Y_i | f_i;
+the pieces go to ``build_automorphism`` as they are, as the images.
 """
 
 from __future__ import annotations
@@ -344,16 +345,6 @@ def sym_partition(lam, m: int, law: GeneralizedLaw, field: Field) -> Partition:
 
 # -- constructive intertwiners ---------------------------------------------------
 
-def _automorphism_from_split(xis, pieces) -> Matrix:
-    """The automorphism Y_i -> f_i for pieces f_i = xi_i Y_i + higher with
-    Y_i | f_i, passed on as Y_i -> Y_i (xi_i + (f_i - xi_i Y_i) / Y_i)."""
-    tails = []
-    for i, (xi, f_i) in enumerate(zip(xis, pieces)):
-        y = TruncatedPoly.variable(f_i.field, f_i.trunc, i)
-        tails.append((f_i - y.scale(xi)).divide_by_variable(i))
-    return build_automorphism(xis, tails)
-
-
 def build_intertwiner_pair(n: int, m: int, law: GeneralizedLaw) -> Matrix:
     """Invertible map on k[Y,Z]/(Y^n,Z^m) conjugating mult by y+z into mult by F(y,z).
 
@@ -362,19 +353,21 @@ def build_intertwiner_pair(n: int, m: int, law: GeneralizedLaw) -> Matrix:
     characteristic.
     """
     f = law.as_poly((n, m))
-    f1 = TruncatedPoly(f.field, f.trunc, {e: c for e, c in f.coeffs.items() if e[0]})
-    return _automorphism_from_split((law.xi1, law.xi2), [f1, f - f1])
+    f1, f2 = {}, {}
+    for e, c in f.coeffs.items():
+        (f1 if e[0] else f2)[e] = c
+    return build_automorphism([TruncatedPoly(f.field, f.trunc, f1),
+                               TruncatedPoly(f.field, f.trunc, f2)])
 
 
 def build_symmetric_intertwiner(n: int, m: int, law: GeneralizedLaw) -> Matrix:
     """Sigma_m-equivariant automorphism of k[Y_1..Y_m]/(Y_i^n) conjugating
     mult by Y_1+...+Y_m into mult by the m-fold tensor series of the law.
 
-    Needs m! invertible; the images Y_i -> f_i come from the term-by-term
-    symmetric split of the tensor series.
+    Needs m! invertible; the images Y_i -> f_i are the pieces of the
+    term-by-term symmetric split of the tensor series.
     """
-    series = iterated_tensor_series(law, m, (n,) * m)
-    return _automorphism_from_split([law.field.one] * m, symmetric_split(series))
+    return build_automorphism(symmetric_split(iterated_tensor_series(law, m, (n,) * m)))
 
 
 def clear_memo() -> None:

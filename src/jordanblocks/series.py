@@ -14,7 +14,9 @@ with Y_i | f_i: each term goes in equal shares to the variables that divide
 it.  Substitution and powers read one memoized table of monomials
 g_1^{e_1} ... g_m^{e_m}, each entry one product of the entry below it with a
 g_i; an endomorphism matrix is the same recursion on whole columns, one
-matrix product by mult_matrix(g_i) per step.
+matrix product by mult_matrix(g_i) per step.  ``build_automorphism`` takes
+the images g_i themselves and checks that Y_i divides g_i with a nonzero
+Y_i coefficient, which makes the endomorphism invertible.
 """
 
 from __future__ import annotations
@@ -247,14 +249,6 @@ class TruncatedPoly:
                 return False
         return True
 
-    def divide_by_variable(self, i: int) -> "TruncatedPoly":
-        out = {}
-        for exp, c in self.coeffs.items():
-            if exp[i] == 0:
-                raise InvalidInput(f"term {exp} not divisible by variable {i}")
-            out[exp[:i] + (exp[i] - 1,) + exp[i + 1:]] = c
-        return TruncatedPoly(self.field, self.trunc, out)
-
     # -- serialization ----------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -338,28 +332,27 @@ def endomorphism_matrix(images: Sequence[TruncatedPoly]) -> Matrix:
     return columns
 
 
-def build_automorphism(xis: Sequence, fs: Sequence[TruncatedPoly]) -> Matrix:
-    """Matrix of the automorphism Y_i -> Y_i (xi_i + f_i) on the monomial basis.
+def build_automorphism(images: Sequence[TruncatedPoly]) -> Matrix:
+    """Matrix of the automorphism Y_i -> images[i] on the monomial basis.
 
-    Every linear scalar xi_i must be nonzero and every f_i must lie in the
-    augmentation ideal; invertibility is then guaranteed.
+    Each image g_i must have no constant term, Y_i must divide every term of
+    it, and its Y_i coefficient must be nonzero wherever r_i > 1 (where
+    r_i = 1, Y_i = 0 and so g_i = 0).  Then g_i = Y_i (xi_i + higher) with
+    xi_i != 0, and the map is invertible.
     """
-    if not fs:
+    if not images:
         raise InvalidInput("need at least one variable")
-    field = fs[0].field
-    trunc = fs[0].trunc
-    if len(xis) != len(fs) or len(fs) != len(trunc):
-        raise ShapeMismatch("xis, fs and truncation must have matching length")
-    images = []
-    for i, (xi, f) in enumerate(zip(xis, fs)):
-        fs[0]._check_shape(f)
-        xi = field(xi)
-        if xi == 0:
-            raise ZeroLinearScalar(f"xi_{i + 1} = 0")
-        if f.constant_term() != 0:
-            raise NonzeroConstantTerm(f"f_{i + 1} has a constant term")
-        y = TruncatedPoly.variable(field, trunc, i)
-        images.append(y.scale(xi) + y * f)
+    trunc = images[0].trunc
+    if len(images) != len(trunc):
+        raise ShapeMismatch(f"{len(images)} images for {len(trunc)} variables")
+    for i, g in enumerate(images):
+        images[0]._check_shape(g)
+        if g.constant_term() != 0:
+            raise NonzeroConstantTerm(f"g_{i + 1} has a constant term")
+        if any(exp[i] == 0 for exp in g.coeffs):
+            raise InvalidInput(f"Y_{i + 1} does not divide every term of g_{i + 1}")
+        if trunc[i] > 1 and g.coefficient(tuple(int(j == i) for j in range(len(trunc)))) == 0:
+            raise ZeroLinearScalar(f"g_{i + 1} has no Y_{i + 1} term")
     return endomorphism_matrix(images)
 
 

@@ -253,6 +253,19 @@ class TestUsageErrors:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "float" in err
 
+    @pytest.mark.parametrize("entry", [
+        {"p": 5.9, "trunc": 4, "coeffs": []},
+        {"p": 5, "trunc": 4, "coeffs": [{"a": 1.7, "b": 1, "c": 2}]},
+    ], ids=["p", "exponent"])
+    def test_law_file_non_integer_number_exits_2(self, capsys, tmp_path, entry):
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps(entry))
+        code, out, err = run(capsys, "tensor", "--p", "5", "--law", str(path),
+                             "--a", "3", "--b", "3")
+        assert code == 2 and not out
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "not an integer" in err
+
     def test_missing_law_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "absent.json"
         code, _, err = run(capsys, "tensor", "--p", "5", "--law", str(path),
@@ -265,6 +278,18 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["adjoint", "classical", "--lambda", "4", "--p", "2"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("wedge", "--p", "5"),
+        ("sym", "--p", "5"),
+        ("adjoint", "classical", "--kind", "GL", "--p", "5"),
+        ("springer", "apply", "--p", "5"),
+    ], ids=["wedge", "sym", "adjoint", "springer"])
+    def test_missing_lambda_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "--lambda" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["ring", "adjoint", "g2", "springer", "predict",
                                          "series", "verify"])

@@ -105,6 +105,30 @@ class TestIteratedSeries:
         with pytest.raises(TruncationTooShort):
             iterated_tensor_series(law, 2, (4, 4))
 
+    @pytest.mark.parametrize("field", [GF(2), GF(3), F5, QQ], ids=str)
+    @pytest.mark.parametrize("trunc", [(1, 1), (1, 4), (3, 1), (2, 3), (4, 4)])
+    def test_two_factors_are_the_law_itself(self, field, trunc, monkeypatch):
+        law = random_generalized_law(sum(trunc), sum(trunc), field)
+        y1, y2 = (TruncatedPoly.variable(field, trunc, i) for i in range(2))
+        nested = law.eval(y1, y2)
+        calls = []
+        substitute = TruncatedPoly.substitute
+        monkeypatch.setattr(TruncatedPoly, "substitute",
+                            lambda f, gs: calls.append(f) or substitute(f, gs))
+        series = iterated_tensor_series(law, 2, trunc)
+        assert series == law.as_poly(trunc) == nested
+        assert not calls
+
+    @pytest.mark.parametrize("field", [GF(3), F5, QQ], ids=str)
+    @pytest.mark.parametrize("trunc", [(2, 2, 2), (3, 2, 4), (1, 3, 2), (3, 3, 1)])
+    def test_three_factors_nest_the_law_on_the_left(self, field, trunc):
+        # F(F(Y_1, Y_2), Y_3) under a law that is not associative, so that
+        # the order of the nesting shows
+        law = random_generalized_law(7, sum(trunc), field)
+        assert not validate_fgl(law).associative
+        y1, y2, y3 = (TruncatedPoly.variable(field, trunc, i) for i in range(3))
+        assert iterated_tensor_series(law, 3, trunc) == law.eval(law.eval(y1, y2), y3)
+
 
 class TestRandomLaws:
     def test_deterministic(self):
@@ -203,6 +227,25 @@ class TestLawFiles:
     def test_malformed_data(self):
         with pytest.raises(InvalidLaw):
             law_from_json({"p": 5, "coeffs": []})
+
+    @pytest.mark.parametrize("data", [
+        {"p": 5.9, "trunc": 3, "coeffs": []},
+        {"p": 5.0, "trunc": 3, "coeffs": []},
+        {"p": True, "trunc": 3, "coeffs": []},
+        {"p": 5, "trunc": 3.5, "coeffs": []},
+        {"p": 5, "trunc": False, "coeffs": []},
+        {"p": 5, "trunc": 3, "coeffs": [{"a": 1.7, "b": 1, "c": 2}]},
+        {"p": 5, "trunc": 3, "coeffs": [{"a": 1, "b": True, "c": 2}]},
+    ], ids=["p-float", "p-integral-float", "p-bool", "trunc-float", "trunc-bool",
+            "a-float", "b-bool"])
+    def test_non_integer_numbers_are_refused(self, data):
+        # int() would truncate them: 1.7 to 1, 5.9 to 5, True to 1
+        with pytest.raises(InvalidLaw, match="not an integer"):
+            law_from_json(data)
+
+    def test_integer_strings_still_load(self):
+        law = law_from_json({"p": "5", "trunc": "3", "coeffs": [{"a": "1", "b": 1, "c": 2}]})
+        assert law.field == F5 and law.coefficient(1, 1) == 2
 
 
 def test_as_poly_needs_two_variables():

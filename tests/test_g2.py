@@ -227,6 +227,30 @@ class TestTable:
         assert data["adjoint_nilpotent"] == [5, 3, 3, 3]
         assert data["routes_agree"] is True
 
+    def test_v_partitions_come_from_the_certified_representatives(self, monkeypatch):
+        # each representative's type on V is computed once, by the check in
+        # its builder, and once more by the wedge route: the table reads the
+        # certified V_PARTITIONS and computes none itself
+        calls = []
+
+        def counted(name):
+            real = getattr(g2, name)
+
+            def wrapper(a):
+                if a.nrows == 7:
+                    calls.append(name)
+                return real(a)
+            return wrapper
+
+        for name in ("jordan_partition", "unipotent_partition"):
+            monkeypatch.setattr(g2, name, counted(name))
+        rows = g2_table(5)
+        assert [row.v_partition for row in rows] == [V_PARTITIONS[o] for o in ORBITS]
+        # jordan: 4 nilpotent builders, G2a1's again inside its unipotent
+        # builder, 4 wedge routes; unipotent: 4 builders, 4 wedge routes
+        assert calls.count("jordan_partition") == 9
+        assert calls.count("unipotent_partition") == 8
+
     def test_adjoint_dimension_is_14(self):
         for row in g2_table(5):
             assert row.adjoint_nilpotent.dim == 14

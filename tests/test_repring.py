@@ -47,8 +47,9 @@ from jordanblocks.series import (
     elementary_symmetric,
     endomorphism_matrix,
     mult_matrix,
+    symmetric_split,
 )
-from oracles import dense_quotient_operator, kron_power_operator
+from oracles import dense_quotient_operator, kron_power_operator, monomial_endomorphism_matrix
 
 F2, F3, F5, F7 = GF(2), GF(3), GF(5), GF(7)
 
@@ -520,8 +521,12 @@ class TestIntertwinerPair:
         lam = build_intertwiner_pair(n, m, law)
         field = law.field
         y_plus_z = TruncatedPoly(field, (n, m), {(1, 0): field.one, (0, 1): field.one})
-        assert (lam @ mult_matrix(y_plus_z)) == (mult_matrix(law.as_poly((n, m))) @ lam)
+        f = law.as_poly((n, m))
+        assert (lam @ mult_matrix(y_plus_z)) == (mult_matrix(f) @ lam)
         assert lam.rank() == n * m
+        # the images are the terms of F that Y divides and the rest, as they are
+        f1 = TruncatedPoly(field, (n, m), {e: c for e, c in f.coeffs.items() if e[0]})
+        assert lam == monomial_endomorphism_matrix([f1, f - f1])
         return lam
 
     def test_additive_is_identity(self):
@@ -552,6 +557,11 @@ class TestIntertwinerPair:
         law = random_generalized_law(3, 8, QQ)
         self._verify(3, 4, law)
 
+    @pytest.mark.parametrize("field", [F2, F3, F5, QQ], ids=str)
+    def test_seeded_laws(self, field):
+        for seed, (n, m) in enumerate(itertools.product(range(1, 5), repeat=2)):
+            self._verify(n, m, random_generalized_law(seed, n + m, field))
+
 
 class TestSymmetricIntertwiner:
     def _verify(self, n, m, law):
@@ -564,6 +574,7 @@ class TestSymmetricIntertwiner:
         assert lam.rank() == n**m
         for s in sigma_matrices(m, n, field):
             assert (lam @ s) == (s @ lam)
+        assert lam == monomial_endomorphism_matrix(symmetric_split(series))
         return lam
 
     def test_additive_is_identity(self):
@@ -582,6 +593,11 @@ class TestSymmetricIntertwiner:
     @pytest.mark.parametrize("m", [2, 3])
     def test_blocks_of_size_one(self, m):
         assert self._verify(1, m, multiplicative(F5)) == Matrix.identity(F5, 1)
+
+    @pytest.mark.parametrize("field", [F5, F7, QQ], ids=str)
+    @pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)])
+    def test_seeded_laws(self, field, n, m):
+        self._verify(n, m, random_fgl(10 * n + m, m * (n - 1), field))
 
 
 @pytest.mark.parametrize("n", range(1, 13))

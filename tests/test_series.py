@@ -11,6 +11,7 @@ from jordanblocks.errors import (
     NotInvertibleLinearPart,
     NotSymmetric,
     ShapeMismatch,
+    ZeroLinearScalar,
 )
 from jordanblocks.fields import GF, QQ, Field
 from jordanblocks.series import (
@@ -169,49 +170,73 @@ def test_bad_arguments_are_invalid_input():
     with pytest.raises(InvalidInput):
         y.permute_variables([0, 0])
     with pytest.raises(InvalidInput):
-        y.divide_by_variable(1)
-    with pytest.raises(InvalidInput):
-        build_automorphism([], [])
+        build_automorphism([])
 
 
 class TestBuildAutomorphism:
+    """Y_i -> g_i from the images themselves: Y_i | g_i with a nonzero Y_i term."""
+
     def test_unipotent_shear(self):
-        # Y -> Y(1 + Y) on k[Y]/(Y^3): basis (1, Y, Y^2)
+        # Y -> Y + Y^2 on k[Y]/(Y^3): basis (1, Y, Y^2)
         y = var(F5, (3,), 0)
-        m = build_automorphism([1], [y])
+        m = build_automorphism([y + y * y])
         assert m.a.tolist() == [[1, 0, 0], [0, 1, 0], [0, 1, 1]]
 
     def test_monomial_scaling(self):
-        m = build_automorphism([2], [TruncatedPoly.zero(F5, (3,))])
+        m = build_automorphism([var(F5, (3,), 0).scale(2)])
         assert m.a.tolist() == [[1, 0, 0], [0, 2, 0], [0, 0, 4]]
 
     def test_two_variable_invertible(self):
         trunc = (3, 3)
-        f1 = var(F5, trunc, 0) * var(F5, trunc, 1)
-        f2 = TruncatedPoly.zero(F5, trunc)
-        m = build_automorphism([1, 1], [f1, f2])
+        y1, y2 = var(F5, trunc, 0), var(F5, trunc, 1)
+        m = build_automorphism([y1 + y1 * y1 * y2, y2])
         assert m.rank() == 9
+
+    @pytest.mark.parametrize("trunc", [(1,), (1, 3), (3, 1), (1, 1, 2)])
+    def test_zero_image_where_r_is_one(self, trunc):
+        # Y_i = 0 in k[Y_i]/(Y_i), so its image is 0 and needs no linear term
+        field = GF(3)
+        images = [var(field, trunc, i) + var(field, trunc, i) ** 2 for i in range(len(trunc))]
+        assert all(g.is_zero() for g, r in zip(images, trunc) if r == 1)
+        got = build_automorphism(images)
+        assert got == monomial_endomorphism_matrix(images)
+        assert got.rank() == len(monomial_basis(trunc))
+
+    @pytest.mark.parametrize("images, error", [
+        (lambda y, z: [y], ShapeMismatch),
+        (lambda y, z: [y, var(F5, (3, 2), 1)], ShapeMismatch),
+        (lambda y, z: [y + TruncatedPoly.constant(F5, (3, 3), 1), z], NonzeroConstantTerm),
+        (lambda y, z: [y + z, z], InvalidInput),
+        (lambda y, z: [y, z * z], ZeroLinearScalar),
+        (lambda y, z: [y, TruncatedPoly.zero(F5, (3, 3))], ZeroLinearScalar),
+    ], ids=["count", "algebra", "constant", "divisibility", "zero-linear", "zero-image"])
+    def test_refusals(self, images, error):
+        y, z = var(F5, (3, 3), 0), var(F5, (3, 3), 1)
+        with pytest.raises(error):
+            build_automorphism(images(y, z))
+
+    def test_a_term_in_a_variable_of_size_one_is_refused(self):
+        # no term of k[Y, Z]/(Y, Z^3) is divisible by Y
+        with pytest.raises(InvalidInput):
+            build_automorphism([var(F5, (1, 3), 1), var(F5, (1, 3), 1)])
 
     @given(st.integers(0, 10**6), st.sampled_from([2, 3, 5, 0]))
     @settings(max_examples=25, deadline=None)
     def test_always_invertible(self, seed, p):
         import random
 
-        from jordanblocks.fields import Field
-
         field = Field(p)
         rng = random.Random(seed)
         trunc = (rng.randint(1, 3), rng.randint(1, 3))
-        dim = trunc[0] * trunc[1]
-        xis = [field.random_nonzero(rng) for _ in range(2)]
-        fs = []
-        for _ in range(2):
-            coeffs = {}
-            for exp in monomial_basis(trunc):
-                if sum(exp) >= 1 and rng.random() < 0.5:
-                    coeffs[exp] = field.random_element(rng)
-            fs.append(TruncatedPoly(field, trunc, coeffs))
-        assert build_automorphism(xis, fs).rank() == dim
+        images = []
+        for i in range(2):
+            coeffs = {exp: field.random_element(rng) for exp in monomial_basis(trunc)
+                      if sum(exp) >= 1 and rng.random() < 0.5}
+            y, tail = var(field, trunc, i), TruncatedPoly(field, trunc, coeffs)
+            images.append(y.scale(field.random_nonzero(rng)) + y * tail)
+        got = build_automorphism(images)
+        assert got == monomial_endomorphism_matrix(images)
+        assert got.rank() == trunc[0] * trunc[1]
 
 
 @st.composite
