@@ -50,6 +50,7 @@ SERIES = "src/jordanblocks/series.py"
 FGL = "src/jordanblocks/fgl.py"
 OFFSETS_TEST = ("tests/test_repring.py::TestStructureConstants::"
                 "test_gather_offsets_are_memoized_read_only")
+CELL_TESTS = "tests/test_repring.py::TestCellRoute::"
 
 MUTANTS = [
     # 4 * bits + 1 would pick the same width as 4 * bits + 2 for every p:
@@ -70,6 +71,22 @@ MUTANTS = [
     Mutant("clear-memo-keeps-offsets", REPRING,
            "    _block_offsets.cache_clear()\n", "",
            (OFFSETS_TEST,)),
+    # one generator short: the rows x^i F^j no longer span J_n (x) J_m
+    Mutant("cell-generators-short", REPRING,
+           "c = min(n, m)\n", "c = min(n, m) - 1\n",
+           (CELL_TESTS + "test_seeded_cells",)),
+    # the top power F^(n+m-2) dropped: one Jordan block loses its top vector
+    Mutant("cell-levels-short", REPRING,
+           "powers[n + m - 2::-1", "powers[n + m - 3::-1",
+           (CELL_TESTS + "test_seeded_cells",)),
+    Mutant("growth-keeps-old-box", REPRING,
+           "grown = (max(table[0], n), max(table[1], m))", "grown = table[:2]",
+           (CELL_TESTS + "test_growth_rule",)),
+    Mutant("clear-memo-keeps-tables", REPRING,
+           "    _constants_memo.clear()\n",
+           "    for key in [k for k in _constants_memo if k[0] != \"powers\"]:\n"
+           "        del _constants_memo[key]\n",
+           (CELL_TESTS + "test_clear_memo_drops_the_tables",)),
     # an image with a term that Y_i does not divide, or with no Y_i term,
     # gives a matrix that may not be invertible
     Mutant("automorphism-skips-divisibility", SERIES,

@@ -265,13 +265,21 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _scalar(field: Field, value):
+    """A coefficient c of a law file: a number or a string the field reads.
+    A bool would read as the int it subclasses, so it is refused."""
+    if isinstance(value, bool):
+        raise InvalidLaw(f"{value!r} is a bool, not a scalar")
+    return field(value)
+
+
 def law_from_json(data: dict) -> GeneralizedLaw:
     try:
         field = Field(_integer(data["p"]))
         degree = _integer(data["trunc"])
         coeffs = {}
         for entry in data["coeffs"]:
-            coeffs[(_integer(entry["a"]), _integer(entry["b"]))] = field(entry["c"])
+            coeffs[(_integer(entry["a"]), _integer(entry["b"]))] = _scalar(field, entry["c"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidLaw(f"malformed law data: {exc}") from exc
     # the linear part defaults to u + v unless overridden explicitly

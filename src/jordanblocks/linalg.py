@@ -24,13 +24,14 @@ is inconsistent when a pivot row of [b | rhs] has its lead in the rhs
 columns, and is otherwise solved by one back substitution for both fields,
 one vector-matrix product per pivot on integer rows (``_solve``).
 Partitions are read off an operator through the ranks of its powers, never
-through a similarity transform.  Over F_p they come from one Krylov
-elimination (``_power_ranks``): one echelon form of N gives a complement
-R_0 of its row space, and the rows R_0 N^l, inserted into one echelon from
-the top power down, count rank N^l after each level.  Over Q a shrinking
-chain gives them: an echelon basis E_k of the row space of N^k gives the
-next one as the echelon form of E_k N, on the integer numerator of N, each
-basis row divided by the gcd of its entries.
+through a similarity transform (``_partition_from_ranks``).  Over F_p they
+come from one Krylov elimination (``_power_ranks``): one echelon form of N
+gives a complement R_0 of its row space, and the rows R_0 N^l, inserted
+into one echelon from the top power down (``_level_ranks``, which
+``repring`` shares for its cells), count rank N^l after each level.  Over Q
+a shrinking chain gives them: an echelon basis E_k of the row space of N^k
+gives the next one as the echelon form of E_k N, on the integer numerator
+of N, each basis row divided by the gcd of its entries.
 
 The F_p echelon form works on packed rows: each row is one Python int
 holding column j in the bits [j w, (j + 1) w).  For p of bit length L, w is
@@ -346,15 +347,21 @@ def _common_denominator(values: list) -> tuple[list, int]:
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
+def _float_exact(p: int, inner: int) -> bool:
+    """Whether every F_p product of inner length ``inner`` is exact in
+    float64: each entry is a sum of ``inner`` terms below (p-1)**2, and
+    float64 holds every integer below 2**53 exactly."""
+    return (p - 1) ** 2 * inner < 2**53
+
+
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact product of two arrays reduced mod p, through float64 BLAS.
 
-    Each entry of the product is a sum of a.shape[1] terms below (p-1)**2;
-    float64 holds every integer below 2**53 exactly, so past that bound the
-    product could round and a wrong partition could follow.
+    Past the ``_float_exact`` bound the product could round and a wrong
+    partition could follow, so it raises BadPrime.
     """
     inner = a.shape[1]
-    if (p - 1) ** 2 * inner >= 2**53:
+    if not _float_exact(p, inner):
         raise BadPrime(
             f"F_{p} products of length {inner} can reach 2**53, past float64 exactness")
     prod = np.rint(a.astype(np.float64) @ b.astype(np.float64, copy=False))
@@ -560,7 +567,7 @@ def _solve(b: Matrix, rhs: Matrix) -> Matrix | None:
         rows = _echelon_mod(system, p)
         leads = (rows != 0).argmax(axis=1).tolist() if rows.size else []
         pivots = [(lead, row[lead:]) for lead, row in zip(leads, rows)]
-        dtype = np.int64 if (p - 1) ** 2 * k < 2**53 else object
+        dtype = np.int64 if _float_exact(p, k) else object
     else:
         pivots = [(lead, np.array(tail, dtype=object)) for lead, tail in
                   _bareiss(system.tolist())]
@@ -702,10 +709,11 @@ def _power_ranks(n_mat: Matrix):
     span a complement R_0 of the row space of N, so k^D = span R_0 + k^D N
     and, by Nakayama, k^D N^l = span{R_0 N^j : j >= l}.  The levels
     R_l = R_(l-1) N are formed up to the first zero R_e, held in the packed
-    field's unsigned dtype, packed in one call and inserted into one echelon
-    from the top power down; after level l the pivot count is rank N^l.  The
-    levels span k^D N only when N is nilpotent, so the count after level 1
-    must equal rank N, and R_D must be zero; otherwise NotNilpotent.
+    field's unsigned dtype, and ``_level_ranks`` inserts them into one
+    echelon from the top power down; after level l the pivot count is
+    rank N^l.  The levels span k^D N only when N is nilpotent, so the count
+    after level 1 must equal rank N, and R_D must be zero; otherwise
+    NotNilpotent.
 
     Over Q, rowspace(N^(k+1)) = rowspace(N^k) N, so an echelon basis of the
     previous row space times N spans the next one, on the integer numerator
@@ -729,35 +737,51 @@ def _power_ranks(n_mat: Matrix):
         levels.append(level)
         level = _matmul_mod(level, float_n, p).astype(dtype)
     del float_n
-    # all levels in one pack, top power first (the zero level shapes an empty
-    # stack); the list goes once the stack is made, the stack once it is packed
-    count, c = len(levels), dim - len(leads)
-    levels = np.concatenate(levels[::-1] + [level[:0]])
-    rows, levels = _pack(levels, w), None
-    pivots, ranks = {}, [0]
-    for top in range(count):
-        ranks.append(len(_insert_rows(pivots, rows[top * c:(top + 1) * c], p, dim)))
+    # top power first; the list goes once the stack is made
+    levels = np.array(levels[::-1], dtype=dtype).reshape(len(levels), *level.shape)
+    ranks = _level_ranks(levels, p)
     if ranks[-1] != len(leads):
         raise NotNilpotent("matrix is not nilpotent")
     yield from reversed(ranks)
 
 
-def jordan_partition(n_mat: Matrix) -> Partition:
-    """Jordan type of a nilpotent matrix via kernel dimensions of its powers.
+def _level_ranks(levels: np.ndarray, p: int) -> list:
+    """[0, r_1, r_2, ...]: r_k is the rank of the rows of the first k levels
+    of ``levels`` (count, rows per level, D), an array of integer rows
+    ordered top power first, so that r_k counts a suffix of the powers.
 
-    The k-th kernel dimension d_k = dim ker N^k = n - rank N^k, from
-    ``_power_ranks``, gives the conjugate of the partition through the
-    difference sequence (d_1, d_2 - d_1, ...).  Kernel dimensions that stop
-    growing before n raise NotNilpotent.
+    Over F_p the rows are packed in one call and inserted into one echelon
+    (``_insert_rows``), one level at a time.  Over Q each level joins the
+    echelon basis of the levels before it in one ``_bareiss`` elimination
+    (``_echelon_int``), so no row space is reduced twice from scratch.
     """
-    if not n_mat.is_square():
-        raise NotSquare("Jordan partition of a non-square matrix")
-    n = n_mat.nrows
-    if n == 0:
-        return Partition(())
+    count, c, dim = levels.shape
+    ranks = [0]
+    if not p:
+        basis = levels.reshape(count * c, dim)[:0]
+        for level in levels:
+            basis = _echelon_int(np.concatenate([basis, level]))
+            ranks.append(basis.shape[0])
+        return ranks
+    _require_int64_elimination(p)
+    rows, pivots = _pack(levels.reshape(count * c, dim), _packing(p, dim)[0]), {}
+    for top in range(count):
+        ranks.append(len(_insert_rows(pivots, rows[top * c:(top + 1) * c], p, dim)))
+    return ranks
+
+
+def _partition_from_ranks(ranks: Iterable[int], n: int) -> Partition:
+    """The Jordan type of a nilpotent N on k^n from rank N, rank N^2, ...
+
+    The k-th kernel dimension d_k = n - rank N^k gives the conjugate of the
+    partition through the difference sequence (d_1, d_2 - d_1, ...); the
+    ranks are read up to the first zero.  Kernel dimensions that stop
+    growing before n raise NotNilpotent, and differences that do not make a
+    partition of n raise AlgebraError.
+    """
     kernel_dims = []
     prev = 0
-    for rank in _power_ranks(n_mat):
+    for rank in ranks:
         d = n - rank
         if d == prev:
             raise NotNilpotent("matrix is not nilpotent")
@@ -772,6 +796,17 @@ def jordan_partition(n_mat: Matrix) -> Partition:
         raise AlgebraError(f"kernel dimensions {kernel_dims} give a partition of "
                            f"{out.dim}, not {n}")
     return out
+
+
+def jordan_partition(n_mat: Matrix) -> Partition:
+    """Jordan type of a nilpotent matrix from the ranks of its powers
+    (``_power_ranks``), through ``_partition_from_ranks``."""
+    if not n_mat.is_square():
+        raise NotSquare("Jordan partition of a non-square matrix")
+    n = n_mat.nrows
+    if n == 0:
+        return Partition(())
+    return _partition_from_ranks(_power_ranks(n_mat), n)
 
 
 def unipotent_partition(u: Matrix) -> Partition:

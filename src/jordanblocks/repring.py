@@ -9,9 +9,13 @@ constants and the squares of single blocks are memoized; in characteristic
 0 both have closed forms (Clebsch-Gordan and the sl_2 plethysm).
 
 A tensor product of partitions is the ring product of their block classes,
-so the only tensor operator built is J_a (x) J_b, gathered from the law's
-coefficients by ``canonical_series_operator`` like the m-fold powers.
-``tensor_operator`` (Kronecker products of powers) is the tests' reference.
+and no tensor operator is built for a cell J_n (x) J_m: it is multiplication
+by t = F(x, y) on k[x, y]/(x^n, y^m), whose ranks come from the rows
+x^i F^j sliced out of one memoized table of the law's powers F^j per law
+(``_cell_partition``, ``_law_powers``).  The table comes from the law's
+operator gathered once per box by ``canonical_series_operator``, like the
+m-fold powers.  ``tensor_operator`` (Kronecker products of powers) is the
+tests' reference.
 
 Exterior and symmetric powers are realized as quotients of the m-fold tensor
 power.  The induced matrix takes the columns of the power operator at the
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -39,9 +44,16 @@ from .errors import AlgebraError, InvalidInput, InvalidLaw
 from .fields import Field
 from .fgl import GeneralizedLaw, iterated_tensor_series
 from .linalg import (
+    _MAX_OPERATOR_DIM,
     Matrix,
     Partition,
     _block_offsets,
+    _field_dtype,
+    _float_exact,
+    _level_ranks,
+    _matmul_mod,
+    _packing,
+    _partition_from_ranks,
     _require_operator_dim,
     canonical_series_operator,
     jordan_partition,
@@ -150,15 +162,96 @@ def tensor_operator(phi: Matrix, psi: Matrix, law: GeneralizedLaw) -> Matrix:
 
 def tensor_partition(lam, mu, law: GeneralizedLaw, field: Field) -> Partition:
     """Jordan type of F(phi (x) 1, 1 (x) psi) for the canonical nilpotents of
-    ``lam`` and ``mu``: gathered for two single blocks, else (the operator is
-    block-diagonal) the ring product of the block classes' memoized cells."""
+    ``lam`` and ``mu``: for two single blocks the cell J_n (x) J_m, read off
+    the law's memoized table of powers (``_cell_partition``); else (the
+    operator is block-diagonal) the ring product of the block classes'
+    memoized cells."""
     _require_field(law, field)
     lam, mu = Partition(lam), Partition(mu)
     if len(lam) != 1 or len(mu) != 1:
         return ring_multiply(RingElement.from_partition(lam), RingElement.from_partition(mu),
                              law, field).to_partition()
-    law.require_degree(lam[0] + mu[0] - 2)
-    return jordan_partition(canonical_series_operator(field, (lam, mu), law.coeffs))
+    return _cell_partition(lam[0], mu[0], law, field)
+
+
+def _cell_partition(n: int, m: int, law: GeneralizedLaw, field: Field) -> Partition:
+    """Jordan type of multiplication by t = F(x, y) on A = k[x, y]/(x^n, y^m),
+    which is the operator of J_n (x)_F J_m, from the rows x^i F^j.
+
+    With c = min(n, m), A/tA is k[x]/(x^c): solving F(x, y) = 0 for y, which
+    the invertible linear part allows, gives y a unit multiple of x, so
+    y^m = 0 becomes x^m = 0.  So 1, x, ..., x^(c-1) generate A as a
+    k[t]-module (Nakayama), and t^l A = span{x^i F^j : i < c, j >= l}.  The
+    levels j = n+m-2 down to 0 go into one echelon (``_level_ranks``), and
+    the count after the levels j >= l is rank t^l.  F^(n+m-1) vanishes on A.
+    The count after level 0 must be nm, or AlgebraError: that certifies the
+    generators for this cell, so the ranks do not rest on the argument above.
+
+    Each F^j mod (x^n, y^m) is a slice of the law's table (``_law_powers``),
+    as truncation is a ring map, and x^i F^j is that slice shifted down i
+    rows in the x direction; no operator on A is built.
+    """
+    law.require_degree(n + m - 2)
+    _require_operator_dim(n * m)
+    powers = _law_powers(law, field, n, m)
+    c = min(n, m)
+    # F^(n+m-2), ..., F^0 mod (x^n, y^m); levels[k, i] is x^i times cell[k]
+    cell = powers[n + m - 2::-1, :n, :m]
+    levels = np.zeros((len(cell), c, n, m),
+                      dtype=_field_dtype(_packing(field.p, 1)[0]) if field.p else object)
+    for i in range(c):
+        levels[:, i, i:] = cell[:, :n - i]
+    ranks = _level_ranks(levels.reshape(len(cell), c, n * m), field.p)
+    if ranks[-1] != n * m:
+        raise AlgebraError(f"x^i F^j for i < {c} span {ranks[-1]} dimensions of "
+                           f"J_{n} (x) J_{m}, not {n * m}")
+    return _partition_from_ranks(reversed(ranks[:-1]), n * m)
+
+
+def _law_powers(law: GeneralizedLaw, field: Field, n: int, m: int) -> np.ndarray:
+    """The law's powers F^j mod (x^bx, y^by), j <= bx + by - 2, as an array
+    (j, a, b) of the coefficient of x^a y^b, for a box that holds n x m.
+
+    Memoized per law in ``_constants_memo`` as (bx, by, powers).  A cell
+    that does not fit the box rebuilds it at (max(bx, n), max(by, m)) when
+    that box is within the gather's dimension bound and the float64
+    products stay exact, and at (n, m) otherwise, so each cell's answer and
+    refusals do not depend on the cells before it.  The box is never
+    rounded up further.
+    """
+    key = ("powers", law.fingerprint())
+    table = _constants_memo.get(key)
+    if table is not None and n <= table[0] and m <= table[1]:
+        return table[2]
+    box = (n, m)
+    if table is not None:
+        grown = (max(table[0], n), max(table[1], m))
+        size = grown[0] * grown[1]
+        if size <= _MAX_OPERATOR_DIM and _float_exact(field.p, size):
+            box = grown
+    powers = _power_table(field, box, law.coeffs)
+    _constants_memo[key] = (*box, powers)
+    return powers
+
+
+def _power_table(field: Field, box: tuple, coeffs) -> np.ndarray:
+    """F^j mod (x^bx, y^by) for j <= bx + by - 2: the law gathered once at
+    the box, and its powers from e_0 by one row product each.  Over F_p the
+    entries are in range(p); over Q each row is an integer multiple of F^j,
+    divided by the gcd of its entries, which leaves every rank alone."""
+    bx, by = box
+    op = canonical_series_operator(field, ((bx,), (by,)), coeffs)
+    powers = np.zeros((bx + by - 1, bx * by), dtype=op.num.dtype)
+    powers[0, 0] = 1
+    step = op.num.astype(np.float64) if field.p else op.num
+    del op
+    for j in range(1, bx + by - 1):
+        if field.p:
+            powers[j] = _matmul_mod(powers[j - 1:j], step, field.p)
+        else:
+            row = np.dot(powers[j - 1], step)
+            powers[j] = row // max(math.gcd(*row.tolist()), 1)
+    return powers.reshape(bx + by - 1, bx, by)
 
 
 _constants_memo: dict = {}
@@ -167,9 +260,11 @@ _constants_memo: dict = {}
 def structure_constants(n: int, m: int, law: GeneralizedLaw, field: Field) -> RingElement:
     """Class of J_n (x)_F J_m.  Memoized on (n, m, law, characteristic).
 
-    Accepts any law with invertible linear part: the decomposition is
-    law-independent even without associativity, so the ring interpretation is
-    available whenever the law validates as a formal group law.
+    Reached through the module attribute ``tensor_partition``, which reads
+    the cell off the law's memoized table of powers.  Accepts any law with
+    invertible linear part: the decomposition is law-independent even
+    without associativity, so the ring interpretation is available whenever
+    the law validates as a formal group law.
     """
     _require_field(law, field)
     key = (n, m, law.fingerprint())
@@ -371,7 +466,8 @@ def build_symmetric_intertwiner(n: int, m: int, law: GeneralizedLaw) -> Matrix:
 
 
 def clear_memo() -> None:
-    """Drop the memoized structure constants and block squares, and the
-    gather's block offsets (used by tests and benchmark passes)."""
+    """Drop the memoized structure constants, block squares and tables of
+    law powers, and the gather's block offsets (used by tests and benchmark
+    passes)."""
     _constants_memo.clear()
     _block_offsets.cache_clear()

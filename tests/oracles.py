@@ -6,7 +6,8 @@ is the same over Q in Fraction arithmetic, and ``rref_solve`` reads the
 solution of a linear system off either; ``fraction_matmul`` is ``np.dot``
 over Fraction objects;
 ``full_power_partition`` reads a Jordan type off the ranks of the full
-powers N, N^2, ... ; ``whole_matrix_adjoint`` builds the classical adjoint
+powers N, N^2, ... ; ``gathered_tensor_partition`` is the Jordan type of
+the law's operator on V (x) W, gathered as a whole matrix; ``whole_matrix_adjoint`` builds the classical adjoint
 operator on all of V (x) V*, Sym^2 V or wedge^2 V; ``kron_power_operator``
 sums Kronecker products of the dense powers of phi over the terms of the
 m-fold tensor series; ``quotient_maps`` builds the dense projection onto
@@ -28,6 +29,7 @@ from jordanblocks.fgl import additive, iterated_tensor_series, multiplicative
 from jordanblocks.linalg import (
     Matrix,
     Partition,
+    canonical_series_operator,
     jordan_partition,
     nilpotent_from_partition,
     unipotent_partition,
@@ -137,6 +139,13 @@ def full_power_partition(n_mat) -> Partition:
     diffs = [kernel_dims[0]] + [b - a for a, b in zip(kernel_dims, kernel_dims[1:])]
     parts = [sum(1 for c in diffs if c >= i) for i in range(1, diffs[0] + 1)]
     return Partition(sorted(parts, reverse=True))
+
+
+def gathered_tensor_partition(field, lam, mu, coeffs) -> Partition:
+    """Jordan type of F(phi (x) 1, 1 (x) psi) for the canonical nilpotents
+    of ``lam`` and ``mu``, from the whole operator gathered from the law's
+    coefficients ``coeffs`` and the Krylov ranks of ``jordan_partition``."""
+    return jordan_partition(canonical_series_operator(field, (lam, mu), coeffs))
 
 
 def whole_matrix_adjoint(kind: str, lam, field, unipotent: bool) -> Partition:

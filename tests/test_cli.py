@@ -214,7 +214,8 @@ class TestUsageErrors:
         ("tensor", "--p", "5", "--lambda", "100000,1", "--mu", "2"),
         ("springer", "apply", "--p", "5", "--lambda", "100000"),
         ("wedge", "--p", "5", "--lambda", "100000", "--m", "2"),
-    ], ids=["tensor-blocks", "tensor-partitions", "springer", "wedge"])
+        ("ring", "constants", "--p", "5", "--a", "65", "--b", "64"),
+    ], ids=["tensor-blocks", "tensor-partitions", "springer", "wedge", "ring-constants"])
     def test_operator_past_the_size_bound_exits_2(self, capsys, argv):
         # refused by arithmetic before any array is allocated
         code, out, err = run(capsys, *argv)
@@ -252,6 +253,17 @@ class TestUsageErrors:
         assert code == 2 and not out
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "float" in err
+
+    def test_law_file_bool_scalar_exits_2(self, capsys, tmp_path):
+        # true is not the scalar 1
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps(
+            {"p": 5, "trunc": 4, "coeffs": [{"a": 1, "b": 1, "c": True}]}))
+        code, out, err = run(capsys, "tensor", "--p", "5", "--law", str(path),
+                             "--a", "3", "--b", "3")
+        assert code == 2 and not out
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "bool" in err
 
     @pytest.mark.parametrize("entry", [
         {"p": 5.9, "trunc": 4, "coeffs": []},

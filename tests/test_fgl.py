@@ -247,6 +247,14 @@ class TestLawFiles:
         law = law_from_json({"p": "5", "trunc": "3", "coeffs": [{"a": "1", "b": 1, "c": 2}]})
         assert law.field == F5 and law.coefficient(1, 1) == 2
 
+    @pytest.mark.parametrize("c", [True, False])
+    def test_bool_scalar_is_refused(self, c):
+        # a bool is an int to Python, so it would load as 1 or 0
+        with pytest.raises(InvalidLaw, match="bool, not a scalar"):
+            law_from_json({"p": 5, "trunc": 3, "coeffs": [{"a": 1, "b": 1, "c": c}]})
+        law = law_from_json({"p": 5, "trunc": 3, "coeffs": [{"a": 1, "b": 1, "c": "1"}]})
+        assert law.coefficient(1, 1) == 1
+
 
 def test_as_poly_needs_two_variables():
     with pytest.raises(InvalidInput, match="two-variable"):

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jordanblocks import linalg, repring
-from jordanblocks.errors import AlgebraError, InvalidInput, InvalidLaw
+from jordanblocks.errors import (
+    AlgebraError,
+    BadPrime,
+    InvalidInput,
+    InvalidLaw,
+    TruncationTooShort,
+)
 from jordanblocks.fgl import (
     GeneralizedLaw,
     additive,
@@ -49,7 +55,12 @@ from jordanblocks.series import (
     mult_matrix,
     symmetric_split,
 )
-from oracles import dense_quotient_operator, kron_power_operator, monomial_endomorphism_matrix
+from oracles import (
+    dense_quotient_operator,
+    gathered_tensor_partition,
+    kron_power_operator,
+    monomial_endomorphism_matrix,
+)
 
 F2, F3, F5, F7 = GF(2), GF(3), GF(5), GF(7)
 
@@ -194,7 +205,7 @@ class TestStructureConstants:
 class TestStructureConstantsAgainstOracle:
     """Every cell J_n (x) J_m with n, m <= 12, under three laws, against the
     full-power ranks of the additive law's Kronecker-product operator: the
-    Krylov ranks on the gather against an independent construction and an
+    ranks of the rows x^i F^j against an independent construction and an
     independent rank.  The class does not depend on the law or on the order
     of n and m, so one oracle serves six cells."""
 
@@ -213,6 +224,147 @@ class TestStructureConstantsAgainstOracle:
             for law in laws:
                 assert structure_constants(n, m, law, field) == want, (p, law, n, m)
                 assert structure_constants(m, n, law, field) == want, (p, law, m, n)
+
+
+#: the 64-bit packed width
+F131 = GF(131)
+#: (p-1)**2 * 4 < 2**53 <= (p-1)**2 * 6: products of inner length 4 are
+#: exact in float64 and products of length 6 are not
+PRIME_BETWEEN_BOUNDS = 38745323
+
+
+def table_box(law):
+    """The box of the law's memoized table of powers, or None."""
+    table = repring._constants_memo.get(("powers", law.fingerprint()))
+    return None if table is None else table[:2]
+
+
+class TestCellRoute:
+    """The cells J_n (x) J_m read off the law's table of powers, against the
+    Jordan type of the whole gathered operator; the table's growth, its memo
+    and the span postcondition."""
+
+    @staticmethod
+    def check(field, n, m, law):
+        want = gathered_tensor_partition(field, (n,), (m,), law.coeffs)
+        assert tensor_partition((n,), (m,), law, field) == want, (field, n, m)
+
+    @pytest.mark.parametrize("field", [F2, F5, F131, QQ], ids=str)
+    def test_seeded_cells(self, field):
+        rng = random.Random(f"cell-route:{field.p}")
+        top = 6 if field == QQ else 10
+        laws = [random_generalized_law(rng.randrange(10**6), 2 * top, field),
+                random_generalized_law(rng.randrange(10**6), 2 * top, field, unit_linear=True),
+                multiplicative(field)]
+        if field != F2:
+            # F_2 has no other linear part than u + v
+            assert not laws[0].has_unit_linear_part()
+        repring.clear_memo()
+        for law in laws:
+            for _ in range(6):
+                n, m = rng.randint(1, top), rng.randint(1, top)
+                self.check(field, n, m, law)
+                self.check(field, m, n, law)
+            self.check(field, top, top - 2, law)
+            self.check(field, 1, top, law)
+
+    @given(st.sampled_from([F2, F5, F131, QQ]), st.integers(1, 7), st.integers(1, 7),
+           st.integers(0, 10**6), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_hypothesis_cells(self, field, n, m, seed, unit):
+        law = random_generalized_law(seed, max(2, n + m - 2), field, unit_linear=unit)
+        self.check(field, n, m, law)
+        self.check(field, m, n, law)
+
+    @pytest.mark.parametrize("field", [F3, F131, QQ], ids=str)
+    def test_shuffled_order_matches_cold_answers(self, field):
+        # each cold answer starts from an empty memo; the shuffled pass grows
+        # one table, and a degree-10 law refuses the cells with n + m > 12
+        law = random_generalized_law(17, 10, field)
+        cells = [(n, m) for n in range(1, 8) for m in range(1, 8)]
+        cold = {}
+        for n, m in cells:
+            repring.clear_memo()
+            try:
+                cold[n, m] = structure_constants(n, m, law, field)
+            except AlgebraError as exc:
+                cold[n, m] = type(exc)
+        assert cold[7, 7] is TruncationTooShort and cold[6, 6] != TruncationTooShort
+        random.Random(field.p).shuffle(cells)
+        repring.clear_memo()
+        for n, m in cells:
+            if cold[n, m] is TruncationTooShort:
+                with pytest.raises(TruncationTooShort):
+                    structure_constants(n, m, law, field)
+            else:
+                assert structure_constants(n, m, law, field) == cold[n, m], (n, m)
+            box = table_box(law)
+            assert box is None or box[0] * box[1] <= 49
+        assert table_box(law) == (7, 7)
+
+    def test_growth_rule(self):
+        law, field = random_generalized_law(5, 140, F5), F5
+        cells = [(3, 5), (5, 3), (2, 2), (70, 2), (2, 60), (3, 1)]
+        cold = {}
+        for n, m in cells:
+            repring.clear_memo()
+            cold[n, m] = structure_constants(n, m, law, field)
+        repring.clear_memo()
+        # the union of the boxes, unless that passes the 4096 bound (70 x 60)
+        boxes = [(3, 5), (5, 5), (5, 5), (70, 5), (2, 60), (3, 60)]
+        for (n, m), box in zip(cells, boxes):
+            assert structure_constants(n, m, law, field) == cold[n, m], (n, m)
+            assert table_box(law) == box, (n, m)
+        for n, m in cells:
+            want = gathered_tensor_partition(field, (n,), (m,), law.coeffs)
+            assert cold[n, m] == RingElement.from_partition(want), (n, m)
+
+    def test_grown_box_past_the_float_bound(self):
+        # the union (3, 2) of the two boxes has products of inner length 6,
+        # past the float64 bound at this prime, so the cell builds its own
+        field = GF(PRIME_BETWEEN_BOUNDS)
+        law = additive(field)
+        want = {(3, 1): RingElement({3: 1}), (2, 2): RingElement({3: 1, 1: 1})}
+        for order in ([(3, 1), (2, 2)], [(2, 2), (3, 1)]):
+            repring.clear_memo()
+            for n, m in order:
+                assert structure_constants(n, m, law, field) == want[n, m]
+            assert table_box(law) == order[-1]
+            # the cell alone is past the bound: refused, and the table kept
+            with pytest.raises(BadPrime):
+                structure_constants(3, 2, law, field)
+            assert table_box(law) == order[-1]
+
+    def test_clear_memo_drops_the_tables(self):
+        law = multiplicative(F3)
+        repring.clear_memo()
+        structure_constants(4, 6, law, F3)
+        assert table_box(law) == (4, 6)
+        repring.clear_memo()
+        assert not repring._constants_memo
+
+    def test_span_postcondition_is_a_typed_error(self, monkeypatch):
+        # a table whose powers past F^0 vanish spans only the rows x^i
+        build = repring._power_table
+
+        def broken(field, box, coeffs):
+            powers = build(field, box, coeffs).copy()
+            powers[1:] = 0
+            return powers
+
+        monkeypatch.setattr(repring, "_power_table", broken)
+        repring.clear_memo()
+        law = additive(F5)
+        with pytest.raises(AlgebraError, match=r"span 3 dimensions of J_3 \(x\) J_4, not 12"):
+            structure_constants(3, 4, law, F5)
+        assert (3, 4, law.fingerprint()) not in repring._constants_memo
+        repring.clear_memo()
+
+    def test_past_the_operator_bound(self):
+        repring.clear_memo()
+        with pytest.raises(InvalidInput, match="dimension 4160 is past the supported 4096"):
+            structure_constants(65, 64, additive(F5), F5)
+        assert not repring._constants_memo
 
 
 class TestRingMultiply:
