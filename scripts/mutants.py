@@ -79,9 +79,28 @@ MUTANTS = [
     Mutant("cell-levels-short", REPRING,
            "powers[n + m - 2::-1", "powers[n + m - 3::-1",
            (CELL_TESTS + "test_seeded_cells",)),
+    # a cell past the table's box "grows" it to the same box, which does
+    # not hold the cell
     Mutant("growth-keeps-old-box", REPRING,
-           "grown = (max(table[0], n), max(table[1], m))", "grown = table[:2]",
+           "rounded = (bx if n <= bx else 1 << (n - 1).bit_length(),\n"
+           "                   by if m <= by else 1 << (m - 1).bit_length())",
+           "rounded = (bx, by)",
            (CELL_TESTS + "test_growth_rule",)),
+    # a rounded box past the operator bound falls back to the cell's own box
+    Mutant("growth-skips-union", REPRING,
+           "for grown in (rounded, union):", "for grown in (rounded,):",
+           (CELL_TESTS + "test_growth_rule",)),
+    # below the diagonal, b1 < b0, K reads the columns of F^s from the end:
+    # terms that wrap around the y truncation
+    Mutant("toeplitz-mask-dropped", REPRING,
+           "np.where(cols >= cols[:, None], cols - cols[:, None], by)",
+           "cols - cols[:, None]",
+           ("tests/test_repring.py::TestPowerTable::test_seeded_tables",)),
+    # kernel-dimension steps that grow give a partition of n with a
+    # negative multiplicity dropped, so of more than n
+    Mutant("concavity-guard-removed", LINALG,
+           "step = min(step, d - prev)", "step = d - prev",
+           ("tests/test_linalg.py::TestTypedPostconditions",)),
     Mutant("clear-memo-keeps-tables", REPRING,
            "    _constants_memo.clear()\n",
            "    for key in [k for k in _constants_memo if k[0] != \"powers\"]:\n"

@@ -354,16 +354,18 @@ def _float_exact(p: int, inner: int) -> bool:
     return (p - 1) ** 2 * inner < 2**53
 
 
-def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact product of two arrays reduced mod p, through float64 BLAS.
-
-    Past the ``_float_exact`` bound the product could round and a wrong
-    partition could follow, so it raises BadPrime.
-    """
-    inner = a.shape[1]
+def _require_float_exact(p: int, inner: int) -> None:
+    """Past the ``_float_exact`` bound a float64 product could round and a
+    wrong partition could follow, so this raises BadPrime."""
     if not _float_exact(p, inner):
         raise BadPrime(
             f"F_{p} products of length {inner} can reach 2**53, past float64 exactness")
+
+
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Exact product of two arrays reduced mod p, through float64 BLAS;
+    BadPrime past float64 exactness (``_require_float_exact``)."""
+    _require_float_exact(p, a.shape[1])
     prod = np.rint(a.astype(np.float64) @ b.astype(np.float64, copy=False))
     return prod.astype(np.int64) % p
 
@@ -773,25 +775,31 @@ def _level_ranks(levels: np.ndarray, p: int) -> list:
 def _partition_from_ranks(ranks: Iterable[int], n: int) -> Partition:
     """The Jordan type of a nilpotent N on k^n from rank N, rank N^2, ...
 
-    The k-th kernel dimension d_k = n - rank N^k gives the conjugate of the
-    partition through the difference sequence (d_1, d_2 - d_1, ...); the
-    ranks are read up to the first zero.  Kernel dimensions that stop
-    growing before n raise NotNilpotent, and differences that do not make a
-    partition of n raise AlgebraError.
+    The k-th kernel dimension d_k = n - rank N^k grows by the number s_k of
+    blocks of size >= k, so the multiplicity of size k is s_k - s_(k+1),
+    read in one pass; the ranks are read up to the first zero.  Kernel
+    dimensions that stop growing before n raise NotNilpotent.  No nilpotent
+    has a step s_k larger than the one before it, so each step is cut to
+    the least step before it: steps that grow, or that do not add up to n,
+    leave a partition of less than n, and AlgebraError is raised.
     """
-    kernel_dims = []
-    prev = 0
+    kernel_dims, steps = [], []
+    prev, step = 0, n
     for rank in ranks:
         d = n - rank
         if d == prev:
             raise NotNilpotent("matrix is not nilpotent")
         kernel_dims.append(d)
+        step = min(step, d - prev)
+        steps.append(step)
         if d == n:
             break
         prev = d
-    diffs = [kernel_dims[0]] + [b - a for a, b in zip(kernel_dims, kernel_dims[1:])]
-    parts = [sum(1 for c in diffs if c >= i) for i in range(1, diffs[0] + 1)]
-    out = Partition(sorted(parts, reverse=True))
+    steps.append(0)
+    parts = []
+    for k in range(len(kernel_dims), 0, -1):
+        parts += [k] * (steps[k - 1] - steps[k])
+    out = Partition(parts)
     if out.dim != n:
         raise AlgebraError(f"kernel dimensions {kernel_dims} give a partition of "
                            f"{out.dim}, not {n}")

@@ -12,9 +12,10 @@ A tensor product of partitions is the ring product of their block classes,
 and no tensor operator is built for a cell J_n (x) J_m: it is multiplication
 by t = F(x, y) on k[x, y]/(x^n, y^m), whose ranks come from the rows
 x^i F^j sliced out of one memoized table of the law's powers F^j per law
-(``_cell_partition``, ``_law_powers``).  The table comes from the law's
-operator gathered once per box by ``canonical_series_operator``, like the
-m-fold powers.  ``tensor_operator`` (Kronecker products of powers) is the
+(``_cell_partition``, ``_law_powers``).  The table is built by products
+of Toeplitz slices of the powers, about log2 rounds per box and no operator
+on A; boxes grow by powers of two, so a law's table is rebuilt about log2
+times per side.  ``tensor_operator`` (Kronecker products of powers) is the
 tests' reference.
 
 Exterior and symmetric powers are realized as quotients of the m-fold tensor
@@ -48,12 +49,13 @@ from .linalg import (
     Matrix,
     Partition,
     _block_offsets,
+    _common_denominator,
     _field_dtype,
     _float_exact,
     _level_ranks,
-    _matmul_mod,
     _packing,
     _partition_from_ranks,
+    _require_float_exact,
     _require_operator_dim,
     canonical_series_operator,
     jordan_partition,
@@ -212,46 +214,108 @@ def _law_powers(law: GeneralizedLaw, field: Field, n: int, m: int) -> np.ndarray
     """The law's powers F^j mod (x^bx, y^by), j <= bx + by - 2, as an array
     (j, a, b) of the coefficient of x^a y^b, for a box that holds n x m.
 
-    Memoized per law in ``_constants_memo`` as (bx, by, powers).  A cell
-    that does not fit the box rebuilds it at (max(bx, n), max(by, m)) when
-    that box is within the gather's dimension bound and the float64
-    products stay exact, and at (n, m) otherwise, so each cell's answer and
-    refusals do not depend on the cells before it.  The box is never
-    rounded up further.
+    Memoized per law in ``_constants_memo`` as (bx, by, powers, terms), with
+    the law's ``_law_terms``, and built cold at (n, m).  A cell that does
+    not fit the box rebuilds it, with each side that must grow rounded up to
+    a power of two, so that cells met one row or column larger at a time
+    rebuild about log2 times per side.  When that box passes the operator
+    bound or the float64 products at its size are not exact, the rebuild
+    takes the union (max(bx, n), max(by, m)), and when that passes them
+    too, the cell's own (n, m).  So each cell's answer and refusals do not
+    depend on the cells before it.
     """
     key = ("powers", law.fingerprint())
     table = _constants_memo.get(key)
     if table is not None and n <= table[0] and m <= table[1]:
         return table[2]
     box = (n, m)
-    if table is not None:
-        grown = (max(table[0], n), max(table[1], m))
-        size = grown[0] * grown[1]
-        if size <= _MAX_OPERATOR_DIM and _float_exact(field.p, size):
-            box = grown
-    powers = _power_table(field, box, law.coeffs)
-    _constants_memo[key] = (*box, powers)
+    if table is None:
+        terms = _law_terms(field, law.coeffs)
+    else:
+        bx, by, _, terms = table
+        rounded = (bx if n <= bx else 1 << (n - 1).bit_length(),
+                   by if m <= by else 1 << (m - 1).bit_length())
+        union = (max(bx, n), max(by, m))
+        for grown in (rounded, union):
+            size = grown[0] * grown[1]
+            if size <= _MAX_OPERATOR_DIM and _float_exact(field.p, size):
+                box = grown
+                break
+    powers = _power_table(field, box, terms)
+    _constants_memo[key] = (*box, powers, terms)
     return powers
 
 
-def _power_table(field: Field, box: tuple, coeffs) -> np.ndarray:
-    """F^j mod (x^bx, y^by) for j <= bx + by - 2: the law gathered once at
-    the box, and its powers from e_0 by one row product each.  Over F_p the
-    entries are in range(p); over Q each row is an integer multiple of F^j,
-    divided by the gcd of its entries, which leaves every rank alone."""
+def _law_terms(field: Field, coeffs) -> tuple:
+    """The law's exponents (a, b), as an int64 array of rows, and its
+    coefficients as integers: in range(p) over F_p, over Q over one common
+    denominator, which leaves the powers' rows integer multiples of F^j."""
+    values = list(coeffs.values())
+    if not field.p:
+        values = _common_denominator(values)[0]
+    exps = np.array(list(coeffs), dtype=np.int64).reshape(len(coeffs), 2)
+    values = np.array(values, dtype=np.int64 if field.p else object)
+    return exps, values % field.p if field.p else values
+
+
+def _power_table(field: Field, box: tuple, terms: tuple) -> np.ndarray:
+    """F^j mod (x^bx, y^by) for j <= bx + by - 2, from the law's ``terms``
+    (``_law_terms``), with no operator on the box.
+
+    A product G = P F^s mod (x^bx, y^by) is one matrix product X K of inner
+    length bx by: K is the stack over a of the upper triangular Toeplitz
+    matrices of the x-rows of F^s, K[(a, b0), b1] = F^s[a, b1 - b0] for
+    b1 >= b0, and row a' of X holds P shifted down a rows at column block a.
+    Both are read from the powers, padded with a zero row and a zero column,
+    through two fixed gather indices.  Known powers F^0..F^s give
+    F^(s+1)..F^(2s) as F^i F^s, so about log2(bx + by) rounds build the
+    table.  Each round goes in chunks of powers whose stacked X holds no
+    more entries than the table.
+
+    Over F_p the products are float64, exact while ``_float_exact`` holds
+    at inner length bx by, and BadPrime past it once the table has a power
+    past F^0; the entries come out in range(p).  Over Q the law's
+    coefficients are integers over a common denominator, so each power is
+    an integer multiple of F^j, divided by the gcd of its entries, which
+    leaves every rank alone.
+    """
     bx, by = box
-    op = canonical_series_operator(field, ((bx,), (by,)), coeffs)
-    powers = np.zeros((bx + by - 1, bx * by), dtype=op.num.dtype)
-    powers[0, 0] = 1
-    step = op.num.astype(np.float64) if field.p else op.num
-    del op
-    for j in range(1, bx + by - 1):
-        if field.p:
-            powers[j] = _matmul_mod(powers[j - 1:j], step, field.p)
-        else:
-            row = np.dot(powers[j - 1], step)
-            powers[j] = row // max(math.gcd(*row.tolist()), 1)
-    return powers.reshape(bx + by - 1, bx, by)
+    top = bx + by - 2
+    p = field.p
+    if p and top:
+        _require_float_exact(p, bx * by)
+
+    def primitive(rows: np.ndarray) -> np.ndarray:
+        # over Q, each row divided by the gcd of its entries
+        return np.array([row // max(math.gcd(*row.tolist()), 1) for row in rows])
+
+    # row bx and column by of every power are the zeros that the gathers read
+    powers = np.zeros((top + 1, bx + 1, by + 1), dtype=np.float64 if p else object)
+    powers[0, 0, 0] = 1
+    if top:
+        exps, values = terms
+        inbox = (exps < box).all(axis=1)
+        powers[1, exps[inbox, 0], exps[inbox, 1]] = (
+            values[inbox] if p else primitive(values[None, inbox])[0])
+    rows, cols = np.arange(bx), np.arange(by)
+    shift = np.where(rows[:, None] >= rows, rows[:, None] - rows, bx)
+    toeplitz_index = np.where(cols >= cols[:, None], cols - cols[:, None], by)
+    chunk = (top + 1) // bx
+    known = 2
+    while known <= top:
+        # F^0..F^step are known, and F^i F^step for i >= 1 gives the next
+        step = known - 1
+        toeplitz = powers[step][:bx, toeplitz_index].reshape(bx * by, by)
+        stop = min(known, top + 1 - step)
+        for lo in range(1, stop, chunk):
+            hi = min(lo + chunk, stop)
+            left = powers[lo:hi, shift, :by].reshape((hi - lo) * bx, bx * by)
+            prod = np.dot(left, toeplitz).reshape(hi - lo, bx * by)
+            prod = np.remainder(prod, p) if p else primitive(prod)
+            powers[lo + step:hi + step, :bx, :by] = prod.reshape(hi - lo, bx, by)
+        known = stop + step
+    table = powers[:, :bx, :by]
+    return table.astype(np.int64) if p else table
 
 
 _constants_memo: dict = {}

@@ -7,11 +7,13 @@ solution of a linear system off either; ``fraction_matmul`` is ``np.dot``
 over Fraction objects;
 ``full_power_partition`` reads a Jordan type off the ranks of the full
 powers N, N^2, ... ; ``gathered_tensor_partition`` is the Jordan type of
-the law's operator on V (x) W, gathered as a whole matrix; ``whole_matrix_adjoint`` builds the classical adjoint
-operator on all of V (x) V*, Sym^2 V or wedge^2 V; ``kron_power_operator``
-sums Kronecker products of the dense powers of phi over the terms of the
-m-fold tensor series; ``quotient_maps`` builds the dense projection onto
-wedge^m or Sym^m of k^d and the injection back, and
+the law's operator on V (x) W, gathered as a whole matrix, and
+``gathered_power_table`` the powers F^j of a law's gathered operator from
+e_0, one vector-matrix product each; ``whole_matrix_adjoint`` builds the
+classical adjoint operator on all of V (x) V*, Sym^2 V or wedge^2 V;
+``kron_power_operator`` sums Kronecker products of the dense powers of phi
+over the terms of the m-fold tensor series; ``quotient_maps`` builds the
+dense projection onto wedge^m or Sym^m of k^d and the injection back, and
 ``dense_quotient_operator`` multiplies an operator through them;
 ``loop_mult_matrix`` fills a multiplication matrix one monomial at a time,
 and ``monomial_endomorphism_matrix`` an algebra endomorphism's matrix one
@@ -20,6 +22,7 @@ All are deliberately plain so that they are easy to trust.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -257,3 +260,21 @@ def monomial_endomorphism_matrix(images):
         for e, c in image.coeffs.items():
             out[index[e], j] = c
     return Matrix(field, out)
+
+
+def gathered_power_table(field, box, coeffs) -> np.ndarray:
+    """F^j mod (x^bx, y^by) for j <= bx + by - 2, as an array (j, a, b): the
+    law's operator on k[x, y]/(x^bx, y^by) gathered as a whole matrix, and
+    its powers from e_0 by one row product each.  Over F_p the entries are
+    in range(p); over Q each power is divided by the gcd of its entries."""
+    bx, by = box
+    op = canonical_series_operator(field, ((bx,), (by,)), coeffs).num.astype(object)
+    powers = np.zeros((bx + by - 1, bx * by), dtype=object)
+    powers[0, 0] = 1
+    for j in range(1, bx + by - 1):
+        row = np.dot(powers[j - 1], op)
+        if field.p:
+            powers[j] = row % field.p
+        else:
+            powers[j] = row // max(math.gcd(*row.tolist()), 1)
+    return powers.reshape(bx + by - 1, bx, by).astype(np.int64 if field.p else object)

@@ -949,6 +949,27 @@ class TestTypedPostconditions:
         with pytest.raises(AlgebraError, match="partition of 2, not 3"):
             jordan_partition(Matrix.zeros(GF(5), 3, 3))
 
+    def test_growing_steps_are_refused(self):
+        # kernel dimensions 2, 3, 5 grow by 2, 1, 2, which adds up to 5, but
+        # no nilpotent has more blocks of size >= 3 than of size >= 2: the
+        # last step is cut to 1, which leaves a partition of 4
+        with pytest.raises(AlgebraError, match=r"\[2, 3, 5\] give a partition of 4, not 5"):
+            linalg._partition_from_ranks([3, 2, 0], 5)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_partition_from_its_ranks(self, n):
+        # rank N^k of the canonical nilpotent is the sum of max(part - k, 0)
+        def partitions(n, top):
+            if not n:
+                yield ()
+            for first in range(min(n, top), 0, -1):
+                for rest in partitions(n - first, first):
+                    yield (first, *rest)
+
+        for lam in partitions(n, n):
+            ranks = [sum(max(x - k, 0) for x in lam) for k in range(1, lam[0] + 1)]
+            assert linalg._partition_from_ranks(ranks, n) == lam
+
 
 #: around the float64 exactness bound (p-1)**2 * n < 2**53 at inner length n = 2
 PRIME_BELOW_BOUND = 67108859

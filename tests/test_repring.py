@@ -1,6 +1,8 @@
 import itertools
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,6 +59,7 @@ from jordanblocks.series import (
 )
 from oracles import (
     dense_quotient_operator,
+    gathered_power_table,
     gathered_tensor_partition,
     kron_power_operator,
     monomial_endomorphism_matrix,
@@ -119,23 +122,23 @@ class TestTensorPartition:
         assert part.dim == 16
 
     def test_blocks_come_from_memoized_cells(self, monkeypatch):
-        # the operator is block-diagonal over pairs of blocks, so nothing
-        # larger than the cell J_3 (x) J_2 is built, and a second call reads
-        # every cell from the memo
+        # the operator is block-diagonal over pairs of blocks, so the only
+        # table is the law's powers at the box of the cell J_3 (x) J_2, which
+        # holds J_2 (x) J_2 too, and a second call reads every cell from the
+        # memo
         built = []
-        gather = repring.canonical_series_operator
+        build = repring._power_table
 
-        def spy(field, lams, coeffs):
-            op = gather(field, lams, coeffs)
-            built.append(op.nrows)
-            return op
+        def spy(field, box, terms):
+            built.append(box)
+            return build(field, box, terms)
 
-        monkeypatch.setattr(repring, "canonical_series_operator", spy)
+        monkeypatch.setattr(repring, "_power_table", spy)
         repring.clear_memo()
         law = random_generalized_law(12, 4, F5)
         lam, mu = Partition((3, 3, 2)), Partition((2, 2))
         got = tensor_partition(lam, mu, law, F5)
-        assert built and max(built) <= 6
+        assert built == [(3, 2)]
         built.clear()
         assert tensor_partition(lam, mu, law, F5) == got
         assert not built
@@ -177,12 +180,13 @@ class TestStructureConstants:
         assert a is b
 
     def test_gather_offsets_are_memoized_read_only(self):
-        # the cell J_3 (x) J_4 gathers the offsets of (3,) at stride 4 and of
-        # (4,) at stride 1, each reading 12, the box size, where it is invalid
+        # the operator of J_3 (x) J_4 gathers the offsets of (3,) at stride 4
+        # and of (4,) at stride 1, each reading 12, the box size, where it is
+        # invalid
         offsets = linalg._block_offsets
         repring.clear_memo()
         assert offsets.cache_info().currsize == 0
-        structure_constants(3, 4, additive(F5), F5)
+        canonical_series_operator(F5, ((3,), (4,)), additive(F5).coeffs)
         hits = offsets.cache_info().hits
         first = offsets(Partition((3,)), 4, 12)
         assert offsets.cache_info().hits == hits + 1
@@ -279,7 +283,8 @@ class TestCellRoute:
     @pytest.mark.parametrize("field", [F3, F131, QQ], ids=str)
     def test_shuffled_order_matches_cold_answers(self, field):
         # each cold answer starts from an empty memo; the shuffled pass grows
-        # one table, and a degree-10 law refuses the cells with n + m > 12
+        # one table, with no side past 8, the power of two that holds 7, and
+        # a degree-10 law refuses the cells with n + m > 12
         law = random_generalized_law(17, 10, field)
         cells = [(n, m) for n in range(1, 8) for m in range(1, 8)]
         cold = {}
@@ -299,19 +304,22 @@ class TestCellRoute:
             else:
                 assert structure_constants(n, m, law, field) == cold[n, m], (n, m)
             box = table_box(law)
-            assert box is None or box[0] * box[1] <= 49
-        assert table_box(law) == (7, 7)
+            assert box is None or max(box) <= 8
+        assert min(table_box(law)) >= 7
 
     def test_growth_rule(self):
         law, field = random_generalized_law(5, 140, F5), F5
-        cells = [(3, 5), (5, 3), (2, 2), (70, 2), (2, 60), (3, 1)]
+        cells = [(3, 5), (5, 3), (2, 2), (70, 2), (2, 60), (3, 1), (65, 1)]
         cold = {}
         for n, m in cells:
             repring.clear_memo()
             cold[n, m] = structure_constants(n, m, law, field)
         repring.clear_memo()
-        # the union of the boxes, unless that passes the 4096 bound (70 x 60)
-        boxes = [(3, 5), (5, 5), (5, 5), (70, 5), (2, 60), (3, 60)]
+        # a cold table at the cell; each side that must grow rounded up to a
+        # power of two; past the 4096 bound the union of the boxes, at
+        # (65, 1) after (4, 60), and past it too the cell's own, at (2, 60)
+        # after (128, 5)
+        boxes = [(3, 5), (8, 5), (8, 5), (128, 5), (2, 60), (4, 60), (65, 60)]
         for (n, m), box in zip(cells, boxes):
             assert structure_constants(n, m, law, field) == cold[n, m], (n, m)
             assert table_box(law) == box, (n, m)
@@ -365,6 +373,65 @@ class TestCellRoute:
         with pytest.raises(InvalidInput, match="dimension 4160 is past the supported 4096"):
             structure_constants(65, 64, additive(F5), F5)
         assert not repring._constants_memo
+
+
+class TestPowerTable:
+    """The table of a law's powers F^j mod (x^bx, y^by) from Toeplitz
+    products, against the powers of the law's whole gathered operator."""
+
+    @staticmethod
+    def check(field, box, law):
+        got = repring._power_table(field, box, repring._law_terms(field, law.coeffs))
+        want = gathered_power_table(field, box, law.coeffs)
+        assert got.shape == want.shape and np.array_equal(got, want), (field, box)
+
+    @pytest.mark.parametrize("field", [F2, F3, F5, F131, QQ], ids=str)
+    def test_seeded_tables(self, field):
+        rng = random.Random(f"power-table:{field.p}")
+        top = 6 if field == QQ else 12
+        boxes = [(1, 1), (1, top), (top, 1), (top, top - 1), (2, 5)]
+        boxes += [(rng.randint(1, top), rng.randint(1, top)) for _ in range(6)]
+        for unit in (False, True):
+            law = random_generalized_law(rng.randrange(10**6), 2 * top, field,
+                                         unit_linear=unit)
+            if field != F2:
+                # F_2 has no other linear part than u + v
+                assert law.has_unit_linear_part() == unit
+            for box in boxes:
+                self.check(field, box, law)
+
+    @given(st.sampled_from([F2, F3, F5, F131, QQ]), st.integers(1, 7), st.integers(1, 7),
+           st.integers(0, 10**6), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_hypothesis_tables(self, field, bx, by, seed, unit):
+        self.check(field, (bx, by), random_generalized_law(seed, bx + by, field,
+                                                           unit_linear=unit))
+
+    def test_the_prime_between_the_bounds(self):
+        # the products have inner length bx by: exact up to 4, and refused
+        # at 6 like every F_p product of that length
+        field = GF(PRIME_BETWEEN_BOUNDS)
+        law = random_generalized_law(3, 6, field)
+        for box in [(1, 1), (1, 2), (2, 1), (2, 2), (1, 4), (4, 1)]:
+            self.check(field, box, law)
+        with pytest.raises(BadPrime):
+            repring._power_table(field, (3, 2), repring._law_terms(field, law.coeffs))
+
+    def test_memory_stays_near_the_table(self):
+        # each round goes in chunks whose stacked shifts hold no more entries
+        # than the table, so the build never holds an operator on the box:
+        # here the gathered operator and one unchunked round of 39 powers
+        # would each take 20 times the table's bytes
+        law = random_generalized_law(4, 80, F5)
+        terms = repring._law_terms(F5, law.coeffs)
+        tracemalloc.start()
+        try:
+            table = repring._power_table(F5, (40, 40), terms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.nbytes == 79 * 1600 * 8
+        assert peak < 4 * table.nbytes
 
 
 class TestRingMultiply:
