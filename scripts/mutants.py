@@ -90,11 +90,11 @@ MUTANTS = [
     Mutant("growth-skips-union", REPRING,
            "for grown in (rounded, union):", "for grown in (rounded,):",
            (CELL_TESTS + "test_growth_rule",)),
-    # below the diagonal, b1 < b0, K reads the columns of F^s from the end:
-    # terms that wrap around the y truncation
-    Mutant("toeplitz-mask-dropped", REPRING,
-           "np.where(cols >= cols[:, None], cols - cols[:, None], by)",
-           "cols - cols[:, None]",
+    # below the diagonal, b1 < b0, the power table's Toeplitz matrices read
+    # the columns of F^s from the end: terms that wrap around the y truncation
+    Mutant("toeplitz-mask-dropped", LINALG,
+           "valid = (block[:, None] == block[None, :]) & (shift >= 0)",
+           "valid = block[:, None] == block[None, :]",
            ("tests/test_repring.py::TestPowerTable::test_seeded_tables",)),
     # kernel-dimension steps that grow give a partition of n with a
     # negative multiplicity dropped, so of more than n
@@ -115,6 +115,23 @@ MUTANTS = [
            "if trunc[i] > 1 and g.coefficient(", "if False and g.coefficient(",
            ("tests/test_series.py::TestBuildAutomorphism::test_refusals",)),
     # the law's series padded in front reads as F(Y_2, Y_3), not F(Y_1, Y_2)
+    Mutant("partition-skips-order", LINALG,
+           "if i and parts[i - 1] < x:", "if False:",
+           ("tests/test_linalg.py::TestPartition::test_validation",)),
+    # xi_1 = 5 at p = 5 passes as a nonzero linear coefficient
+    Mutant("law-keeps-unreduced-coefficients", FGL,
+           "            c = field(c)\n", "",
+           ("tests/test_fgl.py::TestValidation::"
+            "test_linear_part_vanishing_mod_p_is_refused",)),
+    # an F_7 series applied over F_5 is read mod 5
+    Mutant("apply-series-any-field", LINALG,
+           "if f.field != n_mat.field:", "if False:",
+           ("tests/test_linalg.py::TestApplySeries::"
+            "test_series_over_another_field_is_refused",)),
+    Mutant("tensor-operator-any-field", REPRING,
+           "    _require_field(law, field)\n    phi_pow", "    phi_pow",
+           ("tests/test_repring.py::TestTensorOperator::"
+            "test_law_over_another_field_is_refused",)),
     Mutant("tensor-series-pad-in-front", FGL,
            "{e + pad: c", "{pad + e: c",
            ("tests/test_fgl.py::TestIteratedSeries::"

@@ -28,7 +28,12 @@ from .series import TruncatedPoly
 
 
 class GeneralizedLaw:
-    """Two-variable series with invertible linear part, degree-truncated."""
+    """Two-variable series with invertible linear part, degree-truncated.
+
+    Each coefficient is taken into the field first, so a linear coefficient
+    that vanishes there raises InvalidLaw, and laws equal over the field
+    have equal fingerprints.
+    """
 
     __slots__ = ("field", "degree", "coeffs", "exact", "name", "_fingerprint")
 
@@ -42,6 +47,7 @@ class GeneralizedLaw:
         for (a, b), c in coeffs.items():
             if a < 0 or b < 0 or a + b > self.degree:
                 raise InvalidLaw(f"coefficient ({a},{b}) outside degree bound {self.degree}")
+            c = field(c)
             if c != 0:
                 clean[(a, b)] = c
         if clean.get((0, 0)):

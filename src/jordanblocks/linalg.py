@@ -55,6 +55,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -76,50 +77,31 @@ from .errors import (
 from .fields import Field
 
 
-class Partition:
-    """A weakly decreasing sequence of positive parts (a Jordan type).
+class Partition(tuple):
+    """A weakly decreasing tuple of positive parts (a Jordan type), equal to
+    the plain tuple of its parts, never to a list.  A part that
+    ``operator.index`` refuses (a float, a string) raises InvalidInput."""
 
-    Compares equal to any iterable with the same parts, so tests can say
-    ``assert part == (4, 4, 2)``.
-    """
+    __slots__ = ()
 
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: Iterable[int]):
-        parts = tuple(int(x) for x in parts)
+    def __new__(cls, parts: Iterable[int]):
+        try:
+            parts = tuple(map(operator.index, parts))
+        except TypeError:
+            raise InvalidInput(f"parts must be integers, got {parts!r}") from None
         for i, x in enumerate(parts):
             if x < 1:
                 raise InvalidInput(f"parts must be positive, got {parts}")
             if i and parts[i - 1] < x:
                 raise InvalidInput(f"parts must be weakly decreasing, got {parts}")
-        self.parts = parts
+        return super().__new__(cls, parts)
 
     @property
     def dim(self) -> int:
-        return sum(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __eq__(self, other):
-        if isinstance(other, Partition):
-            return self.parts == other.parts
-        try:
-            return self.parts == tuple(other)
-        except TypeError:
-            return NotImplemented
-
-    def __hash__(self):
-        return hash(self.parts)
+        return sum(self)
 
     def __repr__(self):
-        return f"Partition{self.parts}"
+        return f"Partition{tuple(self)}"
 
     def __str__(self):
         return self.compressed()
@@ -127,26 +109,26 @@ class Partition:
     def compressed(self) -> str:
         """Exponent notation, e.g. ``(8^2,5)``; the empty partition is ``()``."""
         pieces = []
-        for size, grp in itertools.groupby(self.parts):
+        for size, grp in itertools.groupby(self):
             mult = len(list(grp))
             pieces.append(f"{size}^{mult}" if mult > 1 else f"{size}")
         return "(" + ",".join(pieces) + ")"
 
     def difference(self, other: "Partition") -> "Partition":
         """Multiset difference; raises NotContained if ``other`` is not a sub-multiset."""
-        remaining = list(self.parts)
+        remaining = list(self)
         for x in tuple(other):
             try:
                 remaining.remove(x)
             except ValueError:
-                raise NotContained(f"{tuple(other)} not contained in {self.parts}") from None
+                raise NotContained(f"{tuple(other)} not contained in {tuple(self)}") from None
         return Partition(sorted(remaining, reverse=True))
 
     def multiplicity(self, size: int) -> int:
-        return sum(1 for x in self.parts if x == size)
+        return self.count(size)
 
     def to_json(self) -> list:
-        return list(self.parts)
+        return list(self)
 
 
 class Matrix:
@@ -621,7 +603,7 @@ def _block_offsets(lam: Partition, stride: int, invalid: int) -> np.ndarray:
     Memoized, so the array is read-only; ``repring.clear_memo`` drops the
     cache.  An entry holds lam.dim**2 int64, at most 128 MiB at the operator
     bound."""
-    block = np.repeat(np.arange(len(lam)), lam.parts)
+    block = np.repeat(np.arange(len(lam)), lam)
     index = np.arange(lam.dim)
     shift = index[None, :] - index[:, None]
     valid = (block[:, None] == block[None, :]) & (shift >= 0)
@@ -641,6 +623,28 @@ def _require_operator_dim(dim: int) -> None:
                            f"{_MAX_OPERATOR_DIM}")
 
 
+def _coefficient_arrays(field: Field, coeffs: dict, nvars: int) -> tuple:
+    """A series' coefficients {a: c_a} as arrays: (exps, values, den), the
+    exponents an int64 array of rows of length ``nvars`` and the
+    coefficients integers over the common denominator ``den``, int64 in
+    range(p) over F_p (den 1) and Python ints over Q.  InvalidInput for an
+    exponent of another length."""
+    values, den = list(coeffs.values()), 1
+    if not field.p:
+        values, den = _common_denominator(values)
+    # a ragged exponent list fails the array, a wrong common length the reshape
+    try:
+        exps = np.array(list(coeffs), dtype=np.int64).reshape(len(coeffs), nvars)
+    except ValueError:
+        bad = [e for e in coeffs if len(e) != nvars]
+        if not bad:
+            raise
+        raise InvalidInput(f"exponent {bad[0]} for {nvars} tensor factors") from None
+    if field.p:
+        return exps, np.array(values, dtype=np.int64) % field.p, den
+    return exps, np.array(values, dtype=object), den
+
+
 def canonical_series_operator(field: Field, lams: Sequence, coeffs: dict) -> Matrix:
     """sum of c_a phi_1^{a_1} (x) ... (x) phi_m^{a_m} over ``coeffs`` {a: c_a},
     with phi_k = nilpotent_from_partition(field, lams[k]).
@@ -657,22 +661,11 @@ def canonical_series_operator(field: Field, lams: Sequence, coeffs: dict) -> Mat
     shape = [max(lam, default=0) for lam in lams]
     strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
     size = math.prod(shape)
-    values, den = list(coeffs.values()), 1
-    if not field.p:
-        values, den = _common_denominator(values)
-    # a ragged exponent list fails the array, a wrong common length the reshape
-    try:
-        exps = np.array(list(coeffs), dtype=np.int64).reshape(len(coeffs), len(shape))
-    except ValueError:
-        bad = [e for e in coeffs if len(e) != len(shape)]
-        if not bad:
-            raise
-        raise InvalidInput(f"exponent {bad[0]} for {len(shape)} tensor factors") from None
+    exps, values, den = _coefficient_arrays(field, coeffs, len(shape))
     inbox = (exps < shape).all(axis=1)
     # every exponent in the box shows up, at an entry (r, r + a) of the
     # largest blocks (the box is empty when a partition is), so normalizing
     # the kept coefficients normalizes the whole operator
-    values = np.array(values, dtype=np.int64 if field.p else object)
     kept = Matrix._from_ints(field, values[None, inbox], den)
     flat = np.zeros(size + 1, dtype=kept.num.dtype)
     flat[exps[inbox] @ np.array(strides)] = kept.num[0]
@@ -829,9 +822,12 @@ def unipotent_partition(u: Matrix) -> Partition:
 def apply_series(f, n_mat: Matrix) -> Matrix:
     """Evaluate a univariate zero-constant-term series at a nilpotent matrix.
 
-    ``f`` is a univariate TruncatedPoly; its truncation must cover the
-    nilpotency degree of ``n_mat`` so no term is silently dropped.
+    ``f`` is a univariate TruncatedPoly over the matrix's field (else
+    ShapeMismatch); its truncation must cover the nilpotency degree of
+    ``n_mat`` so no term is silently dropped.
     """
+    if f.field != n_mat.field:
+        raise ShapeMismatch(f"a series over {f.field} applied to a matrix over {n_mat.field}")
     coeffs = f.univariate_coeffs()
     if coeffs and coeffs[0] != 0:
         raise NonzeroConstantTerm("series has a nonzero constant term")

@@ -35,9 +35,11 @@ the pieces go to ``build_automorphism`` as they are, as the images.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -49,11 +51,9 @@ from .linalg import (
     Matrix,
     Partition,
     _block_offsets,
-    _common_denominator,
-    _field_dtype,
+    _coefficient_arrays,
     _float_exact,
     _level_ranks,
-    _packing,
     _partition_from_ranks,
     _require_float_exact,
     _require_operator_dim,
@@ -72,7 +72,11 @@ class RingElement:
     def __init__(self, terms=None):
         clean = {}
         for n, mult in dict(terms or {}).items():
-            n, mult = int(n), int(mult)
+            try:
+                n, mult = operator.index(n), operator.index(mult)
+            except TypeError:
+                raise InvalidInput(f"block size and multiplicity must be integers, "
+                                   f"got {n!r}: {mult!r}") from None
             if n < 1:
                 raise InvalidInput(f"block size must be >= 1, got {n}")
             if mult:
@@ -81,18 +85,12 @@ class RingElement:
 
     @classmethod
     def from_partition(cls, lam) -> "RingElement":
-        out: dict = {}
-        for x in tuple(lam):
-            out[x] = out.get(x, 0) + 1
-        return cls(out)
+        return cls(collections.Counter(lam))
 
     def to_partition(self) -> Partition:
         if any(m < 0 for m in self.terms.values()):
             raise InvalidInput("negative multiplicity is not a class of an object")
-        parts = []
-        for n, mult in self.terms.items():
-            parts.extend([n] * mult)
-        return Partition(sorted(parts, reverse=True))
+        return Partition(sorted(collections.Counter(self.terms).elements(), reverse=True))
 
     def dim(self) -> int:
         return sum(n * m for n, m in self.terms.items())
@@ -104,10 +102,7 @@ class RingElement:
         return RingElement(out)
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for n, m in other.terms.items():
-            out[n] = out.get(n, 0) - m
-        return RingElement(out)
+        return self + (-1) * other
 
     def __rmul__(self, k: int):
         return RingElement({n: k * m for n, m in self.terms.items()})
@@ -151,10 +146,11 @@ def tensor_operator(phi: Matrix, psi: Matrix, law: GeneralizedLaw) -> Matrix:
     """F(phi (x) 1, 1 (x) psi) for any nilpotent matrices, from Kronecker products
     of powers: the gathered operators' test reference, wrapped by name by the
     benchmark's tracer."""
+    field = phi.field
+    _require_field(law, field)
     phi_pow = nilpotent_powers(phi)
     psi_pow = nilpotent_powers(psi)
     law.require_degree(len(phi_pow) + len(psi_pow) - 2)
-    field = phi.field
     out = Matrix.zeros(field, phi.nrows * psi.nrows, phi.nrows * psi.nrows)
     for (a, b), c in law.coeffs.items():
         if a < len(phi_pow) and b < len(psi_pow):
@@ -200,7 +196,7 @@ def _cell_partition(n: int, m: int, law: GeneralizedLaw, field: Field) -> Partit
     # F^(n+m-2), ..., F^0 mod (x^n, y^m); levels[k, i] is x^i times cell[k]
     cell = powers[n + m - 2::-1, :n, :m]
     levels = np.zeros((len(cell), c, n, m),
-                      dtype=_field_dtype(_packing(field.p, 1)[0]) if field.p else object)
+                      dtype=np.min_scalar_type(field.p - 1) if field.p else object)
     for i in range(c):
         levels[:, i, i:] = cell[:, :n - i]
     ranks = _level_ranks(levels.reshape(len(cell), c, n * m), field.p)
@@ -215,7 +211,8 @@ def _law_powers(law: GeneralizedLaw, field: Field, n: int, m: int) -> np.ndarray
     (j, a, b) of the coefficient of x^a y^b, for a box that holds n x m.
 
     Memoized per law in ``_constants_memo`` as (bx, by, powers, terms), with
-    the law's ``_law_terms``, and built cold at (n, m).  A cell that does
+    the law's exponent and coefficient arrays (``_coefficient_arrays``), and
+    built cold at (n, m).  A cell that does
     not fit the box rebuilds it, with each side that must grow rounded up to
     a power of two, so that cells met one row or column larger at a time
     rebuild about log2 times per side.  When that box passes the operator
@@ -230,7 +227,7 @@ def _law_powers(law: GeneralizedLaw, field: Field, n: int, m: int) -> np.ndarray
         return table[2]
     box = (n, m)
     if table is None:
-        terms = _law_terms(field, law.coeffs)
+        terms = _coefficient_arrays(field, law.coeffs, 2)
     else:
         bx, by, _, terms = table
         rounded = (bx if n <= bx else 1 << (n - 1).bit_length(),
@@ -246,21 +243,9 @@ def _law_powers(law: GeneralizedLaw, field: Field, n: int, m: int) -> np.ndarray
     return powers
 
 
-def _law_terms(field: Field, coeffs) -> tuple:
-    """The law's exponents (a, b), as an int64 array of rows, and its
-    coefficients as integers: in range(p) over F_p, over Q over one common
-    denominator, which leaves the powers' rows integer multiples of F^j."""
-    values = list(coeffs.values())
-    if not field.p:
-        values = _common_denominator(values)[0]
-    exps = np.array(list(coeffs), dtype=np.int64).reshape(len(coeffs), 2)
-    values = np.array(values, dtype=np.int64 if field.p else object)
-    return exps, values % field.p if field.p else values
-
-
 def _power_table(field: Field, box: tuple, terms: tuple) -> np.ndarray:
     """F^j mod (x^bx, y^by) for j <= bx + by - 2, from the law's ``terms``
-    (``_law_terms``), with no operator on the box.
+    (``_coefficient_arrays``), with no operator on the box.
 
     A product G = P F^s mod (x^bx, y^by) is one matrix product X K of inner
     length bx by: K is the stack over a of the upper triangular Toeplitz
@@ -293,13 +278,14 @@ def _power_table(field: Field, box: tuple, terms: tuple) -> np.ndarray:
     powers = np.zeros((top + 1, bx + 1, by + 1), dtype=np.float64 if p else object)
     powers[0, 0, 0] = 1
     if top:
-        exps, values = terms
+        exps, values, _ = terms
         inbox = (exps < box).all(axis=1)
         powers[1, exps[inbox, 0], exps[inbox, 1]] = (
             values[inbox] if p else primitive(values[None, inbox])[0])
-    rows, cols = np.arange(bx), np.arange(by)
-    shift = np.where(rows[:, None] >= rows, rows[:, None] - rows, bx)
-    toeplitz_index = np.where(cols >= cols[:, None], cols - cols[:, None], by)
+    # shift[a', a] = a' - a and toeplitz_index[b0, b1] = b1 - b0, or the zero
+    # row or column where negative: the offsets of one block
+    shift = _block_offsets(Partition((bx,)), 1, bx).T
+    toeplitz_index = _block_offsets(Partition((by,)), 1, by)
     chunk = (top + 1) // bx
     known = 2
     while known <= top:
@@ -345,8 +331,11 @@ def structure_constants(n: int, m: int, law: GeneralizedLaw, field: Field) -> Ri
 def square_constants(n: int, shape: str, law: GeneralizedLaw) -> RingElement:
     """Class of Sym^2 J_n (``shape == "sym"``) or wedge^2 J_n under the law.
 
-    Memoized next to the structure constants, under a key of its own.
+    Memoized next to the structure constants, under a key of its own; an
+    unknown shape raises InvalidInput.
     """
+    if shape not in ("sym", "wedge"):
+        raise InvalidInput(f"unknown square {shape!r}")
     key = (shape, n, law.fingerprint())
     hit = _constants_memo.get(key)
     if hit is None:

@@ -18,7 +18,7 @@ from jordanblocks.classical import (
     unipotent_adjoint_partition,
     validate_classical_partition,
 )
-from jordanblocks.errors import AlgebraError, CharTwo, InvalidInput
+from jordanblocks.errors import AlgebraError, CharTwo, InvalidInput, ShapeMismatch
 from jordanblocks.fields import GF, QQ
 from jordanblocks.linalg import jordan_partition, nilpotent_from_partition, unipotent_partition
 from jordanblocks.repring import RingElement, cg_tensor
@@ -137,6 +137,13 @@ class TestSpringerImage:
         x = nilpotent_from_partition(f, (3,))
         with pytest.raises(InvalidInput, match="nonzero linear coefficient"):
             springer_image(TruncatedPoly.univariate(f, 4, [0, 0, 1]), x)
+
+    def test_series_over_another_field_is_refused(self):
+        from jordanblocks.series import TruncatedPoly
+
+        x = nilpotent_from_partition(GF(5), (3,))
+        with pytest.raises(ShapeMismatch):
+            springer_image(TruncatedPoly.univariate(GF(7), 4, [0, 6]), x)
 
 
 class TestGoodCharReport:

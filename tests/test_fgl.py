@@ -65,6 +65,22 @@ class TestValidation:
         with pytest.raises(InvalidLaw):
             GeneralizedLaw(F5, 2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
 
+    def test_linear_part_vanishing_mod_p_is_refused(self):
+        # xi_1 = 5 is 0 in F_5: the law has no invertible linear part
+        with pytest.raises(InvalidLaw, match="linear part"):
+            GeneralizedLaw(F5, 3, {(1, 0): 5, (0, 1): 1, (1, 1): 7})
+        with pytest.raises(InvalidLaw, match="constant term"):
+            GeneralizedLaw(F5, 2, {(0, 0): 6, (1, 0): 1, (0, 1): 1})
+
+    def test_coefficients_are_reduced_into_the_field(self):
+        law = GeneralizedLaw(F5, 3, {(1, 0): 6, (0, 1): -4, (1, 1): 7, (2, 1): 10})
+        assert dict(law.coeffs) == {(1, 0): 1, (0, 1): 1, (1, 1): 2}
+        assert law.has_unit_linear_part()
+        same = GeneralizedLaw(F5, 3, {(1, 0): 1, (0, 1): 1, (1, 1): 2})
+        assert law == same and law.fingerprint() == same.fingerprint()
+        half = GeneralizedLaw(QQ, 2, {(1, 0): 1, (0, 1): "1/2"})
+        assert half.xi2 == QQ("1/2") and type(half.xi1) is type(QQ(1))
+
 
 class TestIteratedSeries:
     def test_additive_is_linear(self):

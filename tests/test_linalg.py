@@ -151,6 +151,20 @@ class TestPartition:
         assert Partition((3, 1)) == (3, 1)
         assert Partition((3, 1)) != (3, 2)
         assert Partition(()) == ()
+        assert isinstance(Partition((3, 1)), tuple)
+        assert hash(Partition((3, 1))) == hash((3, 1))
+        assert Partition((3, 1)) != [3, 1]
+
+    @pytest.mark.parametrize("parts", [(2.5, 1), (2.0,), ("3",), [None], 5, "32"])
+    def test_non_integers_are_refused(self, parts):
+        with pytest.raises(InvalidInput, match="integers"):
+            Partition(parts)
+
+    def test_numpy_integers_pass(self):
+        lam = Partition(np.array([3, 3, 1]))
+        assert lam == (3, 3, 1) and lam.dim == 7 and all(type(x) is int for x in lam)
+        assert repr(lam) == "Partition(3, 3, 1)" and str(lam) == "(3^2,1)"
+        assert lam.multiplicity(3) == 2 and lam[1:] == (3, 1)
 
     def test_compressed(self):
         assert Partition((8, 8, 5)).compressed() == "(8^2,5)"
@@ -1082,6 +1096,12 @@ class TestApplySeries:
         g = TruncatedPoly.univariate(f, 3, [0, 1, 1])
         with pytest.raises(TruncationTooShort):
             apply_series(g, n)
+
+    def test_series_over_another_field_is_refused(self):
+        # the F_7 series 6t would read as t over F_5
+        g = TruncatedPoly.univariate(GF(7), 4, [0, 6])
+        with pytest.raises(ShapeMismatch, match="over F7"):
+            apply_series(g, jordan_block(GF(5), 3))
 
 
 class TestExpNilpotent:

@@ -44,6 +44,7 @@ from jordanblocks.repring import (
     power_operator,
     ring_multiply,
     sigma_matrices,
+    square_constants,
     structure_constants,
     sym_partition,
     tensor_operator,
@@ -90,6 +91,20 @@ class TestRingElement:
         assert x.to_json() == {"terms": [{"n": 8, "a": 6}, {"n": 1, "a": 1}]}
         assert RingElement.from_json(x.to_json()) == x
 
+    def test_difference(self):
+        x = RingElement({3: 1, 2: 2}) - RingElement({3: 1, 1: 4})
+        assert x == RingElement({2: 2, 1: -4})
+        assert x - x == RingElement()
+
+    @pytest.mark.parametrize("terms", [{2.7: 1.9}, {2: 1.0}, {2.0: 1}, {"2": 1}, {2: None}])
+    def test_non_integers_are_refused(self, terms):
+        with pytest.raises(InvalidInput, match="integers"):
+            RingElement(terms)
+
+    def test_numpy_integers_pass(self):
+        x = RingElement({np.int64(3): np.int32(2)})
+        assert x == RingElement({3: 2}) and all(type(k) is int for k in x.terms)
+
 
 class TestTensorOperator:
     def test_additive_j2_squared_char2(self):
@@ -105,6 +120,12 @@ class TestTensorOperator:
     def test_char2_square_of_j4(self):
         phi = jordan_block(F2, 4)
         assert jordan_partition(tensor_operator(phi, phi, multiplicative(F2))) == (4, 4, 4, 4)
+
+    def test_law_over_another_field_is_refused(self):
+        # c = 6 of an F_7 law would read as 1 in F_5
+        x = jordan_block(F5, 3)
+        with pytest.raises(InvalidLaw, match="disagree"):
+            tensor_operator(x, x, scaled_multiplicative(GF(7), 6))
 
 
 class TestTensorPartition:
@@ -178,6 +199,15 @@ class TestStructureConstants:
         a = structure_constants(4, 5, law, F3)
         b = structure_constants(4, 5, law, F3)
         assert a is b
+
+    def test_square_of_unknown_shape_is_refused(self):
+        law = additive(F5)
+        repring.clear_memo()
+        with pytest.raises(InvalidInput, match="unknown square 'bogus'"):
+            square_constants(3, "bogus", law)
+        assert not repring._constants_memo
+        assert square_constants(3, "wedge", law) == RingElement.from_partition(
+            wedge_partition((3,), 2, law, F5))
 
     def test_gather_offsets_are_memoized_read_only(self):
         # the operator of J_3 (x) J_4 gathers the offsets of (3,) at stride 4
@@ -381,7 +411,7 @@ class TestPowerTable:
 
     @staticmethod
     def check(field, box, law):
-        got = repring._power_table(field, box, repring._law_terms(field, law.coeffs))
+        got = repring._power_table(field, box, linalg._coefficient_arrays(field, law.coeffs, 2))
         want = gathered_power_table(field, box, law.coeffs)
         assert got.shape == want.shape and np.array_equal(got, want), (field, box)
 
@@ -415,7 +445,7 @@ class TestPowerTable:
         for box in [(1, 1), (1, 2), (2, 1), (2, 2), (1, 4), (4, 1)]:
             self.check(field, box, law)
         with pytest.raises(BadPrime):
-            repring._power_table(field, (3, 2), repring._law_terms(field, law.coeffs))
+            repring._power_table(field, (3, 2), linalg._coefficient_arrays(field, law.coeffs, 2))
 
     def test_memory_stays_near_the_table(self):
         # each round goes in chunks whose stacked shifts hold no more entries
@@ -423,7 +453,7 @@ class TestPowerTable:
         # here the gathered operator and one unchunked round of 39 powers
         # would each take 20 times the table's bytes
         law = random_generalized_law(4, 80, F5)
-        terms = repring._law_terms(F5, law.coeffs)
+        terms = linalg._coefficient_arrays(F5, law.coeffs, 2)
         tracemalloc.start()
         try:
             table = repring._power_table(F5, (40, 40), terms)
@@ -555,7 +585,7 @@ class TestGatheredOperators:
     @settings(max_examples=25, deadline=None)
     def test_power_hypothesis(self, field, lam, m, seed):
         if lam.dim ** m > 216:
-            lam = Partition(lam.parts[:1])
+            lam = Partition(lam[:1])
         self._check_power(field, lam, m, random_generalized_law(seed, m * lam[0] + 1, field))
 
     def test_exponents_past_the_largest_block_are_dropped(self):
@@ -618,7 +648,7 @@ class TestQuotientOperator:
     @settings(max_examples=30, deadline=None)
     def test_power_hypothesis(self, field, lam, m, kind, seed):
         if lam.dim ** m > 216:
-            lam = Partition(lam.parts[:1])
+            lam = Partition(lam[:1])
         self._check_power(field, lam, m, kind, random.Random(seed))
 
     @given(gathered_fields, small_partitions, st.sampled_from(QUOTIENT_LAWS),
@@ -649,7 +679,7 @@ class TestNonSymmetricLaw:
     @settings(max_examples=40, deadline=None)
     def test_generalized_law_raises_or_matches_additive(self, field, lam, m, seed):
         if lam.dim ** m > 216:
-            lam = Partition(lam.parts[:1])
+            lam = Partition(lam[:1])
         law = random_generalized_law(seed, max(2, m * (lam[0] - 1)), field)
         for power in (wedge_partition, sym_partition):
             try:
