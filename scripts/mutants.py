@@ -48,6 +48,7 @@ LINALG = "src/jordanblocks/linalg.py"
 REPRING = "src/jordanblocks/repring.py"
 SERIES = "src/jordanblocks/series.py"
 FGL = "src/jordanblocks/fgl.py"
+FIELDS = "src/jordanblocks/fields.py"
 OFFSETS_TEST = ("tests/test_repring.py::TestStructureConstants::"
                 "test_gather_offsets_are_memoized_read_only")
 CELL_TESTS = "tests/test_repring.py::TestCellRoute::"
@@ -132,6 +133,34 @@ MUTANTS = [
            "    _require_field(law, field)\n    phi_pow", "    phi_pow",
            ("tests/test_repring.py::TestTensorOperator::"
             "test_law_over_another_field_is_refused",)),
+    # over Q the complement R_0 taken from the first rank-N columns, not
+    # from the columns past the Bareiss leads
+    Mutant("rational-leads-by-pivot-order", LINALG,
+           "leads = {lead for lead, _ in _bareiss(n.tolist())}",
+           "leads = set(range(len(_bareiss(n.tolist()))))",
+           ("tests/test_linalg.py::TestKrylovRanks::test_seeded_conjugates",)),
+    # 7 stays 7 in a series over F_5, and 5 stays a nonzero coefficient
+    Mutant("series-keeps-unreduced-coefficients", SERIES,
+           "            c = field(c)\n", "",
+           ("tests/test_series.py::TestConstructorCoercion",)),
+    # Field(5.0) passes as F_5 with float elements
+    Mutant("field-any-characteristic", FIELDS,
+           "characteristic = operator.index(characteristic)",
+           "characteristic = characteristic",
+           ("tests/test_fields.py::TestField::test_non_integer_characteristics_are_refused",)),
+    # the exponent (1.5, 0) is read as (1, 0) by the coefficient arrays
+    Mutant("law-any-exponent", FGL,
+           "a, b = operator.index(a), operator.index(b)", "a, b = a, b",
+           ("tests/test_fgl.py::TestValidation::test_non_integer_exponents_are_refused",)),
+    # the last row of every chunk is never packed
+    Mutant("pack-chunk-short", LINALG,
+           "chunk = a[lo:lo + _PACK_ROWS]", "chunk = a[lo:lo + _PACK_ROWS - 1]",
+           ("tests/test_linalg.py::TestEchelonKernel::test_pack_chunk_boundaries",)),
+    # 2047 = 23 * 89 is a strong pseudoprime to the base 2
+    Mutant("one-witness", FIELDS,
+           "_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)",
+           "_WITNESSES = (2,)",
+           ("tests/test_fields.py::TestIsPrime::test_pseudoprimes_are_composite",)),
     Mutant("tensor-series-pad-in-front", FGL,
            "{e + pad: c", "{pad + e: c",
            ("tests/test_fgl.py::TestIteratedSeries::"

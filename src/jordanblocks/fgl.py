@@ -18,13 +18,14 @@ at any truncation.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Sequence
 
 from .errors import InvalidInput, InvalidLaw, TruncationTooShort
 from .fields import Field
-from .series import TruncatedPoly
+from .series import TruncatedPoly, _box
 
 
 class GeneralizedLaw:
@@ -32,7 +33,8 @@ class GeneralizedLaw:
 
     Each coefficient is taken into the field first, so a linear coefficient
     that vanishes there raises InvalidLaw, and laws equal over the field
-    have equal fingerprints.
+    have equal fingerprints.  An exponent that ``operator.index`` refuses
+    (a float) raises InvalidLaw.
     """
 
     __slots__ = ("field", "degree", "coeffs", "exact", "name", "_fingerprint")
@@ -45,6 +47,10 @@ class GeneralizedLaw:
         self.name = name
         clean = {}
         for (a, b), c in coeffs.items():
+            try:
+                a, b = operator.index(a), operator.index(b)
+            except TypeError:
+                raise InvalidLaw(f"exponents must be integers, got ({a!r}, {b!r})") from None
             if a < 0 or b < 0 or a + b > self.degree:
                 raise InvalidLaw(f"coefficient ({a},{b}) outside degree bound {self.degree}")
             c = field(c)
@@ -101,7 +107,8 @@ class GeneralizedLaw:
         self.require_degree(trunc[0] + trunc[1] - 2)
         coeffs = {(a, b): c for (a, b), c in self.coeffs.items()
                   if a < trunc[0] and b < trunc[1]}
-        return TruncatedPoly(self.field, tuple(trunc), coeffs)
+        # the law's terms are checked already, so only the box is
+        return TruncatedPoly._unchecked(self.field, _box(trunc), coeffs)
 
     def eval(self, g: TruncatedPoly, h: TruncatedPoly,
              degree_cap: int | None = None) -> TruncatedPoly:
@@ -116,8 +123,9 @@ class GeneralizedLaw:
         if degree_cap is not None:
             needed = min(needed, degree_cap)
         self.require_degree(needed)
-        series = TruncatedPoly(self.field, (needed + 1, needed + 1),
-                               {e: c for e, c in self.coeffs.items() if sum(e) <= needed})
+        series = TruncatedPoly._unchecked(self.field, _box((needed + 1, needed + 1)),
+                                          {e: c for e, c in self.coeffs.items()
+                                           if sum(e) <= needed})
         out = series.substitute([g, h])
         return out if degree_cap is None else out.truncate_degree(degree_cap)
 

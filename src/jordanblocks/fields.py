@@ -9,6 +9,7 @@ could round.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -16,19 +17,25 @@ import numpy as np
 from .errors import InvalidInput
 
 
+#: the first 13 primes, as Miller-Rabin witnesses; together they decide
+#: every n below ``_PRIME_BOUND`` (Sorenson and Webster, 2015)
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    """Whether n is prime, by the Miller-Rabin test at ``_WITNESSES``, which
+    is exact below ``_PRIME_BOUND``; InvalidInput at or past it.  n - 1 =
+    d 2^s with d odd, and n passes at a when a^d = 1 or a^(d 2^k) = -1 mod n
+    for some k < s."""
+    if n >= _PRIME_BOUND:
+        raise InvalidInput(f"{n} is past the primality test's range, below {_PRIME_BOUND}")
+    if n < 2 or any(n % q == 0 for q in _WITNESSES):
+        return n in _WITNESSES
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    return all(pow(a, d, n) == 1 or n - 1 in [pow(a, d << k, n) for k in range(s)]
+               for a in _WITNESSES)
 
 
 class Field:
@@ -37,6 +44,11 @@ class Field:
     __slots__ = ("p",)
 
     def __init__(self, characteristic: int):
+        try:
+            characteristic = operator.index(characteristic)
+        except TypeError:
+            raise InvalidInput(f"characteristic must be an integer, "
+                               f"got {characteristic!r}") from None
         if characteristic != 0 and not is_prime(characteristic):
             raise InvalidInput(f"characteristic must be 0 or prime, got {characteristic}")
         self.p = characteristic
@@ -61,6 +73,10 @@ class Field:
         is not an exact scalar, for a string that is not an integer or a
         fraction, and for a fraction whose denominator p divides.
         """
+        if type(x) is int:
+            return x % self.p if self.p else Fraction(x)
+        if type(x) is Fraction and not self.p:
+            return x
         if isinstance(x, (float, complex, np.inexact)):
             raise InvalidInput(f"{x!r} is a {type(x).__name__}, not an exact scalar")
         if isinstance(x, str):

@@ -24,14 +24,13 @@ is inconsistent when a pivot row of [b | rhs] has its lead in the rhs
 columns, and is otherwise solved by one back substitution for both fields,
 one vector-matrix product per pivot on integer rows (``_solve``).
 Partitions are read off an operator through the ranks of its powers, never
-through a similarity transform (``_partition_from_ranks``).  Over F_p they
-come from one Krylov elimination (``_power_ranks``): one echelon form of N
-gives a complement R_0 of its row space, and the rows R_0 N^l, inserted
-into one echelon from the top power down (``_level_ranks``, which
-``repring`` shares for its cells), count rank N^l after each level.  Over Q
-a shrinking chain gives them: an echelon basis E_k of the row space of N^k
-gives the next one as the echelon form of E_k N, on the integer numerator
-of N, each basis row divided by the gcd of its entries.
+through a similarity transform (``_partition_from_ranks``).  In both fields
+they come from one Krylov elimination (``_power_ranks``): the field's
+elimination of N gives a complement R_0 of its row space, and the rows
+R_0 N^l, inserted into one echelon from the top power down
+(``_level_ranks``, which ``repring`` shares for its cells), count rank N^l
+after each level.  Over Q the levels are integer rows, each divided by the
+gcd of its entries (``_primitive``).
 
 The F_p echelon form works on packed rows: each row is one Python int
 holding column j in the bits [j w, (j + 1) w).  For p of bit length L, w is
@@ -389,27 +388,34 @@ def _field_dtype(w: int) -> np.dtype:
     return np.dtype(f"<u{max(min(w, 64) // 8, 1)}")
 
 
+#: rows that ``_pack`` widens and converts at a time, so that neither the
+#: widened copy nor the row bytes of a whole level stack are held at once
+_PACK_ROWS = 256
+
+
 def _pack(a: np.ndarray, w: int) -> list:
     """The rows of ``a``, entries in range(p), as Python ints, column j in the
     bits [j w, (j + 1) w).
 
     At w = 1 a row is its bits (``np.packbits``), at w = 16 and 32 its
     ``<u2``/``<u4`` bytes; past that each field is w / 64 little-endian
-    words, the value in the first.
+    words, the value in the first.  The rows go ``_PACK_ROWS`` at a time.
     """
     m, n = a.shape
-    if not n:
-        return []
-    if w == 1:
-        words = np.packbits(a, axis=1, bitorder="little")
-    elif w < 64:
-        words = np.ascontiguousarray(a, dtype=_field_dtype(w))
-    else:
-        words = np.zeros((m, n, w // 64), dtype="<u8")
-        words[:, :, 0] = a
-        words = words.reshape(m, n * w // 64)
-    rows = words.view(f"V{words.shape[1] * words.itemsize}").ravel().tolist()
-    return list(map(int.from_bytes, rows, itertools.repeat("little")))
+    out = []
+    for lo in range(0, m if n else 0, _PACK_ROWS):
+        chunk = a[lo:lo + _PACK_ROWS]
+        if w == 1:
+            words = np.packbits(chunk, axis=1, bitorder="little")
+        elif w < 64:
+            words = np.ascontiguousarray(chunk, dtype=_field_dtype(w))
+        else:
+            words = np.zeros((len(chunk), n, w // 64), dtype="<u8")
+            words[:, :, 0] = chunk
+            words = words.reshape(len(chunk), n * w // 64)
+        rows = words.view(f"V{words.shape[1] * words.itemsize}").ravel().tolist()
+        out += map(int.from_bytes, rows, itertools.repeat("little"))
+    return out
 
 
 def _unpack(rows: list, n: int, w: int) -> np.ndarray:
@@ -513,17 +519,6 @@ def _bareiss(rows: list) -> list:
                 reduced.append(row)
         rows, prev, offset = reduced, pivot, offset + c + 1
     return pivots
-
-
-def _echelon_int(a: np.ndarray) -> np.ndarray:
-    """Nonzero rows of an echelon form over Q of the integer array ``a``,
-    each divided by the gcd of its entries so that the chain of
-    ``_power_ranks`` keeps its integers small."""
-    rows = []
-    for lead, tail in _bareiss(a.tolist()):
-        g = math.gcd(*tail)
-        rows.append([0] * lead + [x // g for x in tail])
-    return np.array(rows, dtype=object).reshape(len(rows), a.shape[1])
 
 
 def _solve(b: Matrix, rhs: Matrix) -> Matrix | None:
@@ -695,49 +690,49 @@ def nilpotent_powers(n_mat: Matrix) -> list:
     raise NotNilpotent("matrix is not nilpotent")
 
 
-def _power_ranks(n_mat: Matrix):
-    """Yield rank N, rank N^2, ...: over F_p up to the first zero, over Q
-    without end.
+def _power_ranks(n_mat: Matrix) -> list:
+    """[rank N, rank N^2, ..., 0], from one Krylov elimination in both fields.
 
-    Over F_p all ranks come from one Krylov elimination.  One echelon form of
-    N gives rank N and its lead columns L; the unit rows e_j with j not in L
-    span a complement R_0 of the row space of N, so k^D = span R_0 + k^D N
-    and, by Nakayama, k^D N^l = span{R_0 N^j : j >= l}.  The levels
-    R_l = R_(l-1) N are formed up to the first zero R_e, held in the packed
-    field's unsigned dtype, and ``_level_ranks`` inserts them into one
-    echelon from the top power down; after level l the pivot count is
-    rank N^l.  The levels span k^D N only when N is nilpotent, so the count
-    after level 1 must equal rank N, and R_D must be zero; otherwise
-    NotNilpotent.
-
-    Over Q, rowspace(N^(k+1)) = rowspace(N^k) N, so an echelon basis of the
-    previous row space times N spans the next one, on the integer numerator
-    of N, which has the ranks of N.
+    One elimination of N gives rank N and its lead columns L: the packed
+    echelon form (``_echelon_rows``) over F_p, and ``_bareiss`` on the
+    integer numerator of N, which has the ranks of N, over Q.  The unit rows
+    e_j with j not in L span a complement R_0 of the row space of N, so
+    k^D = span R_0 + k^D N and, by Nakayama, k^D N^l = span{R_0 N^j : j >= l}.
+    The levels R_l = R_(l-1) N are formed up to the first zero R_e: over F_p
+    held in the packed field's unsigned dtype, over Q as integer rows each
+    divided by the gcd of its entries (``_primitive``), which leaves every
+    span alone.  ``_level_ranks`` inserts them into one echelon from the top
+    power down; after level l the pivot count is rank N^l.  The levels span
+    k^D N only when N is nilpotent, so the count after level 1 must equal
+    rank N, and R_D must be zero; otherwise NotNilpotent.
     """
-    p, dim = n_mat.field.p, n_mat.nrows
-    if not p:
-        n = n_mat.num
-        basis = _echelon_int(n)
-        while True:
-            yield basis.shape[0]
-            basis = _echelon_int(np.dot(basis, n))
-    n, w = n_mat.num, _packing(p, dim)[0]
-    dtype = _field_dtype(w)
-    leads = set(_echelon_rows(n, p))
-    level = n[[j for j in range(dim) if j not in leads]].astype(dtype)
-    float_n, levels = n.astype(np.float64), []
+    p, dim, n = n_mat.field.p, n_mat.nrows, n_mat.num
+    if p:
+        leads = set(_echelon_rows(n, p))
+        dtype, factor = _field_dtype(_packing(p, dim)[0]), n.astype(np.float64)
+    else:
+        leads = {lead for lead, _ in _bareiss(n.tolist())}
+        dtype, factor = object, n
+    level, levels = n[[j for j in range(dim) if j not in leads]].astype(dtype), []
     while level.any():
         if len(levels) == dim - 1:
             raise NotNilpotent("matrix is not nilpotent")
         levels.append(level)
-        level = _matmul_mod(level, float_n, p).astype(dtype)
-    del float_n
+        level = (_matmul_mod(level, factor, p).astype(dtype) if p
+                 else _primitive(np.dot(level, factor)))
+    del factor
     # top power first; the list goes once the stack is made
     levels = np.array(levels[::-1], dtype=dtype).reshape(len(levels), *level.shape)
     ranks = _level_ranks(levels, p)
     if ranks[-1] != len(leads):
         raise NotNilpotent("matrix is not nilpotent")
-    yield from reversed(ranks)
+    return ranks[::-1]
+
+
+def _primitive(rows: np.ndarray) -> np.ndarray:
+    """Integer rows over Q, each divided by the gcd of its entries (zero rows stay)."""
+    gcds = [math.gcd(*row) or 1 for row in rows.tolist()]
+    return rows // np.array(gcds, dtype=object)[:, None]
 
 
 def _level_ranks(levels: np.ndarray, p: int) -> list:
@@ -747,16 +742,16 @@ def _level_ranks(levels: np.ndarray, p: int) -> list:
 
     Over F_p the rows are packed in one call and inserted into one echelon
     (``_insert_rows``), one level at a time.  Over Q each level joins the
-    echelon basis of the levels before it in one ``_bareiss`` elimination
-    (``_echelon_int``), so no row space is reduced twice from scratch.
+    pivot rows of the levels before it in one ``_bareiss`` elimination, so
+    no row space is reduced twice from scratch.
     """
     count, c, dim = levels.shape
     ranks = [0]
     if not p:
-        basis = levels.reshape(count * c, dim)[:0]
+        basis = []
         for level in levels:
-            basis = _echelon_int(np.concatenate([basis, level]))
-            ranks.append(basis.shape[0])
+            basis = [[0] * lead + tail for lead, tail in _bareiss(basis + level.tolist())]
+            ranks.append(len(basis))
         return ranks
     _require_int64_elimination(p)
     rows, pivots = _pack(levels.reshape(count * c, dim), _packing(p, dim)[0]), {}

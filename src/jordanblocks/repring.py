@@ -38,7 +38,6 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-import math
 import operator
 
 import numpy as np
@@ -55,6 +54,7 @@ from .linalg import (
     _float_exact,
     _level_ranks,
     _partition_from_ranks,
+    _primitive,
     _require_float_exact,
     _require_operator_dim,
     canonical_series_operator,
@@ -261,18 +261,14 @@ def _power_table(field: Field, box: tuple, terms: tuple) -> np.ndarray:
     at inner length bx by, and BadPrime past it once the table has a power
     past F^0; the entries come out in range(p).  Over Q the law's
     coefficients are integers over a common denominator, so each power is
-    an integer multiple of F^j, divided by the gcd of its entries, which
-    leaves every rank alone.
+    an integer multiple of F^j with coprime entries (``_primitive``),
+    which leaves every rank alone.
     """
     bx, by = box
     top = bx + by - 2
     p = field.p
     if p and top:
         _require_float_exact(p, bx * by)
-
-    def primitive(rows: np.ndarray) -> np.ndarray:
-        # over Q, each row divided by the gcd of its entries
-        return np.array([row // max(math.gcd(*row.tolist()), 1) for row in rows])
 
     # row bx and column by of every power are the zeros that the gathers read
     powers = np.zeros((top + 1, bx + 1, by + 1), dtype=np.float64 if p else object)
@@ -281,7 +277,7 @@ def _power_table(field: Field, box: tuple, terms: tuple) -> np.ndarray:
         exps, values, _ = terms
         inbox = (exps < box).all(axis=1)
         powers[1, exps[inbox, 0], exps[inbox, 1]] = (
-            values[inbox] if p else primitive(values[None, inbox])[0])
+            values[inbox] if p else _primitive(values[None, inbox])[0])
     # shift[a', a] = a' - a and toeplitz_index[b0, b1] = b1 - b0, or the zero
     # row or column where negative: the offsets of one block
     shift = _block_offsets(Partition((bx,)), 1, bx).T
@@ -297,7 +293,7 @@ def _power_table(field: Field, box: tuple, terms: tuple) -> np.ndarray:
             hi = min(lo + chunk, stop)
             left = powers[lo:hi, shift, :by].reshape((hi - lo) * bx, bx * by)
             prod = np.dot(left, toeplitz).reshape(hi - lo, bx * by)
-            prod = np.remainder(prod, p) if p else primitive(prod)
+            prod = np.remainder(prod, p) if p else _primitive(prod)
             powers[lo + step:hi + step, :bx, :by] = prod.reshape(hi - lo, bx, by)
         known = stop + step
     table = powers[:, :bx, :by]

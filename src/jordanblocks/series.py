@@ -1,28 +1,32 @@
 """Arithmetic in truncated power-series algebras k[Y_1..Y_m]/(Y_i^{r_i}).
 
 Coefficients are stored sparsely as a dict from exponent tuples to nonzero
-field elements.  The truncation vector is part of the type: binary operations
-require identical truncation, and products drop any monomial whose exponent
-leaves the box.  Sums, negatives, scalar multiples, products and constants
-skip the constructor's per-exponent checks, which the validated operands
-already guarantee, and drop only the coefficients that cancel.  On top of
-the ring arithmetic this module provides substitution, series composition
-and inversion, matrices of multiplication operators (gathered from the
-coefficients in one step) and algebra endomorphisms on the monomial basis,
-and the constructive splitting of a symmetric series f = f_1 + ... + f_m
-with Y_i | f_i: each term goes in equal shares to the variables that divide
-it.  Substitution and powers read one memoized table of monomials
-g_1^{e_1} ... g_m^{e_m}, each entry one product of the entry below it with a
-g_i; an endomorphism matrix is the same recursion on whole columns, one
-matrix product by mult_matrix(g_i) per step.  ``build_automorphism`` takes
-the images g_i themselves and checks that Y_i divides g_i with a nonzero
-Y_i coefficient, which makes the endomorphism invertible.
+field elements; the constructor takes each coefficient through the field
+(7 is 2 in F_5, and 5 is dropped there).  The truncation vector is part of
+the type: binary operations require identical truncation, and products
+drop any monomial whose exponent leaves the box.  Sums, negatives, scalar
+multiples, products, constants and degree parts (and a law's own series)
+skip the constructor's per-term checks and coercion, which the validated
+operands already guarantee; arithmetic drops only the coefficients that
+cancel.  On top of the ring arithmetic this module provides substitution,
+series composition and inversion, matrices of multiplication operators
+(gathered from the coefficients in one step) and algebra endomorphisms on
+the monomial basis, and the constructive splitting of a symmetric series
+f = f_1 + ... + f_m with Y_i | f_i: each term goes in equal shares to the
+variables that divide it.  Substitution and powers read one memoized
+table of monomials g_1^{e_1} ... g_m^{e_m}, each entry one product of the
+entry below it with a g_i; an endomorphism matrix is the same recursion on
+whole columns, one matrix product by mult_matrix(g_i) per step.
+``build_automorphism`` takes the images g_i themselves and checks that Y_i
+divides g_i with a nonzero Y_i coefficient, which makes the endomorphism
+invertible.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -55,15 +59,23 @@ class TruncatedPoly:
     __slots__ = ("field", "trunc", "coeffs")
 
     def __init__(self, field: Field, trunc: Sequence[int], coeffs: dict | None = None):
+        """Coefficients go through ``field``, exponents through ``operator.index``."""
         self.field = field
         self.trunc = _box(trunc)
         clean = {}
         for exp, c in (coeffs or {}).items():
-            exp = tuple(exp)
+            try:
+                exp = tuple(map(operator.index, exp))
+            except TypeError:
+                raise InvalidInput(f"exponent {exp!r} is not a tuple of integers") from None
             if len(exp) != len(self.trunc):
                 raise ShapeMismatch(f"exponent {exp} in a {len(self.trunc)}-variable algebra")
-            if all(e < r for e, r in zip(exp, self.trunc)) and c != 0:
-                clean[exp] = c
+            c = field(c)
+            if all(0 <= e < r for e, r in zip(exp, self.trunc)):
+                if c != 0:
+                    clean[exp] = c
+            elif min(exp) < 0:
+                raise InvalidInput(f"negative exponent {exp}")
         self.coeffs = clean
 
     # -- constructors ---------------------------------------------------------
@@ -85,7 +97,7 @@ class TruncatedPoly:
     @classmethod
     def univariate(cls, field, r: int, coeffs: Sequence) -> "TruncatedPoly":
         """From a list of coefficients indexed by degree, truncated at Y^r."""
-        return cls(field, (r,), {(k,): field(c) for k, c in enumerate(coeffs) if k < r})
+        return cls(field, (r,), {(k,): c for k, c in enumerate(coeffs) if k < r})
 
     # -- basics ---------------------------------------------------------------
 
@@ -199,13 +211,13 @@ class TruncatedPoly:
     # -- degree helpers -------------------------------------------------------
 
     def homogeneous_part(self, d: int) -> "TruncatedPoly":
-        return TruncatedPoly(self.field, self.trunc,
-                             {e: c for e, c in self.coeffs.items() if sum(e) == d})
+        return TruncatedPoly._unchecked(self.field, self.trunc,
+                                        {e: c for e, c in self.coeffs.items() if sum(e) == d})
 
     def truncate_degree(self, d: int) -> "TruncatedPoly":
         """Drop all terms of total degree > d."""
-        return TruncatedPoly(self.field, self.trunc,
-                             {e: c for e, c in self.coeffs.items() if sum(e) <= d})
+        return TruncatedPoly._unchecked(self.field, self.trunc,
+                                        {e: c for e, c in self.coeffs.items() if sum(e) <= d})
 
     def univariate_coeffs(self) -> list:
         if self.num_vars != 1:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from jordanblocks.errors import InvalidInput, InvalidLaw, NonzeroConstantTerm, TruncationTooShort
@@ -71,6 +72,17 @@ class TestValidation:
             GeneralizedLaw(F5, 3, {(1, 0): 5, (0, 1): 1, (1, 1): 7})
         with pytest.raises(InvalidLaw, match="constant term"):
             GeneralizedLaw(F5, 2, {(0, 0): 6, (1, 0): 1, (0, 1): 1})
+
+    @pytest.mark.parametrize("exp", [(1.5, 0), (2.0, 0), ("1", 0), (0, None)])
+    def test_non_integer_exponents_are_refused(self, exp):
+        # int() would read (1.5, 0) as x, a second linear term
+        with pytest.raises(InvalidLaw, match="integers"):
+            GeneralizedLaw(F5, 3, {(1, 0): 1, (0, 1): 1, exp: 2})
+
+    def test_numpy_exponents_pass(self):
+        law = GeneralizedLaw(F5, 3, {(np.int64(1), 0): 1, (0, np.int8(1)): 1, (1, 1): 2})
+        assert law == GeneralizedLaw(F5, 3, {(1, 0): 1, (0, 1): 1, (1, 1): 2})
+        assert all(type(e) is int for exp in law.coeffs for e in exp)
 
     def test_coefficients_are_reduced_into_the_field(self):
         law = GeneralizedLaw(F5, 3, {(1, 0): 6, (0, 1): -4, (1, 1): 7, (2, 1): 10})

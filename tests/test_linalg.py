@@ -313,6 +313,24 @@ class TestEchelonKernel:
         assert (linalg._unpack(rows, 7, w) == a).all()
         assert linalg._pack(a[:0], w) == [] and linalg._unpack([], 7, w).shape == (0, 7)
 
+    @pytest.mark.parametrize("p", [2, 7, 11, 131, 32771])
+    def test_pack_chunk_boundaries(self, p, monkeypatch):
+        # rows go _PACK_ROWS at a time: row counts on either side of each
+        # multiple of a small chunk give the same rows, ranks and levels
+        monkeypatch.setattr(linalg, "_PACK_ROWS", 3)
+        w, rng = linalg._packing(p, 9)[0], np.random.default_rng(p)
+        assert w == FIELD_WIDTHS[p]
+        for m in range(11):
+            a = rng.integers(0, p, size=(m, 9))
+            rows = linalg._pack(a, w)
+            assert rows == [sum(int(x) << (j * w) for j, x in enumerate(row)) for row in a]
+            assert (linalg._unpack(rows, 9, w) == a).all()
+            assert Matrix(GF(p), a).rank() == rref_rank_mod(a, p)
+        assert linalg._pack(np.zeros((7, 0), dtype=np.int64), w) == []
+        levels = rng.integers(0, p, size=(4, 2, 9)).astype(linalg._field_dtype(w))
+        want = [rref_rank_mod(levels[:k].reshape(-1, 9).astype(np.int64), p) for k in range(5)]
+        assert linalg._level_ranks(levels, p) == want
+
     @staticmethod
     def sample(p, nrows, ncols, rank, seed) -> Matrix:
         """A seeded nrows-by-ncols matrix of rank at most ``rank`` over F_p, or
@@ -438,33 +456,40 @@ class TestChainAgainstOracle:
         with pytest.raises(NotNilpotent):
             full_power_partition(u)
 
-    def test_rational_chain_shrinks(self, monkeypatch):
-        # over Q the chain echelons N scaled to integers, then each E_k N,
-        # which is rank(N^k)-by-n, and returns primitive integer rows
-        shapes = []
-        echelon_int = linalg._echelon_int
+    def test_rational_levels_are_primitive(self, monkeypatch):
+        # over Q the Krylov levels are integer rows: R_1 rows of the
+        # numerator of N, each later level R_(l-1) N made primitive; the
+        # count after the levels of the powers >= k is rank N^k
+        seen = []
+        level_ranks = linalg._level_ranks
 
-        def spy(a):
-            shapes.append(a.shape)
-            basis = echelon_int(a)
-            assert all(type(x) is int for x in basis.flat)
-            assert all(math.gcd(*row) == 1 for row in basis.tolist())
-            return basis
+        def spy(levels, p):
+            ranks = level_ranks(levels, p)
+            seen.append((levels, ranks))
+            return ranks
 
-        monkeypatch.setattr(linalg, "_echelon_int", spy)
+        monkeypatch.setattr(linalg, "_level_ranks", spy)
         rng = random.Random(5)
         for lam in [(3, 2, 2), (4, 2, 1), (5,), (2, 1, 1, 1)]:
             n = random_conjugate(QQ, lam, rng)
-            dim = sum(lam)
-            ranks = [sum(max(x - k, 0) for x in lam) for k in range(1, max(lam))]
-            shapes.clear()
+            assert any(x.denominator != 1 for x in n.a.flat)
+            seen.clear()
             assert jordan_partition(n) == full_power_partition(n) == lam
-            assert shapes == [(dim, dim)] + [(r, dim) for r in ranks]
+            [(levels, ranks)] = seen
+            dim = sum(lam)
+            assert levels.shape == (max(lam) - 1, len(lam), dim)
+            assert all(type(x) is int for x in levels.flat)
+            assert all(row in n.num.tolist() for row in levels[-1].tolist())
+            assert all(math.gcd(*row) in (0, 1) for row in levels[:-1].reshape(-1, dim).tolist())
+            assert ranks[-1] == n.rank() == dim - len(lam)
+            assert ranks[::-1] == linalg._power_ranks(n) == ranks_of_type(lam)
 
 
 #: small primes, and each width edge of packed rows (``FIELD_WIDTHS``) whose
 #: products stay float64-exact: every width from 1 to 128 bits
 KRYLOV_PRIMES = [2, 3, 5, 7, 11, 127, 131, 32749, 32771]
+#: the same over Q as well (characteristic 0)
+KRYLOV_FIELDS = KRYLOV_PRIMES + [0]
 
 
 def ranks_of_type(lam) -> list:
@@ -486,8 +511,8 @@ def krylov_types(draw):
 
 
 class TestKrylovRanks:
-    """The F_p ranks of N^k from one Krylov elimination against the ranks of
-    the full powers, and the NotNilpotent and BadPrime refusals."""
+    """The F_p and Q ranks of N^k from one Krylov elimination against the
+    ranks of the full powers, and the NotNilpotent and BadPrime refusals."""
 
     TYPES = [(1,), (2,), (7,), (16,), (9, 1, 1, 1, 1), (12, 1, 1, 1, 1, 1), (6, 1),
              (3, 3, 3, 3), (5, 5), (2, 2, 2, 2, 2, 2), (4, 3, 3, 1), (1,) * 6]
@@ -495,21 +520,23 @@ class TestKrylovRanks:
     @staticmethod
     def check(n, lam):
         assert jordan_partition(n) == full_power_partition(n) == lam
-        assert list(linalg._power_ranks(n)) == ranks_of_type(lam)
+        assert linalg._power_ranks(n) == ranks_of_type(lam)
 
-    @pytest.mark.parametrize("p", KRYLOV_PRIMES)
+    @pytest.mark.parametrize("p", KRYLOV_FIELDS)
     def test_seeded_conjugates(self, p):
-        field, rng = GF(p), random.Random(3000 + p)
+        field, rng = Field(p), random.Random(3000 + p)
         for lam in self.TYPES:
+            # the canonical nilpotent's leads skip column 0: no prefix
+            self.check(nilpotent_from_partition(field, lam), lam)
             self.check(random_conjugate(field, lam, rng), lam)
         self.check(Matrix.zeros(field, 5, 5), (1,) * 5)
         empty = Matrix.zeros(field, 0, 0)
         assert jordan_partition(empty) == full_power_partition(empty) == ()
 
-    @given(krylov_types(), st.sampled_from(KRYLOV_PRIMES), st.integers(0, 10**6))
+    @given(krylov_types(), st.sampled_from(KRYLOV_FIELDS), st.integers(0, 10**6))
     @settings(max_examples=80, deadline=None)
     def test_conjugates_match_oracle(self, lam, p, seed):
-        self.check(random_conjugate(GF(p), lam, random.Random(seed)), lam)
+        self.check(random_conjugate(Field(p), lam, random.Random(seed)), lam)
 
     @staticmethod
     def not_nilpotent(field, rng) -> list:
@@ -525,14 +552,14 @@ class TestKrylovRanks:
                 Matrix.from_rows(field, [[1, 0, 0], [0, 0, 1], [0, 0, 0]]),
                 cycle, g @ t @ g.inverse()]
 
-    @pytest.mark.parametrize("p", KRYLOV_PRIMES)
+    @pytest.mark.parametrize("p", KRYLOV_FIELDS)
     def test_not_nilpotent(self, p):
-        field = GF(p)
+        field = Field(p)
         for n in self.not_nilpotent(field, random.Random(p)):
             with pytest.raises(NotNilpotent):
                 jordan_partition(n)
             with pytest.raises(NotNilpotent):
-                list(linalg._power_ranks(n))
+                linalg._power_ranks(n)
             with pytest.raises(NotNilpotent):
                 full_power_partition(n)
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -171,6 +172,40 @@ def test_bad_arguments_are_invalid_input():
         y.permute_variables([0, 0])
     with pytest.raises(InvalidInput):
         build_automorphism([])
+
+
+class TestConstructorCoercion:
+    """Coefficients go through the field and exponents through
+    ``operator.index``."""
+
+    def test_coefficients_are_reduced_into_the_field(self):
+        assert TruncatedPoly(F5, (3,), {(1,): 5}) == TruncatedPoly.zero(F5, (3,))
+        assert TruncatedPoly(F5, (3,), {(1,): 5}).is_zero()
+        assert TruncatedPoly(F5, (3,), {(1,): 7}) == TruncatedPoly(F5, (3,), {(1,): 2})
+        assert TruncatedPoly(F5, (3,), {(0,): -1}).coeffs == {(0,): 4}
+        assert TruncatedPoly(F5, (3,), {(2,): "1/2"}).coeffs == {(2,): 3}
+        assert TruncatedPoly.univariate(F5, 3, [0, 7, 10]).coeffs == {(1,): 2}
+        half = TruncatedPoly(QQ, (2,), {(1,): "2/4"})
+        assert half.coeffs == {(1,): QQ("1/2")} and type(half.coeffs[(1,)]) is type(QQ(1))
+        assert all(type(c) is type(QQ(1)) for c in TruncatedPoly(QQ, (2,), {(0,): 3}).coeffs.values())
+
+    def test_exponents_are_integers(self):
+        got = TruncatedPoly(F5, (3, 2), {(np.int64(1), np.int64(0)): 1})
+        assert got == var(F5, (3, 2), 0) and all(type(e) is int for e in next(iter(got.coeffs)))
+
+    @pytest.mark.parametrize("coeffs", [{(1,): 2.5}, {(1,): 2.0}, {(-1,): 1}, {(1.0,): 1},
+                                        {("1",): 1}, {1: 1}],
+                             ids=["float", "integral-float", "negative", "float-exponent",
+                                  "string-exponent", "bare-exponent"])
+    def test_refusals(self, coeffs):
+        with pytest.raises(InvalidInput):
+            TruncatedPoly(F5, (3,), coeffs)
+
+    def test_a_linear_coefficient_vanishing_mod_p_is_refused(self):
+        # 5 Y + Y^2 is Y^2 over F_5: Y -> Y^2 is no automorphism
+        image = TruncatedPoly(F5, (3, 2), {(1, 0): 5, (2, 0): 1})
+        with pytest.raises(ZeroLinearScalar):
+            build_automorphism([image, var(F5, (3, 2), 1)])
 
 
 class TestBuildAutomorphism:
