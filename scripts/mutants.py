@@ -52,6 +52,7 @@ FIELDS = "src/jordanblocks/fields.py"
 OFFSETS_TEST = ("tests/test_repring.py::TestStructureConstants::"
                 "test_gather_offsets_are_memoized_read_only")
 CELL_TESTS = "tests/test_repring.py::TestCellRoute::"
+DENSE_TESTS = "tests/test_series.py::TestDictOracle::"
 
 MUTANTS = [
     # 4 * bits + 1 would pick the same width as 4 * bits + 2 for every p:
@@ -110,12 +111,11 @@ MUTANTS = [
     # an image with a term that Y_i does not divide, or with no Y_i term,
     # gives a matrix that may not be invertible
     Mutant("automorphism-skips-divisibility", SERIES,
-           "if any(exp[i] == 0 for exp in g.coeffs):", "if False:",
+           "if np.any(np.take(g.num, 0, axis=i)):", "if False:",
            ("tests/test_series.py::TestBuildAutomorphism::test_refusals",)),
     Mutant("automorphism-skips-zero-linear", SERIES,
            "if trunc[i] > 1 and g.coefficient(", "if False and g.coefficient(",
            ("tests/test_series.py::TestBuildAutomorphism::test_refusals",)),
-    # the law's series padded in front reads as F(Y_2, Y_3), not F(Y_1, Y_2)
     Mutant("partition-skips-order", LINALG,
            "if i and parts[i - 1] < x:", "if False:",
            ("tests/test_linalg.py::TestPartition::test_validation",)),
@@ -161,10 +161,34 @@ MUTANTS = [
            "_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)",
            "_WITNESSES = (2,)",
            ("tests/test_fields.py::TestIsPrime::test_pseudoprimes_are_composite",)),
-    Mutant("tensor-series-pad-in-front", FGL,
-           "{e + pad: c", "{pad + e: c",
+    # the law's series moved into a box of more variables puts the new
+    # variables first: it reads as F(Y_2, Y_3), not F(Y_1, Y_2)
+    Mutant("tensor-series-pad-in-front", SERIES,
+           "self.trunc + (1,) * (len(trunc) - self.num_vars)",
+           "(1,) * (len(trunc) - self.num_vars) + self.trunc",
            ("tests/test_fgl.py::TestIteratedSeries::"
             "test_three_factors_nest_the_law_on_the_left",)),
+    # a sum of series products left unreduced: entries past p over F_p,
+    # and no division by the gcd over Q
+    Mutant("series-sum-unreduced", SERIES,
+           "    return TruncatedPoly._from_ints(field, trunc, acc, den)\n",
+           "    out = TruncatedPoly._from_ints(field, trunc, acc, den)\n"
+           "    out.num, out.den = acc, den\n    return out\n",
+           (DENSE_TESTS + "test_dense_products_near_p",)),
+    # each term of a product read one place further along the other operand
+    Mutant("product-slice-off-by-one", SERIES,
+           "num[tuple(slice(0, r - x) for x, r in zip(e, trunc))]",
+           "num[tuple(slice(min(1, x), r - x + min(1, x)) for x, r in zip(e, trunc))]",
+           (DENSE_TESTS + "test_dense_products_near_p",)),
+    # int64 sums never reduced per term: at p = 2**31 - 1 three terms
+    # (p-1)**2 wrap past 2**63
+    Mutant("product-skips-per-term-reduction", SERIES,
+           "each = p and len(terms) * (p - 1) ** 2 >= 2**63", "each = False",
+           (DENSE_TESTS + "test_dense_products_near_p",)),
+    # x_k divided by xi once, not by xi^k: wrong wherever xi != +-1
+    Mutant("inverse-divides-by-xi-once", SERIES,
+           "xi_inv_k = field.mul(xi_inv_k, lin_inv)", "xi_inv_k = lin_inv",
+           (DENSE_TESTS + "test_compose_inverse",)),
 ]
 
 

@@ -5,10 +5,10 @@ xi_1 u + xi_2 v.  A *formal group law* additionally has xi_1 = xi_2 = 1 and
 passes the unit, commutativity and associativity axioms up to its truncation;
 :func:`validate_fgl` reports each axiom separately, since the tensor
 constructions downstream only need the invertible linear part.  F(g, h) is
-the law's series, cut to the degree the target algebra can hold, substituted
-at (g, h) with :meth:`TruncatedPoly.substitute`.  The m-fold tensor series
-starts from the law's own series in Y_1, Y_2 and substitutes only for
-Y_3, ..., Y_m.
+the law's series (built once from its coefficients), cut to the degree the
+target algebra can hold, substituted at (g, h) with
+:meth:`TruncatedPoly.substitute`.  The m-fold tensor series starts from the
+law's own series in Y_1, Y_2 and substitutes only for Y_3, ..., Y_m.
 
 The built-in laws (additive u+v, multiplicative u+v+uv and its scaled
 variant) are exact: their coefficient support is finite, so they can be used
@@ -23,9 +23,11 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Sequence
 
+import numpy as np
+
 from .errors import InvalidInput, InvalidLaw, TruncationTooShort
 from .fields import Field
-from .series import TruncatedPoly, _box
+from .series import TruncatedPoly, _box, compose_inverse
 
 
 class GeneralizedLaw:
@@ -33,16 +35,19 @@ class GeneralizedLaw:
 
     Each coefficient is taken into the field first, so a linear coefficient
     that vanishes there raises InvalidLaw, and laws equal over the field
-    have equal fingerprints.  An exponent that ``operator.index`` refuses
-    (a float) raises InvalidLaw.
+    have equal fingerprints.  A degree or exponent that ``operator.index``
+    refuses (a float) raises InvalidLaw.
     """
 
-    __slots__ = ("field", "degree", "coeffs", "exact", "name", "_fingerprint")
+    __slots__ = ("field", "degree", "coeffs", "exact", "name", "_fingerprint", "_series")
 
     def __init__(self, field: Field, degree: int, coeffs: dict, exact: bool = False,
                  name: str | None = None):
         self.field = field
-        self.degree = int(degree)
+        try:
+            self.degree = operator.index(degree)
+        except TypeError:
+            raise InvalidLaw(f"the degree must be an integer, got {degree!r}") from None
         self.exact = exact
         self.name = name
         clean = {}
@@ -63,6 +68,7 @@ class GeneralizedLaw:
         #: read-only, so the fingerprint taken here stays the law's identity
         self.coeffs = MappingProxyType(clean)
         self._fingerprint = (field.p, self.degree, exact, frozenset(clean.items()))
+        self._series = None
 
     @property
     def xi1(self):
@@ -100,15 +106,18 @@ class GeneralizedLaw:
             raise TruncationTooShort(
                 f"law truncated at degree {self.degree} but degree {d} is needed")
 
+    def _poly(self, trunc: tuple) -> TruncatedPoly:
+        """The law's series cut to the box ``trunc``."""
+        if self._series is None:
+            self._series = TruncatedPoly(self.field, (self.degree + 1,) * 2, self.coeffs)
+        return self._series._in_box(trunc)
+
     def as_poly(self, trunc: Sequence[int]) -> TruncatedPoly:
         """The series as an element of k[u,v]/(u^{r_1}, v^{r_2})."""
         if len(trunc) != 2:
             raise InvalidInput("a law is a two-variable series")
         self.require_degree(trunc[0] + trunc[1] - 2)
-        coeffs = {(a, b): c for (a, b), c in self.coeffs.items()
-                  if a < trunc[0] and b < trunc[1]}
-        # the law's terms are checked already, so only the box is
-        return TruncatedPoly._unchecked(self.field, _box(trunc), coeffs)
+        return self._poly(_box(trunc))
 
     def eval(self, g: TruncatedPoly, h: TruncatedPoly,
              degree_cap: int | None = None) -> TruncatedPoly:
@@ -123,10 +132,7 @@ class GeneralizedLaw:
         if degree_cap is not None:
             needed = min(needed, degree_cap)
         self.require_degree(needed)
-        series = TruncatedPoly._unchecked(self.field, _box((needed + 1, needed + 1)),
-                                          {e: c for e, c in self.coeffs.items()
-                                           if sum(e) <= needed})
-        out = series.substitute([g, h])
+        out = self._poly((needed + 1,) * 2).truncate_degree(needed).substitute([g, h])
         return out if degree_cap is None else out.truncate_degree(degree_cap)
 
 
@@ -175,14 +181,9 @@ def validate_fgl(law: GeneralizedLaw, degree: int | None = None) -> LawReport:
     field = law.field
     if degree is None:
         degree = max(law.degree, 6) if law.exact else law.degree
-    unit = law.has_unit_linear_part()
-    for (a, b), _ in law.coeffs.items():
-        if a + b > degree:
-            continue
-        if (b == 0 and a != 1) or (a == 0 and b != 1):
-            unit = False
-    commutative = all(law.coefficient(b, a) == c for (a, b), c in law.coeffs.items()
-                      if a + b <= degree)
+    series = law._poly((degree + 1,) * 2).truncate_degree(degree)
+    unit = law.has_unit_linear_part() and not (series.num[0, 2:].any() or series.num[2:, 0].any())
+    commutative = np.array_equal(series.num, series.num.T)
 
     trunc = (degree + 1, degree + 1, degree + 1)
     u = TruncatedPoly.variable(field, trunc, 0)
@@ -225,18 +226,14 @@ def random_fgl(seed: int, degree: int, field: Field) -> GeneralizedLaw:
     """
     import random
 
-    from .series import compose_inverse
-
     rng = random.Random(f"fgl:{seed}:{degree}:{field.p}")
     r = degree + 1
     g_coeffs = [field.zero, field.one] + [field.random_element(rng) for _ in range(2, r)]
     g = TruncatedPoly.univariate(field, r, g_coeffs)
     g_inv = compose_inverse(g)
 
-    trunc = (r, r)
-    u = TruncatedPoly.variable(field, trunc, 0)
-    v = TruncatedPoly.variable(field, trunc, 1)
-    inner = g_inv.substitute([u]) + g_inv.substitute([v])
+    along_u = g_inv._in_box((r, r))  # g^{-1}(u), and g^{-1}(v) with u and v swapped
+    inner = along_u + along_u.permute_variables([1, 0])
     series = g.substitute([inner]).truncate_degree(degree)
     return GeneralizedLaw(field, degree, series.coeffs, exact=False, name=f"transported#{seed}")
 
@@ -255,9 +252,7 @@ def iterated_tensor_series(law: GeneralizedLaw, m: int, trunc: Sequence[int]) ->
     field = law.field
     if m == 1:
         return TruncatedPoly.variable(field, trunc, 0)
-    pad = (0,) * (m - 2)
-    out = TruncatedPoly(field, trunc,
-                        {e + pad: c for e, c in law.as_poly(trunc[:2]).coeffs.items()})
+    out = law.as_poly(trunc[:2])._in_box(_box(trunc))
     for i in range(2, m):
         out = law.eval(out, TruncatedPoly.variable(field, trunc, i))
     return out

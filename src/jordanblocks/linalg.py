@@ -44,9 +44,9 @@ before it and 2**(3L) > p**3 (see ``_insert_rows``).  A row operation is
 thus a few big-int operations, not a round of numpy calls.
 
 A series at canonical nilpotents, sum of c_a phi_1^{a_1} (x) ... (x)
-phi_m^{a_m} with phi_k the block-diagonal shift of a partition, is built as
-one gather from a dense coefficient array (``canonical_series_operator``):
-no power and no Kronecker product is formed.
+phi_m^{a_m} with phi_k the block-diagonal shift of a partition, is one
+gather from a series' num / den cut to the box of the largest blocks
+(``canonical_series_operator``): no power and no Kronecker product is formed.
 """
 
 from __future__ import annotations
@@ -169,19 +169,8 @@ class Matrix:
 
     @staticmethod
     def _from_ints(field: Field, num: np.ndarray, den: int = 1) -> "Matrix":
-        """num / den from an integer array: reduced mod p into int64 over F_p,
-        where den is 1; over Q, divided through by the gcd of den and every
-        entry."""
-        if field.p:
-            return Matrix._trusted(field, np.asarray(num % field.p, dtype=np.int64))
-        num = num.astype(object, copy=False)
-        if den < 0:
-            num, den = -num, -den
-        if den != 1:
-            g = math.gcd(den, *num.ravel().tolist())
-            if g != 1:
-                num, den = num // g, den // g
-        return Matrix._trusted(field, num, den)
+        """num / den from an integer array, normalized (``_normalized``)."""
+        return Matrix._trusted(field, *_normalized(field, num, den))
 
     @classmethod
     def from_rows(cls, field: Field, rows: Sequence[Sequence]) -> "Matrix":
@@ -320,6 +309,21 @@ class Matrix:
         if out is None:
             raise ZeroDivisionError("matrix is singular")
         return out
+
+
+def _normalized(field: Field, num: np.ndarray, den: int = 1) -> tuple:
+    """(num, den) for num / den from an integer array: int64 in range(p) and
+    den 1 over F_p; over Q Python ints with gcd 1 over a positive den."""
+    if field.p:
+        return np.asarray(num % field.p, dtype=np.int64), 1
+    num = num.astype(object, copy=False)
+    if den < 0:
+        num, den = -num, -den
+    if den != 1:
+        g = math.gcd(den, *num.ravel().tolist())
+        if g != 1:
+            num, den = num // g, den // g
+    return num, den
 
 
 def _common_denominator(values: list) -> tuple[list, int]:
@@ -586,7 +590,7 @@ def jordan_block(field: Field, n: int) -> Matrix:
 def nilpotent_from_partition(field: Field, lam) -> Matrix:
     """Block-diagonal canonical nilpotent with Jordan type ``lam``: the series
     Y gathered at the partition's shift."""
-    return canonical_series_operator(field, (lam,), {(1,): field.one})
+    return canonical_series_operator(field, (lam,), np.array([0, 1]))
 
 
 @functools.lru_cache(maxsize=256)
@@ -618,59 +622,46 @@ def _require_operator_dim(dim: int) -> None:
                            f"{_MAX_OPERATOR_DIM}")
 
 
-def _coefficient_arrays(field: Field, coeffs: dict, nvars: int) -> tuple:
-    """A series' coefficients {a: c_a} as arrays: (exps, values, den), the
-    exponents an int64 array of rows of length ``nvars`` and the
-    coefficients integers over the common denominator ``den``, int64 in
-    range(p) over F_p (den 1) and Python ints over Q.  InvalidInput for an
-    exponent of another length."""
-    values, den = list(coeffs.values()), 1
-    if not field.p:
-        values, den = _common_denominator(values)
-    # a ragged exponent list fails the array, a wrong common length the reshape
-    try:
-        exps = np.array(list(coeffs), dtype=np.int64).reshape(len(coeffs), nvars)
-    except ValueError:
-        bad = [e for e in coeffs if len(e) != nvars]
-        if not bad:
-            raise
-        raise InvalidInput(f"exponent {bad[0]} for {nvars} tensor factors") from None
-    if field.p:
-        return exps, np.array(values, dtype=np.int64) % field.p, den
-    return exps, np.array(values, dtype=object), den
+def _fit(num: np.ndarray, shape: Sequence[int]) -> np.ndarray:
+    """``num`` cut or padded with zeros to ``shape``, of the same length."""
+    out = np.zeros(shape, dtype=num.dtype)
+    common = tuple(slice(0, min(a, b)) for a, b in zip(num.shape, shape))
+    out[common] = num[common]
+    return out
 
 
-def canonical_series_operator(field: Field, lams: Sequence, coeffs: dict) -> Matrix:
-    """sum of c_a phi_1^{a_1} (x) ... (x) phi_m^{a_m} over ``coeffs`` {a: c_a},
-    with phi_k = nilpotent_from_partition(field, lams[k]).
+def canonical_series_operator(field: Field, lams: Sequence, num: np.ndarray,
+                              den: int = 1) -> Matrix:
+    """sum of c_a phi_1^{a_1} (x) ... (x) phi_m^{a_m} over the coefficients
+    c_a = num[a] / den, with phi_k = nilpotent_from_partition(field, lams[k]);
+    ``num`` is an integer array with one axis per factor.
 
     Entry (r, s), with r and s read as index tuples (first factor most
     significant), is the coefficient of the exponent s - r when r_k and s_k
     lie in a common block with r_k <= s_k in every factor, and 0 otherwise.
-    So the whole operator is one gather from a dense coefficient array; an
-    exponent that reaches past the largest block of its factor is dropped,
-    as phi_k vanishes to that power.
+    So the whole operator is one gather from the coefficient array cut to
+    the box of the largest blocks; an exponent that reaches past the largest
+    block of its factor is dropped, as phi_k vanishes to that power.
     """
     lams = [Partition(lam) for lam in lams]
     _require_operator_dim(math.prod(lam.dim for lam in lams))
     shape = [max(lam, default=0) for lam in lams]
+    if np.ndim(num) != len(shape):
+        raise InvalidInput(f"coefficients in {np.ndim(num)} variables for "
+                           f"{len(shape)} tensor factors")
     strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
     size = math.prod(shape)
-    exps, values, den = _coefficient_arrays(field, coeffs, len(shape))
-    inbox = (exps < shape).all(axis=1)
     # every exponent in the box shows up, at an entry (r, r + a) of the
     # largest blocks (the box is empty when a partition is), so normalizing
-    # the kept coefficients normalizes the whole operator
-    kept = Matrix._from_ints(field, values[None, inbox], den)
-    flat = np.zeros(size + 1, dtype=kept.num.dtype)
-    flat[exps[inbox] @ np.array(strides)] = kept.num[0]
-    # entry `size` of flat is the zero that every invalid position reads
+    # the box normalizes the whole operator; entry `size` of flat is the
+    # zero that every invalid position reads
+    flat, den = _normalized(field, np.append(_fit(np.asarray(num), shape).ravel(), 0), den)
     index = np.zeros((1, 1), dtype=np.int64)
     for lam, stride in zip(lams, strides):
         offsets = _block_offsets(lam, stride, size)
         n, k = index.shape[0], lam.dim
         index = (index[:, None, :, None] + offsets[None, :, None, :]).reshape(n * k, n * k)
-    return Matrix._trusted(field, flat[np.minimum(index, size)], kept.den)
+    return Matrix._trusted(field, flat[np.minimum(index, size)], den)
 
 
 def nilpotent_powers(n_mat: Matrix) -> list:

@@ -50,7 +50,6 @@ from .linalg import (
     Matrix,
     Partition,
     _block_offsets,
-    _coefficient_arrays,
     _float_exact,
     _level_ranks,
     _partition_from_ranks,
@@ -61,7 +60,7 @@ from .linalg import (
     jordan_partition,
     nilpotent_powers,
 )
-from .series import TruncatedPoly, build_automorphism, symmetric_split
+from .series import build_automorphism, symmetric_split
 
 
 class RingElement:
@@ -210,26 +209,22 @@ def _law_powers(law: GeneralizedLaw, field: Field, n: int, m: int) -> np.ndarray
     """The law's powers F^j mod (x^bx, y^by), j <= bx + by - 2, as an array
     (j, a, b) of the coefficient of x^a y^b, for a box that holds n x m.
 
-    Memoized per law in ``_constants_memo`` as (bx, by, powers, terms), with
-    the law's exponent and coefficient arrays (``_coefficient_arrays``), and
-    built cold at (n, m).  A cell that does
-    not fit the box rebuilds it, with each side that must grow rounded up to
-    a power of two, so that cells met one row or column larger at a time
-    rebuild about log2 times per side.  When that box passes the operator
-    bound or the float64 products at its size are not exact, the rebuild
-    takes the union (max(bx, n), max(by, m)), and when that passes them
-    too, the cell's own (n, m).  So each cell's answer and refusals do not
-    depend on the cells before it.
+    Memoized per law in ``_constants_memo`` as (bx, by, powers), and built
+    cold at (n, m).  A cell that does not fit the box rebuilds it, with each
+    side that must grow rounded up to a power of two, so that cells met one
+    row or column larger at a time rebuild about log2 times per side.  When
+    that box passes the operator bound or the float64 products at its size
+    are not exact, the rebuild takes the union (max(bx, n), max(by, m)), and
+    when that passes them too, the cell's own (n, m).  So each cell's answer
+    and refusals do not depend on the cells before it.
     """
     key = ("powers", law.fingerprint())
     table = _constants_memo.get(key)
     if table is not None and n <= table[0] and m <= table[1]:
         return table[2]
     box = (n, m)
-    if table is None:
-        terms = _coefficient_arrays(field, law.coeffs, 2)
-    else:
-        bx, by, _, terms = table
+    if table is not None:
+        bx, by, _ = table
         rounded = (bx if n <= bx else 1 << (n - 1).bit_length(),
                    by if m <= by else 1 << (m - 1).bit_length())
         union = (max(bx, n), max(by, m))
@@ -238,14 +233,14 @@ def _law_powers(law: GeneralizedLaw, field: Field, n: int, m: int) -> np.ndarray
             if size <= _MAX_OPERATOR_DIM and _float_exact(field.p, size):
                 box = grown
                 break
-    powers = _power_table(field, box, terms)
-    _constants_memo[key] = (*box, powers, terms)
+    powers = _power_table(field, box, law)
+    _constants_memo[key] = (*box, powers)
     return powers
 
 
-def _power_table(field: Field, box: tuple, terms: tuple) -> np.ndarray:
-    """F^j mod (x^bx, y^by) for j <= bx + by - 2, from the law's ``terms``
-    (``_coefficient_arrays``), with no operator on the box.
+def _power_table(field: Field, box: tuple, law: GeneralizedLaw) -> np.ndarray:
+    """F^j mod (x^bx, y^by) for j <= bx + by - 2, from the law's series cut
+    to the box, with no operator on the box.
 
     A product G = P F^s mod (x^bx, y^by) is one matrix product X K of inner
     length bx by: K is the stack over a of the upper triangular Toeplitz
@@ -274,10 +269,8 @@ def _power_table(field: Field, box: tuple, terms: tuple) -> np.ndarray:
     powers = np.zeros((top + 1, bx + 1, by + 1), dtype=np.float64 if p else object)
     powers[0, 0, 0] = 1
     if top:
-        exps, values, _ = terms
-        inbox = (exps < box).all(axis=1)
-        powers[1, exps[inbox, 0], exps[inbox, 1]] = (
-            values[inbox] if p else _primitive(values[None, inbox])[0])
+        num = law._poly(box).num
+        powers[1, :bx, :by] = num if p else _primitive(num.reshape(1, -1)).reshape(box)
     # shift[a', a] = a' - a and toeplitz_index[b0, b1] = b1 - b0, or the zero
     # row or column where negative: the offsets of one block
     shift = _block_offsets(Partition((bx,)), 1, bx).T
@@ -385,7 +378,7 @@ def power_operator(lam, m: int, law: GeneralizedLaw, field: Field) -> Matrix:
     lam = Partition(lam)
     _require_operator_dim(lam.dim ** m)
     series = iterated_tensor_series(law, m, (max(lam, default=1),) * m)
-    return canonical_series_operator(field, (lam,) * m, series.coeffs)
+    return canonical_series_operator(field, (lam,) * m, series.num, series.den)
 
 
 def _swap_index(d: int, m: int, i: int) -> np.ndarray:
@@ -497,11 +490,8 @@ def build_intertwiner_pair(n: int, m: int, law: GeneralizedLaw) -> Matrix:
     characteristic.
     """
     f = law.as_poly((n, m))
-    f1, f2 = {}, {}
-    for e, c in f.coeffs.items():
-        (f1 if e[0] else f2)[e] = c
-    return build_automorphism([TruncatedPoly(f.field, f.trunc, f1),
-                               TruncatedPoly(f.field, f.trunc, f2)])
+    f1 = f._where(np.arange(n)[:, None] > 0)
+    return build_automorphism([f1, f - f1])
 
 
 def build_symmetric_intertwiner(n: int, m: int, law: GeneralizedLaw) -> Matrix:

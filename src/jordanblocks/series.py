@@ -1,25 +1,23 @@
 """Arithmetic in truncated power-series algebras k[Y_1..Y_m]/(Y_i^{r_i}).
 
-Coefficients are stored sparsely as a dict from exponent tuples to nonzero
-field elements; the constructor takes each coefficient through the field
-(7 is 2 in F_5, and 5 is dropped there).  The truncation vector is part of
-the type: binary operations require identical truncation, and products
-drop any monomial whose exponent leaves the box.  Sums, negatives, scalar
-multiples, products, constants and degree parts (and a law's own series)
-skip the constructor's per-term checks and coercion, which the validated
-operands already guarantee; arithmetic drops only the coefficients that
-cancel.  On top of the ring arithmetic this module provides substitution,
-series composition and inversion, matrices of multiplication operators
-(gathered from the coefficients in one step) and algebra endomorphisms on
-the monomial basis, and the constructive splitting of a symmetric series
-f = f_1 + ... + f_m with Y_i | f_i: each term goes in equal shares to the
-variables that divide it.  Substitution and powers read one memoized
-table of monomials g_1^{e_1} ... g_m^{e_m}, each entry one product of the
-entry below it with a g_i; an endomorphism matrix is the same recursion on
-whole columns, one matrix product by mult_matrix(g_i) per step.
-``build_automorphism`` takes the images g_i themselves and checks that Y_i
-divides g_i with a nonzero Y_i coefficient, which makes the endomorphism
-invertible.
+A series is one integer array over one denominator, as a ``Matrix`` is:
+``num`` has the shape ``trunc`` and holds at index e the coefficient of Y^e,
+int64 in range(p) with ``den`` 1 over F_p, Python ints over a positive
+``den`` with gcd 1 over Q; no kernel builds a ``Fraction``.  The constructor
+takes a dict {exponent: c}, each coefficient through the field (7 is 2 in
+F_5, and 5 is dropped there), and ``coeffs`` is that dict of the nonzero
+terms again, built on each read.  Binary operations require one truncation.
+A product adds, for each nonzero term c Y^e of the sparser operand, c times
+the other operand shifted by e and cut to the box; over F_p the int64 sum
+is reduced once at the end while terms (p-1)^2 < 2**63, else after each
+term (``_accumulate``).  Substitution and powers read one memoized table of
+monomials g_1^{e_1} ... g_m^{e_m}, each one product of the entry below it
+with a g_i; the inverse under composition solves the linear g(f) = t one
+degree at a time.  Multiplication matrices are gathered from ``num``
+(``canonical_series_operator``), and an endomorphism's matrix is the
+monomial recursion on whole columns.  The symmetric split f = f_1 + ... +
+f_m with Y_i | f_i gives each term in equal shares to the variables that
+divide it.
 """
 
 from __future__ import annotations
@@ -27,6 +25,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from fractions import Fraction
+from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
@@ -42,12 +42,22 @@ from .errors import (
     ZeroLinearScalar,
 )
 from .fields import Field
-from .linalg import Matrix, canonical_series_operator
+from .linalg import (
+    Matrix,
+    _common_denominator,
+    _fit,
+    _normalized,
+    _require_int64_elimination,
+    canonical_series_operator,
+)
 
 
 def _box(trunc: Sequence[int]) -> tuple:
-    """The truncation vector as a tuple of ints, each at least 1."""
-    trunc = tuple(int(r) for r in trunc)
+    """The truncation vector as a tuple of ints >= 1; InvalidInput for a float."""
+    try:
+        trunc = tuple(map(operator.index, trunc))
+    except TypeError:
+        raise InvalidInput(f"truncation exponents must be integers, got {trunc!r}") from None
     if any(r < 1 for r in trunc):
         raise InvalidInput(f"truncation exponents must be >= 1, got {trunc}")
     return trunc
@@ -56,29 +66,41 @@ def _box(trunc: Sequence[int]) -> tuple:
 class TruncatedPoly:
     """Element of k[Y_1..Y_m] modulo (Y_1^{r_1}, ..., Y_m^{r_m})."""
 
-    __slots__ = ("field", "trunc", "coeffs")
+    __slots__ = ("field", "trunc", "num", "den")
 
     def __init__(self, field: Field, trunc: Sequence[int], coeffs: dict | None = None):
         """Coefficients go through ``field``, exponents through ``operator.index``."""
-        self.field = field
-        self.trunc = _box(trunc)
-        clean = {}
+        _require_int64_elimination(field.p)
+        trunc = _box(trunc)
+        values = np.zeros(trunc, dtype=np.int64 if field.p else object)
         for exp, c in (coeffs or {}).items():
             try:
                 exp = tuple(map(operator.index, exp))
             except TypeError:
                 raise InvalidInput(f"exponent {exp!r} is not a tuple of integers") from None
-            if len(exp) != len(self.trunc):
-                raise ShapeMismatch(f"exponent {exp} in a {len(self.trunc)}-variable algebra")
+            if len(exp) != len(trunc):
+                raise ShapeMismatch(f"exponent {exp} in a {len(trunc)}-variable algebra")
             c = field(c)
-            if all(0 <= e < r for e, r in zip(exp, self.trunc)):
-                if c != 0:
-                    clean[exp] = c
+            if all(0 <= e < r for e, r in zip(exp, trunc)):
+                values[exp] = c
             elif min(exp) < 0:
                 raise InvalidInput(f"negative exponent {exp}")
-        self.coeffs = clean
+        self.field, self.trunc, self.num, self.den = field, trunc, values, 1
+        if not field.p:
+            # an lcm of denominators in lowest terms is prime to the numerators
+            ints, self.den = _common_denominator(values.ravel().tolist())
+            self.num = np.array(ints, dtype=object).reshape(trunc)
 
     # -- constructors ---------------------------------------------------------
+
+    @classmethod
+    def _from_ints(cls, field: Field, trunc: tuple, num: np.ndarray, den: int = 1):
+        """num / den from an integer array of the shape ``trunc`` (a tuple of
+        ints >= 1), normalized (``linalg._normalized``)."""
+        out = cls.__new__(cls)
+        out.field, out.trunc = field, trunc
+        out.num, out.den = _normalized(field, num, den)
+        return out
 
     @classmethod
     def zero(cls, field, trunc):
@@ -86,13 +108,11 @@ class TruncatedPoly:
 
     @classmethod
     def constant(cls, field, trunc, c):
-        trunc, c = _box(trunc), field(c)
-        return cls._unchecked(field, trunc, {(0,) * len(trunc): c} if c != 0 else {})
+        return cls(field, trunc, {(0,) * len(trunc): c})
 
     @classmethod
     def variable(cls, field, trunc, i: int):
-        exp = tuple(1 if j == i else 0 for j in range(len(trunc)))
-        return cls(field, trunc, {exp: field.one})
+        return cls(field, trunc, {tuple(int(j == i) for j in range(len(trunc))): field.one})
 
     @classmethod
     def univariate(cls, field, r: int, coeffs: Sequence) -> "TruncatedPoly":
@@ -105,11 +125,24 @@ class TruncatedPoly:
     def num_vars(self) -> int:
         return len(self.trunc)
 
+    def _elements(self, ints: list) -> list:
+        """Entries of ``num`` as field elements."""
+        return ints if self.field.p else [Fraction(x, self.den) for x in ints]
+
+    @property
+    def coeffs(self) -> MappingProxyType:
+        """The nonzero terms {exponent: field element}, read-only, built on each read."""
+        exps = map(tuple, np.argwhere(self.num).tolist())
+        return MappingProxyType(dict(zip(exps, self._elements(self.num[self.num != 0].tolist()))))
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num.any()
 
     def coefficient(self, exp):
-        return self.coeffs.get(tuple(exp), self.field.zero)
+        exp = tuple(exp)
+        if len(exp) != self.num_vars or not all(0 <= e < r for e, r in zip(exp, self.trunc)):
+            return self.field.zero
+        return self._elements([int(self.num[exp])])[0]
 
     def constant_term(self):
         return self.coefficient((0,) * self.num_vars)
@@ -118,7 +151,7 @@ class TruncatedPoly:
         if not isinstance(other, TruncatedPoly):
             return NotImplemented
         return (self.field == other.field and self.trunc == other.trunc
-                and self.coeffs == other.coeffs)
+                and self.den == other.den and np.array_equal(self.num, other.num))
 
     def __hash__(self):
         return hash((self.field, self.trunc, frozenset(self.coeffs.items())))
@@ -128,8 +161,7 @@ class TruncatedPoly:
             return "0"
         names = "YZWVU" if self.num_vars <= 5 else None
         terms = []
-        for exp in sorted(self.coeffs, key=lambda e: (sum(e), e)):
-            c = self.coeffs[exp]
+        for exp, c in sorted(self.coeffs.items(), key=lambda t: (sum(t[0]), t[0])):
             mono = "".join(
                 (f"{names[i]}" if names else f"Y{i + 1}") + (f"^{e}" if e > 1 else "")
                 for i, e in enumerate(exp) if e)
@@ -148,58 +180,38 @@ class TruncatedPoly:
 
     # -- ring operations ------------------------------------------------------
 
+    def _over(self, den: int) -> np.ndarray:
+        """The numerator over ``den``, a multiple of ``self.den``."""
+        return self.num if den == self.den else self.num * (den // self.den)
+
     def __add__(self, other: "TruncatedPoly") -> "TruncatedPoly":
         self._check_shape(other)
-        out = dict(self.coeffs)
-        add = self.field.add
-        for exp, c in other.coeffs.items():
-            if exp in out:
-                c = add(out[exp], c)
-                if c == 0:
-                    del out[exp]
-                    continue
-            out[exp] = c
-        return TruncatedPoly._unchecked(self.field, self.trunc, out)
+        den = math.lcm(self.den, other.den)
+        return TruncatedPoly._from_ints(self.field, self.trunc,
+                                        self._over(den) + other._over(den), den)
 
     def __neg__(self):
-        neg = self.field.neg
-        return TruncatedPoly._unchecked(self.field, self.trunc,
-                                        {e: neg(c) for e, c in self.coeffs.items()})
+        return TruncatedPoly._from_ints(self.field, self.trunc, -self.num, self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c) -> "TruncatedPoly":
         c = self.field(c)
-        mul = self.field.mul
-        return TruncatedPoly._unchecked(self.field, self.trunc,
-                                        {e: x for e, v in self.coeffs.items()
-                                         if (x := mul(c, v)) != 0})
+        return TruncatedPoly._from_ints(self.field, self.trunc, self.num * c.numerator,
+                                        self.den * c.denominator)
 
     def __mul__(self, other: "TruncatedPoly") -> "TruncatedPoly":
+        """For each nonzero term c Y^e of the sparser operand, c times the
+        other operand shifted by e, the part past the box cut off."""
         self._check_shape(other)
-        field = self.field
-        add, mul = field.add, field.mul
-        out: dict = {}
-        trunc = self.trunc
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                if any(e >= r for e, r in zip(exp, trunc)):
-                    continue
-                prod = mul(c1, c2)
-                out[exp] = add(out[exp], prod) if exp in out else prod
-        # every exponent is already in the box: only cancelled terms need dropping
-        return TruncatedPoly._unchecked(field, trunc, {e: c for e, c in out.items() if c != 0})
-
-    @classmethod
-    def _unchecked(cls, field: Field, trunc: tuple, coeffs: dict) -> "TruncatedPoly":
-        """Wrap data that already satisfies the constructor's checks: ``trunc``
-        a tuple of ints >= 1, every exponent a tuple inside the box, every
-        coefficient a nonzero field element."""
-        out = cls.__new__(cls)
-        out.field, out.trunc, out.coeffs = field, trunc, coeffs
-        return out
+        sparse, dense = sorted((self, other), key=lambda f: np.count_nonzero(f.num))
+        trunc, num = self.trunc, dense.num
+        terms = [(c, tuple(slice(x, None) for x in e),
+                  num[tuple(slice(0, r - x) for x, r in zip(e, trunc))])
+                 for e, c in zip(np.argwhere(sparse.num).tolist(),
+                                 sparse.num[sparse.num != 0].tolist())]
+        return _accumulate(self.field, trunc, terms, sparse.den * dense.den)
 
     def __pow__(self, k: int) -> "TruncatedPoly":
         if k < 0:
@@ -210,22 +222,28 @@ class TruncatedPoly:
 
     # -- degree helpers -------------------------------------------------------
 
+    def _where(self, keep: np.ndarray) -> "TruncatedPoly":
+        """The terms at the entries where ``keep`` is true."""
+        return TruncatedPoly._from_ints(self.field, self.trunc, np.where(keep, self.num, 0),
+                                        self.den)
+
     def homogeneous_part(self, d: int) -> "TruncatedPoly":
-        return TruncatedPoly._unchecked(self.field, self.trunc,
-                                        {e: c for e, c in self.coeffs.items() if sum(e) == d})
+        return self._where(np.indices(self.trunc).sum(axis=0) == d)
 
     def truncate_degree(self, d: int) -> "TruncatedPoly":
         """Drop all terms of total degree > d."""
-        return TruncatedPoly._unchecked(self.field, self.trunc,
-                                        {e: c for e, c in self.coeffs.items() if sum(e) <= d})
+        return self._where(np.indices(self.trunc).sum(axis=0) <= d)
+
+    def _in_box(self, trunc: tuple) -> "TruncatedPoly":
+        """The same terms in the box ``trunc`` of at least as many variables:
+        new variables come last, and terms outside the box are dropped."""
+        num = self.num.reshape(self.trunc + (1,) * (len(trunc) - self.num_vars))
+        return TruncatedPoly._from_ints(self.field, trunc, _fit(num, trunc), self.den)
 
     def univariate_coeffs(self) -> list:
         if self.num_vars != 1:
             raise ShapeMismatch("univariate access on a multivariate series")
-        out = [self.field.zero] * self.trunc[0]
-        for (k,), c in self.coeffs.items():
-            out[k] = c
-        return out
+        return self._elements(self.num.tolist())
 
     # -- substitution ---------------------------------------------------------
 
@@ -238,28 +256,24 @@ class TruncatedPoly:
             if g.constant_term() != 0:
                 raise NonzeroConstantTerm("substitution with nonzero constant term")
         monomial = _monomial_table(gs)
-        return sum((monomial(e).scale(c) for e, c in self.coeffs.items()),
-                   TruncatedPoly.zero(gs[0].field, gs[0].trunc))
+        monomials = [monomial(tuple(e)) for e in np.argwhere(self.num).tolist()]
+        den = math.lcm(*[g.den for g in monomials])
+        terms = [(c, ..., g._over(den))
+                 for c, g in zip(self.num[self.num != 0].tolist(), monomials)]
+        return _accumulate(gs[0].field, gs[0].trunc, terms, den * self.den)
 
     def permute_variables(self, sigma: Sequence[int]) -> "TruncatedPoly":
         """Apply sigma(Y_i) = Y_{sigma^{-1}(i)}; exponent vectors map to e o sigma."""
         if sorted(sigma) != list(range(self.num_vars)):
             raise InvalidInput(f"{tuple(sigma)} is not a permutation of {self.num_vars} variables")
-        out = {}
-        for exp, c in self.coeffs.items():
-            out[tuple(exp[sigma[j]] for j in range(len(exp)))] = c
-        return TruncatedPoly(self.field, self.trunc, out)
+        return TruncatedPoly._from_ints(self.field, self.trunc,
+                                        _fit(self.num.transpose(sigma), self.trunc), self.den)
 
     def is_symmetric(self) -> bool:
         if len(set(self.trunc)) > 1:
             raise NotSymmetric("symmetry is only meaningful with equal truncations")
-        m = self.num_vars
-        for i in range(m - 1):
-            sigma = list(range(m))
-            sigma[i], sigma[i + 1] = sigma[i + 1], sigma[i]
-            if self.permute_variables(sigma) != self:
-                return False
-        return True
+        return all(np.array_equal(self.num, self.num.swapaxes(i, i + 1))
+                   for i in range(self.num_vars - 1))
 
     # -- serialization ----------------------------------------------------------
 
@@ -275,6 +289,21 @@ class TruncatedPoly:
             raise ShapeMismatch("vars/trunc length mismatch")
         coeffs = {tuple(t["exp"]): field(t["c"]) for t in data["terms"]}
         return cls(field, trunc, coeffs)
+
+
+def _accumulate(field: Field, trunc: tuple, terms: list, den: int) -> TruncatedPoly:
+    """The sum of c * x over den for the ``terms`` (c, where, x), x added into
+    the entries ``where`` of the box.  Over F_p each c * x is below (p-1)**2,
+    so int64 holds len(terms) of them while that is below 2**63 / (p-1)**2;
+    past that each term is reduced, and an entry stays below p + (p-1)**2."""
+    p = field.p
+    acc = np.zeros(trunc, dtype=np.int64 if p else object)
+    each = p and len(terms) * (p - 1) ** 2 >= 2**63
+    for c, where, x in terms:
+        acc[where] += c * x
+        if each:
+            acc[where] %= p
+    return TruncatedPoly._from_ints(field, trunc, acc, den)
 
 
 def _monomial_table(bases: Sequence[TruncatedPoly]):
@@ -315,7 +344,7 @@ def mult_matrix(g: TruncatedPoly) -> Matrix:
     J_{r_1}, ..., J_{r_m}.
     """
     blocks = [(r,) for r in g.trunc]
-    return canonical_series_operator(g.field, blocks, g.coeffs).T
+    return canonical_series_operator(g.field, blocks, g.num, g.den).T
 
 
 def endomorphism_matrix(images: Sequence[TruncatedPoly]) -> Matrix:
@@ -361,7 +390,7 @@ def build_automorphism(images: Sequence[TruncatedPoly]) -> Matrix:
         images[0]._check_shape(g)
         if g.constant_term() != 0:
             raise NonzeroConstantTerm(f"g_{i + 1} has a constant term")
-        if any(exp[i] == 0 for exp in g.coeffs):
+        if np.any(np.take(g.num, 0, axis=i)):
             raise InvalidInput(f"Y_{i + 1} does not divide every term of g_{i + 1}")
         if trunc[i] > 1 and g.coefficient(tuple(int(j == i) for j in range(len(trunc)))) == 0:
             raise ZeroLinearScalar(f"g_{i + 1} has no Y_{i + 1} term")
@@ -375,23 +404,27 @@ def compose(f: TruncatedPoly, g: TruncatedPoly) -> TruncatedPoly:
 
 
 def compose_inverse(f: TruncatedPoly) -> TruncatedPoly:
-    """g with f(g) = g(f) = t modulo the truncation, solved degree by degree."""
-    coeffs = f.univariate_coeffs()
-    r = f.trunc[0]
-    field = f.field
+    """g with f(g) = g(f) = t modulo the truncation.  g(f) = sum x_k f^k = t
+    is linear in g, and f^k = xi^k t^k + higher for xi the linear coefficient
+    of f, so x_k is the coefficient of t^k that the terms below k leave, over
+    xi^k.  The inverse on one side is the inverse on both; both are checked.
+    """
+    coeffs, r, field = f.univariate_coeffs(), f.trunc[0], f.field
     if coeffs[0] != 0:
         raise NotInvertibleLinearPart("constant term is nonzero")
     if r < 2 or coeffs[1] == 0:
         raise NotInvertibleLinearPart("linear coefficient is zero")
     lin_inv = field.inv(coeffs[1])
-    g = TruncatedPoly.univariate(field, r, [field.zero, lin_inv])
-    for k in range(2, r):
-        err = compose(f, g).univariate_coeffs()[k]
-        if err != 0:
-            correction = TruncatedPoly(field, (r,), {(k,): field.mul(field.neg(err), lin_inv)})
-            g = g + correction
+    power = _monomial_table([f])
     t = TruncatedPoly.variable(field, (r,), 0)
-    if compose(f, g) != t or compose(g, f) != t:
+    # rest = t - g(f) for the terms of g found so far
+    rest, xs, xi_inv_k = t, [field.zero], field.one
+    for k in range(1, r):
+        xi_inv_k = field.mul(xi_inv_k, lin_inv)
+        xs.append(field.mul(rest.coefficient((k,)), xi_inv_k))
+        rest = rest - power((k,)).scale(xs[k])
+    g = TruncatedPoly.univariate(field, r, xs)
+    if not rest.is_zero() or compose(f, g) != t:
         raise AlgebraError("compose_inverse: the result is not a two-sided inverse")
     return g
 
@@ -399,12 +432,10 @@ def compose_inverse(f: TruncatedPoly) -> TruncatedPoly:
 # -- symmetric splitting --------------------------------------------------------
 
 def elementary_symmetric(field: Field, trunc, j: int) -> TruncatedPoly:
-    m = len(trunc)
-    out = {}
-    for subset in itertools.combinations(range(m), j):
-        exp = tuple(1 if i in subset else 0 for i in range(m))
-        out[exp] = field.one
-    return TruncatedPoly(field, trunc, out)
+    trunc = _box(trunc)
+    exps = np.indices(trunc)
+    terms = (exps <= 1).all(axis=0) & (exps.sum(axis=0) == j)
+    return TruncatedPoly._from_ints(field, trunc, terms.astype(np.int64))
 
 
 def symmetric_split(f: TruncatedPoly) -> list:
@@ -416,45 +447,38 @@ def symmetric_split(f: TruncatedPoly) -> list:
     f_{sigma^{-1}(i)}, and sum f_i = f.  Requires m! invertible, so that
     every share 1/k with k <= m exists.
     """
-    field = f.field
-    trunc = f.trunc
-    m = f.num_vars
+    field, trunc, m = f.field, f.trunc, f.num_vars
     if field.p and field.p <= m:
         raise FactorialNotInvertible(f"{m}! vanishes in characteristic {field.p}")
     if f.constant_term() != 0:
         raise NonzeroConstantTerm("a series with a constant term has no split")
     if not f.is_symmetric():
         raise NotSymmetric("input series is not symmetric")
-    linear = f.homogeneous_part(1)
-    if linear != elementary_symmetric(field, trunc, 1):
+    if f.homogeneous_part(1) != elementary_symmetric(field, trunc, 1):
         raise NotSymmetric("series is not Y_1 + ... + Y_m modulo degree 2")
 
-    share = {k: field.inv(field(k)) for k in range(1, m + 1)}
-    pieces: list = [{} for _ in range(m)]
-    for exp, c in f.coeffs.items():
-        support = [i for i, e in enumerate(exp) if e]
-        c = field.mul(c, share[len(support)])
-        for i in support:
-            pieces[i][exp] = c
-    out = [TruncatedPoly(field, trunc, coeffs) for coeffs in pieces]
+    # the share 1/k of a term in k variables, as an integer over `den`
+    den = 1 if field.p else math.lcm(*range(1, m + 1))
+    shares = [0] + [field.inv(field(k)) if field.p else den // k for k in range(1, m + 1)]
+    exps = np.indices(trunc)
+    each = f.num * np.array(shares, dtype=f.num.dtype)[(exps > 0).sum(axis=0)]
+    out = [TruncatedPoly._from_ints(field, trunc, np.where(exps[i] > 0, each, 0), f.den * den)
+           for i in range(m)]
     _verify_split(f, out)
     return out
 
 
 def _verify_split(f: TruncatedPoly, fs: list) -> None:
     field, trunc, m = f.field, f.trunc, f.num_vars
-    total = TruncatedPoly.zero(field, trunc)
     for i, fi in enumerate(fs):
         if fi.homogeneous_part(1) != TruncatedPoly.variable(field, trunc, i):
             raise AlgebraError(f"f_{i + 1} is not Y_{i + 1} modulo degree 2")
-        if any(exp[i] == 0 for exp in fi.coeffs):
+        if np.any(np.take(fi.num, 0, axis=i)):
             raise AlgebraError(f"Y_{i + 1} does not divide f_{i + 1}")
-        total = total + fi
-    if total != f:
+    if sum(fs, TruncatedPoly.zero(field, trunc)) != f:
         raise AlgebraError("split does not sum back to f")
     for k in range(m - 1):
         sigma = list(range(m))
-        sigma[k], sigma[k + 1] = sigma[k + 1], sigma[k]
-        for i in range(m):
-            if fs[i].permute_variables(sigma) != fs[sigma[i]]:
-                raise AlgebraError("split is not permutation equivariant")
+        sigma[k], sigma[k + 1] = k + 1, k
+        if any(fs[i].permute_variables(sigma) != fs[sigma[i]] for i in range(m)):
+            raise AlgebraError("split is not permutation equivariant")

@@ -17,7 +17,12 @@ dense projection onto wedge^m or Sym^m of k^d and the injection back, and
 ``dense_quotient_operator`` multiplies an operator through them;
 ``loop_mult_matrix`` fills a multiplication matrix one monomial at a time,
 and ``monomial_endomorphism_matrix`` an algebra endomorphism's matrix one
-image monomial at a time.
+image monomial at a time; ``dense_coefficients`` writes a coefficient dict
+into the array that ``canonical_series_operator`` reads, one entry at a
+time.  ``DictSeries`` is the truncated-series layer as a dict of field
+elements, one field operation per pair of terms, and the ``dict_*``
+functions build on it series inversion, the symmetric split, law
+evaluation, the m-fold tensor series and transported formal group laws.
 All are deliberately plain so that they are easy to trust.
 """
 
@@ -144,11 +149,24 @@ def full_power_partition(n_mat) -> Partition:
     return Partition(sorted(parts, reverse=True))
 
 
+def dense_coefficients(field, coeffs, shape) -> tuple:
+    """(num, den) of the coefficients {a: c_a} in the box ``shape``, one
+    entry at a time: the rationals over their least common denominator."""
+    values = np.zeros(shape, dtype=object)
+    for exp, c in coeffs.items():
+        if all(e < r for e, r in zip(exp, shape)):
+            values[exp] = Fraction(field(c))
+    den = math.lcm(1, *[Fraction(x).denominator for x in values.flat])
+    return np.array([int(x * den) for x in values.flat], dtype=object).reshape(shape), den
+
+
 def gathered_tensor_partition(field, lam, mu, coeffs) -> Partition:
     """Jordan type of F(phi (x) 1, 1 (x) psi) for the canonical nilpotents
     of ``lam`` and ``mu``, from the whole operator gathered from the law's
     coefficients ``coeffs`` and the Krylov ranks of ``jordan_partition``."""
-    return jordan_partition(canonical_series_operator(field, (lam, mu), coeffs))
+    box = (max(lam, default=0), max(mu, default=0))
+    return jordan_partition(canonical_series_operator(
+        field, (lam, mu), *dense_coefficients(field, coeffs, box)))
 
 
 def whole_matrix_adjoint(kind: str, lam, field, unipotent: bool) -> Partition:
@@ -268,7 +286,8 @@ def gathered_power_table(field, box, coeffs) -> np.ndarray:
     its powers from e_0 by one row product each.  Over F_p the entries are
     in range(p); over Q each power is divided by the gcd of its entries."""
     bx, by = box
-    op = canonical_series_operator(field, ((bx,), (by,)), coeffs).num.astype(object)
+    op = canonical_series_operator(field, ((bx,), (by,)),
+                                   *dense_coefficients(field, coeffs, box)).num.astype(object)
     powers = np.zeros((bx + by - 1, bx * by), dtype=object)
     powers[0, 0] = 1
     for j in range(1, bx + by - 1):
@@ -278,3 +297,148 @@ def gathered_power_table(field, box, coeffs) -> np.ndarray:
         else:
             powers[j] = row // max(math.gcd(*row.tolist()), 1)
     return powers.reshape(bx + by - 1, bx, by).astype(np.int64 if field.p else object)
+
+
+# -- the dict reference of the truncated-series layer -----------------------------
+
+class DictSeries:
+    """A truncated series in k[Y_1..Y_m]/(Y_i^{r_i}) as a dict from exponent
+    tuples to nonzero field elements, with one field operation per pair of
+    terms: the reference for ``series.TruncatedPoly``."""
+
+    def __init__(self, field, trunc, coeffs=None):
+        self.field, self.trunc = field, tuple(trunc)
+        self.coeffs = {}
+        for exp, c in (coeffs or {}).items():
+            c = field(c)
+            if c != 0 and all(0 <= e < r for e, r in zip(exp, self.trunc)):
+                self.coeffs[tuple(exp)] = c
+
+    @classmethod
+    def of(cls, poly) -> "DictSeries":
+        return cls(poly.field, poly.trunc, dict(poly.coeffs))
+
+    @classmethod
+    def variable(cls, field, trunc, i):
+        return cls(field, trunc, {tuple(int(j == i) for j in range(len(trunc))): 1})
+
+    def coefficient(self, exp):
+        return self.coeffs.get(tuple(exp), self.field.zero)
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        for exp, c in other.coeffs.items():
+            out[exp] = self.field.add(out.get(exp, self.field.zero), c)
+        return DictSeries(self.field, self.trunc, out)
+
+    def __neg__(self):
+        return DictSeries(self.field, self.trunc,
+                          {e: self.field.neg(c) for e, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        c = self.field(c)
+        return DictSeries(self.field, self.trunc,
+                          {e: self.field.mul(c, v) for e, v in self.coeffs.items()})
+
+    def __mul__(self, other):
+        field, out = self.field, {}
+        for e1, c1 in self.coeffs.items():
+            for e2, c2 in other.coeffs.items():
+                exp = tuple(a + b for a, b in zip(e1, e2))
+                out[exp] = field.add(out.get(exp, field.zero), field.mul(c1, c2))
+        return DictSeries(field, self.trunc, out)
+
+    def substitute(self, gs) -> "DictSeries":
+        """f(g_1, ..., g_m), every monomial a product of powers g_i^e, each
+        power the one below it times g_i."""
+        field, trunc = gs[0].field, gs[0].trunc
+        powers = {}
+
+        def power(i, e):
+            if (i, e) not in powers:
+                powers[i, e] = (power(i, e - 1) * gs[i] if e else
+                                DictSeries(field, trunc, {(0,) * len(trunc): 1}))
+            return powers[i, e]
+
+        out = DictSeries(field, trunc)
+        for exp, c in self.coeffs.items():
+            term = DictSeries(field, trunc, {(0,) * len(trunc): c})
+            for i, e in enumerate(exp):
+                term = term * power(i, e)
+            out = out + term
+        return out
+
+    def permute_variables(self, sigma) -> "DictSeries":
+        return DictSeries(self.field, self.trunc,
+                          {tuple(e[s] for s in sigma): c for e, c in self.coeffs.items()})
+
+    def homogeneous_part(self, d: int) -> "DictSeries":
+        return DictSeries(self.field, self.trunc,
+                          {e: c for e, c in self.coeffs.items() if sum(e) == d})
+
+    def truncate_degree(self, d: int) -> "DictSeries":
+        return DictSeries(self.field, self.trunc,
+                          {e: c for e, c in self.coeffs.items() if sum(e) <= d})
+
+
+def dict_compose_inverse(f: DictSeries) -> DictSeries:
+    """g with f(g) = t, one degree at a time: the coefficient of t^k in
+    f(g) fixes g's coefficient of t^k."""
+    field, r = f.field, f.trunc[0]
+    lin_inv = field.inv(f.coefficient((1,)))
+    g = DictSeries(field, (r,), {(1,): lin_inv})
+    for k in range(2, r):
+        err = f.substitute([g]).coefficient((k,))
+        g = g + DictSeries(field, (r,), {(k,): field.mul(field.neg(err), lin_inv)})
+    return g
+
+
+def dict_symmetric_split(f: DictSeries) -> list:
+    """Each term c Y^e of f in equal shares c/k to the k variables dividing it."""
+    field, m = f.field, len(f.trunc)
+    pieces = [{} for _ in range(m)]
+    for exp, c in f.coeffs.items():
+        support = [i for i, e in enumerate(exp) if e]
+        for i in support:
+            pieces[i][exp] = field.mul(c, field.inv(field(len(support))))
+    return [DictSeries(field, f.trunc, piece) for piece in pieces]
+
+
+def dict_law_eval(law, g: DictSeries, h: DictSeries, degree_cap=None) -> DictSeries:
+    """F(g, h) from the law's coefficients dict, cut to the degree the
+    algebra (or ``degree_cap``) holds."""
+    needed = sum(r - 1 for r in g.trunc)
+    if degree_cap is not None:
+        needed = min(needed, degree_cap)
+    series = DictSeries(law.field, (needed + 1, needed + 1),
+                        {e: c for e, c in law.coeffs.items() if sum(e) <= needed})
+    out = series.substitute([g, h])
+    return out if degree_cap is None else out.truncate_degree(degree_cap)
+
+
+def dict_iterated_tensor_series(law, m: int, trunc) -> DictSeries:
+    """Y_1, then F(Y_1, Y_2), then F(previous, Y_i) for i = 3..m."""
+    field = law.field
+    ys = [DictSeries.variable(field, trunc, i) for i in range(m)]
+    out = ys[0]
+    for y in ys[1:]:
+        out = dict_law_eval(law, out, y)
+    return out
+
+
+def dict_random_fgl_coeffs(seed: int, degree: int, field) -> dict:
+    """The coefficients of ``fgl.random_fgl(seed, degree, field)``: the same
+    seeded series g, and g(g^-1(u) + g^-1(v)) in dict arithmetic."""
+    import random
+
+    rng = random.Random(f"fgl:{seed}:{degree}:{field.p}")
+    r = degree + 1
+    g_coeffs = [field.zero, field.one] + [field.random_element(rng) for _ in range(2, r)]
+    g = DictSeries(field, (r,), {(k,): c for k, c in enumerate(g_coeffs)})
+    g_inv = dict_compose_inverse(g)
+    u, v = DictSeries.variable(field, (r, r), 0), DictSeries.variable(field, (r, r), 1)
+    inner = g_inv.substitute([u]) + g_inv.substitute([v])
+    return g.substitute([inner]).truncate_degree(degree).coeffs

@@ -19,6 +19,7 @@ from jordanblocks.fgl import (
 )
 from jordanblocks.fields import GF, QQ
 from jordanblocks.series import TruncatedPoly
+from oracles import DictSeries, dict_iterated_tensor_series, dict_law_eval, dict_random_fgl_coeffs
 
 F5 = GF(5)
 
@@ -78,6 +79,13 @@ class TestValidation:
         # int() would read (1.5, 0) as x, a second linear term
         with pytest.raises(InvalidLaw, match="integers"):
             GeneralizedLaw(F5, 3, {(1, 0): 1, (0, 1): 1, exp: 2})
+
+    @pytest.mark.parametrize("degree", [3.9, 3.0, "3", None])
+    def test_non_integer_degrees_are_refused(self, degree):
+        # int() would read 3.9 as 3
+        with pytest.raises(InvalidLaw, match="degree must be an integer"):
+            GeneralizedLaw(F5, degree, {(1, 0): 1, (0, 1): 1})
+        assert GeneralizedLaw(F5, np.int64(3), {(1, 0): 1, (0, 1): 1}).degree == 3
 
     def test_numpy_exponents_pass(self):
         law = GeneralizedLaw(F5, 3, {(np.int64(1), 0): 1, (0, np.int8(1)): 1, (1, 1): 2})
@@ -282,6 +290,47 @@ class TestLawFiles:
             law_from_json({"p": 5, "trunc": 3, "coeffs": [{"a": 1, "b": 1, "c": c}]})
         law = law_from_json({"p": 5, "trunc": 3, "coeffs": [{"a": 1, "b": 1, "c": "1"}]})
         assert law.coefficient(1, 1) == 1
+
+
+#: the largest prime below 2**31: sums of three terms (p-1)**2 pass 2**63
+ORACLE_FIELDS = [GF(2), F5, GF(2147483647), QQ]
+
+
+def same(got: TruncatedPoly, want: DictSeries) -> bool:
+    return got.trunc == want.trunc and dict(got.coeffs) == want.coeffs
+
+
+class TestDictOracle:
+    """Law evaluation, the m-fold series and transported laws against the
+    dict reference in ``oracles``."""
+
+    @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+    @pytest.mark.parametrize("trunc", [(3, 3), (2, 4), (2, 2, 3)])
+    @pytest.mark.parametrize("cap", [None, 2, 3])
+    def test_eval(self, field, trunc, cap):
+        import random
+
+        rng = random.Random(f"eval:{field.p}:{trunc}")
+        law = random_generalized_law(rng.randrange(100), sum(trunc), field)
+        ys = [TruncatedPoly.variable(field, trunc, i) for i in range(len(trunc))]
+        g = ys[0] + (ys[-1] * ys[0]).scale(-1)
+        h = ys[1].scale(3) + ys[-1] * ys[-1]
+        want = dict_law_eval(law, DictSeries.of(g), DictSeries.of(h), cap)
+        assert same(law.eval(g, h, degree_cap=cap), want)
+
+    @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+    @pytest.mark.parametrize("m, trunc", [(1, (4,)), (2, (3, 4)), (3, (2, 3, 2)), (3, (3, 3, 3))])
+    def test_tensor_series(self, field, m, trunc):
+        for law in (random_generalized_law(m, sum(trunc), field), random_fgl(m, sum(trunc), field)):
+            want = dict_iterated_tensor_series(law, m, trunc)
+            assert same(iterated_tensor_series(law, m, trunc), want)
+
+    @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+    @pytest.mark.parametrize("degree", [2, 5, 8])
+    def test_random_fgl(self, field, degree):
+        for seed in range(3):
+            law = random_fgl(seed, degree, field)
+            assert dict(law.coeffs) == dict_random_fgl_coeffs(seed, degree, field)
 
 
 def test_as_poly_needs_two_variables():

@@ -41,6 +41,7 @@ from jordanblocks.linalg import (
 )
 from jordanblocks.series import TruncatedPoly
 from oracles import (
+    dense_coefficients,
     fraction_matmul,
     full_power_partition,
     rref_rank_frac,
@@ -189,7 +190,7 @@ class TestOperatorSizeBound:
     def test_gather_refuses_before_allocating(self):
         # a flat coefficient array of 10**10 entries would come first
         with pytest.raises(InvalidInput, match="past the supported"):
-            canonical_series_operator(GF(5), ((100000,), (100000,)), {(1, 0): 1, (0, 1): 1})
+            canonical_series_operator(GF(5), ((100000,), (100000,)), np.eye(2, dtype=np.int64))
 
 
 class TestJordanPartition:
@@ -695,7 +696,8 @@ class TestRationalKernel:
             assert jordan_partition(n) == jordan_type(n) == lam
         for seed, (n, m) in enumerate([(1, 3), (2, 2), (2, 4), (3, 3), (3, 4)]):
             law = random_generalized_law(seed, n + m, QQ)
-            op = canonical_series_operator(QQ, ((n,), (m,)), law.coeffs)
+            op = canonical_series_operator(QQ, ((n,), (m,)),
+                                           *dense_coefficients(QQ, law.coeffs, (n, m)))
             assert jordan_partition(op) == jordan_type(op)
 
 

@@ -59,6 +59,7 @@ from jordanblocks.series import (
     symmetric_split,
 )
 from oracles import (
+    dense_coefficients,
     dense_quotient_operator,
     gathered_power_table,
     gathered_tensor_partition,
@@ -216,7 +217,7 @@ class TestStructureConstants:
         offsets = linalg._block_offsets
         repring.clear_memo()
         assert offsets.cache_info().currsize == 0
-        canonical_series_operator(F5, ((3,), (4,)), additive(F5).coeffs)
+        canonical_series_operator(F5, ((3,), (4,)), additive(F5).as_poly((3, 4)).num)
         hits = offsets.cache_info().hits
         first = offsets(Partition((3,)), 4, 12)
         assert offsets.cache_info().hits == hits + 1
@@ -411,7 +412,7 @@ class TestPowerTable:
 
     @staticmethod
     def check(field, box, law):
-        got = repring._power_table(field, box, linalg._coefficient_arrays(field, law.coeffs, 2))
+        got = repring._power_table(field, box, law)
         want = gathered_power_table(field, box, law.coeffs)
         assert got.shape == want.shape and np.array_equal(got, want), (field, box)
 
@@ -445,7 +446,7 @@ class TestPowerTable:
         for box in [(1, 1), (1, 2), (2, 1), (2, 2), (1, 4), (4, 1)]:
             self.check(field, box, law)
         with pytest.raises(BadPrime):
-            repring._power_table(field, (3, 2), linalg._coefficient_arrays(field, law.coeffs, 2))
+            repring._power_table(field, (3, 2), law)
 
     def test_memory_stays_near_the_table(self):
         # each round goes in chunks whose stacked shifts hold no more entries
@@ -453,10 +454,10 @@ class TestPowerTable:
         # here the gathered operator and one unchunked round of 39 powers
         # would each take 20 times the table's bytes
         law = random_generalized_law(4, 80, F5)
-        terms = linalg._coefficient_arrays(F5, law.coeffs, 2)
+        law.as_poly((40, 40))  # the law's series, built once per law
         tracemalloc.start()
         try:
-            table = repring._power_table(F5, (40, 40), terms)
+            table = repring._power_table(F5, (40, 40), law)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -543,7 +544,9 @@ class TestGatheredOperators:
         phi = nilpotent_from_partition(field, lam)
         psi = nilpotent_from_partition(field, mu)
         kron = tensor_operator(phi, psi, law)
-        assert canonical_series_operator(field, (lam, mu), law.coeffs) == kron
+        box = (max(lam, default=0), max(mu, default=0))
+        coeffs = dense_coefficients(field, law.coeffs, box)
+        assert canonical_series_operator(field, (lam, mu), *coeffs) == kron
         assert tensor_partition(lam, mu, law, field) == jordan_partition(kron)
 
     def _check_power(self, field, lam, m, law):
@@ -589,7 +592,10 @@ class TestGatheredOperators:
         self._check_power(field, lam, m, random_generalized_law(seed, m * lam[0] + 1, field))
 
     def test_exponents_past_the_largest_block_are_dropped(self):
-        op = canonical_series_operator(F5, ((2, 1), (3,)), {(2, 0): 1, (0, 3): 4, (1, 2): 3})
+        # a coefficient array larger than the box of the largest blocks, (2, 3)
+        coeffs = np.zeros((3, 4), dtype=np.int64)
+        coeffs[2, 0], coeffs[0, 3], coeffs[1, 2] = 1, 4, 3
+        op = canonical_series_operator(F5, ((2, 1), (3,)), coeffs)
         phi = nilpotent_from_partition(F5, (2, 1))
         psi = jordan_block(F5, 3)
         assert op == phi.kron(psi @ psi).scale(3)

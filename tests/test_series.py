@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from jordanblocks import series
 from jordanblocks.errors import (
     AlgebraError,
+    BadPrime,
     FactorialNotInvertible,
     InvalidInput,
     NonzeroConstantTerm,
@@ -26,7 +27,13 @@ from jordanblocks.series import (
     mult_matrix,
     symmetric_split,
 )
-from oracles import loop_mult_matrix, monomial_endomorphism_matrix
+from oracles import (
+    DictSeries,
+    dict_compose_inverse,
+    dict_symmetric_split,
+    loop_mult_matrix,
+    monomial_endomorphism_matrix,
+)
 
 F5 = GF(5)
 
@@ -200,6 +207,15 @@ class TestConstructorCoercion:
     def test_refusals(self, coeffs):
         with pytest.raises(InvalidInput):
             TruncatedPoly(F5, (3,), coeffs)
+
+    @pytest.mark.parametrize("trunc", [(2.7,), (2.0,), (3, 1.5), ("2",), (None,)])
+    def test_non_integer_truncations_are_refused(self, trunc):
+        # int() would read (2.7,) as (2,)
+        with pytest.raises(InvalidInput, match="integers"):
+            TruncatedPoly(F5, trunc, {(1,) * len(trunc): 1})
+        with pytest.raises(InvalidInput, match="integers"):
+            TruncatedPoly.constant(F5, trunc, 1)
+        assert TruncatedPoly(F5, (np.int64(2),), {(1,): 1}).trunc == (2,)
 
     def test_a_linear_coefficient_vanishing_mod_p_is_refused(self):
         # 5 Y + Y^2 is Y^2 over F_5: Y -> Y^2 is no automorphism
@@ -504,3 +520,108 @@ class TestSymmetricSplit:
         f = elementary_symmetric(f2, (2, 2), 1)
         with pytest.raises(FactorialNotInvertible):
             symmetric_split(f)
+
+
+#: the fields of the dict-reference checks; at the largest prime below 2**31
+#: a product of three terms (p-1)**2 passes 2**63, so int64 sums are reduced
+#: after each term
+ORACLE_FIELDS = [GF(2), F5, GF(2147483647), QQ]
+
+
+@st.composite
+def oracle_series(draw, count=2, trunc=None):
+    """``count`` series in one box over a field of ``ORACLE_FIELDS``; small
+    integers of both signs, so coefficients near p over the large prime."""
+    field = draw(st.sampled_from(ORACLE_FIELDS))
+    if trunc is None:
+        trunc = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    box = st.tuples(*[st.integers(0, r - 1) for r in trunc])
+    coeff = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4).filter(
+        lambda c: not field.p or c.denominator % field.p))
+    return [TruncatedPoly(field, trunc, draw(st.dictionaries(box, coeff, max_size=8)))
+            for _ in range(count)]
+
+
+def same(got: TruncatedPoly, want: DictSeries) -> bool:
+    return got.trunc == want.trunc and dict(got.coeffs) == want.coeffs
+
+
+class TestDictOracle:
+    """Each dense operation against the dict reference ``oracles.DictSeries``."""
+
+    @given(oracle_series(), st.integers(-4, 4), st.integers(0, 6), st.randoms())
+    @settings(max_examples=120, deadline=None)
+    def test_ring_ops(self, pair, k, d, rng):
+        f, g = pair
+        df, dg = DictSeries.of(f), DictSeries.of(g)
+        assert same(f + g, df + dg) and same(f - g, df - dg) and same(-f, -df)
+        assert same(f * g, df * dg) and same(g * f, df * dg)
+        assert same(f.scale(k), df.scale(k))
+        assert same(f.homogeneous_part(d), df.homogeneous_part(d))
+        assert same(f.truncate_degree(d), df.truncate_degree(d))
+        sigma = list(range(f.num_vars))
+        rng.shuffle(sigma)
+        assert same(f.permute_variables(sigma), df.permute_variables(sigma))
+        assert mult_matrix(f) == loop_mult_matrix(df)
+
+    @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+    @pytest.mark.parametrize("trunc", [(9,), (4, 5), (3, 3, 3)])
+    def test_dense_products_near_p(self, field, trunc):
+        # every coefficient -1 or -2: at the large prime the sums of (p-1)**2
+        # and (p-2)**2 pass 2**63 many times over
+        f = TruncatedPoly(field, trunc, {e: -1 for e in monomial_basis(trunc)})
+        g = TruncatedPoly(field, trunc, {e: -1 - sum(e) % 2 for e in monomial_basis(trunc)})
+        df, dg = DictSeries.of(f), DictSeries.of(g)
+        assert same(f * g, df * dg) and same(f * f, df * df)
+        assert same(f.scale(-2), df.scale(-2))
+        ys = [var(field, trunc, i) for i in range(len(trunc))]
+        gs = [y + y * g for y in ys]
+        assert same(f.substitute(gs), df.substitute([DictSeries.of(x) for x in gs]))
+
+    def test_largest_supported_prime_and_past_it(self):
+        # entries stay below p + (p-1)**2 < 2**63 after each reduced term at
+        # the largest prime F_p elimination supports; past it (p-1)**2
+        # alone wraps int64, so a series there is refused
+        field = GF(3037000493)
+        f = TruncatedPoly(field, (6, 2), {e: -1 - e[1] for e in monomial_basis((6, 2))})
+        assert same(f * f, DictSeries.of(f) * DictSeries.of(f))
+        with pytest.raises(BadPrime):
+            TruncatedPoly(GF(4000000007), (3,), {(1,): 1})
+
+    @given(oracle_series(count=3))
+    @settings(max_examples=80, deadline=None)
+    def test_substitute(self, series):
+        f, g, h = series
+        field, trunc = f.field, f.trunc
+        images = [x - TruncatedPoly.constant(field, trunc, x.constant_term()) for x in (g, h)]
+        images = (images * 2)[:len(trunc)]
+        # f in as many variables as the box, at the images
+        got = f.substitute(images)
+        assert same(got, DictSeries.of(f).substitute([DictSeries.of(x) for x in images]))
+
+    @given(st.sampled_from(ORACLE_FIELDS), st.integers(2, 9), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_compose_inverse(self, field, r, data):
+        lin = data.draw(st.integers(-3, 3).filter(lambda c: field(c) != 0))
+        tail = data.draw(st.lists(st.integers(-3, 3), max_size=r - 2))
+        f = TruncatedPoly.univariate(field, r, [0, lin] + tail)
+        assert same(compose_inverse(f), dict_compose_inverse(DictSeries.of(f)))
+
+    @given(st.sampled_from([F5, GF(2147483647), QQ]), st.integers(1, 3), st.integers(1, 3),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_symmetric_split(self, field, m, r, data):
+        # the sum of every permutation of a series with no term of degree
+        # below 2, plus Y_1 + ... + Y_m
+        import itertools
+
+        trunc = (r,) * m
+        higher = [e for e in monomial_basis(trunc) if sum(e) >= 2]
+        h = TruncatedPoly(field, trunc, data.draw(st.dictionaries(
+            st.sampled_from(higher), st.integers(-3, 3), max_size=5)) if higher else {})
+        f = elementary_symmetric(field, trunc, 1)
+        for sigma in itertools.permutations(range(m)):
+            f = f + h.permute_variables(sigma)
+        got = symmetric_split(f)
+        want = dict_symmetric_split(DictSeries.of(f))
+        assert all(same(x, y) for x, y in zip(got, want)) and len(got) == m
