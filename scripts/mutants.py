@@ -53,6 +53,7 @@ OFFSETS_TEST = ("tests/test_repring.py::TestStructureConstants::"
                 "test_gather_offsets_are_memoized_read_only")
 CELL_TESTS = "tests/test_repring.py::TestCellRoute::"
 DENSE_TESTS = "tests/test_series.py::TestDictOracle::"
+SQUARE_TESTS = "tests/test_repring.py::TestSquareRoute::"
 
 MUTANTS = [
     # 4 * bits + 1 would pick the same width as 4 * bits + 2 for every p:
@@ -189,6 +190,30 @@ MUTANTS = [
     Mutant("inverse-divides-by-xi-once", SERIES,
            "xi_inv_k = field.mul(xi_inv_k, lin_inv)", "xi_inv_k = lin_inv",
            (DENSE_TESTS + "test_compose_inverse",)),
+    # at p = 2 the swap is trivial on A/tA, so the even (Sym^2) or odd
+    # (wedge^2) x^i do not generate the square: the span count falls short
+    Mutant("square-parity-generators-at-p2", REPRING,
+           "n, 1 if char2 else 2)", "n, 2)",
+           (SQUARE_TESTS + "test_seeded_squares",)),
+    # folds onto (1 + s)A, not the wedge: wrong wherever p != 2
+    Mutant("square-wedge-sign-plus", REPRING,
+           "return first, second, -1 if wedge else 1", "return first, second, 1",
+           (SQUARE_TESTS + "test_seeded_squares",)),
+    # 2 c_aa on the diagonal: a column scale at p != 2, a zero column at p = 2
+    Mutant("square-sym-diagonal-doubled", REPRING,
+           "(b >= i) & (a != b)", "(b >= i)",
+           (SQUARE_TESTS + "test_seeded_squares",)),
+    # a table with every power past F^0 zero then reads as t = 0
+    Mutant("span-postcondition-removed", REPRING,
+           "if ranks[-1] != dim:", "if False:",
+           (SQUARE_TESTS + "test_span_postcondition_is_a_typed_error",
+            CELL_TESTS + "test_span_postcondition_is_a_typed_error")),
+    Mutant("square-any-law", REPRING,
+           "if not np.array_equal(series, series.T):", "if False:",
+           (SQUARE_TESTS + "test_non_symmetric_law",)),
+    Mutant("clear-memo-keeps-folds", REPRING,
+           "    _square_fold.cache_clear()\n", "",
+           (SQUARE_TESTS + "test_fold_index",)),
 ]
 
 

@@ -14,6 +14,7 @@ saying so.
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass
 
 from .errors import AlgebraError, CharTwo, InvalidInput
@@ -59,25 +60,28 @@ def adjoint_partition(kind: str, lam, pair, square) -> Partition:
     :class:`RingElement`s.  GL takes J_a (x) J_a for each block and
     J_a (x) J_b twice for each pair of distinct blocks (the two orders are
     isomorphic); Sp and SO take the square of each block and J_a (x) J_b
-    once.
+    once.  The multiplicities are summed in one dict and wrapped once; a
+    total dimension other than the adjoint module's raises AlgebraError.
     """
     lam = Partition(lam)
     if not validate_classical_partition(kind, lam):
         raise InvalidInput(f"{tuple(lam)} is not a nilpotent partition for {kind}")
-    parts = tuple(lam)
     d = lam.dim
     shape = "sym" if kind == "Sp" else "wedge"
     cross = 2 if kind == "GL" else 1
-    out = RingElement()
-    for i, a in enumerate(parts):
-        out = out + (pair(a, a) if kind == "GL" else square(a, shape))
-        for b in parts[i + 1:]:
-            out = out + cross * pair(a, b)
+    terms = collections.Counter()
+    for i, a in enumerate(lam):
+        for n, mult in (pair(a, a) if kind == "GL" else square(a, shape)).terms.items():
+            terms[n] += mult
+        for b in lam[i + 1:]:
+            for n, mult in pair(a, b).terms.items():
+                terms[n] += cross * mult
+    dim = sum(n * mult for n, mult in terms.items())
     want = {"GL": d * d, "Sp": d * (d + 1) // 2, "SO": d * (d - 1) // 2}[kind]
-    if out.dim() != want:
-        raise AlgebraError(f"{kind} adjoint of {tuple(lam)} has dimension {out.dim()}, "
+    if dim != want:
+        raise AlgebraError(f"{kind} adjoint of {tuple(lam)} has dimension {dim}, "
                            f"expected {want}")
-    return out.to_partition()
+    return RingElement(terms).to_partition()
 
 
 def _adjoint_under(kind: str, lam, law: GeneralizedLaw) -> Partition:

@@ -95,6 +95,12 @@ class Partition(tuple):
                 raise InvalidInput(f"parts must be weakly decreasing, got {parts}")
         return super().__new__(cls, parts)
 
+    @classmethod
+    def _trusted(cls, parts: Iterable[int]) -> "Partition":
+        """Wrap parts known to be positive ints in weakly decreasing order,
+        with no checks (the partitions that this library builds itself)."""
+        return tuple.__new__(cls, parts)
+
     @property
     def dim(self) -> int:
         return sum(self)
@@ -778,7 +784,8 @@ def _partition_from_ranks(ranks: Iterable[int], n: int) -> Partition:
     parts = []
     for k in range(len(kernel_dims), 0, -1):
         parts += [k] * (steps[k - 1] - steps[k])
-    out = Partition(parts)
+    # positive and weakly decreasing by construction
+    out = Partition._trusted(parts)
     if out.dim != n:
         raise AlgebraError(f"kernel dimensions {kernel_dims} give a partition of "
                            f"{out.dim}, not {n}")

@@ -18,6 +18,17 @@ on A; boxes grow by powers of two, so a law's table is rebuilt about log2
 times per side.  ``tensor_operator`` (Kronecker products of powers) is the
 tests' reference.
 
+The squares Sym^2 J_n and wedge^2 J_n (``square_constants``) come off the
+same table with no operator: each row x^i F^j of k[x, y]/(x^n, y^n) is
+folded onto the n(n +- 1)/2 columns of the square, x^a y^b onto the sorted
+pair (a, b) with the sign of the sort for the wedge, through one memoized
+gather index per (n, shape, p == 2).  Every x^i is a generator at p = 2,
+and elsewhere only the even (Sym^2) or odd (wedge^2) i, since the swap
+acts as x -> -x + ... on the quotient by t; the span count after the last
+level must be the square's dimension, or AlgebraError.  ``sym_partition``
+and ``wedge_partition``, which straighten the gathered operator of the
+m-fold power, are the squares' reference.
+
 Exterior and symmetric powers are realized as quotients of the m-fold tensor
 power.  The induced matrix takes the columns of the power operator at the
 basis words and straightens the words of its rows in one pass: every tensor
@@ -198,11 +209,22 @@ def _cell_partition(n: int, m: int, law: GeneralizedLaw, field: Field) -> Partit
                       dtype=np.min_scalar_type(field.p - 1) if field.p else object)
     for i in range(c):
         levels[:, i, i:] = cell[:, :n - i]
-    ranks = _level_ranks(levels.reshape(len(cell), c, n * m), field.p)
-    if ranks[-1] != n * m:
-        raise AlgebraError(f"x^i F^j for i < {c} span {ranks[-1]} dimensions of "
-                           f"J_{n} (x) J_{m}, not {n * m}")
-    return _partition_from_ranks(reversed(ranks[:-1]), n * m)
+    return _span_partition(levels.reshape(len(cell), c, n * m), field.p,
+                           f"x^i F^j for i < {c}", f"J_{n} (x) J_{m}")
+
+
+def _span_partition(levels: np.ndarray, p: int, generators: str, module: str) -> Partition:
+    """Jordan type of t on a module from the rows g t^j of its generators g,
+    ``levels`` (count, generators, dim) ordered top power first and ending
+    at t^0: the count after the levels j >= l is rank t^l
+    (``_level_ranks``).  The count after the last level must be dim, or
+    AlgebraError (naming the ``generators`` and the ``module``): that
+    certifies that the rows generate the module."""
+    dim = levels.shape[2]
+    ranks = _level_ranks(levels, p)
+    if ranks[-1] != dim:
+        raise AlgebraError(f"{generators} span {ranks[-1]} dimensions of {module}, not {dim}")
+    return _partition_from_ranks(reversed(ranks[:-1]), dim)
 
 
 def _law_powers(law: GeneralizedLaw, field: Field, n: int, m: int) -> np.ndarray:
@@ -318,20 +340,90 @@ def structure_constants(n: int, m: int, law: GeneralizedLaw, field: Field) -> Ri
 
 
 def square_constants(n: int, shape: str, law: GeneralizedLaw) -> RingElement:
-    """Class of Sym^2 J_n (``shape == "sym"``) or wedge^2 J_n under the law.
+    """Class of Sym^2 J_n (``shape == "sym"``) or wedge^2 J_n under the law,
+    read off the law's memoized table of powers (``_square_partition``).
 
-    Memoized next to the structure constants, under a key of its own; an
-    unknown shape raises InvalidInput.
+    Memoized next to the structure constants, under a key of its own.  An
+    unknown shape or a block size that is not an integer >= 1 raises
+    InvalidInput, and a law whose series is not symmetric raises
+    InvalidInput too, as ``sym_partition``/``wedge_partition`` do; nothing
+    is memoized for a refusal.
     """
     if shape not in ("sym", "wedge"):
         raise InvalidInput(f"unknown square {shape!r}")
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise InvalidInput(f"block size must be an integer, got {n!r}") from None
+    if n < 1:
+        raise InvalidInput(f"block size must be >= 1, got {n}")
     key = (shape, n, law.fingerprint())
     hit = _constants_memo.get(key)
     if hit is None:
-        square = sym_partition if shape == "sym" else wedge_partition
         hit = _constants_memo[key] = RingElement.from_partition(
-            square((n,), 2, law, law.field))
+            _square_partition(n, shape, law))
     return hit
+
+
+def _square_partition(n: int, shape: str, law: GeneralizedLaw) -> Partition:
+    """Jordan type of Sym^2 J_n or wedge^2 J_n under a symmetric law, from
+    the rows x^i F^j of A = k[x, y]/(x^n, y^n) folded onto the square.
+
+    Sym^2 is A/(1 - s)A for the swap s of x and y, and wedge^2 is A modulo
+    (1 + s)A and the diagonal x^a y^a; the quotient map sends x^a y^b to the
+    column (min(a, b), max(a, b)), with the sign of the sort for the wedge
+    (the straightening of ``induced_quotient_operator``).  It commutes with
+    t = F(x, y) when F is symmetric, so t^l of the square is the image of
+    t^l A.  A/tA is k[x]/(x^n) (``_cell_partition``), so the x^i generate
+    the square as a k[t]-module: every i at p = 2 (i >= 1 for the wedge,
+    where x^0 y^0 is diagonal).  At p != 2 and over Q the swap acts on
+    A/tA as x -> -x + (higher powers), so modulo (1 - s) an odd x^i is half
+    a combination of higher powers, and modulo (1 + s) an even one is: the
+    even i generate Sym^2 and the odd i wedge^2.  The levels j = 2n-2 down
+    to 0 go into one echelon (``_span_partition``), and the count after
+    level 0 must be n(n +- 1)/2, or AlgebraError: that certifies the
+    generators for this square.  The fold is a gather from the table's
+    slices through one memoized index (``_square_fold``); no operator is
+    built.
+    """
+    field = law.field
+    _require_operator_dim(n * n)
+    series = law.as_poly((n, n)).num
+    if not np.array_equal(series, series.T):
+        raise InvalidInput("the law's series is not symmetric, so its operator does not "
+                           "commute with swapping the tensor factors and induces no map "
+                           f"on the square of J_{n}")
+    powers = _law_powers(law, field, n, n)
+    first, second, sign = _square_fold(n, shape, field.p == 2)
+    if not first.size:
+        return Partition(())
+    # F^(2n-2), ..., F^0 mod (x^n, y^n), flat, with a zero at n * n
+    cell = np.zeros((2 * n - 1, n * n + 1), dtype=powers.dtype)
+    cell[:, :-1] = powers[2 * n - 2::-1, :n, :n].reshape(2 * n - 1, n * n)
+    levels = cell[:, first] + sign * cell[:, second]
+    if field.p:
+        levels = np.remainder(levels, field.p).astype(np.min_scalar_type(field.p - 1))
+    return _span_partition(levels, field.p, f"{len(first)} generators x^i",
+                           f"the {shape} square of J_{n}")
+
+
+@functools.lru_cache(maxsize=None)
+def _square_fold(n: int, shape: str, char2: bool) -> tuple:
+    """(first, second, sign): the folded row x^i F^j at column (a, b) of
+    the square is F^j[a - i, b] + sign * F^j[b - i, a], for the generators
+    i (rows) and the columns a <= b of Sym^2 or a < b of wedge^2; both are
+    indices into F^j flattened, reading the zero at n * n past the box and
+    for the second term of a Sym^2 diagonal.  Memoized and read-only;
+    ``clear_memo`` drops them."""
+    wedge = shape == "wedge"
+    a, b = np.triu_indices(n, int(wedge))
+    i = np.arange(int(wedge), n, 1 if char2 else 2)[:, None]
+    zero = n * n
+    first = np.where(a >= i, (a - i) * n + b, zero)
+    second = np.where((b >= i) & (a != b), (b - i) * n + a, zero)
+    for index in (first, second):
+        index.flags.writeable = False
+    return first, second, -1 if wedge else 1
 
 
 def ring_multiply(x: RingElement, y: RingElement, law: GeneralizedLaw,
@@ -506,7 +598,8 @@ def build_symmetric_intertwiner(n: int, m: int, law: GeneralizedLaw) -> Matrix:
 
 def clear_memo() -> None:
     """Drop the memoized structure constants, block squares and tables of
-    law powers, and the gather's block offsets (used by tests and benchmark
-    passes)."""
+    law powers, the squares' fold indices and the gather's block offsets
+    (used by tests and benchmark passes)."""
     _constants_memo.clear()
+    _square_fold.cache_clear()
     _block_offsets.cache_clear()

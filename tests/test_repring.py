@@ -695,6 +695,147 @@ class TestNonSymmetricLaw:
             assert got == power(lam, m, additive(field), field)
 
 
+SQUARE_FIELDS = [QQ, F2, F3, F5, F7, GF(13)]
+
+
+class TestSquareRoute:
+    """Sym^2 J_n and wedge^2 J_n folded from the law's table of powers
+    (``square_constants``), against the operator route: the gathered
+    n^2 x n^2 operator straightened onto the quotient and its Jordan type
+    (``sym_partition``/``wedge_partition``)."""
+
+    @staticmethod
+    def check(n, law):
+        for shape, oracle in (("sym", sym_partition), ("wedge", wedge_partition)):
+            want = RingElement.from_partition(oracle((n,), 2, law, law.field))
+            assert square_constants(n, shape, law) == want, (law.field, law, n, shape)
+
+    @pytest.mark.parametrize("field", SQUARE_FIELDS, ids=str)
+    def test_seeded_squares(self, field):
+        # every n up to the top, then cold in a shuffled order, so that the
+        # squares read tables of several boxes
+        rng = random.Random(f"square-route:{field.p}")
+        top = 6 if field == QQ else 12
+        sizes = list(range(1, top + 1))
+        for kind in QUOTIENT_LAWS:
+            law = symmetric_law(kind, field, 2 * top - 2, rng)
+            repring.clear_memo()
+            for n in sizes:
+                self.check(n, law)
+            rng.shuffle(sizes)
+            repring.clear_memo()
+            for n in sizes[:4]:
+                self.check(n, law)
+
+    @given(st.sampled_from(SQUARE_FIELDS), st.integers(1, 12),
+           st.sampled_from(QUOTIENT_LAWS), st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_hypothesis_squares(self, field, n, kind, seed):
+        n = min(n, 6) if field == QQ else n
+        repring.clear_memo()
+        self.check(n, symmetric_law(kind, field, 2 * n - 2, random.Random(seed)))
+
+    @pytest.mark.parametrize("field", SQUARE_FIELDS, ids=str)
+    def test_one_block_of_size_one(self, field):
+        rng = random.Random(f"square-one:{field.p}")
+        for kind in QUOTIENT_LAWS:
+            law = symmetric_law(kind, field, 2, rng)
+            assert square_constants(1, "sym", law) == RingElement({1: 1})
+            assert square_constants(1, "wedge", law) == RingElement()
+            self.check(1, law)
+
+    @pytest.mark.parametrize("n", [0, -2, 2.5])
+    def test_block_sizes_that_are_not_positive_integers(self, n):
+        repring.clear_memo()
+        for shape in ("sym", "wedge"):
+            with pytest.raises(InvalidInput, match="block size"):
+                square_constants(n, shape, additive(F5))
+        assert not repring._constants_memo
+
+    def test_law_of_too_low_a_degree(self):
+        law = random_fgl(3, 5, F5)
+        repring.clear_memo()
+        for shape in ("sym", "wedge"):
+            with pytest.raises(TruncationTooShort):
+                square_constants(4, shape, law)
+        assert not repring._constants_memo
+        self.check(3, law)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_non_symmetric_law(self, seed):
+        law = random_generalized_law(seed, 6, F5)
+        for oracle in (sym_partition, wedge_partition):
+            with pytest.raises(InvalidInput, match="commute"):
+                oracle((4,), 2, law, F5)
+        repring.clear_memo()
+        for shape in ("sym", "wedge"):
+            with pytest.raises(InvalidInput, match="commute"):
+                square_constants(4, shape, law)
+        assert not repring._constants_memo
+
+    def test_no_operator_is_built(self, monkeypatch):
+        laws = [additive(F2), multiplicative(F5), scaled_multiplicative(F7, F7(3)),
+                random_fgl(5, 14, QQ)]
+        want = {}
+        for law in laws:
+            for n in range(1, 7):
+                want[law, n] = (RingElement.from_partition(sym_partition((n,), 2, law, law.field)),
+                                RingElement.from_partition(wedge_partition((n,), 2, law, law.field)))
+
+        def refuse(*args, **kwargs):
+            pytest.fail("the square built an operator")
+
+        for name in ("power_operator", "induced_quotient_operator", "jordan_partition"):
+            monkeypatch.setattr(repring, name, refuse)
+        monkeypatch.setattr(linalg, "jordan_partition", refuse)
+        repring.clear_memo()
+        for (law, n), (sym, wedge) in want.items():
+            assert square_constants(n, "sym", law) == sym, (law, n)
+            assert square_constants(n, "wedge", law) == wedge, (law, n)
+
+    def test_span_postcondition_is_a_typed_error(self, monkeypatch):
+        # a table whose powers past F^0 vanish leaves the generators x^0 and
+        # x^2 alone, folded onto two columns of the six of Sym^2 J_3
+        build = repring._power_table
+
+        def broken(field, box, law):
+            powers = build(field, box, law).copy()
+            powers[1:] = 0
+            return powers
+
+        monkeypatch.setattr(repring, "_power_table", broken)
+        repring.clear_memo()
+        law = additive(F5)
+        with pytest.raises(AlgebraError,
+                           match=r"2 generators x\^i span 2 dimensions of the sym square of J_3, not 6"):
+            square_constants(3, "sym", law)
+        assert ("sym", 3, law.fingerprint()) not in repring._constants_memo
+        repring.clear_memo()
+
+    def test_fold_index(self):
+        fold = repring._square_fold
+        repring.clear_memo()
+        assert fold.cache_info().currsize == 0
+        square_constants(2, "sym", additive(F5))
+        assert fold.cache_info().currsize == 1
+        # x^0 F^j onto (0, 0), (0, 1), (1, 1); 4 is the zero past the box
+        first, second, sign = fold(2, "sym", False)
+        assert first.tolist() == [[0, 1, 3]] and second.tolist() == [[4, 2, 4]] and sign == 1
+        # x^1 F^j onto (0, 1): -F^j[0, 0]
+        first, second, sign = fold(2, "wedge", False)
+        assert first.tolist() == [[4]] and second.tolist() == [[0]] and sign == -1
+        # at p = 2 every x^i, i >= 1 for the wedge
+        assert fold(3, "sym", True)[0].shape == (3, 6)
+        assert fold(3, "wedge", True)[0].shape == (2, 3)
+        assert fold(3, "sym", False)[0].shape == (2, 6)
+        assert fold(3, "wedge", False)[0].shape == (1, 3)
+        for index in fold(3, "sym", True)[:2]:
+            with pytest.raises(ValueError, match="read-only"):
+                index[0, 0] = 1
+        repring.clear_memo()
+        assert fold.cache_info().currsize == 0
+
+
 class TestSigmaMatrices:
     def test_swap_on_two_dims(self):
         (swap,) = sigma_matrices(2, 2, F3)
