@@ -135,11 +135,21 @@ MUTANTS = [
            ("tests/test_repring.py::TestTensorOperator::"
             "test_law_over_another_field_is_refused",)),
     # over Q the complement R_0 taken from the first rank-N columns, not
-    # from the columns past the Bareiss leads
+    # from the columns past the echelon's leads
     Mutant("rational-leads-by-pivot-order", LINALG,
-           "leads = {lead for lead, _ in _bareiss(n.tolist())}",
-           "leads = set(range(len(_bareiss(n.tolist()))))",
-           ("tests/test_linalg.py::TestKrylovRanks::test_seeded_conjugates",)),
+           "leads = set(_echelon(n, p))",
+           "leads = set(range(len(_echelon(n, p))))",
+           ("tests/test_linalg.py::TestKrylovRanks::test_seeded_conjugates[0]",)),
+    # a rational pivot keeps the sign of the row that reached its lead
+    Mutant("q-pivot-sign-unnormalized", LINALG,
+           "g = math.gcd(*r) if r[lead] > 0 else -math.gcd(*r)", "g = math.gcd(*r)",
+           ("tests/test_linalg.py::TestIntegerRationals::"
+            "test_rational_pivots_are_primitive_with_positive_leads",)),
+    # back substitution floor-divides by a pivot that does not divide the row
+    Mutant("q-solve-denominator-skipped", LINALG,
+           "        if scale != 1:\n", "        if False:\n",
+           ("tests/test_linalg.py::TestEchelonKernel::test_solve_over_q",
+            "tests/test_linalg.py::TestEchelonKernel::test_solve_and_inverse_match_oracle")),
     # 7 stays 7 in a series over F_5, and 5 stays a nonzero coefficient
     Mutant("series-keeps-unreduced-coefficients", SERIES,
            "            c = field(c)\n", "",

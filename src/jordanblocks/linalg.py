@@ -16,21 +16,22 @@ accumulated dot products stay below 2**53; a product that could pass that
 bound raises ``BadPrime`` instead of rounding.  Over Q a product is the
 integer product num @ num over den * den.
 
-Each field has one elimination, and rank, Jordan type, inverse and solve all
-come from it: the packed-row echelon form over F_p (``_echelon_rows``) and
-Bareiss's fraction-free elimination over Q (``_bareiss``), which both return
-the pivot rows of an echelon form.  A rank is their count; a linear system
-is inconsistent when a pivot row of [b | rhs] has its lead in the rhs
+Both fields have one elimination, and rank, Jordan type, inverse and solve
+all come from it (``_echelon``): rows go one at a time into a dict from
+leading column to pivot row, packed rows over F_p (``_insert_rows``) and
+lists of Python ints over Q (``_insert_int_rows``), where every pivot is
+primitive with a positive lead.  A rank is the count of the dict; a linear
+system is inconsistent when a pivot row of [b | rhs] has its lead in the rhs
 columns, and is otherwise solved by one back substitution for both fields,
 one vector-matrix product per pivot on integer rows (``_solve``).
 Partitions are read off an operator through the ranks of its powers, never
 through a similarity transform (``_partition_from_ranks``).  In both fields
-they come from one Krylov elimination (``_power_ranks``): the field's
-elimination of N gives a complement R_0 of its row space, and the rows
-R_0 N^l, inserted into one echelon from the top power down
-(``_level_ranks``, which ``repring`` shares for its cells), count rank N^l
-after each level.  Over Q the levels are integer rows, each divided by the
-gcd of its entries (``_primitive``).
+they come from one Krylov elimination (``_power_ranks``): the echelon of N
+gives a complement R_0 of its row space, and the rows R_0 N^l, inserted
+into one echelon from the top power down (``_level_ranks``, which
+``repring`` shares for its cells), count rank N^l after each level.  Over Q
+the levels are integer rows, each divided by the gcd of its entries
+(``_primitive``).
 
 The F_p echelon form works on packed rows: each row is one Python int
 holding column j in the bits [j w, (j + 1) w).  For p of bit length L, w is
@@ -304,9 +305,8 @@ class Matrix:
     # -- elimination ----------------------------------------------------------
 
     def rank(self) -> int:
-        if self.field.p:
-            return len(_echelon_rows(self.num, self.field.p))
-        return len(_bareiss(self.num.tolist()))
+        """The pivot count of one echelon of ``num`` (``_echelon``)."""
+        return len(_echelon(self.num, self.field.p))
 
     def inverse(self) -> "Matrix":
         if not self.is_square():
@@ -439,20 +439,31 @@ def _unpack(rows: list, n: int, w: int) -> np.ndarray:
     return raw.reshape(len(rows), n, max(w // 64, 1))[:, :, 0].astype(np.int64)
 
 
-def _echelon_rows(a: np.ndarray, p: int) -> dict:
-    """An echelon form of ``a`` over F_p as {leading column: packed row}.
+def _echelon(a: np.ndarray, p: int) -> dict:
+    """An echelon form of the integer array ``a`` over F_p, or over Q at
+    p = 0, as {leading column: pivot row}; its count is the rank of ``a``.
 
-    Each row is one Python int (see ``_pack``), and the leading column of a
-    row is its lowest set bit divided by w.  The rows go one at a time into
-    ``_insert_rows``, so the count of the dict is the rank of ``a``.
+    Over F_p each row is one Python int (see ``_pack``), its leading column
+    its lowest set bit divided by w; over Q it is a list of Python ints.
+    The rows go one at a time into ``_insert_rows``.
     """
+    return _insert_rows({}, _rows(a, p), p, a.shape[1])
+
+
+def _rows(a: np.ndarray, p: int) -> list:
+    """The rows of an integer array as ``_insert_rows`` takes them: packed
+    over F_p, in the supported range of characteristics, and lists of
+    Python ints over Q."""
+    if not p:
+        return a.tolist()
     _require_int64_elimination(p)
-    return _insert_rows({}, _pack(a, _packing(p, a.shape[1])[0]), p, a.shape[1])
+    return _pack(a, _packing(p, a.shape[1])[0])
 
 
-def _insert_rows(pivots: dict, rows: Iterable[int], p: int, n: int) -> dict:
-    """Reduce packed rows of length n over F_p into the echelon ``pivots``
+def _insert_rows(pivots: dict, rows: Iterable, p: int, n: int) -> dict:
+    """Reduce rows of length n over F_p into the echelon ``pivots``
     {leading column: pivot row}, every pivot scaled to lead 1; returns it.
+    Over Q (p = 0) the rows are lists of ints and go to ``_insert_int_rows``.
 
     At p = 2 (w = 1) every lead is 1, and a row is reduced by r ^= piv.
     Otherwise, while a row's lead already has a pivot, the row is reduced by
@@ -471,6 +482,8 @@ def _insert_rows(pivots: dict, rows: Iterable[int], p: int, n: int) -> dict:
     scaled to lead 1 (fields below p**2 again, one more Barrett step) and
     becomes its pivot; a row that reaches zero is dropped.
     """
+    if not p:
+        return _insert_int_rows(pivots, rows)
     w, s, mult, low, ps = _packing(p, n)
     field = (1 << w) - 1
     for r in rows:
@@ -491,88 +504,77 @@ def _insert_rows(pivots: dict, rows: Iterable[int], p: int, n: int) -> dict:
     return pivots
 
 
-def _echelon_mod(a: np.ndarray, p: int) -> np.ndarray:
-    """Nonzero rows of an echelon form of ``a`` over F_p (rank = row count),
-    with strictly increasing leading columns."""
-    n, pivots = a.shape[1], _echelon_rows(a, p)
-    return _unpack([pivots[c] for c in sorted(pivots)], n, _packing(p, n)[0])
+def _insert_int_rows(pivots: dict, rows: Iterable[list]) -> dict:
+    """Reduce integer rows over Q into the echelon ``pivots`` {leading
+    column: pivot row}, every pivot primitive with a positive lead; returns it.
 
-
-def _bareiss(rows: list) -> list:
-    """Pivot rows of an echelon form over Q of integer ``rows``, leads ascending.
-
-    Bareiss's fraction-free elimination: each pivot replaces every other
-    remaining row by (pivot*row - f*pivot_row) // prev, prev being the
-    previous pivot; by Sylvester's identity the division is exact and the
-    entries are minors of ``rows``, so they stay integers of bounded size.
-    Only the columns after the pivot are kept, and rows that become zero are
-    dropped.  Each pivot row is returned as (lead, tail), its entries from
-    the leading column on; every entry before the lead is zero.  Each input
-    row is first divided by the gcd of its entries, so the rows of a matrix
-    over one common denominator start no larger than if each row had been
-    cleared of its own denominators.
+    While a row r has a pivot P at its lead c, r becomes
+    (P[c] r - r[c] P) / g, the multipliers P[c] and r[c] first divided by
+    their gcd and g the gcd of the result: column c clears, and only the
+    columns past it are computed, as both rows are zero before it.  Each
+    reduction moves the lead right.  A row that reaches a free lead is
+    divided by the gcd of its entries, with the sign of its lead, and
+    becomes its pivot; a row that reaches zero is dropped.
     """
-    rows = [[x // g for x in row] for row in rows if (g := math.gcd(*row))]
-    pivots, prev, offset = [], 1, 0
-    while rows:
-        leads = [next(j for j, x in enumerate(row) if x) for row in rows]
-        k = min(range(len(rows)), key=leads.__getitem__)
-        c = leads[k]
-        pivot_row = rows.pop(k)
-        pivots.append((offset + c, pivot_row[c:]))
-        pivot, tail = pivot_row[c], pivot_row[c + 1:]
-        reduced = []
-        for row in rows:
-            f = row[c]
-            row = [(pivot * x - f * y) // prev for x, y in zip(row[c + 1:], tail)]
-            if any(row):
-                reduced.append(row)
-        rows, prev, offset = reduced, pivot, offset + c + 1
+    for r in rows:
+        lead = next((j for j, x in enumerate(r) if x), None)
+        while lead in pivots:
+            piv = pivots[lead]
+            g = math.gcd(piv[lead], r[lead])
+            a, b = piv[lead] // g, r[lead] // g
+            tail = [a * x - b * y for x, y in zip(r[lead + 1:], piv[lead + 1:])]
+            g = math.gcd(*tail)
+            if g > 1:
+                tail = [x // g for x in tail]
+            r = [0] * (lead + 1) + tail
+            lead = next((j for j, x in enumerate(tail, lead + 1) if x), None)
+        if lead is not None:
+            g = math.gcd(*r) if r[lead] > 0 else -math.gcd(*r)
+            pivots[lead] = [x // g for x in r]
     return pivots
 
 
 def _solve(b: Matrix, rhs: Matrix) -> Matrix | None:
     """x with b @ x = rhs and every free coordinate zero, or None.
 
-    One echelon form of the integer rows [b.num rhs.den | rhs.num b.den] of
-    the system decides everything: ``_echelon_mod`` over F_p (pivots scaled
-    to lead 1), where both den are 1, and ``_bareiss`` over Q.  The system is
-    inconsistent exactly when a pivot row leads at or past column k =
-    b.ncols.  Otherwise x = X / d, with d = 1 over F_p and d the last
-    Bareiss pivot over Q: d is the minor of the pivot rows and columns, so
-    by Cramer's rule X is an integer array.  Back substitution finds it from
-    the last pivot up, one vector-matrix product per pivot: a pivot row t
-    with lead c, pivot t_c and rhs part r gives row c of X as
-    (r d - t[c + 1:k] X[c + 1:]) / t_c, an exact division (the rows of X
-    past c hold the coordinates found so far, and zero at the free ones).
-    Over F_p every t_c is 1 and each row is reduced mod p, so X stays int64
-    while a product of k terms stays below the ``_matmul_mod`` bound.
+    One echelon of the integer rows [b.num rhs.den | rhs.num b.den] of the
+    system decides everything (``_echelon``); over F_p both den are 1.  The
+    system is inconsistent exactly when a pivot row leads at or past column
+    k = b.ncols.  Otherwise x = X / d, found by back substitution from the
+    last pivot up, one vector-matrix product per pivot: a pivot row t with
+    lead c, pivot t_c and rhs part r gives row c of X as
+    (r d - t[c + 1:k] X[c + 1:]) / t_c (the rows of X past c hold the
+    coordinates found so far, and zero at the free ones).  Over F_p every
+    t_c is 1, d is 1 and each row is reduced mod p, so X stays int64 while a
+    product of k terms stays below the ``_matmul_mod`` bound.  Over Q, d is
+    a running denominator that starts at 1: when t_c does not divide the
+    numerator, X and d are first multiplied by t_c / gcd(t_c, content),
+    which scales the numerator too, so the division is exact.
     """
     field, k, p = b.field, b.ncols, b.field.p
     if rhs.field != field or rhs.nrows != b.nrows:
         raise b._mismatch(rhs, "linear system")
     system = np.hstack([b.num * rhs.den, rhs.num * b.den])
+    n, pivots = system.shape[1], _echelon(system, p)
+    leads = sorted(pivots)
+    if leads and leads[-1] >= k:
+        return None
+    rows = [pivots[c] for c in leads]
     if p:
-        rows = _echelon_mod(system, p)
-        leads = (rows != 0).argmax(axis=1).tolist() if rows.size else []
-        pivots = [(lead, row[lead:]) for lead, row in zip(leads, rows)]
+        rows = _unpack(rows, n, _packing(p, n)[0])
         dtype = np.int64 if _float_exact(p, k) else object
     else:
-        pivots = [(lead, np.array(tail, dtype=object)) for lead, tail in
-                  _bareiss(system.tolist())]
-        dtype = object
-    if pivots and pivots[-1][0] >= k:
-        return None
-    den = pivots[-1][1][0] if pivots else 1
-    x = np.zeros((k, rhs.ncols), dtype=dtype)
-    for lead, tail in reversed(pivots):
-        rest = tail[k - lead:] if den == 1 else tail[k - lead:] * den
-        row = rest - tail[1:k - lead] @ x[lead + 1:]
+        rows, dtype = np.array(rows, dtype=object).reshape(len(leads), n), object
+    x, den = np.zeros((k, rhs.ncols), dtype=dtype), 1
+    for lead, t in zip(reversed(leads), rows[::-1]):
+        row = t[k:] * den - t[lead + 1:k] @ x[lead + 1:]
         if p:
-            row %= p
-        elif tail[0] != 1:
-            row //= tail[0]
-        x[lead] = row
+            x[lead] = row % p
+            continue
+        scale = t[lead] // math.gcd(t[lead], *row.tolist())
+        if scale != 1:
+            x, den, row = x * scale, den * scale, row * scale
+        x[lead] = row // t[lead]
     return Matrix._from_ints(field, x, den)
 
 
@@ -690,9 +692,8 @@ def nilpotent_powers(n_mat: Matrix) -> list:
 def _power_ranks(n_mat: Matrix) -> list:
     """[rank N, rank N^2, ..., 0], from one Krylov elimination in both fields.
 
-    One elimination of N gives rank N and its lead columns L: the packed
-    echelon form (``_echelon_rows``) over F_p, and ``_bareiss`` on the
-    integer numerator of N, which has the ranks of N, over Q.  The unit rows
+    One echelon of N (``_echelon``; over Q of its integer numerator, which
+    has the ranks of N) gives rank N and its lead columns L.  The unit rows
     e_j with j not in L span a complement R_0 of the row space of N, so
     k^D = span R_0 + k^D N and, by Nakayama, k^D N^l = span{R_0 N^j : j >= l}.
     The levels R_l = R_(l-1) N are formed up to the first zero R_e: over F_p
@@ -704,12 +705,9 @@ def _power_ranks(n_mat: Matrix) -> list:
     rank N, and R_D must be zero; otherwise NotNilpotent.
     """
     p, dim, n = n_mat.field.p, n_mat.nrows, n_mat.num
-    if p:
-        leads = set(_echelon_rows(n, p))
-        dtype, factor = _field_dtype(_packing(p, dim)[0]), n.astype(np.float64)
-    else:
-        leads = {lead for lead, _ in _bareiss(n.tolist())}
-        dtype, factor = object, n
+    leads = set(_echelon(n, p))
+    dtype = _field_dtype(_packing(p, dim)[0]) if p else object
+    factor = n.astype(np.float64) if p else n
     level, levels = n[[j for j in range(dim) if j not in leads]].astype(dtype), []
     while level.any():
         if len(levels) == dim - 1:
@@ -737,21 +735,12 @@ def _level_ranks(levels: np.ndarray, p: int) -> list:
     of ``levels`` (count, rows per level, D), an array of integer rows
     ordered top power first, so that r_k counts a suffix of the powers.
 
-    Over F_p the rows are packed in one call and inserted into one echelon
-    (``_insert_rows``), one level at a time.  Over Q each level joins the
-    pivot rows of the levels before it in one ``_bareiss`` elimination, so
-    no row space is reduced twice from scratch.
+    The rows are converted in one call, packed over F_p and integer lists
+    over Q (``_rows``), and inserted into one echelon (``_insert_rows``) one
+    level at a time, so no row is reduced twice.
     """
     count, c, dim = levels.shape
-    ranks = [0]
-    if not p:
-        basis = []
-        for level in levels:
-            basis = [[0] * lead + tail for lead, tail in _bareiss(basis + level.tolist())]
-            ranks.append(len(basis))
-        return ranks
-    _require_int64_elimination(p)
-    rows, pivots = _pack(levels.reshape(count * c, dim), _packing(p, dim)[0]), {}
+    rows, pivots, ranks = _rows(levels.reshape(count * c, dim), p), {}, [0]
     for top in range(count):
         ranks.append(len(_insert_rows(pivots, rows[top * c:(top + 1) * c], p, dim)))
     return ranks

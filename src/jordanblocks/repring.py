@@ -351,12 +351,7 @@ def square_constants(n: int, shape: str, law: GeneralizedLaw) -> RingElement:
     """
     if shape not in ("sym", "wedge"):
         raise InvalidInput(f"unknown square {shape!r}")
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise InvalidInput(f"block size must be an integer, got {n!r}") from None
-    if n < 1:
-        raise InvalidInput(f"block size must be >= 1, got {n}")
+    n = _block_size(n)
     key = (shape, n, law.fingerprint())
     hit = _constants_memo.get(key)
     if hit is None:
@@ -436,19 +431,30 @@ def ring_multiply(x: RingElement, y: RingElement, law: GeneralizedLaw,
     return out
 
 
+def _block_size(n) -> int:
+    """``n`` through ``operator.index``; InvalidInput unless an integer >= 1."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise InvalidInput(f"block size must be an integer, got {n!r}") from None
+    if n < 1:
+        raise InvalidInput(f"block size must be >= 1, got {n}")
+    return n
+
+
 def cg_tensor(n: int, m: int) -> RingElement:
-    """Characteristic-0 structure constants: J_{n+m-1} + J_{n+m-3} + ..."""
-    if n < 1 or m < 1:
-        raise InvalidInput("block sizes must be >= 1")
+    """Characteristic-0 structure constants: J_{n+m-1} + J_{n+m-3} + ...
+    Block sizes that are not integers >= 1 raise InvalidInput."""
+    n, m = _block_size(n), _block_size(m)
     return RingElement({n + m - 1 - 2 * i: 1 for i in range(min(n, m))})
 
 
 def cg_square(n: int, shape: str) -> RingElement:
     """Characteristic-0 squares of one block (the sl_2 plethysm):
     Sym^2 J_n = J_{2n-1} + J_{2n-5} + ... and wedge^2 J_n = J_{2n-3} + J_{2n-7} + ...
+    A block size that is not an integer >= 1 raises InvalidInput.
     """
-    if n < 1:
-        raise InvalidInput("block size must be >= 1")
+    n = _block_size(n)
     if shape not in ("sym", "wedge"):
         raise InvalidInput(f"unknown square {shape!r}")
     top = 2 * n - 1 if shape == "sym" else 2 * n - 3

@@ -120,13 +120,14 @@ CONJUGATE_PRIMES = PACKED_PRIMES[:-1]
 
 def check_echelon(a, p):
     """The echelon form of ``a`` and its rank against the RREF oracle."""
-    e = linalg._echelon_mod(a, p)
+    n, pivots = a.shape[1], linalg._echelon(a, p)
+    e = linalg._unpack([pivots[c] for c in sorted(pivots)], n, linalg._packing(p, n)[0])
     rank = rref_rank_mod(a, p)
     assert Matrix(GF(p), a).rank() == e.shape[0] == rank, a.shape
     assert e.shape[1] == a.shape[1] and e.dtype == np.int64
     assert ((0 <= e) & (e < p)).all()
     leads = [int(np.flatnonzero(row)[0]) for row in e]
-    assert leads == sorted(set(leads))
+    assert leads == sorted(pivots) and all(row[c] == 1 for row, c in zip(e, leads))
     assert rref_rank_mod(np.vstack([a % p, e]), p) == rank
 
 
@@ -577,17 +578,17 @@ class TestKrylovRanks:
         cases = [(lam, random_conjugate(field, lam, rng))
                  for lam in [(1,), (2,), (4, 1), (7, 7), (12,), (20, 1, 1)]]
         calls = {"echelon": 0, "product": 0}
-        echelon_rows, matmul_mod = linalg._echelon_rows, linalg._matmul_mod
+        echelon, matmul_mod = linalg._echelon, linalg._matmul_mod
 
         def echelon_spy(*args):
             calls["echelon"] += 1
-            return echelon_rows(*args)
+            return echelon(*args)
 
         def product_spy(*args):
             calls["product"] += 1
             return matmul_mod(*args)
 
-        monkeypatch.setattr(linalg, "_echelon_rows", echelon_spy)
+        monkeypatch.setattr(linalg, "_echelon", echelon_spy)
         monkeypatch.setattr(linalg, "_matmul_mod", product_spy)
         for lam, n in cases:
             calls.update(echelon=0, product=0)
@@ -596,7 +597,7 @@ class TestKrylovRanks:
 
 
 class TestRationalKernel:
-    """Integer products and Bareiss ranks over Q against the Fraction oracles."""
+    """Integer products and echelon ranks over Q against the Fraction oracles."""
 
     @staticmethod
     def check_product(a, b):
@@ -846,11 +847,19 @@ class TestIntegerRationals:
             self.check(inverse, inverse.num.astype(object), field)
             assert x @ inverse == Matrix.identity(field, shape[0])
 
-    def test_bareiss_starts_from_primitive_rows(self):
+    def test_rational_pivots_are_primitive_with_positive_leads(self):
         # a row over a common denominator is divided by the gcd of its
-        # entries first, so its size is that of the row's own denominators
-        assert linalg._bareiss([[6, 12, 18], [0, 0, 0], [0, 10**40, 3 * 10**40]]) == [
-            (0, [1, 2, 3]), (1, [1, 3])]
+        # entries, so its size is that of the row's own denominators; a
+        # zero row is dropped
+        assert linalg._echelon(np.array([[6, 12, 18], [0, 0, 0], [0, 10**40, 3 * 10**40]],
+                                        dtype=object), 0) == {0: [1, 2, 3], 1: [0, 1, 3]}
+        rng = random.Random(8)
+        for nrows, ncols, rank in [(6, 6, 4), (9, 5, 5), (4, 10, 3), (8, 8, 8)]:
+            a = Matrix(QQ, TestRationalKernel.low_rank(rng, nrows, ncols, rank, height=10**6))
+            pivots = linalg._echelon(-a.num, 0)
+            assert len(pivots) == a.rank() == rref_rank_frac(a.a)
+            for lead, row in pivots.items():
+                assert not any(row[:lead]) and row[lead] > 0 and math.gcd(*row) == 1
 
     def test_entries_are_a_read_only_fraction_view(self):
         m = Matrix.from_rows(QQ, [["1/2", 3]])
@@ -865,7 +874,7 @@ class TestIntegerRationals:
 
     def test_products_and_ranks_build_no_fraction(self, monkeypatch):
         # a product is one integer dot product over den * den, a rank one
-        # Bareiss elimination of num
+        # echelon of num
         import fractions
 
         a = Matrix(QQ, random_fractions(random.Random(3), (6, 6), 10**6, zeros=0.1))

@@ -287,7 +287,7 @@ class TestCellRoute:
     @pytest.mark.parametrize("field", [F2, F5, F131, QQ], ids=str)
     def test_seeded_cells(self, field):
         rng = random.Random(f"cell-route:{field.p}")
-        top = 6 if field == QQ else 10
+        top = 10
         laws = [random_generalized_law(rng.randrange(10**6), 2 * top, field),
                 random_generalized_law(rng.randrange(10**6), 2 * top, field, unit_linear=True),
                 multiplicative(field)]
@@ -310,6 +310,24 @@ class TestCellRoute:
         law = random_generalized_law(seed, max(2, n + m - 2), field, unit_linear=unit)
         self.check(field, n, m, law)
         self.check(field, m, n, law)
+
+    def test_rational_pivot_growth(self, monkeypatch):
+        # the pivots of J_16 (x) J_16 over Q peak at 76 bits under this law,
+        # whose table of powers peaks at 70; 2**96 leaves 20 bits of room
+        seen = []
+        insert = linalg._insert_int_rows
+
+        def spy(pivots, rows):
+            seen.append(pivots)
+            return insert(pivots, rows)
+
+        monkeypatch.setattr(linalg, "_insert_int_rows", spy)
+        repring.clear_memo()
+        law = random_generalized_law(5, 32, QQ, unit_linear=True)
+        assert structure_constants(16, 16, law, QQ) == cg_tensor(16, 16)
+        pivots = seen[-1]
+        assert len(pivots) == 256
+        assert max(abs(x) for row in pivots.values() for x in row) < 2**96
 
     @pytest.mark.parametrize("field", [F3, F131, QQ], ids=str)
     def test_shuffled_order_matches_cold_answers(self, field):
@@ -715,7 +733,7 @@ class TestSquareRoute:
         # every n up to the top, then cold in a shuffled order, so that the
         # squares read tables of several boxes
         rng = random.Random(f"square-route:{field.p}")
-        top = 6 if field == QQ else 12
+        top = 12
         sizes = list(range(1, top + 1))
         for kind in QUOTIENT_LAWS:
             law = symmetric_law(kind, field, 2 * top - 2, rng)
@@ -731,7 +749,6 @@ class TestSquareRoute:
            st.sampled_from(QUOTIENT_LAWS), st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_hypothesis_squares(self, field, n, kind, seed):
-        n = min(n, 6) if field == QQ else n
         repring.clear_memo()
         self.check(n, symmetric_law(kind, field, 2 * n - 2, random.Random(seed)))
 
@@ -910,6 +927,24 @@ class TestCgTensor:
         oracle = tensor_partition((4,), (2,), additive(field), field)
         assert cg_tensor(4, 2) == RingElement.from_partition(oracle)
         assert cg_tensor(4, 2) == RingElement({5: 1, 3: 1})
+
+    def test_law_independence_over_q(self):
+        # in characteristic 0 every cell is the Clebsch-Gordan class,
+        # whatever the law
+        laws = [random_generalized_law(26, 24, QQ),
+                random_generalized_law(2026, 24, QQ, unit_linear=True)]
+        repring.clear_memo()
+        for law in laws:
+            for n in range(1, 13):
+                for m in range(1, 13):
+                    assert structure_constants(n, m, law, QQ) == cg_tensor(n, m), (law, n, m)
+
+    @pytest.mark.parametrize("f, args", [(cg_tensor, (2.5, 3)), (cg_tensor, ("3", 2)),
+                                         (cg_tensor, (3, None)), (cg_tensor, (0, 2)),
+                                         (cg_square, (2.5, "sym")), (cg_square, (-1, "wedge"))])
+    def test_non_integer_block_sizes_are_refused(self, f, args):
+        with pytest.raises(InvalidInput, match="block size"):
+            f(*args)
 
 
 class TestIntertwinerPair:
