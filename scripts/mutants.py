@@ -54,6 +54,7 @@ OFFSETS_TEST = ("tests/test_repring.py::TestStructureConstants::"
 CELL_TESTS = "tests/test_repring.py::TestCellRoute::"
 DENSE_TESTS = "tests/test_series.py::TestDictOracle::"
 SQUARE_TESTS = "tests/test_repring.py::TestSquareRoute::"
+BLOCK_SUM_TESTS = "tests/test_repring.py::TestBlockSum::"
 
 MUTANTS = [
     # 4 * bits + 1 would pick the same width as 4 * bits + 2 for every p:
@@ -224,6 +225,26 @@ MUTANTS = [
     Mutant("clear-memo-keeps-folds", REPRING,
            "    _square_fold.cache_clear()\n", "",
            (SQUARE_TESTS + "test_fold_index",)),
+    # Sym^2 J_3 of an F_7 law answered over F_3: the cells check the field,
+    # the block squares read the law's own
+    Mutant("square-sum-any-field", REPRING,
+           "        _require_field(law, field)\n        return _square_sum",
+           "        return _square_sum",
+           ("tests/test_repring.py::test_law_over_another_field_is_refused",)),
+    # the characteristic-0 cells have the right dimensions, so only the
+    # classes tell them apart, as at p = 2
+    Mutant("square-sum-cg-cells", REPRING,
+           "lambda a, b: structure_constants(a, b, law, field),", "cg_tensor,",
+           (BLOCK_SUM_TESTS + "test_seeded_squares[F2]",)),
+    # J_a (x) J_a asked for with weight C(1, 2) = 0: same answer, cells the
+    # sum never needed
+    Mutant("square-sum-lone-diagonal-cell", REPRING,
+           "if not tensor and k > 1:", "if not tensor and k > 0:",
+           (BLOCK_SUM_TESTS + "test_distinct_parts_request_no_diagonal_cell",)),
+    # smallest block first: the law's table grows from a 1 x 1 box
+    Mutant("square-sum-ascending", REPRING,
+           "sizes = sorted(counts, reverse=True)", "sizes = sorted(counts)",
+           (BLOCK_SUM_TESTS + "test_cold_memo_builds_the_table_once",)),
 ]
 
 

@@ -2,26 +2,25 @@
 
 The adjoint module is V (x) V* for GL, Sym^2 V for Sp and wedge^2 V for SO.
 Each splits over the blocks of V under any commutative law, so
-:func:`adjoint_partition` sums per-block classes in the representation ring
-and builds no operator on the whole module.  The nilpotent side takes the
-classes under the additive law, the unipotent side under the multiplicative
-law (group conjugation), and in good characteristic the two partitions
-agree.  In bad characteristic (p = 2 for Sp/SO) the same classes are still
-summed; they are then the Sym^2/wedge^2 model rather than a certified
-identification with the honest adjoint action, and reports carry a flag
-saying so.
+:func:`adjoint_partition` is the representation ring's block sum
+(``repring._square_sum``, as for ``wedge_/sym_partition`` at m = 2) and builds
+no operator.  The nilpotent side takes the classes under the additive law,
+the unipotent side under the multiplicative law (group conjugation), and in
+good characteristic the two partitions agree.  In bad characteristic (p = 2
+for Sp/SO) the same classes are still summed; they are then the
+Sym^2/wedge^2 model rather than a certified identification with the honest
+adjoint action, and reports carry a flag saying so.
 """
 
 from __future__ import annotations
 
-import collections
 from dataclasses import dataclass
 
-from .errors import AlgebraError, CharTwo, InvalidInput
+from .errors import CharTwo, InvalidInput
 from .fields import Field
 from .fgl import GeneralizedLaw, additive, multiplicative
 from .linalg import Matrix, Partition
-from .repring import RingElement, square_constants, structure_constants
+from .repring import _square_sum, square_constants, structure_constants
 from .series import TruncatedPoly
 
 KINDS = ("GL", "Sp", "SO")
@@ -57,31 +56,14 @@ def adjoint_partition(kind: str, lam, pair, square) -> Partition:
 
     ``pair(a, b)`` is the class of J_a (x) J_b and ``square(a, shape)`` that
     of Sym^2 J_a (``shape == "sym"``) or wedge^2 J_a (``"wedge"``), as
-    :class:`RingElement`s.  GL takes J_a (x) J_a for each block and
-    J_a (x) J_b twice for each pair of distinct blocks (the two orders are
-    isomorphic); Sp and SO take the square of each block and J_a (x) J_b
-    once.  The multiplicities are summed in one dict and wrapped once; a
-    total dimension other than the adjoint module's raises AlgebraError.
+    :class:`RingElement`s, summed by ``repring._square_sum``, which raises
+    AlgebraError when the total is not of the adjoint module's dimension.
     """
     lam = Partition(lam)
     if not validate_classical_partition(kind, lam):
         raise InvalidInput(f"{tuple(lam)} is not a nilpotent partition for {kind}")
-    d = lam.dim
-    shape = "sym" if kind == "Sp" else "wedge"
-    cross = 2 if kind == "GL" else 1
-    terms = collections.Counter()
-    for i, a in enumerate(lam):
-        for n, mult in (pair(a, a) if kind == "GL" else square(a, shape)).terms.items():
-            terms[n] += mult
-        for b in lam[i + 1:]:
-            for n, mult in pair(a, b).terms.items():
-                terms[n] += cross * mult
-    dim = sum(n * mult for n, mult in terms.items())
-    want = {"GL": d * d, "Sp": d * (d + 1) // 2, "SO": d * (d - 1) // 2}[kind]
-    if dim != want:
-        raise AlgebraError(f"{kind} adjoint of {tuple(lam)} has dimension {dim}, "
-                           f"expected {want}")
-    return RingElement(terms).to_partition()
+    shape = {"GL": "tensor", "Sp": "sym", "SO": "wedge"}[kind]
+    return _square_sum(lam, shape, pair, square).to_partition()
 
 
 def _adjoint_under(kind: str, lam, law: GeneralizedLaw) -> Partition:

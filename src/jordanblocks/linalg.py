@@ -416,7 +416,7 @@ def _pack(a: np.ndarray, w: int) -> list:
     for lo in range(0, m if n else 0, _PACK_ROWS):
         chunk = a[lo:lo + _PACK_ROWS]
         if w == 1:
-            words = np.packbits(chunk, axis=1, bitorder="little")
+            words = np.ascontiguousarray(np.packbits(chunk, axis=1, bitorder="little"))
         elif w < 64:
             words = np.ascontiguousarray(chunk, dtype=_field_dtype(w))
         else:

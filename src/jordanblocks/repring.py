@@ -25,19 +25,15 @@ pair (a, b) with the sign of the sort for the wedge, through one memoized
 gather index per (n, shape, p == 2).  Every x^i is a generator at p = 2,
 and elsewhere only the even (Sym^2) or odd (wedge^2) i, since the swap
 acts as x -> -x + ... on the quotient by t; the span count after the last
-level must be the square's dimension, or AlgebraError.  ``sym_partition``
-and ``wedge_partition``, which straighten the gathered operator of the
-m-fold power, are the squares' reference.
+level must be the square's dimension, or AlgebraError.
 
-Exterior and symmetric powers are realized as quotients of the m-fold tensor
-power.  The induced matrix takes the columns of the power operator at the
-basis words and straightens the words of its rows in one pass: every tensor
-word is added into the row of its sorted word (with the sign of the sort for
-the wedge, where a word with a repeated letter vanishes).  An operator
-induces a map on the quotient only if it commutes with permuting the tensor
-factors, that is, for a canonical nilpotent, only if the law's m-fold series
-is symmetric; otherwise ``InvalidInput`` is raised.  A law over a field
-other than the one given raises ``InvalidLaw``.
+The tensor square, Sym^2 and wedge^2 of any partition split over its
+blocks (``_square_sum``): ``sym_partition`` and ``wedge_partition`` at
+m = 2 and the classical adjoints sum cells and block squares.  Past m = 2,
+and as the tests' reference at m = 2, the power operator is straightened
+onto the quotient (``induced_quotient_operator``), which needs the law's
+m-fold series symmetric, else ``InvalidInput``.  A law over a field other
+than the one given raises ``InvalidLaw``.
 
 The constructive intertwiners are the automorphisms Y_i -> f_i for a
 term-by-term split of the law's series f = f_1 + ... + f_m with Y_i | f_i;
@@ -82,13 +78,11 @@ class RingElement:
     def __init__(self, terms=None):
         clean = {}
         for n, mult in dict(terms or {}).items():
+            n = _block_size(n)
             try:
-                n, mult = operator.index(n), operator.index(mult)
+                mult = operator.index(mult)
             except TypeError:
-                raise InvalidInput(f"block size and multiplicity must be integers, "
-                                   f"got {n!r}: {mult!r}") from None
-            if n < 1:
-                raise InvalidInput(f"block size must be >= 1, got {n}")
+                raise InvalidInput(f"multiplicities must be integers, got {mult!r}") from None
             if mult:
                 clean[n] = mult
         self.terms = clean
@@ -431,12 +425,46 @@ def ring_multiply(x: RingElement, y: RingElement, law: GeneralizedLaw,
     return out
 
 
+def _square_sum(lam: Partition, shape: str, pair, square) -> RingElement:
+    """Class of the tensor square (``"tensor"``), Sym^2 or wedge^2 of ``lam`` from
+    the classes ``pair(a, b)`` of J_a (x) J_b and ``square(a, shape)`` of J_a's.
+
+    F(phi (x) 1, 1 (x) phi) preserves each V_a (x) V_b, so under any
+    symmetric law k J_a gives k^2 J_a (x) J_a to the tensor square and
+    k S(J_a) + C(k, 2) J_a (x) J_a to S = Sym^2 or wedge^2, and sizes a > b
+    give k_a k_b J_a (x) J_b, twice for the tensor square.  Largest sizes go
+    first, so the first call builds the law's table at a box that holds the
+    rest.  A total dimension other than d^2 or d(d +- 1)/2 is AlgebraError.
+    """
+    counts = collections.Counter(lam)
+    sizes = sorted(counts, reverse=True)
+    tensor = shape == "tensor"
+    pieces = []
+    for i, a in enumerate(sizes):
+        k = counts[a]
+        pieces.append((k * k, pair(a, a)) if tensor else (k, square(a, shape)))
+        if not tensor and k > 1:
+            pieces.append((k * (k - 1) // 2, pair(a, a)))
+        pieces += [((1 + tensor) * k * counts[b], pair(a, b)) for b in sizes[i + 1:]]
+    terms = collections.Counter()
+    for weight, piece in pieces:
+        for n, mult in piece.terms.items():
+            terms[n] += weight * mult
+    d = lam.dim
+    want = {"tensor": d * d, "sym": d * (d + 1) // 2, "wedge": d * (d - 1) // 2}[shape]
+    out = RingElement(terms)
+    if out.dim() != want:
+        raise AlgebraError(f"the {shape} square of {tuple(lam)} came out of dimension "
+                           f"{out.dim()}, not {want}")
+    return out
+
+
 def _block_size(n) -> int:
     """``n`` through ``operator.index``; InvalidInput unless an integer >= 1."""
     try:
         n = operator.index(n)
     except TypeError:
-        raise InvalidInput(f"block size must be an integer, got {n!r}") from None
+        raise InvalidInput(f"block sizes must be integers, got {n!r}") from None
     if n < 1:
         raise InvalidInput(f"block size must be >= 1, got {n}")
     return n
@@ -569,13 +597,23 @@ def induced_quotient_operator(x: Matrix, d: int, m: int, kind: str) -> Matrix:
 
 
 def wedge_partition(lam, m: int, law: GeneralizedLaw, field: Field) -> Partition:
-    x = power_operator(lam, m, law, field)
-    return jordan_partition(induced_quotient_operator(x, Partition(lam).dim, m, "wedge"))
+    return _quotient_partition(lam, m, law, field, "wedge")
 
 
 def sym_partition(lam, m: int, law: GeneralizedLaw, field: Field) -> Partition:
+    return _quotient_partition(lam, m, law, field, "sym")
+
+
+def _quotient_partition(lam, m: int, law: GeneralizedLaw, field: Field, kind: str) -> Partition:
+    """Jordan type of wedge^m or Sym^m of the canonical nilpotent of ``lam``: at m = 2
+    the block sum, with no operator; at any other m the power operator, straightened."""
+    lam = Partition(lam)
+    if operator.index(m) == 2:
+        _require_field(law, field)
+        return _square_sum(lam, kind, lambda a, b: structure_constants(a, b, law, field),
+                           lambda a, shape: square_constants(a, shape, law)).to_partition()
     x = power_operator(lam, m, law, field)
-    return jordan_partition(induced_quotient_operator(x, Partition(lam).dim, m, "sym"))
+    return jordan_partition(induced_quotient_operator(x, lam.dim, m, kind))
 
 
 # -- constructive intertwiners ---------------------------------------------------

@@ -11,6 +11,8 @@ the law's operator on V (x) W, gathered as a whole matrix, and
 ``gathered_power_table`` the powers F^j of a law's gathered operator from
 e_0, one vector-matrix product each; ``whole_matrix_adjoint`` builds the
 classical adjoint operator on all of V (x) V*, Sym^2 V or wedge^2 V;
+``operator_square_partition`` is wedge^2 or Sym^2 of a partition from
+the gathered power operator straightened onto the quotient;
 ``kron_power_operator`` sums Kronecker products of the dense powers of phi
 over the terms of the m-fold tensor series; ``quotient_maps`` builds the
 dense projection onto wedge^m or Sym^m of k^d and the injection back, and
@@ -42,7 +44,7 @@ from jordanblocks.linalg import (
     nilpotent_from_partition,
     unipotent_partition,
 )
-from jordanblocks.repring import induced_quotient_operator, tensor_operator
+from jordanblocks.repring import induced_quotient_operator, power_operator, tensor_operator
 from jordanblocks.series import TruncatedPoly, monomial_basis
 
 
@@ -187,6 +189,15 @@ def whole_matrix_adjoint(kind: str, lam, field, unipotent: bool) -> Partition:
     top = tensor_operator(x, x, law)
     shape = "sym" if kind == "Sp" else "wedge"
     return jordan_partition(induced_quotient_operator(top, lam.dim, 2, shape))
+
+
+def operator_square_partition(lam, shape: str, law, field) -> Partition:
+    """Jordan type of wedge^2 (``shape == "wedge"``) or Sym^2 of the
+    canonical nilpotent of ``lam`` under the law: the gathered operator on
+    V (x) V straightened onto the quotient, with no block sum."""
+    lam = Partition(lam)
+    x = power_operator(lam, 2, law, field)
+    return jordan_partition(induced_quotient_operator(x, lam.dim, 2, shape))
 
 
 def kron_power_operator(phi, m: int, law):

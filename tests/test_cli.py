@@ -57,6 +57,13 @@ class TestWedgeSym:
                            "--lambda", "7", "--m", "2", "--json")
         assert json.loads(out)["partition"] == [8, 8, 8, 1, 1, 1, 1]
 
+    def test_many_blocks_past_the_operator_bound(self, capsys):
+        # the square is summed over the blocks: no 6400 x 6400 operator
+        code, out, err = run(capsys, "sym", "--p", "5", "--lambda", ",".join(["8"] * 10),
+                             "--law", "multiplicative", "--json")
+        assert code == 0 and not err
+        assert sum(json.loads(out)["partition"]) == 3240
+
     def test_law_without_symmetric_series(self, capsys, tmp_path):
         # F = 2u + v: its square does not commute with the swap, so it induces
         # no map on Sym^2 (under any symmetric law Sym^2 J3 at p = 5 is (5,1))
@@ -215,7 +222,9 @@ class TestUsageErrors:
         ("springer", "apply", "--p", "5", "--lambda", "100000"),
         ("wedge", "--p", "5", "--lambda", "100000", "--m", "2"),
         ("ring", "constants", "--p", "5", "--a", "65", "--b", "64"),
-    ], ids=["tensor-blocks", "tensor-partitions", "springer", "wedge", "ring-constants"])
+        ("sym", "--p", "5", "--lambda", "9,8", "--m", "3"),
+    ], ids=["tensor-blocks", "tensor-partitions", "springer", "wedge", "ring-constants",
+            "sym-cube"])
     def test_operator_past_the_size_bound_exits_2(self, capsys, argv):
         # refused by arithmetic before any array is allocated
         code, out, err = run(capsys, *argv)

@@ -316,6 +316,19 @@ class TestEchelonKernel:
         assert linalg._pack(a[:0], w) == [] and linalg._unpack([], 7, w).shape == (0, 7)
 
     @pytest.mark.parametrize("p", [2, 7, 11, 131, 32771])
+    def test_transposed_input(self, p):
+        # a transposed array is Fortran-ordered; at p = 2 its packed bits
+        # were not C-contiguous and the row view raised ValueError
+        rng = np.random.default_rng(p)
+        nilpotent = np.triu(np.ones((20, 20), dtype=np.int64), 1)
+        for a in (nilpotent, rng.integers(0, p, size=(9, 300))):
+            w = linalg._packing(p, len(a))[0]
+            assert linalg._pack(a.T, w) == linalg._pack(a.T.copy(), w)
+            assert Matrix(GF(p), a.T).rank() == Matrix(GF(p), a.T.copy()).rank()
+        assert (jordan_partition(Matrix(GF(p), nilpotent.T))
+                == jordan_partition(Matrix(GF(p), nilpotent.T.copy())) == (20,))
+
+    @pytest.mark.parametrize("p", [2, 7, 11, 131, 32771])
     def test_pack_chunk_boundaries(self, p, monkeypatch):
         # rows go _PACK_ROWS at a time: row counts on either side of each
         # multiple of a small chunk give the same rows, ranks and levels

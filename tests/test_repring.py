@@ -65,6 +65,7 @@ from oracles import (
     gathered_tensor_partition,
     kron_power_operator,
     monomial_endomorphism_matrix,
+    operator_square_partition,
 )
 
 F2, F3, F5, F7 = GF(2), GF(3), GF(5), GF(7)
@@ -208,7 +209,7 @@ class TestStructureConstants:
             square_constants(3, "bogus", law)
         assert not repring._constants_memo
         assert square_constants(3, "wedge", law) == RingElement.from_partition(
-            wedge_partition((3,), 2, law, F5))
+            operator_square_partition((3,), "wedge", law, F5))
 
     def test_gather_offsets_are_memoized_read_only(self):
         # the operator of J_3 (x) J_4 gathers the offsets of (3,) at stride 4
@@ -720,12 +721,13 @@ class TestSquareRoute:
     """Sym^2 J_n and wedge^2 J_n folded from the law's table of powers
     (``square_constants``), against the operator route: the gathered
     n^2 x n^2 operator straightened onto the quotient and its Jordan type
-    (``sym_partition``/``wedge_partition``)."""
+    (``oracles.operator_square_partition``)."""
 
     @staticmethod
     def check(n, law):
-        for shape, oracle in (("sym", sym_partition), ("wedge", wedge_partition)):
-            want = RingElement.from_partition(oracle((n,), 2, law, law.field))
+        for shape in ("sym", "wedge"):
+            want = RingElement.from_partition(
+                operator_square_partition((n,), shape, law, law.field))
             assert square_constants(n, shape, law) == want, (law.field, law, n, shape)
 
     @pytest.mark.parametrize("field", SQUARE_FIELDS, ids=str)
@@ -781,9 +783,11 @@ class TestSquareRoute:
     @pytest.mark.parametrize("seed", range(4))
     def test_non_symmetric_law(self, seed):
         law = random_generalized_law(seed, 6, F5)
-        for oracle in (sym_partition, wedge_partition):
+        for shape, square in (("sym", sym_partition), ("wedge", wedge_partition)):
             with pytest.raises(InvalidInput, match="commute"):
-                oracle((4,), 2, law, F5)
+                operator_square_partition((4,), shape, law, F5)
+            with pytest.raises(InvalidInput, match="commute"):
+                square((4, 2), 2, law, F5)
         repring.clear_memo()
         for shape in ("sym", "wedge"):
             with pytest.raises(InvalidInput, match="commute"):
@@ -796,8 +800,9 @@ class TestSquareRoute:
         want = {}
         for law in laws:
             for n in range(1, 7):
-                want[law, n] = (RingElement.from_partition(sym_partition((n,), 2, law, law.field)),
-                                RingElement.from_partition(wedge_partition((n,), 2, law, law.field)))
+                want[law, n] = tuple(RingElement.from_partition(
+                    operator_square_partition((n,), shape, law, law.field))
+                    for shape in ("sym", "wedge"))
 
         def refuse(*args, **kwargs):
             pytest.fail("the square built an operator")
@@ -851,6 +856,116 @@ class TestSquareRoute:
                 index[0, 0] = 1
         repring.clear_memo()
         assert fold.cache_info().currsize == 0
+
+
+def symmetric_generalized_law(rng, field, degree):
+    """A seeded law with linear part xi (u + v), xi != 0 seeded too, and
+    seeded coefficients c_ab = c_ba above: symmetric, and in general not
+    associative."""
+    xi = field.random_nonzero(rng)
+    coeffs = {(1, 0): xi, (0, 1): xi}
+    for total in range(2, degree + 1):
+        for a in range(total // 2 + 1):
+            coeffs[a, total - a] = coeffs[total - a, a] = field.random_element(rng)
+    return GeneralizedLaw(field, degree, coeffs)
+
+
+class TestBlockSum:
+    """wedge^2 and Sym^2 of a partition summed over its blocks
+    (``repring._square_sum``), against the gathered operator on V (x) V
+    straightened onto the quotient (``oracles.operator_square_partition``)."""
+
+    @staticmethod
+    def check(lam, law):
+        for shape, square in (("sym", sym_partition), ("wedge", wedge_partition)):
+            want = operator_square_partition(lam, shape, law, law.field)
+            assert square(lam, 2, law, law.field) == want, (law.field, law, lam, shape)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_seeded_squares(self, field):
+        rng = random.Random(f"block-sum:{field.p}")
+        for kind in QUOTIENT_LAWS + ("non-associative",):
+            if kind == "non-associative":
+                law = symmetric_generalized_law(rng, field, 8)
+            else:
+                law = symmetric_law(kind, field, 8, rng)
+            # repeated and distinct parts, then seeded ones of 1-4 blocks <= 5
+            lams = [(3, 3, 1), (4, 2, 1), (2, 2, 2, 2)]
+            lams += [sorted((rng.randint(1, 5) for _ in range(rng.randint(1, 4))), reverse=True)
+                     for _ in range(8)]
+            repring.clear_memo()
+            for lam in lams:
+                self.check(Partition(lam), law)
+
+    def test_no_operator_is_built(self, monkeypatch):
+        laws = [additive(F2), multiplicative(F5), scaled_multiplicative(F7, F7(3)),
+                symmetric_generalized_law(random.Random(5), F3, 8), random_fgl(5, 8, QQ)]
+        lams = [Partition(lam) for lam in [(5, 5, 2), (4, 3, 1, 1), (2, 2, 2)]]
+        want = {(law, lam, shape): operator_square_partition(lam, shape, law, law.field)
+                for law in laws for lam in lams for shape in ("sym", "wedge")}
+
+        def refuse(*args, **kwargs):
+            pytest.fail("the square built an operator")
+
+        for name in ("power_operator", "induced_quotient_operator", "jordan_partition",
+                     "tensor_operator"):
+            monkeypatch.setattr(repring, name, refuse)
+        monkeypatch.setattr(linalg, "jordan_partition", refuse)
+        repring.clear_memo()
+        for (law, lam, shape), partition in want.items():
+            square = sym_partition if shape == "sym" else wedge_partition
+            assert square(lam, 2, law, law.field) == partition, (law, lam, shape)
+
+    def test_distinct_parts_request_no_diagonal_cell(self, monkeypatch):
+        # J_a (x) J_a has weight C(1, 2) = 0 in the square of a lone J_a
+        calls = []
+        real = repring.structure_constants
+
+        def spy(n, m, law, field):
+            calls.append((n, m))
+            return real(n, m, law, field)
+
+        monkeypatch.setattr(repring, "structure_constants", spy)
+        law = multiplicative(F5)
+        repring.clear_memo()
+        for square in (sym_partition, wedge_partition):
+            square((5, 3, 2, 1), 2, law, F5)
+        assert sorted(set(calls)) == [(2, 1), (3, 1), (3, 2), (5, 1), (5, 2), (5, 3)]
+        calls.clear()
+        sym_partition((3, 3, 1), 2, law, F5)
+        assert sorted(set(calls)) == [(3, 1), (3, 3)]
+
+    def test_cold_memo_builds_the_table_once(self, monkeypatch):
+        # the largest block goes first, so its box holds every later cell
+        built = []
+        build = repring._power_table
+
+        def spy(field, box, law):
+            built.append(box)
+            return build(field, box, law)
+
+        monkeypatch.setattr(repring, "_power_table", spy)
+        law = random_fgl(7, 8, F5)
+        for square in (sym_partition, wedge_partition):
+            repring.clear_memo()
+            built.clear()
+            square((5, 3, 2, 1, 1), 2, law, F5)
+            assert built == [(5, 5)]
+        repring.clear_memo()
+
+    @pytest.mark.parametrize("kind", QUOTIENT_LAWS)
+    def test_many_blocks_past_the_operator_bound(self, kind):
+        # Sym^2 of 10 J_8 has dimension 3240, and its class is
+        # 10 Sym^2 J_8 + 45 J_8 (x) J_8, though the 6400 x 6400 operator on
+        # V (x) V is past the bound; an m = 3 power past it is still refused
+        law = symmetric_law(kind, F5, 14, random.Random(f"ten-blocks:{kind}"))
+        repring.clear_memo()
+        got = RingElement.from_partition(sym_partition((8,) * 10, 2, law, F5))
+        square = RingElement.from_partition(operator_square_partition((8,), "sym", law, F5))
+        cell = RingElement.from_partition(gathered_tensor_partition(F5, (8,), (8,), law.coeffs))
+        assert got == 10 * square + 45 * cell and got.dim() == 3240
+        with pytest.raises(InvalidInput, match="4913"):
+            sym_partition((9, 8), 3, law, F5)
 
 
 class TestSigmaMatrices:
@@ -1036,7 +1151,6 @@ def test_cg_square_matches_brute_force(n):
     # at p > 2n every block of Sym^2 J_n and wedge^2 J_n is below p, as over Q
     p = next(q for q in (3, 5, 7, 11, 13, 17, 19, 23, 29) if q > 2 * n)
     law = additive(GF(p))
-    assert cg_square(n, "sym") == RingElement.from_partition(
-        sym_partition((n,), 2, law, GF(p)))
-    assert cg_square(n, "wedge") == RingElement.from_partition(
-        wedge_partition((n,), 2, law, GF(p)))
+    for shape in ("sym", "wedge"):
+        assert cg_square(n, shape) == RingElement.from_partition(
+            operator_square_partition((n,), shape, law, GF(p)))
