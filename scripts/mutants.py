@@ -55,6 +55,7 @@ CELL_TESTS = "tests/test_repring.py::TestCellRoute::"
 DENSE_TESTS = "tests/test_series.py::TestDictOracle::"
 SQUARE_TESTS = "tests/test_repring.py::TestSquareRoute::"
 BLOCK_SUM_TESTS = "tests/test_repring.py::TestBlockSum::"
+CUBE_SUM_TESTS = "tests/test_repring.py::TestCubeSum::"
 
 MUTANTS = [
     # 4 * bits + 1 would pick the same width as 4 * bits + 2 for every p:
@@ -226,10 +227,9 @@ MUTANTS = [
            "    _square_fold.cache_clear()\n", "",
            (SQUARE_TESTS + "test_fold_index",)),
     # Sym^2 J_3 of an F_7 law answered over F_3: the cells check the field,
-    # the block squares read the law's own
+    # the block squares and cubes read the law's own
     Mutant("square-sum-any-field", REPRING,
-           "        _require_field(law, field)\n        return _square_sum",
-           "        return _square_sum",
+           "    _require_field(law, field)\n    cube = None", "    cube = None",
            ("tests/test_repring.py::test_law_over_another_field_is_refused",)),
     # the characteristic-0 cells have the right dimensions, so only the
     # classes tell them apart, as at p = 2
@@ -245,6 +245,30 @@ MUTANTS = [
     Mutant("square-sum-ascending", REPRING,
            "sizes = sorted(counts, reverse=True)", "sizes = sorted(counts)",
            (BLOCK_SUM_TESTS + "test_cold_memo_builds_the_table_once",)),
+    # C(k, 2) triples of distinct J_a's: too many dimensions once k >= 2
+    Mutant("cube-sum-choose-2", REPRING,
+           "math.comb(k, 3)", "math.comb(k, 2)",
+           (CUBE_SUM_TESTS + "test_seeded_cubes[F5]",)),
+    # k^2 S^2 J_a (x) J_a for k J_a: the ordered pairs of one block counted
+    Mutant("cube-sum-k-squared", REPRING,
+           "(k * (k - 1), math.comb", "(k * k, math.comb",
+           (CUBE_SUM_TESTS + "test_seeded_cubes[F5]",)),
+    # a 3-fold series that is not symmetric answers wherever no single-block
+    # cube operator checks it, and is memoized where one does
+    Mutant("cube-any-law", REPRING,
+           "    if not (np.array_equal(num, num.transpose(1, 0, 2))",
+           "    if False and not (np.array_equal(num, num.transpose(1, 0, 2))",
+           (CUBE_SUM_TESTS + "test_non_symmetric_series_is_refused",)),
+    Mutant("clear-memo-keeps-cube-series", REPRING,
+           "    _constants_memo.clear()\n",
+           "    for key in [k for k in _constants_memo if k[0] != \"F3\"]:\n"
+           "        del _constants_memo[key]\n",
+           (CUBE_SUM_TESTS + "test_clear_memo_drops_the_series_and_the_cubes",)),
+    # the 3-fold series doubled past the law's degree: TruncationTooShort
+    # for a cube that the law reaches
+    Mutant("cube-series-growth-past-the-degree", REPRING,
+           "if law.exact or 3 * (rounded - 1) <= law.degree:", "if True:",
+           (CUBE_SUM_TESTS + "test_series_growth_stays_within_the_law_degree",)),
 ]
 
 

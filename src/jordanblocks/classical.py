@@ -3,7 +3,7 @@
 The adjoint module is V (x) V* for GL, Sym^2 V for Sp and wedge^2 V for SO.
 Each splits over the blocks of V under any commutative law, so
 :func:`adjoint_partition` is the representation ring's block sum
-(``repring._square_sum``, as for ``wedge_/sym_partition`` at m = 2) and builds
+(``repring._block_sum``, as for ``wedge_/sym_partition`` at m = 2) and builds
 no operator.  The nilpotent side takes the classes under the additive law,
 the unipotent side under the multiplicative law (group conjugation), and in
 good characteristic the two partitions agree.  In bad characteristic (p = 2
@@ -20,7 +20,7 @@ from .errors import CharTwo, InvalidInput
 from .fields import Field
 from .fgl import GeneralizedLaw, additive, multiplicative
 from .linalg import Matrix, Partition
-from .repring import _square_sum, square_constants, structure_constants
+from .repring import _block_sum, square_constants, structure_constants
 from .series import TruncatedPoly
 
 KINDS = ("GL", "Sp", "SO")
@@ -56,14 +56,14 @@ def adjoint_partition(kind: str, lam, pair, square) -> Partition:
 
     ``pair(a, b)`` is the class of J_a (x) J_b and ``square(a, shape)`` that
     of Sym^2 J_a (``shape == "sym"``) or wedge^2 J_a (``"wedge"``), as
-    :class:`RingElement`s, summed by ``repring._square_sum``, which raises
+    :class:`RingElement`s, summed by ``repring._block_sum``, which raises
     AlgebraError when the total is not of the adjoint module's dimension.
     """
     lam = Partition(lam)
     if not validate_classical_partition(kind, lam):
         raise InvalidInput(f"{tuple(lam)} is not a nilpotent partition for {kind}")
     shape = {"GL": "tensor", "Sp": "sym", "SO": "wedge"}[kind]
-    return _square_sum(lam, shape, pair, square).to_partition()
+    return _block_sum(lam, shape, pair, square).to_partition()
 
 
 def _adjoint_under(kind: str, lam, law: GeneralizedLaw) -> Partition:

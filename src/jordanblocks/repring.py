@@ -27,13 +27,16 @@ and elsewhere only the even (Sym^2) or odd (wedge^2) i, since the swap
 acts as x -> -x + ... on the quotient by t; the span count after the last
 level must be the square's dimension, or AlgebraError.
 
-The tensor square, Sym^2 and wedge^2 of any partition split over its
-blocks (``_square_sum``): ``sym_partition`` and ``wedge_partition`` at
-m = 2 and the classical adjoints sum cells and block squares.  Past m = 2,
-and as the tests' reference at m = 2, the power operator is straightened
-onto the quotient (``induced_quotient_operator``), which needs the law's
-m-fold series symmetric, else ``InvalidInput``.  A law over a field other
-than the one given raises ``InvalidLaw``.
+The tensor square, Sym^2 and wedge^2 of any partition, and Sym^3 and
+wedge^3 under a law whose 3-fold series is symmetric, split over its blocks
+(``_block_sum``): ``sym_partition`` and ``wedge_partition`` at m = 2 and 3
+and the classical adjoints sum cells, block squares and, at m = 3, the cubes
+of single blocks, whose operators on J_a^(x)3 come from one memoized 3-fold
+series per law (``_cube_constants``, ``_cube_series``); no associativity is
+needed.  Past m = 3, and as the tests' reference, the power operator is
+straightened onto the quotient (``induced_quotient_operator``), which needs
+the law's m-fold series symmetric, else ``InvalidInput``.  A law over a
+field other than the one given raises ``InvalidLaw``.
 
 The constructive intertwiners are the automorphisms Y_i -> f_i for a
 term-by-term split of the law's series f = f_1 + ... + f_m with Y_i | f_i;
@@ -45,6 +48,8 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import math
+import numbers
 import operator
 
 import numpy as np
@@ -425,37 +430,63 @@ def ring_multiply(x: RingElement, y: RingElement, law: GeneralizedLaw,
     return out
 
 
-def _square_sum(lam: Partition, shape: str, pair, square) -> RingElement:
-    """Class of the tensor square (``"tensor"``), Sym^2 or wedge^2 of ``lam`` from
-    the classes ``pair(a, b)`` of J_a (x) J_b and ``square(a, shape)`` of J_a's.
+def _block_sum(lam: Partition, shape: str, pair, square, cube=None) -> RingElement:
+    """Class of the tensor square (``"tensor"``), Sym^2 or wedge^2 of ``lam``, or
+    with ``cube`` of Sym^3 or wedge^3, from the classes ``pair(a, b)`` of
+    J_a (x) J_b, ``square(a, shape)`` of J_a's and ``cube(a)`` of J_a's.
 
     F(phi (x) 1, 1 (x) phi) preserves each V_a (x) V_b, so under any
     symmetric law k J_a gives k^2 J_a (x) J_a to the tensor square and
     k S(J_a) + C(k, 2) J_a (x) J_a to S = Sym^2 or wedge^2, and sizes a > b
-    give k_a k_b J_a (x) J_b, twice for the tensor square.  Largest sizes go
-    first, so the first call builds the law's table at a box that holds the
-    rest.  A total dimension other than d^2 or d(d +- 1)/2 is AlgebraError.
+    give k_a k_b J_a (x) J_b, twice for the tensor square.  At m = 3, when the
+    law's 3-fold series F(F(Y_1, Y_2), Y_3) is symmetric, its operator
+    preserves the piece of each multiset of blocks, and ordering the letters
+    with the repeated one first makes it a left-nested F: k J_a gives
+    k S^3 J_a + k(k - 1) S^2 J_a (x) J_a + C(k, 3) (J_a (x) J_a) (x) J_a,
+    sizes a != b give k_a k_b S^2 J_a (x) J_b + C(k_a, 2) k_b (J_a (x) J_a) (x) J_b,
+    and sizes a > b > c give k_a k_b k_c (J_a (x) J_b) (x) J_c, each product
+    read from the cells with the left factor's blocks first.  No
+    associativity is needed.  Largest sizes go first, so the first square
+    builds the law's table at a box that holds the rest, and no class of
+    weight 0 is requested.  A total dimension other than d^2, C(d + m - 1, m)
+    or C(d, m) is AlgebraError.
     """
     counts = collections.Counter(lam)
     sizes = sorted(counts, reverse=True)
     tensor = shape == "tensor"
     pieces = []
+
+    def times(weight, left, b):
+        pieces.extend((weight * mult, pair(c, b)) for c, mult in left.terms.items())
+
     for i, a in enumerate(sizes):
         k = counts[a]
-        pieces.append((k * k, pair(a, a)) if tensor else (k, square(a, shape)))
-        if not tensor and k > 1:
-            pieces.append((k * (k - 1) // 2, pair(a, a)))
-        pieces += [((1 + tensor) * k * counts[b], pair(a, b)) for b in sizes[i + 1:]]
+        if cube is None:
+            pieces.append((k * k, pair(a, a)) if tensor else (k, square(a, shape)))
+            if not tensor and k > 1:
+                pieces.append((math.comb(k, 2), pair(a, a)))
+            pieces += [((1 + tensor) * k * counts[b], pair(a, b)) for b in sizes[i + 1:]]
+            continue
+        pieces.append((k, cube(a)))
+        for b in sizes:
+            twice, once = ((k * (k - 1), math.comb(k, 3)) if b == a
+                           else (k * counts[b], math.comb(k, 2) * counts[b]))
+            if twice:
+                times(twice, square(a, shape), b)
+            if once:
+                times(once, pair(a, a), b)
+        for b, c in itertools.combinations(sizes[i + 1:], 2):
+            times(k * counts[b] * counts[c], pair(a, b), c)
     terms = collections.Counter()
     for weight, piece in pieces:
         for n, mult in piece.terms.items():
             terms[n] += weight * mult
-    d = lam.dim
-    want = {"tensor": d * d, "sym": d * (d + 1) // 2, "wedge": d * (d - 1) // 2}[shape]
+    d, m = lam.dim, 2 if cube is None else 3
+    want = d * d if tensor else math.comb(d + m - 1 if shape == "sym" else d, m)
     out = RingElement(terms)
     if out.dim() != want:
-        raise AlgebraError(f"the {shape} square of {tuple(lam)} came out of dimension "
-                           f"{out.dim()}, not {want}")
+        raise AlgebraError(f"the {shape} {'square' if m == 2 else 'cube'} of {tuple(lam)} "
+                           f"came out of dimension {out.dim()}, not {want}")
     return out
 
 
@@ -596,6 +627,54 @@ def induced_quotient_operator(x: Matrix, d: int, m: int, kind: str) -> Matrix:
     return Matrix._from_ints(x.field, out[:spare], x.den)
 
 
+def _cube_series(law: GeneralizedLaw, n: int) -> tuple:
+    """(num, den) of the law's 3-fold series F(F(Y_1, Y_2), Y_3) mod
+    (Y_1^n, Y_2^n, Y_3^n), cut from one series per law memoized in
+    ``_constants_memo``: built cold at n, and past its box rebuilt with the
+    side rounded up to a power of two, or at n when the law's degree does
+    not reach 3 (side - 1).  The cut must be symmetric under the swaps (1, 2)
+    and (2, 3), which is the power operator's commutation with the symmetric
+    group on any partition whose largest block is J_n; otherwise
+    InvalidInput, and the series is not memoized."""
+    key = ("F3", law.fingerprint())
+    series = _constants_memo.get(key)
+    if series is None or series.trunc[0] < n:
+        side = n
+        if series is not None:
+            rounded = 1 << (n - 1).bit_length()
+            if law.exact or 3 * (rounded - 1) <= law.degree:
+                side = rounded
+        series = iterated_tensor_series(law, 3, (side,) * 3)
+    num = series.num[:n, :n, :n]
+    if not (np.array_equal(num, num.transpose(1, 0, 2))
+            and np.array_equal(num, num.transpose(0, 2, 1))):
+        raise InvalidInput("the law's 3-fold series is not symmetric, so its operator does "
+                           "not commute with permuting the tensor factors and induces no map "
+                           f"on the cube of J_{n}")
+    _constants_memo[key] = series
+    return num, series.den
+
+
+def _cube_constants(n: int, shape: str, law: GeneralizedLaw) -> RingElement:
+    """Class of Sym^3 J_n (``shape == "sym"``) or wedge^3 J_n under the law:
+    the operator on J_n^(x)3 gathered from the memoized 3-fold series
+    (``_cube_series``) and straightened onto the quotient.  A cube of
+    dimension 0 or 1 (wedge^3 J_n for n <= 3, Sym^3 J_1) builds no operator.
+    Memoized next to the block squares, under a key of its own."""
+    key = ("cube", shape, n, law.fingerprint())
+    hit = _constants_memo.get(key)
+    if hit is None:
+        dim = math.comb(n + 2 if shape == "sym" else n, 3)
+        if dim <= 1:
+            hit = RingElement({1: dim})
+        else:
+            x = canonical_series_operator(law.field, ((n,),) * 3, *_cube_series(law, n))
+            hit = RingElement.from_partition(
+                jordan_partition(induced_quotient_operator(x, n, 3, shape)))
+        _constants_memo[key] = hit
+    return hit
+
+
 def wedge_partition(lam, m: int, law: GeneralizedLaw, field: Field) -> Partition:
     return _quotient_partition(lam, m, law, field, "wedge")
 
@@ -605,15 +684,31 @@ def sym_partition(lam, m: int, law: GeneralizedLaw, field: Field) -> Partition:
 
 
 def _quotient_partition(lam, m: int, law: GeneralizedLaw, field: Field, kind: str) -> Partition:
-    """Jordan type of wedge^m or Sym^m of the canonical nilpotent of ``lam``: at m = 2
-    the block sum, with no operator; at any other m the power operator, straightened."""
+    """Jordan type of wedge^m or Sym^m of the canonical nilpotent of ``lam``.
+
+    At m = 2 and m = 3 the block sum (``_block_sum``) with no operator on
+    ``lam``: at m = 3 the single-block cubes need the law's 3-fold series
+    symmetric on the box of the largest block, else InvalidInput before
+    anything is memoized, and a block past J_16, whose cube operator is past
+    the bound, is refused.  At any other m the power operator, straightened.
+    An m that is not an integer >= 1 (a bool or a float included) raises
+    InvalidInput.
+    """
     lam = Partition(lam)
-    if operator.index(m) == 2:
-        _require_field(law, field)
-        return _square_sum(lam, kind, lambda a, b: structure_constants(a, b, law, field),
-                           lambda a, shape: square_constants(a, shape, law)).to_partition()
-    x = power_operator(lam, m, law, field)
-    return jordan_partition(induced_quotient_operator(x, lam.dim, m, kind))
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
+        raise InvalidInput(f"m must be an integer >= 1, got {m!r}")
+    if m not in (2, 3):
+        x = power_operator(lam, m, law, field)
+        return jordan_partition(induced_quotient_operator(x, lam.dim, m, kind))
+    _require_field(law, field)
+    cube = None
+    if m == 3:
+        top = max(lam, default=1)
+        _require_operator_dim(top ** 3)
+        _cube_series(law, top)
+        cube = lambda a: _cube_constants(a, kind, law)
+    return _block_sum(lam, kind, lambda a, b: structure_constants(a, b, law, field),
+                      lambda a, shape: square_constants(a, shape, law), cube).to_partition()
 
 
 # -- constructive intertwiners ---------------------------------------------------
@@ -641,9 +736,9 @@ def build_symmetric_intertwiner(n: int, m: int, law: GeneralizedLaw) -> Matrix:
 
 
 def clear_memo() -> None:
-    """Drop the memoized structure constants, block squares and tables of
-    law powers, the squares' fold indices and the gather's block offsets
-    (used by tests and benchmark passes)."""
+    """Drop the memoized structure constants, block squares and cubes, the
+    laws' tables of powers and 3-fold series, the squares' fold indices and
+    the gather's block offsets (used by tests and benchmark passes)."""
     _constants_memo.clear()
     _square_fold.cache_clear()
     _block_offsets.cache_clear()

@@ -11,8 +11,9 @@ the law's operator on V (x) W, gathered as a whole matrix, and
 ``gathered_power_table`` the powers F^j of a law's gathered operator from
 e_0, one vector-matrix product each; ``whole_matrix_adjoint`` builds the
 classical adjoint operator on all of V (x) V*, Sym^2 V or wedge^2 V;
-``operator_square_partition`` is wedge^2 or Sym^2 of a partition from
-the gathered power operator straightened onto the quotient;
+``operator_power_partition`` is wedge^m or Sym^m of a partition from
+the gathered power operator straightened onto the quotient, and
+``operator_square_partition`` the same at m = 2;
 ``kron_power_operator`` sums Kronecker products of the dense powers of phi
 over the terms of the m-fold tensor series; ``quotient_maps`` builds the
 dense projection onto wedge^m or Sym^m of k^d and the injection back, and
@@ -191,13 +192,18 @@ def whole_matrix_adjoint(kind: str, lam, field, unipotent: bool) -> Partition:
     return jordan_partition(induced_quotient_operator(top, lam.dim, 2, shape))
 
 
-def operator_square_partition(lam, shape: str, law, field) -> Partition:
-    """Jordan type of wedge^2 (``shape == "wedge"``) or Sym^2 of the
-    canonical nilpotent of ``lam`` under the law: the gathered operator on
-    V (x) V straightened onto the quotient, with no block sum."""
+def operator_power_partition(lam, m: int, kind: str, law, field) -> Partition:
+    """Jordan type of wedge^m (``kind == "wedge"``) or Sym^m of the canonical
+    nilpotent of ``lam`` under the law: the gathered power operator on
+    V^(x)m straightened onto the quotient, with no block sum."""
     lam = Partition(lam)
-    x = power_operator(lam, 2, law, field)
-    return jordan_partition(induced_quotient_operator(x, lam.dim, 2, shape))
+    x = power_operator(lam, m, law, field)
+    return jordan_partition(induced_quotient_operator(x, lam.dim, m, kind))
+
+
+def operator_square_partition(lam, shape: str, law, field) -> Partition:
+    """``operator_power_partition`` at m = 2."""
+    return operator_power_partition(lam, 2, shape, law, field)
 
 
 def kron_power_operator(phi, m: int, law):

@@ -222,7 +222,7 @@ class TestUsageErrors:
         ("springer", "apply", "--p", "5", "--lambda", "100000"),
         ("wedge", "--p", "5", "--lambda", "100000", "--m", "2"),
         ("ring", "constants", "--p", "5", "--a", "65", "--b", "64"),
-        ("sym", "--p", "5", "--lambda", "9,8", "--m", "3"),
+        ("sym", "--p", "5", "--lambda", "17", "--m", "3"),
     ], ids=["tensor-blocks", "tensor-partitions", "springer", "wedge", "ring-constants",
             "sym-cube"])
     def test_operator_past_the_size_bound_exits_2(self, capsys, argv):

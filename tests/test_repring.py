@@ -65,6 +65,7 @@ from oracles import (
     gathered_tensor_partition,
     kron_power_operator,
     monomial_endomorphism_matrix,
+    operator_power_partition,
     operator_square_partition,
 )
 
@@ -177,8 +178,9 @@ def test_law_over_another_field_is_refused():
     with pytest.raises(InvalidLaw, match="disagree"):
         power_operator((2,), 2, law, F3)
     for square in (wedge_partition, sym_partition):
-        with pytest.raises(InvalidLaw, match="disagree"):
-            square((3,), 2, law, F3)
+        for m in (2, 3):
+            with pytest.raises(InvalidLaw, match="disagree"):
+                square((3,), m, law, F3)
     with pytest.raises(InvalidLaw, match="disagree"):
         structure_constants(3, 3, law, F3)
 
@@ -872,7 +874,7 @@ def symmetric_generalized_law(rng, field, degree):
 
 class TestBlockSum:
     """wedge^2 and Sym^2 of a partition summed over its blocks
-    (``repring._square_sum``), against the gathered operator on V (x) V
+    (``repring._block_sum``), against the gathered operator on V (x) V
     straightened onto the quotient (``oracles.operator_square_partition``)."""
 
     @staticmethod
@@ -957,15 +959,160 @@ class TestBlockSum:
     def test_many_blocks_past_the_operator_bound(self, kind):
         # Sym^2 of 10 J_8 has dimension 3240, and its class is
         # 10 Sym^2 J_8 + 45 J_8 (x) J_8, though the 6400 x 6400 operator on
-        # V (x) V is past the bound; an m = 3 power past it is still refused
+        # V (x) V is past the bound
         law = symmetric_law(kind, F5, 14, random.Random(f"ten-blocks:{kind}"))
         repring.clear_memo()
         got = RingElement.from_partition(sym_partition((8,) * 10, 2, law, F5))
         square = RingElement.from_partition(operator_square_partition((8,), "sym", law, F5))
         cell = RingElement.from_partition(gathered_tensor_partition(F5, (8,), (8,), law.coeffs))
         assert got == 10 * square + 45 * cell and got.dim() == 3240
+        # Sym^3 of J_9 + J_8 is Sym^3 J_9 + Sym^3 J_8 + Sym^2 J_9 (x) J_8 +
+        # Sym^2 J_8 (x) J_9, though its operator of dimension 17^3 is past the
+        # bound; a block past J_16 is refused
+        law = symmetric_law(kind, F5, 24, random.Random(f"cube-of-two-blocks:{kind}"))
+
+        def cube(a):
+            return RingElement.from_partition(operator_power_partition((a,), 3, "sym", law, F5))
+
+        def square_times(a, b):
+            square = RingElement.from_partition(operator_square_partition((a,), "sym", law, F5))
+            out = RingElement()
+            for c, mult in square.terms.items():
+                out = out + mult * RingElement.from_partition(
+                    gathered_tensor_partition(F5, (c,), (b,), law.coeffs))
+            return out
+
+        repring.clear_memo()
+        got = RingElement.from_partition(sym_partition((9, 8), 3, law, F5))
+        assert got == cube(9) + cube(8) + square_times(9, 8) + square_times(8, 9)
+        assert got.dim() == 969
         with pytest.raises(InvalidInput, match="4913"):
-            sym_partition((9, 8), 3, law, F5)
+            sym_partition((17,), 3, law, F5)
+
+
+class TestCubeSum:
+    """wedge^3 and Sym^3 of a partition summed over its blocks
+    (``repring._block_sum`` with the cubes of single blocks), against the
+    gathered operator on V (x) V (x) V straightened onto the quotient
+    (``oracles.operator_power_partition``); a law whose 3-fold series is not
+    symmetric is refused by both."""
+
+    @staticmethod
+    def check(lam, law):
+        for kind, power in (("sym", sym_partition), ("wedge", wedge_partition)):
+            try:
+                want = operator_power_partition(lam, 3, kind, law, law.field)
+            except InvalidInput:
+                with pytest.raises(InvalidInput, match="commute"):
+                    power(lam, 3, law, law.field)
+                continue
+            assert power(lam, 3, law, law.field) == want, (law.field, law, lam, kind)
+
+    @pytest.mark.parametrize("field", SQUARE_FIELDS, ids=str)
+    def test_seeded_cubes(self, field):
+        rng = random.Random(f"cube-sum:{field.p}")
+        for kind in QUOTIENT_LAWS + ("non-associative",):
+            if kind == "non-associative":
+                law = symmetric_generalized_law(rng, field, 9)
+            else:
+                law = symmetric_law(kind, field, 9, rng)
+            # one size three times, a size twice, distinct sizes, then seeded
+            # ones of 1-4 blocks <= 4 and dimension <= 7
+            lams = [(4, 2, 1), (2, 2, 2), (3, 3, 1), (1, 1, 1), (2, 1, 1, 1)]
+            while len(lams) < 9:
+                lam = sorted((rng.randint(1, 4) for _ in range(rng.randint(1, 4))), reverse=True)
+                if sum(lam) <= 7:
+                    lams.append(lam)
+            repring.clear_memo()
+            for lam in lams:
+                self.check(Partition(lam), law)
+
+    @given(st.sampled_from(SQUARE_FIELDS), small_partitions,
+           st.sampled_from(QUOTIENT_LAWS + ("non-associative",)), st.integers(0, 10**6),
+           st.integers(0, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_hypothesis_cubes(self, field, lam, kind, seed, extra):
+        if lam.dim > 8:
+            lam = Partition(lam[:2])
+        rng = random.Random(seed)
+        degree = max(2, 3 * (lam[0] - 1) + extra)
+        if kind == "non-associative":
+            law = symmetric_generalized_law(rng, field, degree)
+        else:
+            law = symmetric_law(kind, field, degree, rng)
+        repring.clear_memo()
+        self.check(lam, law)
+
+    def test_no_operator_on_the_partition(self, monkeypatch):
+        laws = [additive(F2), multiplicative(F5), scaled_multiplicative(F7, F7(3)),
+                random_fgl(5, 9, QQ), random_fgl(6, 9, GF(13))]
+        # the first largest block is the largest of all
+        lams = [Partition(lam) for lam in [(4, 2, 1), (3, 3, 1), (4, 1, 1, 1)]]
+        want = {(law, lam, kind): operator_power_partition(lam, 3, kind, law, law.field)
+                for law in laws for lam in lams for kind in ("sym", "wedge")}
+        built, dims = [], []
+        series, gather = repring.iterated_tensor_series, repring.canonical_series_operator
+
+        def series_spy(law, m, trunc):
+            built.append((law, m, trunc))
+            return series(law, m, trunc)
+
+        def gather_spy(field, lams, num, den=1):
+            dims.append(np.prod([Partition(lam).dim for lam in lams]))
+            return gather(field, lams, num, den)
+
+        def refuse(*args, **kwargs):
+            pytest.fail("the cube built an operator on the partition")
+
+        monkeypatch.setattr(repring, "iterated_tensor_series", series_spy)
+        monkeypatch.setattr(repring, "canonical_series_operator", gather_spy)
+        for name in ("power_operator", "tensor_operator"):
+            monkeypatch.setattr(repring, name, refuse)
+        for law in laws:
+            repring.clear_memo()
+            built.clear()
+            for lam in lams:
+                for kind, power in (("sym", sym_partition), ("wedge", wedge_partition)):
+                    assert power(lam, 3, law, law.field) == want[law, lam, kind], (law, lam)
+            assert built == [(law, 3, (4, 4, 4))]
+        assert dims and max(dims) <= 4 ** 3
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_non_symmetric_series_is_refused(self, seed):
+        # a symmetric law whose 3-fold series is not symmetric, and a law that
+        # is not symmetric; wedge^3 J_3 has dimension 1 and builds no operator
+        laws = [symmetric_generalized_law(random.Random(seed), F5, 9),
+                random_generalized_law(seed, 9, F5)]
+        for law in laws:
+            for kind, power in (("sym", sym_partition), ("wedge", wedge_partition)):
+                for lam in ((3, 3, 2), (4, 1)):
+                    with pytest.raises(InvalidInput, match="commute"):
+                        operator_power_partition(lam, 3, kind, law, F5)
+                    repring.clear_memo()
+                    with pytest.raises(InvalidInput, match="commute"):
+                        power(lam, 3, law, F5)
+                    assert not repring._constants_memo
+
+    def test_series_growth_stays_within_the_law_degree(self):
+        # a degree-6 law reaches the 3-fold series of J_3, not the box 4
+        # that doubling the box of J_2 would give
+        law = random_fgl(11, 6, F5)
+        for first in ((), (2, 1)):
+            repring.clear_memo()
+            if first:
+                sym_partition(first, 3, law, F5)
+            self.check(Partition((3,)), law)
+            self.check(Partition((3, 2)), law)
+        with pytest.raises(TruncationTooShort):
+            sym_partition((4,), 3, law, F5)
+
+    def test_clear_memo_drops_the_series_and_the_cubes(self):
+        law = multiplicative(F5)
+        repring.clear_memo()
+        sym_partition((3, 2), 3, law, F5)
+        assert {key[0] for key in repring._constants_memo} >= {"F3", "cube"}
+        repring.clear_memo()
+        assert not repring._constants_memo
 
 
 class TestSigmaMatrices:
@@ -1012,6 +1159,18 @@ class TestWedgeSym:
         w = wedge_partition(lam, 2, additive(F7), F7)
         s = sym_partition(lam, 2, additive(F7), F7)
         assert w.dim == 10 and s.dim == 15
+
+    @pytest.mark.parametrize("m", [True, False, 2.0, 2.5, "2", None, 0, -1])
+    def test_m_that_is_not_an_integer_at_least_one(self, m):
+        for power in (wedge_partition, sym_partition):
+            with pytest.raises(InvalidInput, match="m must be an integer >= 1"):
+                power((2, 1), m, additive(F5), F5)
+
+    def test_numpy_integer_m(self):
+        for power in (wedge_partition, sym_partition):
+            for m in (2, 3, 4):
+                assert power((2, 1), np.int64(m), additive(F5), F5) == power((2, 1), m,
+                                                                           additive(F5), F5)
 
     def test_unknown_quotient_kind(self):
         with pytest.raises(InvalidInput):
