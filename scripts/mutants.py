@@ -264,11 +264,6 @@ MUTANTS = [
            "    for key in [k for k in _constants_memo if k[0] != \"F3\"]:\n"
            "        del _constants_memo[key]\n",
            (CUBE_SUM_TESTS + "test_clear_memo_drops_the_series_and_the_cubes",)),
-    # the 3-fold series doubled past the law's degree: TruncationTooShort
-    # for a cube that the law reaches
-    Mutant("cube-series-growth-past-the-degree", REPRING,
-           "if law.exact or 3 * (rounded - 1) <= law.degree:", "if True:",
-           (CUBE_SUM_TESTS + "test_series_growth_stays_within_the_law_degree",)),
 ]
 
 

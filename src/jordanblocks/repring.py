@@ -630,21 +630,15 @@ def induced_quotient_operator(x: Matrix, d: int, m: int, kind: str) -> Matrix:
 def _cube_series(law: GeneralizedLaw, n: int) -> tuple:
     """(num, den) of the law's 3-fold series F(F(Y_1, Y_2), Y_3) mod
     (Y_1^n, Y_2^n, Y_3^n), cut from one series per law memoized in
-    ``_constants_memo``: built cold at n, and past its box rebuilt with the
-    side rounded up to a power of two, or at n when the law's degree does
-    not reach 3 (side - 1).  The cut must be symmetric under the swaps (1, 2)
-    and (2, 3), which is the power operator's commutation with the symmetric
-    group on any partition whose largest block is J_n; otherwise
-    InvalidInput, and the series is not memoized."""
+    ``_constants_memo`` and rebuilt at n past its box (the largest block's
+    cube comes first, so the rest are cuts).  The cut must be symmetric
+    under the swaps (1, 2) and (2, 3), which is the power operator's
+    commutation with the symmetric group on any partition whose largest
+    block is J_n; otherwise InvalidInput, and the series is not memoized."""
     key = ("F3", law.fingerprint())
     series = _constants_memo.get(key)
     if series is None or series.trunc[0] < n:
-        side = n
-        if series is not None:
-            rounded = 1 << (n - 1).bit_length()
-            if law.exact or 3 * (rounded - 1) <= law.degree:
-                side = rounded
-        series = iterated_tensor_series(law, 3, (side,) * 3)
+        series = iterated_tensor_series(law, 3, (n,) * 3)
     num = series.num[:n, :n, :n]
     if not (np.array_equal(num, num.transpose(1, 0, 2))
             and np.array_equal(num, num.transpose(0, 2, 1))):
@@ -658,17 +652,19 @@ def _cube_series(law: GeneralizedLaw, n: int) -> tuple:
 def _cube_constants(n: int, shape: str, law: GeneralizedLaw) -> RingElement:
     """Class of Sym^3 J_n (``shape == "sym"``) or wedge^3 J_n under the law:
     the operator on J_n^(x)3 gathered from the memoized 3-fold series
-    (``_cube_series``) and straightened onto the quotient.  A cube of
-    dimension 0 or 1 (wedge^3 J_n for n <= 3, Sym^3 J_1) builds no operator.
+    (``_cube_series``) and straightened onto the quotient.  The series is
+    checked first, so a cube of dimension 0 or 1 (wedge^3 J_n for n <= 3,
+    Sym^3 J_1), which builds no operator, is refused as any other.
     Memoized next to the block squares, under a key of its own."""
     key = ("cube", shape, n, law.fingerprint())
     hit = _constants_memo.get(key)
     if hit is None:
+        series = _cube_series(law, n)
         dim = math.comb(n + 2 if shape == "sym" else n, 3)
         if dim <= 1:
             hit = RingElement({1: dim})
         else:
-            x = canonical_series_operator(law.field, ((n,),) * 3, *_cube_series(law, n))
+            x = canonical_series_operator(law.field, ((n,),) * 3, *series)
             hit = RingElement.from_partition(
                 jordan_partition(induced_quotient_operator(x, n, 3, shape)))
         _constants_memo[key] = hit
@@ -688,9 +684,10 @@ def _quotient_partition(lam, m: int, law: GeneralizedLaw, field: Field, kind: st
 
     At m = 2 and m = 3 the block sum (``_block_sum``) with no operator on
     ``lam``: at m = 3 the single-block cubes need the law's 3-fold series
-    symmetric on the box of the largest block, else InvalidInput before
-    anything is memoized, and a block past J_16, whose cube operator is past
-    the bound, is refused.  At any other m the power operator, straightened.
+    symmetric on the box of the largest block, whose cube the sum asks for
+    first, else InvalidInput before anything is memoized, and a block past
+    J_16, whose cube operator is past the bound, is refused.  At any other m
+    the power operator, straightened.
     An m that is not an integer >= 1 (a bool or a float included) raises
     InvalidInput.
     """
@@ -703,9 +700,7 @@ def _quotient_partition(lam, m: int, law: GeneralizedLaw, field: Field, kind: st
     _require_field(law, field)
     cube = None
     if m == 3:
-        top = max(lam, default=1)
-        _require_operator_dim(top ** 3)
-        _cube_series(law, top)
+        _require_operator_dim(max(lam, default=1) ** 3)
         cube = lambda a: _cube_constants(a, kind, law)
     return _block_sum(lam, kind, lambda a, b: structure_constants(a, b, law, field),
                       lambda a, shape: square_constants(a, shape, law), cube).to_partition()

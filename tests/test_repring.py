@@ -1094,8 +1094,8 @@ class TestCubeSum:
                     assert not repring._constants_memo
 
     def test_series_growth_stays_within_the_law_degree(self):
-        # a degree-6 law reaches the 3-fold series of J_3, not the box 4
-        # that doubling the box of J_2 would give
+        # a degree-6 law reaches the 3-fold series of J_3 (3 * 2 = 6), cold
+        # and past a memoized series of J_2, but not that of J_4
         law = random_fgl(11, 6, F5)
         for first in ((), (2, 1)):
             repring.clear_memo()
