@@ -49,6 +49,7 @@ REPRING = "src/jordanblocks/repring.py"
 SERIES = "src/jordanblocks/series.py"
 FGL = "src/jordanblocks/fgl.py"
 FIELDS = "src/jordanblocks/fields.py"
+G2 = "src/jordanblocks/g2.py"
 OFFSETS_TEST = ("tests/test_repring.py::TestStructureConstants::"
                 "test_gather_offsets_are_memoized_read_only")
 CELL_TESTS = "tests/test_repring.py::TestCellRoute::"
@@ -56,6 +57,7 @@ DENSE_TESTS = "tests/test_series.py::TestDictOracle::"
 SQUARE_TESTS = "tests/test_repring.py::TestSquareRoute::"
 BLOCK_SUM_TESTS = "tests/test_repring.py::TestBlockSum::"
 CUBE_SUM_TESTS = "tests/test_repring.py::TestCubeSum::"
+G2_BATCH_TESTS = "tests/test_g2.py::TestBatchedRoutes::"
 
 MUTANTS = [
     # 4 * bits + 1 would pick the same width as 4 * bits + 2 for every p:
@@ -264,6 +266,22 @@ MUTANTS = [
            "    for key in [k for k in _constants_memo if k[0] != \"F3\"]:\n"
            "        del _constants_memo[key]\n",
            (CUBE_SUM_TESTS + "test_clear_memo_drops_the_series_and_the_cubes",)),
+    # the term moves only a[l, i] with l > i, which every raising
+    # representative has zero: the dense matrices catch it
+    Mutant("wedge-compound-sign", G2,
+           "- x[_L, _I] * (_K == _J)", "+ x[_L, _I] * (_K == _J)",
+           (G2_BATCH_TESTS + "test_compound_operators_are_the_straightened_kronecker_forms[5]",)),
+    # the second compound of u is not nilpotent
+    Mutant("unipotent-compound-without-minus-1", G2,
+           "minors, a.den ** 2) - Matrix.identity(a.field, 21)", "minors, a.den ** 2)",
+           (G2_BATCH_TESTS + "test_compound_operators_are_the_straightened_kronecker_forms[5]",)),
+    Mutant("coordinate-block-off-by-one", G2,
+           "coords.num[:, i * k:(i + 1) * k]", "coords.num[:, (i + 1) * k:(i + 2) * k]",
+           (G2_BATCH_TESTS + "test_table_matches_the_oracles[7]",)),
+    Mutant("swap-check-first-row-block", REPRING,
+           "for lo in range(0, len(ints), _SWAP_ROWS)", "for lo in range(0, _SWAP_ROWS, _SWAP_ROWS)",
+           ("tests/test_repring.py::TestNonSymmetricLaw::"
+            "test_swap_checked_in_the_last_row_block",)),
 ]
 
 

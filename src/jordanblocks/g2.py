@@ -11,28 +11,43 @@ together with lowering counterparts built from the transposes.  The relative
 coefficient in the lowering short generator is forced by the Cartan-matrix
 relations and the build certifies dim = 14 by bracket closure.  Orbit
 representatives and their adjoint partitions are computed two independent
-ways: directly on the 14-dimensional subalgebra, and as the multiset
-difference of the partition on wedge^2 of the 7-dimensional module and the
-partition on the module itself.
+ways.  The direct route stacks the 14 basis matrices, forms the images
+[x, z] and u z u^-1 - z of every representative with a few float64
+products, and reads their coordinates in the basis off one linear solve.
+The wedge route takes the multiset difference of the partition on wedge^2
+of the 7-dimensional module and the partition on the module itself; the
+21 x 21 operator on wedge^2 is the additive compound of a nilpotent x, or
+the second compound (the 2 x 2 minors) of a unipotent u minus 1.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlgebraError, BadPrime, DoesNotStabilize, InvalidInput
+from .errors import (
+    AlgebraError,
+    BadPrime,
+    DoesNotStabilize,
+    InvalidInput,
+    NotUnipotent,
+    ShapeMismatch,
+)
 from .fields import Field
 from .linalg import (
     Matrix,
     Partition,
+    _insert_rows,
+    _matmul_mod,
+    _require_int64_elimination,
+    _rows,
     exp_nilpotent,
     jordan_partition,
     solve_in_columns,
     unipotent_partition,
 )
-from .repring import induced_quotient_operator
 
 ORBITS = ("A1", "A1tilde", "G2a1", "G2reg")
 
@@ -115,15 +130,18 @@ def g2_generators(model: SO7Model) -> tuple:
 
 
 def lie_closure(generators) -> list:
-    """Basis of the Lie subalgebra generated by the given matrices."""
+    """Basis of the Lie subalgebra generated by the given matrices.
+
+    A bracket joins the basis when its flattened numerator grows one echelon
+    of the basis kept so far (``linalg._insert_rows``)."""
     basis: list = []
-    rows: list = []
+    pivots: dict = {}
 
     def try_add(mat: Matrix) -> bool:
-        vec = mat.flatten()
-        probe = Matrix(mat.field, np.vstack(rows + [vec]))
-        if probe.rank() > len(rows):
-            rows.append(vec)
+        p, flat = mat.field.p, mat.num.reshape(1, -1)
+        count = len(pivots)
+        _insert_rows(pivots, _rows(flat, p), p, flat.shape[1])
+        if len(pivots) > count:
             basis.append(mat)
             return True
         return False
@@ -205,25 +223,86 @@ def _require_partition(orbit: str, got: Partition) -> None:
                            f"7-dimensional module, not {V_PARTITIONS[orbit]}")
 
 
+def _coordinate_blocks(reps: list, basis: list) -> list:
+    """The matrix of ad a (mode "nilpotent") or Ad a - 1 ("unipotent") on the
+    span of ``basis``, in its coordinates, for each (a, mode) of ``reps``.
+
+    Every image is a z r - z s with the basis stacked as z, from stacked
+    float64 products (``linalg._matmul_mod``, BadPrime past its bound):
+    r = 1, s = a gives [a, z], and r = a^-1, s = 1 gives a z a^-1 - z.  The
+    coordinates of all images come from one solve against the basis, and
+    block i holds the columns of representative i.  Raises DoesNotStabilize when any image
+    leaves the span, which signals a representative outside the subalgebra
+    or its group, ShapeMismatch for an a of another shape or field than the
+    basis, and NotUnipotent for a singular a in unipotent mode.
+    """
+    field, shape = basis[0].field, basis[0].shape
+    if not field.p:
+        raise InvalidInput("the direct route works over F_p")
+    p, zs, eye = field.p, np.stack([z.num for z in basis]), np.eye(shape[0], dtype=np.int64)
+    k = len(zs)
+    factors = []
+    for a, mode in reps:
+        if a.shape != shape or a.field != field:
+            raise ShapeMismatch(f"a {a.shape} matrix over {a.field} does not act on the span "
+                                f"of {shape} matrices over {field}")
+        if mode == "nilpotent":
+            factors.append((a.num, eye, a.num))
+        elif mode == "unipotent":
+            try:
+                factors.append((a.num, a.inverse().num, eye))
+            except ZeroDivisionError:
+                raise NotUnipotent("a singular matrix is not unipotent") from None
+        else:
+            raise InvalidInput(f"unknown mode {mode!r}")
+    left, right, sub = (np.stack(f)[:, None] for f in zip(*factors))
+    images = (_matmul_mod(_matmul_mod(left, zs, p), right, p) - _matmul_mod(zs, sub, p)) % p
+    coords = solve_in_columns(Matrix._trusted(field, zs.reshape(k, -1).T.copy()),
+                              Matrix._trusted(field, images.reshape(len(reps) * k, -1).T.copy()))
+    if coords is None:
+        raise DoesNotStabilize("a representative does not stabilize the subalgebra")
+    return [Matrix._trusted(field, coords.num[:, i * k:(i + 1) * k].copy())
+            for i in range(len(reps))]
+
+
 def adjoint_partition_direct(a: Matrix, basis: list, mode: str) -> Partition:
-    """Partition of ad a (nilpotent mode) or Ad a - 1 (unipotent mode) on the span.
+    """Partition of ad a (nilpotent mode) or Ad a - 1 (unipotent mode) on the
+    span of ``basis``, through ``_coordinate_blocks``.
 
     Raises DoesNotStabilize when the operator moves the span out of itself,
-    which signals a representative outside the subalgebra or its group.
+    ShapeMismatch unless a has the shape and field of the basis (7 x 7 over
+    F_p for the model's), and NotUnipotent for a singular a in unipotent
+    mode.
     """
-    field = a.field
-    columns = Matrix(field, np.column_stack([z.flatten() for z in basis]))
+    return jordan_partition(_coordinate_blocks([(a, mode)], basis)[0])
+
+
+#: rows (k, l) and columns (i, j) of wedge^2 of the module, the pairs
+#: k < l in the order of ``repring.induced_quotient_operator``
+_K, _L = (np.array(c)[:, None] for c in zip(*itertools.combinations(range(7), 2)))
+_I, _J = _K.T, _L.T
+
+
+def _wedge_square(a: Matrix, mode: str) -> Matrix:
+    """The operator on wedge^2 V of a 7 x 7 matrix, no Kronecker product built.
+
+    A nilpotent a sends e_i ^ e_j to a e_i ^ e_j + e_i ^ a e_j, whose
+    coordinate at e_k ^ e_l (k < l) is
+    a[k,i] d[l,j] - a[l,i] d[k,j] + d[k,i] a[l,j] - d[l,i] a[k,j], d the
+    Kronecker delta: the additive compound.  A unipotent a sends it to
+    a e_i ^ a e_j, whose coordinate is the 2 x 2 minor of a at rows k, l and
+    columns i, j: the second compound, and the operator is that minus 1.
+    """
+    x = a.num
+    if mode == "nilpotent":
+        out = (x[_K, _I] * (_L == _J) - x[_L, _I] * (_K == _J)
+               + (_K == _I) * x[_L, _J] - (_L == _I) * x[_K, _J])
+        return Matrix._from_ints(a.field, out, a.den)
     if mode == "unipotent":
-        a_inv = a.inverse()
-        images = [a @ z @ a_inv - z for z in basis]
-    elif mode == "nilpotent":
-        images = [bracket(a, z) for z in basis]
-    else:
-        raise InvalidInput(f"unknown mode {mode!r}")
-    coords = solve_in_columns(columns, Matrix(field, np.column_stack([z.flatten() for z in images])))
-    if coords is None:
-        raise DoesNotStabilize(f"{mode} representative does not stabilize the subalgebra")
-    return jordan_partition(coords)
+        _require_int64_elimination(a.field.p)
+        minors = x[_K, _I] * x[_L, _J] - x[_L, _I] * x[_K, _J]
+        return Matrix._from_ints(a.field, minors, a.den ** 2) - Matrix.identity(a.field, 21)
+    raise InvalidInput(f"unknown mode {mode!r}")
 
 
 def wedge_route_adjoint(a: Matrix, mode: str) -> Partition:
@@ -231,20 +310,19 @@ def wedge_route_adjoint(a: Matrix, mode: str) -> Partition:
 
     Valid because wedge^2 of the 7-dimensional module splits off one copy of
     it, with the adjoint module as the complement, and both actions stabilize
-    the splitting.  The operator on V (x) V is the additive law's a (x) 1 +
-    1 (x) a, or the multiplicative law's a (x) a - 1 for a unipotent a.
+    the splitting.  The operator on wedge^2 V is ``_wedge_square``.  Raises
+    ShapeMismatch unless a is 7 x 7, and NotUnipotent for a singular a in
+    unipotent mode.
     """
-    eye = Matrix.identity(a.field, a.nrows)
+    if a.shape != (7, 7):
+        raise ShapeMismatch(f"a {a.shape} matrix does not act on the 7-dimensional module")
     if mode == "nilpotent":
         v_part = jordan_partition(a)
-        top = a.kron(eye) + eye.kron(a)
     elif mode == "unipotent":
         v_part = unipotent_partition(a)
-        top = a.kron(a) - eye.kron(eye)
     else:
         raise InvalidInput(f"unknown mode {mode!r}")
-    wedge = jordan_partition(induced_quotient_operator(top, a.nrows, 2, "wedge"))
-    return wedge.difference(v_part)
+    return jordan_partition(_wedge_square(a, mode)).difference(v_part)
 
 
 def expected_adjoint(orbit: str, p: int) -> Partition:
@@ -284,14 +362,14 @@ class G2Row:
 def g2_table(p: int) -> list:
     """All four orbit rows at the given prime, adjoint partitions by both routes."""
     model = build_so7_model(p)
-    basis = g2_subalgebra(model)
+    xs = [g2_nilpotent_rep(orbit, model) for orbit in ORBITS]
+    us = [g2_unipotent_rep(orbit, model) for orbit in ORBITS]
+    reps = [(x, "nilpotent") for x in xs] + [(u, "unipotent") for u in us]
+    direct = [jordan_partition(block)
+              for block in _coordinate_blocks(reps, g2_subalgebra(model))]
     rows = []
-    for orbit in ORBITS:
-        x = g2_nilpotent_rep(orbit, model)
-        u = g2_unipotent_rep(orbit, model)
-        ad_direct = adjoint_partition_direct(x, basis, "nilpotent")
+    for orbit, x, u, ad_direct, big_ad_direct in zip(ORBITS, xs, us, direct[:4], direct[4:]):
         ad_wedge = wedge_route_adjoint(x, "nilpotent")
-        big_ad_direct = adjoint_partition_direct(u, basis, "unipotent")
         big_ad_wedge = wedge_route_adjoint(u, "unipotent")
         routes_agree = ad_direct == ad_wedge and big_ad_direct == big_ad_wedge
         expected = expected_adjoint(orbit, p)

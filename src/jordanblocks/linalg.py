@@ -354,9 +354,10 @@ def _require_float_exact(p: int, inner: int) -> None:
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact product of two arrays reduced mod p, through float64 BLAS;
-    BadPrime past float64 exactness (``_require_float_exact``)."""
-    _require_float_exact(p, a.shape[1])
+    """Exact product of two arrays, or of stacks of them as ``@`` takes
+    them, reduced mod p, through float64 BLAS; BadPrime past float64
+    exactness (``_require_float_exact``)."""
+    _require_float_exact(p, a.shape[-1])
     prod = np.rint(a.astype(np.float64) @ b.astype(np.float64, copy=False))
     return prod.astype(np.int64) % p
 

@@ -594,6 +594,21 @@ def _straightening(d: int, m: int, kind: str) -> tuple:
     return (*tables, spare)
 
 
+#: rows of an operator that ``_commutes`` permutes at a time
+_SWAP_ROWS = 256
+
+
+def _commutes(ints: np.ndarray, swap: np.ndarray) -> bool:
+    """Whether permuting both the rows and the columns of ``ints`` by ``swap``
+    leaves it unchanged, compared ``_SWAP_ROWS`` rows at a time, so no
+    permuted copy of the whole operator is made."""
+    for lo in range(0, len(ints), _SWAP_ROWS):
+        rows = slice(lo, lo + _SWAP_ROWS)
+        if not np.array_equal(ints.take(swap[rows], axis=0).take(swap, axis=1), ints[rows]):
+            return False
+    return True
+
+
 def induced_quotient_operator(x: Matrix, d: int, m: int, kind: str) -> Matrix:
     """The endomorphism that x, acting on (k^d)^(x)m, induces on wedge^m or
     Sym^m of k^d (``kind`` "wedge" or "sym").
@@ -609,7 +624,7 @@ def induced_quotient_operator(x: Matrix, d: int, m: int, kind: str) -> Matrix:
     x induces a map only if it preserves the kernel of the quotient, and it
     does when it commutes with the symmetric group (its commutant, the Schur
     algebra, preserves every such kernel).  So x must commute with each
-    adjacent swap of tensor factors; otherwise InvalidInput.
+    adjacent swap of tensor factors (``_commutes``); otherwise InvalidInput.
     """
     if x.shape != (d ** m, d ** m):
         raise InvalidInput(f"a {x.shape} operator does not act on the {m}-fold "
@@ -617,8 +632,7 @@ def induced_quotient_operator(x: Matrix, d: int, m: int, kind: str) -> Matrix:
     targets, signs, columns, spare = _straightening(d, m, kind)
     ints = x.num
     for i in range(m - 1):
-        swap = _swap_index(d, m, i)
-        if not np.array_equal(ints[swap][:, swap], ints):
+        if not _commutes(ints, _swap_index(d, m, i)):
             raise InvalidInput("the operator does not commute with swapping tensor factors "
                                f"{i + 1} and {i + 2}, so it induces no map on the quotient "
                                "(the law's m-fold series is not symmetric)")

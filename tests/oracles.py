@@ -18,6 +18,12 @@ the gathered power operator straightened onto the quotient, and
 over the terms of the m-fold tensor series; ``quotient_maps`` builds the
 dense projection onto wedge^m or Sym^m of k^d and the injection back, and
 ``dense_quotient_operator`` multiplies an operator through them;
+``g2_direct_adjoint`` is the adjoint partition on the span of a basis, one
+bracket or conjugate per basis element, and ``kron_wedge_operator`` the
+operator on wedge^2 straightened from a (x) 1 + 1 (x) a or a (x) a - 1, with
+``kron_wedge_adjoint`` its partition minus the one on the module;
+``rank_probe_closure`` a Lie closure that ranks every candidate's probe
+from scratch;
 ``loop_mult_matrix`` fills a multiplication matrix one monomial at a time,
 and ``monomial_endomorphism_matrix`` an algebra endomorphism's matrix one
 image monomial at a time; ``dense_coefficients`` writes a coefficient dict
@@ -459,3 +465,66 @@ def dict_random_fgl_coeffs(seed: int, degree: int, field) -> dict:
     u, v = DictSeries.variable(field, (r, r), 0), DictSeries.variable(field, (r, r), 1)
     inner = g_inv.substitute([u]) + g_inv.substitute([v])
     return g.substitute([inner]).truncate_degree(degree).coeffs
+
+
+def g2_direct_adjoint(a: Matrix, basis: list, mode: str) -> Partition:
+    """Jordan type of ad a (``mode == "nilpotent"``) or Ad a - 1 on the span
+    of ``basis``: one Matrix bracket or conjugate per basis element, their
+    coordinates by RREF, and the type by full powers; None when an image
+    leaves the span."""
+    field = a.field
+    if mode == "unipotent":
+        a_inv = a.inverse()
+        images = [a @ z @ a_inv - z for z in basis]
+    else:
+        images = [a @ z - z @ a for z in basis]
+    columns = Matrix(field, np.column_stack([z.flatten() for z in basis]))
+    coords = rref_solve(columns, Matrix(field, np.column_stack([z.flatten() for z in images])))
+    return None if coords is None else full_power_partition(coords)
+
+
+def kron_wedge_operator(a: Matrix, mode: str) -> Matrix:
+    """The operator on wedge^2 of a's space: a (x) 1 + 1 (x) a for a nilpotent
+    a, a (x) a - 1 for a unipotent a, straightened onto the quotient."""
+    eye = Matrix.identity(a.field, a.nrows)
+    if mode == "nilpotent":
+        top = a.kron(eye) + eye.kron(a)
+    else:
+        top = a.kron(a) - eye.kron(eye)
+    return induced_quotient_operator(top, a.nrows, 2, "wedge")
+
+
+def kron_wedge_adjoint(a: Matrix, mode: str) -> Partition:
+    """Jordan type on wedge^2 (``kron_wedge_operator``) minus the one on the
+    module, both by full powers."""
+    v = a if mode == "nilpotent" else a - Matrix.identity(a.field, a.nrows)
+    wedge = full_power_partition(kron_wedge_operator(a, mode))
+    return wedge.difference(full_power_partition(v))
+
+
+def rank_probe_closure(generators) -> list:
+    """Basis of the Lie algebra generated by the matrices: a bracket is kept
+    when stacking its flattening under the kept ones raises the RREF rank."""
+    basis, rows = [], []
+
+    def try_add(mat):
+        probe = np.vstack(rows + [mat.flatten()])
+        p = mat.field.p
+        if (rref_rank_mod(probe, p) if p else rref_rank_frac(probe)) > len(rows):
+            rows.append(mat.flatten())
+            basis.append(mat)
+            return True
+        return False
+
+    for g in generators:
+        try_add(g)
+    frontier = list(basis)
+    while frontier:
+        new = []
+        for a in frontier:
+            for b in list(basis):
+                br = a @ b - b @ a
+                if not br.is_zero() and try_add(br):
+                    new.append(br)
+        frontier = new
+    return basis

@@ -1,8 +1,18 @@
+import random
+
 import pytest
 
 from jordanblocks import g2
-from jordanblocks.errors import AlgebraError, BadPrime, DoesNotStabilize, InvalidInput
+from jordanblocks.errors import (
+    AlgebraError,
+    BadPrime,
+    DoesNotStabilize,
+    InvalidInput,
+    NotUnipotent,
+    ShapeMismatch,
+)
 from jordanblocks.fgl import additive, multiplicative
+from jordanblocks.fields import GF, QQ
 from jordanblocks.g2 import (
     ORBITS,
     V_PARTITIONS,
@@ -19,8 +29,18 @@ from jordanblocks.g2 import (
     wedge_route_adjoint,
     weight_components,
 )
-from jordanblocks.linalg import Matrix, Partition, jordan_partition, unipotent_partition
+from jordanblocks.linalg import (
+    Matrix,
+    Partition,
+    exp_nilpotent,
+    jordan_partition,
+    random_invertible,
+    unipotent_partition,
+)
 from jordanblocks.repring import tensor_operator
+from oracles import g2_direct_adjoint, kron_wedge_adjoint, kron_wedge_operator, rank_probe_closure
+
+PRIMES = [5, 7, 11, 13]
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +115,22 @@ class TestLieClosure:
     def test_g2_dimension_other_primes(self):
         for p in (5, 11, 13):
             assert len(g2_subalgebra(build_so7_model(p))) == 14
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_basis_is_the_rank_probe_closure(self, p):
+        # the incremental echelon keeps the same brackets in the same order
+        # as ranking every probe from scratch
+        gens = g2_generators(build_so7_model(p))
+        got, want = lie_closure(gens), rank_probe_closure(gens)
+        assert len(got) == len(want) == 14
+        assert all(a == b for a, b in zip(got, want))
+
+    def test_closure_over_q(self):
+        y1 = g2._unit(QQ, 0, 1) - g2._unit(QQ, 5, 6)
+        gens = [y1, y1.T]
+        got = lie_closure(gens)
+        assert len(got) == 3
+        assert all(a == b for a, b in zip(got, rank_probe_closure(gens)))
 
 
 class TestRepresentatives:
@@ -174,6 +210,36 @@ class TestAdjointRoutes:
         u = g2_unipotent_rep("G2reg", model)
         assert adjoint_partition_direct(u, basis, "unipotent") == (7, 7)
 
+    def test_matrix_off_the_module_is_a_shape_mismatch(self, model):
+        basis = g2_subalgebra(model)
+        for a in (Matrix.zeros(model.field, 6, 6), Matrix.zeros(model.field, 8, 8)):
+            for mode in ("nilpotent", "unipotent"):
+                with pytest.raises(ShapeMismatch):
+                    wedge_route_adjoint(a, mode)
+                with pytest.raises(ShapeMismatch):
+                    adjoint_partition_direct(a, basis, mode)
+
+    def test_matrix_over_another_field_is_a_shape_mismatch(self, model):
+        basis = g2_subalgebra(model)
+        for field in (GF(5), QQ):
+            with pytest.raises(ShapeMismatch):
+                adjoint_partition_direct(Matrix.zeros(field, 7, 7), basis, "nilpotent")
+
+    def test_singular_u_is_not_unipotent(self, model):
+        zero = Matrix.zeros(model.field, 7, 7)
+        with pytest.raises(NotUnipotent):
+            adjoint_partition_direct(zero, g2_subalgebra(model), "unipotent")
+        with pytest.raises(NotUnipotent):
+            wedge_route_adjoint(zero, "unipotent")
+
+    def test_products_past_float_exactness_are_bad_prime(self):
+        # 7 (p - 1)**2 passes 2**53, so the stacked products could round
+        field = GF(2147483647)
+        basis = [Matrix.identity(field, 7)]
+        for mode in ("nilpotent", "unipotent"):
+            with pytest.raises(BadPrime):
+                adjoint_partition_direct(Matrix.identity(field, 7), basis, mode)
+
     def test_wedge_route_values(self):
         model5 = build_so7_model(5)
         cases = {
@@ -200,6 +266,74 @@ class TestWedgeRouteOperators:
             assert x.kron(eye) + eye.kron(x) == tensor_operator(x, x, additive(field))
             assert (u.kron(u) - Matrix.identity(field, 49)
                     == tensor_operator(u - eye, u - eye, multiplicative(field)))
+
+
+def _seeded_matrices(field, rng, count=4):
+    """Dense 7 x 7 matrices, invertible, with entries below the diagonal too."""
+    return [random_invertible(field, 7, rng) for _ in range(count)]
+
+
+class TestBatchedRoutes:
+    """The batched direct route and the compound wedge route against the
+    per-element brackets and the straightened Kronecker forms."""
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_table_matches_the_oracles(self, p):
+        model_p = build_so7_model(p)
+        basis = g2_subalgebra(model_p)
+        for orbit, row in zip(ORBITS, g2_table(p)):
+            reps = {"nilpotent": g2_nilpotent_rep(orbit, model_p),
+                    "unipotent": g2_unipotent_rep(orbit, model_p)}
+            for mode, got in (("nilpotent", row.adjoint_nilpotent),
+                              ("unipotent", row.adjoint_unipotent)):
+                a = reps[mode]
+                assert got == g2_direct_adjoint(a, basis, mode), (orbit, mode)
+                assert got == kron_wedge_adjoint(a, mode), (orbit, mode)
+                assert got == adjoint_partition_direct(a, basis, mode), (orbit, mode)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_compound_operators_are_the_straightened_kronecker_forms(self, p):
+        model_p = build_so7_model(p)
+        rng = random.Random(f"g2-compound:{p}")
+        nilpotents = [g2_nilpotent_rep(o, model_p) for o in ORBITS] + g2_subalgebra(model_p)
+        unipotents = [g2_unipotent_rep(o, model_p) for o in ORBITS]
+        dense = _seeded_matrices(model_p.field, rng)
+        for mode, mats in (("nilpotent", nilpotents + dense), ("unipotent", unipotents + dense)):
+            for a in mats:
+                assert g2._wedge_square(a, mode) == kron_wedge_operator(a, mode), mode
+
+    def test_compound_operators_over_q(self):
+        rng = random.Random("g2-compound:0")
+        for a in _seeded_matrices(QQ, rng, 2):
+            a = Matrix(QQ, a.a / 3)
+            for mode in ("nilpotent", "unipotent"):
+                assert g2._wedge_square(a, mode) == kron_wedge_operator(a, mode)
+
+    @pytest.mark.parametrize("mode", ["nilpotent", "unipotent"])
+    def test_one_bad_representative_among_the_stack(self, model, mode):
+        # y_1 alone (or exp y_1) leaves the subalgebra: one such image among
+        # the stacked ones is enough to refuse the whole solve
+        basis = g2_subalgebra(model)
+        reps = [(g2_nilpotent_rep(o, model), "nilpotent") for o in ORBITS]
+        reps += [(g2_unipotent_rep(o, model), "unipotent") for o in ORBITS]
+        g2._coordinate_blocks(reps, basis)
+        bad = model.y[0] if mode == "nilpotent" else exp_nilpotent(model.y[0])
+        reps.insert(5, (bad, mode))
+        with pytest.raises(DoesNotStabilize):
+            g2._coordinate_blocks(reps, basis)
+
+    def test_blocks_follow_the_representatives(self, model):
+        # the same representatives in another order give the same blocks,
+        # reordered
+        basis = g2_subalgebra(model)
+        reps = [(g2_unipotent_rep(o, model), "unipotent") for o in ORBITS]
+        reps += [(g2_nilpotent_rep(o, model), "nilpotent") for o in ORBITS]
+        blocks = g2._coordinate_blocks(reps, basis)
+        again = g2._coordinate_blocks(reps[::-1], basis)
+        assert all(a == b for a, b in zip(blocks, again[::-1]))
+        for (a, mode), block in zip(reps, blocks):
+            assert block.shape == (14, 14)
+            assert jordan_partition(block) == g2_direct_adjoint(a, basis, mode)
 
 
 class TestTable:

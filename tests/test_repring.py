@@ -701,6 +701,23 @@ class TestNonSymmetricLaw:
             with pytest.raises(InvalidInput, match="commute"):
                 induced_quotient_operator(x, 3, 2, kind)
 
+    def test_swap_checked_in_the_last_row_block(self):
+        # the only entries that the swap moves sit in rows (16, 15) and
+        # (15, 16) of the 289 words, both in the last block of rows checked
+        d = 17
+        n, u, v = d * d, 16 * d + 15, 15 * d + 16
+        last = (n - 1) // repring._SWAP_ROWS * repring._SWAP_ROWS
+        assert 0 < last <= min(u, v)
+        num = np.zeros((n, n), dtype=np.int64)
+        num[u, 0] = 1
+        for kind in ("wedge", "sym"):
+            with pytest.raises(InvalidInput, match="commute"):
+                induced_quotient_operator(Matrix(F5, num), d, 2, kind)
+        num[v, 0] = 1
+        x = Matrix(F5, num)
+        for kind in ("wedge", "sym"):
+            assert induced_quotient_operator(x, d, 2, kind) == dense_quotient_operator(x, d, 2, kind)
+
     @given(st.sampled_from([F5, F7]), small_partitions, st.integers(2, 3),
            st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
