@@ -14,7 +14,9 @@ copy and must pass, so that a kill means the fault was caught.
 Usage: python scripts/mutants.py [--list] [NAME ...]
 
 With names, only those entries run.  Exits 1 when a mutant survives, an
-entry no longer applies, or the unchanged selections fail.
+entry no longer applies, or the unchanged selections fail.  ``--list``
+prints the entries and runs no tests; it exits 1, marking them STALE, when
+any entry's old text does not occur exactly once in the source tree.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ MUTANTS = [
            (OFFSETS_TEST,)),
     # one generator short: the rows x^i F^j no longer span J_n (x) J_m
     Mutant("cell-generators-short", REPRING,
-           "c = min(n, m)\n", "c = min(n, m) - 1\n",
+           "gens = range(min(n, m)) if", "gens = range(min(n, m) - 1) if",
            (CELL_TESTS + "test_seeded_cells",)),
     # the top power F^(n+m-2) dropped: one Jordan block loses its top vector
     Mutant("cell-levels-short", REPRING,
@@ -207,16 +209,21 @@ MUTANTS = [
     # at p = 2 the swap is trivial on A/tA, so the even (Sym^2) or odd
     # (wedge^2) x^i do not generate the square: the span count falls short
     Mutant("square-parity-generators-at-p2", REPRING,
-           "n, 1 if char2 else 2)", "n, 2)",
+           "range(wedge, n, 1 if p == 2 else 2)", "range(wedge, n, 2)",
            (SQUARE_TESTS + "test_seeded_squares",)),
     # folds onto (1 + s)A, not the wedge: wrong wherever p != 2
     Mutant("square-wedge-sign-plus", REPRING,
-           "return first, second, -1 if wedge else 1", "return first, second, 1",
+           "lower = p - lower", "lower = lower",
            (SQUARE_TESTS + "test_seeded_squares",)),
     # 2 c_aa on the diagonal: a column scale at p != 2, a zero column at p = 2
     Mutant("square-sym-diagonal-doubled", REPRING,
-           "(b >= i) & (a != b)", "(b >= i)",
+           "lower[..., a == b] = 0", "pass",
            (SQUARE_TESTS + "test_seeded_squares",)),
+    # the folded sum in the rows' own width: up to 2p - 1 wraps past 255 at
+    # p = 251, which no answer shows, as p > 2n - 1 keeps the generic types
+    Mutant("square-fold-narrow-sum", REPRING,
+           "np.min_scalar_type(2 * p)", "np.min_scalar_type(p - 1)",
+           (SQUARE_TESTS + "test_folded_rows_match_a_python_fold",)),
     # a table with every power past F^0 zero then reads as t = 0
     Mutant("span-postcondition-removed", REPRING,
            "if ranks[-1] != dim:", "if False:",
@@ -225,9 +232,11 @@ MUTANTS = [
     Mutant("square-any-law", REPRING,
            "if not np.array_equal(series, series.T):", "if False:",
            (SQUARE_TESTS + "test_non_symmetric_law",)),
-    Mutant("clear-memo-keeps-folds", REPRING,
-           "    _square_fold.cache_clear()\n", "",
-           (SQUARE_TESTS + "test_fold_index",)),
+    # x^a y^a twice for every column: Sym^2 doubled off the diagonal, so a
+    # zero column at p = 2, and wedge^2 zero
+    Mutant("square-fold-lower-is-upper", REPRING,
+           "levels.take(b * n + a, axis=2)", "levels.take(a * n + b, axis=2)",
+           (SQUARE_TESTS + "test_seeded_squares",)),
     # Sym^2 J_3 of an F_7 law answered over F_3: the cells check the field,
     # the block squares and cubes read the law's own
     Mutant("square-sum-any-field", REPRING,
@@ -282,6 +291,12 @@ MUTANTS = [
            "for lo in range(0, len(ints), _SWAP_ROWS)", "for lo in range(0, _SWAP_ROWS, _SWAP_ROWS)",
            ("tests/test_repring.py::TestNonSymmetricLaw::"
             "test_swap_checked_in_the_last_row_block",)),
+    # 1 and 2 * 1 stabilize the span, so the direct route answers (1^14)
+    Mutant("g2-skips-nilpotency-check", G2,
+           "        if power.any():\n", "        if False:\n",
+           ("tests/test_g2.py::TestAdjointRoutes::"
+            "test_not_nilpotent_or_not_unipotent_is_refused",
+            G2_BATCH_TESTS + "test_one_non_nilpotent_representative_among_the_stack")),
 ]
 
 
@@ -307,15 +322,21 @@ def copy_tree(dest: Path) -> Path:
     return dest
 
 
+def stale(mutant: Mutant, tree: Path) -> str | None:
+    """Why the entry does not apply to ``tree``, or None when its old text
+    occurs exactly once."""
+    count = (tree / mutant.file).read_text().count(mutant.old)
+    return None if count == 1 else f"old text found {count} times in {mutant.file}"
+
+
 def check(mutant: Mutant, scratch: Path) -> str:
     """'killed', 'SURVIVED', or why the entry does not apply."""
     tree = copy_tree(scratch / mutant.name)
+    why = stale(mutant, tree)
+    if why:
+        return f"NOT APPLIED: {why}"
     path = tree / mutant.file
-    text = path.read_text()
-    count = text.count(mutant.old)
-    if count != 1:
-        return f"NOT APPLIED: old text found {count} times in {mutant.file}"
-    path.write_text(text.replace(mutant.old, mutant.new))
+    path.write_text(path.read_text().replace(mutant.old, mutant.new))
     status = run_tests(tree, mutant.tests)
     if status is None or status == 1:
         return "killed"
@@ -335,9 +356,13 @@ def main(argv=None) -> int:
         parser.error(f"unknown mutants: {', '.join(unknown)}")
     chosen = [known[n] for n in args.names] or MUTANTS
     if args.list:
+        failed = False
         for m in chosen:
-            print(f"{m.name}: {m.file}: {m.old.strip()!r} -> {m.new.strip()!r}")
-        return 0
+            why = stale(m, ROOT)
+            failed |= why is not None
+            print(f"{m.name}: {m.file}: {m.old.strip()!r} -> {m.new.strip()!r}"
+                  + (f"  STALE: {why}" if why else ""))
+        return int(failed)
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         scratch = Path(tmp)
         selections = sorted({t for m in chosen for t in m.tests})

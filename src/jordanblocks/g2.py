@@ -32,6 +32,7 @@ from .errors import (
     BadPrime,
     DoesNotStabilize,
     InvalidInput,
+    NotNilpotent,
     NotUnipotent,
     ShapeMismatch,
 )
@@ -234,27 +235,39 @@ def _coordinate_blocks(reps: list, basis: list) -> list:
     block i holds the columns of representative i.  Raises DoesNotStabilize when any image
     leaves the span, which signals a representative outside the subalgebra
     or its group, ShapeMismatch for an a of another shape or field than the
-    basis, and NotUnipotent for a singular a in unipotent mode.
+    basis, NotUnipotent for a singular a in unipotent mode, and, from
+    ceil(log2 d) stacked squarings of every a or a - 1 (d x d), NotNilpotent
+    or NotUnipotent unless each is nilpotent.
     """
     field, shape = basis[0].field, basis[0].shape
     if not field.p:
         raise InvalidInput("the direct route works over F_p")
     p, zs, eye = field.p, np.stack([z.num for z in basis]), np.eye(shape[0], dtype=np.int64)
     k = len(zs)
-    factors = []
+    factors, nilpotents = [], []
     for a, mode in reps:
         if a.shape != shape or a.field != field:
             raise ShapeMismatch(f"a {a.shape} matrix over {a.field} does not act on the span "
                                 f"of {shape} matrices over {field}")
         if mode == "nilpotent":
             factors.append((a.num, eye, a.num))
+            nilpotents.append(a.num)
         elif mode == "unipotent":
             try:
                 factors.append((a.num, a.inverse().num, eye))
             except ZeroDivisionError:
                 raise NotUnipotent("a singular matrix is not unipotent") from None
+            nilpotents.append((a.num - eye) % p)
         else:
             raise InvalidInput(f"unknown mode {mode!r}")
+    # N^(2^s) with 2^s >= the dimension vanishes exactly when N is nilpotent
+    powers = np.stack(nilpotents)
+    for _ in range((shape[0] - 1).bit_length()):
+        powers = _matmul_mod(powers, powers, p)
+    for (_, mode), power in zip(reps, powers):
+        if power.any():
+            raise (NotNilpotent("matrix is not nilpotent") if mode == "nilpotent"
+                   else NotUnipotent("u - 1 is not nilpotent"))
     left, right, sub = (np.stack(f)[:, None] for f in zip(*factors))
     images = (_matmul_mod(_matmul_mod(left, zs, p), right, p) - _matmul_mod(zs, sub, p)) % p
     coords = solve_in_columns(Matrix._trusted(field, zs.reshape(k, -1).T.copy()),
@@ -271,8 +284,9 @@ def adjoint_partition_direct(a: Matrix, basis: list, mode: str) -> Partition:
 
     Raises DoesNotStabilize when the operator moves the span out of itself,
     ShapeMismatch unless a has the shape and field of the basis (7 x 7 over
-    F_p for the model's), and NotUnipotent for a singular a in unipotent
-    mode.
+    F_p for the model's), NotNilpotent for an a that is not nilpotent in
+    nilpotent mode, and NotUnipotent for one that is not unipotent in
+    unipotent mode.
     """
     return jordan_partition(_coordinate_blocks([(a, mode)], basis)[0])
 

@@ -12,20 +12,19 @@ A tensor product of partitions is the ring product of their block classes,
 and no tensor operator is built for a cell J_n (x) J_m: it is multiplication
 by t = F(x, y) on k[x, y]/(x^n, y^m), whose ranks come from the rows
 x^i F^j sliced out of one memoized table of the law's powers F^j per law
-(``_cell_partition``, ``_law_powers``).  The table is built by products
+(``_table_partition``, ``_law_powers``).  The table is built by products
 of Toeplitz slices of the powers, about log2 rounds per box and no operator
 on A; boxes grow by powers of two, so a law's table is rebuilt about log2
 times per side.  ``tensor_operator`` (Kronecker products of powers) is the
 tests' reference.
 
-The squares Sym^2 J_n and wedge^2 J_n (``square_constants``) come off the
-same table with no operator: each row x^i F^j of k[x, y]/(x^n, y^n) is
-folded onto the n(n +- 1)/2 columns of the square, x^a y^b onto the sorted
-pair (a, b) with the sign of the sort for the wedge, through one memoized
-gather index per (n, shape, p == 2).  Every x^i is a generator at p = 2,
-and elsewhere only the even (Sym^2) or odd (wedge^2) i, since the swap
-acts as x -> -x + ... on the quotient by t; the span count after the last
-level must be the square's dimension, or AlgebraError.
+The squares Sym^2 J_n and wedge^2 J_n (``square_constants``) take the same
+route at m = n: the rows x^i F^j of the generators of the square are folded
+onto its n(n +- 1)/2 columns, x^a y^b onto the sorted pair (a, b) with the
+sign of the sort for the wedge.  Every x^i is a generator at p = 2, and
+elsewhere only the even (Sym^2) or odd (wedge^2) i, since the swap acts as
+x -> -x + ... on the quotient by t; the span count after the last level
+must be the dimension of the cell or the square, or AlgebraError.
 
 The tensor square, Sym^2 and wedge^2 of any partition, and Sym^3 and
 wedge^3 under a law whose 3-fold series is symmetric, split over its blocks
@@ -170,7 +169,7 @@ def tensor_operator(phi: Matrix, psi: Matrix, law: GeneralizedLaw) -> Matrix:
 def tensor_partition(lam, mu, law: GeneralizedLaw, field: Field) -> Partition:
     """Jordan type of F(phi (x) 1, 1 (x) psi) for the canonical nilpotents of
     ``lam`` and ``mu``: for two single blocks the cell J_n (x) J_m, read off
-    the law's memoized table of powers (``_cell_partition``); else (the
+    the law's memoized table of powers (``_table_partition``); else (the
     operator is block-diagonal) the ring product of the block classes'
     memoized cells."""
     _require_field(law, field)
@@ -178,51 +177,78 @@ def tensor_partition(lam, mu, law: GeneralizedLaw, field: Field) -> Partition:
     if len(lam) != 1 or len(mu) != 1:
         return ring_multiply(RingElement.from_partition(lam), RingElement.from_partition(mu),
                              law, field).to_partition()
-    return _cell_partition(lam[0], mu[0], law, field)
+    return _table_partition(lam[0], mu[0], "tensor", law, field)
 
 
-def _cell_partition(n: int, m: int, law: GeneralizedLaw, field: Field) -> Partition:
+def _table_partition(n: int, m: int, shape: str, law: GeneralizedLaw,
+                     field: Field) -> Partition:
     """Jordan type of multiplication by t = F(x, y) on A = k[x, y]/(x^n, y^m),
-    which is the operator of J_n (x)_F J_m, from the rows x^i F^j.
+    the operator of J_n (x)_F J_m (``shape == "tensor"``), or at m = n of
+    Sym^2 J_n (``"sym"``) or wedge^2 J_n (``"wedge"``), from the rows x^i F^j.
 
     With c = min(n, m), A/tA is k[x]/(x^c): solving F(x, y) = 0 for y, which
     the invertible linear part allows, gives y a unit multiple of x, so
     y^m = 0 becomes x^m = 0.  So 1, x, ..., x^(c-1) generate A as a
-    k[t]-module (Nakayama), and t^l A = span{x^i F^j : i < c, j >= l}.  The
-    levels j = n+m-2 down to 0 go into one echelon (``_level_ranks``), and
-    the count after the levels j >= l is rank t^l.  F^(n+m-1) vanishes on A.
-    The count after level 0 must be nm, or AlgebraError: that certifies the
-    generators for this cell, so the ranks do not rest on the argument above.
+    k[t]-module (Nakayama), and t^l A = span{x^i F^j : i < c, j >= l}.
 
-    Each F^j mod (x^n, y^m) is a slice of the law's table (``_law_powers``),
-    as truncation is a ring map, and x^i F^j is that slice shifted down i
-    rows in the x direction; no operator on A is built.
+    Sym^2 is A/(1 - s)A for the swap s of x and y, and wedge^2 is A modulo
+    (1 + s)A and the diagonal; the quotient map sends x^a y^b to the column
+    (min(a, b), max(a, b)), with the sign of the sort for the wedge (the
+    straightening of ``induced_quotient_operator``), and commutes with t
+    when F is symmetric, else InvalidInput.  So a square is a column fold of
+    the rows: x^a y^b plus (Sym^2, the diagonal once) or minus (wedge^2)
+    x^b y^a.  Every x^i generates at p = 2 (i >= 1 for the wedge).  At
+    p != 2 and over Q the swap acts on A/tA as x -> -x + (higher powers), so
+    modulo (1 - s) an odd x^i is half a combination of higher powers, and
+    modulo (1 + s) an even one is: the even i generate Sym^2, the odd i
+    wedge^2.
+
+    The levels j = n+m-2 down to 0 go into one echelon (``_level_ranks``),
+    and the count after the levels j >= l is rank t^l.  The count after
+    level 0 must be the dimension, or AlgebraError: that certifies the
+    generators, so the ranks do not rest on the argument above.  F^j mod
+    (x^n, y^m) is a slice of the law's table (``_law_powers``), as
+    truncation is a ring map, and x^i F^j is that slice shifted down i rows;
+    no operator is built.  The degree, the operator bound and the symmetry
+    are checked in that order, before the table is read.
     """
     law.require_degree(n + m - 2)
     _require_operator_dim(n * m)
+    p, tensor, wedge = field.p, shape == "tensor", shape == "wedge"
+    if not tensor:
+        series = law.as_poly((n, n)).num
+        if not np.array_equal(series, series.T):
+            raise InvalidInput("the law's series is not symmetric, so its operator does not "
+                               "commute with swapping the tensor factors and induces no map "
+                               f"on the square of J_{n}")
     powers = _law_powers(law, field, n, m)
-    c = min(n, m)
-    # F^(n+m-2), ..., F^0 mod (x^n, y^m); levels[k, i] is x^i times cell[k]
+    gens = range(min(n, m)) if tensor else range(wedge, n, 1 if p == 2 else 2)
+    # F^(n+m-2), ..., F^0 mod (x^n, y^m); levels[k, g] is x^gens[g] times cell[k]
     cell = powers[n + m - 2::-1, :n, :m]
-    levels = np.zeros((len(cell), c, n, m),
-                      dtype=np.min_scalar_type(field.p - 1) if field.p else object)
-    for i in range(c):
-        levels[:, i, i:] = cell[:, :n - i]
-    return _span_partition(levels.reshape(len(cell), c, n * m), field.p,
-                           f"x^i F^j for i < {c}", f"J_{n} (x) J_{m}")
-
-
-def _span_partition(levels: np.ndarray, p: int, generators: str, module: str) -> Partition:
-    """Jordan type of t on a module from the rows g t^j of its generators g,
-    ``levels`` (count, generators, dim) ordered top power first and ending
-    at t^0: the count after the levels j >= l is rank t^l
-    (``_level_ranks``).  The count after the last level must be dim, or
-    AlgebraError (naming the ``generators`` and the ``module``): that
-    certifies that the rows generate the module."""
+    levels = np.zeros((len(cell), len(gens), n, m),
+                      dtype=np.min_scalar_type(p - 1) if p else object)
+    for g, i in enumerate(gens):
+        levels[:, g, i:] = cell[:, :n - i]
+    levels = levels.reshape(len(cell), len(gens), n * m)
+    names = f"x^i F^j for i < {len(gens)}", f"J_{n} (x) J_{m}"
+    if not tensor:
+        names = f"{len(gens)} generators x^i", f"the {shape} square of J_{n}"
+        # the columns a <= b (Sym^2) or a < b (wedge^2), row by row
+        a, b = np.nonzero(np.arange(n)[:, None] + wedge <= np.arange(n))
+        if not a.size:
+            return Partition(())
+        upper, lower = levels.take(a * n + b, axis=2), levels.take(b * n + a, axis=2)
+        if wedge:
+            lower = p - lower
+        else:
+            lower[..., a == b] = 0
+        levels = np.add(upper, lower, dtype=np.min_scalar_type(2 * p) if p else object)
+        if p:
+            np.remainder(levels, p, out=levels)
     dim = levels.shape[2]
     ranks = _level_ranks(levels, p)
     if ranks[-1] != dim:
-        raise AlgebraError(f"{generators} span {ranks[-1]} dimensions of {module}, not {dim}")
+        raise AlgebraError(f"{names[0]} span {ranks[-1]} dimensions of {names[1]}, not {dim}")
     return _partition_from_ranks(reversed(ranks[:-1]), dim)
 
 
@@ -340,13 +366,14 @@ def structure_constants(n: int, m: int, law: GeneralizedLaw, field: Field) -> Ri
 
 def square_constants(n: int, shape: str, law: GeneralizedLaw) -> RingElement:
     """Class of Sym^2 J_n (``shape == "sym"``) or wedge^2 J_n under the law,
-    read off the law's memoized table of powers (``_square_partition``).
+    read off the law's memoized table of powers by the cells' route at m = n
+    (``_table_partition``).
 
     Memoized next to the structure constants, under a key of its own.  An
     unknown shape or a block size that is not an integer >= 1 raises
-    InvalidInput, and a law whose series is not symmetric raises
-    InvalidInput too, as ``sym_partition``/``wedge_partition`` do; nothing
-    is memoized for a refusal.
+    InvalidInput; then, as for a cell, a law of too low a degree, a square
+    past the operator bound and a law whose series is not symmetric are
+    refused in that order; nothing is memoized for a refusal.
     """
     if shape not in ("sym", "wedge"):
         raise InvalidInput(f"unknown square {shape!r}")
@@ -355,69 +382,8 @@ def square_constants(n: int, shape: str, law: GeneralizedLaw) -> RingElement:
     hit = _constants_memo.get(key)
     if hit is None:
         hit = _constants_memo[key] = RingElement.from_partition(
-            _square_partition(n, shape, law))
+            _table_partition(n, n, shape, law, law.field))
     return hit
-
-
-def _square_partition(n: int, shape: str, law: GeneralizedLaw) -> Partition:
-    """Jordan type of Sym^2 J_n or wedge^2 J_n under a symmetric law, from
-    the rows x^i F^j of A = k[x, y]/(x^n, y^n) folded onto the square.
-
-    Sym^2 is A/(1 - s)A for the swap s of x and y, and wedge^2 is A modulo
-    (1 + s)A and the diagonal x^a y^a; the quotient map sends x^a y^b to the
-    column (min(a, b), max(a, b)), with the sign of the sort for the wedge
-    (the straightening of ``induced_quotient_operator``).  It commutes with
-    t = F(x, y) when F is symmetric, so t^l of the square is the image of
-    t^l A.  A/tA is k[x]/(x^n) (``_cell_partition``), so the x^i generate
-    the square as a k[t]-module: every i at p = 2 (i >= 1 for the wedge,
-    where x^0 y^0 is diagonal).  At p != 2 and over Q the swap acts on
-    A/tA as x -> -x + (higher powers), so modulo (1 - s) an odd x^i is half
-    a combination of higher powers, and modulo (1 + s) an even one is: the
-    even i generate Sym^2 and the odd i wedge^2.  The levels j = 2n-2 down
-    to 0 go into one echelon (``_span_partition``), and the count after
-    level 0 must be n(n +- 1)/2, or AlgebraError: that certifies the
-    generators for this square.  The fold is a gather from the table's
-    slices through one memoized index (``_square_fold``); no operator is
-    built.
-    """
-    field = law.field
-    _require_operator_dim(n * n)
-    series = law.as_poly((n, n)).num
-    if not np.array_equal(series, series.T):
-        raise InvalidInput("the law's series is not symmetric, so its operator does not "
-                           "commute with swapping the tensor factors and induces no map "
-                           f"on the square of J_{n}")
-    powers = _law_powers(law, field, n, n)
-    first, second, sign = _square_fold(n, shape, field.p == 2)
-    if not first.size:
-        return Partition(())
-    # F^(2n-2), ..., F^0 mod (x^n, y^n), flat, with a zero at n * n
-    cell = np.zeros((2 * n - 1, n * n + 1), dtype=powers.dtype)
-    cell[:, :-1] = powers[2 * n - 2::-1, :n, :n].reshape(2 * n - 1, n * n)
-    levels = cell[:, first] + sign * cell[:, second]
-    if field.p:
-        levels = np.remainder(levels, field.p).astype(np.min_scalar_type(field.p - 1))
-    return _span_partition(levels, field.p, f"{len(first)} generators x^i",
-                           f"the {shape} square of J_{n}")
-
-
-@functools.lru_cache(maxsize=None)
-def _square_fold(n: int, shape: str, char2: bool) -> tuple:
-    """(first, second, sign): the folded row x^i F^j at column (a, b) of
-    the square is F^j[a - i, b] + sign * F^j[b - i, a], for the generators
-    i (rows) and the columns a <= b of Sym^2 or a < b of wedge^2; both are
-    indices into F^j flattened, reading the zero at n * n past the box and
-    for the second term of a Sym^2 diagonal.  Memoized and read-only;
-    ``clear_memo`` drops them."""
-    wedge = shape == "wedge"
-    a, b = np.triu_indices(n, int(wedge))
-    i = np.arange(int(wedge), n, 1 if char2 else 2)[:, None]
-    zero = n * n
-    first = np.where(a >= i, (a - i) * n + b, zero)
-    second = np.where((b >= i) & (a != b), (b - i) * n + a, zero)
-    for index in (first, second):
-        index.flags.writeable = False
-    return first, second, -1 if wedge else 1
 
 
 def ring_multiply(x: RingElement, y: RingElement, law: GeneralizedLaw,
@@ -746,8 +712,7 @@ def build_symmetric_intertwiner(n: int, m: int, law: GeneralizedLaw) -> Matrix:
 
 def clear_memo() -> None:
     """Drop the memoized structure constants, block squares and cubes, the
-    laws' tables of powers and 3-fold series, the squares' fold indices and
-    the gather's block offsets (used by tests and benchmark passes)."""
+    laws' tables of powers and 3-fold series and the gather's block offsets
+    (used by tests and benchmark passes)."""
     _constants_memo.clear()
-    _square_fold.cache_clear()
     _block_offsets.cache_clear()

@@ -8,6 +8,7 @@ from jordanblocks.errors import (
     BadPrime,
     DoesNotStabilize,
     InvalidInput,
+    NotNilpotent,
     NotUnipotent,
     ShapeMismatch,
 )
@@ -232,6 +233,18 @@ class TestAdjointRoutes:
         with pytest.raises(NotUnipotent):
             wedge_route_adjoint(zero, "unipotent")
 
+    def test_not_nilpotent_or_not_unipotent_is_refused(self, model):
+        # 1 and 2 * 1 stabilize the span, with ad 1 = 0 and Ad(2 * 1) = 1, so
+        # only the nilpotency of a or of u - 1 tells them apart from 0 and 1
+        basis = g2_subalgebra(model)
+        eye = Matrix.identity(model.field, 7)
+        for a, mode, error in ((eye, "nilpotent", NotNilpotent),
+                               (eye.scale(2), "unipotent", NotUnipotent)):
+            with pytest.raises(error):
+                adjoint_partition_direct(a, basis, mode)
+            with pytest.raises(error):
+                wedge_route_adjoint(a, mode)
+
     def test_products_past_float_exactness_are_bad_prime(self):
         # 7 (p - 1)**2 passes 2**53, so the stacked products could round
         field = GF(2147483647)
@@ -321,6 +334,21 @@ class TestBatchedRoutes:
         reps.insert(5, (bad, mode))
         with pytest.raises(DoesNotStabilize):
             g2._coordinate_blocks(reps, basis)
+
+    @pytest.mark.parametrize("mode", ["nilpotent", "unipotent"])
+    def test_one_non_nilpotent_representative_among_the_stack(self, model, mode):
+        # the semisimple basis element h, and 1 or 2 * 1, all stabilize the
+        # span: only the stacked squarings refuse them
+        basis = g2_subalgebra(model)
+        eye = Matrix.identity(model.field, 7)
+        reps = [(g2_nilpotent_rep(o, model), "nilpotent") for o in ORBITS]
+        reps += [(g2_unipotent_rep(o, model), "unipotent") for o in ORBITS]
+        error = NotNilpotent if mode == "nilpotent" else NotUnipotent
+        bads = [basis[5], eye] if mode == "nilpotent" else [eye.scale(2), eye.scale(3)]
+        assert any(basis[5].num.diagonal())
+        for bad in bads:
+            with pytest.raises(error):
+                g2._coordinate_blocks(reps[:3] + [(bad, mode)] + reps[3:], basis)
 
     def test_blocks_follow_the_representatives(self, model):
         # the same representatives in another order give the same blocks,

@@ -853,28 +853,79 @@ class TestSquareRoute:
         assert ("sym", 3, law.fingerprint()) not in repring._constants_memo
         repring.clear_memo()
 
-    def test_fold_index(self):
-        fold = repring._square_fold
+    @pytest.mark.parametrize("field", [F2, F3], ids=str)
+    def test_blocks_thirteen_to_twenty(self, field):
+        # past the seeded sizes, where the fold's columns and generators
+        # outnumber the tables of the smaller squares
+        rng = random.Random(f"square-large:{field.p}")
+        laws = [multiplicative(field), symmetric_law("fgl", field, 38, rng)]
         repring.clear_memo()
-        assert fold.cache_info().currsize == 0
-        square_constants(2, "sym", additive(F5))
-        assert fold.cache_info().currsize == 1
-        # x^0 F^j onto (0, 0), (0, 1), (1, 1); 4 is the zero past the box
-        first, second, sign = fold(2, "sym", False)
-        assert first.tolist() == [[0, 1, 3]] and second.tolist() == [[4, 2, 4]] and sign == 1
-        # x^1 F^j onto (0, 1): -F^j[0, 0]
-        first, second, sign = fold(2, "wedge", False)
-        assert first.tolist() == [[4]] and second.tolist() == [[0]] and sign == -1
-        # at p = 2 every x^i, i >= 1 for the wedge
-        assert fold(3, "sym", True)[0].shape == (3, 6)
-        assert fold(3, "wedge", True)[0].shape == (2, 3)
-        assert fold(3, "sym", False)[0].shape == (2, 6)
-        assert fold(3, "wedge", False)[0].shape == (1, 3)
-        for index in fold(3, "sym", True)[:2]:
-            with pytest.raises(ValueError, match="read-only"):
-                index[0, 0] = 1
+        for n in range(13, 21):
+            self.check(n, laws[n % 2])
+
+    @pytest.mark.parametrize("p", [2, 5, 251, 65521])
+    def test_folded_rows_match_a_python_fold(self, p, monkeypatch):
+        # the rows handed to the echelon, entry by entry, against the fold in
+        # Python ints: at p = 251 and 65521 the sum upper + (p - lower)
+        # passes the uint8 or uint16 of the rows, where the answers alone
+        # cannot tell (p > 2n - 1 gives the characteristic-0 types, which a
+        # perturbed row keeps)
+        seen = []
+        ranks = repring._level_ranks
+
+        def spy(levels, q):
+            seen.append(levels.tolist())
+            return ranks(levels, q)
+
+        monkeypatch.setattr(repring, "_level_ranks", spy)
+        field = GF(p)
+        law = random_fgl(p, 14, field)
         repring.clear_memo()
-        assert fold.cache_info().currsize == 0
+        table = repring._law_powers(law, field, 8, 8).tolist()
+
+        def x(j, i, a, b):
+            # the coefficient of x^a y^b in x^i F^j
+            return table[j][a - i][b] if a >= i else 0
+
+        for n in range(1, 9):
+            for shape in ("sym", "wedge"):
+                wedge = shape == "wedge"
+                cols = [(a, b) for a in range(n) for b in range(a + wedge, n)]
+                if not cols:
+                    continue
+                want = [[[(x(j, i, a, b) + (a != b) * (-1) ** wedge * x(j, i, b, a)) % p
+                          for a, b in cols]
+                         for i in range(wedge, n, 1 if p == 2 else 2)]
+                        for j in range(2 * n - 2, -1, -1)]
+                seen.clear()
+                square_constants(n, shape, law)
+                assert seen == [want], (n, shape)
+
+    def test_refusal_order(self):
+        # the cell's order for cells and squares alike: the law's degree,
+        # then the 4096 bound, then the symmetry of the series, and nothing
+        # memoized for a refusal
+        short_symmetric = random_fgl(3, 5, F5)
+        short_skew = random_generalized_law(0, 5, F5)
+        long_skew = random_generalized_law(0, 128, F5)
+        series = long_skew.as_poly((4, 4)).num
+        assert not np.array_equal(series, series.T)
+        refusals = [
+            (lambda: square_constants(65, "sym", short_symmetric), TruncationTooShort, "degree 128"),
+            (lambda: square_constants(4, "wedge", short_skew), TruncationTooShort, "degree 6"),
+            (lambda: square_constants(65, "wedge", long_skew), InvalidInput, "past the supported"),
+            (lambda: square_constants(65, "sym", additive(F5)), InvalidInput, "past the supported"),
+            (lambda: square_constants(4, "sym", long_skew), InvalidInput, "commute"),
+            (lambda: structure_constants(65, 64, short_symmetric, F5), TruncationTooShort,
+             "degree 127"),
+            (lambda: structure_constants(65, 64, additive(F5), F5), InvalidInput,
+             "past the supported"),
+        ]
+        for call, error, match in refusals:
+            repring.clear_memo()
+            with pytest.raises(error, match=match):
+                call()
+            assert not repring._constants_memo, match
 
 
 def symmetric_generalized_law(rng, field, degree):
