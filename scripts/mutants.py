@@ -57,6 +57,7 @@ OFFSETS_TEST = ("tests/test_repring.py::TestStructureConstants::"
 CELL_TESTS = "tests/test_repring.py::TestCellRoute::"
 DENSE_TESTS = "tests/test_series.py::TestDictOracle::"
 SQUARE_TESTS = "tests/test_repring.py::TestSquareRoute::"
+COLUMN_TESTS = "tests/test_repring.py::TestColumnRoute::"
 BLOCK_SUM_TESTS = "tests/test_repring.py::TestBlockSum::"
 CUBE_SUM_TESTS = "tests/test_repring.py::TestCubeSum::"
 G2_BATCH_TESTS = "tests/test_g2.py::TestBatchedRoutes::"
@@ -70,7 +71,7 @@ MUTANTS = [
     Mutant("xor-at-p3", LINALG,
            "            if p == 2:\n                r ^= piv",
            "            if p <= 3:\n                r ^= piv",
-           ("tests/test_linalg.py::TestEchelonKernel::test_edge_shapes",)),
+           ("tests/test_linalg.py::TestEchelonKernel::test_one_reduction_at_p3",)),
     Mutant("level-slice-off-by-one", LINALG,
            "rows[top * c:(top + 1) * c]", "rows[top * c:(top + 1) * c + 1]",
            ("tests/test_linalg.py::TestKrylovRanks::test_seeded_conjugates",)),
@@ -80,14 +81,29 @@ MUTANTS = [
     Mutant("clear-memo-keeps-offsets", REPRING,
            "    _block_offsets.cache_clear()\n", "",
            (OFFSETS_TEST,)),
-    # one generator short: the rows x^i F^j no longer span J_n (x) J_m
+    # one generator short: the rows x^i F^j no longer span J_N (x) J_s
     Mutant("cell-generators-short", REPRING,
-           "gens = range(min(n, m)) if", "gens = range(min(n, m) - 1) if",
+           "gens = range(side) if", "gens = range(side - 1) if",
            (CELL_TESTS + "test_seeded_cells",)),
-    # the top power F^(n+m-2) dropped: one Jordan block loses its top vector
+    # the top power F^(N+s-2) dropped: one Jordan block loses its top vector
     Mutant("cell-levels-short", REPRING,
-           "powers[n + m - 2::-1", "powers[n + m - 3::-1",
+           "powers[N + side - 2::-1", "powers[N + side - 3::-1",
            (CELL_TESTS + "test_seeded_cells",)),
+    # leads <= K counted for a prefix of K columns: the lead n s, the first
+    # of the next block, joins J_n (x) J_s, whose span count then fails
+    Mutant("prefix-one-block-too-far", REPRING,
+           "low = (1 << dim) - 1", "low = (1 << dim + 1) - 1",
+           (COLUMN_TESTS + "test_answers_do_not_depend_on_the_memo",)),
+    # J_n (x) J_m with n < m read from F's own table, not F^op's: the rows of
+    # another law, or of a box that does not hold the column
+    Mutant("transposed-read-untransposed", REPRING,
+           "powers.transpose(0, 2, 1) if flip else powers", "powers",
+           (COLUMN_TESTS + "test_answers_do_not_depend_on_the_memo",)),
+    # a square's columns a-major: the square of J_n is no prefix of J_N's
+    Mutant("square-columns-a-major", REPRING,
+           "b, a = np.nonzero(np.arange(N)[:, None] >= np.arange(N) + wedge)",
+           "a, b = np.nonzero(np.arange(N)[:, None] + wedge <= np.arange(N))",
+           (COLUMN_TESTS + "test_squares_are_prefixes",)),
     # a cell past the table's box "grows" it to the same box, which does
     # not hold the cell
     Mutant("growth-keeps-old-box", REPRING,
@@ -209,7 +225,7 @@ MUTANTS = [
     # at p = 2 the swap is trivial on A/tA, so the even (Sym^2) or odd
     # (wedge^2) x^i do not generate the square: the span count falls short
     Mutant("square-parity-generators-at-p2", REPRING,
-           "range(wedge, n, 1 if p == 2 else 2)", "range(wedge, n, 2)",
+           "range(wedge, N, 1 if p == 2 else 2)", "range(wedge, N, 2)",
            (SQUARE_TESTS + "test_seeded_squares",)),
     # folds onto (1 + s)A, not the wedge: wrong wherever p != 2
     Mutant("square-wedge-sign-plus", REPRING,
@@ -226,16 +242,16 @@ MUTANTS = [
            (SQUARE_TESTS + "test_folded_rows_match_a_python_fold",)),
     # a table with every power past F^0 zero then reads as t = 0
     Mutant("span-postcondition-removed", REPRING,
-           "if ranks[-1] != dim:", "if False:",
+           "if ranks[0] != dim:", "if False:",
            (SQUARE_TESTS + "test_span_postcondition_is_a_typed_error",
             CELL_TESTS + "test_span_postcondition_is_a_typed_error")),
     Mutant("square-any-law", REPRING,
-           "if not np.array_equal(series, series.T):", "if False:",
+           "if not tensor and not _symmetric(law, n):", "if False:",
            (SQUARE_TESTS + "test_non_symmetric_law",)),
     # x^a y^a twice for every column: Sym^2 doubled off the diagonal, so a
     # zero column at p = 2, and wedge^2 zero
     Mutant("square-fold-lower-is-upper", REPRING,
-           "levels.take(b * n + a, axis=2)", "levels.take(a * n + b, axis=2)",
+           "levels.take(b * N + a, axis=2)", "levels.take(a * N + b, axis=2)",
            (SQUARE_TESTS + "test_seeded_squares",)),
     # Sym^2 J_3 of an F_7 law answered over F_3: the cells check the field,
     # the block squares and cubes read the law's own

@@ -740,11 +740,31 @@ def _level_ranks(levels: np.ndarray, p: int) -> list:
     over Q (``_rows``), and inserted into one echelon (``_insert_rows``) one
     level at a time, so no row is reduced twice.
     """
+    return _level_leads(levels, p)[0]
+
+
+def _level_leads(levels: np.ndarray, p: int) -> tuple:
+    """``_level_ranks`` and the pivots' leads in the order of insertion."""
     count, c, dim = levels.shape
     rows, pivots, ranks = _rows(levels.reshape(count * c, dim), p), {}, [0]
     for top in range(count):
         ranks.append(len(_insert_rows(pivots, rows[top * c:(top + 1) * c], p, dim)))
-    return ranks
+    return ranks, list(pivots)
+
+
+def _prefix_masks(levels: np.ndarray, p: int) -> list:
+    """masks[l]: the leads of the pivots of the levels j >= l of ``levels``
+    (count, rows per level, D), top power j = count - 1 first, as the bits
+    of one int; masks[count] is 0.  A pivot is zero before its lead, so the
+    rank of the rows of those levels cut to their first K columns is
+    (masks[l] & ((1 << K) - 1)).bit_count()."""
+    ranks, leads = _level_leads(levels, p)
+    mask, masks = 0, [0]
+    for start, stop in zip(ranks, ranks[1:]):
+        for lead in leads[start:stop]:
+            mask |= 1 << lead
+        masks.append(mask)
+    return masks[::-1]
 
 
 def _partition_from_ranks(ranks: Iterable[int], n: int) -> Partition:

@@ -10,21 +10,24 @@ constants and the squares of single blocks are memoized; in characteristic
 
 A tensor product of partitions is the ring product of their block classes,
 and no tensor operator is built for a cell J_n (x) J_m: it is multiplication
-by t = F(x, y) on k[x, y]/(x^n, y^m), whose ranks come from the rows
-x^i F^j sliced out of one memoized table of the law's powers F^j per law
-(``_table_partition``, ``_law_powers``).  The table is built by products
-of Toeplitz slices of the powers, about log2 rounds per box and no operator
-on A; boxes grow by powers of two, so a law's table is rebuilt about log2
-times per side.  ``tensor_operator`` (Kronecker products of powers) is the
-tests' reference.
+by t = F(x, y) on k[x, y]/(x^n, y^m), whose ranks come from the rows x^i F^j
+sliced out of one memoized table of the law's powers F^j per law
+(``_law_powers``), built by products of Toeplitz slices, with no operator on
+A, and rebuilt about log2 times per side as its box grows by powers of two.
+``tensor_operator`` (Kronecker products of powers) is the tests' reference.
 
-The squares Sym^2 J_n and wedge^2 J_n (``square_constants``) take the same
-route at m = n: the rows x^i F^j of the generators of the square are folded
-onto its n(n +- 1)/2 columns, x^a y^b onto the sorted pair (a, b) with the
-sign of the sort for the wedge.  Every x^i is a generator at p = 2, and
-elsewhere only the even (Sym^2) or odd (wedge^2) i, since the swap acts as
-x -> -x + ... on the quotient by t; the span count after the last level
-must be the dimension of the cell or the square, or AlgebraError.
+With the columns x-first, k[x, y]/(x^n, y^s) is a prefix of k[x, y]/(x^N,
+y^s), so one elimination at the box (N, s) gives every J_n (x) J_s with
+n <= N, from the counts of pivots whose lead is below n s
+(``_table_partition``).  A cell with n < m is J_m (x) J_n under
+F^op(x, y) = F(y, x), read from the transposed table; under a symmetric law
+both orders share one column.  The squares Sym^2 J_n and wedge^2 J_n
+(``square_constants``) fold the rows of their generators onto the pairs
+(a, b), ordered by b and then a, so they are prefixes too.  A column is
+built at the largest block asked of the law since ``clear_memo``, within
+the table's box, the law's degree and the 4096 bound, so a cold call builds
+at its own box; each read's span count must be the dimension, or
+AlgebraError.
 
 The tensor square, Sym^2 and wedge^2 of any partition, and Sym^3 and
 wedge^3 under a law whose 3-fold series is symmetric, split over its blocks
@@ -62,8 +65,8 @@ from .linalg import (
     Partition,
     _block_offsets,
     _float_exact,
-    _level_ranks,
     _partition_from_ranks,
+    _prefix_masks,
     _primitive,
     _require_float_exact,
     _require_operator_dim,
@@ -169,7 +172,7 @@ def tensor_operator(phi: Matrix, psi: Matrix, law: GeneralizedLaw) -> Matrix:
 def tensor_partition(lam, mu, law: GeneralizedLaw, field: Field) -> Partition:
     """Jordan type of F(phi (x) 1, 1 (x) psi) for the canonical nilpotents of
     ``lam`` and ``mu``: for two single blocks the cell J_n (x) J_m, read off
-    the law's memoized table of powers (``_table_partition``); else (the
+    the law's memoized columns (``_table_partition``); else (the
     operator is block-diagonal) the ring product of the block classes'
     memoized cells."""
     _require_field(law, field)
@@ -190,54 +193,89 @@ def _table_partition(n: int, m: int, shape: str, law: GeneralizedLaw,
     the invertible linear part allows, gives y a unit multiple of x, so
     y^m = 0 becomes x^m = 0.  So 1, x, ..., x^(c-1) generate A as a
     k[t]-module (Nakayama), and t^l A = span{x^i F^j : i < c, j >= l}.
-
     Sym^2 is A/(1 - s)A for the swap s of x and y, and wedge^2 is A modulo
     (1 + s)A and the diagonal; the quotient map sends x^a y^b to the column
-    (min(a, b), max(a, b)), with the sign of the sort for the wedge (the
-    straightening of ``induced_quotient_operator``), and commutes with t
-    when F is symmetric, else InvalidInput.  So a square is a column fold of
-    the rows: x^a y^b plus (Sym^2, the diagonal once) or minus (wedge^2)
-    x^b y^a.  Every x^i generates at p = 2 (i >= 1 for the wedge).  At
-    p != 2 and over Q the swap acts on A/tA as x -> -x + (higher powers), so
-    modulo (1 - s) an odd x^i is half a combination of higher powers, and
-    modulo (1 + s) an even one is: the even i generate Sym^2, the odd i
-    wedge^2.
+    (min(a, b), max(a, b)), with the sign of the sort for the wedge, and
+    commutes with t when F is symmetric, else InvalidInput.  So a square is
+    a column fold of the rows: x^a y^b plus (Sym^2, the diagonal once) or
+    minus (wedge^2) x^b y^a.  Every x^i generates at p = 2 (i >= 1 for the
+    wedge); elsewhere the swap acts on A/tA as x -> -x + (higher powers), so
+    the even i generate Sym^2 and the odd i wedge^2.
 
-    The levels j = n+m-2 down to 0 go into one echelon (``_level_ranks``),
-    and the count after the levels j >= l is rank t^l.  The count after
-    level 0 must be the dimension, or AlgebraError: that certifies the
-    generators, so the ranks do not rest on the argument above.  F^j mod
-    (x^n, y^m) is a slice of the law's table (``_law_powers``), as
-    truncation is a ring map, and x^i F^j is that slice shifted down i rows;
-    no operator is built.  The degree, the operator bound and the symmetry
+    Prefixes: truncation is a ring map, so with the columns x^a y^b of
+    A_N = k[x, y]/(x^N, y^s) in the order a s + b, the rows of A_n, n <= N,
+    are those of A_N cut to the first n s columns, and a square's columns,
+    ordered by b and then a, restrict the same way.  So one elimination of
+    the levels j = N+s-2 down to 0 gives rank t^l for every n <= N, from the
+    leads of its pivots (``_prefix_masks``).
+    J_n (x) J_m with n < m, and J_n (x) J_n when the table is longer in y,
+    is J_m (x) J_n under F^op(x, y) = F(y, x), whose powers are the table's
+    transposed, so the long side lies on the prefix axis.
+
+    A column, its N and the leads of each level's pivots as the bits of one
+    int, is memoized per law, shape, short side s and orientation (one
+    under a symmetric law, where F^op = F), and built to N = max(long
+    side, min(the table's extent on that axis, the largest block asked of
+    the law since ``clear_memo``)), cut so that the law's degree holds
+    N + s - 2 and N s <= 4096; a square's N must keep the series symmetric
+    on (N, N), or it is n.  The count after level 0 must be the dimension,
+    or AlgebraError: that certifies the generators, so the ranks do not rest
+    on the argument above.  The degree, the operator bound and the symmetry
     are checked in that order, before the table is read.
     """
     law.require_degree(n + m - 2)
     _require_operator_dim(n * m)
-    p, tensor, wedge = field.p, shape == "tensor", shape == "wedge"
-    if not tensor:
-        series = law.as_poly((n, n)).num
-        if not np.array_equal(series, series.T):
-            raise InvalidInput("the law's series is not symmetric, so its operator does not "
-                               "commute with swapping the tensor factors and induces no map "
-                               f"on the square of J_{n}")
+    tensor, wedge = shape == "tensor", shape == "wedge"
+    if not tensor and not _symmetric(law, n):
+        raise InvalidInput("the law's series is not symmetric, so its operator does not "
+                           "commute with swapping the tensor factors and induces no map "
+                           f"on the square of J_{n}")
+    dim = n * m if tensor else n * (n + 1 - 2 * wedge) // 2
+    if not dim:
+        return Partition(())
     powers = _law_powers(law, field, n, m)
-    gens = range(min(n, m)) if tensor else range(wedge, n, 1 if p == 2 else 2)
-    # F^(n+m-2), ..., F^0 mod (x^n, y^m); levels[k, g] is x^gens[g] times cell[k]
-    cell = powers[n + m - 2::-1, :n, :m]
-    levels = np.zeros((len(cell), len(gens), n, m),
-                      dtype=np.min_scalar_type(p - 1) if p else object)
+    fp = law.fingerprint()
+    flip = tensor and (n < m or n == m and powers.shape[2] > powers.shape[1])
+    seen, symmetric = _constants_memo.get(("law", fp)) or (0, _symmetric(law, law.degree + 1))
+    long, s = (m, n) if flip else (n, m)
+    key = ("column", shape, s if tensor else 0, flip and not symmetric, fp)
+    column = _constants_memo.get(key)
+    if column is None or column[0] < long:
+        cap = _MAX_OPERATOR_DIM // s if tensor else math.isqrt(_MAX_OPERATOR_DIM)
+        if not law.exact:
+            cap = min(cap, law.degree - s + 2 if tensor else law.degree // 2 + 1)
+        N = max(long, min(powers.shape[1 + flip] if tensor else min(powers.shape[1:]), seen, cap))
+        if not tensor and N > n and not _symmetric(law, N):
+            N = n
+        column = _constants_memo[key] = N, _column_masks(
+            powers.transpose(0, 2, 1) if flip else powers, N, s if tensor else N, shape, field.p)
+    _constants_memo[("law", fp)] = max(seen, long), symmetric
+    low = (1 << dim) - 1
+    ranks = [(mask & low).bit_count() for mask in column[1]]
+    if ranks[0] != dim:
+        gens = s if tensor else len(range(wedge, n, 1 if field.p == 2 else 2))
+        what = f"J_{n} (x) J_{m}" if tensor else f"the {shape} square of J_{n}"
+        raise AlgebraError(f"{gens} generators span {ranks[0]} dimensions of {what}, not {dim}")
+    return _partition_from_ranks(ranks[1:], dim)
+
+
+def _column_masks(powers: np.ndarray, N: int, side: int, shape: str, p: int) -> list:
+    """``_prefix_masks`` of the generators' rows x^i F^j mod (x^N, y^side),
+    from ``powers`` as oriented; a square's are folded, at side == N."""
+    tensor, wedge = shape == "tensor", shape == "wedge"
+    # F^(N+side-2), ..., F^0, copied once into the rows' dtype and order;
+    # levels[k, g] is x^gens[g] times cell[k]
+    dtype = np.min_scalar_type(p - 1) if p else object
+    cell = np.ascontiguousarray(powers[N + side - 2::-1, :N, :side], dtype=dtype)
+    gens = range(side) if tensor else range(wedge, N, 1 if p == 2 else 2)
+    levels = np.zeros((len(cell), len(gens), N, side), dtype=dtype)
     for g, i in enumerate(gens):
-        levels[:, g, i:] = cell[:, :n - i]
-    levels = levels.reshape(len(cell), len(gens), n * m)
-    names = f"x^i F^j for i < {len(gens)}", f"J_{n} (x) J_{m}"
+        levels[:, g, i:] = cell[:, :N - i]
+    levels, cell = levels.reshape(len(cell), len(gens), N * side), None
     if not tensor:
-        names = f"{len(gens)} generators x^i", f"the {shape} square of J_{n}"
-        # the columns a <= b (Sym^2) or a < b (wedge^2), row by row
-        a, b = np.nonzero(np.arange(n)[:, None] + wedge <= np.arange(n))
-        if not a.size:
-            return Partition(())
-        upper, lower = levels.take(a * n + b, axis=2), levels.take(b * n + a, axis=2)
+        # the columns a <= b (Sym^2) or a < b (wedge^2), by b and then a
+        b, a = np.nonzero(np.arange(N)[:, None] >= np.arange(N) + wedge)
+        upper, lower = levels.take(a * N + b, axis=2), levels.take(b * N + a, axis=2)
         if wedge:
             lower = p - lower
         else:
@@ -245,11 +283,13 @@ def _table_partition(n: int, m: int, shape: str, law: GeneralizedLaw,
         levels = np.add(upper, lower, dtype=np.min_scalar_type(2 * p) if p else object)
         if p:
             np.remainder(levels, p, out=levels)
-    dim = levels.shape[2]
-    ranks = _level_ranks(levels, p)
-    if ranks[-1] != dim:
-        raise AlgebraError(f"{names[0]} span {ranks[-1]} dimensions of {names[1]}, not {dim}")
-    return _partition_from_ranks(reversed(ranks[:-1]), dim)
+    return _prefix_masks(levels, p)
+
+
+def _symmetric(law: GeneralizedLaw, n: int) -> bool:
+    """Whether the law's series mod (x^n, y^n) is symmetric."""
+    series = law._poly((n, n)).num
+    return np.array_equal(series, series.T)
 
 
 def _law_powers(law: GeneralizedLaw, field: Field, n: int, m: int) -> np.ndarray:
@@ -346,8 +386,8 @@ _constants_memo: dict = {}
 def structure_constants(n: int, m: int, law: GeneralizedLaw, field: Field) -> RingElement:
     """Class of J_n (x)_F J_m.  Memoized on (n, m, law, characteristic).
 
-    Reached through the module attribute ``tensor_partition``, which reads
-    the cell off the law's memoized table of powers.  Accepts any law with
+    Each miss calls the module attribute ``tensor_partition`` once, which
+    reads the cell off the law's memoized columns.  Accepts any law with
     invertible linear part: the decomposition is law-independent even
     without associativity, so the ring interpretation is available whenever
     the law validates as a formal group law.
@@ -366,8 +406,8 @@ def structure_constants(n: int, m: int, law: GeneralizedLaw, field: Field) -> Ri
 
 def square_constants(n: int, shape: str, law: GeneralizedLaw) -> RingElement:
     """Class of Sym^2 J_n (``shape == "sym"``) or wedge^2 J_n under the law,
-    read off the law's memoized table of powers by the cells' route at m = n
-    (``_table_partition``).
+    read off the law's memoized column of squares by the cells' route at
+    m = n (``_table_partition``).
 
     Memoized next to the structure constants, under a key of its own.  An
     unknown shape or a block size that is not an integer >= 1 raises
@@ -712,7 +752,7 @@ def build_symmetric_intertwiner(n: int, m: int, law: GeneralizedLaw) -> Matrix:
 
 def clear_memo() -> None:
     """Drop the memoized structure constants, block squares and cubes, the
-    laws' tables of powers and 3-fold series and the gather's block offsets
-    (used by tests and benchmark passes)."""
+    laws' tables of powers, columns and 3-fold series and the gather's block
+    offsets (used by tests and benchmark passes)."""
     _constants_memo.clear()
     _block_offsets.cache_clear()

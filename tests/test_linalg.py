@@ -299,6 +299,15 @@ class TestEchelonKernel:
     def test_echelon_of_arbitrary_entries(self, case):
         check_echelon(*case[::-1])
 
+    def test_one_reduction_at_p3(self):
+        # [1, 2] reduced by the pivot [1, 1] is [0, 1] over F_3; a reduction
+        # that acts fieldwise by XOR, as at p = 2, leaves [0, 3], whose lead
+        # has no inverse, so this ends at once where the seeded shapes loop
+        w = linalg._packing(3, 2)[0]
+        pivots = linalg._insert_rows({}, linalg._pack(np.array([[1, 1], [1, 2]]), w), 3, 2)
+        assert list(pivots) == [0, 1]
+        assert linalg._unpack(list(pivots.values()), 2, w).tolist() == [[1, 1], [0, 1]]
+
     def test_field_width(self):
         assert {p: linalg._packing(p, 5)[0] for p in FIELD_WIDTHS} == FIELD_WIDTHS
 
