@@ -60,6 +60,7 @@ SQUARE_TESTS = "tests/test_repring.py::TestSquareRoute::"
 COLUMN_TESTS = "tests/test_repring.py::TestColumnRoute::"
 BLOCK_SUM_TESTS = "tests/test_repring.py::TestBlockSum::"
 CUBE_SUM_TESTS = "tests/test_repring.py::TestCubeSum::"
+QUOTIENT_TESTS = "tests/test_repring.py::TestQuotientClass::"
 G2_BATCH_TESTS = "tests/test_g2.py::TestBatchedRoutes::"
 
 MUTANTS = [
@@ -256,8 +257,9 @@ MUTANTS = [
     # Sym^2 J_3 of an F_7 law answered over F_3: the cells check the field,
     # the block squares and cubes read the law's own
     Mutant("square-sum-any-field", REPRING,
-           "    _require_field(law, field)\n    cube = None", "    cube = None",
-           ("tests/test_repring.py::test_law_over_another_field_is_refused",)),
+           "    _require_field(law, field)\n    if m not in (2, 3):", "    if m not in (2, 3):",
+           ("tests/test_repring.py::test_law_over_another_field_is_refused",
+            QUOTIENT_TESTS + "test_refusals_at_m4_in_order")),
     # the characteristic-0 cells have the right dimensions, so only the
     # classes tell them apart, as at p = 2
     Mutant("square-sum-cg-cells", REPRING,
@@ -280,17 +282,33 @@ MUTANTS = [
     Mutant("cube-sum-k-squared", REPRING,
            "(k * (k - 1), math.comb", "(k * k, math.comb",
            (CUBE_SUM_TESTS + "test_seeded_cubes[F5]",)),
-    # a 3-fold series that is not symmetric answers wherever no single-block
-    # cube operator checks it, and is memoized where one does
+    # an m-fold series that is not symmetric answers, folded as if its
+    # operator commuted with the swaps, and is memoized
     Mutant("cube-any-law", REPRING,
-           "    if not (np.array_equal(num, num.transpose(1, 0, 2))",
-           "    if False and not (np.array_equal(num, num.transpose(1, 0, 2))",
+           "    if not cut.is_symmetric():", "    if False:",
            (CUBE_SUM_TESTS + "test_non_symmetric_series_is_refused",)),
     Mutant("clear-memo-keeps-cube-series", REPRING,
            "    _constants_memo.clear()\n",
-           "    for key in [k for k in _constants_memo if k[0] != \"F3\"]:\n"
+           "    for key in [k for k in _constants_memo if k[0] != \"series\"]:\n"
            "        del _constants_memo[key]\n",
            (CUBE_SUM_TESTS + "test_clear_memo_drops_the_series_and_the_cubes",)),
+    # the fold adds every tensor word into its sorted word with sign +1; only
+    # a law with higher terms and a block past p tells: wedge^3 J_7 at p = 7
+    # under random_fgl(0, 27) becomes (9, 7^3, 5), not (7^5)
+    Mutant("quotient-wedge-sign-dropped", REPRING,
+           "np.add.at(out, targets, flat[index] * signs)", "np.add.at(out, targets, flat[index])",
+           (QUOTIENT_TESTS + "test_wedge_signs_at_blocks_past_p",)),
+    # the first letter's exponent read with a stride one short: the
+    # coefficient of another exponent, or of none
+    Mutant("quotient-first-stride-short", REPRING,
+           "_block_offsets(lam, n ** (m - 1 - k), size)",
+           "_block_offsets(lam, n ** (m - 1 - k) - (k == 0), size)",
+           (QUOTIENT_TESTS + "test_seeded_powers[F5]",)),
+    # a series memoized at a smaller block is cut to a larger one: the
+    # exponents past its box read as zero
+    Mutant("quotient-series-read-past-its-box", REPRING,
+           "if series is None or series.trunc[0] < n:", "if series is None:",
+           (QUOTIENT_TESTS + "test_series_is_rebuilt_past_its_box",)),
     # the term moves only a[l, i] with l > i, which every raising
     # representative has zero: the dense matrices catch it
     Mutant("wedge-compound-sign", G2,

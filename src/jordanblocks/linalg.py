@@ -233,9 +233,6 @@ class Matrix:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    def flatten(self) -> np.ndarray:
-        return self.a.reshape(-1)
-
     # -- arithmetic -----------------------------------------------------------
 
     def _mismatch(self, other: "Matrix", op: str) -> ShapeMismatch:
@@ -858,12 +855,3 @@ def exp_nilpotent(n_mat: Matrix) -> Matrix:
     for k in range(1, d):
         out = out + powers[k].scale(field.factorial_inv(k))
     return out
-
-
-def random_invertible(field: Field, n: int, rng) -> Matrix:
-    """Uniform-ish random invertible matrix, by rejection."""
-    while True:
-        m = Matrix.from_rows(field, [[field.random_element(rng) for _ in range(n)]
-                                     for _ in range(n)])
-        if m.rank() == n:
-            return m

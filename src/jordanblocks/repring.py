@@ -33,12 +33,14 @@ The tensor square, Sym^2 and wedge^2 of any partition, and Sym^3 and
 wedge^3 under a law whose 3-fold series is symmetric, split over its blocks
 (``_block_sum``): ``sym_partition`` and ``wedge_partition`` at m = 2 and 3
 and the classical adjoints sum cells, block squares and, at m = 3, the cubes
-of single blocks, whose operators on J_a^(x)3 come from one memoized 3-fold
-series per law (``_cube_constants``, ``_cube_series``); no associativity is
-needed.  Past m = 3, and as the tests' reference, the power operator is
-straightened onto the quotient (``induced_quotient_operator``), which needs
-the law's m-fold series symmetric, else ``InvalidInput``.  A law over a
-field other than the one given raises ``InvalidLaw``.
+of single blocks; no associativity is needed.  The cubes, and wedge^m and
+Sym^m of the whole partition at every other m, fold the power operator's
+columns at the basis words only, gathered from one memoized m-fold series
+per law (``_quotient_class``), which must be symmetric, else
+``InvalidInput``.  The whole power operator straightened onto the quotient
+(``power_operator``, ``induced_quotient_operator``) is the tests'
+reference.  A law over a field other than the one given raises
+``InvalidLaw``.
 
 The constructive intertwiners are the automorphisms Y_i -> f_i for a
 term-by-term split of the law's series f = f_1 + ... + f_m with Y_i | f_i;
@@ -288,8 +290,7 @@ def _column_masks(powers: np.ndarray, N: int, side: int, shape: str, p: int) -> 
 
 def _symmetric(law: GeneralizedLaw, n: int) -> bool:
     """Whether the law's series mod (x^n, y^n) is symmetric."""
-    series = law._poly((n, n)).num
-    return np.array_equal(series, series.T)
+    return law._poly((n, n)).is_symmetric()
 
 
 def _law_powers(law: GeneralizedLaw, field: Field, n: int, m: int) -> np.ndarray:
@@ -451,10 +452,11 @@ def _block_sum(lam: Partition, shape: str, pair, square, cube=None) -> RingEleme
     k S^3 J_a + k(k - 1) S^2 J_a (x) J_a + C(k, 3) (J_a (x) J_a) (x) J_a,
     sizes a != b give k_a k_b S^2 J_a (x) J_b + C(k_a, 2) k_b (J_a (x) J_a) (x) J_b,
     and sizes a > b > c give k_a k_b k_c (J_a (x) J_b) (x) J_c, each product
-    read from the cells with the left factor's blocks first.  No
+    read from the cells with the left factor's blocks first; ``cube(a)``
+    folds the columns of J_a's 3-fold series (``_quotient_class``).  No
     associativity is needed.  Largest sizes go first, so the first square
-    builds the law's table at a box that holds the rest, and no class of
-    weight 0 is requested.  A total dimension other than d^2, C(d + m - 1, m)
+    builds the law's table, and the first cube its 3-fold series, at a box
+    that holds the rest, and no class of weight 0 is requested.  A total dimension other than d^2, C(d + m - 1, m)
     or C(d, m) is AlgebraError.
     """
     counts = collections.Counter(lam)
@@ -647,47 +649,57 @@ def induced_quotient_operator(x: Matrix, d: int, m: int, kind: str) -> Matrix:
     return Matrix._from_ints(x.field, out[:spare], x.den)
 
 
-def _cube_series(law: GeneralizedLaw, n: int) -> tuple:
-    """(num, den) of the law's 3-fold series F(F(Y_1, Y_2), Y_3) mod
-    (Y_1^n, Y_2^n, Y_3^n), cut from one series per law memoized in
-    ``_constants_memo`` and rebuilt at n past its box (the largest block's
-    cube comes first, so the rest are cuts).  The cut must be symmetric
-    under the swaps (1, 2) and (2, 3), which is the power operator's
-    commutation with the symmetric group on any partition whose largest
-    block is J_n; otherwise InvalidInput, and the series is not memoized."""
-    key = ("F3", law.fingerprint())
+def _quotient_class(lam: Partition, m: int, law: GeneralizedLaw, kind: str) -> Partition:
+    """Jordan type of wedge^m (``kind == "wedge"``) or Sym^m of the canonical
+    nilpotent of ``lam`` under the law, from the power operator's columns at
+    the basis words only, with no d^m x d^m operator.
+
+    Column w of the power operator is the law's m-fold series applied to
+    e_w1 (x) ... (x) e_wm: its entry at the tensor word u is the coefficient
+    of the exponent w - u where each u_k <= w_k shares a block with w_k, and
+    0 elsewhere (``canonical_series_operator``).  So the columns at the basis
+    words are one gather of d^m x q offsets (``_block_offsets``), folded onto
+    the quotient by ``_straightening``'s targets and signs.
+
+    One m-fold series per m and law is memoized in ``_constants_memo`` and
+    rebuilt at the largest block past its box.  Cut to that block, it must be
+    symmetric, which is the power operator's commutation with every swap of
+    tensor factors; otherwise InvalidInput, and the series is not memoized.
+    """
+    n = max(lam, default=1)
+    key = ("series", m, law.fingerprint())
     series = _constants_memo.get(key)
     if series is None or series.trunc[0] < n:
-        series = iterated_tensor_series(law, 3, (n,) * 3)
-    num = series.num[:n, :n, :n]
-    if not (np.array_equal(num, num.transpose(1, 0, 2))
-            and np.array_equal(num, num.transpose(0, 2, 1))):
-        raise InvalidInput("the law's 3-fold series is not symmetric, so its operator does "
+        series = iterated_tensor_series(law, m, (n,) * m)
+    cut = series._in_box((n,) * m)
+    if not cut.is_symmetric():
+        raise InvalidInput(f"the law's {m}-fold series is not symmetric, so its operator does "
                            "not commute with permuting the tensor factors and induces no map "
-                           f"on the cube of J_{n}")
+                           f"on the {kind} power of {tuple(lam)}")
     _constants_memo[key] = series
-    return num, series.den
+    d, size = lam.dim, n ** m
+    targets, signs, columns, spare = _straightening(d, m, kind)
+    index = np.zeros((1, spare), dtype=np.int64)
+    for k, letters in enumerate(np.unravel_index(columns, (d,) * m)):
+        offsets = _block_offsets(lam, n ** (m - 1 - k), size)[:, letters]
+        index = (index[:, None, :] + offsets[None]).reshape(len(index) * d, spare)
+    # an invalid letter adds ``size``, so every entry past it reads the zero
+    flat = np.append(cut.num.ravel(), 0)
+    np.minimum(index, size, out=index)
+    out = np.zeros((spare + 1, spare), dtype=flat.dtype)
+    np.add.at(out, targets, flat[index] * signs)
+    return jordan_partition(Matrix._from_ints(law.field, out[:spare], cut.den))
 
 
 def _cube_constants(n: int, shape: str, law: GeneralizedLaw) -> RingElement:
-    """Class of Sym^3 J_n (``shape == "sym"``) or wedge^3 J_n under the law:
-    the operator on J_n^(x)3 gathered from the memoized 3-fold series
-    (``_cube_series``) and straightened onto the quotient.  The series is
-    checked first, so a cube of dimension 0 or 1 (wedge^3 J_n for n <= 3,
-    Sym^3 J_1), which builds no operator, is refused as any other.
-    Memoized next to the block squares, under a key of its own."""
+    """Class of Sym^3 J_n (``shape == "sym"``) or wedge^3 J_n under the law
+    (``_quotient_class``).  Memoized next to the block squares, under a key
+    of its own."""
     key = ("cube", shape, n, law.fingerprint())
     hit = _constants_memo.get(key)
     if hit is None:
-        series = _cube_series(law, n)
-        dim = math.comb(n + 2 if shape == "sym" else n, 3)
-        if dim <= 1:
-            hit = RingElement({1: dim})
-        else:
-            x = canonical_series_operator(law.field, ((n,),) * 3, *series)
-            hit = RingElement.from_partition(
-                jordan_partition(induced_quotient_operator(x, n, 3, shape)))
-        _constants_memo[key] = hit
+        hit = _constants_memo[key] = RingElement.from_partition(
+            _quotient_class(Partition((n,)), 3, law, shape))
     return hit
 
 
@@ -702,22 +714,21 @@ def sym_partition(lam, m: int, law: GeneralizedLaw, field: Field) -> Partition:
 def _quotient_partition(lam, m: int, law: GeneralizedLaw, field: Field, kind: str) -> Partition:
     """Jordan type of wedge^m or Sym^m of the canonical nilpotent of ``lam``.
 
-    At m = 2 and m = 3 the block sum (``_block_sum``) with no operator on
-    ``lam``: at m = 3 the single-block cubes need the law's 3-fold series
-    symmetric on the box of the largest block, whose cube the sum asks for
-    first, else InvalidInput before anything is memoized, and a block past
-    J_16, whose cube operator is past the bound, is refused.  At any other m
-    the power operator, straightened.
+    At m = 2 and m = 3 the block sum (``_block_sum``): at m = 3 the cubes of
+    single blocks come from ``_quotient_class``, the largest block's first,
+    and a block past J_16 is refused.  At any other m ``_quotient_class`` of
+    the whole partition, within d^m <= 4096.  No operator on V^(x)m is built.
     An m that is not an integer >= 1 (a bool or a float included) raises
-    InvalidInput.
+    InvalidInput, then a law over another field InvalidLaw, before the
+    bound.
     """
     lam = Partition(lam)
     if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
         raise InvalidInput(f"m must be an integer >= 1, got {m!r}")
-    if m not in (2, 3):
-        x = power_operator(lam, m, law, field)
-        return jordan_partition(induced_quotient_operator(x, lam.dim, m, kind))
     _require_field(law, field)
+    if m not in (2, 3):
+        _require_operator_dim(lam.dim ** m)
+        return _quotient_class(lam, m, law, kind)
     cube = None
     if m == 3:
         _require_operator_dim(max(lam, default=1) ** 3)
@@ -752,7 +763,7 @@ def build_symmetric_intertwiner(n: int, m: int, law: GeneralizedLaw) -> Matrix:
 
 def clear_memo() -> None:
     """Drop the memoized structure constants, block squares and cubes, the
-    laws' tables of powers, columns and 3-fold series and the gather's block
+    laws' tables of powers, columns and m-fold series and the gather's block
     offsets (used by tests and benchmark passes)."""
     _constants_memo.clear()
     _block_offsets.cache_clear()

@@ -22,7 +22,6 @@ divide it.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from fractions import Fraction
@@ -328,13 +327,7 @@ def _monomial_table(bases: Sequence[TruncatedPoly]):
     return monomial
 
 
-# -- monomial basis and operator matrices --------------------------------------
-
-def monomial_basis(trunc: Sequence[int]) -> list:
-    """All exponent tuples in the box, ordered to match iterated Kronecker
-    products (first variable most significant)."""
-    return list(itertools.product(*[range(r) for r in trunc]))
-
+# -- operator matrices ----------------------------------------------------------
 
 def mult_matrix(g: TruncatedPoly) -> Matrix:
     """Matrix of multiplication by g on the monomial basis.

@@ -12,7 +12,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .classical import good_char_report, validate_classical_partition
+from .classical import KINDS, good_char_report, is_good_prime, validate_classical_partition
 from .char0 import check_theorem, exponents, predict_blocks
 from .errors import AlgebraError, InvalidInput
 from .fields import GF, Field
@@ -182,7 +182,8 @@ def suite_ring_calcs(seed=0):
 
 # -- 5. good characteristic: ad and Ad agree ------------------------------------------
 
-_GOOD_PRIMES = {"GL": (2, 3, 5, 7, 11, 13), "Sp": (3, 5, 7, 11, 13), "SO": (3, 5, 7, 11, 13)}
+_GOOD_PRIMES = {kind: tuple(p for p in (2, 3, 5, 7, 11, 13) if is_good_prime(kind, p))
+                for kind in KINDS}
 
 
 def sample_classical_case(rng, primes: dict = _GOOD_PRIMES) -> tuple:

@@ -32,6 +32,9 @@ time.  ``DictSeries`` is the truncated-series layer as a dict of field
 elements, one field operation per pair of terms, and the ``dict_*``
 functions build on it series inversion, the symmetric split, law
 evaluation, the m-fold tensor series and transported formal group laws.
+``random_invertible`` draws a random invertible matrix by rejection,
+``flatten`` lists a matrix's entries row after row, and ``monomial_basis``
+the exponents of a box in Kronecker order.
 All are deliberately plain so that they are easy to trust.
 """
 
@@ -52,7 +55,27 @@ from jordanblocks.linalg import (
     unipotent_partition,
 )
 from jordanblocks.repring import induced_quotient_operator, power_operator, tensor_operator
-from jordanblocks.series import TruncatedPoly, monomial_basis
+from jordanblocks.series import TruncatedPoly
+
+
+def random_invertible(field, n: int, rng) -> Matrix:
+    """Uniform-ish random invertible matrix, by rejection."""
+    while True:
+        m = Matrix.from_rows(field, [[field.random_element(rng) for _ in range(n)]
+                                     for _ in range(n)])
+        if m.rank() == n:
+            return m
+
+
+def flatten(mat: Matrix) -> np.ndarray:
+    """The entries of a matrix as field elements, row after row."""
+    return mat.a.reshape(-1)
+
+
+def monomial_basis(trunc) -> list:
+    """All exponent tuples in the box, ordered to match iterated Kronecker
+    products (first variable most significant)."""
+    return list(itertools.product(*[range(r) for r in trunc]))
 
 
 def rref_mod(a: np.ndarray, p: int, stop_col: int | None = None):
@@ -478,8 +501,8 @@ def g2_direct_adjoint(a: Matrix, basis: list, mode: str) -> Partition:
         images = [a @ z @ a_inv - z for z in basis]
     else:
         images = [a @ z - z @ a for z in basis]
-    columns = Matrix(field, np.column_stack([z.flatten() for z in basis]))
-    coords = rref_solve(columns, Matrix(field, np.column_stack([z.flatten() for z in images])))
+    columns = Matrix(field, np.column_stack([flatten(z) for z in basis]))
+    coords = rref_solve(columns, Matrix(field, np.column_stack([flatten(z) for z in images])))
     return None if coords is None else full_power_partition(coords)
 
 
@@ -508,10 +531,10 @@ def rank_probe_closure(generators) -> list:
     basis, rows = [], []
 
     def try_add(mat):
-        probe = np.vstack(rows + [mat.flatten()])
+        probe = np.vstack(rows + [flatten(mat)])
         p = mat.field.p
         if (rref_rank_mod(probe, p) if p else rref_rank_frac(probe)) > len(rows):
-            rows.append(mat.flatten())
+            rows.append(flatten(mat))
             basis.append(mat)
             return True
         return False

@@ -214,6 +214,15 @@ class TestBlockAdditivePath:
 class TestSamplerGuards:
     """The verify-suite guards that were asserts, fired through wrong intermediates."""
 
+    def test_good_primes_are_derived_in_a_fixed_order(self):
+        # the seeded draws of ``sample_classical_case`` read these tuples by
+        # position, so the golden fixture depends on their order
+        from jordanblocks import verify
+
+        assert verify._GOOD_PRIMES == {"GL": (2, 3, 5, 7, 11, 13), "Sp": (3, 5, 7, 11, 13),
+                                       "SO": (3, 5, 7, 11, 13)}
+        assert list(verify._GOOD_PRIMES) == ["GL", "Sp", "SO"]
+
     def test_sampled_partition_outside_the_kind(self, monkeypatch):
         from jordanblocks import verify
 

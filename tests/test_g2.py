@@ -35,11 +35,16 @@ from jordanblocks.linalg import (
     Partition,
     exp_nilpotent,
     jordan_partition,
-    random_invertible,
     unipotent_partition,
 )
 from jordanblocks.repring import tensor_operator
-from oracles import g2_direct_adjoint, kron_wedge_adjoint, kron_wedge_operator, rank_probe_closure
+from oracles import (
+    g2_direct_adjoint,
+    kron_wedge_adjoint,
+    kron_wedge_operator,
+    random_invertible,
+    rank_probe_closure,
+)
 
 PRIMES = [5, 7, 11, 13]
 

@@ -35,7 +35,6 @@ from jordanblocks.linalg import (
     jordan_partition,
     nilpotent_from_partition,
     nilpotent_powers,
-    random_invertible,
     solve_in_columns,
     unipotent_partition,
 )
@@ -44,6 +43,7 @@ from oracles import (
     dense_coefficients,
     fraction_matmul,
     full_power_partition,
+    random_invertible,
     rref_rank_frac,
     rref_rank_mod,
     rref_solve,

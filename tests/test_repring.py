@@ -32,7 +32,6 @@ from jordanblocks.linalg import (
     jordan_block,
     jordan_partition,
     nilpotent_from_partition,
-    random_invertible,
 )
 from jordanblocks.repring import (
     RingElement,
@@ -67,6 +66,7 @@ from oracles import (
     monomial_endomorphism_matrix,
     operator_power_partition,
     operator_square_partition,
+    random_invertible,
 )
 
 F2, F3, F5, F7 = GF(2), GF(3), GF(5), GF(7)
@@ -1229,23 +1229,26 @@ class TestBlockSum:
             sym_partition((17,), 3, law, F5)
 
 
+def check_power(lam, m, law):
+    """wedge^m and Sym^m of ``lam`` against the gathered power operator
+    straightened onto the quotient; where that refuses a law whose m-fold
+    series is not symmetric, the library must refuse it too."""
+    for kind, power in (("sym", sym_partition), ("wedge", wedge_partition)):
+        try:
+            want = operator_power_partition(lam, m, kind, law, law.field)
+        except InvalidInput:
+            with pytest.raises(InvalidInput, match="commute"):
+                power(lam, m, law, law.field)
+            continue
+        assert power(lam, m, law, law.field) == want, (law.field, law, lam, m, kind)
+
+
 class TestCubeSum:
     """wedge^3 and Sym^3 of a partition summed over its blocks
     (``repring._block_sum`` with the cubes of single blocks), against the
     gathered operator on V (x) V (x) V straightened onto the quotient
     (``oracles.operator_power_partition``); a law whose 3-fold series is not
     symmetric is refused by both."""
-
-    @staticmethod
-    def check(lam, law):
-        for kind, power in (("sym", sym_partition), ("wedge", wedge_partition)):
-            try:
-                want = operator_power_partition(lam, 3, kind, law, law.field)
-            except InvalidInput:
-                with pytest.raises(InvalidInput, match="commute"):
-                    power(lam, 3, law, law.field)
-                continue
-            assert power(lam, 3, law, law.field) == want, (law.field, law, lam, kind)
 
     @pytest.mark.parametrize("field", SQUARE_FIELDS, ids=str)
     def test_seeded_cubes(self, field):
@@ -1264,7 +1267,7 @@ class TestCubeSum:
                     lams.append(lam)
             repring.clear_memo()
             for lam in lams:
-                self.check(Partition(lam), law)
+                check_power(Partition(lam), 3, law)
 
     @given(st.sampled_from(SQUARE_FIELDS), small_partitions,
            st.sampled_from(QUOTIENT_LAWS + ("non-associative",)), st.integers(0, 10**6),
@@ -1280,41 +1283,43 @@ class TestCubeSum:
         else:
             law = symmetric_law(kind, field, degree, rng)
         repring.clear_memo()
-        self.check(lam, law)
+        check_power(lam, 3, law)
 
     def test_no_operator_on_the_partition(self, monkeypatch):
+        # neither the cubes of the blocks nor the powers past m = 3 gather an
+        # operator: every class comes from the series' basis-word columns
         laws = [additive(F2), multiplicative(F5), scaled_multiplicative(F7, F7(3)),
                 random_fgl(5, 9, QQ), random_fgl(6, 9, GF(13))]
-        # the first largest block is the largest of all
-        lams = [Partition(lam) for lam in [(4, 2, 1), (3, 3, 1), (4, 1, 1, 1)]]
-        want = {(law, lam, kind): operator_power_partition(lam, 3, kind, law, law.field)
-                for law in laws for lam in lams for kind in ("sym", "wedge")}
-        built, dims = [], []
-        series, gather = repring.iterated_tensor_series, repring.canonical_series_operator
+        # the first largest block is the largest of all at each m
+        lams = {1: [(4, 2), (3, 1)], 3: [(4, 2, 1), (3, 3, 1), (4, 1, 1, 1)],
+                4: [(3, 1), (2, 2, 1)], 5: [(2, 1), (1, 1, 1)]}
+        want = {(law, m, lam, kind): operator_power_partition(lam, m, kind, law, law.field)
+                for law in laws for m, group in lams.items() for lam in group
+                for kind in ("sym", "wedge")}
+        built = []
+        series = repring.iterated_tensor_series
 
         def series_spy(law, m, trunc):
             built.append((law, m, trunc))
             return series(law, m, trunc)
 
-        def gather_spy(field, lams, num, den=1):
-            dims.append(np.prod([Partition(lam).dim for lam in lams]))
-            return gather(field, lams, num, den)
-
         def refuse(*args, **kwargs):
-            pytest.fail("the cube built an operator on the partition")
+            pytest.fail("the power built an operator on the partition")
 
         monkeypatch.setattr(repring, "iterated_tensor_series", series_spy)
-        monkeypatch.setattr(repring, "canonical_series_operator", gather_spy)
-        for name in ("power_operator", "tensor_operator"):
+        for name in ("power_operator", "induced_quotient_operator", "canonical_series_operator",
+                     "tensor_operator"):
             monkeypatch.setattr(repring, name, refuse)
         for law in laws:
             repring.clear_memo()
             built.clear()
-            for lam in lams:
-                for kind, power in (("sym", sym_partition), ("wedge", wedge_partition)):
-                    assert power(lam, 3, law, law.field) == want[law, lam, kind], (law, lam)
-            assert built == [(law, 3, (4, 4, 4))]
-        assert dims and max(dims) <= 4 ** 3
+            for m, group in lams.items():
+                for lam in group:
+                    for kind, power in (("sym", sym_partition), ("wedge", wedge_partition)):
+                        got = power(Partition(lam), m, law, law.field)
+                        assert got == want[law, m, lam, kind], (law, m, lam, kind)
+            assert built == [(law, 1, (4,)), (law, 3, (4, 4, 4)), (law, 4, (3, 3, 3, 3)),
+                             (law, 5, (2, 2, 2, 2, 2))]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_non_symmetric_series_is_refused(self, seed):
@@ -1340,8 +1345,8 @@ class TestCubeSum:
             repring.clear_memo()
             if first:
                 sym_partition(first, 3, law, F5)
-            self.check(Partition((3,)), law)
-            self.check(Partition((3, 2)), law)
+            check_power(Partition((3,)), 3, law)
+            check_power(Partition((3, 2)), 3, law)
         with pytest.raises(TruncationTooShort):
             sym_partition((4,), 3, law, F5)
 
@@ -1349,9 +1354,126 @@ class TestCubeSum:
         law = multiplicative(F5)
         repring.clear_memo()
         sym_partition((3, 2), 3, law, F5)
-        assert {key[0] for key in repring._constants_memo} >= {"F3", "cube"}
+        sym_partition((2, 1), 4, law, F5)
+        assert {key[:2] for key in repring._constants_memo
+                if key[0] == "series"} == {("series", 3), ("series", 4)}
+        assert any(key[0] == "cube" for key in repring._constants_memo)
         repring.clear_memo()
         assert not repring._constants_memo
+
+
+class TestQuotientClass:
+    """wedge^m and Sym^m from the basis-word columns of the law's m-fold
+    series (``repring._quotient_class``): of the whole partition at m = 1, 4
+    and 5, and of single blocks up to J_10 at m = 3, against the gathered
+    power operator straightened onto the quotient
+    (``oracles.operator_power_partition``); a law whose m-fold series is
+    not symmetric is refused by both."""
+
+    @staticmethod
+    def law(kind, field, degree, rng):
+        if kind == "non-associative":
+            return symmetric_generalized_law(rng, field, degree)
+        return symmetric_law(kind, field, degree, rng)
+
+    @pytest.mark.parametrize("field", SQUARE_FIELDS, ids=str)
+    def test_seeded_powers(self, field):
+        rng = random.Random(f"quotient-class:{field.p}")
+        for kind in QUOTIENT_LAWS + ("non-associative",):
+            law = self.law(kind, field, 10, rng)
+            # the empty partition, d < m, one block, a repeated and distinct
+            # parts, then a seeded partition of dimension 2-5 (m = 4) or 2-3
+            # (m = 5); the largest block comes first at each m
+            lams = {1: [(), (6, 2, 2), (5, 1), (1,)],
+                    4: [(3, 2), (), (2, 1), (3,), (2, 2, 1), (1, 1, 1, 1)],
+                    5: [(3, 1), (), (1, 1, 1), (2,)]}
+            for m, dim in ((4, 5), (5, 3)):
+                lams[m].append(seeded_partition(rng, rng.randint(2, dim), top=3))
+            repring.clear_memo()
+            for m, group in lams.items():
+                for lam in group:
+                    check_power(Partition(lam), m, law)
+
+    @pytest.mark.parametrize("field", SQUARE_FIELDS, ids=str)
+    def test_single_block_cubes(self, field):
+        # up to J_10, or J_7 over Q, where the oracle's operator is of
+        # Python integers
+        rng = random.Random(f"single-block-cubes:{field.p}")
+        top = 10 if field.p else 7
+        for kind in QUOTIENT_LAWS + ("non-associative",):
+            law = self.law(kind, field, 3 * top - 3, rng)
+            repring.clear_memo()
+            for n in range(top, 0, -1):
+                check_power(Partition((n,)), 3, law)
+
+    def test_wedge_signs_at_blocks_past_p(self):
+        # a law whose terms are linear in each letter moves no word that is
+        # unsorted without a repeated letter, and small blocks keep their
+        # generic type: the wedge's signs show under a law with higher terms
+        # and a block past p, as in wedge^3 J_7 = (7^5) at p = 7
+        law = random_fgl(0, 27, F7)
+        repring.clear_memo()
+        for n in range(10, 6, -1):
+            check_power(Partition((n,)), 3, law)
+        assert wedge_partition((7,), 3, law, F7) == (7,) * 5
+
+    @given(st.sampled_from(SQUARE_FIELDS), small_partitions, st.sampled_from([1, 4, 5]),
+           st.sampled_from(QUOTIENT_LAWS + ("non-associative",)), st.integers(0, 10**6))
+    @settings(max_examples=30, deadline=None)
+    def test_hypothesis_powers(self, field, lam, m, kind, seed):
+        while lam.dim ** m > 256:
+            lam = Partition(lam[1:])
+        law = self.law(kind, field, max(2, m * (max(lam, default=1) - 1)), random.Random(seed))
+        repring.clear_memo()
+        check_power(lam, m, law)
+
+    def test_refusals_at_m4_in_order(self, monkeypatch):
+        # another field, then d^4 past 4096, then a law too short for the
+        # 4-fold series of J_3 (degree 8), then a law that is not symmetric;
+        # nothing is memoized for a refusal
+        skew = random_generalized_law(3, 8, F5)
+        short = random_generalized_law(3, 7, F5)
+        for power in (wedge_partition, sym_partition):
+            repring.clear_memo()
+            with pytest.raises(InvalidLaw, match="disagree"):
+                power((9,), 4, scaled_multiplicative(F7, 6), F5)
+            with monkeypatch.context() as patch:
+                patch.setattr(repring, "iterated_tensor_series",
+                              lambda *args: pytest.fail("a series was built"))
+                for law in (multiplicative(F5), short, skew):
+                    with pytest.raises(InvalidInput, match="6561"):
+                        power((5, 4), 4, law, F5)
+            with pytest.raises(TruncationTooShort):
+                power((3,), 4, short, F5)
+            with pytest.raises(InvalidInput, match="commute"):
+                power((3,), 4, skew, F5)
+            with pytest.raises(InvalidInput, match="commute"):
+                operator_power_partition((3,), 4, "sym", skew, F5)
+            assert not repring._constants_memo
+
+    def test_series_is_rebuilt_past_its_box(self):
+        # a memoized 4-fold series of J_2 is read past its box only after a
+        # rebuild at J_3
+        law = random_fgl(4, 8, F7)
+        repring.clear_memo()
+        check_power(Partition((2, 1)), 4, law)
+        assert repring._constants_memo["series", 4, law.fingerprint()].trunc == (2,) * 4
+        check_power(Partition((3, 1)), 4, law)
+        assert repring._constants_memo["series", 4, law.fingerprint()].trunc == (3,) * 4
+        check_power(Partition((2, 2)), 4, law)
+
+    def test_no_whole_operator_is_gathered(self):
+        # the whole operator on J_8^(x)4 and its gather index are 4096 x 4096
+        # int64 arrays of 128 MiB each; wedge^4 J_8 gathers 4096 x 70 columns
+        law = multiplicative(F5)
+        repring.clear_memo()
+        tracemalloc.start()
+        try:
+            got = wedge_partition((8,), 4, law, F5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.dim == 70 and peak < 16 * 2**20
 
 
 class TestSigmaMatrices:

@@ -23,7 +23,6 @@ from jordanblocks.series import (
     compose_inverse,
     elementary_symmetric,
     endomorphism_matrix,
-    monomial_basis,
     mult_matrix,
     symmetric_split,
 )
@@ -32,6 +31,7 @@ from oracles import (
     dict_compose_inverse,
     dict_symmetric_split,
     loop_mult_matrix,
+    monomial_basis,
     monomial_endomorphism_matrix,
 )
 
