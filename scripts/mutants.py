@@ -58,6 +58,7 @@ CELL_TESTS = "tests/test_repring.py::TestCellRoute::"
 DENSE_TESTS = "tests/test_series.py::TestDictOracle::"
 SQUARE_TESTS = "tests/test_repring.py::TestSquareRoute::"
 COLUMN_TESTS = "tests/test_repring.py::TestColumnRoute::"
+WORKING_SET_TESTS = "tests/test_repring.py::TestWorkingSet::"
 BLOCK_SUM_TESTS = "tests/test_repring.py::TestBlockSum::"
 CUBE_SUM_TESTS = "tests/test_repring.py::TestCubeSum::"
 QUOTIENT_TESTS = "tests/test_repring.py::TestQuotientClass::"
@@ -114,7 +115,7 @@ MUTANTS = [
            (CELL_TESTS + "test_growth_rule",)),
     # a rounded box past the operator bound falls back to the cell's own box
     Mutant("growth-skips-union", REPRING,
-           "for grown in (rounded, union):", "for grown in (rounded,):",
+           "grows = (rounded, (max(bx, n), max(by, m)))", "grows = (rounded,)",
            (CELL_TESTS + "test_growth_rule",)),
     # below the diagonal, b1 < b0, the power table's Toeplitz matrices read
     # the columns of F^s from the end: terms that wrap around the y truncation
@@ -132,6 +133,23 @@ MUTANTS = [
            "    for key in [k for k in _constants_memo if k[0] != \"powers\"]:\n"
            "        del _constants_memo[key]\n",
            (CELL_TESTS + "test_clear_memo_drops_the_tables",)),
+    # a law's first table at the union with the box asked at its prime
+    # even where that union's products are past float64: BadPrime, where
+    # the cell's own box answers
+    Mutant("field-hint-skips-float-bound", REPRING,
+           "if size <= _MAX_OPERATOR_DIM and _float_exact(field.p, size):",
+           "if size <= _MAX_OPERATOR_DIM and (table is None or _float_exact(field.p, size)):",
+           (WORKING_SET_TESTS + "test_hinted_box_past_the_float_bound",)),
+    # one box asked for every characteristic: a p = 3 law's first table
+    # is built out to the cells asked at p = 2
+    Mutant("field-hint-across-characteristics", REPRING,
+           'return "asked", field.p', 'return "asked"',
+           (WORKING_SET_TESTS + "test_one_working_set_per_characteristic",)),
+    # each law's first table at its own cell: every later law grows its
+    # table again, as the first did
+    Mutant("field-hint-never-read", REPRING,
+           "bx, by = _constants_memo.get(_asked(field), box)", "bx, by = box",
+           (WORKING_SET_TESTS + "test_later_laws_build_one_table_and_one_column_per_short_side",)),
     # an image with a term that Y_i does not divide, or with no Y_i term,
     # gives a matrix that may not be invertible
     Mutant("automorphism-skips-divisibility", SERIES,
@@ -296,7 +314,7 @@ MUTANTS = [
     # a law with higher terms and a block past p tells: wedge^3 J_7 at p = 7
     # under random_fgl(0, 27) becomes (9, 7^3, 5), not (7^5)
     Mutant("quotient-wedge-sign-dropped", REPRING,
-           "np.add.at(out, targets, flat[index] * signs)", "np.add.at(out, targets, flat[index])",
+           "    values *= signs\n", "",
            (QUOTIENT_TESTS + "test_wedge_signs_at_blocks_past_p",)),
     # the first letter's exponent read with a stride one short: the
     # coefficient of another exponent, or of none

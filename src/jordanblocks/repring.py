@@ -13,7 +13,11 @@ and no tensor operator is built for a cell J_n (x) J_m: it is multiplication
 by t = F(x, y) on k[x, y]/(x^n, y^m), whose ranks come from the rows x^i F^j
 sliced out of one memoized table of the law's powers F^j per law
 (``_law_powers``), built by products of Toeplitz slices, with no operator on
-A, and rebuilt about log2 times per side as its box grows by powers of two.
+A.  The structure constants do not depend on the law, so callers ask the
+same cells under many laws at one characteristic: a law's first table holds
+the box of every cell and square asked at that characteristic since
+``clear_memo`` (one working set per characteristic), and only a cell past it
+rebuilds it, about log2 times per side as its box grows by powers of two.
 ``tensor_operator`` (Kronecker products of powers) is the tests' reference.
 
 With the columns x-first, k[x, y]/(x^n, y^s) is a prefix of k[x, y]/(x^N,
@@ -24,10 +28,10 @@ F^op(x, y) = F(y, x), read from the transposed table; under a symmetric law
 both orders share one column.  The squares Sym^2 J_n and wedge^2 J_n
 (``square_constants``) fold the rows of their generators onto the pairs
 (a, b), ordered by b and then a, so they are prefixes too.  A column is
-built at the largest block asked of the law since ``clear_memo``, within
-the table's box, the law's degree and the 4096 bound, so a cold call builds
-at its own box; each read's span count must be the dimension, or
-AlgebraError.
+built at the largest block asked at the characteristic since
+``clear_memo``, within the table's box, the law's degree and the 4096
+bound, so a cold call builds at its own box; each read's span count must
+be the dimension, or AlgebraError.
 
 The tensor square, Sym^2 and wedge^2 of any partition, and Sym^3 and
 wedge^3 under a law whose 3-fold series is symmetric, split over its blocks
@@ -217,8 +221,9 @@ def _table_partition(n: int, m: int, shape: str, law: GeneralizedLaw,
     A column, its N and the leads of each level's pivots as the bits of one
     int, is memoized per law, shape, short side s and orientation (one
     under a symmetric law, where F^op = F), and built to N = max(long
-    side, min(the table's extent on that axis, the largest block asked of
-    the law since ``clear_memo``)), cut so that the law's degree holds
+    side, min(the table's extent on that axis, the largest block asked at
+    the characteristic since ``clear_memo``, the longer side of the
+    ``_asked`` box)), cut so that the law's degree holds
     N + s - 2 and N s <= 4096; a square's N must keep the series symmetric
     on (N, N), or it is n.  The count after level 0 must be the dimension,
     or AlgebraError: that certifies the generators, so the ranks do not rest
@@ -238,7 +243,10 @@ def _table_partition(n: int, m: int, shape: str, law: GeneralizedLaw,
     powers = _law_powers(law, field, n, m)
     fp = law.fingerprint()
     flip = tensor and (n < m or n == m and powers.shape[2] > powers.shape[1])
-    seen, symmetric = _constants_memo.get(("law", fp)) or (0, _symmetric(law, law.degree + 1))
+    symmetric = _constants_memo.get(("law", fp))
+    if symmetric is None:
+        symmetric = _constants_memo["law", fp] = _symmetric(law, law.degree + 1)
+    asked = _constants_memo.get(_asked(field), (0, 0))
     long, s = (m, n) if flip else (n, m)
     key = ("column", shape, s if tensor else 0, flip and not symmetric, fp)
     column = _constants_memo.get(key)
@@ -246,12 +254,13 @@ def _table_partition(n: int, m: int, shape: str, law: GeneralizedLaw,
         cap = _MAX_OPERATOR_DIM // s if tensor else math.isqrt(_MAX_OPERATOR_DIM)
         if not law.exact:
             cap = min(cap, law.degree - s + 2 if tensor else law.degree // 2 + 1)
-        N = max(long, min(powers.shape[1 + flip] if tensor else min(powers.shape[1:]), seen, cap))
+        N = max(long, min(powers.shape[1 + flip] if tensor else min(powers.shape[1:]),
+                          max(asked), cap))
         if not tensor and N > n and not _symmetric(law, N):
             N = n
         column = _constants_memo[key] = N, _column_masks(
             powers.transpose(0, 2, 1) if flip else powers, N, s if tensor else N, shape, field.p)
-    _constants_memo[("law", fp)] = max(seen, long), symmetric
+    _constants_memo[_asked(field)] = max(asked[0], n), max(asked[1], m)
     low = (1 << dim) - 1
     ranks = [(mask & low).bit_count() for mask in column[1]]
     if ranks[0] != dim:
@@ -293,12 +302,22 @@ def _symmetric(law: GeneralizedLaw, n: int) -> bool:
     return law._poly((n, n)).is_symmetric()
 
 
+def _asked(field: Field) -> tuple:
+    """The memo key of the box (largest n, largest m) of the cells and
+    squares answered at the field's characteristic since ``clear_memo``."""
+    return "asked", field.p
+
+
 def _law_powers(law: GeneralizedLaw, field: Field, n: int, m: int) -> np.ndarray:
     """The law's powers F^j mod (x^bx, y^by), j <= bx + by - 2, as an array
     (j, a, b) of the coefficient of x^a y^b, for a box that holds n x m.
 
-    Memoized per law in ``_constants_memo`` as (bx, by, powers), and built
-    cold at (n, m).  A cell that does not fit the box rebuilds it, with each
+    Memoized per law in ``_constants_memo`` as (bx, by, powers).  The first
+    table is built at the union of (n, m) and the box of the cells and
+    squares answered at the law's characteristic (``_asked``), so that a law
+    asked after others holds their cells at once; when that union passes the
+    operator bound or the float64 products at its size are not exact, at
+    (n, m).  A cell that does not fit the box rebuilds it, with each
     side that must grow rounded up to a power of two, so that cells met one
     row or column larger at a time rebuild about log2 times per side.  When
     that box passes the operator bound or the float64 products at its size
@@ -311,16 +330,19 @@ def _law_powers(law: GeneralizedLaw, field: Field, n: int, m: int) -> np.ndarray
     if table is not None and n <= table[0] and m <= table[1]:
         return table[2]
     box = (n, m)
-    if table is not None:
+    if table is None:
+        bx, by = _constants_memo.get(_asked(field), box)
+        grows = ((max(bx, n), max(by, m)),)
+    else:
         bx, by, _ = table
         rounded = (bx if n <= bx else 1 << (n - 1).bit_length(),
                    by if m <= by else 1 << (m - 1).bit_length())
-        union = (max(bx, n), max(by, m))
-        for grown in (rounded, union):
-            size = grown[0] * grown[1]
-            if size <= _MAX_OPERATOR_DIM and _float_exact(field.p, size):
-                box = grown
-                break
+        grows = (rounded, (max(bx, n), max(by, m)))
+    for grown in grows:
+        size = grown[0] * grown[1]
+        if size <= _MAX_OPERATOR_DIM and _float_exact(field.p, size):
+            box = grown
+            break
     powers = _power_table(field, box, law)
     _constants_memo[key] = (*box, powers)
     return powers
@@ -683,11 +705,14 @@ def _quotient_class(lam: Partition, m: int, law: GeneralizedLaw, kind: str) -> P
     for k, letters in enumerate(np.unravel_index(columns, (d,) * m)):
         offsets = _block_offsets(lam, n ** (m - 1 - k), size)[:, letters]
         index = (index[:, None, :] + offsets[None]).reshape(len(index) * d, spare)
-    # an invalid letter adds ``size``, so every entry past it reads the zero
-    flat = np.append(cut.num.ravel(), 0)
+    # an invalid letter adds ``size``, so every entry past it reads the zero;
+    # the index is dropped and the signs applied in place, so that no more
+    # than two d^m x q arrays are held at once
     np.minimum(index, size, out=index)
-    out = np.zeros((spare + 1, spare), dtype=flat.dtype)
-    np.add.at(out, targets, flat[index] * signs)
+    values, index = np.append(cut.num.ravel(), 0)[index], None
+    values *= signs
+    out = np.zeros((spare + 1, spare), dtype=values.dtype)
+    np.add.at(out, targets, values)
     return jordan_partition(Matrix._from_ints(law.field, out[:spare], cut.den))
 
 
@@ -763,7 +788,8 @@ def build_symmetric_intertwiner(n: int, m: int, law: GeneralizedLaw) -> Matrix:
 
 def clear_memo() -> None:
     """Drop the memoized structure constants, block squares and cubes, the
-    laws' tables of powers, columns and m-fold series and the gather's block
-    offsets (used by tests and benchmark passes)."""
+    laws' tables of powers, columns and m-fold series, the boxes asked at
+    each characteristic and the gather's block offsets (used by tests and
+    benchmark passes)."""
     _constants_memo.clear()
     _block_offsets.cache_clear()

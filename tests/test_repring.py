@@ -997,10 +997,10 @@ HISTORY_LAWS = {
     "exact": multiplicative(F2),
 }
 
-REQUESTS = st.lists(st.one_of(
+REQUEST = st.one_of(
     st.tuples(st.sampled_from(("tensor", "sym", "wedge")), st.integers(1, 12), st.integers(1, 12)),
-    st.sampled_from([("tensor", 65, 64), ("tensor", 64, 65), ("sym", 65, 65), ("wedge", 65, 65)])),
-    min_size=1, max_size=14)
+    st.sampled_from([("tensor", 65, 64), ("tensor", 64, 65), ("sym", 65, 65), ("wedge", 65, 65)]))
+REQUESTS = st.lists(REQUEST, min_size=1, max_size=14)
 
 
 def ask(law, request):
@@ -1109,6 +1109,129 @@ class TestColumnRoute:
         repring.clear_memo()
         for request, want in zip(requests, cold):
             assert ask(law, request) == want, (name, request)
+
+
+def table_builds(monkeypatch) -> list:
+    """The box of every table of powers built from here on."""
+    built = []
+    build = repring._power_table
+
+    def spy(field, box, law):
+        built.append(box)
+        return build(field, box, law)
+
+    monkeypatch.setattr(repring, "_power_table", spy)
+    return built
+
+
+#: the ring's cells n <= m, n m <= 48, row by row: the box (6, 12)
+GRID = [(n, m) for n in range(1, 13) for m in range(n, 13) if n * m <= 48]
+
+#: the laws of the interleaved-history test: those of the memo-history
+#: test, with a second law at F_5, at F_3 and at the prime between the
+#: float bounds, so that a law meets boxes that other laws were asked
+INTERLEAVED_LAWS = {
+    **HISTORY_LAWS,
+    "fgl": random_fgl(34, 24, F5),
+    "additive-3": additive(F3),
+    "multiplicative-between-bounds": multiplicative(GF(PRIME_BETWEEN_BOUNDS)),
+}
+
+
+class TestWorkingSet:
+    """One working set per characteristic: a law's first table is built at
+    the union of its cell and the box asked of every law at that
+    characteristic since ``clear_memo``, and its columns reach the largest
+    block asked there, so only the first law at a prime grows its table."""
+
+    def test_later_laws_build_one_table_and_one_column_per_short_side(self, monkeypatch):
+        # the ring's grid under five laws at one prime, law by law: the first
+        # grows its table eight times; each later one builds one table at
+        # (6, 12) and one column per short side s, transposed, out to the
+        # block 12 or the most its degree holds, 16 - s
+        rng = random.Random("working-set")
+        laws = [additive(F5), multiplicative(F5), scaled_multiplicative(F5, 3),
+                random_generalized_law(rng.randrange(10**6), 14, F5, unit_linear=True),
+                random_fgl(rng.randrange(10**6), 14, F5)]
+        tables, columns = table_builds(monkeypatch), column_builds(monkeypatch)
+        repring.clear_memo()
+        first = {}
+        for n, m in GRID:
+            first[n, m] = structure_constants(n, m, laws[0], F5)
+        assert len(tables) == 8 and tables[-1] == (8, 16)
+        for law in laws[1:]:
+            tables.clear()
+            columns.clear()
+            for n, m in GRID:
+                assert structure_constants(n, m, law, F5) == first[n, m], (law, n, m)
+            assert tables == [(6, 12)], law
+            reach = [12] * 6 if law.exact else [min(12, 16 - s) for s in range(1, 7)]
+            assert columns == [("tensor", N, s) for s, N in enumerate(reach, 1)], law
+
+    def test_one_working_set_per_characteristic(self, monkeypatch):
+        # the grid at p = 2 leaves a p = 3 law's first table at its own box,
+        # which a second p = 3 law's first table then holds
+        tables = table_builds(monkeypatch)
+        repring.clear_memo()
+        for n, m in GRID:
+            structure_constants(n, m, multiplicative(F2), F2)
+        tables.clear()
+        assert structure_constants(2, 3, additive(F3), F3) == RingElement({3: 2})
+        assert structure_constants(1, 1, multiplicative(F3), F3) == RingElement({1: 1})
+        assert tables == [(2, 3), (2, 3)]
+        assert repring._constants_memo["asked", 2] == (6, 12)
+        assert repring._constants_memo["asked", 3] == (2, 3)
+
+    def test_clear_memo_drops_the_working_set(self, monkeypatch):
+        tables = table_builds(monkeypatch)
+        repring.clear_memo()
+        structure_constants(4, 6, additive(F3), F3)
+        square_constants(7, "sym", additive(F3))
+        assert repring._constants_memo["asked", 3] == (7, 7)
+        repring.clear_memo()
+        assert not repring._constants_memo
+        tables.clear()
+        structure_constants(2, 2, multiplicative(F3), F3)
+        assert tables == [(2, 2)]
+
+    def test_hinted_box_past_the_float_bound(self):
+        # the box (3, 2) asked with the second law's cell has products of
+        # inner length 6, past float64 at this prime: the first table falls
+        # back to the cell's own box, and the cell answers
+        field = GF(PRIME_BETWEEN_BOUNDS)
+        repring.clear_memo()
+        assert structure_constants(3, 1, additive(field), field) == RingElement({3: 1})
+        law = multiplicative(field)
+        assert structure_constants(2, 2, law, field) == RingElement({3: 1, 1: 1})
+        assert table_box(law) == (2, 2)
+
+    @given(st.lists(st.tuples(st.sampled_from(sorted(INTERLEAVED_LAWS)), REQUEST),
+                    min_size=1, max_size=14))
+    @example([("additive-3", ("tensor", 12, 12)), ("degree-9", ("tensor", 2, 2)),
+              ("degree-9", ("tensor", 6, 6)), ("degree-9", ("sym", 5, 5)),
+              ("degree-9", ("tensor", 2, 9)), ("degree-9", ("tensor", 6, 5))])
+    @example([("between-bounds", ("tensor", 3, 1)),
+              ("multiplicative-between-bounds", ("tensor", 2, 2)),
+              ("multiplicative-between-bounds", ("sym", 2, 2)),
+              ("between-bounds", ("tensor", 1, 4)), ("between-bounds", ("tensor", 3, 2))])
+    @example([("fgl", ("tensor", 12, 12)), ("symmetric-to-6", ("sym", 3, 3)),
+              ("symmetric-to-6", ("wedge", 4, 4)), ("symmetric-to-6", ("sym", 5, 5)),
+              ("skew", ("tensor", 3, 9)), ("skew", ("tensor", 9, 3)), ("exact", ("tensor", 9, 3)),
+              ("skew", ("tensor", 12, 12)), ("degree-9", ("tensor", 3, 8))])
+    @example([("exact", ("tensor", 12, 4)), ("rational", ("tensor", 2, 7)),
+              ("skew", ("tensor", 5, 3)), ("rational", ("tensor", 7, 2)),
+              ("fgl", ("wedge", 2, 2)), ("exact", ("sym", 12, 12)), ("fgl", ("tensor", 4, 4))])
+    @settings(max_examples=40, deadline=None)
+    def test_answers_do_not_depend_on_other_laws(self, requests):
+        # requests under several laws at several characteristics on one memo,
+        # request by request, against each request on a cleared memo
+        cold = []
+        for name, request in requests:
+            repring.clear_memo()
+            cold.append(ask(INTERLEAVED_LAWS[name], request))
+        repring.clear_memo()
+        for (name, request), want in zip(requests, cold):
+            assert ask(INTERLEAVED_LAWS[name], request) == want, (name, request)
 
 
 class TestBlockSum:
@@ -1474,6 +1597,21 @@ class TestQuotientClass:
         finally:
             tracemalloc.stop()
         assert got.dim == 70 and peak < 16 * 2**20
+
+    def test_cube_fold_holds_two_gathered_arrays(self):
+        # Sym^3 J_16 gathers 4096 x 816 entries, 26.7 MB as int64: the index
+        # is dropped once read and the signs go on in place, where holding
+        # the index, the gathered entries and their signed copy peaks at 82 MiB
+        law = multiplicative(F5)
+        repring.clear_memo()
+        tracemalloc.start()
+        try:
+            got = sym_partition((16,), 3, law, F5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == (25,) * 28 + (20, 20, 15, 15, 15, 15, 10, 6)
+        assert peak < 64 * 2**20
 
 
 class TestSigmaMatrices:
