@@ -77,6 +77,17 @@ MUTANTS = [
     Mutant("level-slice-off-by-one", LINALG,
            "rows[top * c:(top + 1) * c]", "rows[top * c:(top + 1) * c + 1]",
            ("tests/test_linalg.py::TestKrylovRanks::test_seeded_conjugates",)),
+    # a Matrix plus a TruncatedPoly of the same shape passes as a Matrix
+    Mutant("exact-sum-any-type", LINALG,
+           "        if (type(other) is type(self) and self.field.p == other.field.p\n",
+           "        if (self.field.p == other.field.p\n",
+           ("tests/test_series.py::TestExactBase::test_a_matrix_and_a_series_never_mix",)),
+    # Krylov levels that vanish before they span k^D N, as for diag(1) + J_2,
+    # read as the ranks of a nilpotent
+    Mutant("power-ranks-nilpotency-unchecked", LINALG,
+           "    if ranks[0] != len(leads):\n        raise NotNilpotent(\"matrix is not nilpotent\")\n",
+           "",
+           ("tests/test_linalg.py::TestKrylovRanks::test_not_nilpotent",)),
     Mutant("writable-offsets", LINALG,
            "    out.flags.writeable = False\n", "",
            (OFFSETS_TEST,)),
@@ -223,8 +234,8 @@ MUTANTS = [
     # a sum of series products left unreduced: entries past p over F_p,
     # and no division by the gcd over Q
     Mutant("series-sum-unreduced", SERIES,
-           "    return TruncatedPoly._from_ints(field, trunc, acc, den)\n",
-           "    out = TruncatedPoly._from_ints(field, trunc, acc, den)\n"
+           "    return TruncatedPoly._from_ints(field, acc, den)\n",
+           "    out = TruncatedPoly._from_ints(field, acc, den)\n"
            "    out.num, out.den = acc, den\n    return out\n",
            (DENSE_TESTS + "test_dense_products_near_p",)),
     # each term of a product read one place further along the other operand

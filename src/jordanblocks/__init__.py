@@ -42,12 +42,10 @@ from .repring import (
     build_symmetric_intertwiner,
     cg_square,
     cg_tensor,
-    power_operator,
     ring_multiply,
     sigma_matrices,
     structure_constants,
     sym_partition,
-    tensor_operator,
     tensor_partition,
     wedge_partition,
 )

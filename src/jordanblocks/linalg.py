@@ -1,15 +1,12 @@
 """Dense exact matrices and Jordan partitions of nilpotent operators.
 
-A matrix is one integer array over one denominator in both fields:
-``num`` and a positive int ``den``.  Over F_p ``num`` is int64 with entries
-in ``range(p)`` and ``den`` is 1; over Q ``num`` holds Python ints in an
-object array, normalized so that gcd(num, den) = 1.  So shape, equality,
-the hash, transpose, negation, scaling, sums, stacking and the Kronecker
-product are each one integer expression on ``num`` over a combined
-``den``, which ``Matrix._from_ints`` reduces mod p or divides by the gcd;
-no kernel builds a ``Fraction``.  Writers build their integer array first
-and wrap it afterwards.  The field elements ``a`` are ``num`` itself over
-F_p, and over Q a read-only ``Fraction`` array built on each read.
+A matrix, like a truncated series (``series.TruncatedPoly``), is one
+integer array over one denominator in both fields (``_Exact``), so
+transpose, stacking and the Kronecker product are each one integer
+expression on ``num`` over a combined ``den`` too; no kernel builds a
+``Fraction``.  Writers build their integer array first and wrap it
+afterwards.  The field elements ``a`` are ``num`` itself over F_p, and over
+Q a read-only ``Fraction`` array built on each read.
 
 Products over F_p go through float64 BLAS, which is exact as long as the
 accumulated dot products stay below 2**53; a product that could pass that
@@ -28,10 +25,10 @@ Partitions are read off an operator through the ranks of its powers, never
 through a similarity transform (``_partition_from_ranks``).  In both fields
 they come from one Krylov elimination (``_power_ranks``): the echelon of N
 gives a complement R_0 of its row space, and the rows R_0 N^l, inserted
-into one echelon from the top power down (``_level_ranks``, which
-``repring`` shares for its cells), count rank N^l after each level.  Over Q
-the levels are integer rows, each divided by the gcd of its entries
-(``_primitive``).
+into one echelon from the top power down (``_prefix_masks``, the one reader
+that ``repring`` shares for its cells and squares), leave the leads of
+rank N^l pivots after each level.  Over Q the levels are integer rows, each
+divided by the gcd of its entries (``_primitive``).
 
 The F_p echelon form works on packed rows: each row is one Python int
 holding column j in the bits [j w, (j + 1) w).  For p of bit length L, w is
@@ -137,18 +134,82 @@ class Partition(tuple):
         return list(self)
 
 
-class Matrix:
-    """Dense matrix over a :class:`Field`, immutable by convention.
+class _Exact:
+    """An exact array over a :class:`Field`, immutable by convention: one
+    integer array ``num`` over one positive int ``den`` in both fields.
 
-    The entries are ``num / den`` in both fields: ``num`` an integer array
-    and ``den`` a positive int.  Over F_p ``num`` is int64 in ``range(p)``
-    and ``den`` is 1; over Q ``num`` holds Python ints (object dtype) and
-    gcd(num, den) = 1, so equal matrices have equal (num, den).  ``a`` is
-    the array of field elements: ``num`` itself over F_p, a read-only array
-    of ``Fraction`` over Q, built on each read.
+    Over F_p ``num`` is int64 in ``range(p)`` and ``den`` is 1; over Q
+    ``num`` holds Python ints (object dtype) and gcd(num, den) = 1, so equal
+    values have equal (num, den).  So equality, the hash, negation, scaling
+    and sums are each one integer expression on ``num`` over a combined
+    ``den``, which ``_from_ints`` reduces mod p or divides by the gcd
+    (``_normalized``).  A subclass gives the meaning of the array's axes, and
+    ``_mismatch`` refuses a sum with another shape, field or type.
     """
 
     __slots__ = ("field", "num", "den")
+
+    @classmethod
+    def _trusted(cls, field: Field, num: np.ndarray, den: int = 1):
+        """num / den as it is: integers already normalized, no copy."""
+        out = object.__new__(cls)
+        out.field, out.num, out.den = field, num, den
+        return out
+
+    @classmethod
+    def _from_ints(cls, field: Field, num: np.ndarray, den: int = 1):
+        """num / den from an integer array, normalized (``_normalized``)."""
+        out = object.__new__(cls)
+        out.field = field
+        out.num, out.den = _normalized(field, num, den)
+        return out
+
+    def _over(self, den: int) -> np.ndarray:
+        """The numerator over ``den``, a multiple of ``self.den``."""
+        return self.num if den == self.den else self.num * (den // self.den)
+
+    def _sum(self, other: "_Exact", sign: int):
+        if (type(other) is type(self) and self.field.p == other.field.p
+                and self.num.shape == other.num.shape):
+            den = math.lcm(self.den, other.den)
+            x, y = self._over(den), other._over(den)
+            return self._from_ints(self.field, x + y if sign > 0 else x - y, den)
+        raise self._mismatch(other, "sum" if sign > 0 else "difference")
+
+    def __add__(self, other):
+        return self._sum(other, 1)
+
+    def __sub__(self, other):
+        return self._sum(other, -1)
+
+    def __neg__(self):
+        return self._from_ints(self.field, -self.num, self.den)
+
+    def scale(self, c):
+        c = self.field(c)
+        _require_int64_elimination(self.field.p)
+        return self._from_ints(self.field, self.num * c.numerator, self.den * c.denominator)
+
+    def is_zero(self) -> bool:
+        return not self.num.any()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.field == other.field and self.den == other.den
+                and np.array_equal(self.num, other.num))
+
+    def __hash__(self):
+        return hash((self.field, self.num.shape, self.den, tuple(self.num.ravel().tolist())))
+
+
+class Matrix(_Exact):
+    """Dense matrix over a :class:`Field` (``_Exact``): ``num`` has the shape
+    (rows, columns).  ``a`` is the array of field elements: ``num`` itself
+    over F_p, a read-only array of ``Fraction`` over Q, built on each read.
+    """
+
+    __slots__ = ()
 
     def __init__(self, field: Field, a: np.ndarray):
         """The matrix of an array of field elements: over F_p an array of any
@@ -166,18 +227,6 @@ class Matrix:
         self.num = np.array(values, dtype=np.int64 if field.p else object).reshape(a.shape)
 
     # -- construction ---------------------------------------------------------
-
-    @staticmethod
-    def _trusted(field: Field, num: np.ndarray, den: int = 1) -> "Matrix":
-        """num / den as it is: integers already normalized, no copy."""
-        out = object.__new__(Matrix)
-        out.field, out.num, out.den = field, num, den
-        return out
-
-    @staticmethod
-    def _from_ints(field: Field, num: np.ndarray, den: int = 1) -> "Matrix":
-        """num / den from an integer array, normalized (``_normalized``)."""
-        return Matrix._trusted(field, *_normalized(field, num, den))
 
     @classmethod
     def from_rows(cls, field: Field, rows: Sequence[Sequence]) -> "Matrix":
@@ -235,34 +284,9 @@ class Matrix:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def _mismatch(self, other: "Matrix", op: str) -> ShapeMismatch:
-        return ShapeMismatch(f"{op} of a {self.shape} matrix over {self.field} and "
-                             f"a {other.shape} matrix over {other.field}")
-
-    def _over(self, den: int) -> np.ndarray:
-        """The numerator over ``den``, a multiple of ``self.den``."""
-        return self.num if den == self.den else self.num * (den // self.den)
-
-    def _sum(self, other: "Matrix", sign: int) -> "Matrix":
-        if self.field.p == other.field.p and self.num.shape == other.num.shape:
-            den = math.lcm(self.den, other.den)
-            x, y = self._over(den), other._over(den)
-            return Matrix._from_ints(self.field, x + y if sign > 0 else x - y, den)
-        raise self._mismatch(other, "sum" if sign > 0 else "difference")
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        return self._sum(other, 1)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._sum(other, -1)
-
-    def __neg__(self) -> "Matrix":
-        return Matrix._from_ints(self.field, -self.num, self.den)
-
-    def scale(self, c) -> "Matrix":
-        c = self.field(c)
-        _require_int64_elimination(self.field.p)
-        return Matrix._from_ints(self.field, self.num * c.numerator, self.den * c.denominator)
+    def _mismatch(self, other: _Exact, op: str) -> ShapeMismatch:
+        return ShapeMismatch(f"{op} of a {self.shape} matrix over {self.field} and a "
+                             f"{type(other).__name__} of shape {other.num.shape} over {other.field}")
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         p = self.field.p
@@ -283,18 +307,6 @@ class Matrix:
     @property
     def T(self) -> "Matrix":
         return Matrix._trusted(self.field, self.num.T.copy(), self.den)
-
-    def is_zero(self) -> bool:
-        return not self.num.any()
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return (self.field == other.field and self.den == other.den
-                and np.array_equal(self.num, other.num))
-
-    def __hash__(self):
-        return hash((self.field, self.shape, self.den, tuple(self.num.ravel().tolist())))
 
     def __repr__(self):
         return f"Matrix({self.field}, shape={self.shape})"
@@ -697,10 +709,11 @@ def _power_ranks(n_mat: Matrix) -> list:
     The levels R_l = R_(l-1) N are formed up to the first zero R_e: over F_p
     held in the packed field's unsigned dtype, over Q as integer rows each
     divided by the gcd of its entries (``_primitive``), which leaves every
-    span alone.  ``_level_ranks`` inserts them into one echelon from the top
-    power down; after level l the pivot count is rank N^l.  The levels span
-    k^D N only when N is nilpotent, so the count after level 1 must equal
-    rank N, and R_D must be zero; otherwise NotNilpotent.
+    span alone.  ``_prefix_masks`` inserts R_(e-1), ..., R_1 into one
+    echelon from the top power down, and the bit count of its masks[l] is
+    the rank of R_(l+1), ..., R_(e-1), that is rank N^(l+1).  The levels
+    span k^D N only when N is nilpotent, so the count of all of them must
+    equal rank N, and R_D must be zero; otherwise NotNilpotent.
     """
     p, dim, n = n_mat.field.p, n_mat.nrows, n_mat.num
     leads = set(_echelon(n, p))
@@ -716,10 +729,10 @@ def _power_ranks(n_mat: Matrix) -> list:
     del factor
     # top power first; the list goes once the stack is made
     levels = np.array(levels[::-1], dtype=dtype).reshape(len(levels), *level.shape)
-    ranks = _level_ranks(levels, p)
-    if ranks[-1] != len(leads):
+    ranks = [mask.bit_count() for mask in _prefix_masks(levels, p)]
+    if ranks[0] != len(leads):
         raise NotNilpotent("matrix is not nilpotent")
-    return ranks[::-1]
+    return ranks
 
 
 def _primitive(rows: np.ndarray) -> np.ndarray:
@@ -728,40 +741,27 @@ def _primitive(rows: np.ndarray) -> np.ndarray:
     return rows // np.array(gcds, dtype=object)[:, None]
 
 
-def _level_ranks(levels: np.ndarray, p: int) -> list:
-    """[0, r_1, r_2, ...]: r_k is the rank of the rows of the first k levels
-    of ``levels`` (count, rows per level, D), an array of integer rows
-    ordered top power first, so that r_k counts a suffix of the powers.
-
-    The rows are converted in one call, packed over F_p and integer lists
-    over Q (``_rows``), and inserted into one echelon (``_insert_rows``) one
-    level at a time, so no row is reduced twice.
-    """
-    return _level_leads(levels, p)[0]
-
-
-def _level_leads(levels: np.ndarray, p: int) -> tuple:
-    """``_level_ranks`` and the pivots' leads in the order of insertion."""
-    count, c, dim = levels.shape
-    rows, pivots, ranks = _rows(levels.reshape(count * c, dim), p), {}, [0]
-    for top in range(count):
-        ranks.append(len(_insert_rows(pivots, rows[top * c:(top + 1) * c], p, dim)))
-    return ranks, list(pivots)
-
-
 def _prefix_masks(levels: np.ndarray, p: int) -> list:
     """masks[l]: the leads of the pivots of the levels j >= l of ``levels``
     (count, rows per level, D), top power j = count - 1 first, as the bits
     of one int; masks[count] is 0.  A pivot is zero before its lead, so the
     rank of the rows of those levels cut to their first K columns is
-    (masks[l] & ((1 << K) - 1)).bit_count()."""
-    ranks, leads = _level_leads(levels, p)
-    mask, masks = 0, [0]
-    for start, stop in zip(ranks, ranks[1:]):
-        for lead in leads[start:stop]:
-            mask |= 1 << lead
-        masks.append(mask)
-    return masks[::-1]
+    (masks[l] & ((1 << K) - 1)).bit_count(), and masks[l].bit_count() is
+    their rank.
+
+    The rows are converted in one call, packed over F_p and integer lists
+    over Q (``_rows``), and inserted into one echelon (``_insert_rows``) one
+    level at a time, so no row is reduced twice.  The echelon keeps its
+    pivots in the order of insertion, so each mask is the OR of the bits of
+    the leads up to the pivot count after its level.
+    """
+    count, c, dim = levels.shape
+    rows, pivots, ends = _rows(levels.reshape(count * c, dim), p), {}, [0]
+    for top in range(count):
+        ends.append(len(_insert_rows(pivots, rows[top * c:(top + 1) * c], p, dim)))
+    prefix = list(itertools.accumulate(map(operator.lshift, itertools.repeat(1), pivots),
+                                       operator.or_, initial=0))
+    return [prefix[end] for end in reversed(ends)]
 
 
 def _partition_from_ranks(ranks: Iterable[int], n: int) -> Partition:

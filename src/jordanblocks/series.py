@@ -1,9 +1,8 @@
 """Arithmetic in truncated power-series algebras k[Y_1..Y_m]/(Y_i^{r_i}).
 
-A series is one integer array over one denominator, as a ``Matrix`` is:
-``num`` has the shape ``trunc`` and holds at index e the coefficient of Y^e,
-int64 in range(p) with ``den`` 1 over F_p, Python ints over a positive
-``den`` with gcd 1 over Q; no kernel builds a ``Fraction``.  The constructor
+A series is an exact array (``linalg._Exact``, as a ``Matrix`` is) whose
+``num`` holds at index e the coefficient of Y^e, so its shape is the
+truncation ``trunc``; no kernel builds a ``Fraction``.  The constructor
 takes a dict {exponent: c}, each coefficient through the field (7 is 2 in
 F_5, and 5 is dropped there), and ``coeffs`` is that dict of the nonzero
 terms again, built on each read.  Binary operations require one truncation.
@@ -43,9 +42,9 @@ from .errors import (
 from .fields import Field
 from .linalg import (
     Matrix,
+    _Exact,
     _common_denominator,
     _fit,
-    _normalized,
     _require_int64_elimination,
     canonical_series_operator,
 )
@@ -62,10 +61,11 @@ def _box(trunc: Sequence[int]) -> tuple:
     return trunc
 
 
-class TruncatedPoly:
-    """Element of k[Y_1..Y_m] modulo (Y_1^{r_1}, ..., Y_m^{r_m})."""
+class TruncatedPoly(_Exact):
+    """Element of k[Y_1..Y_m] modulo (Y_1^{r_1}, ..., Y_m^{r_m}), the
+    truncation ``trunc`` the shape of ``num`` (``_Exact``)."""
 
-    __slots__ = ("field", "trunc", "num", "den")
+    __slots__ = ()
 
     def __init__(self, field: Field, trunc: Sequence[int], coeffs: dict | None = None):
         """Coefficients go through ``field``, exponents through ``operator.index``."""
@@ -84,22 +84,13 @@ class TruncatedPoly:
                 values[exp] = c
             elif min(exp) < 0:
                 raise InvalidInput(f"negative exponent {exp}")
-        self.field, self.trunc, self.num, self.den = field, trunc, values, 1
+        self.field, self.num, self.den = field, values, 1
         if not field.p:
             # an lcm of denominators in lowest terms is prime to the numerators
             ints, self.den = _common_denominator(values.ravel().tolist())
             self.num = np.array(ints, dtype=object).reshape(trunc)
 
     # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def _from_ints(cls, field: Field, trunc: tuple, num: np.ndarray, den: int = 1):
-        """num / den from an integer array of the shape ``trunc`` (a tuple of
-        ints >= 1), normalized (``linalg._normalized``)."""
-        out = cls.__new__(cls)
-        out.field, out.trunc = field, trunc
-        out.num, out.den = _normalized(field, num, den)
-        return out
 
     @classmethod
     def zero(cls, field, trunc):
@@ -121,8 +112,12 @@ class TruncatedPoly:
     # -- basics ---------------------------------------------------------------
 
     @property
+    def trunc(self) -> tuple:
+        return self.num.shape
+
+    @property
     def num_vars(self) -> int:
-        return len(self.trunc)
+        return self.num.ndim
 
     def _elements(self, ints: list) -> list:
         """Entries of ``num`` as field elements."""
@@ -134,9 +129,6 @@ class TruncatedPoly:
         exps = map(tuple, np.argwhere(self.num).tolist())
         return MappingProxyType(dict(zip(exps, self._elements(self.num[self.num != 0].tolist()))))
 
-    def is_zero(self) -> bool:
-        return not self.num.any()
-
     def coefficient(self, exp):
         exp = tuple(exp)
         if len(exp) != self.num_vars or not all(0 <= e < r for e, r in zip(exp, self.trunc)):
@@ -145,15 +137,6 @@ class TruncatedPoly:
 
     def constant_term(self):
         return self.coefficient((0,) * self.num_vars)
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedPoly):
-            return NotImplemented
-        return (self.field == other.field and self.trunc == other.trunc
-                and self.den == other.den and np.array_equal(self.num, other.num))
-
-    def __hash__(self):
-        return hash((self.field, self.trunc, frozenset(self.coeffs.items())))
 
     def __repr__(self):
         if self.is_zero():
@@ -172,33 +155,15 @@ class TruncatedPoly:
                 terms.append(f"{c}*{mono}")
         return " + ".join(terms)
 
+    def _mismatch(self, other: _Exact, op: str) -> ShapeMismatch:
+        return ShapeMismatch(f"{op} of a series over {self.field}{self.trunc} and a "
+                             f"{type(other).__name__} over {other.field}{other.num.shape}")
+
     def _check_shape(self, other):
         if self.field != other.field or self.trunc != other.trunc:
-            raise ShapeMismatch(
-                f"operands over {self.field}{self.trunc} vs {other.field}{other.trunc}")
+            raise self._mismatch(other, "operation")
 
     # -- ring operations ------------------------------------------------------
-
-    def _over(self, den: int) -> np.ndarray:
-        """The numerator over ``den``, a multiple of ``self.den``."""
-        return self.num if den == self.den else self.num * (den // self.den)
-
-    def __add__(self, other: "TruncatedPoly") -> "TruncatedPoly":
-        self._check_shape(other)
-        den = math.lcm(self.den, other.den)
-        return TruncatedPoly._from_ints(self.field, self.trunc,
-                                        self._over(den) + other._over(den), den)
-
-    def __neg__(self):
-        return TruncatedPoly._from_ints(self.field, self.trunc, -self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "TruncatedPoly":
-        c = self.field(c)
-        return TruncatedPoly._from_ints(self.field, self.trunc, self.num * c.numerator,
-                                        self.den * c.denominator)
 
     def __mul__(self, other: "TruncatedPoly") -> "TruncatedPoly":
         """For each nonzero term c Y^e of the sparser operand, c times the
@@ -223,8 +188,7 @@ class TruncatedPoly:
 
     def _where(self, keep: np.ndarray) -> "TruncatedPoly":
         """The terms at the entries where ``keep`` is true."""
-        return TruncatedPoly._from_ints(self.field, self.trunc, np.where(keep, self.num, 0),
-                                        self.den)
+        return TruncatedPoly._from_ints(self.field, np.where(keep, self.num, 0), self.den)
 
     def homogeneous_part(self, d: int) -> "TruncatedPoly":
         return self._where(np.indices(self.trunc).sum(axis=0) == d)
@@ -237,7 +201,7 @@ class TruncatedPoly:
         """The same terms in the box ``trunc`` of at least as many variables:
         new variables come last, and terms outside the box are dropped."""
         num = self.num.reshape(self.trunc + (1,) * (len(trunc) - self.num_vars))
-        return TruncatedPoly._from_ints(self.field, trunc, _fit(num, trunc), self.den)
+        return TruncatedPoly._from_ints(self.field, _fit(num, trunc), self.den)
 
     def univariate_coeffs(self) -> list:
         if self.num_vars != 1:
@@ -265,8 +229,8 @@ class TruncatedPoly:
         """Apply sigma(Y_i) = Y_{sigma^{-1}(i)}; exponent vectors map to e o sigma."""
         if sorted(sigma) != list(range(self.num_vars)):
             raise InvalidInput(f"{tuple(sigma)} is not a permutation of {self.num_vars} variables")
-        return TruncatedPoly._from_ints(self.field, self.trunc,
-                                        _fit(self.num.transpose(sigma), self.trunc), self.den)
+        return TruncatedPoly._from_ints(self.field, _fit(self.num.transpose(sigma), self.trunc),
+                                        self.den)
 
     def is_symmetric(self) -> bool:
         if len(set(self.trunc)) > 1:
@@ -302,7 +266,7 @@ def _accumulate(field: Field, trunc: tuple, terms: list, den: int) -> TruncatedP
         acc[where] += c * x
         if each:
             acc[where] %= p
-    return TruncatedPoly._from_ints(field, trunc, acc, den)
+    return TruncatedPoly._from_ints(field, acc, den)
 
 
 def _monomial_table(bases: Sequence[TruncatedPoly]):
@@ -428,7 +392,7 @@ def elementary_symmetric(field: Field, trunc, j: int) -> TruncatedPoly:
     trunc = _box(trunc)
     exps = np.indices(trunc)
     terms = (exps <= 1).all(axis=0) & (exps.sum(axis=0) == j)
-    return TruncatedPoly._from_ints(field, trunc, terms.astype(np.int64))
+    return TruncatedPoly._from_ints(field, terms.astype(np.int64))
 
 
 def symmetric_split(f: TruncatedPoly) -> list:
@@ -455,7 +419,7 @@ def symmetric_split(f: TruncatedPoly) -> list:
     shares = [0] + [field.inv(field(k)) if field.p else den // k for k in range(1, m + 1)]
     exps = np.indices(trunc)
     each = f.num * np.array(shares, dtype=f.num.dtype)[(exps > 0).sum(axis=0)]
-    out = [TruncatedPoly._from_ints(field, trunc, np.where(exps[i] > 0, each, 0), f.den * den)
+    out = [TruncatedPoly._from_ints(field, np.where(exps[i] > 0, each, 0), f.den * den)
            for i in range(m)]
     _verify_split(f, out)
     return out

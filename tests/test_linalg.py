@@ -353,7 +353,8 @@ class TestEchelonKernel:
         assert linalg._pack(np.zeros((7, 0), dtype=np.int64), w) == []
         levels = rng.integers(0, p, size=(4, 2, 9)).astype(linalg._field_dtype(w))
         want = [rref_rank_mod(levels[:k].reshape(-1, 9).astype(np.int64), p) for k in range(5)]
-        assert linalg._level_ranks(levels, p) == want
+        masks = linalg._prefix_masks(levels, p)
+        assert [mask.bit_count() for mask in masks[::-1]] == want
 
     @staticmethod
     def sample(p, nrows, ncols, rank, seed) -> Matrix:
@@ -485,14 +486,14 @@ class TestChainAgainstOracle:
         # numerator of N, each later level R_(l-1) N made primitive; the
         # count after the levels of the powers >= k is rank N^k
         seen = []
-        level_ranks = linalg._level_ranks
+        prefix_masks = linalg._prefix_masks
 
         def spy(levels, p):
-            ranks = level_ranks(levels, p)
-            seen.append((levels, ranks))
-            return ranks
+            masks = prefix_masks(levels, p)
+            seen.append((levels, [mask.bit_count() for mask in masks]))
+            return masks
 
-        monkeypatch.setattr(linalg, "_level_ranks", spy)
+        monkeypatch.setattr(linalg, "_prefix_masks", spy)
         rng = random.Random(5)
         for lam in [(3, 2, 2), (4, 2, 1), (5,), (2, 1, 1, 1)]:
             n = random_conjugate(QQ, lam, rng)
@@ -505,8 +506,8 @@ class TestChainAgainstOracle:
             assert all(type(x) is int for x in levels.flat)
             assert all(row in n.num.tolist() for row in levels[-1].tolist())
             assert all(math.gcd(*row) in (0, 1) for row in levels[:-1].reshape(-1, dim).tolist())
-            assert ranks[-1] == n.rank() == dim - len(lam)
-            assert ranks[::-1] == linalg._power_ranks(n) == ranks_of_type(lam)
+            assert ranks[0] == n.rank() == dim - len(lam)
+            assert ranks == linalg._power_ranks(n) == ranks_of_type(lam)
 
 
 #: small primes, and each width edge of packed rows (``FIELD_WIDTHS``) whose

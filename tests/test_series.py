@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from jordanblocks.errors import (
     ZeroLinearScalar,
 )
 from jordanblocks.fields import GF, QQ, Field
+from jordanblocks.linalg import Matrix
 from jordanblocks.series import (
     TruncatedPoly,
     build_automorphism,
@@ -413,6 +416,39 @@ class TestProductConstruction:
         # (1 + Y)(1 + 2Y) = 1 + 3Y + 2Y^2 = 1 + 2Y^2 over F_3
         prod = (one + y) * (one + y.scale(2))
         assert prod.coeffs == {(0,): 1, (2,): 2}
+
+
+class TestExactBase:
+    """Matrices and series share one exact layout and its arithmetic, but
+    a value of one type never equals or combines with one of the other."""
+
+    @pytest.mark.parametrize("field", [F5, QQ], ids=str)
+    def test_a_matrix_and_a_series_never_mix(self, field):
+        f = TruncatedPoly(field, (2, 3), {(0, 0): 1, (1, 2): Fraction(3, 2), (0, 1): 4})
+        m = Matrix._from_ints(field, f.num, f.den)
+        assert (m.num.tolist(), m.den) == (f.num.tolist(), f.den)
+        assert m != f and f != m
+        assert not m == f and not f == m
+        for op in (lambda a, b: a + b, lambda a, b: a - b):
+            for a, b in ((m, f), (f, m)):
+                with pytest.raises(ShapeMismatch):
+                    op(a, b)
+
+    @pytest.mark.parametrize("field", [F5, GF(7), GF(2**31 - 1), QQ], ids=str)
+    def test_equal_series_hash_equal(self, field):
+        trunc = (3, 2)
+        f = TruncatedPoly(field, trunc, {(0, 1): Fraction(1, 3), (2, 0): Fraction(-5, 4),
+                                         (1, 1): 6})
+        g = TruncatedPoly(field, trunc, {(0, 1): Fraction(2, 3), (1, 0): Fraction(7, 6)})
+        one = TruncatedPoly.constant(field, trunc, 1)
+        routes = [f, f + g - g, f.scale(2).scale(Fraction(1, 2)), -(-f), f * one,
+                  g + f - g, (f + f).scale(Fraction(1, 2)),
+                  TruncatedPoly(field, trunc, dict(f.coeffs))]
+        for h in routes:
+            assert h == f and hash(h) == hash(f)
+            assert (h.num.tolist(), h.den) == (f.num.tolist(), f.den)
+        assert f - f == TruncatedPoly.zero(field, trunc) == f.scale(0)
+        assert hash(f - f) == hash(f.scale(0)) == hash(TruncatedPoly.zero(field, trunc))
 
 
 class TestMultMatrix:
