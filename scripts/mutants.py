@@ -52,6 +52,7 @@ SERIES = "src/jordanblocks/series.py"
 FGL = "src/jordanblocks/fgl.py"
 FIELDS = "src/jordanblocks/fields.py"
 G2 = "src/jordanblocks/g2.py"
+VERIFY = "src/jordanblocks/verify.py"
 OFFSETS_TEST = ("tests/test_repring.py::TestStructureConstants::"
                 "test_gather_offsets_are_memoized_read_only")
 CELL_TESTS = "tests/test_repring.py::TestCellRoute::"
@@ -82,6 +83,11 @@ MUTANTS = [
            "        if (type(other) is type(self) and self.field.p == other.field.p\n",
            "        if (self.field.p == other.field.p\n",
            ("tests/test_series.py::TestExactBase::test_a_matrix_and_a_series_never_mix",)),
+    # a matrix times a series of fitting shape passes as a matrix product
+    Mutant("matmul-any-type", LINALG,
+           "if type(other) is Matrix and p == other.field.p", "if p == other.field.p",
+           ("tests/test_series.py::TestExactBase::"
+            "test_products_and_substitution_refuse_the_other_type",)),
     # Krylov levels that vanish before they span k^D N, as for diag(1) + J_2,
     # read as the ranks of a nilpotent
     Mutant("power-ranks-nilpotency-unchecked", LINALG,
@@ -179,7 +185,8 @@ MUTANTS = [
             "test_linear_part_vanishing_mod_p_is_refused",)),
     # an F_7 series applied over F_5 is read mod 5
     Mutant("apply-series-any-field", LINALG,
-           "if f.field != n_mat.field:", "if False:",
+           "if type(f) is not TruncatedPoly or f.field != n_mat.field:",
+           "if type(f) is not TruncatedPoly:",
            ("tests/test_linalg.py::TestApplySeries::"
             "test_series_over_another_field_is_refused",)),
     Mutant("tensor-operator-any-field", REPRING,
@@ -206,6 +213,10 @@ MUTANTS = [
     Mutant("series-keeps-unreduced-coefficients", SERIES,
            "            c = field(c)\n", "",
            ("tests/test_series.py::TestConstructorCoercion",)),
+    # F_p past the bound: a sum of two entries wraps int64 with no error
+    Mutant("field-range-unchecked", FIELDS,
+           "        if characteristic > _MAX_CHARACTERISTIC:\n", "        if False:\n",
+           ("tests/test_fields.py::TestSupportedRange::test_primes_past_the_bound_are_refused",)),
     # Field(5.0) passes as F_5 with float elements
     Mutant("field-any-characteristic", FIELDS,
            "characteristic = operator.index(characteristic)",
@@ -338,6 +349,10 @@ MUTANTS = [
     Mutant("quotient-series-read-past-its-box", REPRING,
            "if series is None or series.trunc[0] < n:", "if series is None:",
            (QUOTIENT_TESTS + "test_series_is_rebuilt_past_its_box",)),
+    # a suite that is defined but never runs in verify paper
+    Mutant("suite-not-registered", VERIFY,
+           "        SUITES[name] = run\n", "",
+           ("tests/test_cli.py::TestVerify::test_every_suite_is_registered_once_in_order",)),
     # the term moves only a[l, i] with l > i, which every raising
     # representative has zero: the dense matrices catch it
     Mutant("wedge-compound-sign", G2,

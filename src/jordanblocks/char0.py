@@ -22,7 +22,7 @@ from .errors import (
     UnknownType,
 )
 from .classical import adjoint_partition, check_kind
-from .linalg import Partition
+from .linalg import Partition, _fields_json
 from .repring import cg_square, cg_tensor
 
 FAMILIES = ("A", "B", "C", "D", "G2", "F4", "E6", "E7", "E8")
@@ -186,18 +186,7 @@ class PredictorReport:
     ad: Partition
     contained: bool
 
-    def to_json(self) -> dict:
-        return {
-            "type": self.kind,
-            "lambda": list(self.lam),
-            "family": self.family,
-            "rank": self.rank,
-            "n": self.n,
-            "gate": self.gate,
-            "predicted": None if self.predicted is None else self.predicted.to_json(),
-            "ad": self.ad.to_json(),
-            "contained": self.contained,
-        }
+    to_json = _fields_json({"kind": "type", "lam": "lambda"})
 
 
 def check_theorem(kind: str, lam) -> PredictorReport:

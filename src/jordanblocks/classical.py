@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .errors import CharTwo, InvalidInput
 from .fields import Field
 from .fgl import GeneralizedLaw, additive, multiplicative
-from .linalg import Matrix, Partition
+from .linalg import Matrix, Partition, _fields_json
 from .repring import _block_sum, square_constants, structure_constants
 from .series import TruncatedPoly
 
@@ -119,16 +119,7 @@ class AdjointReport:
     equal: bool
     good_characteristic: bool
 
-    def to_json(self) -> dict:
-        return {
-            "type": self.kind,
-            "lambda": list(self.lam),
-            "p": self.p,
-            "ad": self.nilpotent.to_json(),
-            "Ad": self.unipotent.to_json(),
-            "equal": self.equal,
-            "good_characteristic": self.good_characteristic,
-        }
+    to_json = _fields_json({"kind": "type", "lam": "lambda", "nilpotent": "ad", "unipotent": "Ad"})
 
 
 def good_char_report(kind: str, lam, p: int) -> AdjointReport:

@@ -1,7 +1,10 @@
 """Exact scalar arithmetic over prime fields and the rationals.
 
 A :class:`Field` bundles the arithmetic for either F_p (elements are plain
-ints reduced into ``range(p)``) or Q (elements are ``Fraction``).  All
+ints reduced into ``range(p)``) or Q (elements are ``Fraction``).  The
+characteristic is 0 or a prime p <= ``_MAX_CHARACTERISTIC``, where
+(p-1)**2 + (p-1) < 2**63, so that the F_p arrays of ``linalg`` and
+``series`` stay exact in int64; a larger prime raises ``BadPrime``.  All
 downstream code is exact; the one use of floating point is the float64
 BLAS product of F_p matrices in ``linalg``, which refuses any product that
 could round.
@@ -14,13 +17,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import BadPrime, InvalidInput
 
 
 #: the first 13 primes, as Miller-Rabin witnesses; together they decide
 #: every n below ``_PRIME_BOUND`` (Sorenson and Webster, 2015)
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PRIME_BOUND = 3317044064679887385961981
+#: the largest characteristic that F_p arrays hold in int64 (module docstring)
+_MAX_CHARACTERISTIC = 3037000500
 
 
 def is_prime(n: int) -> bool:
@@ -51,6 +56,8 @@ class Field:
                                f"got {characteristic!r}") from None
         if characteristic != 0 and not is_prime(characteristic):
             raise InvalidInput(f"characteristic must be 0 or prime, got {characteristic}")
+        if characteristic > _MAX_CHARACTERISTIC:
+            raise BadPrime(f"F_{characteristic} is past the supported range, p <= {_MAX_CHARACTERISTIC}")
         self.p = characteristic
 
     @property

@@ -40,9 +40,9 @@ from .fields import Field
 from .linalg import (
     Matrix,
     Partition,
+    _fields_json,
     _insert_rows,
     _matmul_mod,
-    _require_int64_elimination,
     _rows,
     exp_nilpotent,
     jordan_partition,
@@ -313,7 +313,6 @@ def _wedge_square(a: Matrix, mode: str) -> Matrix:
                + (_K == _I) * x[_L, _J] - (_L == _I) * x[_K, _J])
         return Matrix._from_ints(a.field, out, a.den)
     if mode == "unipotent":
-        _require_int64_elimination(a.field.p)
         minors = x[_K, _I] * x[_L, _J] - x[_L, _I] * x[_K, _J]
         return Matrix._from_ints(a.field, minors, a.den ** 2) - Matrix.identity(a.field, 21)
     raise InvalidInput(f"unknown mode {mode!r}")
@@ -361,16 +360,7 @@ class G2Row:
     routes_agree: bool
     matches_table: bool
 
-    def to_json(self) -> dict:
-        return {
-            "orbit": self.orbit,
-            "p": self.p,
-            "V": self.v_partition.to_json(),
-            "adjoint_nilpotent": self.adjoint_nilpotent.to_json(),
-            "adjoint_unipotent": self.adjoint_unipotent.to_json(),
-            "routes_agree": self.routes_agree,
-            "matches_table": self.matches_table,
-        }
+    to_json = _fields_json({"v_partition": "V"})
 
 
 def g2_table(p: int) -> list:

@@ -6,7 +6,8 @@ transpose, stacking and the Kronecker product are each one integer
 expression on ``num`` over a combined ``den`` too; no kernel builds a
 ``Fraction``.  Writers build their integer array first and wrap it
 afterwards.  The field elements ``a`` are ``num`` itself over F_p, and over
-Q a read-only ``Fraction`` array built on each read.
+Q a read-only ``Fraction`` array built on each read.  ``Field`` bounds p so
+that a product of two F_p entries plus one more stays int64.
 
 Products over F_p go through float64 BLAS, which is exact as long as the
 accumulated dot products stay below 2**53; a product that could pass that
@@ -49,6 +50,7 @@ gather from a series' num / den cut to the box of the largest blocks
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -134,6 +136,15 @@ class Partition(tuple):
         return list(self)
 
 
+def _fields_json(renames: dict):
+    """The ``to_json`` of a dataclass report: its fields in order, each under
+    its name in ``renames`` or its own, tuples (partitions too) as lists."""
+    def to_json(self) -> dict:
+        values = {renames.get(f.name, f.name): getattr(self, f.name) for f in dataclasses.fields(self)}
+        return {key: list(v) if isinstance(v, tuple) else v for key, v in values.items()}
+    return to_json
+
+
 class _Exact:
     """An exact array over a :class:`Field`, immutable by convention: one
     integer array ``num`` over one positive int ``den`` in both fields.
@@ -187,7 +198,6 @@ class _Exact:
 
     def scale(self, c):
         c = self.field(c)
-        _require_int64_elimination(self.field.p)
         return self._from_ints(self.field, self.num * c.numerator, self.den * c.denominator)
 
     def is_zero(self) -> bool:
@@ -290,7 +300,7 @@ class Matrix(_Exact):
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         p = self.field.p
-        if p == other.field.p and self.num.shape[1] == other.num.shape[0]:
+        if type(other) is Matrix and p == other.field.p and self.num.shape[1] == other.num.shape[0]:
             if p:
                 return Matrix._trusted(self.field, _matmul_mod(self.num, other.num, p))
             return Matrix._from_ints(self.field, np.dot(self.num, other.num),
@@ -298,9 +308,8 @@ class Matrix(_Exact):
         raise self._mismatch(other, "product")
 
     def kron(self, other: "Matrix") -> "Matrix":
-        if self.field.p != other.field.p:
+        if type(other) is not Matrix or self.field.p != other.field.p:
             raise self._mismatch(other, "Kronecker product")
-        _require_int64_elimination(self.field.p)
         return Matrix._from_ints(self.field, np.kron(self.num, other.num),
                                  self.den * other.den)
 
@@ -369,16 +378,6 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     _require_float_exact(p, a.shape[-1])
     prod = np.rint(a.astype(np.float64) @ b.astype(np.float64, copy=False))
     return prod.astype(np.int64) % p
-
-
-def _require_int64_elimination(p: int) -> None:
-    """The supported characteristics of F_p elimination, scaling and Kronecker
-    products: the primes with (p-1)**2 + (p-1) < 2**63, that is
-    p <= 3037000500, so that a product of two entries stays int64.  Over Q
-    (p = 0) it passes."""
-    if (p - 1) ** 2 + (p - 1) >= 2**63:
-        raise BadPrime(f"F_{p} is past the supported range of int64 arithmetic, "
-                       "p <= 3037000500")
 
 
 @functools.lru_cache(maxsize=None)
@@ -462,11 +461,9 @@ def _echelon(a: np.ndarray, p: int) -> dict:
 
 def _rows(a: np.ndarray, p: int) -> list:
     """The rows of an integer array as ``_insert_rows`` takes them: packed
-    over F_p, in the supported range of characteristics, and lists of
-    Python ints over Q."""
+    over F_p and lists of Python ints over Q."""
     if not p:
         return a.tolist()
-    _require_int64_elimination(p)
     return _pack(a, _packing(p, a.shape[1])[0])
 
 
@@ -826,8 +823,10 @@ def apply_series(f, n_mat: Matrix) -> Matrix:
     ShapeMismatch); its truncation must cover the nilpotency degree of
     ``n_mat`` so no term is silently dropped.
     """
-    if f.field != n_mat.field:
-        raise ShapeMismatch(f"a series over {f.field} applied to a matrix over {n_mat.field}")
+    from .series import TruncatedPoly  # series imports this module
+
+    if type(f) is not TruncatedPoly or f.field != n_mat.field:
+        raise ShapeMismatch(f"a {type(f).__name__} over {f.field} applied to a matrix over {n_mat.field}")
     coeffs = f.univariate_coeffs()
     if coeffs and coeffs[0] != 0:
         raise NonzeroConstantTerm("series has a nonzero constant term")

@@ -5,11 +5,12 @@ A series is an exact array (``linalg._Exact``, as a ``Matrix`` is) whose
 truncation ``trunc``; no kernel builds a ``Fraction``.  The constructor
 takes a dict {exponent: c}, each coefficient through the field (7 is 2 in
 F_5, and 5 is dropped there), and ``coeffs`` is that dict of the nonzero
-terms again, built on each read.  Binary operations require one truncation.
-A product adds, for each nonzero term c Y^e of the sparser operand, c times
-the other operand shifted by e and cut to the box; over F_p the int64 sum
-is reduced once at the end while terms (p-1)^2 < 2**63, else after each
-term (``_accumulate``).  Substitution and powers read one memoized table of
+terms again, built on each read.  Binary operations and substitution take
+only series of one field and truncation (else ShapeMismatch).  A product
+adds, for each nonzero term c Y^e of the sparser operand, c times the other
+operand shifted by e and cut to the box; over F_p the int64 sum is reduced
+once at the end while terms (p-1)^2 < 2**63, else after each term
+(``_accumulate``).  Substitution and powers read one memoized table of
 monomials g_1^{e_1} ... g_m^{e_m}, each one product of the entry below it
 with a g_i; the inverse under composition solves the linear g(f) = t one
 degree at a time.  Multiplication matrices are gathered from ``num``
@@ -45,7 +46,6 @@ from .linalg import (
     _Exact,
     _common_denominator,
     _fit,
-    _require_int64_elimination,
     canonical_series_operator,
 )
 
@@ -69,7 +69,6 @@ class TruncatedPoly(_Exact):
 
     def __init__(self, field: Field, trunc: Sequence[int], coeffs: dict | None = None):
         """Coefficients go through ``field``, exponents through ``operator.index``."""
-        _require_int64_elimination(field.p)
         trunc = _box(trunc)
         values = np.zeros(trunc, dtype=np.int64 if field.p else object)
         for exp, c in (coeffs or {}).items():
@@ -160,7 +159,7 @@ class TruncatedPoly(_Exact):
                              f"{type(other).__name__} over {other.field}{other.num.shape}")
 
     def _check_shape(self, other):
-        if self.field != other.field or self.trunc != other.trunc:
+        if type(other) is not TruncatedPoly or self.field != other.field or self.trunc != other.trunc:
             raise self._mismatch(other, "operation")
 
     # -- ring operations ------------------------------------------------------
@@ -215,6 +214,8 @@ class TruncatedPoly(_Exact):
         if len(gs) != self.num_vars:
             raise ShapeMismatch(f"{self.num_vars} variables but {len(gs)} substitutions")
         for g in gs:
+            if type(g) is not TruncatedPoly:
+                raise self._mismatch(g, "substitution")
             gs[0]._check_shape(g)
             if g.constant_term() != 0:
                 raise NonzeroConstantTerm("substitution with nonzero constant term")

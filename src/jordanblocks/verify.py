@@ -57,7 +57,12 @@ class CheckResult:
                 "seconds": round(self.seconds, 3)}
 
 
-def _timed(name):
+#: the suites by name, in the order ``verify_paper`` runs them
+SUITES: dict = {}
+
+
+def _suite(name):
+    """Register the suite under ``name``, timed into a :class:`CheckResult`."""
     def wrap(fn):
         def run(seed: int = 0) -> CheckResult:
             t0 = time.perf_counter()
@@ -66,6 +71,7 @@ def _timed(name):
                                seconds=time.perf_counter() - t0)
         run.__name__ = fn.__name__
         run.__doc__ = fn.__doc__
+        SUITES[name] = run
         return run
     return wrap
 
@@ -85,7 +91,7 @@ CHAR2_TABLE = {
 }
 
 
-@_timed("char2-table")
+@_suite("char2-table")
 def suite_char2_table(seed=0):
     """All 24 cells of the char-2 tensor/wedge/sym table for J_4..J_7."""
     field = GF(2)
@@ -106,7 +112,7 @@ def suite_char2_table(seed=0):
 
 # -- 2. independence of the law ---------------------------------------------------
 
-@_timed("law-independence")
+@_suite("law-independence")
 def suite_law_independence(seed=0):
     """Structure constants agree across every law, n,m <= 9, p in {2,3,5}."""
     mismatches = 0
@@ -130,7 +136,7 @@ def suite_law_independence(seed=0):
 
 # -- 3. the cyclic-group oracle -----------------------------------------------------
 
-@_timed("cyclic-oracle")
+@_suite("cyclic-oracle")
 def suite_cyclic_oracle(seed=0):
     """Multiplicative-law constants match unipotent (1+J_n)(x)(1+J_m) directly."""
     bad = []
@@ -152,7 +158,7 @@ def suite_cyclic_oracle(seed=0):
 
 # -- 4. the printed wedge-square identities ------------------------------------------
 
-@_timed("ring-calcs")
+@_suite("ring-calcs")
 def suite_ring_calcs(seed=0):
     """The four wedge-square identities at p in {5,7,11}.
 
@@ -209,7 +215,7 @@ def sample_classical_case(rng, primes: dict = _GOOD_PRIMES) -> tuple:
     return kind, lam, p
 
 
-@_timed("classical-good")
+@_suite("classical-good")
 def suite_classical_good(seed=0):
     """200 seeded (kind, lambda, good p): nilpotent and unipotent sides agree."""
     rng = random.Random(f"classical:{seed}")
@@ -226,7 +232,7 @@ def suite_classical_good(seed=0):
 
 # -- 6. bad characteristic splits ------------------------------------------------------
 
-@_timed("classical-bad")
+@_suite("classical-bad")
 def suite_classical_bad(seed=0):
     """The p = 2 counterexamples: Sp_4 regular and O_7 regular."""
     sp = good_char_report("Sp", (4,), 2)
@@ -240,7 +246,7 @@ def suite_classical_bad(seed=0):
 
 # -- 7. the exceptional table ----------------------------------------------------------
 
-@_timed("g2-table")
+@_suite("g2-table")
 def suite_g2(seed=0):
     """All four orbits at p in {5,7,11,13}: both modes, both routes, table values."""
     bad = []
@@ -254,7 +260,7 @@ def suite_g2(seed=0):
 
 # -- 8. tensoring with J_p gives free modules -------------------------------------------
 
-@_timed("free-jp")
+@_suite("free-jp")
 def suite_free_jp(seed=0):
     """J_a (x) J_p at characteristic p is a J_p multiple, both laws, a <= p."""
     bad = []
@@ -292,7 +298,7 @@ def _check_symmetric_intertwiner(n: int, m: int, law: GeneralizedLaw) -> bool:
     return all((lam @ s) == (s @ lam) for s in sigma_matrices(m, n, field))
 
 
-@_timed("intertwiners")
+@_suite("intertwiners")
 def suite_intertwiners(seed=0):
     """50 seeded pair intertwiners and 50 seeded symmetric intertwiners."""
     rng = random.Random(f"intertwiners:{seed}")
@@ -329,7 +335,7 @@ REGULAR_CASES = (
 )
 
 
-@_timed("char0-predictor")
+@_suite("char0-predictor")
 def suite_char0(seed=0):
     """Regular nilpotents in the classical families plus the rank-2 exceptional point."""
     bad = []
@@ -353,7 +359,7 @@ def random_series_with_unit(rng, field: Field, trunc: int) -> TruncatedPoly:
     return TruncatedPoly.univariate(field, trunc, coeffs)
 
 
-@_timed("properties")
+@_suite("properties")
 def suite_properties(seed=0):
     """Series-conjugation invariance, dimension conservation, multilinear independence."""
     from .linalg import apply_series
@@ -407,24 +413,11 @@ def suite_properties(seed=0):
                          f"{len(failures)} failures"
 
 
-SUITES = {
-    "char2-table": suite_char2_table,
-    "law-independence": suite_law_independence,
-    "cyclic-oracle": suite_cyclic_oracle,
-    "ring-calcs": suite_ring_calcs,
-    "classical-good": suite_classical_good,
-    "classical-bad": suite_classical_bad,
-    "g2-table": suite_g2,
-    "free-jp": suite_free_jp,
-    "intertwiners": suite_intertwiners,
-    "char0-predictor": suite_char0,
-    "properties": suite_properties,
-}
-
-
 def verify_paper(only: str | None = None, seed: int = 0) -> list:
-    """Run all (or one) verification suites; InvalidInput for an unknown suite name."""
-    if only is not None and only not in SUITES:
-        raise InvalidInput(f"unknown suite {only!r}; choose from {', '.join(SUITES)}")
-    names = [only] if only else list(SUITES)
+    """Run all suites, or the one that ``only`` names exactly or, failing
+    that, by a unique prefix; InvalidInput when no suite or several match."""
+    names = [only] if only in SUITES else [n for n in SUITES if n.startswith(only or "")]
+    if only is not None and len(names) != 1:
+        raise InvalidInput(f"{only!r} names {len(names)} suites by name or prefix; "
+                           f"choose one of {', '.join(SUITES)}")
     return [SUITES[name](seed=seed) for name in names]

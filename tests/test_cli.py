@@ -4,6 +4,7 @@ import pytest
 
 from jordanblocks.cli import main, parse_partition
 from jordanblocks.errors import InvalidInput
+from jordanblocks import verify
 from jordanblocks.verify import verify_paper
 
 
@@ -152,6 +153,26 @@ class TestVerify:
         with pytest.raises(InvalidInput, match="bogus") as exc:
             verify_paper(only="bogus")
         assert not isinstance(exc.value, KeyError)
+
+    def test_every_suite_is_registered_once_in_order(self):
+        # each suite's name is written once, in its decorator
+        assert list(verify.SUITES) == [
+            "char2-table", "law-independence", "cyclic-oracle", "ring-calcs",
+            "classical-good", "classical-bad", "g2-table", "free-jp", "intertwiners",
+            "char0-predictor", "properties"]
+        suites = [getattr(verify, name) for name in dir(verify) if name.startswith("suite_")]
+        assert sorted(run.__name__ for run in verify.SUITES.values()) == sorted(
+            fn.__name__ for fn in suites)
+
+    def test_library_lookup_exact_then_unique_prefix(self):
+        assert [r.name for r in verify_paper(only="classical-b")] == ["classical-bad"]
+        for only in ("classical", "", "nonsense"):
+            with pytest.raises(InvalidInput, match="suites by name or prefix"):
+                verify_paper(only=only)
+
+    def test_ambiguous_prefix_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "paper", "--only", "c")
+        assert code == 2 and out == "" and "5 suites" in err
 
     def test_json_document(self, capsys):
         code, out, _ = run(capsys, "verify", "paper", "--only", "ring-calcs", "--json")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from jordanblocks import fields
-from jordanblocks.errors import InvalidInput
+from jordanblocks.errors import BadPrime, InvalidInput
 from jordanblocks.fields import GF, QQ, Field, is_prime
 
 #: Carmichael numbers, which pass every Fermat test to a base prime to them
@@ -18,6 +18,8 @@ STRONG_PSEUDOPRIMES = [2047, 1373653, 25326001, 3215031751, 2152302898747,
                        318665857834031151167461]
 #: primes of 16 to 22 digits, past any trial division
 LARGE_PRIMES = [10**15 + 37, 2**61 - 1, 1000000000000000000117]
+#: the largest prime p <= fields._MAX_CHARACTERISTIC
+LARGEST_SUPPORTED_PRIME = 3037000493
 
 
 class TestIsPrime:
@@ -40,8 +42,11 @@ class TestIsPrime:
     @pytest.mark.parametrize("n", LARGE_PRIMES)
     def test_large_primes(self, n):
         sympy = pytest.importorskip("sympy")
-        assert sympy.isprime(n) and is_prime(n) and Field(n).p == n
+        assert sympy.isprime(n) and is_prime(n)
         assert not is_prime(n * 3) and not is_prime(n * 1009)
+        # prime, but past the characteristics that F_p arrays hold in int64
+        with pytest.raises(BadPrime):
+            Field(n)
 
     def test_range_of_the_test(self):
         bound = fields._PRIME_BOUND
@@ -51,6 +56,37 @@ class TestIsPrime:
                 is_prime(n)
             with pytest.raises(InvalidInput, match="range"):
                 Field(n)
+
+
+class TestSupportedRange:
+    """Field is the one place that bounds p: F_p arrays are int64, and a
+    product of two entries plus one more stays below 2**63 up to the bound."""
+
+    def test_bound(self):
+        bound = fields._MAX_CHARACTERISTIC
+        assert bound * (bound - 1) < 2**63 <= (bound + 1) * bound
+
+    def test_largest_supported_prime(self):
+        sympy = pytest.importorskip("sympy")
+        p = LARGEST_SUPPORTED_PRIME
+        assert sympy.prevprime(fields._MAX_CHARACTERISTIC + 1) == p
+        assert GF(p).p == p
+
+    # a sum of two entries over F_9223372036854775783 would wrap int64, and
+    # 2**63 + 29 does not fit in int64 at all
+    @pytest.mark.parametrize("p", [4000000007, 2**61 - 1, 9223372036854775783, 2**63 + 29])
+    def test_primes_past_the_bound_are_refused(self, p):
+        assert is_prime(p)
+        with pytest.raises(BadPrime, match="supported range"):
+            Field(p)
+
+    def test_primality_comes_first(self):
+        # a composite past the bound is not a prime; past the test's range,
+        # the test's own refusal
+        with pytest.raises(InvalidInput, match="0 or prime"):
+            Field(4000000007 * 3)
+        with pytest.raises(InvalidInput, match="range"):
+            Field(fields._PRIME_BOUND)
 
 
 class TestField:
@@ -70,7 +106,9 @@ class TestField:
         assert field(7) == 2 and field.inv(2) == 3
 
     def test_int_fast_path_agrees(self):
-        for field in (GF(2), GF(5), GF(2**61 - 1), QQ):
+        with pytest.raises(BadPrime):
+            GF(2**61 - 1)
+        for field in (GF(2), GF(5), GF(LARGEST_SUPPORTED_PRIME), QQ):
             for x in (0, 1, -1, 7, -12, 2**62 - 1):
                 got = field(x)
                 assert got == field(Fraction(x)) == field(str(x)) == field(np.int64(x))

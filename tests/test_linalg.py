@@ -1069,24 +1069,38 @@ class TestExactnessGuard:
             jordan_partition(jordan_block(field, 2))
 
     def test_elimination_past_int64_raises(self):
-        a = Matrix.from_rows(GF(PRIME_PAST_INT64), [[2, 1, 0], [1, 1, 5], [0, 7, 1]])
+        # the field itself is refused, so no matrix over it is ever made
         with pytest.raises(BadPrime):
-            a.rank()
-        with pytest.raises(BadPrime):
-            a.inverse()
+            Matrix.from_rows(GF(PRIME_PAST_INT64), [[2, 1, 0], [1, 1, 5], [0, 7, 1]])
 
     def test_scale_and_kron_past_int64_raise(self):
-        # (p - 1)**2 wraps int64 here: refused, not 2572250462 for 1
+        # (p - 1)**2 wraps int64 here: the field is refused, so no scale
+        # or Kronecker product can give 2572250462 for 1
         p = PRIME_PAST_INT64
-        a = Matrix.from_rows(GF(p), [[p - 1]])
         with pytest.raises(BadPrime):
-            a.scale(p - 1)
-        with pytest.raises(BadPrime):
-            a.kron(a)
+            Matrix.from_rows(GF(p), [[p - 1]])
         # the largest supported prime still scales exactly
         q = 3037000493
         b = Matrix.from_rows(GF(q), [[q - 1]])
         assert b.scale(q - 1).num.tolist() == b.kron(b).num.tolist() == [[1]]
+
+    def test_sums_scale_and_kron_exact_at_the_largest_supported_prime(self):
+        # entries near q, whose sums, products and Kronecker products come
+        # closest to 2**63 inside the supported range, all stay exact
+        q = 3037000493
+        field = GF(q)
+        a = Matrix.from_rows(field, [[q - 1, q - 2], [1, q - 1]])
+        b = Matrix.from_rows(field, [[q - 1, 2], [q - 3, q - 1]])
+        want = lambda f: [[f(int(x), int(y)) % q for x, y in zip(r, t)]
+                          for r, t in zip(a.num.tolist(), b.num.tolist())]
+        assert (a + b).num.tolist() == want(lambda x, y: x + y)
+        assert (a - b).num.tolist() == want(lambda x, y: x - y)
+        assert (-a).num.tolist() == [[1, 2], [q - 1, 1]]
+        assert a.scale(q - 2).num.tolist() == [[(x * (q - 2)) % q for x in r]
+                                               for r in a.num.tolist()]
+        kron = [[(x * y) % q for x in r for y in t] for r in a.num.tolist()
+                for t in b.num.tolist()]
+        assert a.kron(b).num.tolist() == kron
 
     def test_guard_survives_optimize_flag(self):
         code = textwrap.dedent(f"""

@@ -18,7 +18,7 @@ from jordanblocks.errors import (
     ZeroLinearScalar,
 )
 from jordanblocks.fields import GF, QQ, Field
-from jordanblocks.linalg import Matrix
+from jordanblocks.linalg import Matrix, apply_series
 from jordanblocks.series import (
     TruncatedPoly,
     build_automorphism,
@@ -433,6 +433,17 @@ class TestExactBase:
             for a, b in ((m, f), (f, m)):
                 with pytest.raises(ShapeMismatch):
                     op(a, b)
+
+    def test_products_and_substitution_refuse_the_other_type(self):
+        # a (2, 2) matrix and a (2, 2) series: the shapes fit, the types do not
+        m = Matrix.identity(F5, 2)
+        f = TruncatedPoly(F5, (2, 2), {(0, 1): 1, (1, 0): 2})
+        refused = [lambda: m @ f, lambda: m.kron(f), lambda: f * m,
+                   lambda: f.substitute([m, m]), lambda: f.substitute([f, m]),
+                   lambda: apply_series(m, m)]
+        for call in refused:
+            with pytest.raises(ShapeMismatch):
+                call()
 
     @pytest.mark.parametrize("field", [F5, GF(7), GF(2**31 - 1), QQ], ids=str)
     def test_equal_series_hash_equal(self, field):
