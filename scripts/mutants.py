@@ -63,6 +63,7 @@ WORKING_SET_TESTS = "tests/test_repring.py::TestWorkingSet::"
 BLOCK_SUM_TESTS = "tests/test_repring.py::TestBlockSum::"
 CUBE_SUM_TESTS = "tests/test_repring.py::TestCubeSum::"
 QUOTIENT_TESTS = "tests/test_repring.py::TestQuotientClass::"
+FOLD_TESTS = "tests/test_repring.py::TestFold::"
 G2_BATCH_TESTS = "tests/test_g2.py::TestBatchedRoutes::"
 
 MUTANTS = [
@@ -295,9 +296,9 @@ MUTANTS = [
            "levels.take(b * N + a, axis=2)", "levels.take(a * N + b, axis=2)",
            (SQUARE_TESTS + "test_seeded_squares",)),
     # Sym^2 J_3 of an F_7 law answered over F_3: the cells check the field,
-    # the block squares and cubes read the law's own
-    Mutant("square-sum-any-field", REPRING,
-           "    _require_field(law, field)\n    if m not in (2, 3):", "    if m not in (2, 3):",
+    # the block powers read the law's own
+    Mutant("fold-any-field", REPRING,
+           "    _require_field(law, field)\n    power = functools", "    power = functools",
            ("tests/test_repring.py::test_law_over_another_field_is_refused",
             QUOTIENT_TESTS + "test_refusals_at_m4_in_order")),
     # the characteristic-0 cells have the right dimensions, so only the
@@ -305,23 +306,27 @@ MUTANTS = [
     Mutant("square-sum-cg-cells", REPRING,
            "lambda a, b: structure_constants(a, b, law, field),", "cg_tensor,",
            (BLOCK_SUM_TESTS + "test_seeded_squares[F2]",)),
-    # J_a (x) J_a asked for with weight C(1, 2) = 0: same answer, cells the
-    # sum never needed
-    Mutant("square-sum-lone-diagonal-cell", REPRING,
-           "if not tensor and k > 1:", "if not tensor and k > 0:",
-           (BLOCK_SUM_TESTS + "test_distinct_parts_request_no_diagonal_cell",)),
     # smallest block first: the law's table grows from a 1 x 1 box
-    Mutant("square-sum-ascending", REPRING,
-           "sizes = sorted(counts, reverse=True)", "sizes = sorted(counts)",
+    Mutant("fold-smallest-first", REPRING,
+           "for a, k in collections.Counter(lam).items():",
+           "for a, k in reversed(collections.Counter(lam).items()):",
            (BLOCK_SUM_TESTS + "test_cold_memo_builds_the_table_once",)),
-    # C(k, 2) triples of distinct J_a's: too many dimensions once k >= 2
-    Mutant("cube-sum-choose-2", REPRING,
-           "math.comb(k, 3)", "math.comb(k, 2)",
-           (CUBE_SUM_TESTS + "test_seeded_cubes[F5]",)),
-    # k^2 S^2 J_a (x) J_a for k J_a: the ordered pairs of one block counted
-    Mutant("cube-sum-k-squared", REPRING,
-           "(k * (k - 1), math.comb", "(k * k, math.comb",
-           (CUBE_SUM_TESTS + "test_seeded_cubes[F5]",)),
+    # a block's square before its higher powers: the law's table is built,
+    # and the square memoized, before the cube is refused
+    Mutant("fold-powers-ascending", REPRING,
+           "for i in range(m, 1, -1):\n                own[i]",
+           "for i in range(2, m + 1):\n                own[i]",
+           (FOLD_TESTS + "test_refusals_come_before_any_table_or_series",
+            CUBE_SUM_TESTS + "test_non_symmetric_series_is_refused")),
+    # the fold trusted where the law's series does not split: (5, 4) at
+    # m = 4 answers instead of being refused on d^4 = 6561
+    Mutant("fold-split-guard-disabled", REPRING,
+           "if not _splits(law, m, lam[0]):", "if False:",
+           (FOLD_TESTS + "test_split_guard",)),
+    # L^(j-i-1) R in place of L^(j-i) R: every class of the wrong dimension
+    Mutant("fold-level-off-by-one", REPRING,
+           "_product(levels[j - i], own[i], pair)", "_product(levels[j - i - 1], own[i], pair)",
+           (BLOCK_SUM_TESTS + "test_seeded_squares[F5]",)),
     # an m-fold series that is not symmetric answers, folded as if its
     # operator commuted with the swaps, and is memoized
     Mutant("cube-any-law", REPRING,

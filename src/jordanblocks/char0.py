@@ -4,13 +4,14 @@ For a distinguished nilpotent whose even grading reaches top degree 2n, the
 eigenvalue bookkeeping on a regular semisimple element pins r adjoint block
 sizes: each exponent e contributes a block of size 2f+1 where f is the unique
 representative of -e in 1..n modulo n+1.  The adjoint partitions themselves
-come from the block-by-block sum of :func:`classical.adjoint_partition`, fed
+come block by block from :func:`classical.adjoint_partition`, fed
 with the closed characteristic-0 classes: the Clebsch-Gordan series for
 J_n (x) J_m and the sl_2 plethysm for Sym^2 J_n and wedge^2 J_n.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from math import factorial, prod
 
@@ -18,6 +19,8 @@ from .errors import (
     AlgebraError,
     BlocksNotAllOdd,
     ExponentDivisible,
+    InvalidInput,
+    NotContained,
     NotDistinguished,
     UnknownType,
 )
@@ -133,7 +136,10 @@ def springer_condition(ad) -> bool:
 
 
 def predict_blocks(data, n: int) -> Partition:
-    """Block sizes 2f_i + 1 with f_i = -e_i mod (n+1), each in 1..n."""
+    """Block sizes 2f_i + 1 with f_i = -e_i mod (n+1), each in 1..n.  An n
+    that is not an integer >= 0 raises InvalidInput."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise InvalidInput(f"n must be an integer >= 0, got {n!r}")
     exps = data.exponents if isinstance(data, WeylTypeData) else tuple(data)
     modulus = n + 1
     blocks = []
@@ -165,8 +171,6 @@ def _weyl_family(kind: str, dim: int):
 
 
 def _multiset_contained(small: Partition, big: Partition) -> bool:
-    from .errors import NotContained
-
     try:
         big.difference(small)
     except NotContained:

@@ -2,14 +2,13 @@
 
 The adjoint module is V (x) V* for GL, Sym^2 V for Sp and wedge^2 V for SO.
 Each splits over the blocks of V under any commutative law, so
-:func:`adjoint_partition` is the representation ring's block sum
-(``repring._block_sum``, as for ``wedge_/sym_partition`` at m = 2) and builds
-no operator.  The nilpotent side takes the classes under the additive law,
-the unipotent side under the multiplicative law (group conjugation), and in
-good characteristic the two partitions agree.  In bad characteristic (p = 2
-for Sp/SO) the same classes are still summed; they are then the
-Sym^2/wedge^2 model rather than a certified identification with the honest
-adjoint action, and reports carry a flag saying so.
+:func:`adjoint_partition` builds no operator: GL is the ring product of
+lambda with itself and Sp/SO the block fold at m = 2 of ``wedge_/sym_partition``.
+The nilpotent side takes the classes under the additive law, the unipotent
+side under the multiplicative law (group conjugation), and in good
+characteristic the two partitions agree.  In bad characteristic (p = 2 for
+Sp/SO) they are the Sym^2/wedge^2 model rather than a certified
+identification with the honest adjoint action, and reports say so.
 """
 
 from __future__ import annotations
@@ -19,8 +18,8 @@ from dataclasses import dataclass
 from .errors import CharTwo, InvalidInput
 from .fields import Field
 from .fgl import GeneralizedLaw, additive, multiplicative
-from .linalg import Matrix, Partition, _fields_json
-from .repring import _block_sum, square_constants, structure_constants
+from .linalg import Matrix, Partition, _fields_json, apply_series
+from .repring import RingElement, _fold, _product, square_constants, structure_constants
 from .series import TruncatedPoly
 
 KINDS = ("GL", "Sp", "SO")
@@ -52,18 +51,19 @@ def is_good_prime(kind: str, p: int) -> bool:
 
 
 def adjoint_partition(kind: str, lam, pair, square) -> Partition:
-    """Adjoint partition of a nilpotent of type lam, summed block by block.
-
-    ``pair(a, b)`` is the class of J_a (x) J_b and ``square(a, shape)`` that
-    of Sym^2 J_a (``shape == "sym"``) or wedge^2 J_a (``"wedge"``), as
-    :class:`RingElement`s, summed by ``repring._block_sum``, which raises
-    AlgebraError when the total is not of the adjoint module's dimension.
-    """
+    """Adjoint partition of a nilpotent of type lam, from the classes
+    ``pair(a, b)`` of J_a (x) J_b and ``square(a, shape)`` of Sym^2 J_a
+    (``shape == "sym"``) or wedge^2 J_a (``"wedge"``): GL is lam's class
+    times itself (``repring._product``), Sp and SO the block fold at m = 2
+    (``repring._fold``), each AlgebraError when of the wrong dimension."""
     lam = Partition(lam)
     if not validate_classical_partition(kind, lam):
         raise InvalidInput(f"{tuple(lam)} is not a nilpotent partition for {kind}")
-    shape = {"GL": "tensor", "Sp": "sym", "SO": "wedge"}[kind]
-    return _block_sum(lam, shape, pair, square).to_partition()
+    if kind == "GL":
+        x = RingElement.from_partition(lam)
+        return _product(x, x, pair).to_partition()
+    shape = "sym" if kind == "Sp" else "wedge"
+    return _fold(lam, 2, shape, pair, lambda a, i: square(a, shape)).to_partition()
 
 
 def _adjoint_under(kind: str, lam, law: GeneralizedLaw) -> Partition:
@@ -99,8 +99,6 @@ def cayley_series(trunc: int, field: Field) -> TruncatedPoly:
 def springer_image(eps: TruncatedPoly, x: Matrix) -> Matrix:
     """1 + eps(X): a unipotent with the same partition as X when eps has a
     nonzero linear coefficient."""
-    from .linalg import apply_series
-
     coeffs = eps.univariate_coeffs()
     if len(coeffs) < 2 or coeffs[1] == 0:
         raise InvalidInput("Springer series needs a nonzero linear coefficient")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import operator
+import os
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Sequence
@@ -298,10 +299,12 @@ def law_from_json(data: dict) -> GeneralizedLaw:
 
 
 def load_law(path: str) -> GeneralizedLaw:
+    """The law in a JSON file; ``os.fspath`` refuses an int or a bool, which
+    ``open`` would take for a file descriptor and close, so nothing opens."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(os.fspath(path), "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, TypeError) as exc:
         raise InvalidLaw(f"cannot read the law file: {exc}") from exc
     except ValueError as exc:  # malformed JSON or text that is not UTF-8
         raise InvalidLaw(f"{path}: not valid JSON ({exc})") from exc

@@ -155,7 +155,8 @@ class _Exact:
     and sums are each one integer expression on ``num`` over a combined
     ``den``, which ``_from_ints`` reduces mod p or divides by the gcd
     (``_normalized``).  A subclass gives the meaning of the array's axes, and
-    ``_mismatch`` refuses a sum with another shape, field or type.
+    ``_mismatch`` refuses a sum with another shape, field or type (any
+    operand that is not exact, too).
     """
 
     __slots__ = ("field", "num", "den")
@@ -186,6 +187,10 @@ class _Exact:
             x, y = self._over(den), other._over(den)
             return self._from_ints(self.field, x + y if sign > 0 else x - y, den)
         raise self._mismatch(other, "sum" if sign > 0 else "difference")
+
+    def _mismatch(self, other, op: str) -> ShapeMismatch:
+        what = other._what() if isinstance(other, _Exact) else type(other).__name__
+        return ShapeMismatch(f"{op} of {self._what()} and {what}")
 
     def __add__(self, other):
         return self._sum(other, 1)
@@ -294,9 +299,8 @@ class Matrix(_Exact):
 
     # -- arithmetic -----------------------------------------------------------
 
-    def _mismatch(self, other: _Exact, op: str) -> ShapeMismatch:
-        return ShapeMismatch(f"{op} of a {self.shape} matrix over {self.field} and a "
-                             f"{type(other).__name__} of shape {other.num.shape} over {other.field}")
+    def _what(self) -> str:
+        return f"a {self.shape} matrix over {self.field}"
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         p = self.field.p

@@ -33,18 +33,16 @@ built at the largest block asked at the characteristic since
 bound, so a cold call builds at its own box; each read's span count must
 be the dimension, or AlgebraError.
 
-The tensor square, Sym^2 and wedge^2 of any partition, and Sym^3 and
-wedge^3 under a law whose 3-fold series is symmetric, split over its blocks
-(``_block_sum``): ``sym_partition`` and ``wedge_partition`` at m = 2 and 3
-and the classical adjoints sum cells, block squares and, at m = 3, the cubes
-of single blocks; no associativity is needed.  The cubes, and wedge^m and
-Sym^m of the whole partition at every other m, fold the power operator's
-columns at the basis words only, gathered from one memoized m-fold series
-per law (``_quotient_class``), which must be symmetric, else
-``InvalidInput``.  The whole power operator straightened onto the quotient
+Sym^m and wedge^m of any partition at any m fold its blocks in (``_fold``)
+through the cells' bilinear product (``_product``, as ``ring_multiply``).
+A block's powers past its square fold the power operator's columns at the
+basis words, from one memoized m-fold series per law (``_quotient_class``),
+which must be symmetric, else ``InvalidInput``; J_a needs a^i <= 4096.
+Past m = 3 the fold of two or more blocks rests on the series splitting
+(``_splits``), else the whole partition is gathered, within d^m <= 4096.
+The whole power operator straightened onto the quotient
 (``power_operator``, ``induced_quotient_operator``) is the tests'
-reference.  A law over a field other than the one given raises
-``InvalidLaw``.
+reference.  A law over another field raises ``InvalidLaw``.
 
 The constructive intertwiners are the automorphisms Y_i -> f_i for a
 term-by-term split of the law's series f = f_1 + ... + f_m with Y_i | f_i;
@@ -223,9 +221,9 @@ def _table_partition(n: int, m: int, shape: str, law: GeneralizedLaw,
     under a symmetric law, where F^op = F), and built to N = max(long
     side, min(the table's extent on that axis, the largest block asked at
     the characteristic since ``clear_memo``, the longer side of the
-    ``_asked`` box)), cut so that the law's degree holds
-    N + s - 2 and N s <= 4096; a square's N must keep the series symmetric
-    on (N, N), or it is n.  The count after level 0 must be the dimension,
+    ``_asked`` box)), cut so that the law's degree holds N + s - 2 and
+    N s <= 4096; a square's N must keep the series symmetric on (N, N), or
+    it is n.  The count after level 0 must be the dimension,
     or AlgebraError: that certifies the generators, so the ranks do not rest
     on the argument above.  The degree, the operator bound and the symmetry
     are checked in that order, before the table is read.
@@ -314,16 +312,13 @@ def _law_powers(law: GeneralizedLaw, field: Field, n: int, m: int) -> np.ndarray
 
     Memoized per law in ``_constants_memo`` as (bx, by, powers).  The first
     table is built at the union of (n, m) and the box of the cells and
-    squares answered at the law's characteristic (``_asked``), so that a law
-    asked after others holds their cells at once; when that union passes the
-    operator bound or the float64 products at its size are not exact, at
-    (n, m).  A cell that does not fit the box rebuilds it, with each
-    side that must grow rounded up to a power of two, so that cells met one
-    row or column larger at a time rebuild about log2 times per side.  When
-    that box passes the operator bound or the float64 products at its size
-    are not exact, the rebuild takes the union (max(bx, n), max(by, m)), and
-    when that passes them too, the cell's own (n, m).  So each cell's answer
-    and refusals do not depend on the cells before it.
+    squares answered at the law's characteristic (``_asked``), so a law
+    asked after others holds their cells at once.  A cell past the box
+    rebuilds it, each side that must grow rounded up to a power of two, so
+    cells met one row or column larger at a time rebuild about log2 times
+    per side.  A box past the operator bound or float64 exactness gives way
+    to the union (max(bx, n), max(by, m)) on a rebuild, then to (n, m).  So
+    each cell's answer and refusals do not depend on the cells before it.
     """
     key = ("powers", law.fingerprint())
     table = _constants_memo.get(key)
@@ -407,14 +402,9 @@ _constants_memo: dict = {}
 
 
 def structure_constants(n: int, m: int, law: GeneralizedLaw, field: Field) -> RingElement:
-    """Class of J_n (x)_F J_m.  Memoized on (n, m, law, characteristic).
-
-    Each miss calls the module attribute ``tensor_partition`` once, which
-    reads the cell off the law's memoized columns.  Accepts any law with
-    invertible linear part: the decomposition is law-independent even
-    without associativity, so the ring interpretation is available whenever
-    the law validates as a formal group law.
-    """
+    """Class of J_n (x)_F J_m under any law with invertible linear part,
+    memoized on (n, m, law, characteristic): each miss calls the module
+    attribute ``tensor_partition`` once, which reads the law's columns."""
     _require_field(law, field)
     key = (n, m, law.fingerprint())
     hit = _constants_memo.get(key)
@@ -429,14 +419,11 @@ def structure_constants(n: int, m: int, law: GeneralizedLaw, field: Field) -> Ri
 
 def square_constants(n: int, shape: str, law: GeneralizedLaw) -> RingElement:
     """Class of Sym^2 J_n (``shape == "sym"``) or wedge^2 J_n under the law,
-    read off the law's memoized column of squares by the cells' route at
-    m = n (``_table_partition``).
-
-    Memoized next to the structure constants, under a key of its own.  An
-    unknown shape or a block size that is not an integer >= 1 raises
-    InvalidInput; then, as for a cell, a law of too low a degree, a square
-    past the operator bound and a law whose series is not symmetric are
-    refused in that order; nothing is memoized for a refusal.
+    read off the law's column of squares (``_table_partition``), memoized
+    under a key of its own.  An unknown shape or a block size that is not an
+    integer >= 1 raises InvalidInput; then, as for a cell, a law of too low
+    a degree, a square past the operator bound and a law whose series is
+    not symmetric are refused in that order, and nothing is memoized.
     """
     if shape not in ("sym", "wedge"):
         raise InvalidInput(f"unknown square {shape!r}")
@@ -449,75 +436,57 @@ def square_constants(n: int, shape: str, law: GeneralizedLaw) -> RingElement:
     return hit
 
 
+def _product(x: RingElement, y: RingElement, pair) -> RingElement:
+    """The bilinear extension of ``pair(a, b)``, the class of J_a (x) J_b, x's
+    blocks on the left; AlgebraError unless of dimension dim x * dim y."""
+    terms = collections.Counter()
+    for a, ca in x.terms.items():
+        for b, cb in y.terms.items():
+            for c, cc in pair(a, b).terms.items():
+                terms[c] += ca * cb * cc
+    out = RingElement(terms)
+    if out.dim() != x.dim() * y.dim():
+        raise AlgebraError(f"{x.pretty()} (x) {y.pretty()} came out of dimension {out.dim()}, "
+                           f"not {x.dim() * y.dim()}")
+    return out
+
+
 def ring_multiply(x: RingElement, y: RingElement, law: GeneralizedLaw,
                   field: Field) -> RingElement:
     """Bilinear extension of the structure constants."""
-    out = RingElement()
-    for n, cx in x.terms.items():
-        for m, cy in y.terms.items():
-            out = out + (cx * cy) * structure_constants(n, m, law, field)
-    return out
+    return _product(x, y, lambda a, b: structure_constants(a, b, law, field))
 
 
-def _block_sum(lam: Partition, shape: str, pair, square, cube=None) -> RingElement:
-    """Class of the tensor square (``"tensor"``), Sym^2 or wedge^2 of ``lam``, or
-    with ``cube`` of Sym^3 or wedge^3, from the classes ``pair(a, b)`` of
-    J_a (x) J_b, ``square(a, shape)`` of J_a's and ``cube(a)`` of J_a's.
+def _fold(lam: Partition, m: int, kind: str, pair, power) -> RingElement:
+    """Class of L^m = Sym^m (``kind == "sym"``) or wedge^m of ``lam`` from the
+    classes ``pair(a, b)`` of J_a (x) J_b and ``power(a, i)`` of L^i J_a.
 
-    F(phi (x) 1, 1 (x) phi) preserves each V_a (x) V_b, so under any
-    symmetric law k J_a gives k^2 J_a (x) J_a to the tensor square and
-    k S(J_a) + C(k, 2) J_a (x) J_a to S = Sym^2 or wedge^2, and sizes a > b
-    give k_a k_b J_a (x) J_b, twice for the tensor square.  At m = 3, when the
-    law's 3-fold series F(F(Y_1, Y_2), Y_3) is symmetric, its operator
-    preserves the piece of each multiset of blocks, and ordering the letters
-    with the repeated one first makes it a left-nested F: k J_a gives
-    k S^3 J_a + k(k - 1) S^2 J_a (x) J_a + C(k, 3) (J_a (x) J_a) (x) J_a,
-    sizes a != b give k_a k_b S^2 J_a (x) J_b + C(k_a, 2) k_b (J_a (x) J_a) (x) J_b,
-    and sizes a > b > c give k_a k_b k_c (J_a (x) J_b) (x) J_c, each product
-    read from the cells with the left factor's blocks first; ``cube(a)``
-    folds the columns of J_a's 3-fold series (``_quotient_class``).  No
-    associativity is needed.  Largest sizes go first, so the first square
-    builds the law's table, and the first cube its 3-fold series, at a box
-    that holds the rest, and no class of weight 0 is requested.  A total dimension other than d^2, C(d + m - 1, m)
-    or C(d, m) is AlgebraError.
+    The blocks go in largest first, by L^j(R + J_a) = sum over i of
+    L^(j-i) R (x) L^i J_a from the levels L^0 = J_1, ..., L^m of the part R
+    folded so far, the factor of more letters on the left (R's on a tie); a
+    lone block is its own power.  Each block's powers go from i = m down, so
+    refusals come before the first table or series, built at the largest
+    box.  A dimension other than C(d + m - 1, m) or C(d, m) is AlgebraError.
     """
-    counts = collections.Counter(lam)
-    sizes = sorted(counts, reverse=True)
-    tensor = shape == "tensor"
-    pieces = []
-
-    def times(weight, left, b):
-        pieces.extend((weight * mult, pair(c, b)) for c, mult in left.terms.items())
-
-    for i, a in enumerate(sizes):
-        k = counts[a]
-        if cube is None:
-            pieces.append((k * k, pair(a, a)) if tensor else (k, square(a, shape)))
-            if not tensor and k > 1:
-                pieces.append((math.comb(k, 2), pair(a, a)))
-            pieces += [((1 + tensor) * k * counts[b], pair(a, b)) for b in sizes[i + 1:]]
-            continue
-        pieces.append((k, cube(a)))
-        for b in sizes:
-            twice, once = ((k * (k - 1), math.comb(k, 3)) if b == a
-                           else (k * counts[b], math.comb(k, 2) * counts[b]))
-            if twice:
-                times(twice, square(a, shape), b)
-            if once:
-                times(once, pair(a, a), b)
-        for b, c in itertools.combinations(sizes[i + 1:], 2):
-            times(k * counts[b] * counts[c], pair(a, b), c)
-    terms = collections.Counter()
-    for weight, piece in pieces:
-        for n, mult in piece.terms.items():
-            terms[n] += weight * mult
-    d, m = lam.dim, 2 if cube is None else 3
-    want = d * d if tensor else math.comb(d + m - 1 if shape == "sym" else d, m)
-    out = RingElement(terms)
-    if out.dim() != want:
-        raise AlgebraError(f"the {shape} {'square' if m == 2 else 'cube'} of {tuple(lam)} "
-                           f"came out of dimension {out.dim()}, not {want}")
-    return out
+    one = RingElement({1: 1})
+    levels = [one] + [RingElement()] * m
+    if len(lam) == 1:
+        levels[m] = power(lam[0], m)
+    else:
+        for a, k in collections.Counter(lam).items():
+            own = [one, RingElement({a: 1})] + [None] * (m - 1)
+            for i in range(m, 1, -1):
+                own[i] = power(a, i)
+            for _ in range(k):
+                levels = [one] + [sum((_product(levels[j - i], own[i], pair) if j - i >= i
+                                       else _product(own[i], levels[j - i], pair)
+                                       for i in range(1, j)), levels[j] + own[j])
+                                  for j in range(1, m + 1)]
+    want = math.comb(lam.dim + m - 1 if kind == "sym" else lam.dim, m)
+    if levels[m].dim() != want:
+        raise AlgebraError(f"the {kind} power {m} of {tuple(lam)} came out of dimension "
+                           f"{levels[m].dim()}, not {want}")
+    return levels[m]
 
 
 def _block_size(n) -> int:
@@ -579,8 +548,11 @@ def sigma_matrices(m: int, d: int, field: Field) -> list:
     """Adjacent-transposition generators of the symmetric group on (k^d)^(x)m.
 
     sigma sends a basis word w to the word w' with w'_k = w_{sigma^{-1}(k)}.
-    Past the gather's dimension bound this raises InvalidInput.
+    A negative d, or one past the gather's dimension bound, raises
+    InvalidInput.
     """
+    if d < 0:
+        raise InvalidInput(f"the dimension must be >= 0, got {d}")
     _require_operator_dim(d ** m)
     out = []
     for i in range(m - 1):
@@ -687,6 +659,7 @@ def _quotient_class(lam: Partition, m: int, law: GeneralizedLaw, kind: str) -> P
     rebuilt at the largest block past its box.  Cut to that block, it must be
     symmetric, which is the power operator's commutation with every swap of
     tensor factors; otherwise InvalidInput, and the series is not memoized.
+    No bound is checked here: the callers hold d^m within 4096.
     """
     n = max(lam, default=1)
     key = ("series", m, law.fingerprint())
@@ -716,16 +689,35 @@ def _quotient_class(lam: Partition, m: int, law: GeneralizedLaw, kind: str) -> P
     return jordan_partition(Matrix._from_ints(law.field, out[:spare], cut.den))
 
 
-def _cube_constants(n: int, shape: str, law: GeneralizedLaw) -> RingElement:
-    """Class of Sym^3 J_n (``shape == "sym"``) or wedge^3 J_n under the law
-    (``_quotient_class``).  Memoized next to the block squares, under a key
-    of its own."""
-    key = ("cube", shape, n, law.fingerprint())
-    hit = _constants_memo.get(key)
-    if hit is None:
-        hit = _constants_memo[key] = RingElement.from_partition(
-            _quotient_class(Partition((n,)), 3, law, shape))
-    return hit
+def _block_power(a: int, i: int, kind: str, law: GeneralizedLaw) -> RingElement:
+    """Class of Sym^i J_a (``kind == "sym"``) or wedge^i J_a: J_a, the block
+    square, and past it ``_quotient_class`` of the single block, refused
+    past a^i = 4096 before any series is built, memoized per (kind, a, i, law)."""
+    if i < 3:
+        return RingElement({a: 1}) if i == 1 else square_constants(a, kind, law)
+    key = (kind, a, i, law.fingerprint())
+    if key not in _constants_memo:
+        _require_operator_dim(a ** i)
+        _constants_memo[key] = RingElement.from_partition(
+            _quotient_class(Partition((a,)), i, law, kind))
+    return _constants_memo[key]
+
+
+def _splits(law: GeneralizedLaw, m: int, n: int) -> bool:
+    """Whether each j-fold series G_j, 4 <= j <= m, is on the box (n)^j
+    F(G_(j-i)(Y_1..Y_(j-i)), G_i(Y_(j-i+1)..Y_j)) for 2 <= i <= j/2, from the
+    memoized series; memoized per (m, n, law).  Under a symmetric G_j these
+    are all splits into groups of two or more letters, the larger left."""
+    key = ("split", m, n, law.fingerprint())
+    if key not in _constants_memo:
+        def series(i, j):
+            cut = law.as_poly((n, n)) if i == 2 else _constants_memo["series", i, law.fingerprint()]
+            return cut._in_box((n,) * j)
+
+        _constants_memo[key] = all(
+            law.eval(series(j - i, j), series(i, j).permute_variables([*range(i, j), *range(i)]))
+            == series(j, j) for j in range(4, m + 1) for i in range(2, j // 2 + 1))
+    return _constants_memo[key]
 
 
 def wedge_partition(lam, m: int, law: GeneralizedLaw, field: Field) -> Partition:
@@ -737,29 +729,27 @@ def sym_partition(lam, m: int, law: GeneralizedLaw, field: Field) -> Partition:
 
 
 def _quotient_partition(lam, m: int, law: GeneralizedLaw, field: Field, kind: str) -> Partition:
-    """Jordan type of wedge^m or Sym^m of the canonical nilpotent of ``lam``.
-
-    At m = 2 and m = 3 the block sum (``_block_sum``): at m = 3 the cubes of
-    single blocks come from ``_quotient_class``, the largest block's first,
-    and a block past J_16 is refused.  At any other m ``_quotient_class`` of
-    the whole partition, within d^m <= 4096.  No operator on V^(x)m is built.
-    An m that is not an integer >= 1 (a bool or a float included) raises
-    InvalidInput, then a law over another field InvalidLaw, before the
-    bound.
-    """
+    """Jordan type of wedge^m or Sym^m of the canonical nilpotent of ``lam``,
+    its blocks folded in (``_fold``) from the cells and block powers
+    (``_block_power``).  At m <= 3 each split of the letters leaves one
+    alone, which the left-nested series and its symmetry give.  Past it the
+    largest of two or more blocks has its powers first, then the split check
+    (``_splits``); where that fails, the whole partition is gathered within
+    d^m <= 4096.  An m that is not an integer >= 1 (a bool or a float too)
+    raises InvalidInput, then a law over another field InvalidLaw, first."""
     lam = Partition(lam)
     if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
         raise InvalidInput(f"m must be an integer >= 1, got {m!r}")
     _require_field(law, field)
-    if m not in (2, 3):
-        _require_operator_dim(lam.dim ** m)
-        return _quotient_class(lam, m, law, kind)
-    cube = None
-    if m == 3:
-        _require_operator_dim(max(lam, default=1) ** 3)
-        cube = lambda a: _cube_constants(a, kind, law)
-    return _block_sum(lam, kind, lambda a, b: structure_constants(a, b, law, field),
-                      lambda a, shape: square_constants(a, shape, law), cube).to_partition()
+    power = functools.partial(_block_power, kind=kind, law=law)
+    if m >= 4 and len(lam) > 1:
+        for i in range(m, 1, -1):
+            power(lam[0], i)
+        if not _splits(law, m, lam[0]):
+            _require_operator_dim(lam.dim ** m)
+            return _quotient_class(lam, m, law, kind)
+    return _fold(lam, m, kind, lambda a, b: structure_constants(a, b, law, field),
+                 power).to_partition()
 
 
 # -- constructive intertwiners ---------------------------------------------------
@@ -787,9 +777,9 @@ def build_symmetric_intertwiner(n: int, m: int, law: GeneralizedLaw) -> Matrix:
 
 
 def clear_memo() -> None:
-    """Drop the memoized structure constants, block squares and cubes, the
-    laws' tables of powers, columns and m-fold series, the boxes asked at
-    each characteristic and the gather's block offsets (used by tests and
+    """Drop the memoized structure constants, block squares and powers, the
+    laws' tables of powers, columns, m-fold series and splits, the boxes
+    asked at each characteristic and the gather's block offsets (used by tests and
     benchmark passes)."""
     _constants_memo.clear()
     _block_offsets.cache_clear()

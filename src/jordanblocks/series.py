@@ -154,9 +154,8 @@ class TruncatedPoly(_Exact):
                 terms.append(f"{c}*{mono}")
         return " + ".join(terms)
 
-    def _mismatch(self, other: _Exact, op: str) -> ShapeMismatch:
-        return ShapeMismatch(f"{op} of a series over {self.field}{self.trunc} and a "
-                             f"{type(other).__name__} over {other.field}{other.num.shape}")
+    def _what(self) -> str:
+        return f"a series over {self.field}{self.trunc}"
 
     def _check_shape(self, other):
         if type(other) is not TruncatedPoly or self.field != other.field or self.trunc != other.trunc:
@@ -341,6 +340,8 @@ def build_automorphism(images: Sequence[TruncatedPoly]) -> Matrix:
     """
     if not images:
         raise InvalidInput("need at least one variable")
+    if type(images[0]) is not TruncatedPoly:
+        raise ShapeMismatch(f"the images must be series, not a {type(images[0]).__name__}")
     trunc = images[0].trunc
     if len(images) != len(trunc):
         raise ShapeMismatch(f"{len(images)} images for {len(trunc)} variables")

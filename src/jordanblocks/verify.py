@@ -124,13 +124,13 @@ def suite_law_independence(seed=0):
         laws += [random_generalized_law(seed * 100 + s, 16, field, unit_linear=True)
                  for s in range(20)]
         base = additive(field)
-        for n in range(1, 10):
-            for m in range(1, 10):
-                reference = structure_constants(n, m, base, field)
-                for law in laws:
-                    checked += 1
-                    if structure_constants(n, m, law, field) != reference:
-                        mismatches += 1
+        references = {(n, m): structure_constants(n, m, base, field)
+                      for n in range(1, 10) for m in range(1, 10)}
+        for law in laws:
+            for (n, m), reference in references.items():
+                checked += 1
+                if structure_constants(n, m, law, field) != reference:
+                    mismatches += 1
     return mismatches == 0, f"{checked} comparisons, {mismatches} mismatches"
 
 

@@ -14,6 +14,7 @@ from jordanblocks.errors import (
     AlgebraError,
     BlocksNotAllOdd,
     ExponentDivisible,
+    InvalidInput,
     NotDistinguished,
     UnknownType,
 )
@@ -103,6 +104,12 @@ class TestPredictBlocks:
     def test_exponent_divisible(self):
         with pytest.raises(ExponentDivisible):
             predict_blocks((3,), 2)
+
+    @pytest.mark.parametrize("n", [-1, -2, 1.5, True])
+    def test_n_that_is_not_an_integer_at_least_zero(self, n):
+        # n = -1 would take every exponent modulo 0
+        with pytest.raises(InvalidInput, match="n must be an integer >= 0"):
+            predict_blocks((1, 3), n)
 
 
 class TestCheckTheorem:

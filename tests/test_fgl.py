@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -255,6 +256,18 @@ class TestLawFiles:
         path.write_text("{not json")
         with pytest.raises(InvalidLaw):
             load_law(str(path))
+
+    @pytest.mark.parametrize("path", [True, "descriptor"])
+    def test_a_descriptor_is_not_a_path(self, tmp_path, path):
+        # open(True) or open(fd) would read the descriptor and close it
+        fd = os.open(tmp_path / "law.json", os.O_RDWR | os.O_CREAT)
+        try:
+            with pytest.raises(InvalidLaw, match="cannot read"):
+                load_law(fd if path == "descriptor" else path)
+            os.fstat(fd)
+            os.fstat(1)
+        finally:
+            os.close(fd)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(InvalidLaw, match="cannot read"):

@@ -992,6 +992,15 @@ class TestOperandChecks:
     def test_different_fields_are_unequal(self):
         assert Matrix.identity(GF(5), 2) != Matrix.identity(QQ, 2)
 
+    @pytest.mark.parametrize("ops", ["+", "-", "@", "kron", "series *"])
+    def test_operands_that_are_not_exact_arrays(self, ops):
+        x = Matrix.identity(GF(5), 2)
+        g = TruncatedPoly.variable(GF(5), (3,), 0)
+        op = {"+": lambda: x + 3, "-": lambda: x - 3, "@": lambda: x @ 3,
+              "kron": lambda: x.kron(3), "series *": lambda: g * 3}[ops]
+        with pytest.raises(ShapeMismatch, match="and int$"):
+            op()
+
 
 class TestFromRows:
     @pytest.mark.parametrize("field", [GF(5), QQ], ids=str)

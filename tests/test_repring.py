@@ -1235,8 +1235,8 @@ class TestWorkingSet:
 
 
 class TestBlockSum:
-    """wedge^2 and Sym^2 of a partition summed over its blocks
-    (``repring._block_sum``), against the gathered operator on V (x) V
+    """wedge^2 and Sym^2 of a partition folded over its blocks
+    (``repring._fold``), against the gathered operator on V (x) V
     straightened onto the quotient (``oracles.operator_square_partition``)."""
 
     @staticmethod
@@ -1367,8 +1367,8 @@ def check_power(lam, m, law):
 
 
 class TestCubeSum:
-    """wedge^3 and Sym^3 of a partition summed over its blocks
-    (``repring._block_sum`` with the cubes of single blocks), against the
+    """wedge^3 and Sym^3 of a partition folded over its blocks
+    (``repring._fold`` with the cubes of single blocks), against the
     gathered operator on V (x) V (x) V straightened onto the quotient
     (``oracles.operator_power_partition``); a law whose 3-fold series is not
     symmetric is refused by both."""
@@ -1410,7 +1410,8 @@ class TestCubeSum:
 
     def test_no_operator_on_the_partition(self, monkeypatch):
         # neither the cubes of the blocks nor the powers past m = 3 gather an
-        # operator: every class comes from the series' basis-word columns
+        # operator: every class comes from the series' basis-word columns,
+        # and m = 1 is the partition itself, with no series
         laws = [additive(F2), multiplicative(F5), scaled_multiplicative(F7, F7(3)),
                 random_fgl(5, 9, QQ), random_fgl(6, 9, GF(13))]
         # the first largest block is the largest of all at each m
@@ -1441,7 +1442,7 @@ class TestCubeSum:
                     for kind, power in (("sym", sym_partition), ("wedge", wedge_partition)):
                         got = power(Partition(lam), m, law, law.field)
                         assert got == want[law, m, lam, kind], (law, m, lam, kind)
-            assert built == [(law, 1, (4,)), (law, 3, (4, 4, 4)), (law, 4, (3, 3, 3, 3)),
+            assert built == [(law, 3, (4, 4, 4)), (law, 4, (3, 3, 3, 3)),
                              (law, 5, (2, 2, 2, 2, 2))]
 
     @pytest.mark.parametrize("seed", range(4))
@@ -1480,15 +1481,15 @@ class TestCubeSum:
         sym_partition((2, 1), 4, law, F5)
         assert {key[:2] for key in repring._constants_memo
                 if key[0] == "series"} == {("series", 3), ("series", 4)}
-        assert any(key[0] == "cube" for key in repring._constants_memo)
+        assert ("sym", 3, 3, law.fingerprint()) in repring._constants_memo
         repring.clear_memo()
         assert not repring._constants_memo
 
 
 class TestQuotientClass:
     """wedge^m and Sym^m from the basis-word columns of the law's m-fold
-    series (``repring._quotient_class``): of the whole partition at m = 1, 4
-    and 5, and of single blocks up to J_10 at m = 3, against the gathered
+    series (``repring._quotient_class``): of single blocks, folded into a
+    partition at m = 1, 4 and 5, and up to J_10 at m = 3, against the gathered
     power operator straightened onto the quotient
     (``oracles.operator_power_partition``); a law whose m-fold series is
     not symmetric is refused by both."""
@@ -1551,9 +1552,9 @@ class TestQuotientClass:
         check_power(lam, m, law)
 
     def test_refusals_at_m4_in_order(self, monkeypatch):
-        # another field, then d^4 past 4096, then a law too short for the
-        # 4-fold series of J_3 (degree 8), then a law that is not symmetric;
-        # nothing is memoized for a refusal
+        # another field, then a block J_a with a^4 past 4096, then a law too
+        # short for the 4-fold series of J_3 (degree 8), then a law that is
+        # not symmetric; nothing is memoized for a refusal
         skew = random_generalized_law(3, 8, F5)
         short = random_generalized_law(3, 7, F5)
         for power in (wedge_partition, sym_partition):
@@ -1565,7 +1566,7 @@ class TestQuotientClass:
                               lambda *args: pytest.fail("a series was built"))
                 for law in (multiplicative(F5), short, skew):
                     with pytest.raises(InvalidInput, match="6561"):
-                        power((5, 4), 4, law, F5)
+                        power((9,), 4, law, F5)
             with pytest.raises(TruncationTooShort):
                 power((3,), 4, short, F5)
             with pytest.raises(InvalidInput, match="commute"):
@@ -1614,6 +1615,111 @@ class TestQuotientClass:
         assert peak < 64 * 2**20
 
 
+class TestFold:
+    """wedge^m and Sym^m of a partition folded over its blocks
+    (``repring._fold``) against ``_quotient_class`` of the whole partition,
+    called directly, which has no d^m bound; past m = 3 the fold rests on
+    the law's series splitting on the largest block's box (``_splits``)."""
+
+    @pytest.mark.parametrize("kind, lam, m, want", [
+        ("wedge", (5, 4), 4, (5,) * 25 + (1,)), ("sym", (5, 4), 4, (5,) * 99),
+        ("sym", (4, 3), 5, (5,) * 92 + (1, 1))])
+    def test_partitions_past_the_whole_bound(self, kind, lam, m, want):
+        # d^m is 6561 or 16807, past 4096, so only the fold answers
+        law = multiplicative(F5)
+        power = sym_partition if kind == "sym" else wedge_partition
+        repring.clear_memo()
+        got = power(lam, m, law, F5)
+        assert got == want
+        assert got == repring._quotient_class(Partition(lam), m, law, kind)
+
+    def test_three_blocks_of_eight(self):
+        # wedge^4 of 3 J_8 (d^4 = 331776, a whole gather of 28 GB) is the sum
+        # over i + j + k = 4 of the products of the blocks' own powers
+        law = multiplicative(F5)
+        repring.clear_memo()
+        got = RingElement.from_partition(wedge_partition((8, 8, 8), 4, law, F5))
+        own = [RingElement({1: 1}), RingElement({8: 1})] + [
+            RingElement.from_partition(repring._quotient_class(Partition((8,)), i, law, "wedge"))
+            for i in range(2, 5)]
+        want = RingElement()
+        for i, j in itertools.product(range(5), repeat=2):
+            if i + j <= 4:
+                want = want + ring_multiply(ring_multiply(own[i], own[j], law, F5),
+                                            own[4 - i - j], law, F5)
+        assert got == want and got.dim() == 10626
+        # and three blocks where the whole gather is small
+        for kind, lam in (("wedge", (3, 3, 3)), ("sym", (3, 3, 2))):
+            power = sym_partition if kind == "sym" else wedge_partition
+            assert power(lam, 4, law, F5) == repring._quotient_class(Partition(lam), 4, law, kind)
+
+    @given(st.sampled_from(SQUARE_FIELDS), small_partitions, st.integers(2, 5),
+           st.sampled_from(QUOTIENT_LAWS + ("non-associative",)), st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_hypothesis_fold(self, field, lam, m, kind, seed):
+        while lam.dim ** m > 1024:
+            lam = Partition(lam[1:])
+        rng = random.Random(seed)
+        degree = max(2, m * (max(lam, default=1) - 1))
+        if kind == "non-associative":
+            law = symmetric_generalized_law(rng, field, degree)
+        else:
+            law = symmetric_law(kind, field, degree, rng)
+        for quotient, power in (("sym", sym_partition), ("wedge", wedge_partition)):
+            repring.clear_memo()
+            try:
+                want = repring._quotient_class(lam, m, law, quotient)
+            except InvalidInput:
+                repring.clear_memo()
+                with pytest.raises(InvalidInput, match="commute"):
+                    power(lam, m, law, field)
+                continue
+            repring.clear_memo()
+            assert power(lam, m, law, field) == want, (field, law, lam, m, quotient)
+
+    def test_split_guard(self, monkeypatch):
+        # u + v + uv + 2 u^5 v^5 is symmetric, and so is its 4-fold series on
+        # (4)^4 and (5)^4, but that series is not F(G_2, G_2) there: (4, 1)
+        # goes through the whole partition, and (5, 4), of d^4 = 6561, is
+        # refused; the multiplicative law splits
+        law = GeneralizedLaw(F7, 16, {(1, 0): 1, (0, 1): 1, (1, 1): 1, (5, 5): 2})
+        for n in (4, 5):
+            assert iterated_tensor_series(law, 4, (n,) * 4).is_symmetric()
+        whole = []
+        quotient_class = repring._quotient_class
+
+        def spy(lam, m, law, kind):
+            whole.append(tuple(lam))
+            return quotient_class(lam, m, law, kind)
+
+        monkeypatch.setattr(repring, "_quotient_class", spy)
+        for kind, power in (("sym", sym_partition), ("wedge", wedge_partition)):
+            repring.clear_memo()
+            whole.clear()
+            assert power((4, 1), 4, law, F7) == operator_power_partition((4, 1), 4, kind, law, F7)
+            assert whole[-1] == (4, 1)
+            assert repring._constants_memo["split", 4, 4, law.fingerprint()] is False
+            with pytest.raises(InvalidInput, match="6561"):
+                power((5, 4), 4, law, F7)
+            assert repring._constants_memo["split", 4, 5, law.fingerprint()] is False
+            repring.clear_memo()
+            power((5, 4), 4, multiplicative(F7), F7)
+            assert repring._constants_memo["split", 4, 5, multiplicative(F7).fingerprint()]
+
+    def test_refusals_come_before_any_table_or_series(self, monkeypatch):
+        # Sym^3 J_17 and its sum with J_1 are refused on 17^3 = 4913 first
+        monkeypatch.setattr(repring, "_power_table",
+                            lambda *args: pytest.fail("a table was built"))
+        monkeypatch.setattr(repring, "iterated_tensor_series",
+                            lambda *args: pytest.fail("a series was built"))
+        repring.clear_memo()
+        for power in (sym_partition, wedge_partition):
+            for lam in ((17,), (17, 1), (17, 17, 2)):
+                with pytest.raises(InvalidInput, match="4913"):
+                    power(lam, 3, multiplicative(F5), F5)
+        assert not repring._constants_memo
+
+
 class TestSigmaMatrices:
     def test_swap_on_two_dims(self):
         (swap,) = sigma_matrices(2, 2, F3)
@@ -1627,6 +1733,10 @@ class TestSigmaMatrices:
     def test_involutions(self):
         for s in sigma_matrices(3, 2, F5):
             assert (s @ s) == Matrix.identity(F5, 8)
+
+    def test_negative_dimension(self):
+        with pytest.raises(InvalidInput, match="dimension must be >= 0"):
+            sigma_matrices(2, -1, F5)
 
     def test_past_the_size_bound_refused_before_allocation(self, monkeypatch):
         # 17**3 = 4913 > 4096; checked by arithmetic, nothing is allocated

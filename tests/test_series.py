@@ -263,7 +263,9 @@ class TestBuildAutomorphism:
         (lambda y, z: [y + z, z], InvalidInput),
         (lambda y, z: [y, z * z], ZeroLinearScalar),
         (lambda y, z: [y, TruncatedPoly.zero(F5, (3, 3))], ZeroLinearScalar),
-    ], ids=["count", "algebra", "constant", "divisibility", "zero-linear", "zero-image"])
+        (lambda y, z: [Matrix.identity(F5, 2)] * 2, ShapeMismatch),
+    ], ids=["count", "algebra", "constant", "divisibility", "zero-linear", "zero-image",
+            "matrices"])
     def test_refusals(self, images, error):
         y, z = var(F5, (3, 3), 0), var(F5, (3, 3), 1)
         with pytest.raises(error):
