@@ -65,6 +65,7 @@ CUBE_SUM_TESTS = "tests/test_repring.py::TestCubeSum::"
 QUOTIENT_TESTS = "tests/test_repring.py::TestQuotientClass::"
 FOLD_TESTS = "tests/test_repring.py::TestFold::"
 G2_BATCH_TESTS = "tests/test_g2.py::TestBatchedRoutes::"
+BATCH_TESTS = "tests/test_linalg.py::TestBatchedPartitions::"
 
 MUTANTS = [
     # 4 * bits + 1 would pick the same width as 4 * bits + 2 for every p:
@@ -76,9 +77,17 @@ MUTANTS = [
            "            if p == 2:\n                r ^= piv",
            "            if p <= 3:\n                r ^= piv",
            ("tests/test_linalg.py::TestEchelonKernel::test_one_reduction_at_p3",)),
+    # each level of a stacked matrix takes the first row of the next
+    # matrix's level: harmless alone (the next level's row, already reduced),
+    # caught in a stack
     Mutant("level-slice-off-by-one", LINALG,
-           "rows[top * c:(top + 1) * c]", "rows[top * c:(top + 1) * c + 1]",
-           ("tests/test_linalg.py::TestKrylovRanks::test_seeded_conjugates",)),
+           "rows[t:t + width]", "rows[t:t + width + 1]",
+           (BATCH_TESTS + "test_seeded_stacks",)),
+    # each matrix's rows start one row late: its first complement row is
+    # lost and a row of the next matrix joins
+    Mutant("member-rows-off-by-one", LINALG,
+           "(k * count + b) * width", "(k * count + b) * width + 1",
+           (BATCH_TESTS + "test_seeded_stacks",)),
     # a Matrix plus a TruncatedPoly of the same shape passes as a Matrix
     Mutant("exact-sum-any-type", LINALG,
            "        if (type(other) is type(self) and self.field.p == other.field.p\n",
@@ -92,9 +101,10 @@ MUTANTS = [
     # Krylov levels that vanish before they span k^D N, as for diag(1) + J_2,
     # read as the ranks of a nilpotent
     Mutant("power-ranks-nilpotency-unchecked", LINALG,
-           "    if ranks[0] != len(leads):\n        raise NotNilpotent(\"matrix is not nilpotent\")\n",
+           "        if ranks[0] != len(lead):\n            raise NotNilpotent(\"matrix is not nilpotent\")\n",
            "",
-           ("tests/test_linalg.py::TestKrylovRanks::test_not_nilpotent",)),
+           ("tests/test_linalg.py::TestKrylovRanks::test_not_nilpotent",
+            BATCH_TESTS + "test_one_member_not_nilpotent")),
     Mutant("writable-offsets", LINALG,
            "    out.flags.writeable = False\n", "",
            (OFFSETS_TEST,)),
@@ -103,8 +113,13 @@ MUTANTS = [
            (OFFSETS_TEST,)),
     # one generator short: the rows x^i F^j no longer span J_N (x) J_s
     Mutant("cell-generators-short", REPRING,
-           "gens = range(side) if", "gens = range(side - 1) if",
+           "mask for i in range(side)]", "mask for i in range(side - 1)]",
            (CELL_TESTS + "test_seeded_cells",)),
+    # x^i F^j moved one field short of i s: the rows of another module
+    Mutant("cell-shift-one-field-short", REPRING,
+           "row << i * side * w & mask", "row << max(i * side - 1, 0) * w & mask",
+           (CELL_TESTS + "test_seeded_cells",
+            COLUMN_TESTS + "test_shifted_rows_match_the_sliced_levels")),
     # the top power F^(N+s-2) dropped: one Jordan block loses its top vector
     Mutant("cell-levels-short", REPRING,
            "powers[N + side - 2::-1", "powers[N + side - 3::-1",
@@ -197,8 +212,8 @@ MUTANTS = [
     # over Q the complement R_0 taken from the first rank-N columns, not
     # from the columns past the echelon's leads
     Mutant("rational-leads-by-pivot-order", LINALG,
-           "leads = set(_echelon(n, p))",
-           "leads = set(range(len(_echelon(n, p))))",
+           "leads = [set(_insert_rows({}, rows[b * dim:(b + 1) * dim], p, dim))",
+           "leads = [set(range(len(_insert_rows({}, rows[b * dim:(b + 1) * dim], p, dim))))",
            ("tests/test_linalg.py::TestKrylovRanks::test_seeded_conjugates[0]",)),
     # a rational pivot keeps the sign of the row that reached its lead
     Mutant("q-pivot-sign-unnormalized", LINALG,
@@ -287,8 +302,14 @@ MUTANTS = [
            "if ranks[0] != dim:", "if False:",
            (SQUARE_TESTS + "test_span_postcondition_is_a_typed_error",
             CELL_TESTS + "test_span_postcondition_is_a_typed_error")),
+    # every square checks the series at n again, the whole box's memoized
+    # symmetry unread
+    Mutant("square-symmetry-memo-unread", REPRING,
+           "if not (tensor or symmetric or _symmetric(law, n)):",
+           "if not (tensor or _symmetric(law, n)):",
+           (SQUARE_TESTS + "test_symmetry_is_read_from_the_memo",)),
     Mutant("square-any-law", REPRING,
-           "if not tensor and not _symmetric(law, n):", "if False:",
+           "if not (tensor or symmetric or _symmetric(law, n)):", "if False:",
            (SQUARE_TESTS + "test_non_symmetric_law",)),
     # x^a y^a twice for every column: Sym^2 doubled off the diagonal, so a
     # zero column at p = 2, and wedge^2 zero
@@ -374,6 +395,11 @@ MUTANTS = [
            "for lo in range(0, len(ints), _SWAP_ROWS)", "for lo in range(0, _SWAP_ROWS, _SWAP_ROWS)",
            ("tests/test_repring.py::TestNonSymmetricLaw::"
             "test_swap_checked_in_the_last_row_block",)),
+    # the table's representatives go unchecked on V
+    Mutant("g2-table-skips-v-guard", G2,
+           "    for orbit, part in zip(ORBITS + ORBITS, v_parts):\n        _require_partition(orbit, part)\n",
+           "",
+           ("tests/test_g2.py::TestTable::test_table_keeps_every_check",)),
     # 1 and 2 * 1 stabilize the span, so the direct route answers (1^14)
     Mutant("g2-skips-nilpotency-check", G2,
            "        if power.any():\n", "        if False:\n",

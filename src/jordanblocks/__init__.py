@@ -16,6 +16,7 @@ from .linalg import (
     exp_nilpotent,
     jordan_block,
     jordan_partition,
+    jordan_partitions,
     nilpotent_from_partition,
     unipotent_partition,
 )

@@ -11,13 +11,14 @@ together with lowering counterparts built from the transposes.  The relative
 coefficient in the lowering short generator is forced by the Cartan-matrix
 relations and the build certifies dim = 14 by bracket closure.  Orbit
 representatives and their adjoint partitions are computed two independent
-ways.  The direct route stacks the 14 basis matrices, forms the images
-[x, z] and u z u^-1 - z of every representative with a few float64
-products, and reads their coordinates in the basis off one linear solve.
-The wedge route takes the multiset difference of the partition on wedge^2
-of the 7-dimensional module and the partition on the module itself; the
-21 x 21 operator on wedge^2 is the additive compound of a nilpotent x, or
-the second compound (the 2 x 2 minors) of a unipotent u minus 1.
+ways, in ``g2_table`` from three batches of Jordan types
+(``jordan_partitions``).  The direct route stacks the 14 basis matrices,
+forms the images [x, z] and u z u^-1 - z of every representative with a few
+float64 products, and reads their coordinates in the basis off one linear
+solve.  The wedge route takes the multiset difference of the partition on
+wedge^2 of the 7-dimensional module and the partition on the module itself;
+the 21 x 21 operator on wedge^2 is the additive compound of a nilpotent x,
+or the second compound (the 2 x 2 minors) of a unipotent u minus 1.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .linalg import (
     _rows,
     exp_nilpotent,
     jordan_partition,
+    jordan_partitions,
     solve_in_columns,
     unipotent_partition,
 )
@@ -175,6 +177,17 @@ def g2_subalgebra(model: SO7Model) -> list:
     return basis
 
 
+def _nilpotent_rep(orbit: str, model: SO7Model) -> Matrix:
+    """``g2_nilpotent_rep`` before its check of the type on the module."""
+    xa1, xa2, _, _ = g2_generators(model)
+    if orbit == "G2a1":
+        x12 = bracket(xa1, xa2)
+        return x12 + bracket(xa1, x12)
+    if orbit not in ORBITS:
+        raise InvalidInput(f"unknown orbit {orbit!r}")
+    return {"A1": xa2, "A1tilde": xa1, "G2reg": xa1 + xa2}[orbit]
+
+
 def g2_nilpotent_rep(orbit: str, model: SO7Model) -> Matrix:
     """Nilpotent orbit representative on the 7-dimensional module.
 
@@ -182,24 +195,13 @@ def g2_nilpotent_rep(orbit: str, model: SO7Model) -> Matrix:
     class is the sum, and G2a1 is the Richardson representative
     [x_{a1}, x_{a2}] + [x_{a1}, [x_{a1}, x_{a2}]].
     """
-    xa1, xa2, _, _ = g2_generators(model)
-    if orbit == "A1":
-        out = xa2
-    elif orbit == "A1tilde":
-        out = xa1
-    elif orbit == "G2reg":
-        out = xa1 + xa2
-    elif orbit == "G2a1":
-        x12 = bracket(xa1, xa2)
-        out = x12 + bracket(xa1, x12)
-    else:
-        raise InvalidInput(f"unknown orbit {orbit!r}")
+    out = _nilpotent_rep(orbit, model)
     _require_partition(orbit, jordan_partition(out))
     return out
 
 
-def g2_unipotent_rep(orbit: str, model: SO7Model) -> Matrix:
-    """Unipotent orbit representative, built from exponentials of root vectors."""
+def _unipotent_rep(orbit: str, model: SO7Model) -> Matrix:
+    """``g2_unipotent_rep`` before its check of the type on the module."""
     y1, y2, y3 = model.y
     if orbit == "A1":
         out = exp_nilpotent(y2)
@@ -208,11 +210,17 @@ def g2_unipotent_rep(orbit: str, model: SO7Model) -> Matrix:
     elif orbit == "G2reg":
         out = exp_nilpotent(y1) @ exp_nilpotent(y3) @ exp_nilpotent(y2)
     elif orbit == "G2a1":
-        out = exp_nilpotent(g2_nilpotent_rep("G2a1", model))
+        out = exp_nilpotent(_nilpotent_rep("G2a1", model))
     else:
         raise InvalidInput(f"unknown orbit {orbit!r}")
     if (out.T @ model.gram @ out) != model.gram:
         raise AlgebraError(f"{orbit} unipotent representative does not preserve the form")
+    return out
+
+
+def g2_unipotent_rep(orbit: str, model: SO7Model) -> Matrix:
+    """Unipotent orbit representative, built from exponentials of root vectors."""
+    out = _unipotent_rep(orbit, model)
     _require_partition(orbit, unipotent_partition(out))
     return out
 
@@ -364,18 +372,24 @@ class G2Row:
 
 
 def g2_table(p: int) -> list:
-    """All four orbit rows at the given prime, adjoint partitions by both routes."""
+    """All four orbit rows at the given prime, adjoint partitions by both
+    routes, from three batches of Jordan types (``jordan_partitions``): x
+    and u - 1 on V, checked as the builders check them, the coordinate
+    blocks, and wedge^2 V less those types on V (the wedge route)."""
     model = build_so7_model(p)
-    xs = [g2_nilpotent_rep(orbit, model) for orbit in ORBITS]
-    us = [g2_unipotent_rep(orbit, model) for orbit in ORBITS]
+    xs = [_nilpotent_rep(orbit, model) for orbit in ORBITS]
+    us = [_unipotent_rep(orbit, model) for orbit in ORBITS]
     reps = [(x, "nilpotent") for x in xs] + [(u, "unipotent") for u in us]
-    direct = [jordan_partition(block)
-              for block in _coordinate_blocks(reps, g2_subalgebra(model))]
+    blocks = _coordinate_blocks(reps, g2_subalgebra(model))
+    v_parts = jordan_partitions(xs + [u - Matrix.identity(model.field, 7) for u in us])
+    for orbit, part in zip(ORBITS + ORBITS, v_parts):
+        _require_partition(orbit, part)
+    direct = jordan_partitions(blocks)
+    wedge = [part.difference(v_part) for part, v_part in
+             zip(jordan_partitions([_wedge_square(a, mode) for a, mode in reps]), v_parts)]
     rows = []
-    for orbit, x, u, ad_direct, big_ad_direct in zip(ORBITS, xs, us, direct[:4], direct[4:]):
-        ad_wedge = wedge_route_adjoint(x, "nilpotent")
-        big_ad_wedge = wedge_route_adjoint(u, "unipotent")
-        routes_agree = ad_direct == ad_wedge and big_ad_direct == big_ad_wedge
+    for orbit, ad_direct, big_ad_direct, ad_wedge, big_ad_wedge in zip(
+            ORBITS, direct[:4], direct[4:], wedge[:4], wedge[4:]):
         expected = expected_adjoint(orbit, p)
         rows.append(G2Row(
             orbit=orbit,
@@ -384,7 +398,7 @@ def g2_table(p: int) -> list:
             v_partition=Partition(V_PARTITIONS[orbit]),
             adjoint_nilpotent=ad_direct,
             adjoint_unipotent=big_ad_direct,
-            routes_agree=routes_agree,
+            routes_agree=ad_direct == ad_wedge and big_ad_direct == big_ad_wedge,
             matches_table=ad_direct == expected and big_ad_direct == expected,
         ))
     return rows

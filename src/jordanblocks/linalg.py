@@ -24,11 +24,13 @@ columns, and is otherwise solved by one back substitution for both fields,
 one vector-matrix product per pivot on integer rows (``_solve``).
 Partitions are read off an operator through the ranks of its powers, never
 through a similarity transform (``_partition_from_ranks``).  In both fields
-they come from one Krylov elimination (``_power_ranks``): the echelon of N
-gives a complement R_0 of its row space, and the rows R_0 N^l, inserted
-into one echelon from the top power down (``_prefix_masks``, the one reader
-that ``repring`` shares for its cells and squares), leave the leads of
-rank N^l pivots after each level.  Over Q the levels are integer rows, each
+they come from one Krylov elimination of a stack of matrices of one shape
+(``_power_ranks``, ``jordan_partitions``): the echelon of each N gives a
+complement R_0 of its row space, the rows R_0 N^l of all take one stacked
+product per level and one packing, and each N's, inserted into its own
+echelon from the top power down (``_prefix_masks``, the one reader of
+packed rows that ``repring`` shares for its cells and squares), leave the
+leads of rank N^l pivots after each level.  Over Q each row of a level is
 divided by the gcd of its entries (``_primitive``).
 
 The F_p echelon form works on packed rows: each row is one Python int
@@ -700,40 +702,51 @@ def nilpotent_powers(n_mat: Matrix) -> list:
     raise NotNilpotent("matrix is not nilpotent")
 
 
-def _power_ranks(n_mat: Matrix) -> list:
-    """[rank N, rank N^2, ..., 0], from one Krylov elimination in both fields.
+def _power_ranks(stack: np.ndarray, p: int) -> list:
+    """[rank N, rank N^2, ..., 0] for each N of a stack (B, D, D) of integer
+    arrays over F_p, or over Q at p = 0, from one batched Krylov elimination.
 
-    One echelon of N (``_echelon``; over Q of its integer numerator, which
-    has the ranks of N) gives rank N and its lead columns L.  The unit rows
-    e_j with j not in L span a complement R_0 of the row space of N, so
-    k^D = span R_0 + k^D N and, by Nakayama, k^D N^l = span{R_0 N^j : j >= l}.
-    The levels R_l = R_(l-1) N are formed up to the first zero R_e: over F_p
-    held in the packed field's unsigned dtype, over Q as integer rows each
-    divided by the gcd of its entries (``_primitive``), which leaves every
-    span alone.  ``_prefix_masks`` inserts R_(e-1), ..., R_1 into one
-    echelon from the top power down, and the bit count of its masks[l] is
-    the rank of R_(l+1), ..., R_(e-1), that is rank N^(l+1).  The levels
-    span k^D N only when N is nilpotent, so the count of all of them must
-    equal rank N, and R_D must be zero; otherwise NotNilpotent.
+    An echelon of N (over Q of its integer numerator) gives rank N and its
+    lead columns L.  The unit rows e_j, j not in L, span a complement R_0 of
+    the row space of N, so k^D N^l = span{R_0 N^j : j >= l} (Nakayama).
+    The levels R_l = R_(l-1) N of all B matrices, each complement padded
+    with zero rows to the widest, take one stacked product per level up to
+    the first that is zero for all: over F_p in the packed field's unsigned
+    dtype, over Q with each row divided by its gcd (``_primitive``).  The
+    stack and then all levels are packed in one call each (``_rows``), and
+    each matrix's R_(e-1), ..., R_1 go into its own echelon, top power first
+    (``_prefix_masks``): its masks[l] count rank N^(l+1).  The levels span
+    k^D N only when N is nilpotent, so their count must be rank N for each
+    matrix, and R_D must be zero; otherwise NotNilpotent.
     """
-    p, dim, n = n_mat.field.p, n_mat.nrows, n_mat.num
-    leads = set(_echelon(n, p))
+    count, dim = stack.shape[:2]
+    rows = _rows(stack.reshape(count * dim, dim), p)
+    leads = [set(_insert_rows({}, rows[b * dim:(b + 1) * dim], p, dim)) for b in range(count)]
     dtype = _field_dtype(_packing(p, dim)[0]) if p else object
-    factor = n.astype(np.float64) if p else n
-    level, levels = n[[j for j in range(dim) if j not in leads]].astype(dtype), []
+    width = dim - min(map(len, leads))
+    level = np.zeros((count, width, dim), dtype=dtype)
+    for b, lead in enumerate(leads):
+        level[b, :dim - len(lead)] = stack[b, sorted(set(range(dim)) - lead)]
+    factor = stack.astype(np.float64) if p else stack
+    levels = []
     while level.any():
         if len(levels) == dim - 1:
             raise NotNilpotent("matrix is not nilpotent")
         levels.append(level)
         level = (_matmul_mod(level, factor, p).astype(dtype) if p
-                 else _primitive(np.dot(level, factor)))
+                 else _primitive(np.matmul(level, factor).reshape(-1, dim)).reshape(level.shape))
     del factor
-    # top power first; the list goes once the stack is made
-    levels = np.array(levels[::-1], dtype=dtype).reshape(len(levels), *level.shape)
-    ranks = [mask.bit_count() for mask in _prefix_masks(levels, p)]
-    if ranks[0] != len(leads):
-        raise NotNilpotent("matrix is not nilpotent")
-    return ranks
+    # level k of matrix b is the row block k count + b of the packed rows
+    levels = np.array(levels, dtype=dtype).reshape(len(levels), count, width * dim)
+    depths, rows = levels.any(axis=2).sum(axis=0), _rows(levels.reshape(-1, dim), p)
+    out = []
+    for b, lead in enumerate(leads):
+        tops = [(k * count + b) * width for k in reversed(range(depths[b]))]
+        ranks = [m.bit_count() for m in _prefix_masks([rows[t:t + width] for t in tops], p, dim)]
+        if ranks[0] != len(lead):
+            raise NotNilpotent("matrix is not nilpotent")
+        out.append(ranks)
+    return out
 
 
 def _primitive(rows: np.ndarray) -> np.ndarray:
@@ -742,24 +755,22 @@ def _primitive(rows: np.ndarray) -> np.ndarray:
     return rows // np.array(gcds, dtype=object)[:, None]
 
 
-def _prefix_masks(levels: np.ndarray, p: int) -> list:
-    """masks[l]: the leads of the pivots of the levels j >= l of ``levels``
-    (count, rows per level, D), top power j = count - 1 first, as the bits
-    of one int; masks[count] is 0.  A pivot is zero before its lead, so the
-    rank of the rows of those levels cut to their first K columns is
-    (masks[l] & ((1 << K) - 1)).bit_count(), and masks[l].bit_count() is
-    their rank.
+def _prefix_masks(levels: Sequence[list], p: int, dim: int) -> list:
+    """masks[l]: the leads of the pivots of the levels j >= l of ``levels``,
+    each a list of rows of length ``dim`` as ``_insert_rows`` takes them,
+    top power j = count - 1 first, as the bits of one int; masks[count] is
+    0.  A pivot is zero before its lead, so the rank of the rows of those
+    levels cut to their first K columns is (masks[l] & ((1 << K) - 1))
+    .bit_count(), and masks[l].bit_count() is their rank.
 
-    The rows are converted in one call, packed over F_p and integer lists
-    over Q (``_rows``), and inserted into one echelon (``_insert_rows``) one
-    level at a time, so no row is reduced twice.  The echelon keeps its
-    pivots in the order of insertion, so each mask is the OR of the bits of
-    the leads up to the pivot count after its level.
+    The levels go into one echelon (``_insert_rows``) one at a time, so no
+    row is reduced twice.  The echelon keeps its pivots in the order of
+    insertion, so each mask is the OR of the bits of the leads up to the
+    pivot count after its level.
     """
-    count, c, dim = levels.shape
-    rows, pivots, ends = _rows(levels.reshape(count * c, dim), p), {}, [0]
-    for top in range(count):
-        ends.append(len(_insert_rows(pivots, rows[top * c:(top + 1) * c], p, dim)))
+    pivots, ends = {}, [0]
+    for rows in levels:
+        ends.append(len(_insert_rows(pivots, rows, p, dim)))
     prefix = list(itertools.accumulate(map(operator.lshift, itertools.repeat(1), pivots),
                                        operator.or_, initial=0))
     return [prefix[end] for end in reversed(ends)]
@@ -800,15 +811,28 @@ def _partition_from_ranks(ranks: Iterable[int], n: int) -> Partition:
     return out
 
 
-def jordan_partition(n_mat: Matrix) -> Partition:
-    """Jordan type of a nilpotent matrix from the ranks of its powers
-    (``_power_ranks``), through ``_partition_from_ranks``."""
-    if not n_mat.is_square():
+def jordan_partitions(mats: Sequence[Matrix]) -> list:
+    """Jordan types of nilpotent matrices of one shape over one field, from
+    one batched elimination (``_power_ranks``, ``_partition_from_ranks``).
+    InvalidInput for no matrices, ShapeMismatch for mixed types, shapes or
+    fields, NotSquare and NotNilpotent."""
+    if not mats:
+        raise InvalidInput("Jordan partitions of no matrices")
+    first = mats[0]
+    if any(type(mat) is not Matrix or mat.field != first.field or mat.shape != first.shape
+           for mat in mats):
+        raise ShapeMismatch("Jordan partitions of mixed types, shapes or fields")
+    if not first.is_square():
         raise NotSquare("Jordan partition of a non-square matrix")
-    n = n_mat.nrows
-    if n == 0:
-        return Partition(())
-    return _partition_from_ranks(_power_ranks(n_mat), n)
+    if not first.nrows:
+        return [Partition(())] * len(mats)
+    return [_partition_from_ranks(ranks, first.nrows)
+            for ranks in _power_ranks(np.array([mat.num for mat in mats]), first.field.p)]
+
+
+def jordan_partition(n_mat: Matrix) -> Partition:
+    """Jordan type of a nilpotent matrix: the batch of one."""
+    return jordan_partitions([n_mat])[0]
 
 
 def unipotent_partition(u: Matrix) -> Partition:

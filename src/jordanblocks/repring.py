@@ -11,13 +11,14 @@ constants and the squares of single blocks are memoized; in characteristic
 A tensor product of partitions is the ring product of their block classes,
 and no tensor operator is built for a cell J_n (x) J_m: it is multiplication
 by t = F(x, y) on k[x, y]/(x^n, y^m), whose ranks come from the rows x^i F^j
-sliced out of one memoized table of the law's powers F^j per law
-(``_law_powers``), built by products of Toeplitz slices, with no operator on
-A.  The structure constants do not depend on the law, so callers ask the
-same cells under many laws at one characteristic: a law's first table holds
-the box of every cell and square asked at that characteristic since
-``clear_memo`` (one working set per characteristic), and only a cell past it
-rebuilds it, about log2 times per side as its box grows by powers of two.
+(F^j packed once and shifted i rows of x, ``_column_masks``) of one memoized
+table of the law's powers F^j per law (``_law_powers``), built by products
+of Toeplitz slices, with no operator on A.  The structure constants do not
+depend on the law, so callers ask the same cells under many laws at one
+characteristic: a law's first table holds the box of every cell and square
+asked at that characteristic since ``clear_memo`` (one working set per
+characteristic), and only a cell past it rebuilds it, about log2 times per
+side as its box grows by powers of two.
 ``tensor_operator`` (Kronecker products of powers) is the tests' reference.
 
 With the columns x-first, k[x, y]/(x^n, y^s) is a prefix of k[x, y]/(x^N,
@@ -70,10 +71,12 @@ from .linalg import (
     _block_offsets,
     _float_exact,
     _partition_from_ranks,
+    _packing,
     _prefix_masks,
     _primitive,
     _require_float_exact,
     _require_operator_dim,
+    _rows,
     canonical_series_operator,
     jordan_partition,
     nilpotent_powers,
@@ -231,7 +234,10 @@ def _table_partition(n: int, m: int, shape: str, law: GeneralizedLaw,
     law.require_degree(n + m - 2)
     _require_operator_dim(n * m)
     tensor, wedge = shape == "tensor", shape == "wedge"
-    if not tensor and not _symmetric(law, n):
+    fp = law.fingerprint()
+    symmetric = _constants_memo.get(("law", fp))
+    # a series symmetric on the whole box is symmetric on every (n, n)
+    if not (tensor or symmetric or _symmetric(law, n)):
         raise InvalidInput("the law's series is not symmetric, so its operator does not "
                            "commute with swapping the tensor factors and induces no map "
                            f"on the square of J_{n}")
@@ -239,9 +245,7 @@ def _table_partition(n: int, m: int, shape: str, law: GeneralizedLaw,
     if not dim:
         return Partition(())
     powers = _law_powers(law, field, n, m)
-    fp = law.fingerprint()
     flip = tensor and (n < m or n == m and powers.shape[2] > powers.shape[1])
-    symmetric = _constants_memo.get(("law", fp))
     if symmetric is None:
         symmetric = _constants_memo["law", fp] = _symmetric(law, law.degree + 1)
     asked = _constants_memo.get(_asked(field), (0, 0))
@@ -254,7 +258,7 @@ def _table_partition(n: int, m: int, shape: str, law: GeneralizedLaw,
             cap = min(cap, law.degree - s + 2 if tensor else law.degree // 2 + 1)
         N = max(long, min(powers.shape[1 + flip] if tensor else min(powers.shape[1:]),
                           max(asked), cap))
-        if not tensor and N > n and not _symmetric(law, N):
+        if not (tensor or N == n or symmetric or _symmetric(law, N)):
             N = n
         column = _constants_memo[key] = N, _column_masks(
             powers.transpose(0, 2, 1) if flip else powers, N, s if tensor else N, shape, field.p)
@@ -270,29 +274,40 @@ def _table_partition(n: int, m: int, shape: str, law: GeneralizedLaw,
 
 def _column_masks(powers: np.ndarray, N: int, side: int, shape: str, p: int) -> list:
     """``_prefix_masks`` of the generators' rows x^i F^j mod (x^N, y^side),
-    from ``powers`` as oriented; a square's are folded, at side == N."""
+    from ``powers`` as oriented; a square's are folded, at side == N.  A
+    cell packs F^(N+side-2), ..., F^0 once (``_rows``) and moves F^j by i
+    side fields for x^i F^j: (row << i side w) & mask over F_p, with w the
+    field width, and a list shift over Q."""
     tensor, wedge = shape == "tensor", shape == "wedge"
-    # F^(N+side-2), ..., F^0, copied once into the rows' dtype and order;
-    # levels[k, g] is x^gens[g] times cell[k]
+    cell = powers[N + side - 2::-1, :N, :side]
+    if tensor:
+        dim, w = N * side, _packing(p, N * side)[0] if p else 0
+        rows, mask = _rows(np.ascontiguousarray(cell).reshape(len(cell), dim), p), (1 << dim * w) - 1
+        levels = ([[row << i * side * w & mask for i in range(side)] for row in rows] if p
+                  else [[([0] * i * side + row)[:dim] for i in range(side)] for row in rows])
+        return _prefix_masks(levels, p, dim)
+    # copied once into the rows' dtype and order; levels[k, g] is x^gens[g]
+    # times cell[k]
     dtype = np.min_scalar_type(p - 1) if p else object
-    cell = np.ascontiguousarray(powers[N + side - 2::-1, :N, :side], dtype=dtype)
-    gens = range(side) if tensor else range(wedge, N, 1 if p == 2 else 2)
+    cell = np.ascontiguousarray(cell, dtype=dtype)
+    gens = range(wedge, N, 1 if p == 2 else 2)
     levels = np.zeros((len(cell), len(gens), N, side), dtype=dtype)
     for g, i in enumerate(gens):
         levels[:, g, i:] = cell[:, :N - i]
     levels, cell = levels.reshape(len(cell), len(gens), N * side), None
-    if not tensor:
-        # the columns a <= b (Sym^2) or a < b (wedge^2), by b and then a
-        b, a = np.nonzero(np.arange(N)[:, None] >= np.arange(N) + wedge)
-        upper, lower = levels.take(a * N + b, axis=2), levels.take(b * N + a, axis=2)
-        if wedge:
-            lower = p - lower
-        else:
-            lower[..., a == b] = 0
-        levels = np.add(upper, lower, dtype=np.min_scalar_type(2 * p) if p else object)
-        if p:
-            np.remainder(levels, p, out=levels)
-    return _prefix_masks(levels, p)
+    # the columns a <= b (Sym^2) or a < b (wedge^2), by b and then a
+    b, a = np.nonzero(np.arange(N)[:, None] >= np.arange(N) + wedge)
+    upper, lower = levels.take(a * N + b, axis=2), levels.take(b * N + a, axis=2)
+    if wedge:
+        lower = p - lower
+    else:
+        lower[..., a == b] = 0
+    levels = np.add(upper, lower, dtype=np.min_scalar_type(2 * p) if p else object)
+    if p:
+        np.remainder(levels, p, out=levels)
+    count, c, dim = levels.shape
+    rows = _rows(levels.reshape(count * c, dim), p)
+    return _prefix_masks([rows[k * c:(k + 1) * c] for k in range(count)], p, dim)
 
 
 def _symmetric(law: GeneralizedLaw, n: int) -> bool:

@@ -304,6 +304,22 @@ def mult_matrix(g: TruncatedPoly) -> Matrix:
     return canonical_series_operator(g.field, blocks, g.num, g.den).T
 
 
+def _check_images(images: Sequence[TruncatedPoly]) -> tuple:
+    """The truncation of the images' algebra: InvalidInput for no images,
+    ShapeMismatch unless every image is a series in its box, one per
+    variable."""
+    if not images:
+        raise InvalidInput("need at least one variable")
+    if type(images[0]) is not TruncatedPoly:
+        raise ShapeMismatch(f"the images must be series, not a {type(images[0]).__name__}")
+    trunc = images[0].trunc
+    if len(images) != len(trunc):
+        raise ShapeMismatch(f"{len(images)} images for {len(trunc)} variables")
+    for g in images:
+        images[0]._check_shape(g)
+    return trunc
+
+
 def endomorphism_matrix(images: Sequence[TruncatedPoly]) -> Matrix:
     """Matrix of the algebra endomorphism Y_i -> images[i] on the monomial basis.
 
@@ -312,13 +328,10 @@ def endomorphism_matrix(images: Sequence[TruncatedPoly]) -> Matrix:
     variable, the last one first: if C holds the columns of the exponents
     with e_j = 0 for all j <= i, the columns with e_j = 0 for all j < i are
     [C, M C, ..., M^(r_i - 1) C] with M = mult_matrix(g_i), in basis order,
-    and the whole matrix costs sum(r_i - 1) products.
+    and the whole matrix costs sum(r_i - 1) products.  Refusals as
+    ``_check_images``.
     """
-    trunc, field = images[0].trunc, images[0].field
-    if len(images) != len(trunc):
-        raise ShapeMismatch(f"{len(images)} images for {len(trunc)} variables")
-    for g in images:
-        images[0]._check_shape(g)
+    trunc, field = _check_images(images), images[0].field
     # the one column of the exponent 0: the constant 1
     columns = Matrix._from_ints(field, np.eye(math.prod(trunc), 1, dtype=np.int64))
     for g, r in zip(reversed(images), reversed(trunc)):
@@ -338,15 +351,8 @@ def build_automorphism(images: Sequence[TruncatedPoly]) -> Matrix:
     r_i = 1, Y_i = 0 and so g_i = 0).  Then g_i = Y_i (xi_i + higher) with
     xi_i != 0, and the map is invertible.
     """
-    if not images:
-        raise InvalidInput("need at least one variable")
-    if type(images[0]) is not TruncatedPoly:
-        raise ShapeMismatch(f"the images must be series, not a {type(images[0]).__name__}")
-    trunc = images[0].trunc
-    if len(images) != len(trunc):
-        raise ShapeMismatch(f"{len(images)} images for {len(trunc)} variables")
+    trunc = _check_images(images)
     for i, g in enumerate(images):
-        images[0]._check_shape(g)
         if g.constant_term() != 0:
             raise NonzeroConstantTerm(f"g_{i + 1} has a constant term")
         if np.any(np.take(g.num, 0, axis=i)):

@@ -347,6 +347,19 @@ def gathered_power_table(field, box, coeffs) -> np.ndarray:
 
 # -- the dict reference of the truncated-series layer -----------------------------
 
+def tensor_levels(powers: np.ndarray, N: int, side: int, p: int) -> np.ndarray:
+    """The rows x^i F^j mod (x^N, y^side), i < side, of a cell's column as one
+    array (levels top power first, generators, N side columns), built by
+    slicing each power down i rows in the narrow dtype: the column route's
+    former construction, the reference of its shifted packed rows."""
+    dtype = np.min_scalar_type(p - 1) if p else object
+    cell = np.ascontiguousarray(powers[N + side - 2::-1, :N, :side], dtype=dtype)
+    levels = np.zeros((len(cell), side, N, side), dtype=dtype)
+    for i in range(side):
+        levels[:, i, i:] = cell[:, :N - i]
+    return levels.reshape(len(cell), side, N * side)
+
+
 class DictSeries:
     """A truncated series in k[Y_1..Y_m]/(Y_i^{r_i}) as a dict from exponent
     tuples to nonzero field elements, with one field operation per pair of

@@ -395,28 +395,53 @@ class TestTable:
         assert data["routes_agree"] is True
 
     def test_v_partitions_come_from_the_certified_representatives(self, monkeypatch):
-        # each representative's type on V is computed once, by the check in
-        # its builder, and once more by the wedge route: the table reads the
-        # certified V_PARTITIONS and computes none itself
-        calls = []
+        # three batches of eight Jordan types and no single one: x and u - 1
+        # on V, checked against the table once each, the coordinate blocks,
+        # and wedge^2 V, whose route reuses the types on V
+        batches = []
+        real = g2.jordan_partitions
 
-        def counted(name):
-            real = getattr(g2, name)
+        def counted(mats):
+            out = real(mats)
+            batches.append(([mat.shape for mat in mats], out))
+            return out
 
-            def wrapper(a):
-                if a.nrows == 7:
-                    calls.append(name)
-                return real(a)
-            return wrapper
+        def refuse(*args):
+            pytest.fail("the table computed a single Jordan type")
 
+        monkeypatch.setattr(g2, "jordan_partitions", counted)
         for name in ("jordan_partition", "unipotent_partition"):
-            monkeypatch.setattr(g2, name, counted(name))
+            monkeypatch.setattr(g2, name, refuse)
         rows = g2_table(5)
         assert [row.v_partition for row in rows] == [V_PARTITIONS[o] for o in ORBITS]
-        # jordan: 4 nilpotent builders, G2a1's again inside its unipotent
-        # builder, 4 wedge routes; unipotent: 4 builders, 4 wedge routes
-        assert calls.count("jordan_partition") == 9
-        assert calls.count("unipotent_partition") == 8
+        assert [shapes for shapes, _ in batches] == [[(7, 7)] * 8, [(14, 14)] * 8,
+                                                     [(21, 21)] * 8]
+        assert batches[0][1] == [V_PARTITIONS[o] for o in ORBITS] * 2
+        assert batches[1][1] == [row.adjoint_nilpotent for row in rows] + [
+            row.adjoint_unipotent for row in rows]
+
+    def test_table_keeps_every_check(self, monkeypatch):
+        # the representatives' types on V, the form and the unipotency of u
+        # are checked in the table as in the builders: a wrong type from
+        # the V batch, an exponential that scales the form, and -1, which
+        # keeps the form but leaves -2 (not nilpotent) as u - 1
+        real = g2.jordan_partitions
+
+        def wrong_v(mats):
+            out = real(mats)
+            return [Partition((7,))] * len(out) if mats[0].nrows == 7 else out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(g2, "jordan_partitions", wrong_v)
+            with pytest.raises(AlgebraError, match="A1 representative has Jordan type"):
+                g2_table(5)
+        for scale, error, match in ((2, AlgebraError, "does not preserve the form"),
+                                    (-1, NotUnipotent, "not nilpotent")):
+            with monkeypatch.context() as patch:
+                patch.setattr(g2, "exp_nilpotent",
+                              lambda y, c=scale: Matrix.identity(y.field, y.nrows).scale(c))
+                with pytest.raises(error, match=match):
+                    g2_table(5)
 
     def test_adjoint_dimension_is_14(self):
         for row in g2_table(5):

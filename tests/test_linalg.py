@@ -351,9 +351,10 @@ class TestEchelonKernel:
             assert (linalg._unpack(rows, 9, w) == a).all()
             assert Matrix(GF(p), a).rank() == rref_rank_mod(a, p)
         assert linalg._pack(np.zeros((7, 0), dtype=np.int64), w) == []
-        levels = rng.integers(0, p, size=(4, 2, 9)).astype(linalg._field_dtype(w))
-        want = [rref_rank_mod(levels[:k].reshape(-1, 9).astype(np.int64), p) for k in range(5)]
-        masks = linalg._prefix_masks(levels, p)
+        levels = rng.integers(0, p, size=(4, 2, 9))
+        want = [rref_rank_mod(levels[:k].reshape(-1, 9), p) for k in range(5)]
+        rows = linalg._rows(levels.reshape(8, 9), p)
+        masks = linalg._prefix_masks([rows[2 * k:2 * k + 2] for k in range(4)], p, 9)
         assert [mask.bit_count() for mask in masks[::-1]] == want
 
     @staticmethod
@@ -488,9 +489,10 @@ class TestChainAgainstOracle:
         seen = []
         prefix_masks = linalg._prefix_masks
 
-        def spy(levels, p):
-            masks = prefix_masks(levels, p)
-            seen.append((levels, [mask.bit_count() for mask in masks]))
+        def spy(levels, p, dim):
+            masks = prefix_masks(levels, p, dim)
+            seen.append((np.array(levels, dtype=object).reshape(len(levels), -1, dim),
+                         [mask.bit_count() for mask in masks]))
             return masks
 
         monkeypatch.setattr(linalg, "_prefix_masks", spy)
@@ -507,7 +509,7 @@ class TestChainAgainstOracle:
             assert all(row in n.num.tolist() for row in levels[-1].tolist())
             assert all(math.gcd(*row) in (0, 1) for row in levels[:-1].reshape(-1, dim).tolist())
             assert ranks[0] == n.rank() == dim - len(lam)
-            assert ranks == linalg._power_ranks(n) == ranks_of_type(lam)
+            assert [ranks] == power_ranks(n) == [ranks_of_type(lam)]
 
 
 #: small primes, and each width edge of packed rows (``FIELD_WIDTHS``) whose
@@ -515,6 +517,11 @@ class TestChainAgainstOracle:
 KRYLOV_PRIMES = [2, 3, 5, 7, 11, 127, 131, 32749, 32771]
 #: the same over Q as well (characteristic 0)
 KRYLOV_FIELDS = KRYLOV_PRIMES + [0]
+
+
+def power_ranks(*mats) -> list:
+    """``linalg._power_ranks`` of the stack of the matrices' numerators."""
+    return linalg._power_ranks(np.stack([mat.num for mat in mats]), mats[0].field.p)
 
 
 def ranks_of_type(lam) -> list:
@@ -545,7 +552,7 @@ class TestKrylovRanks:
     @staticmethod
     def check(n, lam):
         assert jordan_partition(n) == full_power_partition(n) == lam
-        assert linalg._power_ranks(n) == ranks_of_type(lam)
+        assert power_ranks(n) == [ranks_of_type(lam)]
 
     @pytest.mark.parametrize("p", KRYLOV_FIELDS)
     def test_seeded_conjugates(self, p):
@@ -584,7 +591,7 @@ class TestKrylovRanks:
             with pytest.raises(NotNilpotent):
                 jordan_partition(n)
             with pytest.raises(NotNilpotent):
-                linalg._power_ranks(n)
+                power_ranks(n)
             with pytest.raises(NotNilpotent):
                 full_power_partition(n)
 
@@ -596,27 +603,112 @@ class TestKrylovRanks:
 
     @pytest.mark.parametrize("p", [2, 5])
     def test_one_elimination_whatever_the_index(self, p, monkeypatch):
-        # one echelon form of N, then one product per level R_2, ..., R_e
+        # the stack packed once and its levels packed once, then one stacked
+        # product per level R_2, ..., R_e of the deepest member
         field, rng = GF(p), random.Random(p)
-        cases = [(lam, random_conjugate(field, lam, rng))
+        cases = [[(lam, random_conjugate(field, lam, rng))]
                  for lam in [(1,), (2,), (4, 1), (7, 7), (12,), (20, 1, 1)]]
-        calls = {"echelon": 0, "product": 0}
-        echelon, matmul_mod = linalg._echelon, linalg._matmul_mod
+        cases.append([(lam, random_conjugate(field, lam, rng))
+                      for lam in [(2, 2, 2, 1), (7,), (1,) * 7, (4, 3)]])
+        calls = {"pack": 0, "product": 0}
+        pack, matmul_mod = linalg._pack, linalg._matmul_mod
 
-        def echelon_spy(*args):
-            calls["echelon"] += 1
-            return echelon(*args)
+        def pack_spy(*args):
+            calls["pack"] += 1
+            return pack(*args)
 
         def product_spy(*args):
             calls["product"] += 1
             return matmul_mod(*args)
 
-        monkeypatch.setattr(linalg, "_echelon", echelon_spy)
+        monkeypatch.setattr(linalg, "_pack", pack_spy)
         monkeypatch.setattr(linalg, "_matmul_mod", product_spy)
-        for lam, n in cases:
-            calls.update(echelon=0, product=0)
-            assert jordan_partition(n) == lam
-            assert calls == {"echelon": 1, "product": max(lam) - 1}, lam
+        for case in cases:
+            calls.update(pack=0, product=0)
+            lams, mats = zip(*case)
+            assert linalg.jordan_partitions(mats) == list(lams)
+            assert calls == {"pack": 2, "product": max(map(max, lams)) - 1}, lams
+
+
+#: the batch's fields: small primes, a prime of 64-bit fields, and Q
+BATCH_FIELDS = [2, 3, 5, 13, 32771, 0]
+
+
+@st.composite
+def batch_types(draw):
+    """One to six partitions of one dimension up to 9, of mixed index."""
+    dim = draw(st.integers(1, 9))
+    lams = []
+    for _ in range(draw(st.integers(1, 6))):
+        parts, left = [], dim
+        while left:
+            parts.append(draw(st.integers(1, left)))
+            left -= parts[-1]
+        lams.append(Partition(sorted(parts, reverse=True)))
+    return lams
+
+
+class TestBatchedPartitions:
+    """``jordan_partitions`` of a stack against the full-power oracle, member
+    by member, and its refusals."""
+
+    @staticmethod
+    def check(mats, lams):
+        assert linalg.jordan_partitions(mats) == [full_power_partition(n) for n in mats] == lams
+        assert power_ranks(*mats) == [ranks_of_type(lam) for lam in lams]
+
+    @pytest.mark.parametrize("p", BATCH_FIELDS)
+    def test_seeded_stacks(self, p):
+        # canonical and conjugated members of every index at one dimension,
+        # in either order, so that each member's complement is the widest
+        # in some stack and the narrowest in another
+        field, rng = Field(p), random.Random(4000 + p)
+        for lams in [[(7,), (4, 3), (1,) * 7, (2, 2, 2, 1), (5, 1, 1), (3, 3, 1)],
+                     [(12,), (1,) * 12], [(6, 6), (9, 2, 1), (4, 4, 4)], [(1,)], [(3,)]]:
+            lams = [Partition(lam) for lam in lams]
+            mats = [random_conjugate(field, lam, rng) for lam in lams]
+            mats += [nilpotent_from_partition(field, lam) for lam in lams]
+            self.check(mats, lams + lams)
+            self.check(mats[::-1], (lams + lams)[::-1])
+        n = random_conjugate(field, (5, 2), rng)
+        assert linalg.jordan_partitions([n]) == [jordan_partition(n)] == [(5, 2)]
+        empty = Matrix.zeros(field, 0, 0)
+        assert linalg.jordan_partitions([empty] * 3) == [()] * 3
+        assert full_power_partition(empty) == ()
+
+    @given(batch_types(), st.sampled_from(BATCH_FIELDS), st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_stacks_match_oracle(self, lams, p, seed):
+        field, rng = Field(p), random.Random(seed)
+        self.check([random_conjugate(field, lam, rng) for lam in lams], lams)
+
+    @pytest.mark.parametrize("p", BATCH_FIELDS)
+    def test_one_member_not_nilpotent(self, p):
+        # any member that is not nilpotent refuses the whole stack, wherever
+        # it stands among nilpotent members of every index
+        field, rng = Field(p), random.Random(p)
+        for bad in TestKrylovRanks.not_nilpotent(field, rng):
+            dim = bad.nrows
+            good = [nilpotent_from_partition(field, (dim,)),
+                    random_conjugate(field, (1,) * dim, rng)]
+            for at in range(3):
+                with pytest.raises(NotNilpotent):
+                    linalg.jordan_partitions(good[:at] + [bad] + good[at:])
+
+    def test_mixed_stacks_and_no_matrices(self):
+        n5 = jordan_block(GF(5), 3)
+        for other in (jordan_block(GF(5), 4), Matrix.zeros(GF(5), 3, 2), jordan_block(GF(7), 3),
+                      jordan_block(QQ, 3), TruncatedPoly(GF(5), (3, 3), {(0, 1): 1}), "J_3"):
+            with pytest.raises(ShapeMismatch):
+                linalg.jordan_partitions([n5, other])
+            with pytest.raises(ShapeMismatch):
+                linalg.jordan_partitions([n5, n5, other])
+            with pytest.raises(ShapeMismatch):
+                linalg.jordan_partitions([other, n5])
+        with pytest.raises(InvalidInput):
+            linalg.jordan_partitions([])
+        with pytest.raises(linalg.NotSquare):
+            linalg.jordan_partitions([Matrix.zeros(GF(5), 2, 3)] * 2)
 
 
 class TestRationalKernel:
@@ -1026,8 +1118,8 @@ class TestTypedPostconditions:
     def test_partition_dimension_check(self, monkeypatch):
         # kernel dimensions 1, 3 of a 3x3 operator jump by 2 after a jump of
         # 1, which no nilpotent allows: their conjugate is (2), not of size 3
-        def wrong_ranks(n_mat):
-            yield from (2, 0)
+        def wrong_ranks(stack, p):
+            return [[2, 0]]
 
         monkeypatch.setattr(linalg, "_power_ranks", wrong_ranks)
         with pytest.raises(AlgebraError, match="partition of 2, not 3"):

@@ -67,6 +67,7 @@ from oracles import (
     operator_power_partition,
     operator_square_partition,
     random_invertible,
+    tensor_levels,
 )
 
 F2, F3, F5, F7 = GF(2), GF(3), GF(5), GF(7)
@@ -831,6 +832,29 @@ class TestSquareRoute:
                 square_constants(4, shape, law)
         assert not repring._constants_memo
 
+    def test_symmetry_is_read_from_the_memo(self, monkeypatch):
+        # the series is checked at n only where it is not symmetric on the
+        # law's whole box, which is memoized at the first square with a
+        # column: once for a symmetric law, at every miss for a law skew
+        # above degree 6 (whose squares up to J_4 answer)
+        calls = []
+        symmetric = repring._symmetric
+
+        def spy(law, n):
+            calls.append(n)
+            return symmetric(law, n)
+
+        monkeypatch.setattr(repring, "_symmetric", spy)
+        skew = skewed_above(F5, 6, 24, random.Random("skewed-above"))
+        for law, want in ((random_fgl(3, 24, F5), [1, 25]),
+                          (skew, [1, 25, 1, 2, 2, 3, 3, 4, 4])):
+            repring.clear_memo()
+            calls.clear()
+            for n in range(1, 5):
+                for shape in ("sym", "wedge"):
+                    square_constants(n, shape, law)
+            assert calls == want
+
     def test_no_operator_is_built(self, monkeypatch):
         laws = [additive(F2), multiplicative(F5), scaled_multiplicative(F7, F7(3)),
                 random_fgl(5, 14, QQ)]
@@ -893,9 +917,10 @@ class TestSquareRoute:
         seen = []
         masks = repring._prefix_masks
 
-        def spy(levels, q):
-            seen.append(levels.tolist())
-            return masks(levels, q)
+        def spy(levels, q, dim):
+            w = linalg._packing(q, dim)[0]
+            seen.append([linalg._unpack(rows, dim, w).tolist() for rows in levels])
+            return masks(levels, q, dim)
 
         monkeypatch.setattr(repring, "_prefix_masks", spy)
         field = GF(p)
@@ -1018,6 +1043,35 @@ class TestColumnRoute:
     """Cells J_n (x) J_s and squares of J_n for every n <= N from one
     elimination at N: the prefix counts, the transposed read and the
     extent rule, and answers that do not depend on what the memo holds."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 131, 32771, 0])
+    def test_shifted_rows_match_the_sliced_levels(self, p, monkeypatch):
+        # the packed rows x^i F^j of every cell's column, row by row, and its
+        # masks, against the levels sliced as arrays (``tensor_levels``),
+        # packed by the kernel's own ``_rows``: both orientations of a skew
+        # law's table, every N <= 8 and short side s <= N
+        field = GF(p) if p else QQ
+        law = random_generalized_law(p, 16, field, unit_linear=True)
+        repring.clear_memo()
+        table = repring._law_powers(law, field, 8, 8)
+        seen = []
+        masks = repring._prefix_masks
+
+        def spy(levels, q, dim):
+            seen.append(levels)
+            return masks(levels, q, dim)
+
+        monkeypatch.setattr(repring, "_prefix_masks", spy)
+        for powers in (table, table.transpose(0, 2, 1)):
+            for N, side in ((N, s) for N in range(1, 9) for s in range(1, N + 1)):
+                want = tensor_levels(powers, N, side, p)
+                count, gens, dim = want.shape
+                rows = linalg._rows(want.reshape(count * gens, dim), p)
+                levels = [rows[k * gens:(k + 1) * gens] for k in range(count)]
+                seen.clear()
+                assert repring._column_masks(powers, N, side, "tensor", p) == masks(
+                    levels, p, dim), (N, side)
+                assert seen == [levels], (N, side)
 
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_one_column_per_short_side(self, symmetric, monkeypatch):

@@ -271,6 +271,19 @@ class TestBuildAutomorphism:
         with pytest.raises(error):
             build_automorphism(images(y, z))
 
+    @pytest.mark.parametrize("images, error", [
+        ([], InvalidInput),
+        ([Matrix.identity(F5, 2)] * 2, ShapeMismatch),
+        ([var(F5, (3, 3), 0), Matrix.identity(F5, 2)], ShapeMismatch),
+        ([var(F5, (3, 3), 0)], ShapeMismatch),
+    ], ids=["none", "matrices", "a-matrix-second", "count"])
+    def test_endomorphism_refusals(self, images, error):
+        # the endomorphism's own refusals, typed as the automorphism's
+        with pytest.raises(error):
+            endomorphism_matrix(images)
+        with pytest.raises(error):
+            build_automorphism(images)
+
     def test_a_term_in_a_variable_of_size_one_is_refused(self):
         # no term of k[Y, Z]/(Y, Z^3) is divisible by Y
         with pytest.raises(InvalidInput):
