@@ -120,6 +120,10 @@ MUTANTS = [
            "row << i * side * w & mask", "row << max(i * side - 1, 0) * w & mask",
            (CELL_TESTS + "test_seeded_cells",
             COLUMN_TESTS + "test_shifted_rows_match_the_sliced_levels")),
+    # every level's rows listed before the first goes into the echelon
+    Mutant("cell-levels-held", REPRING,
+           "return _prefix_masks(levels, p, dim)", "return _prefix_masks(list(levels), p, dim)",
+           (COLUMN_TESTS + "test_cell_column_streams_its_levels",)),
     # the top power F^(N+s-2) dropped: one Jordan block loses its top vector
     Mutant("cell-levels-short", REPRING,
            "powers[N + side - 2::-1", "powers[N + side - 3::-1",
@@ -286,17 +290,23 @@ MUTANTS = [
            (SQUARE_TESTS + "test_seeded_squares",)),
     # folds onto (1 + s)A, not the wedge: wrong wherever p != 2
     Mutant("square-wedge-sign-plus", REPRING,
-           "lower = p - lower", "lower = lower",
+           "(p - flat if wedge else flat)", "flat",
            (SQUARE_TESTS + "test_seeded_squares",)),
     # 2 c_aa on the diagonal: a column scale at p != 2, a zero column at p = 2
     Mutant("square-sym-diagonal-doubled", REPRING,
-           "lower[..., a == b] = 0", "pass",
+           "((b + shift) * N + a) * (a != b)", "((b + shift) * N + a)",
            (SQUARE_TESTS + "test_seeded_squares",)),
     # the folded sum in the rows' own width: up to 2p - 1 wraps past 255 at
     # p = 251, which no answer shows, as p > 2n - 1 keeps the generic types
     Mutant("square-fold-narrow-sum", REPRING,
            "np.min_scalar_type(2 * p)", "np.min_scalar_type(p - 1)",
            (SQUARE_TESTS + "test_folded_rows_match_a_python_fold",)),
+    # J_2 (x) J_2 in the memo answers J_2.0 (x) J_2, as 2.0 hashes as 2
+    Mutant("constants-memo-before-block-check", REPRING,
+           "    if type(n) is not int or type(m) is not int:\n"
+           "        n, m = _block_size(n), _block_size(m)\n", "",
+           ("tests/test_repring.py::TestStructureConstants::"
+            "test_non_integer_block_sizes_cold_and_warm",)),
     # a table with every power past F^0 zero then reads as t = 0
     Mutant("span-postcondition-removed", REPRING,
            "if ranks[0] != dim:", "if False:",
@@ -311,10 +321,10 @@ MUTANTS = [
     Mutant("square-any-law", REPRING,
            "if not (tensor or symmetric or _symmetric(law, n)):", "if False:",
            (SQUARE_TESTS + "test_non_symmetric_law",)),
-    # x^a y^a twice for every column: Sym^2 doubled off the diagonal, so a
+    # x^a y^b twice for every column: Sym^2 doubled off the diagonal, so a
     # zero column at p = 2, and wedge^2 zero
     Mutant("square-fold-lower-is-upper", REPRING,
-           "levels.take(b * N + a, axis=2)", "levels.take(a * N + b, axis=2)",
+           "((b + shift) * N + a) * (a != b)", "((a + shift) * N + b) * (a != b)",
            (SQUARE_TESTS + "test_seeded_squares",)),
     # Sym^2 J_3 of an F_7 law answered over F_3: the cells check the field,
     # the block powers read the law's own
@@ -400,6 +410,11 @@ MUTANTS = [
            "    for orbit, part in zip(ORBITS + ORBITS, v_parts):\n        _require_partition(orbit, part)\n",
            "",
            ("tests/test_g2.py::TestTable::test_table_keeps_every_check",)),
+    # a model at p answers with the closure cached by another model at p
+    Mutant("g2-subalgebra-cached-per-p", G2,
+           "_subalgebra_cache.get(model)",
+           "next((v for k, v in _subalgebra_cache.items() if k.p == model.p), None)",
+           ("tests/test_g2.py::TestLieClosure::test_subalgebra_is_cached_per_model",)),
     # 1 and 2 * 1 stabilize the span, so the direct route answers (1^14)
     Mutant("g2-skips-nilpotency-check", G2,
            "        if power.any():\n", "        if False:\n",

@@ -167,13 +167,13 @@ _subalgebra_cache: dict = {}
 
 
 def g2_subalgebra(model: SO7Model) -> list:
-    """The 14-dimensional bracket closure of the four generators (cached per p)."""
-    basis = _subalgebra_cache.get(model.p)
+    """The 14-dimensional bracket closure of the four generators (cached per model)."""
+    basis = _subalgebra_cache.get(model)
     if basis is None:
         basis = lie_closure(g2_generators(model))
         if len(basis) != 14:
             raise AlgebraError(f"closure has dimension {len(basis)}, expected 14")
-        _subalgebra_cache[model.p] = basis
+        _subalgebra_cache[model] = basis
     return basis
 
 

@@ -755,18 +755,18 @@ def _primitive(rows: np.ndarray) -> np.ndarray:
     return rows // np.array(gcds, dtype=object)[:, None]
 
 
-def _prefix_masks(levels: Sequence[list], p: int, dim: int) -> list:
+def _prefix_masks(levels: Iterable[list], p: int, dim: int) -> list:
     """masks[l]: the leads of the pivots of the levels j >= l of ``levels``,
-    each a list of rows of length ``dim`` as ``_insert_rows`` takes them,
-    top power j = count - 1 first, as the bits of one int; masks[count] is
-    0.  A pivot is zero before its lead, so the rank of the rows of those
-    levels cut to their first K columns is (masks[l] & ((1 << K) - 1))
-    .bit_count(), and masks[l].bit_count() is their rank.
+    lists of rows of length ``dim`` as ``_insert_rows`` takes them, from any
+    iterable, top power j = count - 1 first, as the bits of one int;
+    masks[count] is 0.  A pivot is zero before its lead, so the rank of the
+    rows of those levels cut to their first K columns is (masks[l] &
+    ((1 << K) - 1)).bit_count(), and masks[l].bit_count() is their rank.
 
-    The levels go into one echelon (``_insert_rows``) one at a time, so no
-    row is reduced twice.  The echelon keeps its pivots in the order of
-    insertion, so each mask is the OR of the bits of the leads up to the
-    pivot count after its level.
+    The levels go into one echelon (``_insert_rows``) as they are yielded,
+    so no row is reduced twice and a generator's levels are never all held.
+    The echelon keeps its pivots in the order of insertion, so each mask is
+    the OR of the bits of the leads up to the pivot count after its level.
     """
     pivots, ends = {}, [0]
     for rows in levels:

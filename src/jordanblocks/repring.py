@@ -275,34 +275,30 @@ def _table_partition(n: int, m: int, shape: str, law: GeneralizedLaw,
 def _column_masks(powers: np.ndarray, N: int, side: int, shape: str, p: int) -> list:
     """``_prefix_masks`` of the generators' rows x^i F^j mod (x^N, y^side),
     from ``powers`` as oriented; a square's are folded, at side == N.  A
-    cell packs F^(N+side-2), ..., F^0 once (``_rows``) and moves F^j by i
-    side fields for x^i F^j: (row << i side w) & mask over F_p, with w the
-    field width, and a list shift over Q."""
+    cell packs F^(N+side-2), ..., F^0 once (``_rows``) and yields a level at
+    a time, x^i F^j as (row << i side w) & mask over F_p, with w the field
+    width, and a list shift over Q.  A square gathers x^i F^j at (a, b) as
+    F^j[a - i, b] + or - F^j[b - i, a] (Sym^2 off the diagonal, wedge^2),
+    in a dtype that holds 2p - 1, from the powers flattened below zero rows
+    that a negative row reads, and packs all its levels at once."""
     tensor, wedge = shape == "tensor", shape == "wedge"
     cell = powers[N + side - 2::-1, :N, :side]
     if tensor:
         dim, w = N * side, _packing(p, N * side)[0] if p else 0
         rows, mask = _rows(np.ascontiguousarray(cell).reshape(len(cell), dim), p), (1 << dim * w) - 1
-        levels = ([[row << i * side * w & mask for i in range(side)] for row in rows] if p
-                  else [[([0] * i * side + row)[:dim] for i in range(side)] for row in rows])
+        levels = (([row << i * side * w & mask for i in range(side)] for row in rows) if p
+                  else ([([0] * i * side + row)[:dim] for i in range(side)] for row in rows))
         return _prefix_masks(levels, p, dim)
-    # copied once into the rows' dtype and order; levels[k, g] is x^gens[g]
-    # times cell[k]
-    dtype = np.min_scalar_type(p - 1) if p else object
-    cell = np.ascontiguousarray(cell, dtype=dtype)
-    gens = range(wedge, N, 1 if p == 2 else 2)
-    levels = np.zeros((len(cell), len(gens), N, side), dtype=dtype)
-    for g, i in enumerate(gens):
-        levels[:, g, i:] = cell[:, :N - i]
-    levels, cell = levels.reshape(len(cell), len(gens), N * side), None
-    # the columns a <= b (Sym^2) or a < b (wedge^2), by b and then a
+    flat = np.zeros((len(cell), 2 * N, N), dtype=np.min_scalar_type(2 * p) if p else object)
+    flat[:, N:] = cell
+    flat = flat.reshape(len(cell), -1)
+    # the columns a <= b (Sym^2) or a < b (wedge^2), by b and then a; below
+    # N zero rows, F^j[a - i, b] is at (a + N - i) N + b, and the Sym^2
+    # diagonal's second term reads the zero at 0
     b, a = np.nonzero(np.arange(N)[:, None] >= np.arange(N) + wedge)
-    upper, lower = levels.take(a * N + b, axis=2), levels.take(b * N + a, axis=2)
-    if wedge:
-        lower = p - lower
-    else:
-        lower[..., a == b] = 0
-    levels = np.add(upper, lower, dtype=np.min_scalar_type(2 * p) if p else object)
+    shift = N - np.arange(wedge, N, 1 if p == 2 else 2)[:, None]
+    levels = flat.take((a + shift) * N + b, axis=1)
+    levels += (p - flat if wedge else flat).take(((b + shift) * N + a) * (a != b), axis=1)
     if p:
         np.remainder(levels, p, out=levels)
     count, c, dim = levels.shape
@@ -419,8 +415,11 @@ _constants_memo: dict = {}
 def structure_constants(n: int, m: int, law: GeneralizedLaw, field: Field) -> RingElement:
     """Class of J_n (x)_F J_m under any law with invertible linear part,
     memoized on (n, m, law, characteristic): each miss calls the module
-    attribute ``tensor_partition`` once, which reads the law's columns."""
+    attribute ``tensor_partition`` once, which reads the law's columns; a
+    block size other than an int is checked first, as 2.0 hashes as 2."""
     _require_field(law, field)
+    if type(n) is not int or type(m) is not int:
+        n, m = _block_size(n), _block_size(m)
     key = (n, m, law.fingerprint())
     hit = _constants_memo.get(key)
     if hit is not None:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -117,6 +118,17 @@ class TestLieClosure:
         monkeypatch.setattr(g2, "lie_closure", list)
         with pytest.raises(AlgebraError, match="dimension 4, expected 14"):
             g2_subalgebra(model)
+
+    def test_subalgebra_is_cached_per_model(self, monkeypatch):
+        # y_1 and y_2 swapped close to 21 dimensions, cold and after the
+        # model at the same p has cached its 14
+        monkeypatch.setattr(g2, "_subalgebra_cache", {})
+        model = build_so7_model(5)
+        swapped = dataclasses.replace(model, y=(model.y[1], model.y[0], model.y[2]))
+        for _ in ("cold", "warm"):
+            with pytest.raises(AlgebraError, match="dimension 21, expected 14"):
+                g2_subalgebra(swapped)
+            assert len(g2_subalgebra(model)) == 14
 
     def test_g2_dimension_other_primes(self):
         for p in (5, 11, 13):

@@ -249,6 +249,16 @@ class TestStructureConstants:
             structure_constants(n, m, law, F5)
         assert calls == [((3,), (9,)), ((3,), (4,)), ((9,), (3,)), ((2,), (2,)), ((4,), (3,))]
 
+    @pytest.mark.parametrize("n, m", [(2.0, 2), (2, 2.0)])
+    def test_non_integer_block_sizes_cold_and_warm(self, n, m):
+        # 2.0 hashes as 2, so J_2 (x) J_2 in the memo must not answer it
+        law = additive(F5)
+        repring.clear_memo()
+        for _ in ("cold", "warm"):
+            with pytest.raises(InvalidInput, match="must be integers"):
+                structure_constants(n, m, law, F5)
+            assert structure_constants(2, 2, law, F5) == RingElement({3: 1, 1: 1})
+
     def test_dimension_check_is_a_typed_error(self, monkeypatch):
         # a brute force that lost a dimension must not reach the memo
         monkeypatch.setattr(repring, "tensor_partition", lambda *args: Partition((5,)))
@@ -1058,6 +1068,8 @@ class TestColumnRoute:
         masks = repring._prefix_masks
 
         def spy(levels, q, dim):
+            # the column hands its levels over one at a time
+            levels = list(levels)
             seen.append(levels)
             return masks(levels, q, dim)
 
@@ -1163,6 +1175,44 @@ class TestColumnRoute:
         repring.clear_memo()
         for request, want in zip(requests, cold):
             assert ask(law, request) == want, (name, request)
+
+    @staticmethod
+    def column_peak(N, shape, law):
+        """The tracemalloc peak of building the column of J_N's cells or
+        squares from the law's table, which is built before the trace."""
+        repring.clear_memo()
+        powers = repring._law_powers(law, law.field, N, N)
+        tracemalloc.start()
+        try:
+            masks = repring._column_masks(powers, N, N, shape, law.field.p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return masks, peak
+
+    def test_cell_column_streams_its_levels(self):
+        # J_32 (x) J_32 at p = 5 has 63 levels of 32 rows of 1024 16-bit
+        # fields, 3.9 MiB as packed ints: the levels go to the echelon one
+        # at a time, which peaks at 2.1 MiB, where listing them all first
+        # peaks at 4.9 MiB
+        law = multiplicative(F5)
+        masks, peak = self.column_peak(32, "tensor", law)
+        assert peak < 63 * 32 * 1024 * 16 // 8
+        want = RingElement.from_partition(gathered_tensor_partition(F5, (32,), (32,), law.coeffs))
+        assert RingElement.from_partition(
+            linalg._partition_from_ranks([m.bit_count() for m in masks[1:]], 1024)) == want
+
+    @pytest.mark.parametrize("shape", ["sym", "wedge"])
+    def test_square_column_holds_no_level_stack(self, shape):
+        # a stack of the square of J_32 at p = 2 is 63 levels x 32
+        # generators x 32 x 32 entries (2 MiB as uint8); built, taken at its
+        # columns twice and summed, it peaks at 2.5 stacks.  The gathers
+        # from the powers hold the folded rows and one gather of their size,
+        # each about half a stack, and their indices: 1.15 stacks
+        law = multiplicative(F2)
+        gens = len(range(shape == "wedge", 32))
+        _, peak = self.column_peak(32, shape, law)
+        assert peak < 1.5 * 63 * gens * 32 * 32
 
 
 def table_builds(monkeypatch) -> list:
