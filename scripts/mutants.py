@@ -66,6 +66,7 @@ QUOTIENT_TESTS = "tests/test_repring.py::TestQuotientClass::"
 FOLD_TESTS = "tests/test_repring.py::TestFold::"
 G2_BATCH_TESTS = "tests/test_g2.py::TestBatchedRoutes::"
 BATCH_TESTS = "tests/test_linalg.py::TestBatchedPartitions::"
+COUNT_TESTS = "tests/test_integer_arguments.py::"
 
 MUTANTS = [
     # 4 * bits + 1 would pick the same width as 4 * bits + 2 for every p:
@@ -239,17 +240,27 @@ MUTANTS = [
            ("tests/test_fields.py::TestSupportedRange::test_primes_past_the_bound_are_refused",)),
     # Field(5.0) passes as F_5 with float elements
     Mutant("field-any-characteristic", FIELDS,
-           "characteristic = operator.index(characteristic)",
+           'characteristic = _count(characteristic, None, "the characteristic")',
            "characteristic = characteristic",
            ("tests/test_fields.py::TestField::test_non_integer_characteristics_are_refused",)),
     # the exponent (1.5, 0) is read as (1, 0) by the coefficient arrays
     Mutant("law-any-exponent", FGL,
-           "a, b = operator.index(a), operator.index(b)", "a, b = a, b",
+           'a, b = (_count(e, 0, "an exponent", InvalidLaw) for e in (a, b))', "a, b = a, b",
            ("tests/test_fgl.py::TestValidation::test_non_integer_exponents_are_refused",)),
     # the last row of every chunk is never packed
     Mutant("pack-chunk-short", LINALG,
            "chunk = a[lo:lo + _PACK_ROWS]", "chunk = a[lo:lo + _PACK_ROWS - 1]",
            ("tests/test_linalg.py::TestEchelonKernel::test_pack_chunk_boundaries",)),
+    # True passes as the count 1: Partition((True,)) is (1,)
+    Mutant("count-takes-bool", FIELDS,
+           "index = None if isinstance(value, bool) else operator.index(value)",
+           "index = operator.index(value)",
+           (COUNT_TESTS + "test_refused_with_the_typed_error",)),
+    # a numpy integer at the least value is refused: Partition((np.int64(1),))
+    Mutant("count-least-exclusive", FIELDS,
+           "if index is None or least is not None and index < least:",
+           "if index is None or least is not None and index <= least:",
+           (COUNT_TESTS + "test_numpy_integers_pass",)),
     # 2047 = 23 * 89 is a strong pseudoprime to the base 2
     Mutant("one-witness", FIELDS,
            "_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)",
@@ -304,7 +315,7 @@ MUTANTS = [
     # J_2 (x) J_2 in the memo answers J_2.0 (x) J_2, as 2.0 hashes as 2
     Mutant("constants-memo-before-block-check", REPRING,
            "    if type(n) is not int or type(m) is not int:\n"
-           "        n, m = _block_size(n), _block_size(m)\n", "",
+           '        n, m = _count(n, 1, "a block size"), _count(m, 1, "a block size")\n', "",
            ("tests/test_repring.py::TestStructureConstants::"
             "test_non_integer_block_sizes_cold_and_warm",)),
     # a table with every power past F^0 zero then reads as t = 0

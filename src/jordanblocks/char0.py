@@ -11,7 +11,6 @@ J_n (x) J_m and the sl_2 plethysm for Sym^2 J_n and wedge^2 J_n.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from math import factorial, prod
 
@@ -19,12 +18,12 @@ from .errors import (
     AlgebraError,
     BlocksNotAllOdd,
     ExponentDivisible,
-    InvalidInput,
     NotContained,
     NotDistinguished,
     UnknownType,
 )
 from .classical import adjoint_partition, check_kind
+from .fields import _count
 from .linalg import Partition, _fields_json
 from .repring import cg_square, cg_tensor
 
@@ -83,9 +82,11 @@ def lie_algebra_dim(family: str, rank: int) -> int:
 
 
 def exponents(family: str, rank: int | None = None) -> WeylTypeData:
-    """Built-in exponent lists, validated against |W| and the root count."""
+    """Built-in exponent lists, validated against |W| and the root count;
+    UnknownType for a rank other than None that is not an integer >= 0."""
     if family not in FAMILIES:
         raise UnknownType(f"unknown family {family!r}")
+    rank = None if rank is None else _count(rank, 0, "a rank", UnknownType)
     if family in _EXCEPTIONAL_EXPONENTS:
         expected_rank = _EXCEPTIONAL_RANK[family]
         if rank not in (None, expected_rank):
@@ -93,7 +94,7 @@ def exponents(family: str, rank: int | None = None) -> WeylTypeData:
         rank = expected_rank
         exps = _EXCEPTIONAL_EXPONENTS[family]
     else:
-        if rank is None or rank < 0:
+        if rank is None:
             raise UnknownType("classical families need a non-negative rank")
         if family == "A":
             exps = tuple(range(1, rank + 1))
@@ -138,8 +139,7 @@ def springer_condition(ad) -> bool:
 def predict_blocks(data, n: int) -> Partition:
     """Block sizes 2f_i + 1 with f_i = -e_i mod (n+1), each in 1..n.  An n
     that is not an integer >= 0 raises InvalidInput."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
-        raise InvalidInput(f"n must be an integer >= 0, got {n!r}")
+    n = _count(n, 0, "n")
     exps = data.exponents if isinstance(data, WeylTypeData) else tuple(data)
     modulus = n + 1
     blocks = []

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CharTwo, InvalidInput
-from .fields import Field
+from .fields import Field, _count
 from .fgl import GeneralizedLaw, additive, multiplicative
 from .linalg import Matrix, Partition, _fields_json, apply_series
 from .repring import RingElement, _fold, _product, square_constants, structure_constants
@@ -86,6 +86,7 @@ def unipotent_adjoint_partition(kind: str, lam, field: Field) -> Partition:
 
 def cayley_series(trunc: int, field: Field) -> TruncatedPoly:
     """(1-t)(1+t)^{-1} - 1 = 2 sum (-1)^i t^i, truncated; needs p != 2."""
+    trunc = _count(trunc, 1, "the truncation")
     if field.p == 2:
         raise CharTwo("the Cayley transform needs 2 invertible")
     two = field(2)

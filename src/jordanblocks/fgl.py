@@ -18,7 +18,6 @@ at any truncation.
 from __future__ import annotations
 
 import json
-import operator
 import os
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -27,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInput, InvalidLaw, TruncationTooShort
-from .fields import Field
+from .fields import Field, _count
 from .series import TruncatedPoly, _box, compose_inverse
 
 
@@ -36,8 +35,8 @@ class GeneralizedLaw:
 
     Each coefficient is taken into the field first, so a linear coefficient
     that vanishes there raises InvalidLaw, and laws equal over the field
-    have equal fingerprints.  A degree or exponent that ``operator.index``
-    refuses (a float) raises InvalidLaw.
+    have equal fingerprints.  A degree or exponent that is not a count
+    (``fields._count``: a bool, a float, a string) raises InvalidLaw.
     """
 
     __slots__ = ("field", "degree", "coeffs", "exact", "name", "_fingerprint", "_series")
@@ -45,19 +44,13 @@ class GeneralizedLaw:
     def __init__(self, field: Field, degree: int, coeffs: dict, exact: bool = False,
                  name: str | None = None):
         self.field = field
-        try:
-            self.degree = operator.index(degree)
-        except TypeError:
-            raise InvalidLaw(f"the degree must be an integer, got {degree!r}") from None
+        self.degree = _count(degree, None, "the degree", InvalidLaw)
         self.exact = exact
         self.name = name
         clean = {}
         for (a, b), c in coeffs.items():
-            try:
-                a, b = operator.index(a), operator.index(b)
-            except TypeError:
-                raise InvalidLaw(f"exponents must be integers, got ({a!r}, {b!r})") from None
-            if a < 0 or b < 0 or a + b > self.degree:
+            a, b = (_count(e, 0, "an exponent", InvalidLaw) for e in (a, b))
+            if a + b > self.degree:
                 raise InvalidLaw(f"coefficient ({a},{b}) outside degree bound {self.degree}")
             c = field(c)
             if c != 0:
@@ -117,8 +110,9 @@ class GeneralizedLaw:
         """The series as an element of k[u,v]/(u^{r_1}, v^{r_2})."""
         if len(trunc) != 2:
             raise InvalidInput("a law is a two-variable series")
+        trunc = _box(trunc)
         self.require_degree(trunc[0] + trunc[1] - 2)
-        return self._poly(_box(trunc))
+        return self._poly(trunc)
 
     def eval(self, g: TruncatedPoly, h: TruncatedPoly,
              degree_cap: int | None = None) -> TruncatedPoly:
@@ -182,6 +176,7 @@ def validate_fgl(law: GeneralizedLaw, degree: int | None = None) -> LawReport:
     field = law.field
     if degree is None:
         degree = max(law.degree, 6) if law.exact else law.degree
+    degree = _count(degree, 0, "the degree")
     series = law._poly((degree + 1,) * 2).truncate_degree(degree)
     unit = law.has_unit_linear_part() and not (series.num[0, 2:].any() or series.num[2:, 0].any())
     commutative = np.array_equal(series.num, series.num.T)
@@ -201,6 +196,7 @@ def random_generalized_law(seed: int, degree: int, field: Field,
     """Seed-deterministic random law: random coefficients for a+b >= 2."""
     import random
 
+    degree = _count(degree, 1, "the degree", InvalidLaw)
     rng = random.Random(f"law:{seed}:{degree}:{field.p}")
     one = field.one
     coeffs = {}
@@ -227,6 +223,7 @@ def random_fgl(seed: int, degree: int, field: Field) -> GeneralizedLaw:
     """
     import random
 
+    degree = _count(degree, 1, "the degree")
     rng = random.Random(f"fgl:{seed}:{degree}:{field.p}")
     r = degree + 1
     g_coeffs = [field.zero, field.one] + [field.random_element(rng) for _ in range(2, r)]
@@ -246,8 +243,7 @@ def iterated_tensor_series(law: GeneralizedLaw, m: int, trunc: Sequence[int]) ->
     For a valid formal group law the result is symmetric in the variables and
     congruent to Y_1 + ... + Y_m modulo degree 2.
     """
-    if m < 1:
-        raise InvalidInput("m must be >= 1")
+    m = _count(m, 1, "m")
     if len(trunc) != m:
         raise InvalidInput("truncation vector must have one entry per factor")
     field = law.field
@@ -267,12 +263,11 @@ def law_to_json(law: GeneralizedLaw) -> dict:
     return {"p": law.field.p, "trunc": law.degree, "coeffs": coeffs}
 
 
-def _integer(value) -> int:
-    """An integer entry (p, trunc, a or b) of a law file; int() would
-    truncate a float or a bool, so both are refused."""
-    if isinstance(value, (bool, float)):
-        raise InvalidLaw(f"{value!r} is a {type(value).__name__}, not an integer")
-    return int(value)
+def _integer(data: dict, key: str) -> int:
+    """The integer entry ``key`` of a law file, a string of digits too;
+    InvalidLaw for what is not a count (``fields._count``)."""
+    value = data[key]
+    return _count(int(value) if isinstance(value, str) else value, None, key, InvalidLaw)
 
 
 def _scalar(field: Field, value):
@@ -285,11 +280,11 @@ def _scalar(field: Field, value):
 
 def law_from_json(data: dict) -> GeneralizedLaw:
     try:
-        field = Field(_integer(data["p"]))
-        degree = _integer(data["trunc"])
+        field = Field(_integer(data, "p"))
+        degree = _integer(data, "trunc")
         coeffs = {}
         for entry in data["coeffs"]:
-            coeffs[(_integer(entry["a"]), _integer(entry["b"]))] = _scalar(field, entry["c"])
+            coeffs[(_integer(entry, "a"), _integer(entry, "b"))] = _scalar(field, entry["c"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidLaw(f"malformed law data: {exc}") from exc
     # the linear part defaults to u + v unless overridden explicitly

@@ -28,6 +28,32 @@ _PRIME_BOUND = 3317044064679887385961981
 _MAX_CHARACTERISTIC = 3037000500
 
 
+def _count(value, least: int | None, what: str, error: type = InvalidInput) -> int:
+    """The one rule for integer arguments (block sizes, m, p, degrees,
+    exponents): ``value`` as a plain int.  ``error`` for a bool, for what
+    ``operator.index`` refuses (a float, a string, None) and for an int
+    below ``least`` (None for no bound), all with one message; a numpy
+    integer passes as the int it holds."""
+    if type(value) is int and (least is None or value >= least):
+        return value
+    try:
+        index = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        index = None
+    if index is None or least is not None and index < least:
+        bound = "" if least is None else f" >= {least}"
+        raise error(f"{what} must be an integer{bound}, got {value!r}")
+    return index
+
+
+def _counts(values, least: int | None, what: str) -> tuple:
+    """A tuple of counts (``_count``); InvalidInput for a bare number too."""
+    try:
+        return tuple([_count(value, least, what) for value in values])
+    except TypeError:
+        raise InvalidInput(f"{values!r} is not a sequence of integers") from None
+
+
 def is_prime(n: int) -> bool:
     """Whether n is prime, by the Miller-Rabin test at ``_WITNESSES``, which
     is exact below ``_PRIME_BOUND``; InvalidInput at or past it.  n - 1 =
@@ -49,11 +75,7 @@ class Field:
     __slots__ = ("p",)
 
     def __init__(self, characteristic: int):
-        try:
-            characteristic = operator.index(characteristic)
-        except TypeError:
-            raise InvalidInput(f"characteristic must be an integer, "
-                               f"got {characteristic!r}") from None
+        characteristic = _count(characteristic, None, "the characteristic")
         if characteristic != 0 and not is_prime(characteristic):
             raise InvalidInput(f"characteristic must be 0 or prime, got {characteristic}")
         if characteristic > _MAX_CHARACTERISTIC:
@@ -78,7 +100,8 @@ class Field:
 
         InvalidInput for a float or complex number (numpy's included), which
         is not an exact scalar, for a string that is not an integer or a
-        fraction, and for a fraction whose denominator p divides.
+        fraction, for None or any other non-number, and for a fraction whose
+        denominator p divides.  A bool is an int here: a scalar is no count.
         """
         if type(x) is int:
             return x % self.p if self.p else Fraction(x)
@@ -95,14 +118,17 @@ class Field:
                     x = int(x)
             except (ValueError, ZeroDivisionError) as exc:
                 raise InvalidInput(f"{x!r} is not a scalar") from exc
-        if self.p == 0:
-            # the Fraction of a numpy integer would keep int64 parts, which wrap
-            return Fraction(int(x) if isinstance(x, np.integer) else x)
-        if isinstance(x, Fraction):
-            if x.denominator % self.p == 0:
-                raise InvalidInput(f"{x} has no image in F{self.p}")
-            return x.numerator * pow(x.denominator, -1, self.p) % self.p
-        return int(x) % self.p
+        try:
+            if self.p == 0:
+                # the Fraction of a numpy integer would keep int64 parts, which wrap
+                return Fraction(int(x) if isinstance(x, np.integer) else x)
+            if isinstance(x, Fraction):
+                if x.denominator % self.p == 0:
+                    raise InvalidInput(f"{x} has no image in F{self.p}")
+                return x.numerator * pow(x.denominator, -1, self.p) % self.p
+            return int(x) % self.p
+        except TypeError:
+            raise InvalidInput(f"{x!r} is not a scalar") from None
 
     @property
     def zero(self):

@@ -37,7 +37,7 @@ from .errors import (
     NotUnipotent,
     ShapeMismatch,
 )
-from .fields import Field
+from .fields import Field, _count
 from .linalg import (
     Matrix,
     Partition,
@@ -92,9 +92,8 @@ def _unit(field, i, j):
 
 
 def build_so7_model(p: int) -> SO7Model:
-    if p <= 3:
-        raise BadPrime(f"the construction needs p > 3, got {p}")
-    field = Field(p)
+    """The model at a prime p > 3; BadPrime for a p that is not an integer >= 4."""
+    field = Field(_count(p, 4, "the model's p", BadPrime))
     gram = Matrix(field, np.eye(7, dtype=np.int64)[::-1].copy())
     y1 = _unit(field, 0, 1) - _unit(field, 5, 6)
     y2 = _unit(field, 1, 2) - _unit(field, 4, 5)
@@ -107,7 +106,7 @@ def build_so7_model(p: int) -> SO7Model:
             raise AlgebraError("root vector has the wrong torus weight")
     if not bracket(y1, y3).is_zero():
         raise AlgebraError("y_1 and y_3 must commute")
-    return SO7Model(p=p, field=field, gram=gram, y=ys, y_neg=tuple(y.T for y in ys))
+    return SO7Model(p=field.p, field=field, gram=gram, y=ys, y_neg=tuple(y.T for y in ys))
 
 
 def weight_components(mat: Matrix) -> set:

@@ -75,24 +75,19 @@ from .errors import (
     ShapeMismatch,
     TruncationTooShort,
 )
-from .fields import Field
+from .fields import Field, _count, _counts
 
 
 class Partition(tuple):
     """A weakly decreasing tuple of positive parts (a Jordan type), equal to
-    the plain tuple of its parts, never to a list.  A part that
-    ``operator.index`` refuses (a float, a string) raises InvalidInput."""
+    the plain tuple of its parts, never to a list.  Each part is a count
+    (``fields._count``): a bool, a float or a string raises InvalidInput."""
 
     __slots__ = ()
 
     def __new__(cls, parts: Iterable[int]):
-        try:
-            parts = tuple(map(operator.index, parts))
-        except TypeError:
-            raise InvalidInput(f"parts must be integers, got {parts!r}") from None
+        parts = _counts(parts, 1, "a part")
         for i, x in enumerate(parts):
-            if x < 1:
-                raise InvalidInput(f"parts must be positive, got {parts}")
             if i and parts[i - 1] < x:
                 raise InvalidInput(f"parts must be weakly decreasing, got {parts}")
         return super().__new__(cls, parts)
@@ -255,11 +250,12 @@ class Matrix(_Exact):
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        return cls._from_ints(field, np.zeros((nrows, ncols), dtype=np.int64))
+        shape = _count(nrows, 0, "a row count"), _count(ncols, 0, "a column count")
+        return cls._from_ints(field, np.zeros(shape, dtype=np.int64))
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls._from_ints(field, np.eye(n, dtype=np.int64))
+        return cls._from_ints(field, np.eye(_count(n, 0, "a dimension"), dtype=np.int64))
 
     @classmethod
     def hstack(cls, blocks: Sequence["Matrix"]) -> "Matrix":

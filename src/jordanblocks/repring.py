@@ -56,13 +56,11 @@ import collections
 import functools
 import itertools
 import math
-import numbers
-import operator
 
 import numpy as np
 
 from .errors import AlgebraError, InvalidInput, InvalidLaw
-from .fields import Field
+from .fields import Field, _count
 from .fgl import GeneralizedLaw, iterated_tensor_series
 from .linalg import (
     _MAX_OPERATOR_DIM,
@@ -92,14 +90,17 @@ class RingElement:
     def __init__(self, terms=None):
         clean = {}
         for n, mult in dict(terms or {}).items():
-            n = _block_size(n)
-            try:
-                mult = operator.index(mult)
-            except TypeError:
-                raise InvalidInput(f"multiplicities must be integers, got {mult!r}") from None
+            n, mult = _count(n, 1, "a block size"), _count(mult, None, "a multiplicity")
             if mult:
                 clean[n] = mult
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, terms: dict) -> "RingElement":
+        """From checked terms, zeros dropped (this module's sums and products)."""
+        out = cls.__new__(cls)
+        out.terms = {n: mult for n, mult in terms.items() if mult}
+        return out
 
     @classmethod
     def from_partition(cls, lam) -> "RingElement":
@@ -108,7 +109,7 @@ class RingElement:
     def to_partition(self) -> Partition:
         if any(m < 0 for m in self.terms.values()):
             raise InvalidInput("negative multiplicity is not a class of an object")
-        return Partition(sorted(collections.Counter(self.terms).elements(), reverse=True))
+        return Partition._trusted(sorted(collections.Counter(self.terms).elements(), reverse=True))
 
     def dim(self) -> int:
         return sum(n * m for n, m in self.terms.items())
@@ -117,7 +118,7 @@ class RingElement:
         out = dict(self.terms)
         for n, m in other.terms.items():
             out[n] = out.get(n, 0) + m
-        return RingElement(out)
+        return RingElement._trusted(out)
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -419,7 +420,7 @@ def structure_constants(n: int, m: int, law: GeneralizedLaw, field: Field) -> Ri
     block size other than an int is checked first, as 2.0 hashes as 2."""
     _require_field(law, field)
     if type(n) is not int or type(m) is not int:
-        n, m = _block_size(n), _block_size(m)
+        n, m = _count(n, 1, "a block size"), _count(m, 1, "a block size")
     key = (n, m, law.fingerprint())
     hit = _constants_memo.get(key)
     if hit is not None:
@@ -441,7 +442,7 @@ def square_constants(n: int, shape: str, law: GeneralizedLaw) -> RingElement:
     """
     if shape not in ("sym", "wedge"):
         raise InvalidInput(f"unknown square {shape!r}")
-    n = _block_size(n)
+    n = _count(n, 1, "a block size")
     key = (shape, n, law.fingerprint())
     hit = _constants_memo.get(key)
     if hit is None:
@@ -458,7 +459,7 @@ def _product(x: RingElement, y: RingElement, pair) -> RingElement:
         for b, cb in y.terms.items():
             for c, cc in pair(a, b).terms.items():
                 terms[c] += ca * cb * cc
-    out = RingElement(terms)
+    out = RingElement._trusted(terms)
     if out.dim() != x.dim() * y.dim():
         raise AlgebraError(f"{x.pretty()} (x) {y.pretty()} came out of dimension {out.dim()}, "
                            f"not {x.dim() * y.dim()}")
@@ -503,21 +504,10 @@ def _fold(lam: Partition, m: int, kind: str, pair, power) -> RingElement:
     return levels[m]
 
 
-def _block_size(n) -> int:
-    """``n`` through ``operator.index``; InvalidInput unless an integer >= 1."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise InvalidInput(f"block sizes must be integers, got {n!r}") from None
-    if n < 1:
-        raise InvalidInput(f"block size must be >= 1, got {n}")
-    return n
-
-
 def cg_tensor(n: int, m: int) -> RingElement:
     """Characteristic-0 structure constants: J_{n+m-1} + J_{n+m-3} + ...
     Block sizes that are not integers >= 1 raise InvalidInput."""
-    n, m = _block_size(n), _block_size(m)
+    n, m = _count(n, 1, "a block size"), _count(m, 1, "a block size")
     return RingElement({n + m - 1 - 2 * i: 1 for i in range(min(n, m))})
 
 
@@ -526,7 +516,7 @@ def cg_square(n: int, shape: str) -> RingElement:
     Sym^2 J_n = J_{2n-1} + J_{2n-5} + ... and wedge^2 J_n = J_{2n-3} + J_{2n-7} + ...
     A block size that is not an integer >= 1 raises InvalidInput.
     """
-    n = _block_size(n)
+    n = _count(n, 1, "a block size")
     if shape not in ("sym", "wedge"):
         raise InvalidInput(f"unknown square {shape!r}")
     top = 2 * n - 1 if shape == "sym" else 2 * n - 3
@@ -562,11 +552,10 @@ def sigma_matrices(m: int, d: int, field: Field) -> list:
     """Adjacent-transposition generators of the symmetric group on (k^d)^(x)m.
 
     sigma sends a basis word w to the word w' with w'_k = w_{sigma^{-1}(k)}.
-    A negative d, or one past the gather's dimension bound, raises
-    InvalidInput.
+    An m or a d that is not an integer >= 0, or a d^m past the gather's
+    dimension bound, raises InvalidInput.
     """
-    if d < 0:
-        raise InvalidInput(f"the dimension must be >= 0, got {d}")
+    m, d = _count(m, 0, "m"), _count(d, 0, "the dimension")
     _require_operator_dim(d ** m)
     out = []
     for i in range(m - 1):
@@ -752,8 +741,7 @@ def _quotient_partition(lam, m: int, law: GeneralizedLaw, field: Field, kind: st
     d^m <= 4096.  An m that is not an integer >= 1 (a bool or a float too)
     raises InvalidInput, then a law over another field InvalidLaw, first."""
     lam = Partition(lam)
-    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
-        raise InvalidInput(f"m must be an integer >= 1, got {m!r}")
+    m = _count(m, 1, "m")
     _require_field(law, field)
     power = functools.partial(_block_power, kind=kind, law=law)
     if m >= 4 and len(lam) > 1:
@@ -787,6 +775,7 @@ def build_symmetric_intertwiner(n: int, m: int, law: GeneralizedLaw) -> Matrix:
     Needs m! invertible; the images Y_i -> f_i are the pieces of the
     term-by-term symmetric split of the tensor series.
     """
+    m = _count(m, 1, "m")
     return build_automorphism(symmetric_split(iterated_tensor_series(law, m, (n,) * m)))
 
 

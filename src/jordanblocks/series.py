@@ -23,7 +23,6 @@ divide it.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Sequence
@@ -40,7 +39,7 @@ from .errors import (
     ShapeMismatch,
     ZeroLinearScalar,
 )
-from .fields import Field
+from .fields import Field, _count, _counts
 from .linalg import (
     Matrix,
     _Exact,
@@ -51,14 +50,8 @@ from .linalg import (
 
 
 def _box(trunc: Sequence[int]) -> tuple:
-    """The truncation vector as a tuple of ints >= 1; InvalidInput for a float."""
-    try:
-        trunc = tuple(map(operator.index, trunc))
-    except TypeError:
-        raise InvalidInput(f"truncation exponents must be integers, got {trunc!r}") from None
-    if any(r < 1 for r in trunc):
-        raise InvalidInput(f"truncation exponents must be >= 1, got {trunc}")
-    return trunc
+    """The truncation vector as a tuple of counts >= 1 (``fields._counts``)."""
+    return _counts(trunc, 1, "a truncation exponent")
 
 
 class TruncatedPoly(_Exact):
@@ -68,21 +61,16 @@ class TruncatedPoly(_Exact):
     __slots__ = ()
 
     def __init__(self, field: Field, trunc: Sequence[int], coeffs: dict | None = None):
-        """Coefficients go through ``field``, exponents through ``operator.index``."""
+        """Coefficients go through ``field``, exponents are counts >= 0."""
         trunc = _box(trunc)
         values = np.zeros(trunc, dtype=np.int64 if field.p else object)
         for exp, c in (coeffs or {}).items():
-            try:
-                exp = tuple(map(operator.index, exp))
-            except TypeError:
-                raise InvalidInput(f"exponent {exp!r} is not a tuple of integers") from None
+            exp = _counts(exp, 0, "an exponent")
             if len(exp) != len(trunc):
                 raise ShapeMismatch(f"exponent {exp} in a {len(trunc)}-variable algebra")
             c = field(c)
-            if all(0 <= e < r for e, r in zip(exp, trunc)):
+            if all(e < r for e, r in zip(exp, trunc)):
                 values[exp] = c
-            elif min(exp) < 0:
-                raise InvalidInput(f"negative exponent {exp}")
         self.field, self.num, self.den = field, values, 1
         if not field.p:
             # an lcm of denominators in lowest terms is prime to the numerators
@@ -101,11 +89,16 @@ class TruncatedPoly(_Exact):
 
     @classmethod
     def variable(cls, field, trunc, i: int):
+        """Y_i; InvalidInput unless i is a count below the number of variables."""
+        trunc = _box(trunc)
+        if _count(i, 0, "a variable index") >= len(trunc):
+            raise InvalidInput(f"no variable {i} in a {len(trunc)}-variable algebra")
         return cls(field, trunc, {tuple(int(j == i) for j in range(len(trunc))): field.one})
 
     @classmethod
     def univariate(cls, field, r: int, coeffs: Sequence) -> "TruncatedPoly":
         """From a list of coefficients indexed by degree, truncated at Y^r."""
+        r = _count(r, 1, "a truncation exponent")
         return cls(field, (r,), {(k,): c for k, c in enumerate(coeffs) if k < r})
 
     # -- basics ---------------------------------------------------------------
@@ -176,8 +169,7 @@ class TruncatedPoly(_Exact):
         return _accumulate(self.field, trunc, terms, sparse.den * dense.den)
 
     def __pow__(self, k: int) -> "TruncatedPoly":
-        if k < 0:
-            raise InvalidInput(f"negative power {k} of a truncated series")
+        k = _count(k, 0, "the power of a truncated series")
         if self.constant_term() == 0:  # powers past the box's top degree are 0
             k = min(k, sum(self.trunc) - len(self.trunc) + 1)
         return _monomial_table([self])((k,))

@@ -306,7 +306,7 @@ class TestUsageErrors:
                              "--a", "3", "--b", "3")
         assert code == 2 and not out
         assert err.startswith("error: ") and len(err.splitlines()) == 1
-        assert "not an integer" in err
+        assert "must be an integer" in err
 
     def test_missing_law_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "absent.json"

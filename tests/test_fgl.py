@@ -78,7 +78,7 @@ class TestValidation:
     @pytest.mark.parametrize("exp", [(1.5, 0), (2.0, 0), ("1", 0), (0, None)])
     def test_non_integer_exponents_are_refused(self, exp):
         # int() would read (1.5, 0) as x, a second linear term
-        with pytest.raises(InvalidLaw, match="integers"):
+        with pytest.raises(InvalidLaw, match="an exponent must be an integer"):
             GeneralizedLaw(F5, 3, {(1, 0): 1, (0, 1): 1, exp: 2})
 
     @pytest.mark.parametrize("degree", [3.9, 3.0, "3", None])
@@ -289,7 +289,7 @@ class TestLawFiles:
             "a-float", "b-bool"])
     def test_non_integer_numbers_are_refused(self, data):
         # int() would truncate them: 1.7 to 1, 5.9 to 5, True to 1
-        with pytest.raises(InvalidLaw, match="not an integer"):
+        with pytest.raises(InvalidLaw, match="must be an integer"):
             law_from_json(data)
 
     def test_integer_strings_still_load(self):

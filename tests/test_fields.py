@@ -114,3 +114,10 @@ class TestField:
                 assert got == field(Fraction(x)) == field(str(x)) == field(np.int64(x))
                 assert type(got) is (Fraction if field == QQ else int)
         assert GF(5)(True) == 1 and QQ(False) == 0
+
+    @pytest.mark.parametrize("field", [GF(5), QQ], ids=str)
+    @pytest.mark.parametrize("x", [None, [1], object()], ids=["None", "list", "object"])
+    def test_non_numbers_are_not_scalars(self, field, x):
+        # int(None) and Fraction(None) raise TypeError
+        with pytest.raises(InvalidInput, match="not a scalar"):
+            field(x)

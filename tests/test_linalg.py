@@ -159,7 +159,7 @@ class TestPartition:
 
     @pytest.mark.parametrize("parts", [(2.5, 1), (2.0,), ("3",), [None], 5, "32"])
     def test_non_integers_are_refused(self, parts):
-        with pytest.raises(InvalidInput, match="integers"):
+        with pytest.raises(InvalidInput, match="integer"):
             Partition(parts)
 
     def test_numpy_integers_pass(self):

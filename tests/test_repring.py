@@ -102,7 +102,7 @@ class TestRingElement:
 
     @pytest.mark.parametrize("terms", [{2.7: 1.9}, {2: 1.0}, {2.0: 1}, {"2": 1}, {2: None}])
     def test_non_integers_are_refused(self, terms):
-        with pytest.raises(InvalidInput, match="integers"):
+        with pytest.raises(InvalidInput, match="must be an integer"):
             RingElement(terms)
 
     def test_numpy_integers_pass(self):
@@ -255,7 +255,7 @@ class TestStructureConstants:
         law = additive(F5)
         repring.clear_memo()
         for _ in ("cold", "warm"):
-            with pytest.raises(InvalidInput, match="must be integers"):
+            with pytest.raises(InvalidInput, match="block size must be an integer"):
                 structure_constants(n, m, law, F5)
             assert structure_constants(2, 2, law, F5) == RingElement({3: 1, 1: 1})
 
@@ -1839,7 +1839,7 @@ class TestSigmaMatrices:
             assert (s @ s) == Matrix.identity(F5, 8)
 
     def test_negative_dimension(self):
-        with pytest.raises(InvalidInput, match="dimension must be >= 0"):
+        with pytest.raises(InvalidInput, match="dimension must be an integer >= 0"):
             sigma_matrices(2, -1, F5)
 
     def test_past_the_size_bound_refused_before_allocation(self, monkeypatch):

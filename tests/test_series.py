@@ -214,9 +214,9 @@ class TestConstructorCoercion:
     @pytest.mark.parametrize("trunc", [(2.7,), (2.0,), (3, 1.5), ("2",), (None,)])
     def test_non_integer_truncations_are_refused(self, trunc):
         # int() would read (2.7,) as (2,)
-        with pytest.raises(InvalidInput, match="integers"):
+        with pytest.raises(InvalidInput, match="truncation exponent must be an integer"):
             TruncatedPoly(F5, trunc, {(1,) * len(trunc): 1})
-        with pytest.raises(InvalidInput, match="integers"):
+        with pytest.raises(InvalidInput, match="truncation exponent must be an integer"):
             TruncatedPoly.constant(F5, trunc, 1)
         assert TruncatedPoly(F5, (np.int64(2),), {(1,): 1}).trunc == (2,)
 
