@@ -261,6 +261,22 @@ MUTANTS = [
            "if index is None or least is not None and index < least:",
            "if index is None or least is not None and index <= least:",
            (COUNT_TESTS + "test_numpy_integers_pass",)),
+    # Decimal("2.5") truncated to 2 over F_p, as int() reads it
+    Mutant("scalar-falls-back-to-int", FIELDS,
+           '            raise InvalidInput(f"{x!r} is a {type(x).__name__}, not a scalar")\n',
+           "            x = Fraction(int(x))\n",
+           ("tests/test_fields.py::TestField::test_other_numbers_are_not_scalars",)),
+    # the key 1 of a law's coefficients leaks a bare TypeError
+    Mutant("law-key-unguarded", FGL,
+           "            try:\n                a, b = key\n"
+           "            except (TypeError, ValueError):\n"
+           '                raise InvalidLaw(f"a coefficient key must be a pair, got {key!r}") from None\n',
+           "            a, b = key\n",
+           ("tests/test_fgl.py::TestValidation::test_keys_that_are_not_pairs_are_refused",)),
+    # homogeneous_part("1") is the zero series: the degree array equals no string
+    Mutant("degree-unchecked", SERIES,
+           '== _count(d, 0, "a degree"))', "== d)",
+           (COUNT_TESTS + "test_refused_with_the_typed_error",)),
     # 2047 = 23 * 89 is a strong pseudoprime to the base 2
     Mutant("one-witness", FIELDS,
            "_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)",

@@ -14,7 +14,6 @@ from .linalg import (
     Partition,
     apply_series,
     exp_nilpotent,
-    jordan_block,
     jordan_partition,
     jordan_partitions,
     nilpotent_from_partition,
@@ -59,21 +58,29 @@ from .classical import (
     unipotent_adjoint_partition,
     validate_classical_partition,
 )
-from .g2 import (
-    build_so7_model,
-    g2_nilpotent_rep,
-    g2_table,
-    g2_unipotent_rep,
-    lie_closure,
-)
+from .g2 import g2_table
 from .char0 import (
     ad_partition_char0,
     check_theorem,
     exponents,
     predict_blocks,
-    springer_condition,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+#: the public names, grouped by module as imported above; README.md lists the same
+__all__ = [
+    "Field", "GF", "QQ",
+    "Matrix", "Partition", "apply_series", "exp_nilpotent", "jordan_partition",
+    "jordan_partitions", "nilpotent_from_partition", "unipotent_partition",
+    "TruncatedPoly", "build_automorphism", "compose_inverse", "mult_matrix", "symmetric_split",
+    "GeneralizedLaw", "additive", "iterated_tensor_series", "load_law", "multiplicative",
+    "random_generalized_law", "scaled_multiplicative", "validate_fgl",
+    "RingElement", "build_intertwiner_pair", "build_symmetric_intertwiner", "cg_square",
+    "cg_tensor", "ring_multiply", "sigma_matrices", "structure_constants", "sym_partition",
+    "tensor_partition", "wedge_partition",
+    "adjoint_partition", "cayley_series", "good_char_report", "nilpotent_adjoint_partition",
+    "springer_image", "unipotent_adjoint_partition", "validate_classical_partition",
+    "g2_table",
+    "ad_partition_char0", "check_theorem", "exponents", "predict_blocks",
+]
 
 __version__ = "0.1.0"

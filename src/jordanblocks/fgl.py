@@ -7,8 +7,7 @@ passes the unit, commutativity and associativity axioms up to its truncation;
 constructions downstream only need the invertible linear part.  F(g, h) is
 the law's series (built once from its coefficients), cut to the degree the
 target algebra can hold, substituted at (g, h) with
-:meth:`TruncatedPoly.substitute`.  The m-fold tensor series starts from the
-law's own series in Y_1, Y_2 and substitutes only for Y_3, ..., Y_m.
+:meth:`TruncatedPoly.substitute`.
 
 The built-in laws (additive u+v, multiplicative u+v+uv and its scaled
 variant) are exact: their coefficient support is finite, so they can be used
@@ -35,8 +34,8 @@ class GeneralizedLaw:
 
     Each coefficient is taken into the field first, so a linear coefficient
     that vanishes there raises InvalidLaw, and laws equal over the field
-    have equal fingerprints.  A degree or exponent that is not a count
-    (``fields._count``: a bool, a float, a string) raises InvalidLaw.
+    have equal fingerprints.  A key that is not a pair (a, b), and a degree
+    or exponent that is not a count (``fields._count``), raise InvalidLaw.
     """
 
     __slots__ = ("field", "degree", "coeffs", "exact", "name", "_fingerprint", "_series")
@@ -48,7 +47,11 @@ class GeneralizedLaw:
         self.exact = exact
         self.name = name
         clean = {}
-        for (a, b), c in coeffs.items():
+        for key, c in coeffs.items():
+            try:
+                a, b = key
+            except (TypeError, ValueError):
+                raise InvalidLaw(f"a coefficient key must be a pair, got {key!r}") from None
             a, b = (_count(e, 0, "an exponent", InvalidLaw) for e in (a, b))
             if a + b > self.degree:
                 raise InvalidLaw(f"coefficient ({a},{b}) outside degree bound {self.degree}")

@@ -96,39 +96,33 @@ class Field:
         return hash(("Field", self.p))
 
     def __call__(self, x):
-        """Coerce an int, Fraction or string like ``"2/3"`` into the field.
-
-        InvalidInput for a float or complex number (numpy's included), which
-        is not an exact scalar, for a string that is not an integer or a
-        fraction, for None or any other non-number, and for a fraction whose
-        denominator p divides.  A bool is an int here: a scalar is no count.
+        """The element of an int (a bool too: a scalar is no count), a numpy
+        integer, a ``Fraction``, or a string holding an integer or a fraction
+        like ``"2/3"``.  Any other value raises InvalidInput in both fields:
+        a float, a ``Decimal`` or another number, which is never truncated,
+        None and non-numbers, and a fraction whose denominator p divides.
         """
         if type(x) is int:
             return x % self.p if self.p else Fraction(x)
         if type(x) is Fraction and not self.p:
             return x
-        if isinstance(x, (float, complex, np.inexact)):
-            raise InvalidInput(f"{x!r} is a {type(x).__name__}, not an exact scalar")
+        if isinstance(x, (int, np.integer)):
+            # the Fraction of a numpy integer would keep int64 parts, which wrap
+            x = int(x)
+            return x % self.p if self.p else Fraction(x)
         if isinstance(x, str):
             try:
-                if "/" in x:
-                    num, den = x.split("/")
-                    x = Fraction(int(num), int(den))
-                else:
-                    x = int(x)
+                num, den = x.split("/") if "/" in x else (x, 1)
+                x = Fraction(int(num), int(den))
             except (ValueError, ZeroDivisionError) as exc:
                 raise InvalidInput(f"{x!r} is not a scalar") from exc
-        try:
-            if self.p == 0:
-                # the Fraction of a numpy integer would keep int64 parts, which wrap
-                return Fraction(int(x) if isinstance(x, np.integer) else x)
-            if isinstance(x, Fraction):
-                if x.denominator % self.p == 0:
-                    raise InvalidInput(f"{x} has no image in F{self.p}")
-                return x.numerator * pow(x.denominator, -1, self.p) % self.p
-            return int(x) % self.p
-        except TypeError:
-            raise InvalidInput(f"{x!r} is not a scalar") from None
+        elif not isinstance(x, Fraction):
+            raise InvalidInput(f"{x!r} is a {type(x).__name__}, not a scalar")
+        if not self.p:
+            return Fraction(x)
+        if x.denominator % self.p == 0:
+            raise InvalidInput(f"{x} has no image in F{self.p}")
+        return x.numerator * pow(x.denominator, -1, self.p) % self.p
 
     @property
     def zero(self):

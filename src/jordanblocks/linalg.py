@@ -6,8 +6,7 @@ transpose, stacking and the Kronecker product are each one integer
 expression on ``num`` over a combined ``den`` too; no kernel builds a
 ``Fraction``.  Writers build their integer array first and wrap it
 afterwards.  The field elements ``a`` are ``num`` itself over F_p, and over
-Q a read-only ``Fraction`` array built on each read.  ``Field`` bounds p so
-that a product of two F_p entries plus one more stays int64.
+Q a read-only ``Fraction`` array built on each read.
 
 Products over F_p go through float64 BLAS, which is exact as long as the
 accumulated dot products stay below 2**53; a product that could pass that
@@ -30,19 +29,13 @@ complement R_0 of its row space, the rows R_0 N^l of all take one stacked
 product per level and one packing, and each N's, inserted into its own
 echelon from the top power down (``_prefix_masks``, the one reader of
 packed rows that ``repring`` shares for its cells and squares), leave the
-leads of rank N^l pivots after each level.  Over Q each row of a level is
-divided by the gcd of its entries (``_primitive``).
+leads of rank N^l pivots after each level.
 
 The F_p echelon form works on packed rows: each row is one Python int
-holding column j in the bits [j w, (j + 1) w).  For p of bit length L, w is
-the least of 16 and 32 bits that is at least 4L + 2 (p <= 127), past that
-the least multiple of 64 that is, and one bit at p = 2.  Rows go one at a
-time into a dict from leading column (the lowest set bit) to pivot row; a
-row whose lead has a pivot is reduced by one XOR at p = 2, and otherwise by
-one multiply-add with the negated pivot row and one Barrett step on all
-fields at once, which is exact because every field holds less than p**2
-before it and 2**(3L) > p**3 (see ``_insert_rows``).  A row operation is
-thus a few big-int operations, not a round of numpy calls.
+holding column j in the bits [j w, (j + 1) w), w as ``_packing`` picks it.
+A row is reduced by one XOR at p = 2, and otherwise by one multiply-add and
+one Barrett step on all fields at once (``_insert_rows``): a row operation
+is a few big-int operations, not a round of numpy calls.
 
 A series at canonical nilpotents, sum of c_a phi_1^{a_1} (x) ... (x)
 phi_m^{a_m} with phi_k the block-diagonal shift of a partition, is one
@@ -80,8 +73,8 @@ from .fields import Field, _count, _counts
 
 class Partition(tuple):
     """A weakly decreasing tuple of positive parts (a Jordan type), equal to
-    the plain tuple of its parts, never to a list.  Each part is a count
-    (``fields._count``): a bool, a float or a string raises InvalidInput."""
+    and hashing as its plain tuple, never equal to a list; each part is a
+    count (``fields._count``): a bool, a float or a string is InvalidInput."""
 
     __slots__ = ()
 
@@ -152,8 +145,8 @@ class _Exact:
     and sums are each one integer expression on ``num`` over a combined
     ``den``, which ``_from_ints`` reduces mod p or divides by the gcd
     (``_normalized``).  A subclass gives the meaning of the array's axes, and
-    ``_mismatch`` refuses a sum with another shape, field or type (any
-    operand that is not exact, too).
+    ``_mismatch`` refuses a sum, product or Kronecker product with an unfit
+    shape, another field or type, or any operand that is not exact.
     """
 
     __slots__ = ("field", "num", "den")
@@ -217,9 +210,7 @@ class _Exact:
 
 class Matrix(_Exact):
     """Dense matrix over a :class:`Field` (``_Exact``): ``num`` has the shape
-    (rows, columns).  ``a`` is the array of field elements: ``num`` itself
-    over F_p, a read-only array of ``Fraction`` over Q, built on each read.
-    """
+    (rows, columns), and ``a`` is the array of field elements."""
 
     __slots__ = ()
 
@@ -242,6 +233,7 @@ class Matrix(_Exact):
 
     @classmethod
     def from_rows(cls, field: Field, rows: Sequence[Sequence]) -> "Matrix":
+        """The matrix of these rows, ``[]`` the 0 x 0; InvalidInput if ragged."""
         rows = [list(row) for row in rows]
         ncols = len(rows[0]) if rows else 0
         if any(len(row) != ncols for row in rows):
@@ -713,7 +705,9 @@ def _power_ranks(stack: np.ndarray, p: int) -> list:
     each matrix's R_(e-1), ..., R_1 go into its own echelon, top power first
     (``_prefix_masks``): its masks[l] count rank N^(l+1).  The levels span
     k^D N only when N is nilpotent, so their count must be rank N for each
-    matrix, and R_D must be zero; otherwise NotNilpotent.
+    matrix, and R_D must be zero; otherwise NotNilpotent.  So a Jordan type
+    of c blocks and nilpotency index e costs one echelon of N, c (e - 1)
+    more rows and e - 1 stacked products.
     """
     count, dim = stack.shape[:2]
     rows = _rows(stack.reshape(count * dim, dim), p)

@@ -19,7 +19,6 @@ characteristic: a law's first table holds the box of every cell and square
 asked at that characteristic since ``clear_memo`` (one working set per
 characteristic), and only a cell past it rebuilds it, about log2 times per
 side as its box grows by powers of two.
-``tensor_operator`` (Kronecker products of powers) is the tests' reference.
 
 With the columns x-first, k[x, y]/(x^n, y^s) is a prefix of k[x, y]/(x^N,
 y^s), so one elimination at the box (N, s) gives every J_n (x) J_s with
@@ -83,7 +82,9 @@ from .series import build_automorphism, symmetric_split
 
 
 class RingElement:
-    """Integer combination of block classes J_n (negative coefficients allowed)."""
+    """Integer combination of block classes J_n (negative coefficients allowed);
+    InvalidInput for a block size that is not a count >= 1 or a multiplicity
+    that is not an integer (``fields._count``)."""
 
     __slots__ = ("terms",)
 

@@ -181,11 +181,12 @@ class TruncatedPoly(_Exact):
         return TruncatedPoly._from_ints(self.field, np.where(keep, self.num, 0), self.den)
 
     def homogeneous_part(self, d: int) -> "TruncatedPoly":
-        return self._where(np.indices(self.trunc).sum(axis=0) == d)
+        """The terms of total degree d, a count >= 0 (``fields._count``)."""
+        return self._where(np.indices(self.trunc).sum(axis=0) == _count(d, 0, "a degree"))
 
     def truncate_degree(self, d: int) -> "TruncatedPoly":
-        """Drop all terms of total degree > d."""
-        return self._where(np.indices(self.trunc).sum(axis=0) <= d)
+        """Drop all terms of total degree > d, a count >= 0."""
+        return self._where(np.indices(self.trunc).sum(axis=0) <= _count(d, 0, "a degree"))
 
     def _in_box(self, trunc: tuple) -> "TruncatedPoly":
         """The same terms in the box ``trunc`` of at least as many variables:

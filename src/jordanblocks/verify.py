@@ -62,7 +62,7 @@ SUITES: dict = {}
 
 
 def _suite(name):
-    """Register the suite under ``name``, timed into a :class:`CheckResult`."""
+    """Register the suite under ``name``, its one spelling, timed into a ``CheckResult``."""
     def wrap(fn):
         def run(seed: int = 0) -> CheckResult:
             t0 = time.perf_counter()

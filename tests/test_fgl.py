@@ -81,6 +81,13 @@ class TestValidation:
         with pytest.raises(InvalidLaw, match="an exponent must be an integer"):
             GeneralizedLaw(F5, 3, {(1, 0): 1, (0, 1): 1, exp: 2})
 
+    @pytest.mark.parametrize("key", [1, None, (1,), (1, 0, 0)],
+                             ids=["int", "None", "one", "three"])
+    def test_keys_that_are_not_pairs_are_refused(self, key):
+        # unpacking 1 or (1, 0, 0) as (a, b) once leaked a bare TypeError or ValueError
+        with pytest.raises(InvalidLaw, match="a coefficient key must be a pair"):
+            GeneralizedLaw(F5, 2, {(1, 0): 1, (0, 1): 1, key: 1})
+
     @pytest.mark.parametrize("degree", [3.9, 3.0, "3", None])
     def test_non_integer_degrees_are_refused(self, degree):
         # int() would read 3.9 as 3

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from jordanblocks import fields
 from jordanblocks.errors import BadPrime, InvalidInput
 from jordanblocks.fields import GF, QQ, Field, is_prime
+from jordanblocks.linalg import Matrix
 
 #: Carmichael numbers, which pass every Fermat test to a base prime to them
 CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041,
@@ -114,6 +116,15 @@ class TestField:
                 assert got == field(Fraction(x)) == field(str(x)) == field(np.int64(x))
                 assert type(got) is (Fraction if field == QQ else int)
         assert GF(5)(True) == 1 and QQ(False) == 0
+
+    @pytest.mark.parametrize("field", [GF(5), QQ], ids=str)
+    @pytest.mark.parametrize("x", [Decimal("2.5"), Decimal("2")], ids=str)
+    def test_other_numbers_are_not_scalars(self, field, x):
+        # int() once truncated Decimal("2.5") to 2 over F_p, in a Matrix too
+        with pytest.raises(InvalidInput, match="Decimal, not a scalar"):
+            field(x)
+        with pytest.raises(InvalidInput, match="Decimal, not a scalar"):
+            Matrix(field, np.array([[1, x]], dtype=object))
 
     @pytest.mark.parametrize("field", [GF(5), QQ], ids=str)
     @pytest.mark.parametrize("x", [None, [1], object()], ids=["None", "list", "object"])

@@ -16,7 +16,6 @@ from jordanblocks import (
     TruncatedPoly,
     additive,
     build_intertwiner_pair,
-    build_so7_model,
     build_symmetric_intertwiner,
     cayley_series,
     cg_square,
@@ -35,6 +34,7 @@ from jordanblocks import (
 from jordanblocks.errors import BadPrime, InvalidInput, InvalidLaw, UnknownType
 from jordanblocks.fgl import random_fgl
 from jordanblocks.fields import GF
+from jordanblocks.g2 import build_so7_model
 from jordanblocks.repring import square_constants
 
 F5 = GF(5)
@@ -58,6 +58,8 @@ ROWS = [
     ("TruncatedPoly-power", lambda v: Y ** v, 0, InvalidInput, 0),
     ("TruncatedPoly.variable", lambda v: TruncatedPoly.variable(F5, (3, 2), v), 0,
      InvalidInput, 0),
+    ("TruncatedPoly.homogeneous_part", lambda v: Y.homogeneous_part(v), 0, InvalidInput, 0),
+    ("TruncatedPoly.truncate_degree", lambda v: Y.truncate_degree(v), 0, InvalidInput, 0),
     ("GeneralizedLaw-degree", lambda v: GeneralizedLaw(F5, v, LINEAR), 1, InvalidLaw, 1),
     ("GeneralizedLaw-exponent", lambda v: GeneralizedLaw(F5, 3, {**LINEAR, (v, 1): 1}), 0,
      InvalidLaw, 0),
