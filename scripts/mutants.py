@@ -448,6 +448,15 @@ MUTANTS = [
            ("tests/test_g2.py::TestAdjointRoutes::"
             "test_not_nilpotent_or_not_unipotent_is_refused",
             G2_BATCH_TESTS + "test_one_non_nilpotent_representative_among_the_stack")),
+    # u^-1 read as (1 - N)(1 + N^2): wrong wherever N^4 != 0, as for G2reg
+    Mutant("g2-inverse-drops-a-factor", G2,
+           "for square in squares[1:-1]:", "for square in squares[1:-2]:",
+           (G2_BATCH_TESTS + "test_table_matches_the_oracles[7]",)),
+    # a Field or a Matrix in the law's place reaches the law's attributes
+    Mutant("law-guard-skipped", REPRING,
+           "    if not isinstance(law, GeneralizedLaw):\n"
+           "        raise InvalidInput(f\"a law is due, got {type(law).__name__}\")\n", "",
+           ("tests/test_repring.py::test_anything_but_a_law_is_invalid_input",)),
 ]
 
 

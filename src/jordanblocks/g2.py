@@ -9,14 +9,18 @@ so_7 are fixed shear matrices; the subalgebra is generated by
 
 together with lowering counterparts built from the transposes.  The relative
 coefficient in the lowering short generator is forced by the Cartan-matrix
-relations and the build certifies dim = 14 by bracket closure.  Orbit
-representatives and their adjoint partitions are computed two independent
-ways, in ``g2_table`` from three batches of Jordan types
-(``jordan_partitions``).  The direct route stacks the 14 basis matrices,
-forms the images [x, z] and u z u^-1 - z of every representative with a few
-float64 products, and reads their coordinates in the basis off one linear
-solve.  The wedge route takes the multiset difference of the partition on
-wedge^2 of the 7-dimensional module and the partition on the module itself;
+relations and the build certifies dim = 14 by bracket closure.  ``g2_table``
+is the one route from an orbit to its adjoint partitions: it computes them
+for its eight representatives two independent ways and checks, in order, the
+coordinate blocks (the direct route), the types of x and u - 1 on the module
+against the table, and wedge^2 of the module (the wedge route), with three
+batches of Jordan types (``jordan_partitions``).  The direct route stacks
+the 14 basis matrices, forms the images [x, z] and u z u^-1 - z of every
+representative with a few float64 products, u^-1 read off the squarings that
+check u - 1 nilpotent, and reads their coordinates in the basis off one
+linear solve.  The wedge route takes the multiset difference of the
+partitions on wedge^2 of the 7-dimensional module V and on V itself, as
+wedge^2 V is V plus the adjoint module, a splitting both actions stabilize;
 the 21 x 21 operator on wedge^2 is the additive compound of a nilpotent x,
 or the second compound (the 2 x 2 minors) of a unipotent u minus 1.
 """
@@ -35,7 +39,6 @@ from .errors import (
     InvalidInput,
     NotNilpotent,
     NotUnipotent,
-    ShapeMismatch,
 )
 from .fields import Field, _count
 from .linalg import (
@@ -46,10 +49,8 @@ from .linalg import (
     _matmul_mod,
     _rows,
     exp_nilpotent,
-    jordan_partition,
     jordan_partitions,
     solve_in_columns,
-    unipotent_partition,
 )
 
 ORBITS = ("A1", "A1tilde", "G2a1", "G2reg")
@@ -177,7 +178,13 @@ def g2_subalgebra(model: SO7Model) -> list:
 
 
 def _nilpotent_rep(orbit: str, model: SO7Model) -> Matrix:
-    """``g2_nilpotent_rep`` before its check of the type on the module."""
+    """Nilpotent orbit representative on the 7-dimensional module.
+
+    A1 is the long simple root vector, A1tilde the short one, the regular
+    class is the sum, and G2a1 is the Richardson representative
+    [x_{a1}, x_{a2}] + [x_{a1}, [x_{a1}, x_{a2}]].  Its type on the module
+    is checked in ``g2_table``.
+    """
     xa1, xa2, _, _ = g2_generators(model)
     if orbit == "G2a1":
         x12 = bracket(xa1, xa2)
@@ -187,20 +194,9 @@ def _nilpotent_rep(orbit: str, model: SO7Model) -> Matrix:
     return {"A1": xa2, "A1tilde": xa1, "G2reg": xa1 + xa2}[orbit]
 
 
-def g2_nilpotent_rep(orbit: str, model: SO7Model) -> Matrix:
-    """Nilpotent orbit representative on the 7-dimensional module.
-
-    A1 is the long simple root vector, A1tilde the short one, the regular
-    class is the sum, and G2a1 is the Richardson representative
-    [x_{a1}, x_{a2}] + [x_{a1}, [x_{a1}, x_{a2}]].
-    """
-    out = _nilpotent_rep(orbit, model)
-    _require_partition(orbit, jordan_partition(out))
-    return out
-
-
 def _unipotent_rep(orbit: str, model: SO7Model) -> Matrix:
-    """``g2_unipotent_rep`` before its check of the type on the module."""
+    """Unipotent orbit representative from exponentials of root vectors,
+    checked to preserve the form (its type on the module in ``g2_table``)."""
     y1, y2, y3 = model.y
     if orbit == "A1":
         out = exp_nilpotent(y2)
@@ -217,13 +213,6 @@ def _unipotent_rep(orbit: str, model: SO7Model) -> Matrix:
     return out
 
 
-def g2_unipotent_rep(orbit: str, model: SO7Model) -> Matrix:
-    """Unipotent orbit representative, built from exponentials of root vectors."""
-    out = _unipotent_rep(orbit, model)
-    _require_partition(orbit, unipotent_partition(out))
-    return out
-
-
 def _require_partition(orbit: str, got: Partition) -> None:
     """Raise unless an orbit representative has the tabled type on the module."""
     if got != V_PARTITIONS[orbit]:
@@ -233,69 +222,46 @@ def _require_partition(orbit: str, got: Partition) -> None:
 
 def _coordinate_blocks(reps: list, basis: list) -> list:
     """The matrix of ad a (mode "nilpotent") or Ad a - 1 ("unipotent") on the
-    span of ``basis``, in its coordinates, for each (a, mode) of ``reps``.
+    span of ``basis``, in its coordinates, for each (a, mode) of ``reps``;
+    ``g2_table``, its one caller, passes 7 x 7 matrices over the model's F_p.
 
-    Every image is a z r - z s with the basis stacked as z, from stacked
-    float64 products (``linalg._matmul_mod``, BadPrime past its bound):
-    r = 1, s = a gives [a, z], and r = a^-1, s = 1 gives a z a^-1 - z.  The
-    coordinates of all images come from one solve against the basis, and
-    block i holds the columns of representative i.  Raises DoesNotStabilize when any image
+    All products are stacked float64 products (``linalg._matmul_mod``,
+    BadPrime past its bound).  First N = a or u - 1 (d x d) is squared
+    s = ceil(log2 d) times: N^(2^s) = 0 exactly when N is nilpotent, else
+    NotNilpotent or NotUnipotent (so a singular u is refused), and then
+    u^-1 = (1 - N)(1 + N^2)...(1 + N^(2^(s-1))), (1 - N)(1 + N^2)(1 + N^4)
+    on the 7-dimensional module, from those squarings, with no solve.
+    Every image is a z r - z s with the basis stacked as z: r = 1, s = a
+    gives [a, z], and r = u^-1, s = 1 gives u z u^-1 - z.  The coordinates
+    of all images come from one solve against the basis, and block i holds
+    the columns of representative i.  Raises DoesNotStabilize when any image
     leaves the span, which signals a representative outside the subalgebra
-    or its group, ShapeMismatch for an a of another shape or field than the
-    basis, NotUnipotent for a singular a in unipotent mode, and, from
-    ceil(log2 d) stacked squarings of every a or a - 1 (d x d), NotNilpotent
-    or NotUnipotent unless each is nilpotent.
+    or its group.
     """
-    field, shape = basis[0].field, basis[0].shape
-    if not field.p:
-        raise InvalidInput("the direct route works over F_p")
-    p, zs, eye = field.p, np.stack([z.num for z in basis]), np.eye(shape[0], dtype=np.int64)
-    k = len(zs)
-    factors, nilpotents = [], []
-    for a, mode in reps:
-        if a.shape != shape or a.field != field:
-            raise ShapeMismatch(f"a {a.shape} matrix over {a.field} does not act on the span "
-                                f"of {shape} matrices over {field}")
-        if mode == "nilpotent":
-            factors.append((a.num, eye, a.num))
-            nilpotents.append(a.num)
-        elif mode == "unipotent":
-            try:
-                factors.append((a.num, a.inverse().num, eye))
-            except ZeroDivisionError:
-                raise NotUnipotent("a singular matrix is not unipotent") from None
-            nilpotents.append((a.num - eye) % p)
-        else:
-            raise InvalidInput(f"unknown mode {mode!r}")
-    # N^(2^s) with 2^s >= the dimension vanishes exactly when N is nilpotent
-    powers = np.stack(nilpotents)
-    for _ in range((shape[0] - 1).bit_length()):
-        powers = _matmul_mod(powers, powers, p)
-    for (_, mode), power in zip(reps, powers):
+    field, zs = basis[0].field, np.stack([z.num for z in basis])
+    p, k, eye = field.p, len(zs), np.eye(zs.shape[1], dtype=np.int64)
+    mats = np.stack([a.num for a, _ in reps])
+    unipotent = np.array([mode == "unipotent" for _, mode in reps])[:, None, None]
+    squares = [(mats - unipotent * eye) % p]
+    for _ in range((len(eye) - 1).bit_length()):
+        squares.append(_matmul_mod(squares[-1], squares[-1], p))
+    for (_, mode), power in zip(reps, squares[-1]):
         if power.any():
             raise (NotNilpotent("matrix is not nilpotent") if mode == "nilpotent"
                    else NotUnipotent("u - 1 is not nilpotent"))
-    left, right, sub = (np.stack(f)[:, None] for f in zip(*factors))
-    images = (_matmul_mod(_matmul_mod(left, zs, p), right, p) - _matmul_mod(zs, sub, p)) % p
+    inverse = (eye - squares[0]) % p
+    for square in squares[1:-1]:
+        inverse = _matmul_mod(inverse, (eye + square) % p, p)
+    right, sub = (np.where(unipotent, inverse, eye)[:, None],
+                  np.where(unipotent, eye, mats)[:, None])
+    images = (_matmul_mod(_matmul_mod(mats[:, None], zs, p), right, p)
+              - _matmul_mod(zs, sub, p)) % p
     coords = solve_in_columns(Matrix._trusted(field, zs.reshape(k, -1).T.copy()),
                               Matrix._trusted(field, images.reshape(len(reps) * k, -1).T.copy()))
     if coords is None:
         raise DoesNotStabilize("a representative does not stabilize the subalgebra")
     return [Matrix._trusted(field, coords.num[:, i * k:(i + 1) * k].copy())
             for i in range(len(reps))]
-
-
-def adjoint_partition_direct(a: Matrix, basis: list, mode: str) -> Partition:
-    """Partition of ad a (nilpotent mode) or Ad a - 1 (unipotent mode) on the
-    span of ``basis``, through ``_coordinate_blocks``.
-
-    Raises DoesNotStabilize when the operator moves the span out of itself,
-    ShapeMismatch unless a has the shape and field of the basis (7 x 7 over
-    F_p for the model's), NotNilpotent for an a that is not nilpotent in
-    nilpotent mode, and NotUnipotent for one that is not unipotent in
-    unipotent mode.
-    """
-    return jordan_partition(_coordinate_blocks([(a, mode)], basis)[0])
 
 
 #: rows (k, l) and columns (i, j) of wedge^2 of the module, the pairs
@@ -319,30 +285,8 @@ def _wedge_square(a: Matrix, mode: str) -> Matrix:
         out = (x[_K, _I] * (_L == _J) - x[_L, _I] * (_K == _J)
                + (_K == _I) * x[_L, _J] - (_L == _I) * x[_K, _J])
         return Matrix._from_ints(a.field, out, a.den)
-    if mode == "unipotent":
-        minors = x[_K, _I] * x[_L, _J] - x[_L, _I] * x[_K, _J]
-        return Matrix._from_ints(a.field, minors, a.den ** 2) - Matrix.identity(a.field, 21)
-    raise InvalidInput(f"unknown mode {mode!r}")
-
-
-def wedge_route_adjoint(a: Matrix, mode: str) -> Partition:
-    """Adjoint partition as (partition on wedge^2 V) minus (partition on V).
-
-    Valid because wedge^2 of the 7-dimensional module splits off one copy of
-    it, with the adjoint module as the complement, and both actions stabilize
-    the splitting.  The operator on wedge^2 V is ``_wedge_square``.  Raises
-    ShapeMismatch unless a is 7 x 7, and NotUnipotent for a singular a in
-    unipotent mode.
-    """
-    if a.shape != (7, 7):
-        raise ShapeMismatch(f"a {a.shape} matrix does not act on the 7-dimensional module")
-    if mode == "nilpotent":
-        v_part = jordan_partition(a)
-    elif mode == "unipotent":
-        v_part = unipotent_partition(a)
-    else:
-        raise InvalidInput(f"unknown mode {mode!r}")
-    return jordan_partition(_wedge_square(a, mode)).difference(v_part)
+    minors = x[_K, _I] * x[_L, _J] - x[_L, _I] * x[_K, _J]
+    return Matrix._from_ints(a.field, minors, a.den ** 2) - Matrix.identity(a.field, 21)
 
 
 def expected_adjoint(orbit: str, p: int) -> Partition:
@@ -373,7 +317,7 @@ class G2Row:
 def g2_table(p: int) -> list:
     """All four orbit rows at the given prime, adjoint partitions by both
     routes, from three batches of Jordan types (``jordan_partitions``): x
-    and u - 1 on V, checked as the builders check them, the coordinate
+    and u - 1 on V, checked against ``V_PARTITIONS``, the coordinate
     blocks, and wedge^2 V less those types on V (the wedge route)."""
     model = build_so7_model(p)
     xs = [_nilpotent_rep(orbit, model) for orbit in ORBITS]

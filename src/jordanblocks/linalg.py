@@ -591,11 +591,6 @@ def solve_in_columns(b: Matrix, rhs: Matrix) -> Matrix | None:
 
 # -- Jordan structure ---------------------------------------------------------
 
-def jordan_block(field: Field, n: int) -> Matrix:
-    """The n-by-n upper-shift nilpotent block (zero matrix for n == 1)."""
-    return nilpotent_from_partition(field, (n,))
-
-
 def nilpotent_from_partition(field: Field, lam) -> Matrix:
     """Block-diagonal canonical nilpotent with Jordan type ``lam``: the series
     Y gathered at the partition's shift."""

@@ -42,7 +42,8 @@ Past m = 3 the fold of two or more blocks rests on the series splitting
 (``_splits``), else the whole partition is gathered, within d^m <= 4096.
 The whole power operator straightened onto the quotient
 (``power_operator``, ``induced_quotient_operator``) is the tests'
-reference.  A law over another field raises ``InvalidLaw``.
+reference.  At each entry (``_require_field``) anything but a law in the
+law's place raises ``InvalidInput``, and a law over another field ``InvalidLaw``.
 
 The constructive intertwiners are the automorphisms Y_i -> f_i for a
 term-by-term split of the law's series f = f_1 + ... + f_m with Y_i | f_i;
@@ -158,6 +159,8 @@ class RingElement:
 # -- tensor operators ------------------------------------------------------------
 
 def _require_field(law: GeneralizedLaw, field: Field) -> None:
+    if not isinstance(law, GeneralizedLaw):
+        raise InvalidInput(f"a law is due, got {type(law).__name__}")
     if law.field != field:
         raise InvalidLaw("law and field characteristics disagree")
 
@@ -470,6 +473,7 @@ def _product(x: RingElement, y: RingElement, pair) -> RingElement:
 def ring_multiply(x: RingElement, y: RingElement, law: GeneralizedLaw,
                   field: Field) -> RingElement:
     """Bilinear extension of the structure constants."""
+    _require_field(law, field)
     return _product(x, y, lambda a, b: structure_constants(a, b, law, field))
 
 

@@ -11,24 +11,19 @@ from jordanblocks.errors import (
     InvalidInput,
     NotNilpotent,
     NotUnipotent,
-    ShapeMismatch,
 )
 from jordanblocks.fgl import additive, multiplicative
 from jordanblocks.fields import GF, QQ
 from jordanblocks.g2 import (
     ORBITS,
     V_PARTITIONS,
-    adjoint_partition_direct,
     bracket,
     build_so7_model,
     expected_adjoint,
     g2_generators,
-    g2_nilpotent_rep,
     g2_subalgebra,
     g2_table,
-    g2_unipotent_rep,
     lie_closure,
-    wedge_route_adjoint,
     weight_components,
 )
 from jordanblocks.linalg import (
@@ -151,24 +146,49 @@ class TestLieClosure:
         assert all(a == b for a, b in zip(got, rank_probe_closure(gens)))
 
 
+def _reps(model) -> list:
+    """The table's eight (representative, mode) pairs, nilpotents first."""
+    return ([(g2._nilpotent_rep(o, model), "nilpotent") for o in ORBITS]
+            + [(g2._unipotent_rep(o, model), "unipotent") for o in ORBITS])
+
+
+def _direct(a, basis, mode) -> Partition:
+    """The direct route's type for one representative."""
+    return jordan_partition(g2._coordinate_blocks([(a, mode)], basis)[0])
+
+
+def _wrong_v_types(monkeypatch, half):
+    """The table's batch of types on V, x first then u - 1, with one half
+    read as (7)."""
+    real = g2.jordan_partitions
+
+    def wrong(mats):
+        out = real(mats)
+        if mats[0].nrows == 7:
+            out[half] = [Partition((7,))] * 4
+        return out
+
+    monkeypatch.setattr(g2, "jordan_partitions", wrong)
+
+
 class TestRepresentatives:
     @pytest.mark.parametrize("orbit", ORBITS)
     def test_nilpotent_v_partitions(self, model, orbit):
-        assert jordan_partition(g2_nilpotent_rep(orbit, model)) == V_PARTITIONS[orbit]
+        assert jordan_partition(g2._nilpotent_rep(orbit, model)) == V_PARTITIONS[orbit]
 
     @pytest.mark.parametrize("orbit", ORBITS)
     def test_unipotent_v_partitions(self, model, orbit):
-        assert unipotent_partition(g2_unipotent_rep(orbit, model)) == V_PARTITIONS[orbit]
+        assert unipotent_partition(g2._unipotent_rep(orbit, model)) == V_PARTITIONS[orbit]
 
     @pytest.mark.parametrize("orbit", ORBITS)
     def test_unipotents_preserve_form(self, model, orbit):
-        u = g2_unipotent_rep(orbit, model)
+        u = g2._unipotent_rep(orbit, model)
         assert (u.T @ model.gram @ u) == model.gram
 
     def test_richardson_weight_components(self, model):
         # components sit on the four roots restricting to the two relevant
         # orbit roots; the three named ones are nonzero
-        comps = weight_components(g2_nilpotent_rep("G2a1", model))
+        comps = weight_components(g2._nilpotent_rep("G2a1", model))
         named = {(1, 0, -1), (0, 1, 0), (0, 1, 1)}
         assert named <= comps
         assert comps <= named | {(1, 0, 0)}
@@ -176,91 +196,69 @@ class TestRepresentatives:
 
     def test_unknown_orbit_is_invalid_input(self, model):
         with pytest.raises(InvalidInput, match="unknown orbit"):
-            g2_nilpotent_rep("B2", model)
+            g2._nilpotent_rep("B2", model)
         with pytest.raises(InvalidInput, match="unknown orbit"):
-            g2_unipotent_rep("B2", model)
+            g2._unipotent_rep("B2", model)
 
-    def test_wrong_nilpotent_type_is_a_typed_error(self, model, monkeypatch):
-        monkeypatch.setattr(g2, "jordan_partition", lambda x: Partition((7,)))
+    def test_wrong_nilpotent_type_is_a_typed_error(self, monkeypatch):
+        _wrong_v_types(monkeypatch, slice(0, 4))
         with pytest.raises(AlgebraError, match="A1 representative has Jordan type"):
-            g2_nilpotent_rep("A1", model)
+            g2_table(5)
+
+    def test_wrong_unipotent_type_is_a_typed_error(self, monkeypatch):
+        # the nilpotents' types are right: the unipotents' are checked too
+        _wrong_v_types(monkeypatch, slice(4, 8))
+        with pytest.raises(AlgebraError, match="A1 representative has Jordan type"):
+            g2_table(5)
 
     def test_form_not_preserved_is_a_typed_error(self, model, monkeypatch):
         # 2 times the identity scales the form by 4
         monkeypatch.setattr(g2, "exp_nilpotent",
                             lambda y: Matrix.identity(y.field, y.nrows).scale(2))
         with pytest.raises(AlgebraError, match="does not preserve the form"):
-            g2_unipotent_rep("A1", model)
-
-    def test_wrong_unipotent_type_is_a_typed_error(self, model, monkeypatch):
-        monkeypatch.setattr(g2, "unipotent_partition", lambda u: Partition((7,)))
-        with pytest.raises(AlgebraError, match="A1 representative has Jordan type"):
-            g2_unipotent_rep("A1", model)
+            g2._unipotent_rep("A1", model)
 
 
 class TestAdjointRoutes:
-    def test_unknown_mode_is_invalid_input(self, model):
-        a = g2_nilpotent_rep("A1", model)
-        with pytest.raises(InvalidInput, match="unknown mode"):
-            adjoint_partition_direct(a, g2_subalgebra(model), "semisimple")
-        with pytest.raises(InvalidInput, match="unknown mode"):
-            wedge_route_adjoint(a, "semisimple")
-
     def test_zero_element(self, model):
         basis = g2_subalgebra(model)
         zero = Matrix.zeros(model.field, 7, 7)
-        assert adjoint_partition_direct(zero, basis, "nilpotent") == (1,) * 14
+        assert _direct(zero, basis, "nilpotent") == (1,) * 14
 
     def test_does_not_stabilize(self, model):
         # a single so_7 root vector y_1 is not in the subalgebra
         basis = g2_subalgebra(model)
         with pytest.raises(DoesNotStabilize):
-            adjoint_partition_direct(model.y[0], basis, "nilpotent")
+            _direct(model.y[0], basis, "nilpotent")
 
     def test_a1_direct(self):
         model11 = build_so7_model(11)
         basis = g2_subalgebra(model11)
-        a = g2_nilpotent_rep("A1", model11)
-        assert adjoint_partition_direct(a, basis, "nilpotent") == (3, 2, 2, 2, 2, 1, 1, 1)
+        a = g2._nilpotent_rep("A1", model11)
+        assert _direct(a, basis, "nilpotent") == (3, 2, 2, 2, 2, 1, 1, 1)
 
     def test_regular_unipotent_p7(self, model):
         basis = g2_subalgebra(model)
-        u = g2_unipotent_rep("G2reg", model)
-        assert adjoint_partition_direct(u, basis, "unipotent") == (7, 7)
-
-    def test_matrix_off_the_module_is_a_shape_mismatch(self, model):
-        basis = g2_subalgebra(model)
-        for a in (Matrix.zeros(model.field, 6, 6), Matrix.zeros(model.field, 8, 8)):
-            for mode in ("nilpotent", "unipotent"):
-                with pytest.raises(ShapeMismatch):
-                    wedge_route_adjoint(a, mode)
-                with pytest.raises(ShapeMismatch):
-                    adjoint_partition_direct(a, basis, mode)
-
-    def test_matrix_over_another_field_is_a_shape_mismatch(self, model):
-        basis = g2_subalgebra(model)
-        for field in (GF(5), QQ):
-            with pytest.raises(ShapeMismatch):
-                adjoint_partition_direct(Matrix.zeros(field, 7, 7), basis, "nilpotent")
+        u = g2._unipotent_rep("G2reg", model)
+        assert _direct(u, basis, "unipotent") == (7, 7)
 
     def test_singular_u_is_not_unipotent(self, model):
+        # u = 0 has u - 1 = -1, which no squaring kills
         zero = Matrix.zeros(model.field, 7, 7)
         with pytest.raises(NotUnipotent):
-            adjoint_partition_direct(zero, g2_subalgebra(model), "unipotent")
-        with pytest.raises(NotUnipotent):
-            wedge_route_adjoint(zero, "unipotent")
+            _direct(zero, g2_subalgebra(model), "unipotent")
 
     def test_not_nilpotent_or_not_unipotent_is_refused(self, model):
         # 1 and 2 * 1 stabilize the span, with ad 1 = 0 and Ad(2 * 1) = 1, so
-        # only the nilpotency of a or of u - 1 tells them apart from 0 and 1
+        # only the nilpotency of a or of u - 1 tells them apart from 0 and 1;
+        # the Cartan element h stabilizes it too
         basis = g2_subalgebra(model)
         eye = Matrix.identity(model.field, 7)
         for a, mode, error in ((eye, "nilpotent", NotNilpotent),
+                               (basis[5], "nilpotent", NotNilpotent),
                                (eye.scale(2), "unipotent", NotUnipotent)):
             with pytest.raises(error):
-                adjoint_partition_direct(a, basis, mode)
-            with pytest.raises(error):
-                wedge_route_adjoint(a, mode)
+                _direct(a, basis, mode)
 
     def test_products_past_float_exactness_are_bad_prime(self):
         # 7 (p - 1)**2 passes 2**53, so the stacked products could round
@@ -268,7 +266,9 @@ class TestAdjointRoutes:
         basis = [Matrix.identity(field, 7)]
         for mode in ("nilpotent", "unipotent"):
             with pytest.raises(BadPrime):
-                adjoint_partition_direct(Matrix.identity(field, 7), basis, mode)
+                _direct(Matrix.identity(field, 7), basis, mode)
+        with pytest.raises(BadPrime):
+            g2_table(2147483647)
 
     def test_wedge_route_values(self):
         model5 = build_so7_model(5)
@@ -278,8 +278,9 @@ class TestAdjointRoutes:
             "A1tilde": (4, 4, 3, 1, 1, 1),
         }
         for orbit, expected in cases.items():
-            a = g2_nilpotent_rep(orbit, model5)
-            assert wedge_route_adjoint(a, "nilpotent") == expected
+            a = g2._nilpotent_rep(orbit, model5)
+            wedge = jordan_partition(g2._wedge_square(a, "nilpotent"))
+            assert wedge.difference(jordan_partition(a)) == expected
 
 
 class TestWedgeRouteOperators:
@@ -291,8 +292,8 @@ class TestWedgeRouteOperators:
         field = model_p.field
         eye = Matrix.identity(field, 7)
         for orbit in ORBITS:
-            x = g2_nilpotent_rep(orbit, model_p)
-            u = g2_unipotent_rep(orbit, model_p)
+            x = g2._nilpotent_rep(orbit, model_p)
+            u = g2._unipotent_rep(orbit, model_p)
             assert x.kron(eye) + eye.kron(x) == tensor_operator(x, x, additive(field))
             assert (u.kron(u) - Matrix.identity(field, 49)
                     == tensor_operator(u - eye, u - eye, multiplicative(field)))
@@ -312,21 +313,20 @@ class TestBatchedRoutes:
         model_p = build_so7_model(p)
         basis = g2_subalgebra(model_p)
         for orbit, row in zip(ORBITS, g2_table(p)):
-            reps = {"nilpotent": g2_nilpotent_rep(orbit, model_p),
-                    "unipotent": g2_unipotent_rep(orbit, model_p)}
+            reps = {"nilpotent": g2._nilpotent_rep(orbit, model_p),
+                    "unipotent": g2._unipotent_rep(orbit, model_p)}
             for mode, got in (("nilpotent", row.adjoint_nilpotent),
                               ("unipotent", row.adjoint_unipotent)):
                 a = reps[mode]
                 assert got == g2_direct_adjoint(a, basis, mode), (orbit, mode)
                 assert got == kron_wedge_adjoint(a, mode), (orbit, mode)
-                assert got == adjoint_partition_direct(a, basis, mode), (orbit, mode)
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_compound_operators_are_the_straightened_kronecker_forms(self, p):
         model_p = build_so7_model(p)
         rng = random.Random(f"g2-compound:{p}")
-        nilpotents = [g2_nilpotent_rep(o, model_p) for o in ORBITS] + g2_subalgebra(model_p)
-        unipotents = [g2_unipotent_rep(o, model_p) for o in ORBITS]
+        nilpotents = [g2._nilpotent_rep(o, model_p) for o in ORBITS] + g2_subalgebra(model_p)
+        unipotents = [g2._unipotent_rep(o, model_p) for o in ORBITS]
         dense = _seeded_matrices(model_p.field, rng)
         for mode, mats in (("nilpotent", nilpotents + dense), ("unipotent", unipotents + dense)):
             for a in mats:
@@ -344,8 +344,7 @@ class TestBatchedRoutes:
         # y_1 alone (or exp y_1) leaves the subalgebra: one such image among
         # the stacked ones is enough to refuse the whole solve
         basis = g2_subalgebra(model)
-        reps = [(g2_nilpotent_rep(o, model), "nilpotent") for o in ORBITS]
-        reps += [(g2_unipotent_rep(o, model), "unipotent") for o in ORBITS]
+        reps = _reps(model)
         g2._coordinate_blocks(reps, basis)
         bad = model.y[0] if mode == "nilpotent" else exp_nilpotent(model.y[0])
         reps.insert(5, (bad, mode))
@@ -355,13 +354,14 @@ class TestBatchedRoutes:
     @pytest.mark.parametrize("mode", ["nilpotent", "unipotent"])
     def test_one_non_nilpotent_representative_among_the_stack(self, model, mode):
         # the semisimple basis element h, and 1 or 2 * 1, all stabilize the
-        # span: only the stacked squarings refuse them
+        # span: only the stacked squarings refuse them, as they refuse the
+        # singular 0 before any inverse is read off them
         basis = g2_subalgebra(model)
         eye = Matrix.identity(model.field, 7)
-        reps = [(g2_nilpotent_rep(o, model), "nilpotent") for o in ORBITS]
-        reps += [(g2_unipotent_rep(o, model), "unipotent") for o in ORBITS]
+        reps = _reps(model)
         error = NotNilpotent if mode == "nilpotent" else NotUnipotent
-        bads = [basis[5], eye] if mode == "nilpotent" else [eye.scale(2), eye.scale(3)]
+        bads = ([basis[5], eye] if mode == "nilpotent"
+                else [eye.scale(2), eye.scale(3), Matrix.zeros(model.field, 7, 7)])
         assert any(basis[5].num.diagonal())
         for bad in bads:
             with pytest.raises(error):
@@ -371,8 +371,7 @@ class TestBatchedRoutes:
         # the same representatives in another order give the same blocks,
         # reordered
         basis = g2_subalgebra(model)
-        reps = [(g2_unipotent_rep(o, model), "unipotent") for o in ORBITS]
-        reps += [(g2_nilpotent_rep(o, model), "nilpotent") for o in ORBITS]
+        reps = _reps(model)[::-1]
         blocks = g2._coordinate_blocks(reps, basis)
         again = g2._coordinate_blocks(reps[::-1], basis)
         assert all(a == b for a, b in zip(blocks, again[::-1]))
@@ -422,8 +421,9 @@ class TestTable:
             pytest.fail("the table computed a single Jordan type")
 
         monkeypatch.setattr(g2, "jordan_partitions", counted)
+        # g2 imports neither name; a spy catches either if it comes back
         for name in ("jordan_partition", "unipotent_partition"):
-            monkeypatch.setattr(g2, name, refuse)
+            monkeypatch.setattr(g2, name, refuse, raising=False)
         rows = g2_table(5)
         assert [row.v_partition for row in rows] == [V_PARTITIONS[o] for o in ORBITS]
         assert [shapes for shapes, _ in batches] == [[(7, 7)] * 8, [(14, 14)] * 8,
@@ -454,6 +454,23 @@ class TestTable:
                               lambda y, c=scale: Matrix.identity(y.field, y.nrows).scale(c))
                 with pytest.raises(error, match=match):
                     g2_table(5)
+
+    def test_one_solve_and_no_inverse(self, monkeypatch):
+        # every u^-1 comes from the squarings that check u - 1 nilpotent
+        solves = []
+        real = g2.solve_in_columns
+
+        def counted(*args):
+            solves.append(args)
+            return real(*args)
+
+        def refuse(self):
+            pytest.fail("the table inverted a matrix")
+
+        monkeypatch.setattr(g2, "solve_in_columns", counted)
+        monkeypatch.setattr(Matrix, "inverse", refuse)
+        assert all(row.matches_table and row.routes_agree for row in g2_table(7))
+        assert len(solves) == 1
 
     def test_adjoint_dimension_is_14(self):
         for row in g2_table(5):

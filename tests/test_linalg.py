@@ -31,7 +31,6 @@ from jordanblocks.linalg import (
     apply_series,
     canonical_series_operator,
     exp_nilpotent,
-    jordan_block,
     jordan_partition,
     nilpotent_from_partition,
     nilpotent_powers,
@@ -207,7 +206,7 @@ class TestJordanPartition:
     def test_char2_tensor_square(self):
         # J4 (x) 1 + 1 (x) J4 over F2 on 16 dimensions
         f = GF(2)
-        j4 = jordan_block(f, 4)
+        j4 = nilpotent_from_partition(f, (4,))
         eye = Matrix.identity(f, 4)
         n = j4.kron(eye) + eye.kron(j4)
         assert jordan_partition(n) == (4, 4, 4, 4)
@@ -228,13 +227,13 @@ class TestJordanPartition:
 
     def test_canonical_blocks(self):
         f = GF(3)
-        assert jordan_block(f, 1).is_zero()
+        assert nilpotent_from_partition(f, (1,)).is_zero()
         n = nilpotent_from_partition(f, (2, 1))
         assert n.a.tolist() == [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
 
     def test_block_size_below_one(self):
         with pytest.raises(InvalidInput):
-            jordan_block(GF(3), 0)
+            nilpotent_from_partition(GF(3), (0,))
 
     @given(partitions, st.sampled_from([2, 3, 5, 7]))
     @settings(max_examples=30, deadline=None)
@@ -696,9 +695,10 @@ class TestBatchedPartitions:
                     linalg.jordan_partitions(good[:at] + [bad] + good[at:])
 
     def test_mixed_stacks_and_no_matrices(self):
-        n5 = jordan_block(GF(5), 3)
-        for other in (jordan_block(GF(5), 4), Matrix.zeros(GF(5), 3, 2), jordan_block(GF(7), 3),
-                      jordan_block(QQ, 3), TruncatedPoly(GF(5), (3, 3), {(0, 1): 1}), "J_3"):
+        n5 = nilpotent_from_partition(GF(5), (3,))
+        for other in (nilpotent_from_partition(GF(5), (4,)), Matrix.zeros(GF(5), 3, 2),
+                      nilpotent_from_partition(GF(7), (3,)), nilpotent_from_partition(QQ, (3,)),
+                      TruncatedPoly(GF(5), (3, 3), {(0, 1): 1}), "J_3"):
             with pytest.raises(ShapeMismatch):
                 linalg.jordan_partitions([n5, other])
             with pytest.raises(ShapeMismatch):
@@ -1167,7 +1167,7 @@ class TestExactnessGuard:
         with pytest.raises(BadPrime):
             Matrix.identity(field, 2) @ Matrix.identity(field, 2)
         with pytest.raises(BadPrime):
-            jordan_partition(jordan_block(field, 2))
+            jordan_partition(nilpotent_from_partition(field, (2,)))
 
     def test_elimination_past_int64_raises(self):
         # the field itself is refused, so no matrix over it is ever made
@@ -1208,10 +1208,10 @@ class TestExactnessGuard:
             import sys
             from jordanblocks.errors import BadPrime
             from jordanblocks.fields import GF
-            from jordanblocks.linalg import jordan_block, jordan_partition
+            from jordanblocks.linalg import jordan_partition, nilpotent_from_partition
             assert False, "asserts must be stripped in this run"
             try:
-                jordan_partition(jordan_block(GF({PRIME_PAST_BOUND}), 2))
+                jordan_partition(nilpotent_from_partition(GF({PRIME_PAST_BOUND}), (2,)))
             except BadPrime:
                 sys.exit(0)
             sys.exit(1)
@@ -1229,7 +1229,7 @@ class TestUnipotent:
 
     def test_single_block(self):
         f = GF(3)
-        u = Matrix.identity(f, 2) + jordan_block(f, 2)
+        u = Matrix.identity(f, 2) + nilpotent_from_partition(f, (2,))
         assert unipotent_partition(u) == (2,)
 
     def test_regular_from_series(self):
@@ -1256,19 +1256,19 @@ class TestApplySeries:
     def test_cayley_on_j2(self):
         # N^2 = 0 kills everything past the linear term
         f = GF(5)
-        n = jordan_block(f, 2)
+        n = nilpotent_from_partition(f, (2,))
         cayley = TruncatedPoly.univariate(f, 4, [0, -2, 2, -2])
         assert apply_series(cayley, n) == n.scale(-2)
 
     def test_partition_preserved(self):
         f = GF(7)
-        n = jordan_block(f, 3)
+        n = nilpotent_from_partition(f, (3,))
         g = TruncatedPoly.univariate(f, 3, [0, 1, 1])
         assert jordan_partition(apply_series(g, n)) == (3,)
 
     def test_truncation_too_short(self):
         f = GF(5)
-        n = jordan_block(f, 4)
+        n = nilpotent_from_partition(f, (4,))
         g = TruncatedPoly.univariate(f, 3, [0, 1, 1])
         with pytest.raises(TruncationTooShort):
             apply_series(g, n)
@@ -1277,7 +1277,7 @@ class TestApplySeries:
         # the F_7 series 6t would read as t over F_5
         g = TruncatedPoly.univariate(GF(7), 4, [0, 6])
         with pytest.raises(ShapeMismatch, match="over F7"):
-            apply_series(g, jordan_block(GF(5), 3))
+            apply_series(g, nilpotent_from_partition(GF(5), (3,)))
 
 
 class TestExpNilpotent:
@@ -1286,7 +1286,7 @@ class TestExpNilpotent:
 
     def test_degree_two(self):
         f = GF(3)
-        n = jordan_block(f, 2)
+        n = nilpotent_from_partition(f, (2,))
         assert exp_nilpotent(n) == Matrix.identity(f, 2) + n
 
     def test_partition_preserved(self):

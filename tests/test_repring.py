@@ -29,7 +29,6 @@ from jordanblocks.linalg import (
     Matrix,
     Partition,
     canonical_series_operator,
-    jordan_block,
     jordan_partition,
     nilpotent_from_partition,
 )
@@ -112,22 +111,22 @@ class TestRingElement:
 
 class TestTensorOperator:
     def test_additive_j2_squared_char2(self):
-        phi = jordan_block(F2, 2)
+        phi = nilpotent_from_partition(F2, (2,))
         assert jordan_partition(tensor_operator(phi, phi, additive(F2))) == (2, 2)
 
     def test_j1_is_unit_for_multiplicative(self):
-        phi = jordan_block(F5, 1)
+        phi = nilpotent_from_partition(F5, (1,))
         psi = nilpotent_from_partition(F5, (3, 2))
         top = tensor_operator(phi, psi, multiplicative(F5))
         assert jordan_partition(top) == (3, 2)
 
     def test_char2_square_of_j4(self):
-        phi = jordan_block(F2, 4)
+        phi = nilpotent_from_partition(F2, (4,))
         assert jordan_partition(tensor_operator(phi, phi, multiplicative(F2))) == (4, 4, 4, 4)
 
     def test_law_over_another_field_is_refused(self):
         # c = 6 of an F_7 law would read as 1 in F_5
-        x = jordan_block(F5, 3)
+        x = nilpotent_from_partition(F5, (3,))
         with pytest.raises(InvalidLaw, match="disagree"):
             tensor_operator(x, x, scaled_multiplicative(GF(7), 6))
 
@@ -184,6 +183,24 @@ def test_law_over_another_field_is_refused():
                 square((3,), m, law, F3)
     with pytest.raises(InvalidLaw, match="disagree"):
         structure_constants(3, 3, law, F3)
+
+
+LAW_ENTRIES = {
+    "structure_constants": lambda law: structure_constants(3, 3, law, F5),
+    "tensor_partition": lambda law: tensor_partition((3,), (2,), law, F5),
+    # an empty class asks no structure constant, and is still refused
+    "ring_multiply": lambda law: ring_multiply(RingElement(), RingElement({2: 1}), law, F5),
+    "wedge_partition": lambda law: wedge_partition((3,), 2, law, F5),
+    "sym_partition": lambda law: sym_partition((3,), 2, law, F5),
+}
+
+
+@pytest.mark.parametrize("entry", LAW_ENTRIES)
+@pytest.mark.parametrize("not_a_law", [F5, Matrix.identity(F5, 2)], ids=["Field", "Matrix"])
+def test_anything_but_a_law_is_invalid_input(entry, not_a_law):
+    # a Matrix over F_5 has the law's field, so only the type tells
+    with pytest.raises(InvalidInput, match=f"a law is due, got {type(not_a_law).__name__}"):
+        LAW_ENTRIES[entry](not_a_law)
 
 
 class TestStructureConstants:
@@ -282,7 +299,7 @@ class TestStructureConstantsAgainstOracle:
         field = GF(p)
         laws = [additive(field), multiplicative(field),
                 random_generalized_law(p, 22, field, unit_linear=p % 2 == 1)]
-        blocks = {n: jordan_block(field, n) for n in range(1, 13)}
+        blocks = {n: nilpotent_from_partition(field, (n,)) for n in range(1, 13)}
         repring.clear_memo()
         for n, m in itertools.combinations_with_replacement(range(1, 13), 2):
             op = tensor_operator(blocks[n], blocks[m], laws[0])
@@ -542,13 +559,13 @@ class TestPowerOperator:
         assert power_operator((3, 1), 1, additive(F5), F5) == phi
 
     def test_m2_additive(self):
-        phi = jordan_block(F5, 3)
+        phi = nilpotent_from_partition(F5, (3,))
         eye = Matrix.identity(F5, 3)
         expected = phi.kron(eye) + eye.kron(phi)
         assert power_operator((3,), 2, additive(F5), F5) == expected
 
     def test_m2_multiplicative_is_group_tensor(self):
-        phi = jordan_block(F3, 3)
+        phi = nilpotent_from_partition(F3, (3,))
         eye = Matrix.identity(F3, 3)
         got = power_operator((3,), 2, multiplicative(F3), F3)
         expected = (eye + phi).kron(eye + phi) - eye.kron(eye)
@@ -647,7 +664,7 @@ class TestGatheredOperators:
         coeffs[2, 0], coeffs[0, 3], coeffs[1, 2] = 1, 4, 3
         op = canonical_series_operator(F5, ((2, 1), (3,)), coeffs)
         phi = nilpotent_from_partition(F5, (2, 1))
-        psi = jordan_block(F5, 3)
+        psi = nilpotent_from_partition(F5, (3,))
         assert op == phi.kron(psi @ psi).scale(3)
 
 
