@@ -453,10 +453,19 @@ MUTANTS = [
            "for square in squares[1:-1]:", "for square in squares[1:-2]:",
            (G2_BATCH_TESTS + "test_table_matches_the_oracles[7]",)),
     # a Field or a Matrix in the law's place reaches the law's attributes
-    Mutant("law-guard-skipped", REPRING,
+    Mutant("law-guard-skipped", FGL,
            "    if not isinstance(law, GeneralizedLaw):\n"
            "        raise InvalidInput(f\"a law is due, got {type(law).__name__}\")\n", "",
            ("tests/test_repring.py::test_anything_but_a_law_is_invalid_input",)),
+    # Sym^2 and Sym^3 of one block share a memo entry: the fold reads the
+    # first power asked for every later one
+    Mutant("block-power-key-drops-i", REPRING,
+           "key = (kind, a, i, law.fingerprint())", "key = (kind, a, law.fingerprint())",
+           (QUOTIENT_TESTS + "test_seeded_powers[F5]",)),
+    # every g2_table call rebuilds and re-validates its model
+    Mutant("so7-model-rebuilt", G2,
+           "return _so7_model(_count(", "return _so7_model.__wrapped__(_count(",
+           ("tests/test_g2.py::TestModel::test_model_is_built_once_per_prime",)),
 ]
 
 

@@ -3,7 +3,7 @@
 The adjoint module is V (x) V* for GL, Sym^2 V for Sp and wedge^2 V for SO.
 Each splits over the blocks of V under any commutative law, so
 :func:`adjoint_partition` builds no operator: GL is the ring product of
-lambda with itself and Sp/SO the block fold at m = 2 of ``wedge_/sym_partition``.
+lambda with itself, Sp/SO the fold at m = 2 of the squares (``repring._block_power``).
 The nilpotent side takes the classes under the additive law, the unipotent
 side under the multiplicative law (group conjugation), and in good
 characteristic the two partitions agree.  In bad characteristic (p = 2 for
@@ -19,7 +19,7 @@ from .errors import CharTwo, InvalidInput
 from .fields import Field, _count
 from .fgl import GeneralizedLaw, additive, multiplicative
 from .linalg import Matrix, Partition, _fields_json, apply_series
-from .repring import RingElement, _fold, _product, square_constants, structure_constants
+from .repring import RingElement, _block_power, _fold, _product, structure_constants
 from .series import TruncatedPoly
 
 KINDS = ("GL", "Sp", "SO")
@@ -67,10 +67,8 @@ def adjoint_partition(kind: str, lam, pair, square) -> Partition:
 
 
 def _adjoint_under(kind: str, lam, law: GeneralizedLaw) -> Partition:
-    return adjoint_partition(
-        kind, lam,
-        lambda a, b: structure_constants(a, b, law, law.field),
-        lambda a, shape: square_constants(a, shape, law))
+    return adjoint_partition(kind, lam, lambda a, b: structure_constants(a, b, law, law.field),
+                             lambda a, shape: _block_power(a, 2, shape, law))
 
 
 def nilpotent_adjoint_partition(kind: str, lam, field: Field) -> Partition:

@@ -134,6 +134,12 @@ class GeneralizedLaw:
         return out if degree_cap is None else out.truncate_degree(degree_cap)
 
 
+def _require_law(law) -> None:
+    """The one law-type rule: anything but a law in a law's place is InvalidInput."""
+    if not isinstance(law, GeneralizedLaw):
+        raise InvalidInput(f"a law is due, got {type(law).__name__}")
+
+
 def additive(field: Field) -> GeneralizedLaw:
     one = field.one
     return GeneralizedLaw(field, 2, {(1, 0): one, (0, 1): one}, exact=True, name="additive")
@@ -176,6 +182,7 @@ def validate_fgl(law: GeneralizedLaw, degree: int | None = None) -> LawReport:
     all terms of total degree <= degree; higher terms are not determined by a
     truncated law and are ignored.
     """
+    _require_law(law)
     field = law.field
     if degree is None:
         degree = max(law.degree, 6) if law.exact else law.degree
@@ -246,6 +253,7 @@ def iterated_tensor_series(law: GeneralizedLaw, m: int, trunc: Sequence[int]) ->
     For a valid formal group law the result is symmetric in the variables and
     congruent to Y_1 + ... + Y_m modulo degree 2.
     """
+    _require_law(law)
     m = _count(m, 1, "m")
     if len(trunc) != m:
         raise InvalidInput("truncation vector must have one entry per factor")

@@ -27,6 +27,7 @@ or the second compound (the 2 x 2 minors) of a unipotent u minus 1.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -71,9 +72,9 @@ BASIS_WEIGHTS = (
 SIMPLE_ROOTS = ((1, -1, 0), (0, 1, -1), (0, 0, 1))  # gamma_1, gamma_2, gamma_3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SO7Model:
-    """Validated ambient data: the form, the three simple root vectors, p > 3."""
+    """Validated ambient data: the form, three simple root vectors, p > 3; equal only to itself."""
 
     p: int
     field: Field
@@ -93,8 +94,13 @@ def _unit(field, i, j):
 
 
 def build_so7_model(p: int) -> SO7Model:
-    """The model at a prime p > 3; BadPrime for a p that is not an integer >= 4."""
-    field = Field(_count(p, 4, "the model's p", BadPrime))
+    """The model at a prime p > 3, built once per p; BadPrime for a p not an integer >= 4."""
+    return _so7_model(_count(p, 4, "the model's p", BadPrime))
+
+
+@functools.lru_cache(maxsize=None)
+def _so7_model(p: int) -> SO7Model:
+    field = Field(p)
     gram = Matrix(field, np.eye(7, dtype=np.int64)[::-1].copy())
     y1 = _unit(field, 0, 1) - _unit(field, 5, 6)
     y2 = _unit(field, 1, 2) - _unit(field, 4, 5)
@@ -315,9 +321,9 @@ class G2Row:
 
 
 def g2_table(p: int) -> list:
-    """All four orbit rows at the given prime, adjoint partitions by both
-    routes, from three batches of Jordan types (``jordan_partitions``): x
-    and u - 1 on V, checked against ``V_PARTITIONS``, the coordinate
+    """All four orbit rows at p, on its model built once, adjoint partitions
+    by both routes, from three batches of Jordan types (``jordan_partitions``):
+    x and u - 1 on V, checked against ``V_PARTITIONS``, the coordinate
     blocks, and wedge^2 V less those types on V (the wedge route)."""
     model = build_so7_model(p)
     xs = [_nilpotent_rep(orbit, model) for orbit in ORBITS]

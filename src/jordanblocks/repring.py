@@ -5,8 +5,8 @@ integer combination of block classes J_n.  The tensor product of (V, phi) and
 (W, psi) with respect to a law F is the operator F(phi (x) 1, 1 (x) psi) on
 V (x) W; the structure constants of the resulting ring are independent of the
 law, which the verification suite checks by brute force.  Structure
-constants and the squares of single blocks are memoized; in characteristic
-0 both have closed forms (Clebsch-Gordan and the sl_2 plethysm).
+constants and block powers are memoized; in characteristic 0 the cells and
+squares have closed forms (Clebsch-Gordan and the sl_2 plethysm).
 
 A tensor product of partitions is the ring product of their block classes,
 and no tensor operator is built for a cell J_n (x) J_m: it is multiplication
@@ -26,7 +26,7 @@ n <= N, from the counts of pivots whose lead is below n s
 (``_table_partition``).  A cell with n < m is J_m (x) J_n under
 F^op(x, y) = F(y, x), read from the transposed table; under a symmetric law
 both orders share one column.  The squares Sym^2 J_n and wedge^2 J_n
-(``square_constants``) fold the rows of their generators onto the pairs
+(``_block_power`` at i = 2) fold the rows of their generators onto the pairs
 (a, b), ordered by b and then a, so they are prefixes too.  A column is
 built at the largest block asked at the characteristic since
 ``clear_memo``, within the table's box, the law's degree and the 4096
@@ -34,16 +34,16 @@ bound, so a cold call builds at its own box; each read's span count must
 be the dimension, or AlgebraError.
 
 Sym^m and wedge^m of any partition at any m fold its blocks in (``_fold``)
-through the cells' bilinear product (``_product``, as ``ring_multiply``).
-A block's powers past its square fold the power operator's columns at the
-basis words, from one memoized m-fold series per law (``_quotient_class``),
-which must be symmetric, else ``InvalidInput``; J_a needs a^i <= 4096.
-Past m = 3 the fold of two or more blocks rests on the series splitting
-(``_splits``), else the whole partition is gathered, within d^m <= 4096.
-The whole power operator straightened onto the quotient
-(``power_operator``, ``induced_quotient_operator``) is the tests'
-reference.  At each entry (``_require_field``) anything but a law in the
-law's place raises ``InvalidInput``, and a law over another field ``InvalidLaw``.
+through the cells' bilinear product (``_product``, as ``ring_multiply``)
+and the block powers (``_block_power``).  Past the square these fold the
+power operator's columns at the basis words, from one memoized m-fold
+series per law (``_quotient_class``), which must be symmetric, else
+``InvalidInput``; J_a needs a^i <= 4096.  Past m = 3 the fold of two or
+more blocks rests on the series splitting (``_splits``), else the whole
+partition is gathered, within d^m <= 4096.  The whole power operator
+straightened onto the quotient (``power_operator``,
+``induced_quotient_operator``) is the tests' reference.  A law over
+another field is ``InvalidLaw`` (``_require_field``).
 
 The constructive intertwiners are the automorphisms Y_i -> f_i for a
 term-by-term split of the law's series f = f_1 + ... + f_m with Y_i | f_i;
@@ -61,7 +61,7 @@ import numpy as np
 
 from .errors import AlgebraError, InvalidInput, InvalidLaw
 from .fields import Field, _count
-from .fgl import GeneralizedLaw, iterated_tensor_series
+from .fgl import GeneralizedLaw, _require_law, iterated_tensor_series
 from .linalg import (
     _MAX_OPERATOR_DIM,
     Matrix,
@@ -151,16 +151,11 @@ class RingElement:
     def to_json(self) -> dict:
         return {"terms": [{"n": n, "a": self.terms[n]} for n in sorted(self.terms, reverse=True)]}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "RingElement":
-        return cls({t["n"]: t["a"] for t in data["terms"]})
-
 
 # -- tensor operators ------------------------------------------------------------
 
 def _require_field(law: GeneralizedLaw, field: Field) -> None:
-    if not isinstance(law, GeneralizedLaw):
-        raise InvalidInput(f"a law is due, got {type(law).__name__}")
+    _require_law(law)
     if law.field != field:
         raise InvalidLaw("law and field characteristics disagree")
 
@@ -436,25 +431,6 @@ def structure_constants(n: int, m: int, law: GeneralizedLaw, field: Field) -> Ri
     return out
 
 
-def square_constants(n: int, shape: str, law: GeneralizedLaw) -> RingElement:
-    """Class of Sym^2 J_n (``shape == "sym"``) or wedge^2 J_n under the law,
-    read off the law's column of squares (``_table_partition``), memoized
-    under a key of its own.  An unknown shape or a block size that is not an
-    integer >= 1 raises InvalidInput; then, as for a cell, a law of too low
-    a degree, a square past the operator bound and a law whose series is
-    not symmetric are refused in that order, and nothing is memoized.
-    """
-    if shape not in ("sym", "wedge"):
-        raise InvalidInput(f"unknown square {shape!r}")
-    n = _count(n, 1, "a block size")
-    key = (shape, n, law.fingerprint())
-    hit = _constants_memo.get(key)
-    if hit is None:
-        hit = _constants_memo[key] = RingElement.from_partition(
-            _table_partition(n, n, shape, law, law.field))
-    return hit
-
-
 def _product(x: RingElement, y: RingElement, pair) -> RingElement:
     """The bilinear extension of ``pair(a, b)``, the class of J_a (x) J_b, x's
     blocks on the left; AlgebraError unless of dimension dim x * dim y."""
@@ -479,7 +455,7 @@ def ring_multiply(x: RingElement, y: RingElement, law: GeneralizedLaw,
 
 def _fold(lam: Partition, m: int, kind: str, pair, power) -> RingElement:
     """Class of L^m = Sym^m (``kind == "sym"``) or wedge^m of ``lam`` from the
-    classes ``pair(a, b)`` of J_a (x) J_b and ``power(a, i)`` of L^i J_a.
+    classes ``pair(a, b)`` of J_a (x) J_b and ``power(a, i)`` of the block powers L^i J_a.
 
     The blocks go in largest first, by L^j(R + J_a) = sum over i of
     L^(j-i) R (x) L^i J_a from the levels L^0 = J_1, ..., L^m of the part R
@@ -698,17 +674,21 @@ def _quotient_class(lam: Partition, m: int, law: GeneralizedLaw, kind: str) -> P
 
 
 def _block_power(a: int, i: int, kind: str, law: GeneralizedLaw) -> RingElement:
-    """Class of Sym^i J_a (``kind == "sym"``) or wedge^i J_a: J_a, the block
-    square, and past it ``_quotient_class`` of the single block, refused
-    past a^i = 4096 before any series is built, memoized per (kind, a, i, law)."""
-    if i < 3:
-        return RingElement({a: 1}) if i == 1 else square_constants(a, kind, law)
+    """Class of Sym^i J_a (``kind == "sym"``) or wedge^i J_a for a checked a:
+    J_a at i = 1, else memoized per (kind, a, i, law), the square read off
+    the law's column of squares (``_table_partition``), a higher power from
+    ``_quotient_class``, refused past a^i = 4096 before any series is built."""
+    if i == 1:
+        return RingElement({a: 1})
     key = (kind, a, i, law.fingerprint())
-    if key not in _constants_memo:
-        _require_operator_dim(a ** i)
-        _constants_memo[key] = RingElement.from_partition(
-            _quotient_class(Partition((a,)), i, law, kind))
-    return _constants_memo[key]
+    hit = _constants_memo.get(key)
+    if hit is None:
+        if i > 2:
+            _require_operator_dim(a ** i)
+        hit = _constants_memo[key] = RingElement.from_partition(
+            _table_partition(a, a, kind, law, law.field) if i == 2
+            else _quotient_class(Partition((a,)), i, law, kind))
+    return hit
 
 
 def _splits(law: GeneralizedLaw, m: int, n: int) -> bool:
@@ -768,6 +748,7 @@ def build_intertwiner_pair(n: int, m: int, law: GeneralizedLaw) -> Matrix:
     sum of the terms of F that Y divides and f_2 the rest; any
     characteristic.
     """
+    _require_law(law)
     f = law.as_poly((n, m))
     f1 = f._where(np.arange(n)[:, None] > 0)
     return build_automorphism([f1, f - f1])
@@ -780,14 +761,15 @@ def build_symmetric_intertwiner(n: int, m: int, law: GeneralizedLaw) -> Matrix:
     Needs m! invertible; the images Y_i -> f_i are the pieces of the
     term-by-term symmetric split of the tensor series.
     """
+    _require_law(law)
     m = _count(m, 1, "m")
     return build_automorphism(symmetric_split(iterated_tensor_series(law, m, (n,) * m)))
 
 
 def clear_memo() -> None:
-    """Drop the memoized structure constants, block squares and powers, the
-    laws' tables of powers, columns, m-fold series and splits, the boxes
-    asked at each characteristic and the gather's block offsets (used by tests and
+    """Drop the memoized structure constants and block powers, the laws'
+    tables of powers, columns, m-fold series and splits, the boxes asked at
+    each characteristic and the gather's block offsets (used by tests and
     benchmark passes)."""
     _constants_memo.clear()
     _block_offsets.cache_clear()

@@ -238,14 +238,6 @@ class TruncatedPoly(_Exact):
                  for e, c in sorted(self.coeffs.items())]
         return {"vars": self.num_vars, "trunc": list(self.trunc), "terms": terms}
 
-    @classmethod
-    def from_json(cls, field: Field, data: dict) -> "TruncatedPoly":
-        trunc = tuple(data["trunc"])
-        if len(trunc) != data["vars"]:
-            raise ShapeMismatch("vars/trunc length mismatch")
-        coeffs = {tuple(t["exp"]): field(t["c"]) for t in data["terms"]}
-        return cls(field, trunc, coeffs)
-
 
 def _accumulate(field: Field, trunc: tuple, terms: list, den: int) -> TruncatedPoly:
     """The sum of c * x over den for the ``terms`` (c, where, x), x added into
@@ -357,10 +349,6 @@ def build_automorphism(images: Sequence[TruncatedPoly]) -> Matrix:
 
 # -- composition inverse --------------------------------------------------------
 
-def compose(f: TruncatedPoly, g: TruncatedPoly) -> TruncatedPoly:
-    return f.substitute([g])
-
-
 def compose_inverse(f: TruncatedPoly) -> TruncatedPoly:
     """g with f(g) = g(f) = t modulo the truncation.  g(f) = sum x_k f^k = t
     is linear in g, and f^k = xi^k t^k + higher for xi the linear coefficient
@@ -382,7 +370,7 @@ def compose_inverse(f: TruncatedPoly) -> TruncatedPoly:
         xs.append(field.mul(rest.coefficient((k,)), xi_inv_k))
         rest = rest - power((k,)).scale(xs[k])
     g = TruncatedPoly.univariate(field, r, xs)
-    if not rest.is_zero() or compose(f, g) != t:
+    if not rest.is_zero() or f.substitute([g]) != t:
         raise AlgebraError("compose_inverse: the result is not a two-sided inverse")
     return g
 

@@ -67,8 +67,32 @@ class TestModel:
         assert weight_components(y1) == {(1, -1, 0)}
         assert weight_components(model.y_neg[0]) == {(-1, 1, 0)}
 
+    def test_model_is_built_once_per_prime(self, monkeypatch):
+        # six units per build; a cached model is equal only to itself, so
+        # the subalgebra cache hashes no matrix on a hit
+        built = []
+        unit = g2._unit
+        g2._so7_model.cache_clear()
+        monkeypatch.setattr(g2, "_unit",
+                            lambda field, i, j: built.append(field.p) or unit(field, i, j))
+        rows = g2_table(7)
+        monkeypatch.setattr(Matrix, "__hash__", lambda self: pytest.fail("a matrix was hashed"))
+        assert g2_table(7) == rows
+        assert built == [7] * 6
+        assert build_so7_model(7) is build_so7_model(7)
+
+    @pytest.mark.parametrize("bad", [7.0, True, "7"])
+    def test_refusals_hold_once_the_model_is_cached(self, bad):
+        # a cache keyed by p alone would take 7.0, which hashes as 7
+        build_so7_model(7)
+        with pytest.raises(BadPrime):
+            build_so7_model(bad)
+        with pytest.raises(BadPrime):
+            g2_table(bad)
+
     def test_root_vector_outside_so7_is_a_typed_error(self, monkeypatch):
         # without its -E_56 half, y_1 no longer preserves the form
+        g2._so7_model.cache_clear()
         unit = g2._unit
         monkeypatch.setattr(g2, "_unit", lambda field, i, j: (
             Matrix.zeros(field, 7, 7) if (i, j) == (5, 6) else unit(field, i, j)))
@@ -76,11 +100,13 @@ class TestModel:
             build_so7_model(7)
 
     def test_wrong_root_weight_is_a_typed_error(self, monkeypatch):
+        g2._so7_model.cache_clear()
         monkeypatch.setattr(g2, "weight_components", lambda mat: set())
         with pytest.raises(AlgebraError, match="wrong torus weight"):
             build_so7_model(7)
 
     def test_noncommuting_y1_y3_is_a_typed_error(self, monkeypatch):
+        g2._so7_model.cache_clear()
         monkeypatch.setattr(g2, "bracket", lambda a, b: a)
         with pytest.raises(AlgebraError, match="must commute"):
             build_so7_model(7)

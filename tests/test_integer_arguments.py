@@ -35,7 +35,6 @@ from jordanblocks.errors import BadPrime, InvalidInput, InvalidLaw, UnknownType
 from jordanblocks.fgl import random_fgl
 from jordanblocks.fields import GF
 from jordanblocks.g2 import build_so7_model
-from jordanblocks.repring import square_constants
 
 F5 = GF(5)
 LAW = additive(F5)
@@ -69,13 +68,13 @@ ROWS = [
     ("iterated_tensor_series", lambda v: iterated_tensor_series(LAW, v, (2, 2)), 1,
      InvalidInput, 2),
     ("structure_constants", lambda v: structure_constants(v, 2, LAW, F5), 1, InvalidInput, 1),
-    ("square_constants", lambda v: square_constants(v, "sym", LAW), 1, InvalidInput, 1),
     ("cg_tensor", lambda v: cg_tensor(2, v), 1, InvalidInput, 1),
     ("cg_square", lambda v: cg_square(v, "wedge"), 1, InvalidInput, 1),
     ("sigma_matrices-m", lambda v: sigma_matrices(v, 2, F5), 0, InvalidInput, 0),
     ("sigma_matrices-d", lambda v: sigma_matrices(2, v, F5), 0, InvalidInput, 0),
     ("wedge_partition", lambda v: wedge_partition((2,), v, LAW, F5), 1, InvalidInput, 1),
     ("sym_partition", lambda v: sym_partition((2,), v, LAW, F5), 1, InvalidInput, 1),
+    ("sym_partition-part", lambda v: sym_partition((v,), 2, LAW, F5), 1, InvalidInput, 1),
     ("build_intertwiner_pair", lambda v: build_intertwiner_pair(v, 2, LAW), 1, InvalidInput, 2),
     ("build_symmetric_intertwiner-n", lambda v: build_symmetric_intertwiner(v, 2, LAW), 1,
      InvalidInput, 2),

