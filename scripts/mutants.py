@@ -339,15 +339,20 @@ MUTANTS = [
            "if ranks[0] != dim:", "if False:",
            (SQUARE_TESTS + "test_span_postcondition_is_a_typed_error",
             CELL_TESTS + "test_span_postcondition_is_a_typed_error")),
-    # every square checks the series at n again, the whole box's memoized
-    # symmetry unread
-    Mutant("square-symmetry-memo-unread", REPRING,
-           "if not (tensor or symmetric or _symmetric(law, n)):",
-           "if not (tensor or _symmetric(law, n)):",
-           (SQUARE_TESTS + "test_symmetry_is_read_from_the_memo",)),
     Mutant("square-any-law", REPRING,
-           "if not (tensor or symmetric or _symmetric(law, n)):", "if False:",
+           "if not tensor and n > law._symmetric_to:", "if False:",
            (SQUARE_TESTS + "test_non_symmetric_law",)),
+    # a pair c_ab != c_ba read as asymmetric only from max(a, b) + 2 on: the
+    # square of J_5 under a law symmetric to degree 6 answers, unsound
+    Mutant("law-symmetry-bound-off-by-one", FGL,
+           "min((max(a, b) for (a, b), c", "min((max(a, b) + 1 for (a, b), c",
+           ("tests/test_repring.py::TestLawSymmetry",
+            COLUMN_TESTS + "test_symmetric_only_at_low_degree")),
+    # the table's products left unreduced, past p, and with no float64 guard
+    Mutant("table-product-unreduced", REPRING,
+           "prod = (_matmul_mod(left, toeplitz, p) if p", "prod = (np.dot(left, toeplitz) if p",
+           ("tests/test_repring.py::TestPowerTable::test_seeded_tables",
+            "tests/test_repring.py::TestPowerTable::test_products_go_through_matmul_mod")),
     # x^a y^b twice for every column: Sym^2 doubled off the diagonal, so a
     # zero column at p = 2, and wedge^2 zero
     Mutant("square-fold-lower-is-upper", REPRING,
@@ -452,6 +457,10 @@ MUTANTS = [
     Mutant("g2-inverse-drops-a-factor", G2,
            "for square in squares[1:-1]:", "for square in squares[1:-2]:",
            (G2_BATCH_TESTS + "test_table_matches_the_oracles[7]",)),
+    # every additive(field) call builds a new law
+    Mutant("builtin-laws-rebuilt", FGL,
+           "@functools.cache\ndef additive(", "def additive(",
+           ("tests/test_fgl.py::TestBuiltinLaws::test_built_once_per_field",)),
     # a Field or a Matrix in the law's place reaches the law's attributes
     Mutant("law-guard-skipped", FGL,
            "    if not isinstance(law, GeneralizedLaw):\n"

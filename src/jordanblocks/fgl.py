@@ -9,14 +9,16 @@ the law's series (built once from its coefficients), cut to the degree the
 target algebra can hold, substituted at (g, h) with
 :meth:`TruncatedPoly.substitute`.
 
-The built-in laws (additive u+v, multiplicative u+v+uv and its scaled
-variant) are exact: their coefficient support is finite, so they can be used
-at any truncation.
+The built-in laws (additive u+v and multiplicative u+v+uv, each built once
+per field as a law is immutable, and u+v+cuv) are exact: their coefficient
+support is finite, so they can be used at any truncation.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import os
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -36,9 +38,12 @@ class GeneralizedLaw:
     that vanishes there raises InvalidLaw, and laws equal over the field
     have equal fingerprints.  A key that is not a pair (a, b), and a degree
     or exponent that is not a count (``fields._count``), raise InvalidLaw.
+    The series cut to (n, n) is symmetric exactly for n <= ``_symmetric_to``,
+    the least max(a, b) with c_ab != c_ba (infinity where there is none).
     """
 
-    __slots__ = ("field", "degree", "coeffs", "exact", "name", "_fingerprint", "_series")
+    __slots__ = ("field", "degree", "coeffs", "exact", "name", "_fingerprint", "_symmetric_to",
+                 "_series")
 
     def __init__(self, field: Field, degree: int, coeffs: dict, exact: bool = False,
                  name: str | None = None):
@@ -65,6 +70,8 @@ class GeneralizedLaw:
         #: read-only, so the fingerprint taken here stays the law's identity
         self.coeffs = MappingProxyType(clean)
         self._fingerprint = (field.p, self.degree, exact, frozenset(clean.items()))
+        self._symmetric_to = min((max(a, b) for (a, b), c in clean.items()
+                                  if clean.get((b, a)) != c), default=math.inf)
         self._series = None
 
     @property
@@ -140,11 +147,13 @@ def _require_law(law) -> None:
         raise InvalidInput(f"a law is due, got {type(law).__name__}")
 
 
+@functools.cache
 def additive(field: Field) -> GeneralizedLaw:
     one = field.one
     return GeneralizedLaw(field, 2, {(1, 0): one, (0, 1): one}, exact=True, name="additive")
 
 
+@functools.cache
 def multiplicative(field: Field) -> GeneralizedLaw:
     one = field.one
     return GeneralizedLaw(field, 2, {(1, 0): one, (0, 1): one, (1, 1): one},

@@ -8,9 +8,10 @@ expression on ``num`` over a combined ``den`` too; no kernel builds a
 afterwards.  The field elements ``a`` are ``num`` itself over F_p, and over
 Q a read-only ``Fraction`` array built on each read.
 
-Products over F_p go through float64 BLAS, which is exact as long as the
-accumulated dot products stay below 2**53; a product that could pass that
-bound raises ``BadPrime`` instead of rounding.  Over Q a product is the
+Products of F_p matrices go through float64 BLAS in one function,
+``_matmul_mod``, which every module calls; it is exact as long as the
+accumulated dot products stay below 2**53, and a product that could pass
+that bound raises ``BadPrime`` instead of rounding.  Over Q a product is the
 integer product num @ num over den * den.
 
 Both fields have one elimination, and rank, Jordan type, inverse and solve
@@ -357,19 +358,15 @@ def _float_exact(p: int, inner: int) -> bool:
     return (p - 1) ** 2 * inner < 2**53
 
 
-def _require_float_exact(p: int, inner: int) -> None:
-    """Past the ``_float_exact`` bound a float64 product could round and a
-    wrong partition could follow, so this raises BadPrime."""
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Exact product mod p of two arrays in range(p), or of stacks of them as
+    ``@`` takes them: the one float64 (BLAS) product of F_p arrays.  Past
+    ``_float_exact`` at inner length a.shape[-1] it could round, and a wrong
+    partition follow, so it raises BadPrime."""
+    inner = a.shape[-1]
     if not _float_exact(p, inner):
         raise BadPrime(
             f"F_{p} products of length {inner} can reach 2**53, past float64 exactness")
-
-
-def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact product of two arrays, or of stacks of them as ``@`` takes
-    them, reduced mod p, through float64 BLAS; BadPrime past float64
-    exactness (``_require_float_exact``)."""
-    _require_float_exact(p, a.shape[-1])
     prod = np.rint(a.astype(np.float64) @ b.astype(np.float64, copy=False))
     return prod.astype(np.int64) % p
 

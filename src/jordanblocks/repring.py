@@ -13,12 +13,12 @@ and no tensor operator is built for a cell J_n (x) J_m: it is multiplication
 by t = F(x, y) on k[x, y]/(x^n, y^m), whose ranks come from the rows x^i F^j
 (F^j packed once and shifted i rows of x, ``_column_masks``) of one memoized
 table of the law's powers F^j per law (``_law_powers``), built by products
-of Toeplitz slices, with no operator on A.  The structure constants do not
-depend on the law, so callers ask the same cells under many laws at one
-characteristic: a law's first table holds the box of every cell and square
-asked at that characteristic since ``clear_memo`` (one working set per
-characteristic), and only a cell past it rebuilds it, about log2 times per
-side as its box grows by powers of two.
+of Toeplitz slices (``_matmul_mod`` over F_p), with no operator on A.  The
+structure constants do not depend on the law, so callers ask the same cells
+under many laws at one characteristic: a law's first table holds the box of
+every cell and square asked at that characteristic since ``clear_memo``
+(one working set per characteristic), and only a cell past it rebuilds it,
+about log2 times per side as its box grows by powers of two.
 
 With the columns x-first, k[x, y]/(x^n, y^s) is a prefix of k[x, y]/(x^N,
 y^s), so one elimination at the box (N, s) gives every J_n (x) J_s with
@@ -26,12 +26,12 @@ n <= N, from the counts of pivots whose lead is below n s
 (``_table_partition``).  A cell with n < m is J_m (x) J_n under
 F^op(x, y) = F(y, x), read from the transposed table; under a symmetric law
 both orders share one column.  The squares Sym^2 J_n and wedge^2 J_n
-(``_block_power`` at i = 2) fold the rows of their generators onto the pairs
-(a, b), ordered by b and then a, so they are prefixes too.  A column is
-built at the largest block asked at the characteristic since
-``clear_memo``, within the table's box, the law's degree and the 4096
-bound, so a cold call builds at its own box; each read's span count must
-be the dimension, or AlgebraError.
+(``_block_power`` at i = 2), for n up to the law's ``_symmetric_to``, fold
+the rows of their generators onto the pairs (a, b), ordered by b and then a,
+so they are prefixes too.  A column is built at the largest block asked at
+the characteristic since ``clear_memo``, within the table's box, the law's
+degree and the 4096 bound, so a cold call builds at its own box; each
+read's span count must be the dimension, or AlgebraError.
 
 Sym^m and wedge^m of any partition at any m fold its blocks in (``_fold``)
 through the cells' bilinear product (``_product``, as ``ring_multiply``)
@@ -68,11 +68,11 @@ from .linalg import (
     Partition,
     _block_offsets,
     _float_exact,
+    _matmul_mod,
     _partition_from_ranks,
     _packing,
     _prefix_masks,
     _primitive,
-    _require_float_exact,
     _require_operator_dim,
     _rows,
     canonical_series_operator,
@@ -203,7 +203,7 @@ def _table_partition(n: int, m: int, shape: str, law: GeneralizedLaw,
     Sym^2 is A/(1 - s)A for the swap s of x and y, and wedge^2 is A modulo
     (1 + s)A and the diagonal; the quotient map sends x^a y^b to the column
     (min(a, b), max(a, b)), with the sign of the sort for the wedge, and
-    commutes with t when F is symmetric, else InvalidInput.  So a square is
+    commutes with t when F is symmetric on (n, n), else InvalidInput.  So a square is
     a column fold of the rows: x^a y^b plus (Sym^2, the diagonal once) or
     minus (wedge^2) x^b y^a.  Every x^i generates at p = 2 (i >= 1 for the
     wedge); elsewhere the swap acts on A/tA as x -> -x + (higher powers), so
@@ -222,22 +222,18 @@ def _table_partition(n: int, m: int, shape: str, law: GeneralizedLaw,
     A column, its N and the leads of each level's pivots as the bits of one
     int, is memoized per law, shape, short side s and orientation (one
     under a symmetric law, where F^op = F), and built to N = max(long
-    side, min(the table's extent on that axis, the largest block asked at
-    the characteristic since ``clear_memo``, the longer side of the
+    side, min(the table's extent on that axis, the longer side of the
     ``_asked`` box)), cut so that the law's degree holds N + s - 2 and
-    N s <= 4096; a square's N must keep the series symmetric on (N, N), or
-    it is n.  The count after level 0 must be the dimension,
-    or AlgebraError: that certifies the generators, so the ranks do not rest
-    on the argument above.  The degree, the operator bound and the symmetry
-    are checked in that order, before the table is read.
+    N s <= 4096; a square's N past the law's ``_symmetric_to`` falls back
+    to n.  The count after level 0 must be the dimension, or AlgebraError:
+    that certifies the generators, so the ranks do not rest on the argument
+    above.  The degree, the operator bound and the symmetry (n at most the
+    law's ``_symmetric_to``) are checked in that order, before the table.
     """
     law.require_degree(n + m - 2)
     _require_operator_dim(n * m)
     tensor, wedge = shape == "tensor", shape == "wedge"
-    fp = law.fingerprint()
-    symmetric = _constants_memo.get(("law", fp))
-    # a series symmetric on the whole box is symmetric on every (n, n)
-    if not (tensor or symmetric or _symmetric(law, n)):
+    if not tensor and n > law._symmetric_to:
         raise InvalidInput("the law's series is not symmetric, so its operator does not "
                            "commute with swapping the tensor factors and induces no map "
                            f"on the square of J_{n}")
@@ -246,11 +242,10 @@ def _table_partition(n: int, m: int, shape: str, law: GeneralizedLaw,
         return Partition(())
     powers = _law_powers(law, field, n, m)
     flip = tensor and (n < m or n == m and powers.shape[2] > powers.shape[1])
-    if symmetric is None:
-        symmetric = _constants_memo["law", fp] = _symmetric(law, law.degree + 1)
     asked = _constants_memo.get(_asked(field), (0, 0))
     long, s = (m, n) if flip else (n, m)
-    key = ("column", shape, s if tensor else 0, flip and not symmetric, fp)
+    key = ("column", shape, s if tensor else 0, flip and law._symmetric_to <= law.degree,
+           law.fingerprint())
     column = _constants_memo.get(key)
     if column is None or column[0] < long:
         cap = _MAX_OPERATOR_DIM // s if tensor else math.isqrt(_MAX_OPERATOR_DIM)
@@ -258,7 +253,7 @@ def _table_partition(n: int, m: int, shape: str, law: GeneralizedLaw,
             cap = min(cap, law.degree - s + 2 if tensor else law.degree // 2 + 1)
         N = max(long, min(powers.shape[1 + flip] if tensor else min(powers.shape[1:]),
                           max(asked), cap))
-        if not (tensor or N == n or symmetric or _symmetric(law, N)):
+        if not tensor and N > law._symmetric_to:
             N = n
         column = _constants_memo[key] = N, _column_masks(
             powers.transpose(0, 2, 1) if flip else powers, N, s if tensor else N, shape, field.p)
@@ -304,11 +299,6 @@ def _column_masks(powers: np.ndarray, N: int, side: int, shape: str, p: int) -> 
     count, c, dim = levels.shape
     rows = _rows(levels.reshape(count * c, dim), p)
     return _prefix_masks([rows[k * c:(k + 1) * c] for k in range(count)], p, dim)
-
-
-def _symmetric(law: GeneralizedLaw, n: int) -> bool:
-    """Whether the law's series mod (x^n, y^n) is symmetric."""
-    return law._poly((n, n)).is_symmetric()
 
 
 def _asked(field: Field) -> tuple:
@@ -368,21 +358,17 @@ def _power_table(field: Field, box: tuple, law: GeneralizedLaw) -> np.ndarray:
     table.  Each round goes in chunks of powers whose stacked X holds no
     more entries than the table.
 
-    Over F_p the products are float64, exact while ``_float_exact`` holds
-    at inner length bx by, and BadPrime past it once the table has a power
-    past F^0; the entries come out in range(p).  Over Q the law's
-    coefficients are integers over a common denominator, so each power is
-    an integer multiple of F^j with coprime entries (``_primitive``),
-    which leaves every rank alone.
+    Over F_p the table is int64 in range(p) and each product is
+    ``_matmul_mod``'s (BadPrime past float64 exactness at inner length bx by;
+    none where no power passes F^1).  Over Q the coefficients are integers
+    over a common denominator, so each power is an integer multiple of F^j
+    with coprime entries (``_primitive``), which leaves every rank alone.
     """
     bx, by = box
     top = bx + by - 2
     p = field.p
-    if p and top:
-        _require_float_exact(p, bx * by)
-
     # row bx and column by of every power are the zeros that the gathers read
-    powers = np.zeros((top + 1, bx + 1, by + 1), dtype=np.float64 if p else object)
+    powers = np.zeros((top + 1, bx + 1, by + 1), dtype=np.int64 if p else object)
     powers[0, 0, 0] = 1
     if top:
         num = law._poly(box).num
@@ -401,12 +387,11 @@ def _power_table(field: Field, box: tuple, law: GeneralizedLaw) -> np.ndarray:
         for lo in range(1, stop, chunk):
             hi = min(lo + chunk, stop)
             left = powers[lo:hi, shift, :by].reshape((hi - lo) * bx, bx * by)
-            prod = np.dot(left, toeplitz).reshape(hi - lo, bx * by)
-            prod = np.remainder(prod, p) if p else _primitive(prod)
+            prod = (_matmul_mod(left, toeplitz, p) if p
+                    else _primitive(np.dot(left, toeplitz).reshape(hi - lo, bx * by)))
             powers[lo + step:hi + step, :bx, :by] = prod.reshape(hi - lo, bx, by)
         known = stop + step
-    table = powers[:, :bx, :by]
-    return table.astype(np.int64) if p else table
+    return powers[:, :bx, :by]
 
 
 _constants_memo: dict = {}
@@ -770,6 +755,7 @@ def clear_memo() -> None:
     """Drop the memoized structure constants and block powers, the laws'
     tables of powers, columns, m-fold series and splits, the boxes asked at
     each characteristic and the gather's block offsets (used by tests and
-    benchmark passes)."""
+    benchmark passes); a law keeps its ``_symmetric_to``, and the built-in
+    laws stay built."""
     _constants_memo.clear()
     _block_offsets.cache_clear()

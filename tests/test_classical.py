@@ -1,3 +1,4 @@
+import functools
 import os
 import random
 import subprocess
@@ -175,6 +176,41 @@ class TestGoodCharReport:
             "ad": [4, 4, 1, 1], "Ad": [4, 4, 2],
             "equal": False, "good_characteristic": False,
         }
+
+
+def partitions(n, top=None):
+    """Every partition of n with parts at most ``top``, largest part first."""
+    top = n if top is None else top
+    if not n:
+        yield ()
+    for a in range(min(n, top), 0, -1):
+        for rest in partitions(n - a, a):
+            yield (a,) + rest
+
+
+class TestEveryClass:
+    """Every GL, Sp and SO nilpotent class of dimension <= 12 at every p <= 13."""
+
+    ADJOINT_DIM = {"GL": lambda d: d * d, "Sp": lambda d: d * (d + 1) // 2,
+                   "SO": lambda d: d * (d - 1) // 2}
+
+    def test_every_class_up_to_twelve(self):
+        splits = {}
+        for p in (2, 3, 5, 7, 11, 13):
+            for kind, dim in self.ADJOINT_DIM.items():
+                for d in range(1, 13):
+                    for lam in filter(functools.partial(validate_classical_partition, kind),
+                                      partitions(d)):
+                        report = good_char_report(kind, lam, p)
+                        assert report.nilpotent.dim == report.unipotent.dim == dim(d)
+                        if report.good_characteristic:
+                            assert report.equal, (kind, lam, p)
+                        elif not report.equal:
+                            splits[kind, lam] = report.nilpotent, report.unipotent
+        # only Sp and SO split, and only at p = 2
+        assert len(splits) == 93 and {kind for kind, _ in splits} == {"Sp", "SO"}
+        assert splits["Sp", (4,)] == ((4, 4, 1, 1), (4, 4, 2))
+        assert splits["SO", (7,)] == ((7, 7, 7), (8, 8, 5))
 
 
 class TestBlockAdditivePath:

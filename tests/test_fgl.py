@@ -36,6 +36,12 @@ class TestBuiltinLaws:
         assert law.coefficient(1, 1) == 1
         assert validate_fgl(law).ok
 
+    def test_built_once_per_field(self):
+        # a law is immutable, so each field shares one of each built-in law
+        for build in (additive, multiplicative):
+            assert build(GF(5)) is build(GF(5))
+            assert build(GF(7)) is not build(GF(5)) and build(QQ) is build(QQ)
+
     def test_scaled(self):
         law = scaled_multiplicative(F5, 3)
         report = validate_fgl(law, degree=6)

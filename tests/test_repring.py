@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -437,6 +438,16 @@ class TestCellRoute:
                 structure_constants(3, 2, law, field)
             assert table_box(law) == order[-1]
 
+    def test_cells_with_no_product_past_the_float_bound(self):
+        # the boxes (1, 2) and (2, 1) have no power past F^1 to multiply, so
+        # they answer at a prime past every float64 bound
+        field = GF(2147483647)
+        for law in (additive(field), multiplicative(field), random_generalized_law(5, 6, field)):
+            repring.clear_memo()
+            assert structure_constants(1, 2, law, field) == RingElement({2: 1})
+            assert structure_constants(2, 1, law, field) == RingElement({2: 1})
+        repring.clear_memo()
+
     def test_clear_memo_drops_the_tables(self):
         law = multiplicative(F3)
         repring.clear_memo()
@@ -511,6 +522,40 @@ class TestPowerTable:
             self.check(field, box, law)
         with pytest.raises(BadPrime):
             repring._power_table(field, (3, 2), law)
+
+    @staticmethod
+    def product_calls(monkeypatch) -> list:
+        """The inner length of every ``_matmul_mod`` call the table makes."""
+        calls = []
+        matmul_mod = repring._matmul_mod
+
+        def spy(a, b, p):
+            calls.append(a.shape[-1])
+            return matmul_mod(a, b, p)
+
+        monkeypatch.setattr(repring, "_matmul_mod", spy)
+        return calls
+
+    def test_products_go_through_matmul_mod(self, monkeypatch):
+        # one product per chunk: at (3, 4) a chunk holds two powers, so the
+        # rounds F^1 F^1, F^{1,2} F^2 and F^1 F^4 are one each; at (4, 4) a
+        # chunk holds one power, so the rounds take 1, 2 and 2
+        calls = self.product_calls(monkeypatch)
+        law = random_generalized_law(7, 8, F5)
+        for box, chunks in (((3, 4), 3), ((4, 4), 5), ((1, 2), 0), ((1, 1), 0)):
+            calls.clear()
+            self.check(F5, box, law)
+            assert calls == [box[0] * box[1]] * chunks, box
+        calls.clear()
+        self.check(QQ, (3, 4), random_generalized_law(7, 8, QQ))
+        assert not calls
+
+    def test_bad_prime_comes_from_the_product(self, monkeypatch):
+        calls = self.product_calls(monkeypatch)
+        field = GF(PRIME_BETWEEN_BOUNDS)
+        with pytest.raises(BadPrime, match="length 6"):
+            repring._power_table(field, (3, 2), random_generalized_law(3, 6, field))
+        assert calls == [6]
 
     def test_memory_stays_near_the_table(self):
         # each round goes in chunks whose stacked shifts hold no more entries
@@ -866,28 +911,26 @@ class TestSquareRoute:
                 _block_power(4, 2, shape, law)
         assert not repring._constants_memo
 
-    def test_symmetry_is_read_from_the_memo(self, monkeypatch):
-        # the series is checked at n only where it is not symmetric on the
-        # law's whole box, which is memoized at the first square with a
-        # column: once for a symmetric law, at every miss for a law skew
-        # above degree 6 (whose squares up to J_4 answer)
+    def test_symmetry_is_read_from_the_law(self, monkeypatch):
+        # a square reads the law's ``_symmetric_to``, worked out once from
+        # its coefficients, and checks no series: for a symmetric law and
+        # for a law skew above degree 6 (whose squares up to J_4 answer)
+        laws = (random_fgl(3, 24, F5), skewed_above(F5, 6, 24, random.Random("skewed-above")))
+        squares = [(law, n, shape) for law in laws for n in range(1, 5)
+                   for shape in ("sym", "wedge")]
+        want = [RingElement.from_partition(operator_square_partition((n,), shape, law, F5))
+                for law, n, shape in squares]
         calls = []
-        symmetric = repring._symmetric
+        is_symmetric = TruncatedPoly.is_symmetric
 
-        def spy(law, n):
-            calls.append(n)
-            return symmetric(law, n)
+        def spy(series):
+            calls.append(series.trunc)
+            return is_symmetric(series)
 
-        monkeypatch.setattr(repring, "_symmetric", spy)
-        skew = skewed_above(F5, 6, 24, random.Random("skewed-above"))
-        for law, want in ((random_fgl(3, 24, F5), [1, 25]),
-                          (skew, [1, 25, 1, 2, 2, 3, 3, 4, 4])):
-            repring.clear_memo()
-            calls.clear()
-            for n in range(1, 5):
-                for shape in ("sym", "wedge"):
-                    _block_power(n, 2, shape, law)
-            assert calls == want
+        monkeypatch.setattr(TruncatedPoly, "is_symmetric", spy)
+        repring.clear_memo()
+        assert [_block_power(n, 2, shape, law) for law, n, shape in squares] == want
+        assert not calls
 
     def test_no_operator_is_built(self, monkeypatch):
         laws = [additive(F2), multiplicative(F5), scaled_multiplicative(F7, F7(3)),
@@ -1056,6 +1099,25 @@ HISTORY_LAWS = {
     "exact": multiplicative(F2),
 }
 
+
+class TestLawSymmetry:
+    """The law's ``_symmetric_to``, worked out once from its coefficients,
+    against the symmetry of its series cut to (n, n)."""
+
+    @pytest.mark.parametrize("name", sorted(HISTORY_LAWS))
+    def test_the_series_is_symmetric_to_the_bound(self, name):
+        law = HISTORY_LAWS[name]
+        for n in range(1, law.degree + 3):
+            assert law._poly((n, n)).is_symmetric() == (n <= law._symmetric_to), n
+
+    def test_pinned_bounds(self):
+        u_plus_2v = GeneralizedLaw(F5, 1, {(1, 0): 1, (0, 1): 2}, exact=True)
+        for law, bound in ((additive(F5), math.inf), (multiplicative(F2), math.inf),
+                           (random_fgl(3, 24, F5), math.inf), (u_plus_2v, 1),
+                           (HISTORY_LAWS["symmetric-to-6"], 4)):
+            assert law._symmetric_to == bound, law
+
+
 REQUEST = st.one_of(
     st.tuples(st.sampled_from(("tensor", "sym", "wedge")), st.integers(1, 12), st.integers(1, 12)),
     st.sampled_from([("tensor", 65, 64), ("tensor", 64, 65), ("sym", 65, 65), ("wedge", 65, 65)]))
@@ -1163,7 +1225,7 @@ class TestColumnRoute:
         # after a 10 x 10 table, the square of J_3 is not built out to 10,
         # where the series is not symmetric, but at its own block
         law = HISTORY_LAWS["symmetric-to-6"]
-        assert repring._symmetric(law, 4) and not repring._symmetric(law, 5)
+        assert law._symmetric_to == 4
         built = column_builds(monkeypatch)
         repring.clear_memo()
         structure_constants(10, 10, law, F5)
