@@ -63,6 +63,7 @@ WORKING_SET_TESTS = "tests/test_repring.py::TestWorkingSet::"
 BLOCK_SUM_TESTS = "tests/test_repring.py::TestBlockSum::"
 CUBE_SUM_TESTS = "tests/test_repring.py::TestCubeSum::"
 QUOTIENT_TESTS = "tests/test_repring.py::TestQuotientClass::"
+GATHER_TESTS = "tests/test_repring.py::TestColumnGather::"
 FOLD_TESTS = "tests/test_repring.py::TestFold::"
 G2_BATCH_TESTS = "tests/test_g2.py::TestBatchedRoutes::"
 BATCH_TESTS = "tests/test_linalg.py::TestBatchedPartitions::"
@@ -408,10 +409,21 @@ MUTANTS = [
            (QUOTIENT_TESTS + "test_wedge_signs_at_blocks_past_p",)),
     # the first letter's exponent read with a stride one short: the
     # coefficient of another exponent, or of none
-    Mutant("quotient-first-stride-short", REPRING,
-           "_block_offsets(lam, n ** (m - 1 - k), size)",
-           "_block_offsets(lam, n ** (m - 1 - k) - (k == 0), size)",
-           (QUOTIENT_TESTS + "test_seeded_powers[F5]",)),
+    Mutant("quotient-first-stride-short", LINALG,
+           "_block_offsets(lam, stride, size)",
+           "_block_offsets(lam, stride - (lam is lams[0]), size)",
+           (QUOTIENT_TESTS + "test_seeded_powers[F5]", GATHER_TESTS + "test_seeded_subsets[F5]")),
+    # each factor reads the letters of the factor mirrored to it: for a
+    # power of one partition the columns come out in another order
+    Mutant("gather-wrong-factor-letters", LINALG,
+           "zip(lams, strides, letters)", "zip(lams, strides, letters[::-1])",
+           (QUOTIENT_TESTS + "test_seeded_powers[F5]",
+            "tests/test_repring.py::TestGatheredOperators::test_power_seeded_multi_block")),
+    # a set of columns over Q is returned over the box's denominator, which
+    # may share a factor with every gathered entry
+    Mutant("column-gather-unnormalized", LINALG,
+           "Matrix._trusted if field.p or whole", "Matrix._trusted if True",
+           (GATHER_TESTS + "test_columns_are_normalized_over_q",)),
     # a series memoized at a smaller block is cut to a larger one: the
     # exponents past its box read as zero
     Mutant("quotient-series-read-past-its-box", REPRING,

@@ -23,7 +23,7 @@ from .errors import (
     UnknownType,
 )
 from .classical import adjoint_partition, check_kind
-from .fields import _count
+from .fields import _count, _counts
 from .linalg import Partition, _fields_json
 from .repring import cg_square, cg_tensor
 
@@ -140,7 +140,7 @@ def predict_blocks(data, n: int) -> Partition:
     """Block sizes 2f_i + 1 with f_i = -e_i mod (n+1), each in 1..n.  An n
     that is not an integer >= 0 raises InvalidInput."""
     n = _count(n, 0, "n")
-    exps = data.exponents if isinstance(data, WeylTypeData) else tuple(data)
+    exps = _counts(data.exponents if isinstance(data, WeylTypeData) else data, None, "an exponent")
     modulus = n + 1
     blocks = []
     for e in exps:

@@ -107,7 +107,7 @@ def cmd_g2(args) -> int:
 def cmd_springer(args) -> int:
     field = Field(args.p)
     x = nilpotent_from_partition(field, args.lam)
-    trunc = max(args.lam) + 1
+    trunc = max(args.lam, default=1) + 1
     if args.series == "cayley":
         eps = cayley_series(trunc, field)
     else:

@@ -263,7 +263,7 @@ def iterated_tensor_series(law: GeneralizedLaw, m: int, trunc: Sequence[int]) ->
     congruent to Y_1 + ... + Y_m modulo degree 2.
     """
     _require_law(law)
-    m = _count(m, 1, "m")
+    m, trunc = _count(m, 1, "m"), _box(trunc)
     if len(trunc) != m:
         raise InvalidInput("truncation vector must have one entry per factor")
     field = law.field

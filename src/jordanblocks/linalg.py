@@ -40,8 +40,9 @@ is a few big-int operations, not a round of numpy calls.
 
 A series at canonical nilpotents, sum of c_a phi_1^{a_1} (x) ... (x)
 phi_m^{a_m} with phi_k the block-diagonal shift of a partition, is one
-gather from a series' num / den cut to the box of the largest blocks
-(``canonical_series_operator``): no power and no Kronecker product is formed.
+gather of any set of its columns, column-first, from a series' num / den cut
+to the box of the largest blocks (``canonical_series_operator``, the one
+such gather): no power and no Kronecker product is formed.
 """
 
 from __future__ import annotations
@@ -632,7 +633,7 @@ def _fit(num: np.ndarray, shape: Sequence[int]) -> np.ndarray:
 
 
 def canonical_series_operator(field: Field, lams: Sequence, num: np.ndarray,
-                              den: int = 1) -> Matrix:
+                              den: int = 1, columns: np.ndarray | None = None) -> Matrix:
     """sum of c_a phi_1^{a_1} (x) ... (x) phi_m^{a_m} over the coefficients
     c_a = num[a] / den, with phi_k = nilpotent_from_partition(field, lams[k]);
     ``num`` is an integer array with one axis per factor.
@@ -643,9 +644,14 @@ def canonical_series_operator(field: Field, lams: Sequence, num: np.ndarray,
     So the whole operator is one gather from the coefficient array cut to
     the box of the largest blocks; an exponent that reaches past the largest
     block of its factor is dropped, as phi_k vanishes to that power.
+    ``columns``, flat indices, gathers those columns alone, with no bound;
+    None gathers the whole operator, within ``_MAX_OPERATOR_DIM``.
     """
     lams = [Partition(lam) for lam in lams]
-    _require_operator_dim(math.prod(lam.dim for lam in lams))
+    dims = [lam.dim for lam in lams]
+    if whole := columns is None:
+        _require_operator_dim(math.prod(dims))
+        columns = np.arange(math.prod(dims))
     shape = [max(lam, default=0) for lam in lams]
     if np.ndim(num) != len(shape):
         raise InvalidInput(f"coefficients in {np.ndim(num)} variables for "
@@ -654,15 +660,19 @@ def canonical_series_operator(field: Field, lams: Sequence, num: np.ndarray,
     size = math.prod(shape)
     # every exponent in the box shows up, at an entry (r, r + a) of the
     # largest blocks (the box is empty when a partition is), so normalizing
-    # the box normalizes the whole operator; entry `size` of flat is the
-    # zero that every invalid position reads
+    # the box normalizes the whole operator (not every set of columns over
+    # Q); entry `size` of flat is the zero that every invalid position reads
     flat, den = _normalized(field, np.append(_fit(np.asarray(num), shape).ravel(), 0), den)
-    index = np.zeros((1, 1), dtype=np.int64)
-    for lam, stride in zip(lams, strides):
-        offsets = _block_offsets(lam, stride, size)
-        n, k = index.shape[0], lam.dim
-        index = (index[:, None, :, None] + offsets[None, :, None, :]).reshape(n * k, n * k)
-    return Matrix._trusted(field, flat[np.minimum(index, size)], den)
+    # column-first, one factor at a time; the index is clamped in place and
+    # dropped once read, so that at most two index-sized arrays are alive
+    index = np.zeros((1, len(columns)), dtype=np.int64)
+    letters = np.unravel_index(columns, dims) if dims else ()
+    for lam, stride, letter in zip(lams, strides, letters):
+        offsets = _block_offsets(lam, stride, size).take(letter, axis=1)
+        index = (index[:, None, :] + offsets[None]).reshape(len(index) * lam.dim, len(columns))
+    np.minimum(index, size, out=index)
+    values, index = flat[index], None
+    return (Matrix._trusted if field.p or whole else Matrix._from_ints)(field, values, den)
 
 
 def nilpotent_powers(n_mat: Matrix) -> list:

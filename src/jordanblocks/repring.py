@@ -34,16 +34,16 @@ degree and the 4096 bound, so a cold call builds at its own box; each
 read's span count must be the dimension, or AlgebraError.
 
 Sym^m and wedge^m of any partition at any m fold its blocks in (``_fold``)
-through the cells' bilinear product (``_product``, as ``ring_multiply``)
-and the block powers (``_block_power``).  Past the square these fold the
-power operator's columns at the basis words, from one memoized m-fold
-series per law (``_quotient_class``), which must be symmetric, else
-``InvalidInput``; J_a needs a^i <= 4096.  Past m = 3 the fold of two or
-more blocks rests on the series splitting (``_splits``), else the whole
-partition is gathered, within d^m <= 4096.  The whole power operator
-straightened onto the quotient (``power_operator``,
-``induced_quotient_operator``) is the tests' reference.  A law over
-another field is ``InvalidLaw`` (``_require_field``).
+through the cells' bilinear product (``_product``, as ``ring_multiply``) and
+the block powers (``_block_power``).  Past the square these fold the power
+operator's columns at the basis words (``canonical_series_operator``) from
+one memoized m-fold series per law (``_quotient_class``), which must be
+symmetric, else ``InvalidInput``; J_a needs a^i <= 4096.  Past m = 3 the
+fold of two or more blocks rests on the series splitting (``_splits``), else
+the whole partition is gathered, within d^m <= 4096.  The whole power
+operator straightened onto the quotient (``power_operator``,
+``induced_quotient_operator``) is the tests' reference.  A law over another
+field is ``InvalidLaw`` (``_require_field``).
 
 The constructive intertwiners are the automorphisms Y_i -> f_i for a
 term-by-term split of the law's series f = f_1 + ... + f_m with Y_i | f_i;
@@ -617,12 +617,9 @@ def _quotient_class(lam: Partition, m: int, law: GeneralizedLaw, kind: str) -> P
     nilpotent of ``lam`` under the law, from the power operator's columns at
     the basis words only, with no d^m x d^m operator.
 
-    Column w of the power operator is the law's m-fold series applied to
-    e_w1 (x) ... (x) e_wm: its entry at the tensor word u is the coefficient
-    of the exponent w - u where each u_k <= w_k shares a block with w_k, and
-    0 elsewhere (``canonical_series_operator``).  So the columns at the basis
-    words are one gather of d^m x q offsets (``_block_offsets``), folded onto
-    the quotient by ``_straightening``'s targets and signs.
+    The columns at the basis words are gathered from the law's m-fold series
+    by ``canonical_series_operator``, d^m x q entries, and folded onto the
+    quotient by ``_straightening``'s targets and signs.
 
     One m-fold series per m and law is memoized in ``_constants_memo`` and
     rebuilt at the largest block past its box.  Cut to that block, it must be
@@ -641,21 +638,13 @@ def _quotient_class(lam: Partition, m: int, law: GeneralizedLaw, kind: str) -> P
                            "not commute with permuting the tensor factors and induces no map "
                            f"on the {kind} power of {tuple(lam)}")
     _constants_memo[key] = series
-    d, size = lam.dim, n ** m
-    targets, signs, columns, spare = _straightening(d, m, kind)
-    index = np.zeros((1, spare), dtype=np.int64)
-    for k, letters in enumerate(np.unravel_index(columns, (d,) * m)):
-        offsets = _block_offsets(lam, n ** (m - 1 - k), size)[:, letters]
-        index = (index[:, None, :] + offsets[None]).reshape(len(index) * d, spare)
-    # an invalid letter adds ``size``, so every entry past it reads the zero;
-    # the index is dropped and the signs applied in place, so that no more
-    # than two d^m x q arrays are held at once
-    np.minimum(index, size, out=index)
-    values, index = np.append(cut.num.ravel(), 0)[index], None
+    targets, signs, columns, spare = _straightening(lam.dim, m, kind)
+    gathered = canonical_series_operator(law.field, (lam,) * m, cut.num, cut.den, columns)
+    values = gathered.num
     values *= signs
     out = np.zeros((spare + 1, spare), dtype=values.dtype)
     np.add.at(out, targets, values)
-    return jordan_partition(Matrix._from_ints(law.field, out[:spare], cut.den))
+    return jordan_partition(Matrix._from_ints(law.field, out[:spare], gathered.den))
 
 
 def _block_power(a: int, i: int, kind: str, law: GeneralizedLaw) -> RingElement:

@@ -111,6 +111,11 @@ class TestPredictBlocks:
         with pytest.raises(InvalidInput, match="n must be an integer >= 0"):
             predict_blocks((1, 3), n)
 
+    @pytest.mark.parametrize("exps", [(1, "a"), None, (1, 2.0)], ids=["string", "none", "float"])
+    def test_exponents_that_are_not_integers(self, exps):
+        with pytest.raises(InvalidInput, match="integer"):
+            predict_blocks(exps, 3)
+
 
 class TestCheckTheorem:
     def test_gl_regular_exhausts(self):

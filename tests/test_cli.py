@@ -115,6 +115,12 @@ class TestSpringer:
         code2, out2, _ = run(capsys, *args)
         assert code1 == code2 == 0 and out1 == out2
 
+    @pytest.mark.parametrize("series", ["cayley", "random"])
+    def test_empty_partition_is_its_own_image(self, capsys, series):
+        code, out, _ = run(capsys, "springer", "apply", "--p", "5", "--lambda", ",",
+                           "--series", series)
+        assert code == 0 and out == "1 + eps(X): partition (), preserved=True"
+
 
 class TestPredict:
     def test_char0(self, capsys):

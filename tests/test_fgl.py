@@ -155,6 +155,12 @@ class TestIteratedSeries:
         with pytest.raises(TruncationTooShort):
             iterated_tensor_series(law, 2, (4, 4))
 
+    @pytest.mark.parametrize("trunc", [3, None, (2, "a"), (2, 0)],
+                             ids=["int", "none", "string", "zero"])
+    def test_truncation_that_is_not_a_box(self, trunc):
+        with pytest.raises(InvalidInput):
+            iterated_tensor_series(additive(GF(5)), 2, trunc)
+
     @pytest.mark.parametrize("field", [GF(2), GF(3), F5, QQ], ids=str)
     @pytest.mark.parametrize("trunc", [(1, 1), (1, 4), (3, 1), (2, 3), (4, 4)])
     def test_two_factors_are_the_law_itself(self, field, trunc, monkeypatch):

@@ -710,6 +710,92 @@ class TestGatheredOperators:
         assert op == phi.kron(psi @ psi).scale(3)
 
 
+def random_coefficients(rng, field, lams):
+    """A seeded coefficient array on the box of the largest blocks, with a
+    denominator over Q."""
+    box = tuple(max(lam, default=0) for lam in lams)
+    num = np.array([rng.randint(-9, 9) for _ in range(math.prod(box))], dtype=np.int64)
+    return num.reshape(box), 1 if field.p else rng.randint(1, 12)
+
+
+class TestColumnGather:
+    """``canonical_series_operator`` at a set of columns against the same
+    columns of the whole operator, which ``TestGatheredOperators`` checks
+    against the dense Kronecker powers."""
+
+    def _check(self, field, lams, num, den, columns):
+        whole = canonical_series_operator(field, lams, num, den)
+        got = canonical_series_operator(field, lams, num, den, np.asarray(columns, dtype=np.intp))
+        assert got == Matrix._from_ints(field, whole.num[:, columns], whole.den)
+        assert got.shape == (whole.nrows, len(columns))
+
+    @pytest.mark.parametrize("field", [F2, F5, QQ], ids=str)
+    def test_seeded_subsets(self, field):
+        rng = random.Random(f"column-gather:{field.p}")
+        for factors in range(1, 5):
+            for _ in range(5):
+                lams = [seeded_partition(rng, rng.randint(1, 5 if factors < 4 else 3), top=3)
+                        for _ in range(factors)]
+                dim = math.prod(lam.dim for lam in lams)
+                num, den = random_coefficients(rng, field, lams)
+                self._check(field, lams, num, den, [])
+                self._check(field, lams, num, den, range(dim))
+                self._check(field, lams, num, den, rng.sample(range(dim), rng.randint(1, dim)))
+
+    @pytest.mark.parametrize("field", [F2, F5, QQ], ids=str)
+    @pytest.mark.parametrize("kind", ["sym", "wedge"])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_basis_words(self, field, kind, m):
+        rng = random.Random(f"column-gather:{field.p}:{kind}:{m}")
+        for lam in ((3,), (2, 1), (2, 1, 1), (1, 1, 1)):
+            lam = Partition(lam)
+            num, den = random_coefficients(rng, field, (lam,) * m)
+            columns = repring._straightening(lam.dim, m, kind)[2]
+            self._check(field, (lam,) * m, num, den, columns)
+
+    def test_columns_are_normalized_over_q(self):
+        # c_0 = 2/2 and c_1 = 1/2: column 0 reads c_0 alone, so it is 1 over 1
+        got = canonical_series_operator(QQ, ((2,),), np.array([2, 1]), 2, np.array([0]))
+        assert got.num.tolist() == [[1], [0]] and got.den == 1
+
+    def test_no_factors(self):
+        # a series in no variables is its constant, a 1 x 1 operator
+        assert canonical_series_operator(F5, (), np.array(3)).num.tolist() == [[3]]
+        got = canonical_series_operator(QQ, (), np.array(3), 2, np.array([0, 0]))
+        assert got.num.tolist() == [[3, 3]] and got.den == 2
+
+    def test_columns_check_no_bound(self):
+        # J_8^(x)5 has dimension 32768, past 4096; one column is 32768 x 1
+        num = np.ones((8,) * 5, dtype=np.int64)
+        with pytest.raises(InvalidInput, match="past the supported 4096"):
+            canonical_series_operator(F5, ((8,),) * 5, num)
+        got = canonical_series_operator(F5, ((8,),) * 5, num, 1, np.array([8 ** 5 - 1]))
+        assert got.shape == (8 ** 5, 1) and got.num.sum() == 8 ** 5
+
+    @given(st.sampled_from([F2, F5, QQ]), st.lists(small_partitions, min_size=1, max_size=3),
+           st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_hypothesis(self, field, lams, seed):
+        rng = random.Random(seed)
+        dim = math.prod(lam.dim for lam in lams)
+        num, den = random_coefficients(rng, field, lams)
+        columns = [rng.randrange(dim) for _ in range(rng.randint(0, 2 * dim))]
+        self._check(field, lams, num, den, columns)
+
+    def test_whole_gather_holds_two_index_arrays(self):
+        # J_32 (x) J_64 is 2048 x 2048: the index and the gathered entries
+        # are 32 MiB of int64 each, where a third such array peaks at 96 MiB
+        num = np.arange(32 * 64, dtype=np.int64).reshape(32, 64) % 5
+        canonical_series_operator(F5, ((32,), (64,)), num, 1, np.array([0]))
+        tracemalloc.start()
+        try:
+            op = canonical_series_operator(F5, ((32,), (64,)), num)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert op.shape == (2048, 2048) and peak < 80 * 2**20
+
+
 QUOTIENT_LAWS = ("additive", "multiplicative", "scaled", "fgl")
 
 
@@ -1600,8 +1686,9 @@ class TestCubeSum:
 
     def test_no_operator_on_the_partition(self, monkeypatch):
         # neither the cubes of the blocks nor the powers past m = 3 gather an
-        # operator: every class comes from the series' basis-word columns,
-        # and m = 1 is the partition itself, with no series
+        # operator: every class comes from the series' basis-word columns (a
+        # gather with ``columns``), and m = 1 is the partition itself, with
+        # no series
         laws = [additive(F2), multiplicative(F5), scaled_multiplicative(F7, F7(3)),
                 random_fgl(5, 9, QQ), random_fgl(6, 9, GF(13))]
         # the first largest block is the largest of all at each m
@@ -1620,9 +1707,16 @@ class TestCubeSum:
         def refuse(*args, **kwargs):
             pytest.fail("the power built an operator on the partition")
 
+        gather = repring.canonical_series_operator
+
+        def columns_only(field, lams, num, den=1, columns=None):
+            if columns is None:
+                refuse()
+            return gather(field, lams, num, den, columns)
+
         monkeypatch.setattr(repring, "iterated_tensor_series", series_spy)
-        for name in ("power_operator", "induced_quotient_operator", "canonical_series_operator",
-                     "tensor_operator"):
+        monkeypatch.setattr(repring, "canonical_series_operator", columns_only)
+        for name in ("power_operator", "induced_quotient_operator", "tensor_operator"):
             monkeypatch.setattr(repring, name, refuse)
         for law in laws:
             repring.clear_memo()
