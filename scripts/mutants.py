@@ -9,14 +9,17 @@ selection on the copy.  The mutant is killed when pytest reports failing
 tests (exit status 1), or when the selection runs past ``TIMEOUT`` seconds,
 as a reduction that never ends does; it survives when the tests pass.
 Before the mutants, the union of the selections runs once on an unchanged
-copy and must pass, so that a kill means the fault was caught.
+copy and must pass, so that a kill means the fault was caught; when it does
+not, the script prints pytest's exit status, named for exits 4 and 5 (a
+selection names no test), and the last lines of its output.
 
 Usage: python scripts/mutants.py [--list] [NAME ...]
 
 With names, only those entries run.  Exits 1 when a mutant survives, an
-entry no longer applies, or the unchanged selections fail.  ``--list``
-prints the entries and runs no tests; it exits 1, marking them STALE, when
-any entry's old text does not occur exactly once in the source tree.
+entry no longer applies, the unchanged selections fail, or two entries share
+a name.  ``--list`` prints the entries and runs no tests; it exits 1,
+marking them STALE, when any entry's old text does not occur exactly once in
+the source tree.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "pyproject.toml")
 #: seconds one selection may run; each takes a few seconds on a sound tree
 TIMEOUT = 60
+#: lines of pytest's output shown when the unchanged selections fail
+TAIL = 20
 
 
 @dataclass(frozen=True)
@@ -59,7 +64,7 @@ CELL_TESTS = "tests/test_repring.py::TestCellRoute::"
 DENSE_TESTS = "tests/test_series.py::TestDictOracle::"
 SQUARE_TESTS = "tests/test_repring.py::TestSquareRoute::"
 COLUMN_TESTS = "tests/test_repring.py::TestColumnRoute::"
-WORKING_SET_TESTS = "tests/test_repring.py::TestWorkingSet::"
+SHARED_TESTS = "tests/test_repring.py::TestSharedMemo::"
 BLOCK_SUM_TESTS = "tests/test_repring.py::TestBlockSum::"
 CUBE_SUM_TESTS = "tests/test_repring.py::TestCubeSum::"
 QUOTIENT_TESTS = "tests/test_repring.py::TestQuotientClass::"
@@ -68,6 +73,18 @@ FOLD_TESTS = "tests/test_repring.py::TestFold::"
 G2_BATCH_TESTS = "tests/test_g2.py::TestBatchedRoutes::"
 BATCH_TESTS = "tests/test_linalg.py::TestBatchedPartitions::"
 COUNT_TESTS = "tests/test_integer_arguments.py::"
+#: ``repring._block_power`` from its refusals to its memo read
+POWER_GUARDS = ("    if i == 2:\n"
+                "        _require_cell(a, a, kind, law)\n"
+                "    else:\n"
+                "        _require_operator_dim(a ** i)\n"
+                "        _law_series(law, i, (a,), kind)\n")
+POWER_READ = ("    field = law.field\n"
+              "    own = 0 < field.p <= i\n"
+              "    owner = law if own else additive(field)\n"
+              "    key = (kind, a, i, law.fingerprint() if own else field.p)\n"
+              "    hit = _constants_memo.get(key)\n"
+              "    if hit is None:\n")
 
 MUTANTS = [
     # 4 * bits + 1 would pick the same width as 4 * bits + 2 for every p:
@@ -172,23 +189,58 @@ MUTANTS = [
            "    for key in [k for k in _constants_memo if k[0] != \"powers\"]:\n"
            "        del _constants_memo[key]\n",
            (CELL_TESTS + "test_clear_memo_drops_the_tables",)),
-    # a law's first table at the union with the box asked at its prime
-    # even where that union's products are past float64: BadPrime, where
-    # the cell's own box answers
-    Mutant("field-hint-skips-float-bound", REPRING,
-           "if size <= _MAX_OPERATOR_DIM and _float_exact(field.p, size):",
-           "if size <= _MAX_OPERATOR_DIM and (table is None or _float_exact(field.p, size)):",
-           (WORKING_SET_TESTS + "test_hinted_box_past_the_float_bound",)),
-    # one box asked for every characteristic: a p = 3 law's first table
-    # is built out to the cells asked at p = 2
-    Mutant("field-hint-across-characteristics", REPRING,
-           'return "asked", field.p', 'return "asked"',
-           (WORKING_SET_TESTS + "test_one_working_set_per_characteristic",)),
-    # each law's first table at its own cell: every later law grows its
-    # table again, as the first did
-    Mutant("field-hint-never-read", REPRING,
-           "bx, by = _constants_memo.get(_asked(field), box)", "bx, by = box",
-           (WORKING_SET_TESTS + "test_later_laws_build_one_table_and_one_column_per_short_side",)),
+    # each law's refusal checked only on a miss: a class that the additive
+    # law memoized answers a law over another field, a law too short for
+    # the cell, a square past the law's symmetry or a cube whose 3-fold
+    # series is not symmetric
+    Mutant("cell-field-guard-after-memo", REPRING,
+           "    _require_field(law, field)\n"
+           "    if type(n) is not int or type(m) is not int:\n"
+           "        n, m = _count(n, 1, \"a block size\"), _count(m, 1, \"a block size\")\n"
+           "    _require_cell(n, m, \"tensor\", law)\n"
+           "    key = (\"cell\", n, m, field.p)\n"
+           "    hit = _constants_memo.get(key)\n"
+           "    if hit is not None:\n"
+           "        return hit\n",
+           "    if type(n) is not int or type(m) is not int:\n"
+           "        n, m = _count(n, 1, \"a block size\"), _count(m, 1, \"a block size\")\n"
+           "    key = (\"cell\", n, m, field.p)\n"
+           "    hit = _constants_memo.get(key)\n"
+           "    if hit is not None:\n"
+           "        return hit\n"
+           "    _require_field(law, field)\n"
+           "    _require_cell(n, m, \"tensor\", law)\n",
+           (SHARED_TESTS + "test_warm_memo_keeps_the_refusal[field]",)),
+    Mutant("cell-degree-guard-after-memo", REPRING,
+           "    _require_cell(n, m, \"tensor\", law)\n"
+           "    key = (\"cell\", n, m, field.p)\n"
+           "    hit = _constants_memo.get(key)\n"
+           "    if hit is not None:\n"
+           "        return hit\n",
+           "    key = (\"cell\", n, m, field.p)\n"
+           "    hit = _constants_memo.get(key)\n"
+           "    if hit is not None:\n"
+           "        return hit\n"
+           "    _require_cell(n, m, \"tensor\", law)\n",
+           (SHARED_TESTS + "test_warm_memo_keeps_the_refusal[degree]",)),
+    Mutant("square-symmetry-guard-after-memo", REPRING,
+           POWER_GUARDS + POWER_READ,
+           "    if i > 2:\n"
+           "        _require_operator_dim(a ** i)\n"
+           "        _law_series(law, i, (a,), kind)\n"
+           + POWER_READ +
+           "        if i == 2:\n"
+           "            _require_cell(a, a, kind, law)\n",
+           (SHARED_TESTS + "test_warm_memo_keeps_the_refusal[square]",)),
+    Mutant("series-symmetry-guard-after-memo", REPRING,
+           POWER_GUARDS + POWER_READ,
+           "    if i == 2:\n"
+           "        _require_cell(a, a, kind, law)\n"
+           + POWER_READ +
+           "        if i > 2:\n"
+           "            _require_operator_dim(a ** i)\n"
+           "            _law_series(law, i, (a,), kind)\n",
+           (SHARED_TESTS + "test_warm_memo_keeps_the_refusal[series]",)),
     # an image with a term that Y_i does not divide, or with no Y_i term,
     # gives a matrix that may not be invertible
     Mutant("automorphism-skips-divisibility", SERIES,
@@ -341,7 +393,7 @@ MUTANTS = [
            (SQUARE_TESTS + "test_span_postcondition_is_a_typed_error",
             CELL_TESTS + "test_span_postcondition_is_a_typed_error")),
     Mutant("square-any-law", REPRING,
-           "if not tensor and n > law._symmetric_to:", "if False:",
+           "if shape != \"tensor\" and n > law._symmetric_to:", "if False:",
            (SQUARE_TESTS + "test_non_symmetric_law",)),
     # a pair c_ab != c_ba read as asymmetric only from max(a, b) + 2 on: the
     # square of J_5 under a law symmetric to degree 6 answers, unsound
@@ -394,7 +446,7 @@ MUTANTS = [
     # an m-fold series that is not symmetric answers, folded as if its
     # operator commuted with the swaps, and is memoized
     Mutant("cube-any-law", REPRING,
-           "    if not cut.is_symmetric():", "    if False:",
+           "        if not series.is_symmetric():", "        if False:",
            (CUBE_SUM_TESTS + "test_non_symmetric_series_is_refused",)),
     Mutant("clear-memo-keeps-cube-series", REPRING,
            "    _constants_memo.clear()\n",
@@ -481,7 +533,8 @@ MUTANTS = [
     # Sym^2 and Sym^3 of one block share a memo entry: the fold reads the
     # first power asked for every later one
     Mutant("block-power-key-drops-i", REPRING,
-           "key = (kind, a, i, law.fingerprint())", "key = (kind, a, law.fingerprint())",
+           "key = (kind, a, i, law.fingerprint() if own else field.p)",
+           "key = (kind, a, law.fingerprint() if own else field.p)",
            (QUOTIENT_TESTS + "test_seeded_powers[F5]",)),
     # every g2_table call rebuilds and re-validates its model
     Mutant("so7-model-rebuilt", G2,
@@ -490,15 +543,26 @@ MUTANTS = [
 ]
 
 
-def run_tests(tree: Path, tests) -> int | None:
-    """pytest's exit status on the selection, or None past ``TIMEOUT``."""
+def run_tests(tree: Path, tests) -> tuple:
+    """pytest's exit status on the selection and its output, or None and
+    "" past ``TIMEOUT``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
     try:
-        return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL, timeout=TIMEOUT).returncode
+        done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True,
+                              timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
-        return None
+        return None, ""
+    return done.returncode, done.stdout + done.stderr
+
+
+def describe(status: int | None) -> str:
+    """pytest's exit status in words."""
+    if status is None:
+        return f"past the {TIMEOUT} s timeout"
+    if status in (4, 5):
+        return f"pytest exit status {status}: a selection names no test"
+    return f"pytest exit status {status}"
 
 
 def copy_tree(dest: Path) -> Path:
@@ -527,12 +591,12 @@ def check(mutant: Mutant, scratch: Path) -> str:
         return f"NOT APPLIED: {why}"
     path = tree / mutant.file
     path.write_text(path.read_text().replace(mutant.old, mutant.new))
-    status = run_tests(tree, mutant.tests)
+    status, _ = run_tests(tree, mutant.tests)
     if status is None or status == 1:
         return "killed"
     if status == 0:
         return "SURVIVED"
-    return f"NOT RUN: pytest exit status {status}"
+    return f"NOT RUN: {describe(status)}"
 
 
 def main(argv=None) -> int:
@@ -540,6 +604,11 @@ def main(argv=None) -> int:
     parser.add_argument("names", nargs="*", help="entries to run (default: all)")
     parser.add_argument("--list", action="store_true", help="print the entries and exit")
     args = parser.parse_args(argv)
+    names = [m.name for m in MUTANTS]
+    twice = sorted({name for name in names if names.count(name) > 1})
+    if twice:
+        print(f"entries share a name: {', '.join(twice)}")
+        return 1
     known = {m.name: m for m in MUTANTS}
     unknown = [n for n in args.names if n not in known]
     if unknown:
@@ -556,8 +625,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         scratch = Path(tmp)
         selections = sorted({t for m in chosen for t in m.tests})
-        if run_tests(copy_tree(scratch / "unchanged"), selections) != 0:
-            print("the selected tests fail on the unchanged tree")
+        status, output = run_tests(copy_tree(scratch / "unchanged"), selections)
+        if status != 0:
+            print(f"the selected tests fail on the unchanged tree: {describe(status)}")
+            print("\n".join(output.splitlines()[-TAIL:]))
             return 1
         failed = False
         for m in chosen:

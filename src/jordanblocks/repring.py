@@ -1,43 +1,40 @@
 """Tensor products of nilpotents under a law, and the ring they generate.
 
-The class of a nilpotent operator is its Jordan partition, written as an
-integer combination of block classes J_n.  The tensor product of (V, phi) and
-(W, psi) with respect to a law F is the operator F(phi (x) 1, 1 (x) psi) on
-V (x) W; the structure constants of the resulting ring are independent of the
-law, which the verification suite checks by brute force.  Structure
-constants and block powers are memoized; in characteristic 0 the cells and
-squares have closed forms (Clebsch-Gordan and the sl_2 plethysm).
+The class of a nilpotent is its Jordan partition, an integer combination of
+block classes J_n.  The tensor product of (V, phi) and (W, psi) under a law
+F is F(phi (x) 1, 1 (x) psi) on V (x) W; over Q the cells and squares have
+closed forms (Clebsch-Gordan and the sl_2 plethysm).
 
-A tensor product of partitions is the ring product of their block classes,
-and no tensor operator is built for a cell J_n (x) J_m: it is multiplication
-by t = F(x, y) on k[x, y]/(x^n, y^m), whose ranks come from the rows x^i F^j
-(F^j packed once and shifted i rows of x, ``_column_masks``) of one memoized
-table of the law's powers F^j per law (``_law_powers``), built by products
-of Toeplitz slices (``_matmul_mod`` over F_p), with no operator on A.  The
-structure constants do not depend on the law, so callers ask the same cells
-under many laws at one characteristic: a law's first table holds the box of
-every cell and square asked at that characteristic since ``clear_memo``
-(one working set per characteristic), and only a cell past it rebuilds it,
-about log2 times per side as its box grows by powers of two.
+The classes do not depend on the law where the paper's intertwiners exist:
+``build_intertwiner_pair`` carries y + z to F(y, z) on k[Y, Z]/(Y^n, Z^m)
+for every law, and ``build_symmetric_intertwiner`` carries Y_1 + ... + Y_i
+to the law's i-fold series Sigma_i-equivariantly when i! is invertible and
+that series is symmetric.  So each cell, ("cell", n, m, p), and each block
+power Sym^i J_a or wedge^i J_a with p = 0 or i < p, (kind, a, i, p), is
+memoized per characteristic and computed once under ``additive(field)``.
+The asked law is read only for its refusals (its field, its degree, the
+4096 bound, the symmetry of its series), before the memo read, so every
+answer and refusal is the law's own.  A block power at i >= p is the law's
+own, keyed by its fingerprint.
 
-With the columns x-first, k[x, y]/(x^n, y^s) is a prefix of k[x, y]/(x^N,
-y^s), so one elimination at the box (N, s) gives every J_n (x) J_s with
-n <= N, from the counts of pivots whose lead is below n s
-(``_table_partition``).  A cell with n < m is J_m (x) J_n under
-F^op(x, y) = F(y, x), read from the transposed table; under a symmetric law
-both orders share one column.  The squares Sym^2 J_n and wedge^2 J_n
-(``_block_power`` at i = 2), for n up to the law's ``_symmetric_to``, fold
-the rows of their generators onto the pairs (a, b), ordered by b and then a,
-so they are prefixes too.  A column is built at the largest block asked at
-the characteristic since ``clear_memo``, within the table's box, the law's
-degree and the 4096 bound, so a cold call builds at its own box; each
-read's span count must be the dimension, or AlgebraError.
+A cell J_n (x) J_m is multiplication by t = F(x, y) on k[x, y]/(x^n, y^m),
+with no operator built: its ranks come from the rows x^i F^j (F^j packed
+once and shifted i rows of x, ``_column_masks``) of one memoized table of
+the law's powers per law (``_law_powers``), built by products of Toeplitz
+slices (``_matmul_mod`` over F_p).  With the columns x-first,
+k[x, y]/(x^n, y^s) is a prefix of k[x, y]/(x^N, y^s), so one elimination at
+(N, s) gives every J_n (x) J_s with n <= N (``_table_partition``); n < m is
+read from the transposed table of F^op(x, y) = F(y, x).  The squares
+Sym^2 J_n and wedge^2 J_n fold their rows onto the pairs (a, b), ordered by
+b and then a, so they are prefixes too.  ``tensor_partition`` of two single
+blocks reads the asked law's own columns, the independent side of every
+cross-law comparison.
 
-Sym^m and wedge^m of any partition at any m fold its blocks in (``_fold``)
-through the cells' bilinear product (``_product``, as ``ring_multiply``) and
-the block powers (``_block_power``).  Past the square these fold the power
-operator's columns at the basis words (``canonical_series_operator``) from
-one memoized m-fold series per law (``_quotient_class``), which must be
+Sym^m and wedge^m of a partition fold its blocks in (``_fold``) through the
+cells' bilinear product (``_product``) and the block powers
+(``_block_power``); past the square these gather the power operator's
+columns at the basis words (``canonical_series_operator``) from one
+memoized m-fold series per law (``_quotient_class``), which must be
 symmetric, else ``InvalidInput``; J_a needs a^i <= 4096.  Past m = 3 the
 fold of two or more blocks rests on the series splitting (``_splits``), else
 the whole partition is gathered, within d^m <= 4096.  The whole power
@@ -45,9 +42,8 @@ operator straightened onto the quotient (``power_operator``,
 ``induced_quotient_operator``) is the tests' reference.  A law over another
 field is ``InvalidLaw`` (``_require_field``).
 
-The constructive intertwiners are the automorphisms Y_i -> f_i for a
-term-by-term split of the law's series f = f_1 + ... + f_m with Y_i | f_i;
-the pieces go to ``build_automorphism`` as they are, as the images.
+The intertwiners are the automorphisms Y_i -> f_i of a term-by-term split of
+the law's series f = f_1 + ... + f_m with Y_i | f_i (``build_automorphism``).
 """
 
 from __future__ import annotations
@@ -61,7 +57,7 @@ import numpy as np
 
 from .errors import AlgebraError, InvalidInput, InvalidLaw
 from .fields import Field, _count
-from .fgl import GeneralizedLaw, _require_law, iterated_tensor_series
+from .fgl import GeneralizedLaw, _require_law, additive, iterated_tensor_series
 from .linalg import (
     _MAX_OPERATOR_DIM,
     Matrix,
@@ -214,35 +210,25 @@ def _table_partition(n: int, m: int, shape: str, law: GeneralizedLaw,
     are those of A_N cut to the first n s columns, and a square's columns,
     ordered by b and then a, restrict the same way.  So one elimination of
     the levels j = N+s-2 down to 0 gives rank t^l for every n <= N, from the
-    leads of its pivots (``_prefix_masks``).
-    J_n (x) J_m with n < m, and J_n (x) J_n when the table is longer in y,
-    is J_m (x) J_n under F^op(x, y) = F(y, x), whose powers are the table's
-    transposed, so the long side lies on the prefix axis.
+    leads of its pivots (``_prefix_masks``).  J_n (x) J_m with n < m, and
+    with n = m when the table is longer in y, is J_m (x) J_n under F^op.
 
     A column, its N and the leads of each level's pivots as the bits of one
     int, is memoized per law, shape, short side s and orientation (one
     under a symmetric law, where F^op = F), and built to N = max(long
-    side, min(the table's extent on that axis, the longer side of the
-    ``_asked`` box)), cut so that the law's degree holds N + s - 2 and
-    N s <= 4096; a square's N past the law's ``_symmetric_to`` falls back
-    to n.  The count after level 0 must be the dimension, or AlgebraError:
-    that certifies the generators, so the ranks do not rest on the argument
-    above.  The degree, the operator bound and the symmetry (n at most the
-    law's ``_symmetric_to``) are checked in that order, before the table.
+    side, the table's extent on that axis), cut so that the law's degree
+    holds N + s - 2 and N s <= 4096; a square's N past the law's
+    ``_symmetric_to`` falls back to n.  The count after level 0 must be the
+    dimension, or AlgebraError: that certifies the generators, so the ranks
+    do not rest on the argument above.  ``_require_cell`` refuses first.
     """
-    law.require_degree(n + m - 2)
-    _require_operator_dim(n * m)
+    _require_cell(n, m, shape, law)
     tensor, wedge = shape == "tensor", shape == "wedge"
-    if not tensor and n > law._symmetric_to:
-        raise InvalidInput("the law's series is not symmetric, so its operator does not "
-                           "commute with swapping the tensor factors and induces no map "
-                           f"on the square of J_{n}")
     dim = n * m if tensor else n * (n + 1 - 2 * wedge) // 2
     if not dim:
         return Partition(())
     powers = _law_powers(law, field, n, m)
     flip = tensor and (n < m or n == m and powers.shape[2] > powers.shape[1])
-    asked = _constants_memo.get(_asked(field), (0, 0))
     long, s = (m, n) if flip else (n, m)
     key = ("column", shape, s if tensor else 0, flip and law._symmetric_to <= law.degree,
            law.fingerprint())
@@ -251,13 +237,11 @@ def _table_partition(n: int, m: int, shape: str, law: GeneralizedLaw,
         cap = _MAX_OPERATOR_DIM // s if tensor else math.isqrt(_MAX_OPERATOR_DIM)
         if not law.exact:
             cap = min(cap, law.degree - s + 2 if tensor else law.degree // 2 + 1)
-        N = max(long, min(powers.shape[1 + flip] if tensor else min(powers.shape[1:]),
-                          max(asked), cap))
+        N = max(long, min(powers.shape[1 + flip] if tensor else min(powers.shape[1:]), cap))
         if not tensor and N > law._symmetric_to:
             N = n
         column = _constants_memo[key] = N, _column_masks(
             powers.transpose(0, 2, 1) if flip else powers, N, s if tensor else N, shape, field.p)
-    _constants_memo[_asked(field)] = max(asked[0], n), max(asked[1], m)
     low = (1 << dim) - 1
     ranks = [(mask & low).bit_count() for mask in column[1]]
     if ranks[0] != dim:
@@ -265,6 +249,18 @@ def _table_partition(n: int, m: int, shape: str, law: GeneralizedLaw,
         what = f"J_{n} (x) J_{m}" if tensor else f"the {shape} square of J_{n}"
         raise AlgebraError(f"{gens} generators span {ranks[0]} dimensions of {what}, not {dim}")
     return _partition_from_ranks(ranks[1:], dim)
+
+
+def _require_cell(n: int, m: int, shape: str, law: GeneralizedLaw) -> None:
+    """The law's refusals of J_n (x) J_m (``shape == "tensor"``) or of a
+    square of J_n, in order: its degree, the operator bound, and for a
+    square the symmetry of its series on (n, n)."""
+    law.require_degree(n + m - 2)
+    _require_operator_dim(n * m)
+    if shape != "tensor" and n > law._symmetric_to:
+        raise InvalidInput("the law's series is not symmetric, so its operator does not "
+                           "commute with swapping the tensor factors and induces no map "
+                           f"on the square of J_{n}")
 
 
 def _column_masks(powers: np.ndarray, N: int, side: int, shape: str, p: int) -> list:
@@ -301,44 +297,30 @@ def _column_masks(powers: np.ndarray, N: int, side: int, shape: str, p: int) -> 
     return _prefix_masks([rows[k * c:(k + 1) * c] for k in range(count)], p, dim)
 
 
-def _asked(field: Field) -> tuple:
-    """The memo key of the box (largest n, largest m) of the cells and
-    squares answered at the field's characteristic since ``clear_memo``."""
-    return "asked", field.p
-
-
 def _law_powers(law: GeneralizedLaw, field: Field, n: int, m: int) -> np.ndarray:
     """The law's powers F^j mod (x^bx, y^by), j <= bx + by - 2, as an array
     (j, a, b) of the coefficient of x^a y^b, for a box that holds n x m.
 
     Memoized per law in ``_constants_memo`` as (bx, by, powers).  The first
-    table is built at the union of (n, m) and the box of the cells and
-    squares answered at the law's characteristic (``_asked``), so a law
-    asked after others holds their cells at once.  A cell past the box
-    rebuilds it, each side that must grow rounded up to a power of two, so
-    cells met one row or column larger at a time rebuild about log2 times
-    per side.  A box past the operator bound or float64 exactness gives way
-    to the union (max(bx, n), max(by, m)) on a rebuild, then to (n, m).  So
-    each cell's answer and refusals do not depend on the cells before it.
+    table is built at (n, m).  A cell past the box rebuilds it, each side
+    that must grow rounded up to a power of two, so cells met one row or
+    column larger at a time rebuild about log2 times per side.  A box past
+    the operator bound or float64 exactness gives way to the union
+    (max(bx, n), max(by, m)), then to (n, m).  So each cell's answer and
+    refusals do not depend on the cells before it.
     """
     key = ("powers", law.fingerprint())
     table = _constants_memo.get(key)
     if table is not None and n <= table[0] and m <= table[1]:
         return table[2]
     box = (n, m)
-    if table is None:
-        bx, by = _constants_memo.get(_asked(field), box)
-        grows = ((max(bx, n), max(by, m)),)
-    else:
+    if table is not None:
         bx, by, _ = table
         rounded = (bx if n <= bx else 1 << (n - 1).bit_length(),
                    by if m <= by else 1 << (m - 1).bit_length())
         grows = (rounded, (max(bx, n), max(by, m)))
-    for grown in grows:
-        size = grown[0] * grown[1]
-        if size <= _MAX_OPERATOR_DIM and _float_exact(field.p, size):
-            box = grown
-            break
+        box = next((g for g in grows if g[0] * g[1] <= _MAX_OPERATOR_DIM
+                    and _float_exact(field.p, g[0] * g[1])), box)
     powers = _power_table(field, box, law)
     _constants_memo[key] = (*box, powers)
     return powers
@@ -399,17 +381,20 @@ _constants_memo: dict = {}
 
 def structure_constants(n: int, m: int, law: GeneralizedLaw, field: Field) -> RingElement:
     """Class of J_n (x)_F J_m under any law with invertible linear part,
-    memoized on (n, m, law, characteristic): each miss calls the module
-    attribute ``tensor_partition`` once, which reads the law's columns; a
-    block size other than an int is checked first, as 2.0 hashes as 2."""
+    law-free by ``build_intertwiner_pair``: memoized per ("cell", n, m, p),
+    each miss calling the module attribute ``tensor_partition`` once under
+    ``additive(field)``.  The law is read for its refusals alone, before the
+    memo: its field, a block size other than an int (2.0 hashes as 2), its
+    degree and the operator bound (``_require_cell``)."""
     _require_field(law, field)
     if type(n) is not int or type(m) is not int:
         n, m = _count(n, 1, "a block size"), _count(m, 1, "a block size")
-    key = (n, m, law.fingerprint())
+    _require_cell(n, m, "tensor", law)
+    key = ("cell", n, m, field.p)
     hit = _constants_memo.get(key)
     if hit is not None:
         return hit
-    out = RingElement.from_partition(tensor_partition((n,), (m,), law, field))
+    out = RingElement.from_partition(tensor_partition((n,), (m,), additive(field), field))
     if out.dim() != n * m:
         raise AlgebraError(f"J_{n} (x) J_{m} came out of dimension {out.dim()}, not {n * m}")
     _constants_memo[key] = out
@@ -614,30 +599,12 @@ def induced_quotient_operator(x: Matrix, d: int, m: int, kind: str) -> Matrix:
 
 def _quotient_class(lam: Partition, m: int, law: GeneralizedLaw, kind: str) -> Partition:
     """Jordan type of wedge^m (``kind == "wedge"``) or Sym^m of the canonical
-    nilpotent of ``lam`` under the law, from the power operator's columns at
-    the basis words only, with no d^m x d^m operator.
-
-    The columns at the basis words are gathered from the law's m-fold series
-    by ``canonical_series_operator``, d^m x q entries, and folded onto the
-    quotient by ``_straightening``'s targets and signs.
-
-    One m-fold series per m and law is memoized in ``_constants_memo`` and
-    rebuilt at the largest block past its box.  Cut to that block, it must be
-    symmetric, which is the power operator's commutation with every swap of
-    tensor factors; otherwise InvalidInput, and the series is not memoized.
-    No bound is checked here: the callers hold d^m within 4096.
-    """
-    n = max(lam, default=1)
-    key = ("series", m, law.fingerprint())
-    series = _constants_memo.get(key)
-    if series is None or series.trunc[0] < n:
-        series = iterated_tensor_series(law, m, (n,) * m)
-    cut = series._in_box((n,) * m)
-    if not cut.is_symmetric():
-        raise InvalidInput(f"the law's {m}-fold series is not symmetric, so its operator does "
-                           "not commute with permuting the tensor factors and induces no map "
-                           f"on the {kind} power of {tuple(lam)}")
-    _constants_memo[key] = series
+    nilpotent of ``lam`` under the law's own symmetric m-fold series
+    (``_law_series``), with no d^m x d^m operator: its columns at the basis
+    words, d^m x q entries (``canonical_series_operator``), folded onto the
+    quotient by ``_straightening``'s targets and signs.  No bound is checked
+    here: the callers hold d^m within 4096."""
+    cut = _law_series(law, m, lam, kind)
     targets, signs, columns, spare = _straightening(lam.dim, m, kind)
     gathered = canonical_series_operator(law.field, (lam,) * m, cut.num, cut.den, columns)
     values = gathered.num
@@ -647,21 +614,50 @@ def _quotient_class(lam: Partition, m: int, law: GeneralizedLaw, kind: str) -> P
     return jordan_partition(Matrix._from_ints(law.field, out[:spare], gathered.den))
 
 
+def _law_series(law: GeneralizedLaw, m: int, lam: tuple, kind: str):
+    """The law's m-fold series cut to (n)^m, n the largest block of ``lam``,
+    memoized per m and law and rebuilt past its box.  It must be symmetric
+    (the power operator commutes with every swap of tensor factors), else
+    InvalidInput and nothing is memoized; so every cut of a memoized series
+    is symmetric."""
+    n = max(lam, default=1)
+    key = ("series", m, law.fingerprint())
+    series = _constants_memo.get(key)
+    if series is None or series.trunc[0] < n:
+        series = iterated_tensor_series(law, m, (n,) * m)
+        if not series.is_symmetric():
+            raise InvalidInput(f"the law's {m}-fold series is not symmetric, so its operator "
+                               "does not commute with permuting the tensor factors and induces "
+                               f"no map on the {kind} power of {tuple(lam)}")
+        _constants_memo[key] = series
+    return series._in_box((n,) * m)
+
+
 def _block_power(a: int, i: int, kind: str, law: GeneralizedLaw) -> RingElement:
     """Class of Sym^i J_a (``kind == "sym"``) or wedge^i J_a for a checked a:
-    J_a at i = 1, else memoized per (kind, a, i, law), the square read off
-    the law's column of squares (``_table_partition``), a higher power from
-    ``_quotient_class``, refused past a^i = 4096 before any series is built."""
+    J_a at i = 1, else the square from a column of squares
+    (``_table_partition``), a higher power from ``_quotient_class``.  The
+    law's refusals come first: the square's ``_require_cell``, else a^i <=
+    4096 and then the symmetry of its i-fold series (``_law_series``).
+    Where i! is invertible (p = 0 or i < p) ``build_symmetric_intertwiner``
+    makes the class law-free: memoized per (kind, a, i, p) and computed
+    under ``additive``; at i >= p, per (kind, a, i, law)."""
     if i == 1:
         return RingElement({a: 1})
-    key = (kind, a, i, law.fingerprint())
+    if i == 2:
+        _require_cell(a, a, kind, law)
+    else:
+        _require_operator_dim(a ** i)
+        _law_series(law, i, (a,), kind)
+    field = law.field
+    own = 0 < field.p <= i
+    owner = law if own else additive(field)
+    key = (kind, a, i, law.fingerprint() if own else field.p)
     hit = _constants_memo.get(key)
     if hit is None:
-        if i > 2:
-            _require_operator_dim(a ** i)
         hit = _constants_memo[key] = RingElement.from_partition(
-            _table_partition(a, a, kind, law, law.field) if i == 2
-            else _quotient_class(Partition((a,)), i, law, kind))
+            _table_partition(a, a, kind, owner, field) if i == 2
+            else _quotient_class(Partition((a,)), i, owner, kind))
     return hit
 
 
@@ -741,10 +737,9 @@ def build_symmetric_intertwiner(n: int, m: int, law: GeneralizedLaw) -> Matrix:
 
 
 def clear_memo() -> None:
-    """Drop the memoized structure constants and block powers, the laws'
-    tables of powers, columns, m-fold series and splits, the boxes asked at
-    each characteristic and the gather's block offsets (used by tests and
-    benchmark passes); a law keeps its ``_symmetric_to``, and the built-in
-    laws stay built."""
+    """Drop every memoized class, per characteristic or per law, the laws'
+    tables, columns, m-fold series and splits, and the gather's block
+    offsets (for tests and benchmark passes); a law keeps its
+    ``_symmetric_to``, and the built-in laws stay built."""
     _constants_memo.clear()
     _block_offsets.cache_clear()

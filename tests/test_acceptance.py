@@ -5,10 +5,13 @@ with a runtime budget assert it.  Each test prints one PASS/FAIL line
 (visible with ``pytest -s`` or in captured output on failure).
 """
 
-from jordanblocks.fgl import additive
+import time
+
+from jordanblocks import repring
+from jordanblocks.fgl import additive, random_generalized_law
 from jordanblocks.fields import GF
 from jordanblocks.g2 import expected_adjoint
-from jordanblocks.repring import RingElement, wedge_partition
+from jordanblocks.repring import RingElement, structure_constants, wedge_partition
 from jordanblocks.verify import (
     CheckResult,
     suite_char0,
@@ -98,3 +101,22 @@ def test_criterion_10_char0_predictor():
 
 def test_criterion_11_property_suite():
     report(11, suite_properties())
+
+
+def test_criterion_12_many_laws_share_the_cells():
+    # 50 seeded laws of degree 64 at p = 5, built untimed, each asked
+    # J_n (x) J_32 for n <= 32: the cells are law-free, so they are computed
+    # once for the characteristic; < 5 s and fewer than 100 memo entries
+    field = GF(5)
+    laws = [random_generalized_law(s, 64, field, unit_linear=True) for s in range(50)]
+    repring.clear_memo()
+    t0 = time.perf_counter()
+    for law in laws:
+        for n in range(1, 33):
+            structure_constants(n, 32, law, field)
+    seconds = time.perf_counter() - t0
+    entries = len(repring._constants_memo)
+    repring.clear_memo()
+    line = f"criterion 12 [many-laws] ({seconds:.2f}s): {entries} memo entries"
+    print(line)
+    assert seconds < 5.0 and entries < 100, line

@@ -286,9 +286,10 @@ class TestStructureConstants:
 class TestStructureConstantsAgainstOracle:
     """Every cell J_n (x) J_m with n, m <= 12, under three laws, against the
     full-power ranks of the additive law's Kronecker-product operator: the
-    ranks of the rows x^i F^j against an independent construction and an
-    independent rank.  The class does not depend on the law or on the order
-    of n and m, so one oracle serves six cells."""
+    ranks of each law's own rows x^i F^j (``own_cell``) against an
+    independent construction and an independent rank, and the memoized
+    class of the characteristic.  The class does not depend on the law or
+    on the order of n and m, so one oracle serves six cells."""
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_every_cell_up_to_twelve(self, p):
@@ -303,6 +304,8 @@ class TestStructureConstantsAgainstOracle:
             op = tensor_operator(blocks[n], blocks[m], laws[0])
             want = RingElement.from_partition(full_power_partition(op))
             for law in laws:
+                assert own_cell(n, m, law, field) == want, (p, law, n, m)
+                assert own_cell(m, n, law, field) == want, (p, law, m, n)
                 assert structure_constants(n, m, law, field) == want, (p, law, n, m)
                 assert structure_constants(m, n, law, field) == want, (p, law, m, n)
 
@@ -318,6 +321,13 @@ def table_box(law):
     """The box of the law's memoized table of powers, or None."""
     table = repring._constants_memo.get(("powers", law.fingerprint()))
     return None if table is None else table[:2]
+
+
+def own_cell(n, m, law, field):
+    """J_n (x) J_m read off the law's own table and columns
+    (``_table_partition``), where ``structure_constants`` reads the memo
+    of the characteristic."""
+    return RingElement.from_partition(repring._table_partition(n, m, "tensor", law, field))
 
 
 class TestCellRoute:
@@ -377,16 +387,17 @@ class TestCellRoute:
 
     @pytest.mark.parametrize("field", [F3, F131, QQ], ids=str)
     def test_shuffled_order_matches_cold_answers(self, field):
-        # each cold answer starts from an empty memo; the shuffled pass grows
-        # one table, with no side past 8, the power of two that holds 7, and
-        # a degree-10 law refuses the cells with n + m > 12
+        # the law's own cells: each cold answer starts from an empty memo;
+        # the shuffled pass grows one table, with no side past 8, the power
+        # of two that holds 7, and a degree-10 law refuses the cells with
+        # n + m > 12
         law = random_generalized_law(17, 10, field)
         cells = [(n, m) for n in range(1, 8) for m in range(1, 8)]
         cold = {}
         for n, m in cells:
             repring.clear_memo()
             try:
-                cold[n, m] = structure_constants(n, m, law, field)
+                cold[n, m] = own_cell(n, m, law, field)
             except AlgebraError as exc:
                 cold[n, m] = type(exc)
         assert cold[7, 7] is TruncationTooShort and cold[6, 6] != TruncationTooShort
@@ -395,9 +406,9 @@ class TestCellRoute:
         for n, m in cells:
             if cold[n, m] is TruncationTooShort:
                 with pytest.raises(TruncationTooShort):
-                    structure_constants(n, m, law, field)
+                    own_cell(n, m, law, field)
             else:
-                assert structure_constants(n, m, law, field) == cold[n, m], (n, m)
+                assert own_cell(n, m, law, field) == cold[n, m], (n, m)
             box = table_box(law)
             assert box is None or max(box) <= 8
         assert min(table_box(law)) >= 7
@@ -408,7 +419,7 @@ class TestCellRoute:
         cold = {}
         for n, m in cells:
             repring.clear_memo()
-            cold[n, m] = structure_constants(n, m, law, field)
+            cold[n, m] = own_cell(n, m, law, field)
         repring.clear_memo()
         # a cold table at the cell; each side that must grow rounded up to a
         # power of two; past the 4096 bound the union of the boxes, at
@@ -416,7 +427,7 @@ class TestCellRoute:
         # after (128, 5)
         boxes = [(3, 5), (8, 5), (8, 5), (128, 5), (2, 60), (4, 60), (65, 60)]
         for (n, m), box in zip(cells, boxes):
-            assert structure_constants(n, m, law, field) == cold[n, m], (n, m)
+            assert own_cell(n, m, law, field) == cold[n, m], (n, m)
             assert table_box(law) == box, (n, m)
         for n, m in cells:
             want = gathered_tensor_partition(field, (n,), (m,), law.coeffs)
@@ -451,7 +462,7 @@ class TestCellRoute:
     def test_clear_memo_drops_the_tables(self):
         law = multiplicative(F3)
         repring.clear_memo()
-        structure_constants(4, 6, law, F3)
+        own_cell(4, 6, law, F3)
         assert table_box(law) == (4, 6)
         repring.clear_memo()
         assert not repring._constants_memo
@@ -471,7 +482,7 @@ class TestCellRoute:
         with pytest.raises(AlgebraError,
                            match=r"3 generators span 3 dimensions of J_3 \(x\) J_4, not 12"):
             structure_constants(3, 4, law, F5)
-        assert (3, 4, law.fingerprint()) not in repring._constants_memo
+        assert ("cell", 3, 4, 5) not in repring._constants_memo
         repring.clear_memo()
 
     def test_past_the_operator_bound(self):
@@ -896,31 +907,39 @@ class TestNonSymmetricLaw:
            st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_generalized_law_raises_or_matches_additive(self, field, lam, m, seed):
+        # the law's own class of the whole partition (``_quotient_class``)
+        # against the ring, which reads the additive law's classes
         if lam.dim ** m > 216:
             lam = Partition(lam[:1])
         law = random_generalized_law(seed, max(2, m * (lam[0] - 1)), field)
-        for power in (wedge_partition, sym_partition):
+        for kind, power in (("wedge", wedge_partition), ("sym", sym_partition)):
             try:
-                got = power(lam, m, law, field)
+                want = repring._quotient_class(lam, m, law, kind)
             except InvalidInput:
+                with pytest.raises(InvalidInput, match="commute"):
+                    power(lam, m, law, field)
                 continue
-            assert got == power(lam, m, additive(field), field)
+            assert power(lam, m, law, field) == want
+            assert power(lam, m, additive(field), field) == want
 
 
 SQUARE_FIELDS = [QQ, F2, F3, F5, F7, GF(13)]
 
 
 class TestSquareRoute:
-    """Sym^2 J_n and wedge^2 J_n folded from the law's table of powers
-    (``_block_power`` at i = 2), against the operator route: the gathered
-    n^2 x n^2 operator straightened onto the quotient and its Jordan type
-    (``oracles.operator_square_partition``)."""
+    """Sym^2 J_n and wedge^2 J_n folded from a table of powers, the law's
+    own (``_table_partition``) and the memoized block power (``_block_power``
+    at i = 2, the additive law's at odd p), against the operator route: the
+    gathered n^2 x n^2 operator straightened onto the quotient and its
+    Jordan type (``oracles.operator_square_partition``)."""
 
     @staticmethod
     def check(n, law):
         for shape in ("sym", "wedge"):
             want = RingElement.from_partition(
                 operator_square_partition((n,), shape, law, law.field))
+            own = repring._table_partition(n, n, shape, law, law.field)
+            assert RingElement.from_partition(own) == want, (law.field, law, n, shape)
             assert _block_power(n, 2, shape, law) == want, (law.field, law, n, shape)
 
     @pytest.mark.parametrize("field", SQUARE_FIELDS, ids=str)
@@ -957,14 +976,16 @@ class TestSquareRoute:
             self.check(1, law)
 
     def test_one_memo_entry_per_square(self):
-        # the square is the block power at i = 2, under the key of every power
-        law = additive(F5)
+        # the square is the block power at i = 2, under the key of every power:
+        # at p = 5 that of the characteristic, which every law reads
+        law = multiplicative(F5)
         repring.clear_memo()
         assert sym_partition((3,), 2, law, F5) == (5, 1)
-        key = ("sym", 3, 2, law.fingerprint())
+        key = ("sym", 3, 2, 5)
         classes = [k for k, v in repring._constants_memo.items() if isinstance(v, RingElement)]
         assert classes == [key]
-        assert _block_power(3, 2, "sym", law) is repring._constants_memo[key]
+        for law in (law, additive(F5), random_fgl(3, 4, F5)):
+            assert _block_power(3, 2, "sym", law) is repring._constants_memo[key]
 
     @pytest.mark.parametrize("n", [0, -2, 2.5])
     def test_block_sizes_that_are_not_positive_integers(self, n):
@@ -1055,7 +1076,7 @@ class TestSquareRoute:
         with pytest.raises(AlgebraError,
                            match=r"2 generators span 2 dimensions of the sym square of J_3, not 6"):
             _block_power(3, 2, "sym", law)
-        assert ("sym", 3, 2, law.fingerprint()) not in repring._constants_memo
+        assert ("sym", 3, 2, 5) not in repring._constants_memo
         repring.clear_memo()
 
     @pytest.mark.parametrize("field", [F2, F3], ids=str)
@@ -1075,8 +1096,9 @@ class TestSquareRoute:
         # passes the uint8 or uint16 of the rows, where the answers alone
         # cannot tell (p > 2n - 1 gives the characteristic-0 types, which a
         # perturbed row keeps); the columns go by b and then a, so the
-        # squares of J_k, k <= n, are their prefixes, and each square is
-        # built at its own n
+        # squares of J_k, k <= n, are their prefixes; each square is the
+        # law's own (``_table_partition``), built at its own n on a cleared
+        # memo, and read against the table at (8, 8), which truncation cuts
         seen = []
         masks = repring._prefix_masks
 
@@ -1105,8 +1127,9 @@ class TestSquareRoute:
                           for a, b in cols]
                          for i in range(wedge, n, 1 if p == 2 else 2)]
                         for j in range(2 * n - 2, -1, -1)]
+                repring.clear_memo()
                 seen.clear()
-                _block_power(n, 2, shape, law)
+                repring._table_partition(n, n, shape, law, field)
                 assert seen == [want], (n, shape)
 
     def test_refusal_order(self):
@@ -1211,14 +1234,22 @@ REQUESTS = st.lists(REQUEST, min_size=1, max_size=14)
 
 
 def ask(law, request):
-    """The class a request gives, or the type of its refusal."""
+    """The class a request gives, or the type of its refusal, through the
+    memo of the characteristic (``structure_constants``, ``_block_power``)
+    and through the law's own columns (``_table_partition``)."""
     shape, n, m = request
-    try:
-        if shape == "tensor":
-            return structure_constants(n, m, law, law.field)
-        return _block_power(n, 2, shape, law)
-    except AlgebraError as exc:
-        return type(exc)
+    m = m if shape == "tensor" else n
+    routes = (lambda: structure_constants(n, m, law, law.field) if shape == "tensor"
+              else _block_power(n, 2, shape, law),
+              lambda: RingElement.from_partition(
+                  repring._table_partition(n, m, shape, law, law.field)))
+    out = []
+    for route in routes:
+        try:
+            out.append(route())
+        except AlgebraError as exc:
+            out.append(type(exc))
+    return tuple(out)
 
 
 class TestColumnRoute:
@@ -1259,11 +1290,12 @@ class TestColumnRoute:
 
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_one_column_per_short_side(self, symmetric, monkeypatch):
-        # the cells n <= m, n m <= 48, row by row, each read transposed with
-        # its short side s across: the largest block asked grows with the
-        # first row, so that column is rebuilt at each cell, and from (2, 2)
-        # on the block 12 lies in the table (rounded to 16), so each later s
-        # is built once, at N = 12 or N = 16 - s, the most the degree holds
+        # the law's own cells n <= m, n m <= 48, row by row, each read
+        # transposed with its short side s across: a column is built out to
+        # the table's extent on its long axis, within the degree (N + s - 2
+        # <= 14), so the column of s = 1 is rebuilt as the first row grows
+        # the table to 2, 4, 8 and 16 (there N = 15), and each later s is
+        # built once, at N = 16 - s, the most the degree holds
         law = (random_fgl(3, 14, F5) if symmetric
                else random_generalized_law(3, 14, F5, unit_linear=True))
         cells = [(n, m) for n in range(1, 13) for m in range(n, 13) if n * m <= 48]
@@ -1271,21 +1303,23 @@ class TestColumnRoute:
         repring.clear_memo()
         for n, m in cells:
             want = RingElement.from_partition(gathered_tensor_partition(F5, (n,), (m,), law.coeffs))
-            assert structure_constants(n, m, law, F5) == want, (n, m)
-        columns = [("tensor", min(12, 16 - s), s) for s in range(2, 7)]
-        assert built == [("tensor", N, 1) for N in range(1, 13)] + columns
+            assert own_cell(n, m, law, F5) == want, (n, m)
+        columns = [("tensor", 16 - s, s) for s in range(2, 7)]
+        assert built == [("tensor", N, 1) for N in (1, 2, 4, 8, 15)] + columns
         # the other order: one column per short side under a symmetric law,
         # where F^op = F; else the untransposed columns, at the table's x
         # extent 8 until (9, 1) grows it to 16
         built.clear()
         for n, m in cells:
             want = RingElement.from_partition(gathered_tensor_partition(F5, (m,), (n,), law.coeffs))
-            assert structure_constants(m, n, law, F5) == want, (m, n)
-        assert built == ([] if symmetric else [("tensor", 8, 1), ("tensor", 12, 1)] + columns)
+            assert own_cell(m, n, law, F5) == want, (m, n)
+        assert built == ([] if symmetric else [("tensor", 8, 1), ("tensor", 15, 1)] + columns)
 
     def test_squares_are_prefixes(self, monkeypatch):
-        # largest first, one column per shape serves every smaller square;
-        # after a larger cell, a square is built out to its block
+        # the law's own squares: largest first, one column per shape serves
+        # every smaller square; smallest first, a column is built out to the
+        # table, which grows to 2, 4, 8 and 16, within the degree (2N - 2 <=
+        # 24); after a larger cell, a square is built out to the cell's table
         law = random_fgl(4, 24, F3)
         built = column_builds(monkeypatch)
         for order in (range(9, 0, -1), range(1, 10)):
@@ -1294,17 +1328,18 @@ class TestColumnRoute:
             for n in order:
                 for shape in ("sym", "wedge"):
                     want = operator_square_partition((n,), shape, law, F3)
-                    assert _block_power(n, 2, shape, law) == RingElement.from_partition(want)
+                    got = repring._table_partition(n, n, shape, law, F3)
+                    assert got == want, (n, shape)
             # J_1 has no wedge^2, which builds nothing
             if order[0] == 9:
                 assert built == [("sym", 9, 9), ("wedge", 9, 9)]
             else:
-                assert built == [("sym", 1, 1)] + [(shape, n, n) for n in range(2, 10)
+                assert built == [("sym", 1, 1)] + [(shape, N, N) for N in (2, 4, 8, 13)
                                                    for shape in ("sym", "wedge")]
         repring.clear_memo()
-        structure_constants(11, 11, law, F3)
+        own_cell(11, 11, law, F3)
         built.clear()
-        _block_power(2, 2, "sym", law)
+        repring._table_partition(2, 2, "sym", law, F3)
         assert built == [("sym", 11, 11)]
 
     def test_symmetric_only_at_low_degree(self, monkeypatch):
@@ -1314,10 +1349,10 @@ class TestColumnRoute:
         assert law._symmetric_to == 4
         built = column_builds(monkeypatch)
         repring.clear_memo()
-        structure_constants(10, 10, law, F5)
+        own_cell(10, 10, law, F5)
         built.clear()
         want = operator_square_partition((3,), "sym", law, F5)
-        assert _block_power(3, 2, "sym", law) == RingElement.from_partition(want)
+        assert repring._table_partition(3, 3, "sym", law, F5) == want
         assert built == [("sym", 3, 3)]
         with pytest.raises(InvalidInput, match="commute"):
             _block_power(5, 2, "sym", law)
@@ -1414,17 +1449,39 @@ INTERLEAVED_LAWS = {
 }
 
 
-class TestWorkingSet:
-    """One working set per characteristic: a law's first table is built at
-    the union of its cell and the box asked of every law at that
-    characteristic since ``clear_memo``, and its columns reach the largest
-    block asked there, so only the first law at a prime grows its table."""
+#: a law of each refusal, asked after the additive law at p = 5 memoized
+#: J_5 (x) J_5, Sym^2 J_5 and Sym^3 J_3: its field, a degree below 5 + 5 - 2,
+#: a series asymmetric on (5, 5), and a 3-fold series that is not symmetric
+#: on (3, 3, 3); each with the calls it must refuse and one it answers
+WARM_REFUSALS = {
+    "field": (multiplicative(GF(7)), InvalidLaw, "disagree",
+              ("cell", "square", "cube"), None),
+    "degree": (random_fgl(1, 7, F5), TruncationTooShort, "degree 8",
+               ("cell", "square"), "cube"),
+    "square": (skewed_above(F5, 6, 24, random.Random("skewed-above")), InvalidInput, "commute",
+               ("square",), "cell"),
+    "series": (symmetric_generalized_law(random.Random(0), F5, 9), InvalidInput, "commute",
+               ("cube",), "square"),
+}
 
-    def test_later_laws_build_one_table_and_one_column_per_short_side(self, monkeypatch):
+#: the warm classes of ``WARM_REFUSALS`` under a law, asked at F_5
+WARM_CALLS = {
+    "cell": lambda law: structure_constants(5, 5, law, F5),
+    "square": lambda law: sym_partition((5,), 2, law, F5),
+    "cube": lambda law: sym_partition((3,), 3, law, F5),
+}
+
+
+class TestSharedMemo:
+    """One memo per characteristic: the cells, and the block powers with i!
+    invertible, are computed once under the additive law and read by every
+    law at that characteristic, after that law's own refusals."""
+
+    def test_later_laws_build_no_table(self, monkeypatch):
         # the ring's grid under five laws at one prime, law by law: the first
-        # grows its table eight times; each later one builds one table at
-        # (6, 12) and one column per short side s, transposed, out to the
-        # block 12 or the most its degree holds, 16 - s
+        # grows the additive law's table eight times; each later one reads
+        # every cell from the memo, with no table and no column, and its own
+        # cells agree
         rng = random.Random("working-set")
         laws = [additive(F5), multiplicative(F5), scaled_multiplicative(F5, 3),
                 random_generalized_law(rng.randrange(10**6), 14, F5, unit_linear=True),
@@ -1439,47 +1496,67 @@ class TestWorkingSet:
             tables.clear()
             columns.clear()
             for n, m in GRID:
-                assert structure_constants(n, m, law, F5) == first[n, m], (law, n, m)
-            assert tables == [(6, 12)], law
-            reach = [12] * 6 if law.exact else [min(12, 16 - s) for s in range(1, 7)]
-            assert columns == [("tensor", N, s) for s, N in enumerate(reach, 1)], law
+                assert structure_constants(n, m, law, F5) is first[n, m], (law, n, m)
+            assert not tables and not columns, law
+            for n, m in GRID:
+                assert own_cell(n, m, law, F5) == first[n, m], (law, n, m)
 
-    def test_one_working_set_per_characteristic(self, monkeypatch):
-        # the grid at p = 2 leaves a p = 3 law's first table at its own box,
-        # which a second p = 3 law's first table then holds
+    def test_one_memo_per_characteristic(self, monkeypatch):
+        # the grid at p = 2 answers no cell at p = 3: the first p = 3 law
+        # builds the additive law's table at its own box, and a second p = 3
+        # law reads the cell
         tables = table_builds(monkeypatch)
         repring.clear_memo()
         for n, m in GRID:
             structure_constants(n, m, multiplicative(F2), F2)
         tables.clear()
+        assert structure_constants(2, 3, multiplicative(F3), F3) == RingElement({3: 2})
         assert structure_constants(2, 3, additive(F3), F3) == RingElement({3: 2})
-        assert structure_constants(1, 1, multiplicative(F3), F3) == RingElement({1: 1})
-        assert tables == [(2, 3), (2, 3)]
-        assert repring._constants_memo["asked", 2] == (6, 12)
-        assert repring._constants_memo["asked", 3] == (2, 3)
+        assert tables == [(2, 3)]
+        assert {key[3] for key in repring._constants_memo if key[0] == "cell"} == {2, 3}
 
-    def test_clear_memo_drops_the_working_set(self, monkeypatch):
+    def test_clear_memo_drops_the_shared_classes(self, monkeypatch):
         tables = table_builds(monkeypatch)
         repring.clear_memo()
-        structure_constants(4, 6, additive(F3), F3)
-        _block_power(7, 2, "sym", additive(F3))
-        assert repring._constants_memo["asked", 3] == (7, 7)
+        structure_constants(4, 6, multiplicative(F3), F3)
+        _block_power(7, 2, "sym", multiplicative(F5))
+        assert {("cell", 4, 6, 3), ("sym", 7, 2, 5)} <= set(repring._constants_memo)
         repring.clear_memo()
         assert not repring._constants_memo
         tables.clear()
         structure_constants(2, 2, multiplicative(F3), F3)
         assert tables == [(2, 2)]
 
-    def test_hinted_box_past_the_float_bound(self):
-        # the box (3, 2) asked with the second law's cell has products of
-        # inner length 6, past float64 at this prime: the first table falls
-        # back to the cell's own box, and the cell answers
-        field = GF(PRIME_BETWEEN_BOUNDS)
+    def test_block_powers_below_p_are_shared(self):
+        # Sym^i J_a at i < p is keyed by the characteristic, at i >= p by the
+        # law: at p = 3 the square is shared and the cube is each law's own
+        laws = (additive(F3), multiplicative(F3))
         repring.clear_memo()
-        assert structure_constants(3, 1, additive(field), field) == RingElement({3: 1})
-        law = multiplicative(field)
-        assert structure_constants(2, 2, law, field) == RingElement({3: 1, 1: 1})
-        assert table_box(law) == (2, 2)
+        squares = [_block_power(4, 2, "sym", law) for law in laws]
+        cubes = [_block_power(4, 3, "sym", law) for law in laws]
+        assert squares[0] is squares[1]
+        assert cubes[0] != cubes[1]
+        keys = {key for key, value in repring._constants_memo.items()
+                if isinstance(value, RingElement)}
+        assert keys == {("sym", 4, 2, 3)} | {("sym", 4, 3, law.fingerprint()) for law in laws}
+
+    @pytest.mark.parametrize("refusal", WARM_REFUSALS)
+    def test_warm_memo_keeps_the_refusal(self, refusal):
+        # the law's refusals come before the memo read, so a class that the
+        # additive law memoized answers no law that refuses it
+        law, error, match, refused, answered = WARM_REFUSALS[refusal]
+        base = additive(F5)
+        repring.clear_memo()
+        warm = {name: call(base) for name, call in WARM_CALLS.items()}
+        keys = {key for key in repring._constants_memo if key[0] != "series"}
+        assert {("cell", 5, 5, 5), ("sym", 5, 2, 5), ("sym", 3, 3, 5)} <= keys
+        for name in refused:
+            with pytest.raises(error, match=match):
+                WARM_CALLS[name](law)
+        if answered:
+            assert WARM_CALLS[answered](law) == warm[answered]
+        assert {key for key in repring._constants_memo if key[0] != "series"} == keys
+        assert warm == {name: call(base) for name, call in WARM_CALLS.items()}
 
     @given(st.lists(st.tuples(st.sampled_from(sorted(INTERLEAVED_LAWS)), REQUEST),
                     min_size=1, max_size=14))
@@ -1726,8 +1803,14 @@ class TestCubeSum:
                     for kind, power in (("sym", sym_partition), ("wedge", wedge_partition)):
                         got = power(Partition(lam), m, law, law.field)
                         assert got == want[law, m, lam, kind], (law, m, lam, kind)
-            assert built == [(law, 3, (4, 4, 4)), (law, 4, (3, 3, 3, 3)),
-                             (law, 5, (2, 2, 2, 2, 2))]
+            # the law's own series, for its refusals and at m >= p, and the
+            # additive law's, once, for the law-free powers at m < p
+            boxes = [(3, (4, 4, 4)), (4, (3, 3, 3, 3)), (5, (2, 2, 2, 2, 2))]
+            assert [b[1:] for b in built if b[0] is law] == boxes, law
+            p = law.field.p
+            assert [b[1:] for b in built if b[0] is not law] == [
+                (m, box) for m, box in boxes if not 0 < p <= m], law
+            assert all(b[0] is additive(law.field) for b in built if b[0] is not law)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_non_symmetric_series_is_refused(self, seed):
@@ -1765,7 +1848,7 @@ class TestCubeSum:
         sym_partition((2, 1), 4, law, F5)
         assert {key[:2] for key in repring._constants_memo
                 if key[0] == "series"} == {("series", 3), ("series", 4)}
-        assert ("sym", 3, 3, law.fingerprint()) in repring._constants_memo
+        assert ("sym", 3, 3, 5) in repring._constants_memo
         repring.clear_memo()
         assert not repring._constants_memo
 
@@ -1818,10 +1901,15 @@ class TestQuotientClass:
         # a law whose terms are linear in each letter moves no word that is
         # unsorted without a repeated letter, and small blocks keep their
         # generic type: the wedge's signs show under a law with higher terms
-        # and a block past p, as in wedge^3 J_7 = (7^5) at p = 7
+        # and a block past p, as in wedge^3 J_7 = (7^5) at p = 7; the ring
+        # reads the additive law's cubes at m < p, so the law's own
+        # (``_quotient_class``) is checked by name
         law = random_fgl(0, 27, F7)
         repring.clear_memo()
         for n in range(10, 6, -1):
+            for kind in ("sym", "wedge"):
+                want = operator_power_partition((n,), 3, kind, law, F7)
+                assert repring._quotient_class(Partition((n,)), 3, law, kind) == want, (n, kind)
             check_power(Partition((n,)), 3, law)
         assert wedge_partition((7,), 3, law, F7) == (7,) * 5
 
@@ -2104,6 +2192,7 @@ class TestCgTensor:
         for law in laws:
             for n in range(1, 13):
                 for m in range(1, 13):
+                    assert own_cell(n, m, law, QQ) == cg_tensor(n, m), (law, n, m)
                     assert structure_constants(n, m, law, QQ) == cg_tensor(n, m), (law, n, m)
 
     @pytest.mark.parametrize("f, args", [(cg_tensor, (2.5, 3)), (cg_tensor, ("3", 2)),
