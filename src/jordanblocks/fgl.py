@@ -67,9 +67,9 @@ class GeneralizedLaw:
             raise InvalidLaw("law has a nonzero constant term")
         if not clean.get((1, 0)) or not clean.get((0, 1)):
             raise InvalidLaw("linear part must be invertible (xi_1, xi_2 nonzero)")
-        #: read-only, so the fingerprint taken here stays the law's identity
+        #: read-only, so the fingerprint, taken on first use, stays the law's identity
         self.coeffs = MappingProxyType(clean)
-        self._fingerprint = (field.p, self.degree, exact, frozenset(clean.items()))
+        self._fingerprint = None
         self._symmetric_to = min((max(a, b) for (a, b), c in clean.items()
                                   if clean.get((b, a)) != c), default=math.inf)
         self._series = None
@@ -89,7 +89,11 @@ class GeneralizedLaw:
         return self.xi1 == self.field.one and self.xi2 == self.field.one
 
     def fingerprint(self):
-        """Hashable identity used for memoization keys."""
+        """Hashable identity used for memoization keys, built on the first
+        call: a law that no memo key reads holds its coefficients once."""
+        if self._fingerprint is None:
+            self._fingerprint = (self.field.p, self.degree, self.exact,
+                                 frozenset(self.coeffs.items()))
         return self._fingerprint
 
     def __eq__(self, other):

@@ -9,7 +9,7 @@ afterwards.  The field elements ``a`` are ``num`` itself over F_p, and over
 Q a read-only ``Fraction`` array built on each read.
 
 Products of F_p matrices go through float64 BLAS in one function,
-``_matmul_mod``, which every module calls; it is exact as long as the
+``_matmul_mod``, wherever a module makes one; it is exact as long as the
 accumulated dot products stay below 2**53, and a product that could pass
 that bound raises ``BadPrime`` instead of rounding.  Over Q a product is the
 integer product num @ num over den * den.

@@ -11,36 +11,34 @@ for every law, and ``build_symmetric_intertwiner`` carries Y_1 + ... + Y_i
 to the law's i-fold series Sigma_i-equivariantly when i! is invertible and
 that series is symmetric.  So each cell, ("cell", n, m, p), and each block
 power Sym^i J_a or wedge^i J_a with p = 0 or i < p, (kind, a, i, p), is
-memoized per characteristic and computed once under ``additive(field)``.
-The asked law is read only for its refusals (its field, its degree, the
-4096 bound, the symmetry of its series), before the memo read, so every
-answer and refusal is the law's own.  A block power at i >= p is the law's
-own, keyed by its fingerprint.
+memoized per characteristic and computed under the additive law.  The asked
+law is read only for its refusals (its field, its degree, the 4096 bound,
+the symmetry of its series), before the memo read, so every answer and
+refusal is the law's own.  A block power at i >= p under another law is the
+law's own, keyed by its fingerprint.
 
-A cell J_n (x) J_m is multiplication by t = F(x, y) on k[x, y]/(x^n, y^m),
-with no operator built: its ranks come from the rows x^i F^j (F^j packed
-once and shifted i rows of x, ``_column_masks``) of one memoized table of
-the law's powers per law (``_law_powers``), built by products of Toeplitz
-slices (``_matmul_mod`` over F_p).  With the columns x-first,
-k[x, y]/(x^n, y^s) is a prefix of k[x, y]/(x^N, y^s), so one elimination at
-(N, s) gives every J_n (x) J_s with n <= N (``_table_partition``); n < m is
-read from the transposed table of F^op(x, y) = F(y, x).  The squares
-Sym^2 J_n and wedge^2 J_n fold their rows onto the pairs (a, b), ordered by
-b and then a, so they are prefixes too.  ``tensor_partition`` of two single
-blocks reads the asked law's own columns, the independent side of every
-cross-law comparison.
+A cell J_n (x) J_m is multiplication by t = x + y on k[x, y]/(x^n, y^m),
+with no operator built: its ranks come from the rows x^i t^j (t^j packed
+once and shifted i rows of x, ``_column_masks``) of the one table of powers
+of the characteristic (``_law_powers``), Pascal's triangle mod p
+(``_power_table``), so the ring layer makes no F_p product.  With the
+columns x-first, k[x, y]/(x^n, y^s) is a prefix of k[x, y]/(x^N, y^s), so
+one elimination at (N, s) gives every J_n (x) J_s with n <= N
+(``_table_partition``), asked long side first.  The squares Sym^2 J_n and
+wedge^2 J_n fold their rows onto the pairs (a, b), ordered by b and then a,
+so they are prefixes too.
 
 Sym^m and wedge^m of a partition fold its blocks in (``_fold``) through the
 cells' bilinear product (``_product``) and the block powers
-(``_block_power``); past the square these gather the power operator's
-columns at the basis words (``canonical_series_operator``) from one
-memoized m-fold series per law (``_quotient_class``), which must be
-symmetric, else ``InvalidInput``; J_a needs a^i <= 4096.  Past m = 3 the
-fold of two or more blocks rests on the series splitting (``_splits``), else
-the whole partition is gathered, within d^m <= 4096.  The whole power
-operator straightened onto the quotient (``power_operator``,
-``induced_quotient_operator``) is the tests' reference.  A law over another
-field is ``InvalidLaw`` (``_require_field``).
+(``_block_power``); past the square, and for a law's own square, these
+gather the power operator's columns at the basis words
+(``canonical_series_operator``) from one memoized m-fold series per law
+(``_quotient_class``), which must be symmetric, else ``InvalidInput``; J_a
+needs a^i <= 4096.  Past m = 3 the fold of two or more blocks rests on the
+series splitting (``_splits``), else the whole partition is gathered, within
+d^m <= 4096.  The whole power operator straightened onto the quotient
+(``power_operator``, ``induced_quotient_operator``) is the tests' reference.
+A law over another field is ``InvalidLaw`` (``_require_field``).
 
 The intertwiners are the automorphisms Y_i -> f_i of a term-by-term split of
 the law's series f = f_1 + ... + f_m with Y_i | f_i (``build_automorphism``).
@@ -63,12 +61,9 @@ from .linalg import (
     Matrix,
     Partition,
     _block_offsets,
-    _float_exact,
-    _matmul_mod,
     _partition_from_ranks,
     _packing,
     _prefix_masks,
-    _primitive,
     _require_operator_dim,
     _rows,
     canonical_series_operator,
@@ -174,78 +169,67 @@ def tensor_operator(phi: Matrix, psi: Matrix, law: GeneralizedLaw) -> Matrix:
 
 def tensor_partition(lam, mu, law: GeneralizedLaw, field: Field) -> Partition:
     """Jordan type of F(phi (x) 1, 1 (x) psi) for the canonical nilpotents of
-    ``lam`` and ``mu``: for two single blocks the cell J_n (x) J_m, read off
-    the law's memoized columns (``_table_partition``); else (the
-    operator is block-diagonal) the ring product of the block classes'
-    memoized cells."""
+    ``lam`` and ``mu``, which does not depend on F (``build_intertwiner_pair``):
+    for two single blocks the cell J_n (x) J_m, after the law's refusals
+    (``_require_cell``), read long side first off the columns of the
+    characteristic (``_table_partition``); else (the operator is
+    block-diagonal) the ring product of the block classes' memoized cells."""
     _require_field(law, field)
     lam, mu = Partition(lam), Partition(mu)
     if len(lam) != 1 or len(mu) != 1:
         return ring_multiply(RingElement.from_partition(lam), RingElement.from_partition(mu),
                              law, field).to_partition()
-    return _table_partition(lam[0], mu[0], "tensor", law, field)
+    _require_cell(lam[0], mu[0], "tensor", law)
+    return _table_partition(max(lam[0], mu[0]), min(lam[0], mu[0]), "tensor", field)
 
 
-def _table_partition(n: int, m: int, shape: str, law: GeneralizedLaw,
-                     field: Field) -> Partition:
-    """Jordan type of multiplication by t = F(x, y) on A = k[x, y]/(x^n, y^m),
-    the operator of J_n (x)_F J_m (``shape == "tensor"``), or at m = n of
-    Sym^2 J_n (``"sym"``) or wedge^2 J_n (``"wedge"``), from the rows x^i F^j.
+def _table_partition(n: int, m: int, shape: str, field: Field) -> Partition:
+    """Jordan type of multiplication by t = x + y on A = k[x, y]/(x^n, y^m),
+    n >= m: the cell J_n (x) J_m under every law (``shape == "tensor"``), or
+    at m = n the additive law's Sym^2 J_n (``"sym"``) or wedge^2 J_n
+    (``"wedge"``), from the rows x^i t^j of the table of the characteristic.
 
-    With c = min(n, m), A/tA is k[x]/(x^c): solving F(x, y) = 0 for y, which
-    the invertible linear part allows, gives y a unit multiple of x, so
-    y^m = 0 becomes x^m = 0.  So 1, x, ..., x^(c-1) generate A as a
-    k[t]-module (Nakayama), and t^l A = span{x^i F^j : i < c, j >= l}.
-    Sym^2 is A/(1 - s)A for the swap s of x and y, and wedge^2 is A modulo
-    (1 + s)A and the diagonal; the quotient map sends x^a y^b to the column
-    (min(a, b), max(a, b)), with the sign of the sort for the wedge, and
-    commutes with t when F is symmetric on (n, n), else InvalidInput.  So a square is
-    a column fold of the rows: x^a y^b plus (Sym^2, the diagonal once) or
+    A/tA is k[x]/(x^m), as y = -x there and y^m = 0 becomes x^m = 0.  So 1,
+    x, ..., x^(m-1) generate A as a k[t]-module (Nakayama), and t^l A =
+    span{x^i t^j : i < m, j >= l}.  Sym^2 is A/(1 - s)A for the swap s of x
+    and y, and wedge^2 is A modulo (1 + s)A and the diagonal; the quotient
+    map sends x^a y^b to the column (min(a, b), max(a, b)), with the sign of
+    the sort for the wedge, and commutes with t, which s fixes.  So a square
+    is a column fold of the rows: x^a y^b plus (Sym^2, the diagonal once) or
     minus (wedge^2) x^b y^a.  Every x^i generates at p = 2 (i >= 1 for the
-    wedge); elsewhere the swap acts on A/tA as x -> -x + (higher powers), so
-    the even i generate Sym^2 and the odd i wedge^2.
+    wedge); elsewhere s acts on A/tA as x -> -x, so the even i generate
+    Sym^2 and the odd i wedge^2.
 
     Prefixes: truncation is a ring map, so with the columns x^a y^b of
     A_N = k[x, y]/(x^N, y^s) in the order a s + b, the rows of A_n, n <= N,
     are those of A_N cut to the first n s columns, and a square's columns,
     ordered by b and then a, restrict the same way.  So one elimination of
     the levels j = N+s-2 down to 0 gives rank t^l for every n <= N, from the
-    leads of its pivots (``_prefix_masks``).  J_n (x) J_m with n < m, and
-    with n = m when the table is longer in y, is J_m (x) J_n under F^op.
+    leads of its pivots (``_prefix_masks``).
 
     A column, its N and the leads of each level's pivots as the bits of one
-    int, is memoized per law, shape, short side s and orientation (one
-    under a symmetric law, where F^op = F), and built to N = max(long
-    side, the table's extent on that axis), cut so that the law's degree
-    holds N + s - 2 and N s <= 4096; a square's N past the law's
-    ``_symmetric_to`` falls back to n.  The count after level 0 must be the
+    int, is memoized per (shape, short side, p) and built to N = max(n, the
+    table's extent) within N s <= 4096.  The count after level 0 must be the
     dimension, or AlgebraError: that certifies the generators, so the ranks
-    do not rest on the argument above.  ``_require_cell`` refuses first.
+    do not rest on the argument above.  The callers check the law's
+    refusals (``_require_cell``) first.
     """
-    _require_cell(n, m, shape, law)
     tensor, wedge = shape == "tensor", shape == "wedge"
     dim = n * m if tensor else n * (n + 1 - 2 * wedge) // 2
     if not dim:
         return Partition(())
-    powers = _law_powers(law, field, n, m)
-    flip = tensor and (n < m or n == m and powers.shape[2] > powers.shape[1])
-    long, s = (m, n) if flip else (n, m)
-    key = ("column", shape, s if tensor else 0, flip and law._symmetric_to <= law.degree,
-           law.fingerprint())
+    powers = _law_powers(field, n, m)
+    key = ("column", shape, m if tensor else 0, field.p)
     column = _constants_memo.get(key)
-    if column is None or column[0] < long:
-        cap = _MAX_OPERATOR_DIM // s if tensor else math.isqrt(_MAX_OPERATOR_DIM)
-        if not law.exact:
-            cap = min(cap, law.degree - s + 2 if tensor else law.degree // 2 + 1)
-        N = max(long, min(powers.shape[1 + flip] if tensor else min(powers.shape[1:]), cap))
-        if not tensor and N > law._symmetric_to:
-            N = n
+    if column is None or column[0] < n:
+        cap = _MAX_OPERATOR_DIM // m if tensor else math.isqrt(_MAX_OPERATOR_DIM)
+        N = max(n, min(powers.shape[1] if tensor else min(powers.shape[1:]), cap))
         column = _constants_memo[key] = N, _column_masks(
-            powers.transpose(0, 2, 1) if flip else powers, N, s if tensor else N, shape, field.p)
+            powers, N, m if tensor else N, shape, field.p)
     low = (1 << dim) - 1
     ranks = [(mask & low).bit_count() for mask in column[1]]
     if ranks[0] != dim:
-        gens = s if tensor else len(range(wedge, n, 1 if field.p == 2 else 2))
+        gens = m if tensor else len(range(wedge, n, 1 if field.p == 2 else 2))
         what = f"J_{n} (x) J_{m}" if tensor else f"the {shape} square of J_{n}"
         raise AlgebraError(f"{gens} generators span {ranks[0]} dimensions of {what}, not {dim}")
     return _partition_from_ranks(ranks[1:], dim)
@@ -264,14 +248,14 @@ def _require_cell(n: int, m: int, shape: str, law: GeneralizedLaw) -> None:
 
 
 def _column_masks(powers: np.ndarray, N: int, side: int, shape: str, p: int) -> list:
-    """``_prefix_masks`` of the generators' rows x^i F^j mod (x^N, y^side),
-    from ``powers`` as oriented; a square's are folded, at side == N.  A
-    cell packs F^(N+side-2), ..., F^0 once (``_rows``) and yields a level at
-    a time, x^i F^j as (row << i side w) & mask over F_p, with w the field
-    width, and a list shift over Q.  A square gathers x^i F^j at (a, b) as
-    F^j[a - i, b] + or - F^j[b - i, a] (Sym^2 off the diagonal, wedge^2),
-    in a dtype that holds 2p - 1, from the powers flattened below zero rows
-    that a negative row reads, and packs all its levels at once."""
+    """``_prefix_masks`` of the generators' rows x^i t^j mod (x^N, y^side),
+    from the table of the powers t^j; a square's are folded, at side == N.
+    A cell packs t^(N+side-2), ..., t^0 once (``_rows``) and yields a level
+    at a time, x^i t^j as (row << i side w) & mask over F_p, with w the
+    field width, and a list shift over Q.  A square gathers x^i t^j at
+    (a, b) as t^j[a - i, b] + or - t^j[b - i, a] (Sym^2 off the diagonal,
+    wedge^2), in a dtype that holds 2p - 1, from the powers flattened below
+    zero rows that a negative row reads, and packs all its levels at once."""
     tensor, wedge = shape == "tensor", shape == "wedge"
     cell = powers[N + side - 2::-1, :N, :side]
     if tensor:
@@ -284,7 +268,7 @@ def _column_masks(powers: np.ndarray, N: int, side: int, shape: str, p: int) -> 
     flat[:, N:] = cell
     flat = flat.reshape(len(cell), -1)
     # the columns a <= b (Sym^2) or a < b (wedge^2), by b and then a; below
-    # N zero rows, F^j[a - i, b] is at (a + N - i) N + b, and the Sym^2
+    # N zero rows, t^j[a - i, b] is at (a + N - i) N + b, and the Sym^2
     # diagonal's second term reads the zero at 0
     b, a = np.nonzero(np.arange(N)[:, None] >= np.arange(N) + wedge)
     shift = N - np.arange(wedge, N, 1 if p == 2 else 2)[:, None]
@@ -297,19 +281,18 @@ def _column_masks(powers: np.ndarray, N: int, side: int, shape: str, p: int) -> 
     return _prefix_masks([rows[k * c:(k + 1) * c] for k in range(count)], p, dim)
 
 
-def _law_powers(law: GeneralizedLaw, field: Field, n: int, m: int) -> np.ndarray:
-    """The law's powers F^j mod (x^bx, y^by), j <= bx + by - 2, as an array
-    (j, a, b) of the coefficient of x^a y^b, for a box that holds n x m.
+def _law_powers(field: Field, n: int, m: int) -> np.ndarray:
+    """The one table of the characteristic (``_power_table``), the powers
+    t^j = (x + y)^j mod (x^bx, y^by) at a box that holds n x m.
 
-    Memoized per law in ``_constants_memo`` as (bx, by, powers).  The first
-    table is built at (n, m).  A cell past the box rebuilds it, each side
-    that must grow rounded up to a power of two, so cells met one row or
-    column larger at a time rebuild about log2 times per side.  A box past
-    the operator bound or float64 exactness gives way to the union
-    (max(bx, n), max(by, m)), then to (n, m).  So each cell's answer and
-    refusals do not depend on the cells before it.
+    Memoized per characteristic in ``_constants_memo`` as (bx, by, powers).
+    The first table is built at (n, m).  A cell past the box rebuilds it,
+    each side that must grow rounded up to a power of two, so cells met one
+    row or column larger at a time rebuild about log2 times per side.  A box
+    past the operator bound gives way to the union (max(bx, n), max(by, m)),
+    then to (n, m).
     """
-    key = ("powers", law.fingerprint())
+    key = ("powers", field.p)
     table = _constants_memo.get(key)
     if table is not None and n <= table[0] and m <= table[1]:
         return table[2]
@@ -319,61 +302,26 @@ def _law_powers(law: GeneralizedLaw, field: Field, n: int, m: int) -> np.ndarray
         rounded = (bx if n <= bx else 1 << (n - 1).bit_length(),
                    by if m <= by else 1 << (m - 1).bit_length())
         grows = (rounded, (max(bx, n), max(by, m)))
-        box = next((g for g in grows if g[0] * g[1] <= _MAX_OPERATOR_DIM
-                    and _float_exact(field.p, g[0] * g[1])), box)
-    powers = _power_table(field, box, law)
+        box = next((g for g in grows if g[0] * g[1] <= _MAX_OPERATOR_DIM), box)
+    powers = _power_table(field, box)
     _constants_memo[key] = (*box, powers)
     return powers
 
 
-def _power_table(field: Field, box: tuple, law: GeneralizedLaw) -> np.ndarray:
-    """F^j mod (x^bx, y^by) for j <= bx + by - 2, from the law's series cut
-    to the box, with no operator on the box.
-
-    A product G = P F^s mod (x^bx, y^by) is one matrix product X K of inner
-    length bx by: K is the stack over a of the upper triangular Toeplitz
-    matrices of the x-rows of F^s, K[(a, b0), b1] = F^s[a, b1 - b0] for
-    b1 >= b0, and row a' of X holds P shifted down a rows at column block a.
-    Both are read from the powers, padded with a zero row and a zero column,
-    through two fixed gather indices.  Known powers F^0..F^s give
-    F^(s+1)..F^(2s) as F^i F^s, so about log2(bx + by) rounds build the
-    table.  Each round goes in chunks of powers whose stacked X holds no
-    more entries than the table.
-
-    Over F_p the table is int64 in range(p) and each product is
-    ``_matmul_mod``'s (BadPrime past float64 exactness at inner length bx by;
-    none where no power passes F^1).  Over Q the coefficients are integers
-    over a common denominator, so each power is an integer multiple of F^j
-    with coprime entries (``_primitive``), which leaves every rank alone.
-    """
+def _power_table(field: Field, box: tuple) -> np.ndarray:
+    """(x + y)^j mod (x^bx, y^by) for j <= bx + by - 2, as an array (j, a, b)
+    of the coefficient of x^a y^b, by Pascal's rule: each power is the last
+    shifted one row plus the last shifted one column, mod p over F_p (int64)
+    and exact over Q.  It makes no product, so it answers at every prime."""
     bx, by = box
-    top = bx + by - 2
-    p = field.p
-    # row bx and column by of every power are the zeros that the gathers read
-    powers = np.zeros((top + 1, bx + 1, by + 1), dtype=np.int64 if p else object)
+    powers = np.zeros((bx + by - 1, bx, by), dtype=np.int64 if field.p else object)
     powers[0, 0, 0] = 1
-    if top:
-        num = law._poly(box).num
-        powers[1, :bx, :by] = num if p else _primitive(num.reshape(1, -1)).reshape(box)
-    # shift[a', a] = a' - a and toeplitz_index[b0, b1] = b1 - b0, or the zero
-    # row or column where negative: the offsets of one block
-    shift = _block_offsets(Partition((bx,)), 1, bx).T
-    toeplitz_index = _block_offsets(Partition((by,)), 1, by)
-    chunk = (top + 1) // bx
-    known = 2
-    while known <= top:
-        # F^0..F^step are known, and F^i F^step for i >= 1 gives the next
-        step = known - 1
-        toeplitz = powers[step][:bx, toeplitz_index].reshape(bx * by, by)
-        stop = min(known, top + 1 - step)
-        for lo in range(1, stop, chunk):
-            hi = min(lo + chunk, stop)
-            left = powers[lo:hi, shift, :by].reshape((hi - lo) * bx, bx * by)
-            prod = (_matmul_mod(left, toeplitz, p) if p
-                    else _primitive(np.dot(left, toeplitz).reshape(hi - lo, bx * by)))
-            powers[lo + step:hi + step, :bx, :by] = prod.reshape(hi - lo, bx, by)
-        known = stop + step
-    return powers[:, :bx, :by]
+    for j in range(1, bx + by - 1):
+        powers[j, 1:] = powers[j - 1, :-1]
+        powers[j, :, 1:] += powers[j - 1, :, :-1]
+        if field.p:
+            powers[j] %= field.p
+    return powers
 
 
 _constants_memo: dict = {}
@@ -635,13 +583,15 @@ def _law_series(law: GeneralizedLaw, m: int, lam: tuple, kind: str):
 
 def _block_power(a: int, i: int, kind: str, law: GeneralizedLaw) -> RingElement:
     """Class of Sym^i J_a (``kind == "sym"``) or wedge^i J_a for a checked a:
-    J_a at i = 1, else the square from a column of squares
-    (``_table_partition``), a higher power from ``_quotient_class``.  The
-    law's refusals come first: the square's ``_require_cell``, else a^i <=
-    4096 and then the symmetry of its i-fold series (``_law_series``).
-    Where i! is invertible (p = 0 or i < p) ``build_symmetric_intertwiner``
-    makes the class law-free: memoized per (kind, a, i, p) and computed
-    under ``additive``; at i >= p, per (kind, a, i, law)."""
+    J_a at i = 1.  The law's refusals come first: the square's
+    ``_require_cell``, else a^i <= 4096 and then the symmetry of its i-fold
+    series (``_law_series``).  Where i! is invertible (p = 0 or i < p),
+    ``build_symmetric_intertwiner`` makes the class law-free: it and the
+    additive law's own are memoized per (kind, a, i, p), the square read off
+    the table of the characteristic (``_table_partition``), a higher power
+    the additive law's ``_quotient_class``.  At i >= p under another law
+    (the squares at p = 2, the cubes at p <= 3) it is that law's
+    ``_quotient_class``, memoized per (kind, a, i, law)."""
     if i == 1:
         return RingElement({a: 1})
     if i == 2:
@@ -650,14 +600,13 @@ def _block_power(a: int, i: int, kind: str, law: GeneralizedLaw) -> RingElement:
         _require_operator_dim(a ** i)
         _law_series(law, i, (a,), kind)
     field = law.field
-    own = 0 < field.p <= i
-    owner = law if own else additive(field)
+    own = 0 < field.p <= i and law != additive(field)
     key = (kind, a, i, law.fingerprint() if own else field.p)
     hit = _constants_memo.get(key)
     if hit is None:
         hit = _constants_memo[key] = RingElement.from_partition(
-            _table_partition(a, a, kind, owner, field) if i == 2
-            else _quotient_class(Partition((a,)), i, owner, kind))
+            _table_partition(a, a, kind, field) if i == 2 and not own
+            else _quotient_class(Partition((a,)), i, law if own else additive(field), kind))
     return hit
 
 
@@ -737,9 +686,9 @@ def build_symmetric_intertwiner(n: int, m: int, law: GeneralizedLaw) -> Matrix:
 
 
 def clear_memo() -> None:
-    """Drop every memoized class, per characteristic or per law, the laws'
-    tables, columns, m-fold series and splits, and the gather's block
-    offsets (for tests and benchmark passes); a law keeps its
-    ``_symmetric_to``, and the built-in laws stay built."""
+    """Drop every memoized class, per characteristic or per law, the tables
+    and columns of each characteristic, the laws' m-fold series and splits,
+    and the gather's block offsets (for tests and benchmark passes); a law
+    keeps its ``_symmetric_to``, and the built-in laws stay built."""
     _constants_memo.clear()
     _block_offsets.cache_clear()

@@ -149,15 +149,15 @@ class TestTensorPartition:
 
     def test_blocks_come_from_memoized_cells(self, monkeypatch):
         # the operator is block-diagonal over pairs of blocks, so the only
-        # table is the law's powers at the box of the cell J_3 (x) J_2, which
-        # holds J_2 (x) J_2 too, and a second call reads every cell from the
-        # memo
+        # table is the powers of x + y at the box of the cell J_3 (x) J_2,
+        # which holds J_2 (x) J_2 too, and a second call reads every cell
+        # from the memo
         built = []
         build = repring._power_table
 
-        def spy(field, box, terms):
+        def spy(field, box):
             built.append(box)
-            return build(field, box, terms)
+            return build(field, box)
 
         monkeypatch.setattr(repring, "_power_table", spy)
         repring.clear_memo()
@@ -285,11 +285,13 @@ class TestStructureConstants:
 
 class TestStructureConstantsAgainstOracle:
     """Every cell J_n (x) J_m with n, m <= 12, under three laws, against the
-    full-power ranks of the additive law's Kronecker-product operator: the
-    ranks of each law's own rows x^i F^j (``own_cell``) against an
-    independent construction and an independent rank, and the memoized
-    class of the characteristic.  The class does not depend on the law or
-    on the order of n and m, so one oracle serves six cells."""
+    full-power ranks of the additive law's Kronecker-product operator: each
+    law's own operator gathered from its coefficients
+    (``oracles.gathered_tensor_partition``), an independent construction
+    and an independent rank, and the memoized class of the characteristic
+    through ``structure_constants`` and ``tensor_partition``.  The class does
+    not depend on the law or on the order of n and m, so one oracle serves
+    every law and both orders."""
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_every_cell_up_to_twelve(self, p):
@@ -304,36 +306,33 @@ class TestStructureConstantsAgainstOracle:
             op = tensor_operator(blocks[n], blocks[m], laws[0])
             want = RingElement.from_partition(full_power_partition(op))
             for law in laws:
-                assert own_cell(n, m, law, field) == want, (p, law, n, m)
-                assert own_cell(m, n, law, field) == want, (p, law, m, n)
-                assert structure_constants(n, m, law, field) == want, (p, law, n, m)
-                assert structure_constants(m, n, law, field) == want, (p, law, m, n)
+                own = gathered_tensor_partition(field, (n,), (m,), law.coeffs)
+                assert RingElement.from_partition(own) == want, (p, law, n, m)
+                for a, b in ((n, m), (m, n)):
+                    assert structure_constants(a, b, law, field) == want, (p, law, a, b)
+                    cell = tensor_partition((a,), (b,), law, field)
+                    assert RingElement.from_partition(cell) == want, (p, law, a, b)
 
 
 #: the 64-bit packed width
 F131 = GF(131)
-#: (p-1)**2 * 4 < 2**53 <= (p-1)**2 * 6: products of inner length 4 are
-#: exact in float64 and products of length 6 are not
+#: (p-1)**2 * 4 < 2**53 <= (p-1)**2 * 6: float64 products of inner length 4
+#: are exact and products of length 6 are not; the cells and the law-free
+#: squares make no product, and answer here
 PRIME_BETWEEN_BOUNDS = 38745323
 
 
-def table_box(law):
-    """The box of the law's memoized table of powers, or None."""
-    table = repring._constants_memo.get(("powers", law.fingerprint()))
+def table_box(field):
+    """The box of the memoized table of powers of the characteristic, or None."""
+    table = repring._constants_memo.get(("powers", field.p))
     return None if table is None else table[:2]
 
 
-def own_cell(n, m, law, field):
-    """J_n (x) J_m read off the law's own table and columns
-    (``_table_partition``), where ``structure_constants`` reads the memo
-    of the characteristic."""
-    return RingElement.from_partition(repring._table_partition(n, m, "tensor", law, field))
-
-
 class TestCellRoute:
-    """The cells J_n (x) J_m read off the law's table of powers, against the
-    Jordan type of the whole gathered operator; the table's growth, its memo
-    and the span postcondition."""
+    """The cells J_n (x) J_m read off the table of powers of x + y of the
+    characteristic, after the asked law's refusals, against the Jordan type
+    of the law's whole gathered operator; the table's growth, its memo and
+    the span postcondition."""
 
     @staticmethod
     def check(field, n, m, law):
@@ -368,8 +367,9 @@ class TestCellRoute:
         self.check(field, m, n, law)
 
     def test_rational_pivot_growth(self, monkeypatch):
-        # the pivots of J_16 (x) J_16 over Q peak at 76 bits under this law,
-        # whose table of powers peaks at 70; 2**96 leaves 20 bits of room
+        # the pivots of J_16 (x) J_16 over Q peak at 20 bits, below the 28
+        # bits of the largest binomial of the table, C(30, 15); 2**32 leaves
+        # 12 bits of room
         seen = []
         insert = linalg._insert_int_rows
 
@@ -383,75 +383,59 @@ class TestCellRoute:
         assert structure_constants(16, 16, law, QQ) == cg_tensor(16, 16)
         pivots = seen[-1]
         assert len(pivots) == 256
-        assert max(abs(x) for row in pivots.values() for x in row) < 2**96
+        assert max(abs(x) for row in pivots.values() for x in row) < 2**32
 
     @pytest.mark.parametrize("field", [F3, F131, QQ], ids=str)
     def test_shuffled_order_matches_cold_answers(self, field):
-        # the law's own cells: each cold answer starts from an empty memo;
-        # the shuffled pass grows one table, with no side past 8, the power
-        # of two that holds 7, and a degree-10 law refuses the cells with
-        # n + m > 12
+        # each cold answer starts from an empty memo; the shuffled pass grows
+        # one table, asked long side first, with no side past 8, the power of
+        # two that holds 7, and a degree-10 law refuses the cells with
+        # n + m > 12 before any table
         law = random_generalized_law(17, 10, field)
         cells = [(n, m) for n in range(1, 8) for m in range(1, 8)]
         cold = {}
         for n, m in cells:
             repring.clear_memo()
             try:
-                cold[n, m] = own_cell(n, m, law, field)
+                cold[n, m] = tensor_partition((n,), (m,), law, field)
             except AlgebraError as exc:
                 cold[n, m] = type(exc)
+                assert table_box(field) is None
         assert cold[7, 7] is TruncationTooShort and cold[6, 6] != TruncationTooShort
         random.Random(field.p).shuffle(cells)
         repring.clear_memo()
         for n, m in cells:
             if cold[n, m] is TruncationTooShort:
                 with pytest.raises(TruncationTooShort):
-                    own_cell(n, m, law, field)
+                    tensor_partition((n,), (m,), law, field)
             else:
-                assert own_cell(n, m, law, field) == cold[n, m], (n, m)
-            box = table_box(law)
+                assert tensor_partition((n,), (m,), law, field) == cold[n, m], (n, m)
+            box = table_box(field)
             assert box is None or max(box) <= 8
-        assert min(table_box(law)) >= 7
+        assert table_box(field)[0] >= 7 and table_box(field)[1] >= 6
 
     def test_growth_rule(self):
-        law, field = random_generalized_law(5, 140, F5), F5
-        cells = [(3, 5), (5, 3), (2, 2), (70, 2), (2, 60), (3, 1), (65, 1)]
+        law, field = random_generalized_law(5, 200, F5), F5
+        cells = [(3, 5), (5, 3), (6, 4), (2, 2), (200, 1), (17, 17), (1, 200), (3, 1)]
         cold = {}
         for n, m in cells:
             repring.clear_memo()
-            cold[n, m] = own_cell(n, m, law, field)
+            cold[n, m] = tensor_partition((n,), (m,), law, field)
         repring.clear_memo()
-        # a cold table at the cell; each side that must grow rounded up to a
-        # power of two; past the 4096 bound the union of the boxes, at
-        # (65, 1) after (4, 60), and past it too the cell's own, at (2, 60)
-        # after (128, 5)
-        boxes = [(3, 5), (8, 5), (8, 5), (128, 5), (2, 60), (4, 60), (65, 60)]
+        # a cold table at the cell, long side first; each side that must
+        # grow rounded up to a power of two; past the 4096 bound the cell's
+        # own box, at (17, 17) after (256, 4), where the union is past it
+        # too, and then the union of the boxes, at (200, 1) after (17, 17)
+        boxes = [(5, 3), (5, 3), (8, 4), (8, 4), (256, 4), (17, 17), (200, 17), (200, 17)]
         for (n, m), box in zip(cells, boxes):
-            assert own_cell(n, m, law, field) == cold[n, m], (n, m)
-            assert table_box(law) == box, (n, m)
+            assert tensor_partition((n,), (m,), law, field) == cold[n, m], (n, m)
+            assert table_box(field) == box, (n, m)
         for n, m in cells:
-            want = gathered_tensor_partition(field, (n,), (m,), law.coeffs)
-            assert cold[n, m] == RingElement.from_partition(want), (n, m)
-
-    def test_grown_box_past_the_float_bound(self):
-        # the union (3, 2) of the two boxes has products of inner length 6,
-        # past the float64 bound at this prime, so the cell builds its own
-        field = GF(PRIME_BETWEEN_BOUNDS)
-        law = additive(field)
-        want = {(3, 1): RingElement({3: 1}), (2, 2): RingElement({3: 1, 1: 1})}
-        for order in ([(3, 1), (2, 2)], [(2, 2), (3, 1)]):
-            repring.clear_memo()
-            for n, m in order:
-                assert structure_constants(n, m, law, field) == want[n, m]
-            assert table_box(law) == order[-1]
-            # the cell alone is past the bound: refused, and the table kept
-            with pytest.raises(BadPrime):
-                structure_constants(3, 2, law, field)
-            assert table_box(law) == order[-1]
+            assert cold[n, m] == gathered_tensor_partition(field, (n,), (m,), law.coeffs), (n, m)
 
     def test_cells_with_no_product_past_the_float_bound(self):
-        # the boxes (1, 2) and (2, 1) have no power past F^1 to multiply, so
-        # they answer at a prime past every float64 bound
+        # the boxes (1, 2) and (2, 1) have no power past t^1, so they answer
+        # at a prime past every float64 bound
         field = GF(2147483647)
         for law in (additive(field), multiplicative(field), random_generalized_law(5, 6, field)):
             repring.clear_memo()
@@ -460,19 +444,18 @@ class TestCellRoute:
         repring.clear_memo()
 
     def test_clear_memo_drops_the_tables(self):
-        law = multiplicative(F3)
         repring.clear_memo()
-        own_cell(4, 6, law, F3)
-        assert table_box(law) == (4, 6)
+        structure_constants(4, 6, multiplicative(F3), F3)
+        assert table_box(F3) == (6, 4)
         repring.clear_memo()
         assert not repring._constants_memo
 
     def test_span_postcondition_is_a_typed_error(self, monkeypatch):
-        # a table whose powers past F^0 vanish spans only the rows x^i
+        # a table whose powers past t^0 vanish spans only the rows x^i
         build = repring._power_table
 
-        def broken(field, box, coeffs):
-            powers = build(field, box, coeffs).copy()
+        def broken(field, box):
+            powers = build(field, box).copy()
             powers[1:] = 0
             return powers
 
@@ -480,7 +463,7 @@ class TestCellRoute:
         repring.clear_memo()
         law = additive(F5)
         with pytest.raises(AlgebraError,
-                           match=r"3 generators span 3 dimensions of J_3 \(x\) J_4, not 12"):
+                           match=r"3 generators span 3 dimensions of J_4 \(x\) J_3, not 12"):
             structure_constants(3, 4, law, F5)
         assert ("cell", 3, 4, 5) not in repring._constants_memo
         repring.clear_memo()
@@ -492,14 +475,69 @@ class TestCellRoute:
         assert not repring._constants_memo
 
 
+class TestPastTheFloatBound:
+    """The cells, and the squares of blocks at i < p, make no float64
+    product (the table of powers is Pascal's triangle), so they answer at
+    every supported prime; every other F_p route, such as wedge^3 and
+    wedge^4 of a block through its gathered operator, still raises
+    BadPrime past the float64 bound of its products."""
+
+    @pytest.mark.parametrize("p, n", [(2147483647, 8), (3037000493, 32)])
+    def test_cells_at_large_primes(self, p, n):
+        # p > 2n - 1, so the cell is the characteristic-0 class
+        field = GF(p)
+        repring.clear_memo()
+        for law in (additive(field), multiplicative(field)):
+            assert structure_constants(n, n, law, field) == cg_tensor(n, n), law
+        repring.clear_memo()
+
+    def test_squares_and_the_sp_adjoint(self):
+        from jordanblocks.classical import nilpotent_adjoint_partition
+
+        field = GF(2147483647)
+        repring.clear_memo()
+        assert sym_partition((4, 3), 2, additive(field), field) == (7, 6, 5, 4, 3, 2, 1)
+        assert nilpotent_adjoint_partition("Sp", (4, 2), field) == (7, 5, 3, 3, 3)
+        repring.clear_memo()
+
+    def test_tiny_wedges_of_two_blocks(self):
+        # the squares inside these folds come from the table; the quotient
+        # classes left are of dimension at most 1, which the products hold
+        field = GF(1000000007)
+        law = multiplicative(field)
+        repring.clear_memo()
+        assert wedge_partition((3, 1), 4, law, field) == (1,)
+        assert wedge_partition((2, 1), 5, law, field) == ()
+        repring.clear_memo()
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_gathered_powers_still_refuse(self, m):
+        field = GF(2147483647)
+        repring.clear_memo()
+        with pytest.raises(BadPrime):
+            wedge_partition((5,), m, additive(field), field)
+        repring.clear_memo()
+
+
+def primitive_powers(powers) -> np.ndarray:
+    """Each power of a table over Q divided by the gcd of its entries, as
+    ``oracles.gathered_power_table`` gives them."""
+    out = powers.copy()
+    for j, power in enumerate(powers):
+        out[j] = power // max(math.gcd(*power.ravel().tolist()), 1)
+    return out
+
+
 class TestPowerTable:
-    """The table of a law's powers F^j mod (x^bx, y^by) from Toeplitz
-    products, against the powers of the law's whole gathered operator."""
+    """The table of powers (x + y)^j mod (x^bx, y^by), Pascal's triangle,
+    against the powers of the additive law's whole gathered operator."""
 
     @staticmethod
-    def check(field, box, law):
-        got = repring._power_table(field, box, law)
-        want = gathered_power_table(field, box, law.coeffs)
+    def check(field, box):
+        got = repring._power_table(field, box)
+        want = gathered_power_table(field, box, additive(field).coeffs)
+        if not field.p:
+            got = primitive_powers(got)
         assert got.shape == want.shape and np.array_equal(got, want), (field, box)
 
     @pytest.mark.parametrize("field", [F2, F3, F5, F131, QQ], ids=str)
@@ -508,76 +546,21 @@ class TestPowerTable:
         top = 6 if field == QQ else 12
         boxes = [(1, 1), (1, top), (top, 1), (top, top - 1), (2, 5)]
         boxes += [(rng.randint(1, top), rng.randint(1, top)) for _ in range(6)]
-        for unit in (False, True):
-            law = random_generalized_law(rng.randrange(10**6), 2 * top, field,
-                                         unit_linear=unit)
-            if field != F2:
-                # F_2 has no other linear part than u + v
-                assert law.has_unit_linear_part() == unit
-            for box in boxes:
-                self.check(field, box, law)
+        for box in boxes:
+            self.check(field, box)
 
-    @given(st.sampled_from([F2, F3, F5, F131, QQ]), st.integers(1, 7), st.integers(1, 7),
-           st.integers(0, 10**6), st.booleans())
+    @given(st.sampled_from([F2, F3, F5, F131, QQ]), st.integers(1, 7), st.integers(1, 7))
     @settings(max_examples=40, deadline=None)
-    def test_hypothesis_tables(self, field, bx, by, seed, unit):
-        self.check(field, (bx, by), random_generalized_law(seed, bx + by, field,
-                                                           unit_linear=unit))
-
-    def test_the_prime_between_the_bounds(self):
-        # the products have inner length bx by: exact up to 4, and refused
-        # at 6 like every F_p product of that length
-        field = GF(PRIME_BETWEEN_BOUNDS)
-        law = random_generalized_law(3, 6, field)
-        for box in [(1, 1), (1, 2), (2, 1), (2, 2), (1, 4), (4, 1)]:
-            self.check(field, box, law)
-        with pytest.raises(BadPrime):
-            repring._power_table(field, (3, 2), law)
-
-    @staticmethod
-    def product_calls(monkeypatch) -> list:
-        """The inner length of every ``_matmul_mod`` call the table makes."""
-        calls = []
-        matmul_mod = repring._matmul_mod
-
-        def spy(a, b, p):
-            calls.append(a.shape[-1])
-            return matmul_mod(a, b, p)
-
-        monkeypatch.setattr(repring, "_matmul_mod", spy)
-        return calls
-
-    def test_products_go_through_matmul_mod(self, monkeypatch):
-        # one product per chunk: at (3, 4) a chunk holds two powers, so the
-        # rounds F^1 F^1, F^{1,2} F^2 and F^1 F^4 are one each; at (4, 4) a
-        # chunk holds one power, so the rounds take 1, 2 and 2
-        calls = self.product_calls(monkeypatch)
-        law = random_generalized_law(7, 8, F5)
-        for box, chunks in (((3, 4), 3), ((4, 4), 5), ((1, 2), 0), ((1, 1), 0)):
-            calls.clear()
-            self.check(F5, box, law)
-            assert calls == [box[0] * box[1]] * chunks, box
-        calls.clear()
-        self.check(QQ, (3, 4), random_generalized_law(7, 8, QQ))
-        assert not calls
-
-    def test_bad_prime_comes_from_the_product(self, monkeypatch):
-        calls = self.product_calls(monkeypatch)
-        field = GF(PRIME_BETWEEN_BOUNDS)
-        with pytest.raises(BadPrime, match="length 6"):
-            repring._power_table(field, (3, 2), random_generalized_law(3, 6, field))
-        assert calls == [6]
+    def test_hypothesis_tables(self, field, bx, by):
+        self.check(field, (bx, by))
 
     def test_memory_stays_near_the_table(self):
-        # each round goes in chunks whose stacked shifts hold no more entries
-        # than the table, so the build never holds an operator on the box:
-        # here the gathered operator and one unchunked round of 39 powers
-        # would each take 20 times the table's bytes
-        law = random_generalized_law(4, 80, F5)
-        law.as_poly((40, 40))  # the law's series, built once per law
+        # Pascal's rule builds each power from the last in place, so the
+        # build never holds an operator on the box: here the gathered
+        # operator would take 20 times the table's bytes
         tracemalloc.start()
         try:
-            table = repring._power_table(F5, (40, 40), law)
+            table = repring._power_table(F5, (40, 40))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -927,20 +910,21 @@ SQUARE_FIELDS = [QQ, F2, F3, F5, F7, GF(13)]
 
 
 class TestSquareRoute:
-    """Sym^2 J_n and wedge^2 J_n folded from a table of powers, the law's
-    own (``_table_partition``) and the memoized block power (``_block_power``
-    at i = 2, the additive law's at odd p), against the operator route: the
+    """Sym^2 J_n and wedge^2 J_n as the memoized block power (``_block_power``
+    at i = 2): folded from the table of powers of x + y of the
+    characteristic (``_table_partition``) at odd p and under the additive
+    law, else the law's own quotient class, against the operator route: the
     gathered n^2 x n^2 operator straightened onto the quotient and its
     Jordan type (``oracles.operator_square_partition``)."""
 
     @staticmethod
     def check(n, law):
-        for shape in ("sym", "wedge"):
+        for shape, square in (("sym", sym_partition), ("wedge", wedge_partition)):
             want = RingElement.from_partition(
                 operator_square_partition((n,), shape, law, law.field))
-            own = repring._table_partition(n, n, shape, law, law.field)
-            assert RingElement.from_partition(own) == want, (law.field, law, n, shape)
             assert _block_power(n, 2, shape, law) == want, (law.field, law, n, shape)
+            got = RingElement.from_partition(square((n,), 2, law, law.field))
+            assert got == want, (law.field, law, n, shape)
 
     @pytest.mark.parametrize("field", SQUARE_FIELDS, ids=str)
     def test_seeded_squares(self, field):
@@ -1061,12 +1045,12 @@ class TestSquareRoute:
             assert _block_power(n, 2, "wedge", law) == wedge, (law, n)
 
     def test_span_postcondition_is_a_typed_error(self, monkeypatch):
-        # a table whose powers past F^0 vanish leaves the generators x^0 and
+        # a table whose powers past t^0 vanish leaves the generators x^0 and
         # x^2 alone, folded onto two columns of the six of Sym^2 J_3
         build = repring._power_table
 
-        def broken(field, box, law):
-            powers = build(field, box, law).copy()
+        def broken(field, box):
+            powers = build(field, box).copy()
             powers[1:] = 0
             return powers
 
@@ -1096,9 +1080,9 @@ class TestSquareRoute:
         # passes the uint8 or uint16 of the rows, where the answers alone
         # cannot tell (p > 2n - 1 gives the characteristic-0 types, which a
         # perturbed row keeps); the columns go by b and then a, so the
-        # squares of J_k, k <= n, are their prefixes; each square is the
-        # law's own (``_table_partition``), built at its own n on a cleared
-        # memo, and read against the table at (8, 8), which truncation cuts
+        # squares of J_k, k <= n, are their prefixes; each square is built
+        # at its own n on a cleared memo (``_table_partition``), and read
+        # against the table at (8, 8), which truncation cuts
         seen = []
         masks = repring._prefix_masks
 
@@ -1109,12 +1093,11 @@ class TestSquareRoute:
 
         monkeypatch.setattr(repring, "_prefix_masks", spy)
         field = GF(p)
-        law = random_fgl(p, 14, field)
         repring.clear_memo()
-        table = repring._law_powers(law, field, 8, 8).tolist()
+        table = repring._law_powers(field, 8, 8).tolist()
 
         def x(j, i, a, b):
-            # the coefficient of x^a y^b in x^i F^j
+            # the coefficient of x^a y^b in x^i t^j, t = x + y
             return table[j][a - i][b] if a >= i else 0
 
         for n in range(1, 9):
@@ -1129,7 +1112,7 @@ class TestSquareRoute:
                         for j in range(2 * n - 2, -1, -1)]
                 repring.clear_memo()
                 seen.clear()
-                repring._table_partition(n, n, shape, law, field)
+                repring._table_partition(n, n, shape, field)
                 assert seen == [want], (n, shape)
 
     def test_refusal_order(self):
@@ -1195,10 +1178,11 @@ def column_builds(monkeypatch) -> list:
     return built
 
 
-#: the laws of the memo-history test: a law that is not symmetric (read
-#: transposed), one of degree 9 (cells near n + m = 11), one symmetric only
-#: to degree 6 (squares past J_4 refused), one over Q, one at a prime where
-#: products of length 6 are past float64 (BadPrime) and an exact one
+#: the laws of the memo-history test: a law that is not symmetric (squares
+#: refused), one of degree 9 (cells near n + m = 11), one symmetric only to
+#: degree 6 (squares past J_4 refused), one over Q, one at a prime where
+#: products of length 6 are past float64 (which the cells and the law-free
+#: squares make none of) and an exact one at p = 2 (its own squares)
 HISTORY_LAWS = {
     "skew": random_generalized_law(31, 24, F5),
     "degree-9": random_generalized_law(32, 9, F3, unit_linear=True),
@@ -1236,13 +1220,17 @@ REQUESTS = st.lists(REQUEST, min_size=1, max_size=14)
 def ask(law, request):
     """The class a request gives, or the type of its refusal, through the
     memo of the characteristic (``structure_constants``, ``_block_power``)
-    and through the law's own columns (``_table_partition``)."""
+    and through the public entry (``tensor_partition``, ``sym_partition``,
+    ``wedge_partition``)."""
     shape, n, m = request
     m = m if shape == "tensor" else n
-    routes = (lambda: structure_constants(n, m, law, law.field) if shape == "tensor"
+    field = law.field
+    square = sym_partition if shape == "sym" else wedge_partition
+    routes = (lambda: structure_constants(n, m, law, field) if shape == "tensor"
               else _block_power(n, 2, shape, law),
               lambda: RingElement.from_partition(
-                  repring._table_partition(n, m, shape, law, law.field)))
+                  tensor_partition((n,), (m,), law, field) if shape == "tensor"
+                  else square((n,), 2, law, field)))
     out = []
     for route in routes:
         try:
@@ -1252,21 +1240,47 @@ def ask(law, request):
     return tuple(out)
 
 
+#: the oracles' classes of answered requests, per law name and request
+ORACLE_CLASSES = {}
+
+
+def check_against_oracle(name, law, request, answers):
+    """Where ``ask`` answers, both routes give the law's own class: its
+    gathered cell (``oracles.gathered_tensor_partition``) or its gathered
+    square (``oracles.operator_square_partition``); past the float64 bound,
+    where the oracles' products refuse, the characteristic-0 classes, as
+    p > 2 max(n, m)."""
+    shape, n, m = request
+    if not isinstance(answers[0], RingElement):
+        assert answers[1] is answers[0], (name, request)
+        return
+    if (name, request) not in ORACLE_CLASSES:
+        field = law.field
+        if field.p > 2**20:
+            want = cg_tensor(n, m) if shape == "tensor" else cg_square(n, shape)
+        elif shape == "tensor":
+            want = RingElement.from_partition(
+                gathered_tensor_partition(field, (n,), (m,), law.coeffs))
+        else:
+            want = RingElement.from_partition(operator_square_partition((n,), shape, law, field))
+        ORACLE_CLASSES[name, request] = want
+    assert answers == (ORACLE_CLASSES[name, request],) * 2, (name, request)
+
+
 class TestColumnRoute:
     """Cells J_n (x) J_s and squares of J_n for every n <= N from one
-    elimination at N: the prefix counts, the transposed read and the
-    extent rule, and answers that do not depend on what the memo holds."""
+    elimination at N: the shifted rows, the prefix counts and the extent
+    rule, and answers that do not depend on what the memo holds."""
 
     @pytest.mark.parametrize("p", [2, 3, 5, 131, 32771, 0])
     def test_shifted_rows_match_the_sliced_levels(self, p, monkeypatch):
-        # the packed rows x^i F^j of every cell's column, row by row, and its
+        # the packed rows x^i t^j of every cell's column, row by row, and its
         # masks, against the levels sliced as arrays (``tensor_levels``),
-        # packed by the kernel's own ``_rows``: both orientations of a skew
-        # law's table, every N <= 8 and short side s <= N
+        # packed by the kernel's own ``_rows``: every N <= 8 and short side
+        # s <= N
         field = GF(p) if p else QQ
-        law = random_generalized_law(p, 16, field, unit_linear=True)
         repring.clear_memo()
-        table = repring._law_powers(law, field, 8, 8)
+        powers = repring._law_powers(field, 8, 8)
         seen = []
         masks = repring._prefix_masks
 
@@ -1277,49 +1291,46 @@ class TestColumnRoute:
             return masks(levels, q, dim)
 
         monkeypatch.setattr(repring, "_prefix_masks", spy)
-        for powers in (table, table.transpose(0, 2, 1)):
-            for N, side in ((N, s) for N in range(1, 9) for s in range(1, N + 1)):
-                want = tensor_levels(powers, N, side, p)
-                count, gens, dim = want.shape
-                rows = linalg._rows(want.reshape(count * gens, dim), p)
-                levels = [rows[k * gens:(k + 1) * gens] for k in range(count)]
-                seen.clear()
-                assert repring._column_masks(powers, N, side, "tensor", p) == masks(
-                    levels, p, dim), (N, side)
-                assert seen == [levels], (N, side)
+        for N, side in ((N, s) for N in range(1, 9) for s in range(1, N + 1)):
+            want = tensor_levels(powers, N, side, p)
+            count, gens, dim = want.shape
+            rows = linalg._rows(want.reshape(count * gens, dim), p)
+            levels = [rows[k * gens:(k + 1) * gens] for k in range(count)]
+            seen.clear()
+            assert repring._column_masks(powers, N, side, "tensor", p) == masks(
+                levels, p, dim), (N, side)
+            assert seen == [levels], (N, side)
 
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_one_column_per_short_side(self, symmetric, monkeypatch):
-        # the law's own cells n <= m, n m <= 48, row by row, each read
-        # transposed with its short side s across: a column is built out to
-        # the table's extent on its long axis, within the degree (N + s - 2
-        # <= 14), so the column of s = 1 is rebuilt as the first row grows
-        # the table to 2, 4, 8 and 16 (there N = 15), and each later s is
-        # built once, at N = 16 - s, the most the degree holds
+        # cells n <= m, n m <= 48, row by row, each read long side first
+        # with its short side s across, under a symmetric law or not, which
+        # is read only for its refusals: a column is built out to the
+        # table's extent on its long axis, so the column of s = 1 is rebuilt
+        # as the first row grows the table to 2, 4, 8 and 16, and each later
+        # s is built once, at N = 16
         law = (random_fgl(3, 14, F5) if symmetric
                else random_generalized_law(3, 14, F5, unit_linear=True))
         cells = [(n, m) for n in range(1, 13) for m in range(n, 13) if n * m <= 48]
         built = column_builds(monkeypatch)
         repring.clear_memo()
         for n, m in cells:
-            want = RingElement.from_partition(gathered_tensor_partition(F5, (n,), (m,), law.coeffs))
-            assert own_cell(n, m, law, F5) == want, (n, m)
-        columns = [("tensor", 16 - s, s) for s in range(2, 7)]
-        assert built == [("tensor", N, 1) for N in (1, 2, 4, 8, 15)] + columns
-        # the other order: one column per short side under a symmetric law,
-        # where F^op = F; else the untransposed columns, at the table's x
-        # extent 8 until (9, 1) grows it to 16
+            want = gathered_tensor_partition(F5, (n,), (m,), law.coeffs)
+            assert tensor_partition((n,), (m,), law, F5) == want, (n, m)
+        columns = [("tensor", 16, s) for s in range(2, 7)]
+        assert built == [("tensor", N, 1) for N in (1, 2, 4, 8, 16)] + columns
+        # the other order reads the same columns
         built.clear()
         for n, m in cells:
-            want = RingElement.from_partition(gathered_tensor_partition(F5, (m,), (n,), law.coeffs))
-            assert own_cell(m, n, law, F5) == want, (m, n)
-        assert built == ([] if symmetric else [("tensor", 8, 1), ("tensor", 15, 1)] + columns)
+            want = gathered_tensor_partition(F5, (m,), (n,), law.coeffs)
+            assert tensor_partition((m,), (n,), law, F5) == want, (m, n)
+        assert built == []
 
     def test_squares_are_prefixes(self, monkeypatch):
-        # the law's own squares: largest first, one column per shape serves
-        # every smaller square; smallest first, a column is built out to the
-        # table, which grows to 2, 4, 8 and 16, within the degree (2N - 2 <=
-        # 24); after a larger cell, a square is built out to the cell's table
+        # largest first, one column per shape serves every smaller square;
+        # smallest first, a column is built out to the table, which grows to
+        # 2, 4, 8 and 16; after a larger cell, a square is built out to the
+        # cell's table
         law = random_fgl(4, 24, F3)
         built = column_builds(monkeypatch)
         for order in (range(9, 0, -1), range(1, 10)):
@@ -1327,35 +1338,41 @@ class TestColumnRoute:
             built.clear()
             for n in order:
                 for shape in ("sym", "wedge"):
-                    want = operator_square_partition((n,), shape, law, F3)
-                    got = repring._table_partition(n, n, shape, law, F3)
-                    assert got == want, (n, shape)
+                    want = RingElement.from_partition(
+                        operator_square_partition((n,), shape, law, F3))
+                    assert _block_power(n, 2, shape, law) == want, (n, shape)
             # J_1 has no wedge^2, which builds nothing
             if order[0] == 9:
                 assert built == [("sym", 9, 9), ("wedge", 9, 9)]
             else:
-                assert built == [("sym", 1, 1)] + [(shape, N, N) for N in (2, 4, 8, 13)
+                assert built == [("sym", 1, 1)] + [(shape, N, N) for N in (2, 4, 8, 16)
                                                    for shape in ("sym", "wedge")]
         repring.clear_memo()
-        own_cell(11, 11, law, F3)
+        structure_constants(11, 11, law, F3)
         built.clear()
-        repring._table_partition(2, 2, "sym", law, F3)
+        _block_power(2, 2, "sym", law)
         assert built == [("sym", 11, 11)]
 
     def test_symmetric_only_at_low_degree(self, monkeypatch):
-        # after a 10 x 10 table, the square of J_3 is not built out to 10,
-        # where the series is not symmetric, but at its own block
+        # a law symmetric to degree 6 reads the squares of the
+        # characteristic up to J_4, built out to the 10 x 10 table of a
+        # larger cell, and is refused past J_4, on a warm memo too
         law = HISTORY_LAWS["symmetric-to-6"]
         assert law._symmetric_to == 4
         built = column_builds(monkeypatch)
         repring.clear_memo()
-        own_cell(10, 10, law, F5)
+        structure_constants(10, 10, law, F5)
         built.clear()
-        want = operator_square_partition((3,), "sym", law, F5)
-        assert repring._table_partition(3, 3, "sym", law, F5) == want
-        assert built == [("sym", 3, 3)]
-        with pytest.raises(InvalidInput, match="commute"):
-            _block_power(5, 2, "sym", law)
+        for n in range(1, 5):
+            want = RingElement.from_partition(operator_square_partition((n,), "sym", law, F5))
+            assert _block_power(n, 2, "sym", law) == want, n
+        assert built == [("sym", 10, 10)]
+        _block_power(5, 2, "sym", additive(F5))
+        for n in (5, 6):
+            with pytest.raises(InvalidInput, match="commute"):
+                _block_power(n, 2, "sym", law)
+            with pytest.raises(InvalidInput, match="commute"):
+                operator_square_partition((n,), "sym", law, F5)
 
     @given(st.sampled_from(sorted(HISTORY_LAWS)), REQUESTS)
     @example("symmetric-to-6", [("tensor", 8, 8), ("sym", 3, 3), ("wedge", 4, 4),
@@ -1372,26 +1389,29 @@ class TestColumnRoute:
                        ("sym", 5, 5), ("tensor", 2, 3)])
     @settings(max_examples=60, deadline=None)
     def test_answers_do_not_depend_on_the_memo(self, name, requests):
-        # each request against a cleared memo, then the whole sequence on one
-        # memo, request by request: the same class or the same refusal
+        # each request against a cleared memo and the oracles, then the
+        # whole sequence on one memo, request by request: the same class or
+        # the same refusal
         law = HISTORY_LAWS[name]
         cold = []
         for request in requests:
             repring.clear_memo()
             cold.append(ask(law, request))
+            check_against_oracle(name, law, request, cold[-1])
         repring.clear_memo()
         for request, want in zip(requests, cold):
             assert ask(law, request) == want, (name, request)
 
     @staticmethod
-    def column_peak(N, shape, law):
+    def column_peak(N, shape, field):
         """The tracemalloc peak of building the column of J_N's cells or
-        squares from the law's table, which is built before the trace."""
+        squares from the table of the characteristic, which is built before
+        the trace."""
         repring.clear_memo()
-        powers = repring._law_powers(law, law.field, N, N)
+        powers = repring._law_powers(field, N, N)
         tracemalloc.start()
         try:
-            masks = repring._column_masks(powers, N, N, shape, law.field.p)
+            masks = repring._column_masks(powers, N, N, shape, field.p)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1403,7 +1423,7 @@ class TestColumnRoute:
         # at a time, which peaks at 2.1 MiB, where listing them all first
         # peaks at 4.9 MiB
         law = multiplicative(F5)
-        masks, peak = self.column_peak(32, "tensor", law)
+        masks, peak = self.column_peak(32, "tensor", F5)
         assert peak < 63 * 32 * 1024 * 16 // 8
         want = RingElement.from_partition(gathered_tensor_partition(F5, (32,), (32,), law.coeffs))
         assert RingElement.from_partition(
@@ -1416,9 +1436,8 @@ class TestColumnRoute:
         # columns twice and summed, it peaks at 2.5 stacks.  The gathers
         # from the powers hold the folded rows and one gather of their size,
         # each about half a stack, and their indices: 1.15 stacks
-        law = multiplicative(F2)
         gens = len(range(shape == "wedge", 32))
-        _, peak = self.column_peak(32, shape, law)
+        _, peak = self.column_peak(32, shape, F2)
         assert peak < 1.5 * 63 * gens * 32 * 32
 
 
@@ -1427,9 +1446,9 @@ def table_builds(monkeypatch) -> list:
     built = []
     build = repring._power_table
 
-    def spy(field, box, law):
+    def spy(field, box):
         built.append(box)
-        return build(field, box, law)
+        return build(field, box)
 
     monkeypatch.setattr(repring, "_power_table", spy)
     return built
@@ -1440,7 +1459,7 @@ GRID = [(n, m) for n in range(1, 13) for m in range(n, 13) if n * m <= 48]
 
 #: the laws of the interleaved-history test: those of the memo-history
 #: test, with a second law at F_5, at F_3 and at the prime between the
-#: float bounds, so that a law meets boxes that other laws were asked
+#: float bounds, so that a law meets columns that other laws asked for
 INTERLEAVED_LAWS = {
     **HISTORY_LAWS,
     "fgl": random_fgl(34, 24, F5),
@@ -1479,9 +1498,9 @@ class TestSharedMemo:
 
     def test_later_laws_build_no_table(self, monkeypatch):
         # the ring's grid under five laws at one prime, law by law: the first
-        # grows the additive law's table eight times; each later one reads
-        # every cell from the memo, with no table and no column, and its own
-        # cells agree
+        # grows the table of the characteristic eight times; each later one
+        # reads every cell from the memo, with no table and no column, and
+        # its own gathered cells agree
         rng = random.Random("working-set")
         laws = [additive(F5), multiplicative(F5), scaled_multiplicative(F5, 3),
                 random_generalized_law(rng.randrange(10**6), 14, F5, unit_linear=True),
@@ -1491,7 +1510,7 @@ class TestSharedMemo:
         first = {}
         for n, m in GRID:
             first[n, m] = structure_constants(n, m, laws[0], F5)
-        assert len(tables) == 8 and tables[-1] == (8, 16)
+        assert len(tables) == 8 and tables[-1] == (16, 8)
         for law in laws[1:]:
             tables.clear()
             columns.clear()
@@ -1499,12 +1518,13 @@ class TestSharedMemo:
                 assert structure_constants(n, m, law, F5) is first[n, m], (law, n, m)
             assert not tables and not columns, law
             for n, m in GRID:
-                assert own_cell(n, m, law, F5) == first[n, m], (law, n, m)
+                own = gathered_tensor_partition(F5, (n,), (m,), law.coeffs)
+                assert RingElement.from_partition(own) == first[n, m], (law, n, m)
 
     def test_one_memo_per_characteristic(self, monkeypatch):
         # the grid at p = 2 answers no cell at p = 3: the first p = 3 law
-        # builds the additive law's table at its own box, and a second p = 3
-        # law reads the cell
+        # builds the table of p = 3 at its own box, long side first, and a
+        # second p = 3 law reads the cell
         tables = table_builds(monkeypatch)
         repring.clear_memo()
         for n, m in GRID:
@@ -1512,7 +1532,7 @@ class TestSharedMemo:
         tables.clear()
         assert structure_constants(2, 3, multiplicative(F3), F3) == RingElement({3: 2})
         assert structure_constants(2, 3, additive(F3), F3) == RingElement({3: 2})
-        assert tables == [(2, 3)]
+        assert tables == [(3, 2)]
         assert {key[3] for key in repring._constants_memo if key[0] == "cell"} == {2, 3}
 
     def test_clear_memo_drops_the_shared_classes(self, monkeypatch):
@@ -1529,7 +1549,8 @@ class TestSharedMemo:
 
     def test_block_powers_below_p_are_shared(self):
         # Sym^i J_a at i < p is keyed by the characteristic, at i >= p by the
-        # law: at p = 3 the square is shared and the cube is each law's own
+        # law, save the additive law's, which is the characteristic's: at
+        # p = 3 the square is shared and the cube is each law's own
         laws = (additive(F3), multiplicative(F3))
         repring.clear_memo()
         squares = [_block_power(4, 2, "sym", law) for law in laws]
@@ -1538,7 +1559,7 @@ class TestSharedMemo:
         assert cubes[0] != cubes[1]
         keys = {key for key, value in repring._constants_memo.items()
                 if isinstance(value, RingElement)}
-        assert keys == {("sym", 4, 2, 3)} | {("sym", 4, 3, law.fingerprint()) for law in laws}
+        assert keys == {("sym", 4, 2, 3), ("sym", 4, 3, 3), ("sym", 4, 3, laws[1].fingerprint())}
 
     @pytest.mark.parametrize("refusal", WARM_REFUSALS)
     def test_warm_memo_keeps_the_refusal(self, refusal):
@@ -1582,6 +1603,7 @@ class TestSharedMemo:
         for name, request in requests:
             repring.clear_memo()
             cold.append(ask(INTERLEAVED_LAWS[name], request))
+            check_against_oracle(name, INTERLEAVED_LAWS[name], request, cold[-1])
         repring.clear_memo()
         for (name, request), want in zip(requests, cold):
             assert ask(INTERLEAVED_LAWS[name], request) == want, (name, request)
@@ -1657,9 +1679,9 @@ class TestBlockSum:
         built = []
         build = repring._power_table
 
-        def spy(field, box, law):
+        def spy(field, box):
             built.append(box)
-            return build(field, box, law)
+            return build(field, box)
 
         monkeypatch.setattr(repring, "_power_table", spy)
         law = random_fgl(7, 8, F5)
@@ -2185,15 +2207,21 @@ class TestCgTensor:
 
     def test_law_independence_over_q(self):
         # in characteristic 0 every cell is the Clebsch-Gordan class,
-        # whatever the law
+        # whatever the law: each law's own gathered operator, n <= m, and
+        # the memoized class in both orders
         laws = [random_generalized_law(26, 24, QQ),
                 random_generalized_law(2026, 24, QQ, unit_linear=True)]
         repring.clear_memo()
         for law in laws:
             for n in range(1, 13):
                 for m in range(1, 13):
-                    assert own_cell(n, m, law, QQ) == cg_tensor(n, m), (law, n, m)
-                    assert structure_constants(n, m, law, QQ) == cg_tensor(n, m), (law, n, m)
+                    want = cg_tensor(n, m)
+                    if n <= m:
+                        own = gathered_tensor_partition(QQ, (n,), (m,), law.coeffs)
+                        assert RingElement.from_partition(own) == want, (law, n, m)
+                    assert structure_constants(n, m, law, QQ) == want, (law, n, m)
+                    cell = tensor_partition((n,), (m,), law, QQ)
+                    assert RingElement.from_partition(cell) == want, (law, n, m)
 
     @pytest.mark.parametrize("f, args", [(cg_tensor, (2.5, 3)), (cg_tensor, ("3", 2)),
                                          (cg_tensor, (3, None)), (cg_tensor, (0, 2)),
