@@ -142,9 +142,9 @@ MUTANTS = [
     Mutant("cell-levels-held", REPRING,
            "return _prefix_masks(levels, p, dim)", "return _prefix_masks(list(levels), p, dim)",
            (COLUMN_TESTS + "test_cell_column_streams_its_levels",)),
-    # the top power F^(N+s-2) dropped: one Jordan block loses its top vector
+    # the top power t^(N+s-2) dropped: one Jordan block loses its top vector
     Mutant("cell-levels-short", REPRING,
-           "powers[N + side - 2::-1", "powers[N + side - 3::-1",
+           "_rows(powers, p)", "_rows(powers[1:], p)",
            (CELL_TESTS + "test_seeded_cells",)),
     # leads <= K counted for a prefix of K columns: the lead n s, the first
     # of the next block, joins J_n (x) J_s, whose span count then fails
@@ -156,20 +156,15 @@ MUTANTS = [
            "b, a = np.nonzero(np.arange(N)[:, None] >= np.arange(N) + wedge)",
            "a, b = np.nonzero(np.arange(N)[:, None] + wedge <= np.arange(N))",
            (COLUMN_TESTS + "test_squares_are_prefixes",)),
-    # a cell past the table's box "grows" it to the same box, which does
-    # not hold the cell
-    Mutant("growth-keeps-old-box", REPRING,
-           "rounded = (bx if n <= bx else 1 << (n - 1).bit_length(),\n"
-           "                   by if m <= by else 1 << (m - 1).bit_length())",
-           "rounded = (bx, by)",
-           (CELL_TESTS + "test_growth_rule",)),
-    # a rounded box past the operator bound falls back to the cell's own box
-    Mutant("growth-skips-union", REPRING,
-           "grows = (rounded, (max(bx, n), max(by, m)))", "grows = (rounded,)",
+    # the extent never grows past the first long side asked: every answer
+    # holds, as a column is built to at least its cell, but cells met one
+    # row larger at a time rebuild their column every time
+    Mutant("extent-never-grows", REPRING,
+           "= 1 << (n - 1).bit_length()", "= extent",
            (CELL_TESTS + "test_growth_rule",)),
     # below the diagonal a gathered operator reads the coefficients of
     # exponents that wrap around a block: the additive law's gathered powers
-    # are no longer Pascal's triangle
+    # are no longer the binomials of the columns
     Mutant("toeplitz-mask-dropped", LINALG,
            "valid = (block[:, None] == block[None, :]) & (shift >= 0)",
            "valid = block[:, None] == block[None, :]",
@@ -179,9 +174,10 @@ MUTANTS = [
     Mutant("concavity-guard-removed", LINALG,
            "step = min(step, d - prev)", "step = d - prev",
            ("tests/test_linalg.py::TestTypedPostconditions",)),
+    # the extent of each characteristic outlives clear_memo
     Mutant("clear-memo-keeps-tables", REPRING,
            "    _constants_memo.clear()\n",
-           "    for key in [k for k in _constants_memo if k[0] != \"powers\"]:\n"
+           "    for key in [k for k in _constants_memo if k[0] != \"extent\"]:\n"
            "        del _constants_memo[key]\n",
            (CELL_TESTS + "test_clear_memo_drops_the_tables",)),
     # each law's refusal checked only on a miss: a class that the additive
@@ -371,10 +367,10 @@ MUTANTS = [
     Mutant("square-sym-diagonal-doubled", REPRING,
            "((b + shift) * N + a) * (a != b)", "((b + shift) * N + a)",
            (SQUARE_TESTS + "test_seeded_squares",)),
-    # the folded sum in the rows' own width: up to 2p - 1 wraps past 255 at
-    # p = 251, which no answer shows, as p > 2n - 1 keeps the generic types
-    Mutant("square-fold-narrow-sum", REPRING,
-           "np.min_scalar_type(2 * p)", "np.min_scalar_type(p - 1)",
+    # the folded rows in one byte: entries past 255 wrap at p = 65521, which
+    # no answer shows, as p > 2n - 1 keeps the generic types
+    Mutant("square-levels-narrow", REPRING,
+           "np.min_scalar_type(p - 1) if p", "np.uint8 if p",
            (SQUARE_TESTS + "test_folded_rows_match_a_python_fold",)),
     # J_2 (x) J_2 in the memo answers J_2.0 (x) J_2, as 2.0 hashes as 2
     Mutant("constants-memo-before-block-check", REPRING,
@@ -382,7 +378,7 @@ MUTANTS = [
            '        n, m = _count(n, 1, "a block size"), _count(m, 1, "a block size")\n', "",
            ("tests/test_repring.py::TestStructureConstants::"
             "test_non_integer_block_sizes_cold_and_warm",)),
-    # a table with every power past F^0 zero then reads as t = 0
+    # binomials that vanish past t^0 then read as t = 0
     Mutant("span-postcondition-removed", REPRING,
            "if ranks[0] != dim:", "if False:",
            (SQUARE_TESTS + "test_span_postcondition_is_a_typed_error",
@@ -396,9 +392,9 @@ MUTANTS = [
            "min((max(a, b) for (a, b), c", "min((max(a, b) + 1 for (a, b), c",
            ("tests/test_repring.py::TestLawSymmetry",
             COLUMN_TESTS + "test_symmetric_only_at_low_degree")),
-    # Pascal's rule with no reduction: binomials past p in an F_p table
+    # binomials not reduced mod p: entries past p in an F_p column
     Mutant("pascal-unreduced", REPRING,
-           "        if field.p:\n            powers[j] %= field.p\n", "",
+           "[c % p for c in out] if p else out", "out",
            ("tests/test_repring.py::TestPowerTable::test_seeded_tables",)),
     # the p = 2 squares of a law other than the additive one read the
     # additive law's class: Ad u of the regular Sp_4 nilpotent at p = 2
@@ -423,12 +419,13 @@ MUTANTS = [
     Mutant("square-sum-cg-cells", REPRING,
            "lambda a, b: structure_constants(a, b, law, field),", "cg_tensor,",
            (BLOCK_SUM_TESTS + "test_seeded_squares[F2]",)),
-    # smallest block first: the law's table grows from a 1 x 1 box
+    # smallest block first: the extent grows from 1, and the columns are
+    # built again at 2, 4 and 8
     Mutant("fold-smallest-first", REPRING,
            "for a, k in collections.Counter(lam).items():",
            "for a, k in reversed(collections.Counter(lam).items()):",
            (BLOCK_SUM_TESTS + "test_cold_memo_builds_the_table_once",)),
-    # a block's square before its higher powers: the law's table is built,
+    # a block's square before its higher powers: its column is built,
     # and the square memoized, before the cube is refused
     Mutant("fold-powers-ascending", REPRING,
            "for i in range(m, 1, -1):\n                own[i]",

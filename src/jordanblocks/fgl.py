@@ -22,7 +22,7 @@ import math
 import os
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -36,8 +36,9 @@ class GeneralizedLaw:
 
     Each coefficient is taken into the field first, so a linear coefficient
     that vanishes there raises InvalidLaw, and laws equal over the field
-    have equal fingerprints.  A key that is not a pair (a, b), and a degree
-    or exponent that is not a count (``fields._count``), raise InvalidLaw.
+    have equal fingerprints.  A field other than a ``Field`` is InvalidInput;
+    coefficients that are not a mapping, a key that is not a pair (a, b), and
+    a degree or exponent that is not a count (``fields._count``), raise InvalidLaw.
     The series cut to (n, n) is symmetric exactly for n <= ``_symmetric_to``,
     the least max(a, b) with c_ab != c_ba (infinity where there is none).
     """
@@ -47,6 +48,10 @@ class GeneralizedLaw:
 
     def __init__(self, field: Field, degree: int, coeffs: dict, exact: bool = False,
                  name: str | None = None):
+        if not isinstance(field, Field):
+            raise InvalidInput(f"a Field is due, got {type(field).__name__}")
+        if not isinstance(coeffs, Mapping):
+            raise InvalidLaw(f"the coefficients must be a mapping, got {type(coeffs).__name__}")
         self.field = field
         self.degree = _count(degree, None, "the degree", InvalidLaw)
         self.exact = exact

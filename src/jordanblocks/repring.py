@@ -19,11 +19,11 @@ law's own, keyed by its fingerprint.
 
 A cell J_n (x) J_m is multiplication by t = x + y on k[x, y]/(x^n, y^m),
 with no operator built: its ranks come from the rows x^i t^j (t^j packed
-once and shifted i rows of x, ``_column_masks``) of the one table of powers
-of the characteristic (``_law_powers``), Pascal's triangle mod p
-(``_power_table``), so the ring layer makes no F_p product.  With the
-columns x-first, k[x, y]/(x^n, y^s) is a prefix of k[x, y]/(x^N, y^s), so
-one elimination at (N, s) gives every J_n (x) J_s with n <= N
+once and shifted i rows of x, ``_column_masks``), where t^j is C(a + b, a)
+mod p on the antidiagonal a + b = j (``_binomials``), so the ring layer
+makes no F_p product and keeps no table of powers.  With the columns
+x-first, k[x, y]/(x^n, y^s) is a prefix of k[x, y]/(x^N, y^s), so one
+elimination at (N, s) gives every J_n (x) J_s with n <= N
 (``_table_partition``), asked long side first.  The squares Sym^2 J_n and
 wedge^2 J_n fold their rows onto the pairs (a, b), ordered by b and then a,
 so they are prefixes too.
@@ -187,7 +187,7 @@ def _table_partition(n: int, m: int, shape: str, field: Field) -> Partition:
     """Jordan type of multiplication by t = x + y on A = k[x, y]/(x^n, y^m),
     n >= m: the cell J_n (x) J_m under every law (``shape == "tensor"``), or
     at m = n the additive law's Sym^2 J_n (``"sym"``) or wedge^2 J_n
-    (``"wedge"``), from the rows x^i t^j of the table of the characteristic.
+    (``"wedge"``), from the rows x^i t^j of the column of the characteristic.
 
     A/tA is k[x]/(x^m), as y = -x there and y^m = 0 becomes x^m = 0.  So 1,
     x, ..., x^(m-1) generate A as a k[t]-module (Nakayama), and t^l A =
@@ -208,24 +208,28 @@ def _table_partition(n: int, m: int, shape: str, field: Field) -> Partition:
     leads of its pivots (``_prefix_masks``).
 
     A column, its N and the leads of each level's pivots as the bits of one
-    int, is memoized per (shape, short side, p) and built to N = max(n, the
-    table's extent) within N s <= 4096.  The count after level 0 must be the
-    dimension, or AlgebraError: that certifies the generators, so the ranks
-    do not rest on the argument above.  The callers check the law's
-    refusals (``_require_cell``) first.
+    int, is memoized per (shape, short side, p) and built to N = max(n,
+    min(extent, cap)), cap the most rows within N s <= 4096 (64 for a
+    square).  The extent is one int per characteristic, ("extent", p): the
+    first long side asked, then the power of two that holds a longer one, so
+    cells met one row larger at a time rebuild a column about log2 times.
+    The count after level 0 must be the dimension, or AlgebraError: that
+    certifies the generators, so the ranks do not rest on the argument
+    above.  The callers check the law's refusals (``_require_cell``) first.
     """
     tensor, wedge = shape == "tensor", shape == "wedge"
     dim = n * m if tensor else n * (n + 1 - 2 * wedge) // 2
     if not dim:
         return Partition(())
-    powers = _law_powers(field, n, m)
+    extent = _constants_memo.setdefault(("extent", field.p), n)
+    if extent < n:
+        extent = _constants_memo["extent", field.p] = 1 << (n - 1).bit_length()
     key = ("column", shape, m if tensor else 0, field.p)
     column = _constants_memo.get(key)
     if column is None or column[0] < n:
         cap = _MAX_OPERATOR_DIM // m if tensor else math.isqrt(_MAX_OPERATOR_DIM)
-        N = max(n, min(powers.shape[1] if tensor else min(powers.shape[1:]), cap))
-        column = _constants_memo[key] = N, _column_masks(
-            powers, N, m if tensor else N, shape, field.p)
+        N = max(n, min(extent, cap))
+        column = _constants_memo[key] = N, _column_masks(N, m if tensor else N, shape, field.p)
     low = (1 << dim) - 1
     ranks = [(mask & low).bit_count() for mask in column[1]]
     if ranks[0] != dim:
@@ -247,81 +251,50 @@ def _require_cell(n: int, m: int, shape: str, law: GeneralizedLaw) -> None:
                            f"on the square of J_{n}")
 
 
-def _column_masks(powers: np.ndarray, N: int, side: int, shape: str, p: int) -> list:
-    """``_prefix_masks`` of the generators' rows x^i t^j mod (x^N, y^side),
-    from the table of the powers t^j; a square's are folded, at side == N.
-    A cell packs t^(N+side-2), ..., t^0 once (``_rows``) and yields a level
-    at a time, x^i t^j as (row << i side w) & mask over F_p, with w the
-    field width, and a list shift over Q.  A square gathers x^i t^j at
-    (a, b) as t^j[a - i, b] + or - t^j[b - i, a] (Sym^2 off the diagonal,
-    wedge^2), in a dtype that holds 2p - 1, from the powers flattened below
-    zero rows that a negative row reads, and packs all its levels at once."""
+def _column_masks(N: int, side: int, shape: str, p: int) -> list:
+    """``_prefix_masks`` of the rows x^i t^j mod (x^N, y^side), t^j read as
+    binomials (``_binomials``); a square's are folded, at side == N.  A cell
+    packs t^(N+side-2), ..., t^0 once (``_rows``) and yields a level at a
+    time, x^i t^j as (row << i side w) & mask over F_p, w the field width,
+    and a list shift over Q.  A square gathers x^i t^j at (a, b), level
+    a + b - i, as C(a + b - i, b) + or - C(a + b - i, a) (Sym^2 off the
+    diagonal, wedge^2) from the binomials below N zero rows, and packs all
+    its levels at once, in a dtype that holds p - 1."""
     tensor, wedge = shape == "tensor", shape == "wedge"
-    cell = powers[N + side - 2::-1, :N, :side]
+    binom, top = _binomials(N, side, p), N + side - 2
     if tensor:
         dim, w = N * side, _packing(p, N * side)[0] if p else 0
-        rows, mask = _rows(np.ascontiguousarray(cell).reshape(len(cell), dim), p), (1 << dim * w) - 1
+        a, b = np.divmod(np.arange(dim), side)
+        powers = np.zeros((top + 1, dim), dtype=binom.dtype)
+        powers[top - a - b, np.arange(dim)] = binom.ravel()
+        rows, mask = _rows(powers, p), (1 << dim * w) - 1
         levels = (([row << i * side * w & mask for i in range(side)] for row in rows) if p
                   else ([([0] * i * side + row)[:dim] for i in range(side)] for row in rows))
         return _prefix_masks(levels, p, dim)
-    flat = np.zeros((len(cell), 2 * N, N), dtype=np.min_scalar_type(2 * p) if p else object)
-    flat[:, N:] = cell
-    flat = flat.reshape(len(cell), -1)
+    flat = np.vstack((np.zeros_like(binom), binom)).ravel()
     # the columns a <= b (Sym^2) or a < b (wedge^2), by b and then a; below
-    # N zero rows, t^j[a - i, b] is at (a + N - i) N + b, and the Sym^2
+    # N zero rows, C(a - i + b, b) is at (a + N - i) N + b, and the Sym^2
     # diagonal's second term reads the zero at 0
     b, a = np.nonzero(np.arange(N)[:, None] >= np.arange(N) + wedge)
     shift = N - np.arange(wedge, N, 1 if p == 2 else 2)[:, None]
-    levels = flat.take((a + shift) * N + b, axis=1)
-    levels += (p - flat if wedge else flat).take(((b + shift) * N + a) * (a != b), axis=1)
-    if p:
-        np.remainder(levels, p, out=levels)
-    count, c, dim = levels.shape
-    rows = _rows(levels.reshape(count * c, dim), p)
-    return _prefix_masks([rows[k * c:(k + 1) * c] for k in range(count)], p, dim)
+    folded = flat.take((a + shift) * N + b)
+    folded += (p - flat if wedge else flat).take(((b + shift) * N + a) * (a != b))
+    # x^i t^j lies at level a + b - i, top first; where a + b < i it is
+    # zero, written at level 0
+    c, dim = folded.shape
+    levels = np.zeros((top + 1, c, dim), dtype=np.min_scalar_type(p - 1) if p else object)
+    level = np.minimum(top + N - a - b - shift, top)
+    levels[level, np.arange(c)[:, None], np.arange(dim)] = folded % p if p else folded
+    rows = _rows(levels.reshape(-1, dim), p)
+    return _prefix_masks([rows[k * c:(k + 1) * c] for k in range(top + 1)], p, dim)
 
 
-def _law_powers(field: Field, n: int, m: int) -> np.ndarray:
-    """The one table of the characteristic (``_power_table``), the powers
-    t^j = (x + y)^j mod (x^bx, y^by) at a box that holds n x m.
-
-    Memoized per characteristic in ``_constants_memo`` as (bx, by, powers).
-    The first table is built at (n, m).  A cell past the box rebuilds it,
-    each side that must grow rounded up to a power of two, so cells met one
-    row or column larger at a time rebuild about log2 times per side.  A box
-    past the operator bound gives way to the union (max(bx, n), max(by, m)),
-    then to (n, m).
-    """
-    key = ("powers", field.p)
-    table = _constants_memo.get(key)
-    if table is not None and n <= table[0] and m <= table[1]:
-        return table[2]
-    box = (n, m)
-    if table is not None:
-        bx, by, _ = table
-        rounded = (bx if n <= bx else 1 << (n - 1).bit_length(),
-                   by if m <= by else 1 << (m - 1).bit_length())
-        grows = (rounded, (max(bx, n), max(by, m)))
-        box = next((g for g in grows if g[0] * g[1] <= _MAX_OPERATOR_DIM), box)
-    powers = _power_table(field, box)
-    _constants_memo[key] = (*box, powers)
-    return powers
-
-
-def _power_table(field: Field, box: tuple) -> np.ndarray:
-    """(x + y)^j mod (x^bx, y^by) for j <= bx + by - 2, as an array (j, a, b)
-    of the coefficient of x^a y^b, by Pascal's rule: each power is the last
-    shifted one row plus the last shifted one column, mod p over F_p (int64)
-    and exact over Q.  It makes no product, so it answers at every prime."""
-    bx, by = box
-    powers = np.zeros((bx + by - 1, bx, by), dtype=np.int64 if field.p else object)
-    powers[0, 0, 0] = 1
-    for j in range(1, bx + by - 1):
-        powers[j, 1:] = powers[j - 1, :-1]
-        powers[j, :, 1:] += powers[j - 1, :, :-1]
-        if field.p:
-            powers[j] %= field.p
-    return powers
+def _binomials(N: int, side: int, p: int) -> np.ndarray:
+    """C(a + b, a), the coefficient of x^a y^b in (x + y)^(a + b), at (a, b)
+    for a < N and b < side, mod p over F_p (int64) and exact over Q."""
+    out = [math.comb(a + b, a) for a in range(N) for b in range(side)]
+    return np.array([c % p for c in out] if p else out,
+                    dtype=np.int64 if p else object).reshape(N, side)
 
 
 _constants_memo: dict = {}
@@ -366,8 +339,10 @@ def _product(x: RingElement, y: RingElement, pair) -> RingElement:
 
 def ring_multiply(x: RingElement, y: RingElement, law: GeneralizedLaw,
                   field: Field) -> RingElement:
-    """Bilinear extension of the structure constants."""
+    """Bilinear extension of the structure constants to two ``RingElement``s."""
     _require_field(law, field)
+    if not isinstance(x, RingElement) or not isinstance(y, RingElement):
+        raise InvalidInput(f"a RingElement is due, got {type(x).__name__} and {type(y).__name__}")
     return _product(x, y, lambda a, b: structure_constants(a, b, law, field))
 
 
@@ -379,8 +354,8 @@ def _fold(lam: Partition, m: int, kind: str, pair, power) -> RingElement:
     L^(j-i) R (x) L^i J_a from the levels L^0 = J_1, ..., L^m of the part R
     folded so far, the factor of more letters on the left (R's on a tie); a
     lone block is its own power.  Each block's powers go from i = m down, so
-    refusals come before the first table or series, built at the largest
-    box.  A dimension other than C(d + m - 1, m) or C(d, m) is AlgebraError.
+    refusals come before the first column or series, built at the largest
+    block.  A dimension other than C(d + m - 1, m) or C(d, m) is AlgebraError.
     """
     one = RingElement({1: 1})
     levels = [one] + [RingElement()] * m
@@ -588,7 +563,7 @@ def _block_power(a: int, i: int, kind: str, law: GeneralizedLaw) -> RingElement:
     series (``_law_series``).  Where i! is invertible (p = 0 or i < p),
     ``build_symmetric_intertwiner`` makes the class law-free: it and the
     additive law's own are memoized per (kind, a, i, p), the square read off
-    the table of the characteristic (``_table_partition``), a higher power
+    the column of the characteristic (``_table_partition``), a higher power
     the additive law's ``_quotient_class``.  At i >= p under another law
     (the squares at p = 2, the cubes at p <= 3) it is that law's
     ``_quotient_class``, memoized per (kind, a, i, law)."""
@@ -686,7 +661,7 @@ def build_symmetric_intertwiner(n: int, m: int, law: GeneralizedLaw) -> Matrix:
 
 
 def clear_memo() -> None:
-    """Drop every memoized class, per characteristic or per law, the tables
+    """Drop every memoized class, per characteristic or per law, the extent
     and columns of each characteristic, the laws' m-fold series and splits,
     and the gather's block offsets (for tests and benchmark passes); a law
     keeps its ``_symmetric_to``, and the built-in laws stay built."""

@@ -121,7 +121,7 @@ def suite_law_independence(seed=0):
     each law's own operator F(J_n (x) 1, 1 (x) J_m), gathered from its series
     cut to (9, 9) (``canonical_series_operator``) and batched per cell
     through ``jordan_partitions``, against the memoized constants, which
-    read the one table of powers of (x + y) per characteristic."""
+    read the powers of (x + y) as binomials, per characteristic."""
     mismatches = 0
     checked = 0
     for p in (2, 3, 5):

@@ -94,6 +94,20 @@ class TestValidation:
         with pytest.raises(InvalidLaw, match="a coefficient key must be a pair"):
             GeneralizedLaw(F5, 2, {(1, 0): 1, (0, 1): 1, key: 1})
 
+    @pytest.mark.parametrize("coeffs", [[((1, 0), 1), ((0, 1), 1)], None, ((1, 0), (0, 1))],
+                             ids=["pairs", "None", "keys"])
+    def test_coefficients_that_are_not_a_mapping_are_refused(self, coeffs):
+        # a list of (key, value) pairs once leaked AttributeError on .items()
+        with pytest.raises(InvalidLaw, match="the coefficients must be a mapping"):
+            GeneralizedLaw(F5, 2, coeffs)
+
+    @pytest.mark.parametrize("field", [5, "GF(5)", None])
+    def test_a_field_that_is_not_a_field_is_refused(self, field):
+        # the prime in place of GF(5) once leaked TypeError: 'int' object is
+        # not callable, at the first coefficient
+        with pytest.raises(InvalidInput, match="a Field is due"):
+            GeneralizedLaw(field, 2, {(1, 0): 1, (0, 1): 1})
+
     @pytest.mark.parametrize("degree", [3.9, 3.0, "3", None])
     def test_non_integer_degrees_are_refused(self, degree):
         # int() would read 3.9 as 3

@@ -149,22 +149,15 @@ class TestTensorPartition:
 
     def test_blocks_come_from_memoized_cells(self, monkeypatch):
         # the operator is block-diagonal over pairs of blocks, so the only
-        # table is the powers of x + y at the box of the cell J_3 (x) J_2,
-        # which holds J_2 (x) J_2 too, and a second call reads every cell
-        # from the memo
-        built = []
-        build = repring._power_table
-
-        def spy(field, box):
-            built.append(box)
-            return build(field, box)
-
-        monkeypatch.setattr(repring, "_power_table", spy)
+        # column is that of short side 2, built at the extent 3 of the cell
+        # J_3 (x) J_2, which holds J_2 (x) J_2 too, and a second call reads
+        # every cell from the memo
+        built = column_builds(monkeypatch)
         repring.clear_memo()
         law = random_generalized_law(12, 4, F5)
         lam, mu = Partition((3, 3, 2)), Partition((2, 2))
         got = tensor_partition(lam, mu, law, F5)
-        assert built == [(3, 2)]
+        assert built == [("tensor", 3, 2)]
         built.clear()
         assert tensor_partition(lam, mu, law, F5) == got
         assert not built
@@ -322,16 +315,15 @@ F131 = GF(131)
 PRIME_BETWEEN_BOUNDS = 38745323
 
 
-def table_box(field):
-    """The box of the memoized table of powers of the characteristic, or None."""
-    table = repring._constants_memo.get(("powers", field.p))
-    return None if table is None else table[:2]
+def extent(field):
+    """The memoized extent of the columns of the characteristic, or None."""
+    return repring._constants_memo.get(("extent", field.p))
 
 
 class TestCellRoute:
-    """The cells J_n (x) J_m read off the table of powers of x + y of the
+    """The cells J_n (x) J_m read off the binomial columns of the
     characteristic, after the asked law's refusals, against the Jordan type
-    of the law's whole gathered operator; the table's growth, its memo and
+    of the law's whole gathered operator; the extent's growth, its memo and
     the span postcondition."""
 
     @staticmethod
@@ -368,8 +360,8 @@ class TestCellRoute:
 
     def test_rational_pivot_growth(self, monkeypatch):
         # the pivots of J_16 (x) J_16 over Q peak at 20 bits, below the 28
-        # bits of the largest binomial of the table, C(30, 15); 2**32 leaves
-        # 12 bits of room
+        # bits of the largest binomial of the column, C(30, 15); 2**32
+        # leaves 12 bits of room
         seen = []
         insert = linalg._insert_int_rows
 
@@ -388,9 +380,9 @@ class TestCellRoute:
     @pytest.mark.parametrize("field", [F3, F131, QQ], ids=str)
     def test_shuffled_order_matches_cold_answers(self, field):
         # each cold answer starts from an empty memo; the shuffled pass grows
-        # one table, asked long side first, with no side past 8, the power of
-        # two that holds 7, and a degree-10 law refuses the cells with
-        # n + m > 12 before any table
+        # one extent, asked long side first, never past 8, the power of two
+        # that holds 7, and a degree-10 law refuses the cells with
+        # n + m > 12 before any extent or column
         law = random_generalized_law(17, 10, field)
         cells = [(n, m) for n in range(1, 8) for m in range(1, 8)]
         cold = {}
@@ -400,7 +392,7 @@ class TestCellRoute:
                 cold[n, m] = tensor_partition((n,), (m,), law, field)
             except AlgebraError as exc:
                 cold[n, m] = type(exc)
-                assert table_box(field) is None
+                assert not repring._constants_memo
         assert cold[7, 7] is TruncationTooShort and cold[6, 6] != TruncationTooShort
         random.Random(field.p).shuffle(cells)
         repring.clear_memo()
@@ -410,26 +402,28 @@ class TestCellRoute:
                     tensor_partition((n,), (m,), law, field)
             else:
                 assert tensor_partition((n,), (m,), law, field) == cold[n, m], (n, m)
-            box = table_box(field)
-            assert box is None or max(box) <= 8
-        assert table_box(field)[0] >= 7 and table_box(field)[1] >= 6
+            assert extent(field) is None or extent(field) <= 8
+        assert extent(field) >= 7
 
-    def test_growth_rule(self):
+    def test_growth_rule(self, monkeypatch):
         law, field = random_generalized_law(5, 200, F5), F5
         cells = [(3, 5), (5, 3), (6, 4), (2, 2), (200, 1), (17, 17), (1, 200), (3, 1)]
         cold = {}
         for n, m in cells:
             repring.clear_memo()
             cold[n, m] = tensor_partition((n,), (m,), law, field)
+        built = column_builds(monkeypatch)
         repring.clear_memo()
-        # a cold table at the cell, long side first; each side that must
-        # grow rounded up to a power of two; past the 4096 bound the cell's
-        # own box, at (17, 17) after (256, 4), where the union is past it
-        # too, and then the union of the boxes, at (200, 1) after (17, 17)
-        boxes = [(5, 3), (5, 3), (8, 4), (8, 4), (256, 4), (17, 17), (200, 17), (200, 17)]
-        for (n, m), box in zip(cells, boxes):
+        # the extent starts at the first long side and jumps to the power of
+        # two that holds a longer one; a column is built to the extent, or
+        # to the most rows within 4096 entries, 240 of 17, and never short
+        # of its cell
+        extents = [5, 5, 8, 8, 256, 256, 256, 256]
+        for (n, m), want in zip(cells, extents):
             assert tensor_partition((n,), (m,), law, field) == cold[n, m], (n, m)
-            assert table_box(field) == box, (n, m)
+            assert extent(field) == want, (n, m)
+        assert built == [("tensor", 5, 3), ("tensor", 8, 4), ("tensor", 8, 2),
+                         ("tensor", 256, 1), ("tensor", 240, 17)]
         for n, m in cells:
             assert cold[n, m] == gathered_tensor_partition(field, (n,), (m,), law.coeffs), (n, m)
 
@@ -444,22 +438,16 @@ class TestCellRoute:
         repring.clear_memo()
 
     def test_clear_memo_drops_the_tables(self):
+        # the extent and the columns go with the classes
         repring.clear_memo()
         structure_constants(4, 6, multiplicative(F3), F3)
-        assert table_box(F3) == (6, 4)
+        assert extent(F3) == 6 and repring._constants_memo["column", "tensor", 4, 3][0] == 6
         repring.clear_memo()
         assert not repring._constants_memo
 
     def test_span_postcondition_is_a_typed_error(self, monkeypatch):
-        # a table whose powers past t^0 vanish spans only the rows x^i
-        build = repring._power_table
-
-        def broken(field, box):
-            powers = build(field, box).copy()
-            powers[1:] = 0
-            return powers
-
-        monkeypatch.setattr(repring, "_power_table", broken)
+        # binomials that vanish past t^0 span only the rows x^i
+        monkeypatch.setattr(repring, "_binomials", broken_binomials)
         repring.clear_memo()
         law = additive(F5)
         with pytest.raises(AlgebraError,
@@ -477,7 +465,7 @@ class TestCellRoute:
 
 class TestPastTheFloatBound:
     """The cells, and the squares of blocks at i < p, make no float64
-    product (the table of powers is Pascal's triangle), so they answer at
+    product (their columns read t^j as binomials), so they answer at
     every supported prime; every other F_p route, such as wedge^3 and
     wedge^4 of a block through its gathered operator, still raises
     BadPrime past the float64 bound of its products."""
@@ -501,7 +489,7 @@ class TestPastTheFloatBound:
         repring.clear_memo()
 
     def test_tiny_wedges_of_two_blocks(self):
-        # the squares inside these folds come from the table; the quotient
+        # the squares inside these folds come from columns; the quotient
         # classes left are of dimension at most 1, which the products hold
         field = GF(1000000007)
         law = multiplicative(field)
@@ -528,13 +516,32 @@ def primitive_powers(powers) -> np.ndarray:
     return out
 
 
+def binomial_powers(field, box) -> np.ndarray:
+    """The powers t^j = (x + y)^j mod (x^bx, y^by), j <= bx + by - 2, as the
+    columns read them, an array (j, a, b): the binomial C(a + b, a) of
+    ``repring._binomials`` at j = a + b, and 0 elsewhere."""
+    binom = repring._binomials(*box, field.p)
+    a, b = np.indices(box)
+    powers = np.zeros((sum(box) - 1, *box), dtype=binom.dtype)
+    powers[a + b, a, b] = binom
+    return powers
+
+
+def broken_binomials(N, side, p) -> np.ndarray:
+    """Binomials that vanish past t^0: C(0, 0) = 1 alone."""
+    out = np.zeros((N, side), dtype=np.int64 if p else object)
+    out[0, 0] = 1
+    return out
+
+
 class TestPowerTable:
-    """The table of powers (x + y)^j mod (x^bx, y^by), Pascal's triangle,
-    against the powers of the additive law's whole gathered operator."""
+    """The powers (x + y)^j mod (x^bx, y^by) as the columns read them, the
+    binomials C(a + b, a) at level a + b, against the powers of the additive
+    law's whole gathered operator."""
 
     @staticmethod
     def check(field, box):
-        got = repring._power_table(field, box)
+        got = binomial_powers(field, box)
         want = gathered_power_table(field, box, additive(field).coeffs)
         if not field.p:
             got = primitive_powers(got)
@@ -554,21 +561,33 @@ class TestPowerTable:
     def test_hypothesis_tables(self, field, bx, by):
         self.check(field, (bx, by))
 
-    def test_memory_stays_near_the_table(self):
-        # Pascal's rule builds each power from the last in place, so the
-        # build never holds an operator on the box: here the gathered
-        # operator would take 20 times the table's bytes
+    def test_memory_stays_near_the_table(self, monkeypatch):
+        # the column of J_40 (x) J_40 writes its 79 powers as binomials on
+        # their antidiagonals, 79 x 1600 int64 entries, and never holds an
+        # operator on the box, which would take 20 times their bytes; its
+        # levels are counted here, not eliminated
+        monkeypatch.setattr(repring, "_prefix_masks",
+                            lambda levels, p, dim: [len(rows) for rows in levels])
         tracemalloc.start()
         try:
-            table = repring._power_table(F5, (40, 40))
+            counts = repring._column_masks(40, 40, "tensor", 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert table.nbytes == 79 * 1600 * 8
-        assert peak < 4 * table.nbytes
+        assert counts == [40] * 79
+        assert peak < 4 * 79 * 1600 * 8
 
 
 class TestRingMultiply:
+    @pytest.mark.parametrize("x, y", [((2,), (3,)), ({2: 1}, RingElement({3: 1})),
+                                      (RingElement({2: 1}), Partition((3,)))],
+                             ids=["tuples", "dict", "partition"])
+    def test_operands_that_are_not_ring_elements_are_refused(self, x, y):
+        # two tuples once leaked AttributeError: 'tuple' object has no
+        # attribute 'terms'
+        with pytest.raises(InvalidInput, match="a RingElement is due"):
+            ring_multiply(x, y, additive(F5), F5)
+
     def test_unit_class(self):
         x = RingElement({1: 1})
         y = RingElement({5: 2, 3: 1})
@@ -911,9 +930,9 @@ SQUARE_FIELDS = [QQ, F2, F3, F5, F7, GF(13)]
 
 class TestSquareRoute:
     """Sym^2 J_n and wedge^2 J_n as the memoized block power (``_block_power``
-    at i = 2): folded from the table of powers of x + y of the
-    characteristic (``_table_partition``) at odd p and under the additive
-    law, else the law's own quotient class, against the operator route: the
+    at i = 2): folded from the binomial columns of the characteristic
+    (``_table_partition``) at odd p and under the additive law, else the
+    law's own quotient class, against the operator route: the
     gathered n^2 x n^2 operator straightened onto the quotient and its
     Jordan type (``oracles.operator_square_partition``)."""
 
@@ -929,7 +948,7 @@ class TestSquareRoute:
     @pytest.mark.parametrize("field", SQUARE_FIELDS, ids=str)
     def test_seeded_squares(self, field):
         # every n up to the top, then cold in a shuffled order, so that the
-        # squares read tables of several boxes
+        # squares read columns of several extents
         rng = random.Random(f"square-route:{field.p}")
         top = 12
         sizes = list(range(1, top + 1))
@@ -1045,16 +1064,9 @@ class TestSquareRoute:
             assert _block_power(n, 2, "wedge", law) == wedge, (law, n)
 
     def test_span_postcondition_is_a_typed_error(self, monkeypatch):
-        # a table whose powers past t^0 vanish leaves the generators x^0 and
-        # x^2 alone, folded onto two columns of the six of Sym^2 J_3
-        build = repring._power_table
-
-        def broken(field, box):
-            powers = build(field, box).copy()
-            powers[1:] = 0
-            return powers
-
-        monkeypatch.setattr(repring, "_power_table", broken)
+        # binomials that vanish past t^0 leave the generators x^0 and x^2
+        # alone, folded onto two columns of the six of Sym^2 J_3
+        monkeypatch.setattr(repring, "_binomials", broken_binomials)
         repring.clear_memo()
         law = additive(F5)
         with pytest.raises(AlgebraError,
@@ -1066,7 +1078,7 @@ class TestSquareRoute:
     @pytest.mark.parametrize("field", [F2, F3], ids=str)
     def test_blocks_thirteen_to_twenty(self, field):
         # past the seeded sizes, where the fold's columns and generators
-        # outnumber the tables of the smaller squares
+        # outnumber those of the smaller squares
         rng = random.Random(f"square-large:{field.p}")
         laws = [multiplicative(field), symmetric_law("fgl", field, 38, rng)]
         repring.clear_memo()
@@ -1082,7 +1094,8 @@ class TestSquareRoute:
         # perturbed row keeps); the columns go by b and then a, so the
         # squares of J_k, k <= n, are their prefixes; each square is built
         # at its own n on a cleared memo (``_table_partition``), and read
-        # against the table at (8, 8), which truncation cuts
+        # against the additive law's gathered powers at (8, 8)
+        # (``oracles.gathered_power_table``), which truncation cuts
         seen = []
         masks = repring._prefix_masks
 
@@ -1094,7 +1107,7 @@ class TestSquareRoute:
         monkeypatch.setattr(repring, "_prefix_masks", spy)
         field = GF(p)
         repring.clear_memo()
-        table = repring._law_powers(field, 8, 8).tolist()
+        table = gathered_power_table(field, (8, 8), additive(field).coeffs).tolist()
 
         def x(j, i, a, b):
             # the coefficient of x^a y^b in x^i t^j, t = x + y
@@ -1170,9 +1183,9 @@ def column_builds(monkeypatch) -> list:
     built = []
     build = repring._column_masks
 
-    def spy(powers, N, side, shape, p):
+    def spy(N, side, shape, p):
         built.append((shape, N, side))
-        return build(powers, N, side, shape, p)
+        return build(N, side, shape, p)
 
     monkeypatch.setattr(repring, "_column_masks", spy)
     return built
@@ -1275,12 +1288,11 @@ class TestColumnRoute:
     @pytest.mark.parametrize("p", [2, 3, 5, 131, 32771, 0])
     def test_shifted_rows_match_the_sliced_levels(self, p, monkeypatch):
         # the packed rows x^i t^j of every cell's column, row by row, and its
-        # masks, against the levels sliced as arrays (``tensor_levels``),
-        # packed by the kernel's own ``_rows``: every N <= 8 and short side
-        # s <= N
+        # masks, against the levels sliced as arrays (``tensor_levels``) from
+        # the binomial powers at (8, 8), packed by the kernel's own
+        # ``_rows``: every N <= 8 and short side s <= N
         field = GF(p) if p else QQ
-        repring.clear_memo()
-        powers = repring._law_powers(field, 8, 8)
+        powers = binomial_powers(field, (8, 8))
         seen = []
         masks = repring._prefix_masks
 
@@ -1297,7 +1309,7 @@ class TestColumnRoute:
             rows = linalg._rows(want.reshape(count * gens, dim), p)
             levels = [rows[k * gens:(k + 1) * gens] for k in range(count)]
             seen.clear()
-            assert repring._column_masks(powers, N, side, "tensor", p) == masks(
+            assert repring._column_masks(N, side, "tensor", p) == masks(
                 levels, p, dim), (N, side)
             assert seen == [levels], (N, side)
 
@@ -1306,9 +1318,9 @@ class TestColumnRoute:
         # cells n <= m, n m <= 48, row by row, each read long side first
         # with its short side s across, under a symmetric law or not, which
         # is read only for its refusals: a column is built out to the
-        # table's extent on its long axis, so the column of s = 1 is rebuilt
-        # as the first row grows the table to 2, 4, 8 and 16, and each later
-        # s is built once, at N = 16
+        # extent, so the column of s = 1 is rebuilt as the first row grows
+        # the extent to 2, 4, 8 and 16, and each later s is built once, at
+        # N = 16
         law = (random_fgl(3, 14, F5) if symmetric
                else random_generalized_law(3, 14, F5, unit_linear=True))
         cells = [(n, m) for n in range(1, 13) for m in range(n, 13) if n * m <= 48]
@@ -1328,9 +1340,9 @@ class TestColumnRoute:
 
     def test_squares_are_prefixes(self, monkeypatch):
         # largest first, one column per shape serves every smaller square;
-        # smallest first, a column is built out to the table, which grows to
-        # 2, 4, 8 and 16; after a larger cell, a square is built out to the
-        # cell's table
+        # smallest first, a column is built out to the extent, which grows
+        # to 2, 4, 8 and 16; after a larger cell, a square is built out to
+        # the cell's extent
         law = random_fgl(4, 24, F3)
         built = column_builds(monkeypatch)
         for order in (range(9, 0, -1), range(1, 10)):
@@ -1355,8 +1367,8 @@ class TestColumnRoute:
 
     def test_symmetric_only_at_low_degree(self, monkeypatch):
         # a law symmetric to degree 6 reads the squares of the
-        # characteristic up to J_4, built out to the 10 x 10 table of a
-        # larger cell, and is refused past J_4, on a warm memo too
+        # characteristic up to J_4, built out to the extent 10 of a larger
+        # cell, and is refused past J_4, on a warm memo too
         law = HISTORY_LAWS["symmetric-to-6"]
         assert law._symmetric_to == 4
         built = column_builds(monkeypatch)
@@ -1405,13 +1417,10 @@ class TestColumnRoute:
     @staticmethod
     def column_peak(N, shape, field):
         """The tracemalloc peak of building the column of J_N's cells or
-        squares from the table of the characteristic, which is built before
-        the trace."""
-        repring.clear_memo()
-        powers = repring._law_powers(field, N, N)
+        squares, its binomials included."""
         tracemalloc.start()
         try:
-            masks = repring._column_masks(powers, N, N, shape, field.p)
+            masks = repring._column_masks(N, N, shape, field.p)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1420,8 +1429,8 @@ class TestColumnRoute:
     def test_cell_column_streams_its_levels(self):
         # J_32 (x) J_32 at p = 5 has 63 levels of 32 rows of 1024 16-bit
         # fields, 3.9 MiB as packed ints: the levels go to the echelon one
-        # at a time, which peaks at 2.1 MiB, where listing them all first
-        # peaks at 4.9 MiB
+        # at a time, which peaks at 2.6 MiB with the binomial rows, where
+        # listing them all first peaks past 4.9 MiB
         law = multiplicative(F5)
         masks, peak = self.column_peak(32, "tensor", F5)
         assert peak < 63 * 32 * 1024 * 16 // 8
@@ -1433,25 +1442,12 @@ class TestColumnRoute:
     def test_square_column_holds_no_level_stack(self, shape):
         # a stack of the square of J_32 at p = 2 is 63 levels x 32
         # generators x 32 x 32 entries (2 MiB as uint8); built, taken at its
-        # columns twice and summed, it peaks at 2.5 stacks.  The gathers
-        # from the powers hold the folded rows and one gather of their size,
-        # each about half a stack, and their indices: 1.15 stacks
+        # columns twice and summed, it peaks at 2.5 stacks.  The fold gathers
+        # one row per generator from the binomials and writes it at its
+        # levels, about half a stack, which is then packed: 0.7 stacks
         gens = len(range(shape == "wedge", 32))
         _, peak = self.column_peak(32, shape, F2)
         assert peak < 1.5 * 63 * gens * 32 * 32
-
-
-def table_builds(monkeypatch) -> list:
-    """The box of every table of powers built from here on."""
-    built = []
-    build = repring._power_table
-
-    def spy(field, box):
-        built.append(box)
-        return build(field, box)
-
-    monkeypatch.setattr(repring, "_power_table", spy)
-    return built
 
 
 #: the ring's cells n <= m, n m <= 48, row by row: the box (6, 12)
@@ -1498,54 +1494,56 @@ class TestSharedMemo:
 
     def test_later_laws_build_no_table(self, monkeypatch):
         # the ring's grid under five laws at one prime, law by law: the first
-        # grows the table of the characteristic eight times; each later one
-        # reads every cell from the memo, with no table and no column, and
-        # its own gathered cells agree
+        # grows the extent of the characteristic to 16 along the first row
+        # and builds ten columns; each later one reads every cell from the
+        # memo, with no column and the same extent, and its own gathered
+        # cells agree
         rng = random.Random("working-set")
         laws = [additive(F5), multiplicative(F5), scaled_multiplicative(F5, 3),
                 random_generalized_law(rng.randrange(10**6), 14, F5, unit_linear=True),
                 random_fgl(rng.randrange(10**6), 14, F5)]
-        tables, columns = table_builds(monkeypatch), column_builds(monkeypatch)
+        columns = column_builds(monkeypatch)
         repring.clear_memo()
         first = {}
         for n, m in GRID:
             first[n, m] = structure_constants(n, m, laws[0], F5)
-        assert len(tables) == 8 and tables[-1] == (16, 8)
+        assert columns == ([("tensor", N, 1) for N in (1, 2, 4, 8, 16)]
+                           + [("tensor", 16, s) for s in range(2, 7)])
         for law in laws[1:]:
-            tables.clear()
             columns.clear()
             for n, m in GRID:
                 assert structure_constants(n, m, law, F5) is first[n, m], (law, n, m)
-            assert not tables and not columns, law
+            assert not columns and extent(F5) == 16, law
             for n, m in GRID:
                 own = gathered_tensor_partition(F5, (n,), (m,), law.coeffs)
                 assert RingElement.from_partition(own) == first[n, m], (law, n, m)
 
     def test_one_memo_per_characteristic(self, monkeypatch):
         # the grid at p = 2 answers no cell at p = 3: the first p = 3 law
-        # builds the table of p = 3 at its own box, long side first, and a
-        # second p = 3 law reads the cell
-        tables = table_builds(monkeypatch)
+        # starts the extent of p = 3 at its own long side and builds its
+        # column, and a second p = 3 law reads the cell
+        columns = column_builds(monkeypatch)
         repring.clear_memo()
         for n, m in GRID:
             structure_constants(n, m, multiplicative(F2), F2)
-        tables.clear()
+        columns.clear()
         assert structure_constants(2, 3, multiplicative(F3), F3) == RingElement({3: 2})
         assert structure_constants(2, 3, additive(F3), F3) == RingElement({3: 2})
-        assert tables == [(3, 2)]
+        assert columns == [("tensor", 3, 2)]
+        assert extent(F2) == 16 and extent(F3) == 3
         assert {key[3] for key in repring._constants_memo if key[0] == "cell"} == {2, 3}
 
     def test_clear_memo_drops_the_shared_classes(self, monkeypatch):
-        tables = table_builds(monkeypatch)
+        columns = column_builds(monkeypatch)
         repring.clear_memo()
         structure_constants(4, 6, multiplicative(F3), F3)
         _block_power(7, 2, "sym", multiplicative(F5))
         assert {("cell", 4, 6, 3), ("sym", 7, 2, 5)} <= set(repring._constants_memo)
         repring.clear_memo()
         assert not repring._constants_memo
-        tables.clear()
+        columns.clear()
         structure_constants(2, 2, multiplicative(F3), F3)
-        assert tables == [(2, 2)]
+        assert columns == [("tensor", 2, 2)] and extent(F3) == 2
 
     def test_block_powers_below_p_are_shared(self):
         # Sym^i J_a at i < p is keyed by the characteristic, at i >= p by the
@@ -1675,21 +1673,17 @@ class TestBlockSum:
         assert sorted(set(calls)) == [(3, 1), (3, 3)]
 
     def test_cold_memo_builds_the_table_once(self, monkeypatch):
-        # the largest block goes first, so its box holds every later cell
-        built = []
-        build = repring._power_table
-
-        def spy(field, box):
-            built.append(box)
-            return build(field, box)
-
-        monkeypatch.setattr(repring, "_power_table", spy)
+        # the largest block goes first, so the extent starts at 5, which
+        # holds every later cell and square, and every column is built
+        # once, at N = 5
+        built = column_builds(monkeypatch)
         law = random_fgl(7, 8, F5)
         for square in (sym_partition, wedge_partition):
             repring.clear_memo()
             built.clear()
             square((5, 3, 2, 1, 1), 2, law, F5)
-            assert built == [(5, 5)]
+            assert {N for _, N, _ in built} == {5} and len(set(built)) == len(built), built
+            assert extent(F5) == 5
         repring.clear_memo()
 
     @pytest.mark.parametrize("kind", QUOTIENT_LAWS)
@@ -2101,9 +2095,10 @@ class TestFold:
             assert repring._constants_memo["split", 4, 5, multiplicative(F7).fingerprint()]
 
     def test_refusals_come_before_any_table_or_series(self, monkeypatch):
-        # Sym^3 J_17 and its sum with J_1 are refused on 17^3 = 4913 first
-        monkeypatch.setattr(repring, "_power_table",
-                            lambda *args: pytest.fail("a table was built"))
+        # Sym^3 J_17 and its sum with J_1 are refused on 17^3 = 4913 first,
+        # before the binomials of any column
+        monkeypatch.setattr(repring, "_binomials",
+                            lambda *args: pytest.fail("a column was built"))
         monkeypatch.setattr(repring, "iterated_tensor_series",
                             lambda *args: pytest.fail("a series was built"))
         repring.clear_memo()
